@@ -66,7 +66,7 @@ func main() {
 	k := flag.Int("k", 50, "MCTS simulations per action for rl stages")
 	orderFlag := flag.String("order", "dec", "coloring order for rl stages: fixed, random, inc, dec")
 	maxStates := flag.Int64("max-states", 50_000_000, "per-stage search budget")
-	batch := flag.Int("batch", 0, "share one network across requests through a batched evaluator, with this many leaves per microbatch (0 = clone the network per request)")
+	batch := flag.Int("batch", 0, "share one network and its inference caches across requests through a batched evaluator, with this many leaves per microbatch (0 = clone the network per request; either way every leaf is evaluated on the read-only inference engine)")
 	maxVertices := flag.Int("max-vertices", 0, "per-request vertex cap (0 = parser default)")
 	maxColors := flag.Int("max-colors", 0, "per-request color cap (0 = parser default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight solves")
@@ -93,8 +93,9 @@ func main() {
 			batcher = net.NewBatcher(base, *batch)
 			evaluator = func() mcts.Evaluator { return batcher }
 		} else {
-			// Network evaluators carry scratch buffers; hand every
-			// request its own clone so worker goroutines never share one.
+			// Network evaluators carry the inference engine's scratch
+			// and memo tables; hand every request its own clone so
+			// worker goroutines never share one. A clone starts cold.
 			evaluator = func() mcts.Evaluator { return base.Clone() }
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"pbqprl/internal/cost"
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/tensor"
 )
 
 // Order selects the coloring order of a PBQP game (Section IV-E).
@@ -79,9 +78,9 @@ func MakeOrder(g *pbqp.Graph, o Order, rng *rand.Rand) []int {
 // State is a PBQP game in progress.
 type State struct {
 	n, m     int
-	vecs     []cost.Vector // current cost vectors (mutated in place)
-	adj      [][]int       // full adjacency among all vertices
-	tmats    []map[int]*tensor.Mat
+	vecs     []cost.Vector          // current cost vectors (mutated in place)
+	adj      [][]int                // full adjacency among all vertices
+	edges    gcn.EdgeTable          // adj with the transformed matrices, for views
 	rawmats  []map[int]*cost.Matrix // oriented rows = first index
 	order    []int                  // game vertex -> original vertex
 	t        int                    // next vertex to color
@@ -120,7 +119,6 @@ func New(g *pbqp.Graph, order []int) *State {
 		n: n, m: m,
 		vecs:     make([]cost.Vector, n),
 		adj:      make([][]int, n),
-		tmats:    make([]map[int]*tensor.Mat, n),
 		rawmats:  make([]map[int]*cost.Matrix, n),
 		order:    append([]int(nil), order...),
 		baseline: cost.Inf,
@@ -128,7 +126,6 @@ func New(g *pbqp.Graph, order []int) *State {
 	for u := 0; u < n; u++ {
 		s.vecs[u] = h.VertexCost(u).Clone()
 		s.adj[u] = h.Neighbors(u)
-		s.tmats[u] = make(map[int]*tensor.Mat)
 		s.rawmats[u] = make(map[int]*cost.Matrix)
 		if s.vecs[u].AllInf() {
 			s.dead++
@@ -138,8 +135,14 @@ func New(g *pbqp.Graph, order []int) *State {
 		mu := e.M.Clone()
 		s.rawmats[e.U][e.V] = mu
 		s.rawmats[e.V][e.U] = mu.Transpose()
-		s.tmats[e.U][e.V] = gcn.TransformMatrix(s.rawmats[e.U][e.V])
-		s.tmats[e.V][e.U] = gcn.TransformMatrix(s.rawmats[e.V][e.U])
+	}
+	s.edges.Start = make([]int32, n+1)
+	for u := 0; u < n; u++ {
+		for _, w := range s.adj[u] {
+			s.edges.Nbr = append(s.edges.Nbr, int32(w))
+			s.edges.Mat = append(s.edges.Mat, gcn.TransformMatrix(s.rawmats[u][w]))
+		}
+		s.edges.Start[u+1] = int32(len(s.edges.Nbr))
 	}
 	return s
 }

@@ -1,0 +1,69 @@
+package game
+
+import (
+	"math/rand"
+	"testing"
+
+	"pbqprl/internal/gcn"
+	"pbqprl/internal/randgraph"
+)
+
+// TestViewMatchesGraphAtEveryTurn checks the window view and the
+// snapshot against the graph itself at every turn of shuffled games:
+// active vertex i is order[t+i], its neighbors are the uncolored
+// neighbors in ascending game order, and each edge matrix is the
+// transform of the graph's, oriented rows = i. The live view's edge
+// table window must list exactly what Nbrs and Mat report.
+func TestViewMatchesGraphAtEveryTurn(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		rng := rand.New(rand.NewSource(40 + seed))
+		n, m := 9+rng.Intn(6), 3
+		g := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: m, PEdge: 0.45, PInf: 0})
+		order := rng.Perm(n)
+		st := New(g, order)
+		for ; !st.Done(); st.Play(0) {
+			turn := st.Turn()
+			live := st.View()
+			tbl, off := live.(gcn.TableView).EdgeTable()
+			if off != turn {
+				t.Fatalf("seed %d turn %d: table window starts at %d", seed, turn, off)
+			}
+			for name, v := range map[string]gcn.View{"view": live, "snapshot": st.Snapshot()} {
+				if v.N() != n-turn || v.M() != m {
+					t.Fatalf("seed %d turn %d: %s shape (%d,%d)", seed, turn, name, v.N(), v.M())
+				}
+				for i := 0; i < v.N(); i++ {
+					var want []int
+					for j := 0; j < v.N(); j++ {
+						if g.EdgeCost(order[turn+i], order[turn+j]) != nil {
+							want = append(want, j)
+						}
+					}
+					got := v.Nbrs(i)
+					if len(got) != len(want) {
+						t.Fatalf("seed %d turn %d: %s Nbrs(%d) = %v, want %v", seed, turn, name, i, got, want)
+					}
+					lo, hi := tbl.From(turn+i, turn)
+					if int(hi-lo) != len(want) {
+						t.Fatalf("seed %d turn %d: table window of %d holds %d edges, want %d", seed, turn, i, hi-lo, len(want))
+					}
+					for k, j := range want {
+						if got[k] != j {
+							t.Fatalf("seed %d turn %d: %s Nbrs(%d) = %v, want %v", seed, turn, name, i, got, want)
+						}
+						wantMat := gcn.TransformMatrix(g.EdgeCost(order[turn+i], order[turn+j]))
+						mat := v.Mat(i, j)
+						for x := range wantMat.W {
+							if mat.W[x] != wantMat.W[x] {
+								t.Fatalf("seed %d turn %d: %s Mat(%d,%d) differs from the graph's edge", seed, turn, name, i, j)
+							}
+						}
+						if e := int(lo) + k; int(tbl.Nbr[e])-turn != j || tbl.Mat[e] != live.Mat(i, j) {
+							t.Fatalf("seed %d turn %d: table edge %d of vertex %d is not Nbrs/Mat's", seed, turn, k, i)
+						}
+					}
+				}
+			}
+		}
+	}
+}

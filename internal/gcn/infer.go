@@ -155,6 +155,57 @@ func (k *matKernel) addMulVec(dst, x tensor.Vec) {
 	}
 }
 
+// EdgeTable is the directed-edge table of one game in CSR form: every
+// vertex's neighbors and transformed edge matrices, fixed when the
+// game is built. Colored vertices only ever leave from the front of
+// the coloring order, so each state of the game is the window of
+// vertices [off, n) onto the one table, and what Infer prepares per
+// edge — the kernel — is prepared once per game instead of being
+// looked up once per edge per evaluation.
+type EdgeTable struct {
+	Start []int32       // len n+1: vertex u owns edges [Start[u], Start[u+1])
+	Nbr   []int32       // neighbor of each edge, ascending within a vertex
+	Mat   []*tensor.Mat // transformed matrix of each edge, rows = the owner's color
+
+	// kern[e] memoizes owner.kernel(Mat[e]) for as long as owner's
+	// kernel cache stays in generation gen. The memo makes a table, like
+	// the game it belongs to, single-goroutine.
+	owner *Scratch
+	gen   uint64
+	kern  []*matKernel
+}
+
+// TableView is a View that is the window [off, n) onto an EdgeTable:
+// active vertex i is table vertex off+i, and its neighbors are the
+// table's that are ≥ off, in table order.
+type TableView interface {
+	View
+	EdgeTable() (tbl *EdgeTable, off int)
+}
+
+// From returns the range of u's edges whose neighbor is ≥ off.
+func (t *EdgeTable) From(u, off int) (lo, hi int32) {
+	lo, hi = t.Start[u], t.Start[u+1]
+	for lo < hi && int(t.Nbr[lo]) < off {
+		lo++
+	}
+	return lo, hi
+}
+
+// adopt points the kernel memo at sc, emptying it if it was filled
+// from another Scratch or before sc last dropped its kernels.
+func (t *EdgeTable) adopt(sc *Scratch) {
+	if t.owner == sc && t.gen == sc.kernGen {
+		return
+	}
+	if t.kern == nil {
+		t.kern = make([]*matKernel, len(t.Mat))
+	} else {
+		clear(t.kern)
+	}
+	t.owner, t.gen = sc, sc.kernGen
+}
+
 // Cache bounds: kernels accumulate across episodes (graphs come and
 // go); h⁰, message-intern, contribution, and update entries accumulate
 // across a search. Each map resets wholesale when it grows past its
@@ -209,6 +260,7 @@ type Scratch struct {
 	edgeK     []*matKernel
 
 	kern         map[*tensor.Mat]*matKernel
+	kernGen      uint64 // bumped whenever kern is dropped; see EdgeTable
 	h0           map[string]rowRef
 	intern       map[string]rowRef
 	msg          map[string]rowRef // (kernel id, row id) edge list → message
@@ -270,14 +322,36 @@ func (sc *Scratch) ensure(m, n int) {
 	}
 }
 
-// kernel returns the prepared kernel for mat, building and caching it
-// on first sight.
-func (sc *Scratch) kernel(mat *tensor.Mat) *matKernel {
+// dropKernels empties the kernel cache (and with it every per-kernel
+// contribution cache) and starts a new generation, so edge tables
+// holding kernels of the old one resolve theirs afresh.
+func (sc *Scratch) dropKernels() {
+	clear(sc.kern)
+	sc.kernGen++
+}
+
+// kernel returns the prepared kernel for the m×m edge matrix mat,
+// building and caching it on first sight.
+func (sc *Scratch) kernel(mat *tensor.Mat, m int) *matKernel {
+	// Forward's AddMulVec rejects any edge matrix that is not m×m
+	// before touching it; mirror both checks (columns first) so a
+	// mismatched graph panics with the scalar path's exact message
+	// instead of reading a kernel out of bounds — or, worse, silently
+	// succeeding where the scalar path panics (a zero kernel has no
+	// bounds to trip).
+	if mat.C != m {
+		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
+		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mat.C, m))
+	}
+	if mat.R != m {
+		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
+		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mat.R, m))
+	}
 	if k, ok := sc.kern[mat]; ok {
 		return k
 	}
 	if len(sc.kern) >= maxKernels {
-		clear(sc.kern)
+		sc.dropKernels()
 	}
 	//pbqpvet:ignore hotalloc kernel build on first sight of an edge matrix; amortized across every later evaluation of its graph
 	k := buildKernel(mat)
@@ -318,30 +392,32 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	sc.ensure(m, n)
 
 	// Flatten the adjacency once: Forward calls view.Mat per edge per
-	// layer; one pass here resolves each directed edge to its kernel.
+	// layer; one pass here resolves each directed edge to its kernel —
+	// by slot where the view is a window onto a game's edge table, by
+	// matrix pointer otherwise.
 	sc.edgeStart = sc.edgeStart[:0]
 	sc.edgeU = sc.edgeU[:0]
 	sc.edgeK = sc.edgeK[:0]
-	for v := 0; v < n; v++ {
-		sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
-		for _, u := range view.Nbrs(v) {
-			mt := view.Mat(v, u)
-			// Forward's AddMulVec rejects any edge matrix that is not
-			// m×m before touching it; mirror both checks (columns
-			// first) so a mismatched graph panics with the scalar
-			// path's exact message instead of reading a kernel out of
-			// bounds — or, worse, silently succeeding where the scalar
-			// path panics (a zero kernel has no bounds to trip).
-			if mt.C != m {
-				//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
-				panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mt.C, m))
+	if tv, ok := view.(TableView); ok {
+		tbl, off := tv.EdgeTable()
+		tbl.adopt(sc)
+		for v := 0; v < n; v++ {
+			sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
+			for e, hi := tbl.From(off+v, off); e < hi; e++ {
+				if tbl.kern[e] == nil {
+					tbl.kern[e] = sc.kernel(tbl.Mat[e], m)
+				}
+				sc.edgeU = append(sc.edgeU, tbl.Nbr[e]-int32(off))
+				sc.edgeK = append(sc.edgeK, tbl.kern[e])
 			}
-			if mt.R != m {
-				//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
-				panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mt.R, m))
+		}
+	} else {
+		for v := 0; v < n; v++ {
+			sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
+			for _, u := range view.Nbrs(v) {
+				sc.edgeU = append(sc.edgeU, int32(u))
+				sc.edgeK = append(sc.edgeK, sc.kernel(view.Mat(v, u), m))
 			}
-			sc.edgeU = append(sc.edgeU, int32(u))
-			sc.edgeK = append(sc.edgeK, sc.kernel(mt))
 		}
 	}
 	sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
@@ -478,7 +554,7 @@ func (sc *Scratch) contribution(k *matKernel, x tensor.Vec) tensor.Vec {
 	if sc.contribCount >= maxContrib {
 		// Dropping the kernel map releases every per-kernel contribution
 		// cache at once; kernels rebuild on first sight like any miss.
-		clear(sc.kern)
+		sc.dropKernels()
 		sc.contribCount = 0
 	}
 	if k.contrib == nil {

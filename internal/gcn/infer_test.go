@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pbqprl/internal/cost"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/tensor"
 )
@@ -161,6 +162,82 @@ func TestInferInvalidateWeights(t *testing.T) {
 				t.Fatalf("vertex %d col %d: got %x want %x after weight change",
 					v, i, math.Float64bits(got[v][i]), math.Float64bits(want[v][i]))
 			}
+		}
+	}
+}
+
+// windowView presents the vertices [off, n) of a GraphView as a
+// TableView, the way a game presents its uncolored suffix.
+type windowView struct {
+	*GraphView
+	tbl *EdgeTable
+	off int
+}
+
+func newWindowView(gv *GraphView) *windowView {
+	tbl := &EdgeTable{Start: make([]int32, gv.N()+1)}
+	for v := 0; v < gv.N(); v++ {
+		for _, u := range gv.nbrs[v] {
+			tbl.Nbr = append(tbl.Nbr, int32(u))
+			tbl.Mat = append(tbl.Mat, gv.mats[v][u])
+		}
+		tbl.Start[v+1] = int32(len(tbl.Nbr))
+	}
+	return &windowView{GraphView: gv, tbl: tbl}
+}
+
+func (w *windowView) N() int                       { return w.GraphView.N() - w.off }
+func (w *windowView) Vec(i int) cost.Vector        { return w.GraphView.Vec(w.off + i) }
+func (w *windowView) EdgeTable() (*EdgeTable, int) { return w.tbl, w.off }
+
+func (w *windowView) Nbrs(i int) []int {
+	var out []int
+	for _, u := range w.GraphView.Nbrs(w.off + i) {
+		if u >= w.off {
+			out = append(out, u-w.off)
+		}
+	}
+	return out
+}
+
+func (w *windowView) Mat(i, j int) *tensor.Mat { return w.GraphView.Mat(w.off+i, w.off+j) }
+
+// TestInferEdgeTableBitIdenticalToForward drives Infer's edge-table
+// path over every window of a graph, against Forward reading the same
+// window through Nbrs/Mat. The table's kernel memo must survive what
+// can happen to it between evaluations: a second Scratch taking it
+// over, and its own Scratch dropping the kernel cache.
+func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
+	g := New(rand.New(rand.NewSource(81)), 6, 2)
+	w := newWindowView(zeroInfView(82, 15, 6).(*GraphView))
+	a, b := &Scratch{}, &Scratch{}
+	check := func(sc *Scratch, what string) {
+		t.Helper()
+		want, got := g.Forward(w), g.Infer(w, sc)
+		for v := range want {
+			for i := range want[v] {
+				if math.Float64bits(want[v][i]) != math.Float64bits(got[v][i]) {
+					t.Fatalf("%s, window %d, vertex %d col %d: got %x want %x",
+						what, w.off, v, i, math.Float64bits(got[v][i]), math.Float64bits(want[v][i]))
+				}
+			}
+		}
+	}
+	for w.off = 0; w.off < 15; w.off++ {
+		check(a, "first scratch")
+		check(b, "second scratch")
+		check(a, "first scratch again")
+		a.dropKernels()
+		check(a, "after dropping kernels")
+	}
+	w.off = 0
+	check(a, "whole graph")
+	if w.tbl.owner != a || w.tbl.gen != a.kernGen {
+		t.Error("the table's memo does not follow the scratch that last used it")
+	}
+	for e, k := range w.tbl.kern {
+		if k == nil || a.kern[w.tbl.Mat[e]] != k {
+			t.Fatalf("edge %d does not memoize the kernel its scratch caches", e)
 		}
 	}
 }

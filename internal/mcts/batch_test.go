@@ -9,6 +9,7 @@ import (
 	"pbqprl/internal/game"
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/net"
+	"pbqprl/internal/nn"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/tensor"
 )
@@ -136,25 +137,38 @@ func TestBatchedSearchBitIdenticalToSequential(t *testing.T) {
 	}
 }
 
+// forwardEval evaluates through the network's trainable pass and the
+// masked softmax — the scalar reference the engine behind
+// (*net.PBQPNet).Evaluate and EvaluateBatch must match bit for bit.
+type forwardEval struct{ n *net.PBQPNet }
+
+func (e forwardEval) Evaluate(view gcn.View) (tensor.Vec, float64) {
+	logits, value := e.n.Forward(view)
+	return nn.Softmax(logits, net.Mask(view)), value
+}
+
 // TestBatchedSearchWithNetEngine runs the same contract end to end
-// through the real network's batched engine (net.PBQPNet implements
-// BatchEvaluator): tree statistics must match the sequential search on
-// the same network bit for bit.
+// through the real network's engine (net.PBQPNet implements
+// BatchEvaluator): sequential search on Evaluate and batched search on
+// EvaluateBatch must both build, bit for bit, the tree the sequential
+// search builds on the trainable pass.
 func TestBatchedSearchWithNetEngine(t *testing.T) {
-	st, m := randomTrapGame(302)
+	_, m := randomTrapGame(302)
 	n := net.New(net.Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 303})
 
-	ref := New(n, m, Config{})
+	st, _ := randomTrapGame(302)
+	ref := New(forwardEval{n.Clone()}, m, Config{})
 	ref.Run(st, 120)
 
-	st2, _ := randomTrapGame(302)
-	tree := New(n, m, Config{BatchLeaves: 8})
-	tree.Run(st2, 120)
-
-	if ref.Nodes() != tree.Nodes() {
-		t.Fatalf("nodes %d, want %d", tree.Nodes(), ref.Nodes())
+	for _, bl := range []int{1, 8} {
+		st, _ := randomTrapGame(302)
+		tree := New(n, m, Config{BatchLeaves: bl})
+		tree.Run(st, 120)
+		if ref.Nodes() != tree.Nodes() {
+			t.Fatalf("BatchLeaves %d: nodes %d, want %d", bl, tree.Nodes(), ref.Nodes())
+		}
+		compareTrees(t, ref.root, tree.root, "root")
 	}
-	compareTrees(t, ref.root, tree.root, "root")
 }
 
 // TestBatchingActuallyBatches guards against the batching silently

@@ -18,7 +18,9 @@ import (
 )
 
 // Evaluator supplies priors and values for non-terminal leaves; it is
-// implemented by *net.PBQPNet.
+// implemented by *net.PBQPNet, whose Evaluate runs on the read-only
+// inference engine. The returned prior is the caller's: the tree keeps
+// it on the node.
 type Evaluator interface {
 	Evaluate(view gcn.View) (prior tensor.Vec, value float64)
 }

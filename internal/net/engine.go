@@ -1,18 +1,20 @@
 package net
 
-// Read-only batched evaluation. The engine runs the same computation
-// as Evaluate — GCN embedding, pooling, torso, heads, masked softmax —
+// Read-only evaluation: Evaluate, EvaluateInto and EvaluateBatch. The
+// engine runs the same computation as the trainable pass — GCN
+// embedding, pooling, torso, heads (Forward), then the masked softmax —
 // through the read-only inference paths (gcn.Infer, nn.InferBatch) and
 // reusable scratch buffers, batching any number of views through one
 // blocked matmul pass per layer. Its contract is bit-identity: each
-// view's (prior, value) is bit-for-bit what the scalar Evaluate
-// returns for that view, for any batch size and order, so batching is
-// purely a throughput decision.
+// view's (prior, value) is bit-for-bit what Forward(view) followed by
+// nn.Softmax(logits, Mask(view)) gives, for any batch size and order,
+// so batching is purely a throughput decision.
 //
 // The engine shares the owning net's single-goroutine discipline (as
-// do the Forward caches). Weight-derived caches are dropped whenever
-// the weights can have changed: SetTraining (which brackets every
-// training step), Load, and CopyFrom all invalidate.
+// do the Forward caches), and every Clone has its own, which starts
+// cold. Weight-derived caches are dropped whenever the weights can have
+// changed: SetTraining (which brackets every training step), Load, and
+// CopyFrom all invalidate.
 
 import (
 	"pbqprl/internal/gcn"
@@ -69,8 +71,7 @@ func (p *PBQPNet) inferHeads(views []gcn.View) (logits, vals *tensor.Mat) {
 }
 
 // EvaluateInto is Evaluate writing the prior into a caller-provided
-// length-m vector: bit-identical results, no allocation in the steady
-// state, no Forward caches touched.
+// length-m vector: no allocation in the steady state.
 //
 //pbqpvet:hotpath
 func (p *PBQPNet) EvaluateInto(view gcn.View, prior tensor.Vec) (value float64) {

@@ -10,6 +10,7 @@ import (
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/gcn"
+	"pbqprl/internal/nn"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/tensor"
 )
@@ -20,6 +21,31 @@ func zeroInfView(seed int64, n, m int) gcn.View {
 		N: n, M: m, PEdge: 0.4, HardRatio: 0.4, PEdgeInf: 0.3,
 	})
 	return gcn.NewGraphView(g)
+}
+
+// scalarEvaluate is the reference every engine test compares against:
+// the trainable pass followed by the masked softmax, which is what
+// Evaluate computed before it moved onto the engine.
+func scalarEvaluate(p *PBQPNet, view gcn.View) (prior tensor.Vec, value float64) {
+	logits, value := p.Forward(view)
+	return nn.Softmax(logits, Mask(view)), value
+}
+
+// sameBits fails the test unless (prior, value) equals the reference
+// bit for bit.
+func sameBits(t *testing.T, what string, prior, wantPrior tensor.Vec, value, wantValue float64) {
+	t.Helper()
+	if math.Float64bits(value) != math.Float64bits(wantValue) {
+		t.Fatalf("%s: value %x, want %x", what, math.Float64bits(value), math.Float64bits(wantValue))
+	}
+	if len(prior) != len(wantPrior) {
+		t.Fatalf("%s: prior length %d, want %d", what, len(prior), len(wantPrior))
+	}
+	for c := range prior {
+		if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[c]) {
+			t.Fatalf("%s: prior[%d] %x, want %x", what, c, math.Float64bits(prior[c]), math.Float64bits(wantPrior[c]))
+		}
+	}
 }
 
 // vecView is a minimal edgeless View whose vertex-0 cost vector the
@@ -78,7 +104,7 @@ func TestEvaluateSaturatedVertex(t *testing.T) {
 		cost.NewVector(m),
 	}}
 	p := New(Config{M: m, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 82})
-	prior, value := p.Evaluate(view)
+	prior, value := scalarEvaluate(p, view)
 	for i, pr := range prior {
 		if pr != 0 || math.Signbit(pr) {
 			t.Errorf("prior[%d] = %v, want +0", i, pr)
@@ -87,16 +113,9 @@ func TestEvaluateSaturatedVertex(t *testing.T) {
 	if math.IsNaN(value) {
 		t.Error("value is NaN")
 	}
-	// the batched path must agree
-	got := make(tensor.Vec, m)
-	if v := p.EvaluateInto(view, got); math.Float64bits(v) != math.Float64bits(value) {
-		t.Errorf("EvaluateInto value %v, want %v", v, value)
-	}
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(prior[i]) {
-			t.Errorf("EvaluateInto prior[%d] mismatch", i)
-		}
-	}
+	// the engine must agree
+	got, v := p.Evaluate(view)
+	sameBits(t, "Evaluate", got, prior, v, value)
 }
 
 func engineTestViews(m int) []gcn.View {
@@ -114,7 +133,7 @@ func engineTestViews(m int) []gcn.View {
 
 // TestEvaluateBatchBitIdenticalShuffled is the tentpole property test:
 // for shuffled batches of mixed views, every (prior, value) pair out
-// of the batched engine equals the scalar Evaluate bit for bit,
+// of the batched engine equals the trainable pass bit for bit,
 // independent of batch composition and of cache warmth.
 func TestEvaluateBatchBitIdenticalShuffled(t *testing.T) {
 	const m = 5
@@ -124,7 +143,7 @@ func TestEvaluateBatchBitIdenticalShuffled(t *testing.T) {
 	wantPrior := make([]tensor.Vec, len(views))
 	wantValue := make([]float64, len(views))
 	for i, v := range views {
-		wantPrior[i], wantValue[i] = p.Evaluate(v)
+		wantPrior[i], wantValue[i] = scalarEvaluate(p, v)
 	}
 
 	rng := rand.New(rand.NewSource(99))
@@ -138,17 +157,12 @@ func TestEvaluateBatchBitIdenticalShuffled(t *testing.T) {
 		}
 		priors, values := p.EvaluateBatch(batch)
 		for i, j := range idx {
-			if math.Float64bits(values[i]) != math.Float64bits(wantValue[j]) {
-				t.Fatalf("trial %d view %d: value %x, want %x",
-					trial, j, math.Float64bits(values[i]), math.Float64bits(wantValue[j]))
-			}
-			for c := range priors[i] {
-				if math.Float64bits(priors[i][c]) != math.Float64bits(wantPrior[j][c]) {
-					t.Fatalf("trial %d view %d color %d: prior %x, want %x",
-						trial, j, c, math.Float64bits(priors[i][c]), math.Float64bits(wantPrior[j][c]))
-				}
-			}
+			sameBits(t, fmt.Sprintf("trial %d view %d", trial, j), priors[i], wantPrior[j], values[i], wantValue[j])
 		}
+		// the single-view entry point shares the warm caches
+		j := idx[0]
+		prior, value := p.Evaluate(views[j])
+		sameBits(t, fmt.Sprintf("trial %d Evaluate(view %d)", trial, j), prior, wantPrior[j], value, wantValue[j])
 	}
 }
 
@@ -179,16 +193,9 @@ func TestEvaluateEngineAfterWeightChange(t *testing.T) {
 	p.EvaluateInto(view, prior) // warm caches against p's initial weights
 
 	p.CopyFrom(q)
-	wantPrior, wantValue := q.Evaluate(view)
+	wantPrior, wantValue := scalarEvaluate(q, view)
 	value := p.EvaluateInto(view, prior)
-	if math.Float64bits(value) != math.Float64bits(wantValue) {
-		t.Fatalf("value %x, want %x after CopyFrom", math.Float64bits(value), math.Float64bits(wantValue))
-	}
-	for i := range prior {
-		if math.Float64bits(prior[i]) != math.Float64bits(wantPrior[i]) {
-			t.Fatalf("prior[%d] stale after CopyFrom", i)
-		}
-	}
+	sameBits(t, "after CopyFrom", prior, wantPrior, value, wantValue)
 }
 
 // TestBatcherConcurrentBitIdentical: many goroutines sharing one
@@ -203,7 +210,7 @@ func TestBatcherConcurrentBitIdentical(t *testing.T) {
 	wantPrior := make([]tensor.Vec, len(views))
 	wantValue := make([]float64, len(views))
 	for i, v := range views {
-		wantPrior[i], wantValue[i] = ref.Evaluate(v)
+		wantPrior[i], wantValue[i] = scalarEvaluate(ref, v)
 	}
 
 	b := NewBatcher(p, 8)
@@ -258,7 +265,7 @@ func TestBatcherContainsEvaluationPanics(t *testing.T) {
 	wantPrior := make([]tensor.Vec, len(views))
 	wantValue := make([]float64, len(views))
 	for i, v := range views {
-		wantPrior[i], wantValue[i] = ref.Evaluate(v)
+		wantPrior[i], wantValue[i] = scalarEvaluate(ref, v)
 	}
 
 	b := NewBatcher(p, 8)

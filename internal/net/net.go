@@ -69,8 +69,9 @@ type PBQPNet struct {
 	lastH      []tensor.Vec
 	lastN      int
 
-	// eng is the lazily built read-only inference engine (engine.go).
-	// Like the Forward caches it makes the net single-goroutine.
+	// eng is the lazily built read-only inference engine (engine.go)
+	// behind Evaluate. Like the Forward caches it makes the net
+	// single-goroutine.
 	eng *engine
 }
 
@@ -155,9 +156,20 @@ func poolInto(f tensor.Vec, view gcn.View, h []tensor.Vec) {
 // Evaluate returns the masked prior distribution p̂(·|s) over colors and
 // the value estimate v̂ for the state presented by view. Colors whose
 // vertex cost is infinite get probability zero.
+//
+// It runs on the read-only inference engine (engine.go): bit-identical
+// to Forward followed by nn.Softmax over Mask(view), but it leaves the
+// caches Backward reads alone and its one allocation is the prior,
+// which the caller owns (mcts keeps it on the tree node). The network
+// must be in inference mode: between SetTraining(true) and
+// SetTraining(false) the batch-normalization statistics are moving and
+// Evaluate panics rather than evaluate against them.
+//
+//pbqpvet:hotpath
 func (p *PBQPNet) Evaluate(view gcn.View) (prior tensor.Vec, value float64) {
-	logits, value := p.Forward(view)
-	return nn.Softmax(logits, Mask(view)), value
+	//pbqpvet:ignore hotalloc the caller-owned result prior, Evaluate's single allocation
+	prior = make(tensor.Vec, p.cfg.M)
+	return prior, p.EvaluateInto(view, prior)
 }
 
 // Mask returns the legal-color mask of the next vertex to color. A

@@ -572,6 +572,9 @@ func (t *Trainer) train() (float64, error) {
 	if t.replay.len() == 0 {
 		return 0, t.checkFinite()
 	}
+	// The only training-mode bracket there is: episodes, arena games and
+	// dist workers evaluate outside it (their clones and loaded nets
+	// start in inference mode), and net.Evaluate panics inside it.
 	t.cur.SetTraining(true)
 	defer t.cur.SetTraining(false)
 	totalLoss, count := 0.0, 0

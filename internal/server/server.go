@@ -90,8 +90,9 @@ type Config struct {
 	// Evaluator supplies the MCTS evaluator for rl stages; the factory
 	// is called once per admitted request that uses one. Cloning
 	// factories hand every request a private network (evaluators carry
-	// scratch buffers that are not safe to share across worker
-	// goroutines); a factory returning one shared net.Batcher instead
+	// the inference engine's scratch and memo tables, which are not
+	// safe to share across worker goroutines and start cold in every
+	// clone); a factory returning one shared net.Batcher instead
 	// funnels every request's evaluations through a single network and
 	// coalesces them into batches (cmd/pbqp-serve -batch). Nil uses
 	// the uniform (untrained) prior.
