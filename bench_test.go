@@ -812,133 +812,6 @@ func BenchmarkDistEpisodes(b *testing.B) {
 	}
 }
 
-// --- Big-graph decomposition benchmark ---
-
-// BenchmarkBigGraph measures the decomposition pipeline (reduce →
-// block-cut split → per-block scholz → recombine) against plain scholz
-// and, on the smallest size, plain liberty, on large sparse instances
-// from randgraph.LargeSparse. Plain scholz re-scans the whole graph for
-// its minimum-degree vertex every elimination step, so its cost grows
-// quadratically; the decomposed path hands it blocks of ~a dozen
-// vertices and recombines exactly, so it should win on both time and
-// cost. After the sub-benchmarks finish the results are written to
-// BENCH_biggraph.json in the repository root; CI regenerates the file
-// and fails if, on the largest instance, the decomposed solve is less
-// than 5× faster than plain scholz or costs more.
-func BenchmarkBigGraph(b *testing.B) {
-	const (
-		seedBig     = 101
-		mBig        = 4
-		compsBig    = 8
-		clusterBig  = 12
-		chordsBig   = 4
-		libertyCap  = 50_000_000
-		libertyUpTo = 5000 // enumeration reference only where it is cheap
-	)
-	sizes := []int{5000, 20000, 50000}
-	if testing.Short() {
-		sizes = []int{5000, 20000}
-	}
-	type solverResult struct {
-		Solver         string  `json:"solver"`
-		Seconds        float64 `json:"seconds"`
-		VerticesPerSec float64 `json:"vertices_per_sec"`
-		Cost           float64 `json:"cost"`
-		Feasible       bool    `json:"feasible"`
-		Truncated      bool    `json:"truncated"`
-	}
-	type sizeResult struct {
-		Vertices        int               `json:"vertices"`
-		Edges           int               `json:"edges"`
-		Decomposition   pbqprl.DecompInfo `json:"decomposition"`
-		Solvers         []solverResult    `json:"solvers"`
-		SpeedupVsScholz float64           `json:"decomp_speedup_vs_scholz"`
-		CostRatio       float64           `json:"decomp_cost_ratio_vs_scholz"`
-	}
-	// the framework invokes each sub-benchmark more than once (a b.N=1
-	// calibration round first), so keep only the final run per size
-	byN := map[int]sizeResult{}
-	for _, n := range sizes {
-		n := n
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			g := pbqprl.LargeSparse(rand.New(rand.NewSource(seedBig)), pbqprl.LargeSparseConfig{
-				N: n, M: mBig, Components: compsBig, ClusterSize: clusterBig, Chords: chordsBig,
-			})
-			ds := pbqprl.Decompose(scholz.Solver{})
-			ds.Workers = runtime.GOMAXPROCS(0)
-			sr := sizeResult{Vertices: n, Edges: g.NumEdges()}
-			measure := func(name string, solveOnce func() pbqprl.Result) solverResult {
-				var res pbqprl.Result
-				start := time.Now()
-				for i := 0; i < b.N; i++ {
-					res = solveOnce()
-				}
-				sec := time.Since(start).Seconds() / float64(b.N)
-				return solverResult{
-					Solver:         name,
-					Seconds:        sec,
-					VerticesPerSec: float64(n) / sec,
-					Cost:           float64(res.Cost),
-					Feasible:       res.Feasible,
-					Truncated:      res.Truncated,
-				}
-			}
-			b.ResetTimer()
-			dRes := measure(ds.Name(), func() pbqprl.Result {
-				r, info := ds.SolveWithInfo(context.Background(), g)
-				sr.Decomposition = info
-				return r
-			})
-			sRes := measure("scholz", func() pbqprl.Result { return scholz.Solver{}.Solve(g) })
-			sr.Solvers = append(sr.Solvers, dRes, sRes)
-			if n <= libertyUpTo {
-				sr.Solvers = append(sr.Solvers, measure("liberty", func() pbqprl.Result {
-					return pbqprl.Liberty(libertyCap).Solve(g)
-				}))
-			}
-			b.StopTimer()
-			if !dRes.Feasible || !sRes.Feasible {
-				b.Fatalf("feasibility: decomp=%v scholz=%v", dRes.Feasible, sRes.Feasible)
-			}
-			sr.SpeedupVsScholz = sRes.Seconds / dRes.Seconds
-			sr.CostRatio = dRes.Cost / sRes.Cost
-			b.ReportMetric(dRes.VerticesPerSec, "vertices/sec")
-			b.ReportMetric(sr.SpeedupVsScholz, "speedup")
-			byN[n] = sr
-		})
-	}
-	var results []sizeResult
-	for _, n := range sizes {
-		if r, ok := byN[n]; ok {
-			results = append(results, r)
-		}
-	}
-	report := struct {
-		Benchmark  string `json:"benchmark"`
-		GoMaxProcs int    `json:"gomaxprocs"`
-		Config     struct {
-			M           int   `json:"m"`
-			Components  int   `json:"components"`
-			ClusterSize int   `json:"cluster_size"`
-			Chords      int   `json:"chords"`
-			Seed        int64 `json:"seed"`
-		} `json:"config"`
-		Results []sizeResult `json:"results"`
-	}{Benchmark: "BenchmarkBigGraph", GoMaxProcs: runtime.GOMAXPROCS(0), Results: results}
-	report.Config.M = mBig
-	report.Config.Components = compsBig
-	report.Config.ClusterSize = clusterBig
-	report.Config.Chords = chordsBig
-	report.Config.Seed = seedBig
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_biggraph.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // --- Static-analysis cost benchmark ---
 
 // BenchmarkVet measures pbqp-vet's analyzer wall-time over the full

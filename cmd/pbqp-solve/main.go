@@ -199,6 +199,8 @@ func main() {
 		fmt.Printf("decomp:    eliminated %d of %d, residual %d in %d components / %d blocks (largest %d, cuts %d)\n",
 			decompInfo.Eliminated, decompInfo.OriginalVertices, decompInfo.ResidualVertices,
 			decompInfo.Components, decompInfo.Blocks, decompInfo.LargestBlock, decompInfo.CutVertices)
+		fmt.Printf("decomp:    reduce %.3fs, csr %.3fs, block-cut %.3fs, block solves %.3fs, expand %.3fs\n",
+			decompInfo.Reduce, decompInfo.CSR, decompInfo.BlockCut, decompInfo.Solve, decompInfo.Expand)
 	}
 	if stats != nil {
 		for _, out := range stats.Stages {

@@ -30,6 +30,7 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
@@ -74,6 +75,21 @@ type Info struct {
 	// CutVertices is the number of articulation vertices shared
 	// between blocks.
 	CutVertices int `json:"cut_vertices"`
+	// StageSeconds says where the wall time went; its fields sit next
+	// to the counts in the JSON form.
+	StageSeconds
+}
+
+// StageSeconds is the wall time of each pipeline stage, in pipeline
+// order: the exact reduction, the CSR snapshot, the block-cut scan, the
+// block solves (all workers, wall time) and the expansion with its
+// final cost evaluation. A stage that did not run reports zero.
+type StageSeconds struct {
+	Reduce   float64 `json:"reduce_s"`
+	CSR      float64 `json:"csr_s"`
+	BlockCut float64 `json:"blockcut_s"`
+	Solve    float64 `json:"solve_s"`
+	Expand   float64 `json:"expand_s"`
 }
 
 // Name implements solve.Solver.
@@ -98,7 +114,16 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 	if ctx.Err() != nil {
 		return solve.Result{Cost: cost.Inf, Truncated: true}, info
 	}
+	//pbqpvet:ignore determinism per-stage wall time is reporting only; it never feeds back into solver decisions
+	mark := time.Now()
+	// lap returns the seconds since the previous lap: one stage's share.
+	lap := func() float64 {
+		d := time.Since(mark)
+		mark = mark.Add(d)
+		return d.Seconds()
+	}
 	red := reduce.Apply(g)
+	info.Reduce = lap()
 	w := red.Graph
 	info.Eliminated = red.Eliminated
 	info.ResidualVertices = w.AliveCount()
@@ -109,6 +134,7 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 	sel := make(pbqp.Selection, g.NumVertices())
 	if w.AliveCount() > 0 {
 		csr := pbqp.NewCSR(w)
+		info.CSR = lap()
 		sc := newScanner(csr)
 		sc.run()
 		info.Components = sc.numComps()
@@ -123,15 +149,15 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 				info.CutVertices++
 			}
 		}
+		info.BlockCut = lap()
 		outcomes := make([]compOutcome, sc.numComps())
 		workers := s.Workers
 		if workers > len(outcomes) {
 			workers = len(outcomes)
 		}
 		if workers <= 1 {
-			scratch := newPosScratch(csr.Len())
 			for c := range outcomes {
-				outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel, scratch)
+				outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel)
 			}
 		} else {
 			// Components touch disjoint vertices: each goroutine writes
@@ -145,18 +171,18 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					scratch := newPosScratch(csr.Len())
 					for {
 						c := int(next.Add(1)) - 1
 						if c >= len(outcomes) {
 							return
 						}
-						outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel, scratch)
+						outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel)
 					}
 				}()
 			}
 			wg.Wait()
 		}
+		info.Solve = lap()
 		feasible := true
 		for _, oc := range outcomes {
 			states += oc.states
@@ -172,10 +198,11 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 		}
 	}
 	full, ok := red.Expand(sel)
-	if !ok {
-		return solve.Result{Cost: cost.Inf, Truncated: truncated, States: states}, info
+	total := cost.Inf
+	if ok {
+		total = g.TotalCost(full)
 	}
-	total := g.TotalCost(full)
+	info.Expand = lap()
 	if total.IsInf() {
 		return solve.Result{Cost: cost.Inf, Truncated: truncated, States: states}, info
 	}
@@ -188,27 +215,12 @@ type compOutcome struct {
 	states    int64
 }
 
-// posScratch maps CSR indices to block-local indices while a block
-// subgraph is being built; entries are -1 between blocks. One per
-// worker, reused across that worker's blocks.
-type posScratch struct {
-	pos []int32
-}
-
-func newPosScratch(n int) *posScratch {
-	s := &posScratch{pos: make([]int32, n)}
-	for i := range s.pos {
-		s.pos[i] = -1
-	}
-	return s
-}
-
 // solveComponent runs the two sweeps over component c's blocks: a
 // forward (post-order) sweep folding every non-root block into its
 // anchor cut vertex and solving the root block outright, then a
 // backward sweep propagating chosen colors down to each block's
 // stored per-color selection. It writes only c's vertices of sel.
-func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CSR, sc *scanner, c int, sel pbqp.Selection, scratch *posScratch) compOutcome {
+func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CSR, sc *scanner, c int, sel pbqp.Selection) compOutcome {
 	lo, hi := sc.comp(c)
 	m := w.M()
 	oc := compOutcome{feasible: true}
@@ -222,8 +234,9 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 			return oc
 		}
 		verts := sc.block(b)
+		h := blockGraph(w, csr, verts)
 		if sc.isRoot[b] {
-			res := s.solveBlock(ctx, w, csr, verts, -1, scratch)
+			res := solve.SolveCtx(ctx, s.Inner, h)
 			oc.states += res.States
 			if res.Truncated {
 				oc.truncated = true
@@ -235,15 +248,24 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 			tables[b-lo] = []pbqp.Selection{res.Selection}
 			continue
 		}
+		// Pin the anchor to each color in turn by replacing its vector
+		// with "0 at a, ∞ elsewhere" — excluding the anchor's own
+		// (possibly already folded) cost, which stays in the residual for
+		// the parent block. Inner solvers do not mutate their input, so
+		// the one block graph serves every pin.
 		anchorID := csr.ID(int(verts[0]))
-		cur := w.VertexCost(anchorID).Clone()
+		cur := w.VertexCost(anchorID)
 		newVec := cur.Clone()
 		table := make([]pbqp.Selection, m)
+		pin := cost.NewInfVector(m)
 		for a := 0; a < m; a++ {
 			if cur[a].IsInf() {
 				continue // newVec[a] is already infinite
 			}
-			res := s.solveBlock(ctx, w, csr, verts, a, scratch)
+			pin[a] = 0
+			h.SetVertexCost(0, pin)
+			pin[a] = cost.Inf
+			res := solve.SolveCtx(ctx, s.Inner, h)
 			oc.states += res.States
 			if res.Truncated {
 				oc.truncated = true
@@ -293,39 +315,15 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 	return oc
 }
 
-// solveBlock extracts block verts (CSR indices, anchor first) as a
-// standalone graph and solves it with the inner solver under ctx. pin
-// ≥ 0 pins the anchor to that color by replacing its vector with "0 at
-// pin, ∞ elsewhere" — excluding the anchor's own (possibly already
-// folded) cost, which stays in the residual for the parent block. The
+// blockGraph extracts block verts (CSR indices, anchor first) of the
+// residual w as a standalone graph sharing w's edge matrices. The
 // block's edges are exactly the residual edges between its vertices:
 // two biconnected components share at most one vertex, so no edge
 // between two block vertices can belong to another block.
-func (s *Solver) solveBlock(ctx context.Context, w *pbqp.Graph, csr *pbqp.CSR, verts []int32, pin int, scratch *posScratch) solve.Result {
-	m := w.M()
-	h := pbqp.New(len(verts), m)
-	pos := scratch.pos
+func blockGraph(w *pbqp.Graph, csr *pbqp.CSR, verts []int32) *pbqp.Graph {
+	ids := make([]int, len(verts))
 	for i, v := range verts {
-		pos[v] = int32(i)
+		ids[i] = csr.ID(int(v))
 	}
-	for i, v := range verts {
-		if i == 0 && pin >= 0 {
-			pv := cost.NewInfVector(m)
-			pv[pin] = 0
-			h.SetVertexCost(0, pv)
-		} else {
-			h.SetVertexCost(i, w.VertexCost(csr.ID(int(v))))
-		}
-		nbrs, mats := csr.Row(int(v))
-		for k, nb := range nbrs {
-			if nb <= v || pos[nb] < 0 {
-				continue
-			}
-			h.SetEdgeCost(i, int(pos[nb]), mats[k])
-		}
-	}
-	for _, v := range verts {
-		pos[v] = -1
-	}
-	return solve.SolveCtx(ctx, s.Inner, h)
+	return w.Induced(ids)
 }

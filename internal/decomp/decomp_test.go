@@ -4,9 +4,11 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
+	"pbqprl/internal/randgraph"
 	"pbqprl/internal/solve/brute"
 	"pbqprl/internal/solve/scholz"
 )
@@ -258,6 +260,7 @@ func TestDecompInfo(t *testing.T) {
 		LargestBlock:     4,
 		CutVertices:      1,
 	}
+	info.StageSeconds = StageSeconds{} // wall time, checked in TestDecompStageSeconds
 	if info != want {
 		t.Fatalf("info %+v, want %+v", info, want)
 	}
@@ -308,6 +311,51 @@ func TestDecompScholzInner(t *testing.T) {
 				t.Fatalf("decomp(scholz) cost %v beats the optimum %v\n%s", res.Cost, exact.Cost, g)
 			}
 		}
+	}
+}
+
+// largeSparse is the big-graph instance the retired BenchmarkBigGraph
+// gated on: 5 000 vertices in 8 components of 12-vertex clusters.
+func largeSparse() *pbqp.Graph {
+	return randgraph.LargeSparse(rand.New(rand.NewSource(101)), randgraph.LargeSparseConfig{
+		N: 5000, M: 4, Components: 8, ClusterSize: 12, Chords: 4})
+}
+
+// TestDecompNeverLosesToScholz: per-block folds are exact, so on the
+// same instance decomp(scholz) may never cost more than plain scholz
+// (tiny floating-point slack), and both must be feasible.
+func TestDecompNeverLosesToScholz(t *testing.T) {
+	g := largeSparse()
+	plain := scholz.Solver{}.Solve(g)
+	dec := Wrap(scholz.Solver{}).Solve(g)
+	if !plain.Feasible || !dec.Feasible {
+		t.Fatalf("feasible: scholz %v, decomp(scholz) %v", plain.Feasible, dec.Feasible)
+	}
+	if float64(dec.Cost) > float64(plain.Cost)*(1+1e-9) {
+		t.Fatalf("decomp(scholz) cost %v exceeds plain scholz %v", dec.Cost, plain.Cost)
+	}
+}
+
+// TestDecompStageSeconds: the per-stage seconds are non-negative and,
+// being laps of one clock, sum to no more than the wall time of the
+// call that reported them.
+func TestDecompStageSeconds(t *testing.T) {
+	g := largeSparse()
+	d := Wrap(scholz.Solver{})
+	d.Workers = 2
+	start := time.Now()
+	_, info := d.SolveWithInfo(context.Background(), g)
+	wall := time.Since(start).Seconds()
+	st := info.StageSeconds
+	sum := 0.0
+	for name, s := range map[string]float64{"reduce": st.Reduce, "csr": st.CSR, "blockcut": st.BlockCut, "solve": st.Solve, "expand": st.Expand} {
+		if s < 0 {
+			t.Errorf("%s_s = %v, want non-negative", name, s)
+		}
+		sum += s
+	}
+	if sum <= 0 || sum > wall {
+		t.Fatalf("stage seconds sum to %v, wall time %v: %+v", sum, wall, st)
 	}
 }
 

@@ -123,18 +123,19 @@ func New(g *pbqp.Graph, order []int) *State {
 		order:    append([]int(nil), order...),
 		baseline: cost.Inf,
 	}
+	// h is private to this call, so the game takes over its vectors; its
+	// matrices are g's own, shared read-only (the pbqp ownership rule),
+	// so the game keeps both orientations without copying either.
 	for u := 0; u < n; u++ {
-		s.vecs[u] = h.VertexCost(u).Clone()
+		s.vecs[u] = h.VertexCost(u)
 		s.adj[u] = h.Neighbors(u)
-		s.rawmats[u] = make(map[int]*cost.Matrix)
+		s.rawmats[u] = make(map[int]*cost.Matrix, len(s.adj[u]))
+		for _, w := range s.adj[u] {
+			s.rawmats[u][w] = h.EdgeCost(u, w)
+		}
 		if s.vecs[u].AllInf() {
 			s.dead++
 		}
-	}
-	for _, e := range h.Edges() {
-		mu := e.M.Clone()
-		s.rawmats[e.U][e.V] = mu
-		s.rawmats[e.V][e.U] = mu.Transpose()
 	}
 	s.edges.Start = make([]int32, n+1)
 	for u := 0; u < n; u++ {

@@ -1,10 +1,6 @@
 package pbqp
 
-import (
-	"sort"
-
-	"pbqprl/internal/cost"
-)
+import "slices"
 
 // CSR is a compressed-sparse-row snapshot of a graph's alive vertices
 // and edges: a read-only, cache-friendly adjacency for traversal-heavy
@@ -16,20 +12,18 @@ import (
 // Vertices are renumbered densely: CSR index i ∈ [0, Len()) maps to
 // graph vertex ID(i), with IndexOf inverting the mapping. Neighbor
 // lists are sorted ascending by CSR index, so every traversal order is
-// deterministic. The snapshot aliases the graph's edge matrices but
-// copies no cost data; it does not observe later graph mutations to
-// the edge set (vector mutations show through VertexCost as usual).
+// deterministic. The snapshot is topology only — cost data stays in the
+// graph, reached through ID — and does not observe later graph
+// mutations to the edge set.
 type CSR struct {
 	m      int
 	ids    []int32 // CSR index -> graph vertex id
 	index  []int32 // graph vertex id -> CSR index, -1 for dead vertices
-	rowPtr []int32 // rowPtr[i]..rowPtr[i+1] spans row i of colIdx/mats
+	rowPtr []int32 // rowPtr[i]..rowPtr[i+1] spans row i of colIdx
 	colIdx []int32 // neighbor CSR indices, ascending within each row
-	mats   []*cost.Matrix
 }
 
-// NewCSR snapshots g's alive subgraph. Matrices alias graph storage,
-// oriented with rows = the row vertex's color (same as EdgeCost).
+// NewCSR snapshots g's alive subgraph.
 func NewCSR(g *Graph) *CSR {
 	n := g.AliveCount()
 	c := &CSR{
@@ -53,7 +47,6 @@ func NewCSR(g *Graph) *CSR {
 		c.rowPtr[i+1] = int32(total)
 	}
 	c.colIdx = make([]int32, total)
-	c.mats = make([]*cost.Matrix, total)
 	for i, u := range c.ids {
 		row := c.colIdx[c.rowPtr[i]:c.rowPtr[i]:c.rowPtr[i+1]]
 		// adj iteration order is randomized; the sort below restores a
@@ -61,10 +54,7 @@ func NewCSR(g *Graph) *CSR {
 		for v := range g.adj[u] {
 			row = append(row, c.index[v])
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		for k, j := range row {
-			c.mats[int(c.rowPtr[i])+k] = g.adj[u][int(c.ids[j])]
-		}
+		slices.Sort(row)
 	}
 	return c
 }
@@ -92,15 +82,6 @@ func (c *CSR) Degree(i int) int { return int(c.rowPtr[i+1] - c.rowPtr[i]) }
 //pbqpvet:hotpath
 func (c *CSR) Neighbors(i int) []int32 {
 	return c.colIdx[c.rowPtr[i]:c.rowPtr[i+1]]
-}
-
-// Row returns the neighbor row of CSR vertex i together with the
-// parallel edge-matrix row (mats[k] is the matrix toward Neighbors[k],
-// rows = i's color). Both slices are read-only views.
-//
-//pbqpvet:hotpath
-func (c *CSR) Row(i int) ([]int32, []*cost.Matrix) {
-	return c.colIdx[c.rowPtr[i]:c.rowPtr[i+1]], c.mats[c.rowPtr[i]:c.rowPtr[i+1]]
 }
 
 // NumEdges returns the number of snapshotted undirected edges.

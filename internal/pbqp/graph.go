@@ -13,6 +13,12 @@
 // matrices are stored in both orientations so that EdgeCost(u, v) is
 // always addressed as (color of u, color of v); mutators keep the two
 // orientations in sync.
+//
+// Ownership rule: a *cost.Matrix installed in a Graph is never written
+// again. Mutators replace an edge's two matrices, they do not edit
+// them, so Clone, Induced, Permute, CSR snapshots and solver records
+// share matrices freely — across graphs and across goroutines — and
+// only vectors, liveness and adjacency are per-graph state.
 package pbqp
 
 import (
@@ -98,8 +104,9 @@ func (g *Graph) HasEdge(u, v int) bool {
 
 // EdgeCost returns the cost matrix of edge (u, v) oriented so that rows
 // index u's color and columns index v's color, or nil if no edge exists.
-// The returned matrix aliases graph storage; treat it as read-only and
-// mutate through SetEdgeCost/AddEdgeCost.
+// The returned matrix is graph-owned and possibly shared with clones of
+// g: never write to it. It stays valid, unchanged, after any later
+// mutation of the graph.
 func (g *Graph) EdgeCost(u, v int) *cost.Matrix { return g.adj[u][v] }
 
 // SetEdgeCost installs matrix mat (oriented with rows = u's color) as the
@@ -116,20 +123,21 @@ func (g *Graph) SetEdgeCost(u, v int, mat *cost.Matrix) {
 }
 
 // AddEdgeCost adds mat (oriented with rows = u's color) into the cost of
-// edge (u, v), creating the edge if absent.
+// edge (u, v), creating the edge if absent. The sum is installed as a
+// fresh pair of matrices; the previous pair, which clones of g may
+// share, is left untouched.
 func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 	g.checkEdge(u, v)
 	if mat.Rows != g.m || mat.Cols != g.m {
 		//pbqpvet:ignore panicfree shape/dimension mismatch is a caller bug, mirrors the slice-bounds panic
 		panic("pbqp: edge cost matrix has wrong shape")
 	}
+	sum := mat.Clone()
 	if existing, ok := g.adj[u][v]; ok {
-		existing.AddInPlace(mat)
-		g.adj[v][u].AddInPlace(mat.Transpose())
-		return
+		sum.AddInPlace(existing)
 	}
-	g.adj[u][v] = mat.Clone()
-	g.adj[v][u] = mat.Transpose()
+	g.adj[u][v] = sum
+	g.adj[v][u] = sum.Transpose()
 }
 
 func (g *Graph) checkEdge(u, v int) {
@@ -158,7 +166,7 @@ func (g *Graph) RemoveVertex(u int) {
 	for v := range g.adj[u] {
 		delete(g.adj[v], u)
 	}
-	g.adj[u] = make(map[int]*cost.Matrix)
+	g.adj[u] = nil // a dead vertex never gets an edge again (checkEdge)
 	g.alive[u] = false
 	g.live--
 }
@@ -194,23 +202,31 @@ type Edge struct {
 }
 
 // Edges returns the alive edges in canonical order, sorted by (U, V).
-// The matrices alias graph storage.
+// The matrices are graph-owned and possibly shared: never write to them.
 func (g *Graph) Edges() []Edge {
-	var es []Edge
+	es := make([]Edge, 0, g.NumEdges())
+	var later []int
 	for u := range g.vecs {
-		for v, m := range g.adj[u] {
-			if u < v {
-				es = append(es, Edge{U: u, V: v, M: m})
-			}
+		later = g.laterNeighbors(u, later)
+		for _, v := range later {
+			es = append(es, Edge{U: u, V: v, M: g.adj[u][v]})
 		}
 	}
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].U != es[j].U {
-			return es[i].U < es[j].U
-		}
-		return es[i].V < es[j].V
-	})
 	return es
+}
+
+// laterNeighbors returns u's neighbors v > u in ascending order, reusing
+// buf. Walking u upward and each result in order visits every edge once
+// in the canonical (U, V) order.
+func (g *Graph) laterNeighbors(u int, buf []int) []int {
+	buf = buf[:0]
+	for v := range g.adj[u] {
+		if v > u {
+			buf = append(buf, v)
+		}
+	}
+	sort.Ints(buf)
+	return buf
 }
 
 // NumEdges returns the number of alive edges.
@@ -222,7 +238,11 @@ func (g *Graph) NumEdges() int {
 	return n / 2
 }
 
-// Clone returns a deep copy of g, including dead-vertex bookkeeping.
+// Clone returns an independent copy of g, including dead-vertex
+// bookkeeping: vectors, liveness and adjacency are copied, both
+// orientations of every edge matrix are shared (see the ownership rule
+// in the package comment), so no mutation of either graph is visible
+// through the other.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		m:     g.m,
@@ -235,14 +255,8 @@ func (g *Graph) Clone() *Graph {
 	for u := range g.vecs {
 		c.vecs[u] = g.vecs[u].Clone()
 		c.adj[u] = make(map[int]*cost.Matrix, len(g.adj[u]))
-	}
-	for u := range g.adj {
 		for v, m := range g.adj[u] {
-			if u < v {
-				cm := m.Clone()
-				c.adj[u][v] = cm
-				c.adj[v][u] = cm.Transpose()
-			}
+			c.adj[u][v] = m
 		}
 	}
 	return c
@@ -274,8 +288,14 @@ func (g *Graph) TotalCost(sel Selection) cost.Cost {
 		}
 		sum = sum.Add(g.vecs[u][sel[u]])
 	}
-	for _, e := range g.Edges() {
-		sum = sum.Add(e.M.At(sel[e.U], sel[e.V]))
+	// Canonical (U, V) order, as Edges() lists them, so the sum keeps
+	// its bits; nothing is materialised.
+	var later []int
+	for u := range g.vecs {
+		later = g.laterNeighbors(u, later)
+		for _, v := range later {
+			sum = sum.Add(g.adj[u][v].At(sel[u], sel[v]))
+		}
 	}
 	return sum
 }
@@ -305,30 +325,50 @@ func (g *Graph) ColorVertex(u, a int) cost.Cost {
 // Permute returns a new graph in which new vertex i corresponds to old
 // vertex order[i]. The order must be a permutation of the alive vertices
 // of g; dead vertices are dropped. Permute is how solvers renumber a
-// graph into their chosen coloring order.
+// graph into their chosen coloring order. Like Clone, the result shares
+// g's edge matrices.
 func (g *Graph) Permute(order []int) *Graph {
 	if len(order) != g.live {
 		//pbqpvet:ignore panicfree documented contract: the order comes from the solver's own bookkeeping
 		panic("pbqp: order must list every alive vertex exactly once")
 	}
-	pos := make(map[int]int, len(order))
-	for i, u := range order {
+	return g.Induced(order)
+}
+
+// Induced returns the subgraph of g induced by verts, renumbered so
+// that new vertex i is old vertex verts[i]: vectors are copied, and
+// every edge of g between two listed vertices is adopted with both of
+// its orientations shared, not copied. verts must list distinct alive
+// vertices.
+func (g *Graph) Induced(verts []int) *Graph {
+	pos := make(map[int]int, len(verts))
+	for i, u := range verts {
 		if !g.alive[u] {
-			//pbqpvet:ignore panicfree documented contract: the order comes from the solver's own bookkeeping
-			panic("pbqp: order contains a dead vertex")
+			//pbqpvet:ignore panicfree documented contract: the vertex list comes from the solver's own bookkeeping
+			panic("pbqp: vertex list contains a dead vertex")
 		}
 		if _, dup := pos[u]; dup {
-			//pbqpvet:ignore panicfree documented contract: the order comes from the solver's own bookkeeping
-			panic("pbqp: order contains a duplicate vertex")
+			//pbqpvet:ignore panicfree documented contract: the vertex list comes from the solver's own bookkeeping
+			panic("pbqp: vertex list contains a duplicate vertex")
 		}
 		pos[u] = i
 	}
-	h := New(len(order), g.m)
-	for i, u := range order {
-		h.SetVertexCost(i, g.vecs[u])
+	h := &Graph{
+		m:     g.m,
+		vecs:  make([]cost.Vector, len(verts)),
+		alive: make([]bool, len(verts)),
+		live:  len(verts),
+		adj:   make([]map[int]*cost.Matrix, len(verts)),
 	}
-	for _, e := range g.Edges() {
-		h.SetEdgeCost(pos[e.U], pos[e.V], e.M)
+	for i, u := range verts {
+		h.vecs[i] = g.vecs[u].Clone()
+		h.alive[i] = true
+		h.adj[i] = make(map[int]*cost.Matrix, len(g.adj[u])) // exact when verts is a whole component
+		for v, m := range g.adj[u] {
+			if j, ok := pos[v]; ok {
+				h.adj[i][j] = m
+			}
+		}
 	}
 	return h
 }

@@ -353,3 +353,117 @@ func mustPanic(t *testing.T, name string, f func()) {
 	}()
 	f()
 }
+
+func writeString(t *testing.T, g *Graph) string {
+	t.Helper()
+	var b strings.Builder
+	if err := Write(&b, g); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestCloneSharesMatricesSafely pins the ownership rule behind the
+// matrix-sharing Clone: no sequence of mutations of one graph — edge
+// folds onto existing edges included — is visible through the other,
+// in either direction, and the mutated side keeps both orientations of
+// every edge in sync.
+func TestCloneSharesMatricesSafely(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randMat := func(m int) *cost.Matrix {
+		mat := cost.NewMatrix(m, m)
+		for i := range mat.Data {
+			mat.Data[i] = cost.Cost(1 + rng.Intn(9))
+		}
+		return mat
+	}
+	for trial := 0; trial < 80; trial++ {
+		n, m := 4+rng.Intn(7), 1+rng.Intn(3)
+		g := randomGraph(rng, n, m, 0.5, 0.1)
+		c := g.Clone()
+		mutated, kept := c, g
+		if trial%2 == 1 {
+			mutated, kept = g, c // and vice versa
+		}
+		want := writeString(t, kept)
+		for step := 0; step < 25 && mutated.AliveCount() >= 2; step++ {
+			alive := mutated.Vertices()
+			rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
+			u, v := alive[0], alive[1]
+			switch rng.Intn(6) {
+			case 0:
+				mutated.AddEdgeCost(u, v, randMat(m))
+			case 1:
+				// fold onto an edge both graphs still share, when there is one
+				if ns := mutated.Neighbors(u); len(ns) > 0 {
+					v = ns[rng.Intn(len(ns))]
+				}
+				before := mutated.EdgeCost(u, v)
+				mutated.AddEdgeCost(u, v, randMat(m))
+				if before != nil && mutated.EdgeCost(u, v) == before {
+					t.Fatal("AddEdgeCost wrote into the installed matrix instead of replacing it")
+				}
+			case 2:
+				mutated.SetEdgeCost(u, v, randMat(m))
+			case 3:
+				mutated.RemoveEdge(u, v)
+			case 4:
+				mutated.ColorVertex(u, rng.Intn(m))
+			case 5:
+				mutated.SetVertexCost(u, randMat(m).Row(0))
+				mutated.AddToVertexCost(v, randMat(m).Row(0))
+			}
+			if err := mutated.Validate(); err != nil {
+				t.Fatalf("trial %d step %d: mutated side: %v", trial, step, err)
+			}
+		}
+		if got := writeString(t, kept); got != want {
+			t.Fatalf("trial %d: mutating one graph changed the other\nbefore:\n%s\nafter:\n%s", trial, want, got)
+		}
+		if err := kept.Validate(); err != nil {
+			t.Fatalf("trial %d: untouched side: %v", trial, err)
+		}
+	}
+}
+
+// TestInduced: the induced subgraph carries copies of the listed
+// vertices' vectors and shares — in both orientations — exactly the
+// edges between them.
+func TestInduced(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	g := randomGraph(rng, 9, 3, 0.6, 0.1)
+	g.RemoveVertex(4)
+	verts := []int{7, 2, 5, 0}
+	h := g.Induced(verts)
+	if h.NumVertices() != len(verts) || h.AliveCount() != len(verts) || h.M() != g.M() {
+		t.Fatalf("induced graph is %d/%d vertices, m=%d", h.AliveCount(), h.NumVertices(), h.M())
+	}
+	edges := 0
+	for i, u := range verts {
+		if !h.VertexCost(i).Equal(g.VertexCost(u)) {
+			t.Errorf("vertex %d: vector %v, want %v", i, h.VertexCost(i), g.VertexCost(u))
+		}
+		for j, v := range verts {
+			if h.EdgeCost(i, j) != g.EdgeCost(u, v) {
+				t.Errorf("edge (%d,%d) is not g's own matrix for (%d,%d)", i, j, u, v)
+			}
+			if i < j && g.HasEdge(u, v) {
+				edges++
+			}
+		}
+	}
+	if h.NumEdges() != edges {
+		t.Errorf("induced graph has %d edges, want %d", h.NumEdges(), edges)
+	}
+	if err := h.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	before := g.String()
+	h.AddToVertexCost(0, cost.Vector{1, 1, 1})
+	h.ColorVertex(1, 0)
+	if g.String() != before {
+		t.Error("mutating the induced graph leaked into its source")
+	}
+	mustPanic(t, "dead vertex", func() { g.Induced([]int{0, 4}) })
+	mustPanic(t, "duplicate vertex", func() { g.Induced([]int{1, 1}) })
+}

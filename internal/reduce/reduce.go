@@ -1,96 +1,124 @@
-// Package reduce implements the exact PBQP reductions R0, R1 and R2 of
-// Scholz and Eckstein as a standalone, solver-agnostic preprocessing
-// pass. Unlike the full original solver (internal/solve/scholz), this
-// pass never applies the lossy RN heuristic: the reduced problem is
-// cost-equivalent to the original, so any solver — exact, enumeration,
-// or Deep-RL — can run on the (often much smaller) remainder and the
-// removed vertices are recolored optimally afterwards.
+// Package reduce is the one PBQP reduction engine: the exact reductions
+// R0, R1 and R2 of Scholz and Eckstein plus their lossy RN heuristic,
+// driven in (degree, id) order by a lazy worklist heap.
 //
-// This mirrors production PBQP allocators, which always run the exact
-// reductions before anything expensive.
+// Apply is the solver-agnostic preprocessing pass: it never applies RN,
+// so the reduced problem is cost-equivalent to the original, any solver
+// — exact, enumeration, or Deep-RL — can run on the (often much smaller)
+// remainder, and the removed vertices are recolored optimally
+// afterwards. This mirrors production PBQP allocators, which always run
+// the exact reductions before anything expensive. Start and Step expose
+// the same engine one elimination at a time; with RN enabled it is the
+// whole Scholz–Eckstein solver (internal/solve/scholz).
 package reduce
 
 import (
+	"math"
+
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
 )
 
-// Reduction is the result of exactly reducing a PBQP graph.
+// Reduction is a PBQP graph being reduced, or the result of reducing one.
 type Reduction struct {
-	// Graph is the reduced remainder: every alive vertex has degree
-	// ≥ 3. It may be empty, in which case Expand solves the whole
+	// Graph is the remainder. After Apply every alive vertex has degree
+	// ≥ 3; it may be empty, in which case Expand solves the whole
 	// problem by itself.
 	Graph *pbqp.Graph
-	// Eliminated is the number of vertices removed by R0/R1/R2.
+	// Eliminated is the number of vertices removed so far.
 	Eliminated int
 	stack      []record
+	work       worklist
+	maxDeg     int // vertices above this degree are never queued
 }
 
-type kind int
-
-const (
-	r0 kind = iota
-	r1
-	r2
-)
-
+// record captures one elimination so Expand can re-derive the removed
+// vertex's color from its (by then colored) former neighbors. The
+// matrices are the graph's own: installed matrices are never written
+// again (the pbqp ownership rule), so a record keeps the pointer.
 type record struct {
-	kind kind
-	u    int
-	vec  cost.Vector
-	nbrs []int
-	mats []*cost.Matrix
+	u      int
+	vec    cost.Vector     // u's vector at removal time; nil for RN
+	nbrs   []int           // former neighbors: none for R0, 1 for R1, 2 for R2
+	mats   [2]*cost.Matrix // edges toward nbrs, rows = u's color
+	chosen int             // RN: the color decided at reduction time
 }
 
 // Apply exhaustively applies R0/R1/R2 to a copy of g and returns the
 // reduction. The input graph is not mutated.
-//
-// Elimination order is the (degree, id)-lexicographic minimum among
-// vertices of degree ≤ 2, recomputed after every reduction — the same
-// order a full min-degree scan per step would produce, but maintained
-// by a lazy worklist heap so reducing an n-vertex graph costs
-// O((n + pushes) log n) instead of O(n · eliminated). The equivalence
-// rests on degrees never increasing during reduction (R0 touches
-// nothing, R1 drops its neighbor by one, R2 drops y and z by one or
-// keeps them level), so a popped entry is stale exactly when its
-// recorded degree or liveness no longer matches and a fresh entry was
-// pushed at the moment of the change.
 func Apply(g *pbqp.Graph) *Reduction {
-	w := g.Clone()
-	red := &Reduction{Graph: w}
-	var h worklist
-	for u := 0; u < w.NumVertices(); u++ {
-		if w.Alive(u) && w.Degree(u) <= 2 {
-			h.push(w.Degree(u), u)
+	r := Start(g, false)
+	for r.Step(false) {
+	}
+	return r
+}
+
+// Start copies g and queues its vertices for elimination by Step; the
+// input graph is not mutated. With rn false only vertices the exact
+// reductions can take (degree ≤ 2) are ever queued, so Step reports
+// false at the R0/R1/R2 fixpoint. With rn true every alive vertex is
+// queued and Step colors vertices of degree ≥ 3 by the RN heuristic, so
+// Step runs until the graph is empty.
+//
+// Elimination order is the (degree, id)-lexicographic minimum among the
+// queued vertices, recomputed after every step — the same order a full
+// min-degree scan per step would produce, but maintained by a lazy
+// worklist heap so reducing an n-vertex graph costs O((n + pushes) log n)
+// instead of O(n · eliminated). The equivalence rests on degrees never
+// increasing during reduction (R0 touches nothing, R1 drops its neighbor
+// by one, R2 drops y and z by one or keeps them level, RN drops every
+// neighbor by one), so a popped entry is stale exactly when its recorded
+// degree or liveness no longer matches and a fresh entry was pushed at
+// the moment of the change.
+func Start(g *pbqp.Graph, rn bool) *Reduction {
+	r := &Reduction{Graph: g.Clone(), maxDeg: 2}
+	if rn {
+		r.maxDeg = math.MaxInt
+	}
+	for u := 0; u < r.Graph.NumVertices(); u++ {
+		if r.Graph.Alive(u) && r.Graph.Degree(u) <= r.maxDeg {
+			r.work.push(r.Graph.Degree(u), u)
 		}
 	}
-	for len(h) > 0 {
-		d, u := h.pop()
+	return r
+}
+
+// Step eliminates the next queued vertex — R0, R1 or R2 by its degree,
+// RN above degree 2 — and reports whether there was one. forceRN colors
+// it by RN whatever its degree: the cheap way to finish a solve whose
+// deadline has passed.
+func (r *Reduction) Step(forceRN bool) bool {
+	w := r.Graph
+	// Every pass pops an entry and entries are only pushed after an
+	// elimination, so the loop is bounded by the pushes made so far.
+	for len(r.work) > 0 {
+		d, u := r.work.pop()
 		if !w.Alive(u) || w.Degree(u) != d {
 			continue // stale: the vertex was eliminated or re-pushed at a lower degree
 		}
-		red.Eliminated++
-		var affected []int
-		switch d {
-		case 0:
-			red.stack = append(red.stack, record{kind: r0, u: u, vec: w.VertexCost(u).Clone()})
+		var rec record
+		affected := w.Neighbors(u)
+		switch {
+		case forceRN || d > 2:
+			rec = reduceRN(w, u, affected)
+		case d == 0:
+			rec = record{u: u, vec: w.VertexCost(u).Clone()}
 			w.RemoveVertex(u)
-		case 1:
-			rec := reduceR1(w, u)
-			red.stack = append(red.stack, rec)
-			affected = rec.nbrs
+		case d == 1:
+			rec = reduceR1(w, u, affected)
 		default:
-			rec := reduceR2(w, u)
-			red.stack = append(red.stack, rec)
-			affected = rec.nbrs
+			rec = reduceR2(w, u, affected)
 		}
+		r.stack = append(r.stack, rec)
+		r.Eliminated++
 		for _, v := range affected {
-			if w.Alive(v) && w.Degree(v) <= 2 {
-				h.push(w.Degree(v), v)
+			if w.Degree(v) <= r.maxDeg {
+				r.work.push(w.Degree(v), v)
 			}
 		}
+		return true
 	}
-	return red
+	return false
 }
 
 // worklist is a binary min-heap of (degree, vertex) pairs packed into
@@ -139,9 +167,11 @@ func (h *worklist) pop() (deg, u int) {
 	return int(top >> 32), int(top & 0xffffffff)
 }
 
-func reduceR1(g *pbqp.Graph, u int) record {
-	y := g.Neighbors(u)[0]
-	m := g.EdgeCost(u, y).Clone()
+// reduceR1 folds degree-1 vertex u into its single neighbor y:
+// vec[y][j] += min_i (vec[u][i] + M_uy[i][j]).
+func reduceR1(g *pbqp.Graph, u int, ns []int) record {
+	y := ns[0]
+	m := g.EdgeCost(u, y)
 	vec := g.VertexCost(u).Clone()
 	delta := make(cost.Vector, g.M())
 	for j := 0; j < g.M(); j++ {
@@ -155,14 +185,15 @@ func reduceR1(g *pbqp.Graph, u int) record {
 	}
 	g.AddToVertexCost(y, delta)
 	g.RemoveVertex(u)
-	return record{kind: r1, u: u, vec: vec, nbrs: []int{y}, mats: []*cost.Matrix{m}}
+	return record{u: u, vec: vec, nbrs: ns, mats: [2]*cost.Matrix{m}}
 }
 
-func reduceR2(g *pbqp.Graph, u int) record {
-	ns := g.Neighbors(u)
+// reduceR2 folds degree-2 vertex u into the edge between its neighbors
+// (y, z): Δ[jy][jz] = min_i (vec[u][i] + M_uy[i][jy] + M_uz[i][jz]).
+func reduceR2(g *pbqp.Graph, u int, ns []int) record {
 	y, z := ns[0], ns[1]
-	my := g.EdgeCost(u, y).Clone()
-	mz := g.EdgeCost(u, z).Clone()
+	my := g.EdgeCost(u, y)
+	mz := g.EdgeCost(u, z)
 	vec := g.VertexCost(u).Clone()
 	m := g.M()
 	delta := cost.NewMatrix(m, m)
@@ -182,19 +213,54 @@ func reduceR2(g *pbqp.Graph, u int) record {
 	if g.EdgeCost(y, z).IsZero() {
 		g.RemoveEdge(y, z)
 	}
-	return record{kind: r2, u: u, vec: vec, nbrs: []int{y, z}, mats: []*cost.Matrix{my, mz}}
+	return record{u: u, vec: vec, nbrs: ns, mats: [2]*cost.Matrix{my, mz}}
+}
+
+// reduceRN heuristically colors vertex u with the minimizer of its own
+// cost plus, per incident edge, the best achievable combined
+// edge-plus-neighbor cost (LLVM's RN local minimum), then propagates the
+// selected rows (the paper's transition T) to the neighbors.
+func reduceRN(g *pbqp.Graph, u int, ns []int) record {
+	vec := g.VertexCost(u)
+	best, bestCost := -1, cost.Inf
+	for i := 0; i < g.M(); i++ {
+		c := vec[i]
+		for _, v := range ns {
+			m, nvec := g.EdgeCost(u, v), g.VertexCost(v)
+			local := cost.Inf
+			for j := 0; j < g.M(); j++ {
+				if combined := m.At(i, j).Add(nvec[j]); combined.Less(local) {
+					local = combined
+				}
+			}
+			c = c.Add(local)
+		}
+		if best == -1 || c.Less(bestCost) {
+			best, bestCost = i, c
+		}
+	}
+	g.ColorVertex(u, best)
+	return record{u: u, chosen: best}
 }
 
 // Expand completes a selection of the reduced remainder into a full
-// selection of the original graph, choosing every eliminated vertex's
-// color optimally given its (by then colored) former neighbors. sel
-// must assign every alive vertex of the reduced graph; eliminated
-// entries may hold anything. It reports false if some eliminated vertex
-// has no finite color (the problem is infeasible regardless of sel).
+// selection of the original graph, in reverse elimination order:
+// every R0/R1/R2 vertex gets its optimal color given its (by then
+// colored) former neighbors, every RN vertex the color chosen when it
+// was eliminated. sel must assign every alive vertex of the reduced
+// graph; eliminated entries may hold anything. It reports false if some
+// eliminated vertex has no finite color (the problem is infeasible
+// regardless of sel); that vertex gets color 0 and the selection is
+// still complete.
 func (r *Reduction) Expand(sel pbqp.Selection) (pbqp.Selection, bool) {
 	out := sel.Clone()
+	ok := true
 	for i := len(r.stack) - 1; i >= 0; i-- {
-		rec := r.stack[i]
+		rec := &r.stack[i]
+		if rec.vec == nil {
+			out[rec.u] = rec.chosen
+			continue
+		}
 		best, bestCost := -1, cost.Inf
 		for c := range rec.vec {
 			v := rec.vec[c]
@@ -206,13 +272,9 @@ func (r *Reduction) Expand(sel pbqp.Selection) (pbqp.Selection, bool) {
 			}
 		}
 		if best == -1 {
-			if rec.kind == r0 {
-				// an isolated all-infinite vertex: infeasible
-				return out, false
-			}
-			return out, false
+			best, ok = 0, false
 		}
 		out[rec.u] = best
 	}
-	return out, true
+	return out, ok
 }

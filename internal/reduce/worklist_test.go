@@ -1,6 +1,7 @@
 package reduce
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -10,11 +11,13 @@ import (
 	"pbqprl/internal/solve/brute"
 )
 
-// applyReference is the original full-scan formulation of Apply: pick
-// the (degree, id)-minimum alive vertex by scanning the whole graph
-// each step. The worklist heap in Apply must reproduce its elimination
+// referenceRun is the original full-scan formulation of the engine: pick
+// the (degree, id)-minimum alive vertex by scanning the whole graph each
+// step, stop at the first vertex above degree 2 unless rn, and from step
+// rnFrom on color by RN whatever the degree (scholz past its deadline).
+// The worklist heap behind Start/Step must reproduce its elimination
 // sequence exactly.
-func applyReference(g *pbqp.Graph) *Reduction {
+func referenceRun(g *pbqp.Graph, rn bool, rnFrom int) *Reduction {
 	w := g.Clone()
 	red := &Reduction{Graph: w}
 	lowest := func() int {
@@ -22,60 +25,119 @@ func applyReference(g *pbqp.Graph) *Reduction {
 		for _, u := range w.Vertices() {
 			if d := w.Degree(u); best == -1 || d < bestDeg {
 				best, bestDeg = u, d
-				if d == 0 {
-					return u
-				}
 			}
 		}
 		return best
 	}
 	for {
 		u := lowest()
-		if u < 0 || w.Degree(u) > 2 {
+		if u < 0 || (!rn && w.Degree(u) > 2) {
 			return red
 		}
-		red.Eliminated++
-		switch w.Degree(u) {
-		case 0:
-			red.stack = append(red.stack, record{kind: r0, u: u, vec: w.VertexCost(u).Clone()})
+		ns := w.Neighbors(u)
+		switch d := w.Degree(u); {
+		case d > 2 || red.Eliminated >= rnFrom:
+			red.stack = append(red.stack, reduceRN(w, u, ns))
+		case d == 0:
+			red.stack = append(red.stack, record{u: u, vec: w.VertexCost(u).Clone()})
 			w.RemoveVertex(u)
-		case 1:
-			red.stack = append(red.stack, reduceR1(w, u))
+		case d == 1:
+			red.stack = append(red.stack, reduceR1(w, u, ns))
 		default:
-			red.stack = append(red.stack, reduceR2(w, u))
+			red.stack = append(red.stack, reduceR2(w, u, ns))
 		}
+		red.Eliminated++
 	}
 }
 
-// TestWorklistMatchesReferenceOrder checks that the heap-driven Apply
-// is observationally identical to the full-scan reference: same
-// elimination sequence (kind and vertex, in order), same residual
-// bytes, same eliminated count.
-func TestWorklistMatchesReferenceOrder(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
+// heapRun drives Start/Step the way Apply (rn false) and scholz (rn
+// true, forcing RN from step rnFrom on) do.
+func heapRun(g *pbqp.Graph, rn bool, rnFrom int) *Reduction {
+	red := Start(g, rn)
+	for red.Step(red.Eliminated >= rnFrom) {
+	}
+	return red
+}
+
+// worklistGraphs is the shape mix the order pin runs on: small random
+// ER graphs, the clustered LargeSparse generator, a chain of cliques
+// sharing cut vertices, and a graph that is mostly isolated vertices.
+func worklistGraphs(rng *rand.Rand) []*pbqp.Graph {
+	var gs []*pbqp.Graph
 	for trial := 0; trial < 200; trial++ {
-		g := randgraph.ErdosRenyi(rng, randgraph.Config{
+		gs = append(gs, randgraph.ErdosRenyi(rng, randgraph.Config{
 			N:     1 + rng.Intn(14),
 			M:     1 + rng.Intn(3),
 			PEdge: rng.Float64() * 0.6,
 			PInf:  0.05,
-		})
-		got := Apply(g)
-		want := applyReference(g)
-		if got.Eliminated != want.Eliminated {
-			t.Fatalf("eliminated %d, reference %d\n%s", got.Eliminated, want.Eliminated, g)
-		}
-		if len(got.stack) != len(want.stack) {
-			t.Fatalf("stack length %d, reference %d\n%s", len(got.stack), len(want.stack), g)
-		}
-		for i := range got.stack {
-			if got.stack[i].kind != want.stack[i].kind || got.stack[i].u != want.stack[i].u {
-				t.Fatalf("step %d: (kind=%d, u=%d), reference (kind=%d, u=%d)\n%s",
-					i, got.stack[i].kind, got.stack[i].u, want.stack[i].kind, want.stack[i].u, g)
+		}))
+	}
+	for trial := 0; trial < 4; trial++ {
+		gs = append(gs, randgraph.LargeSparse(rng, randgraph.LargeSparseConfig{
+			N: 150 + rng.Intn(150), M: 3, Components: 1 + rng.Intn(4), ClusterSize: 4 + rng.Intn(8), Chords: rng.Intn(4)}))
+	}
+	const cliques, size = 5, 5
+	chain := pbqp.New(cliques*(size-1)+1, 3)
+	for c := 0; c < cliques; c++ {
+		for i := 0; i < size; i++ {
+			for j := i + 1; j < size; j++ {
+				mat := cost.NewMatrix(3, 3)
+				for k := range mat.Data {
+					mat.Data[k] = cost.Cost(rng.Intn(9))
+				}
+				chain.AddEdgeCost(c*(size-1)+i, c*(size-1)+j, mat)
 			}
 		}
-		if got.Graph.String() != want.Graph.String() {
-			t.Fatalf("residuals differ\nworklist:\n%s\nreference:\n%s", got.Graph, want.Graph)
+	}
+	gs = append(gs, chain)
+	sparse := randgraph.ErdosRenyi(rng, randgraph.Config{N: 60, M: 3, PEdge: 0.01, PInf: 0.05})
+	sparse.RemoveVertex(7) // a dead vertex must never be queued
+	return append(gs, sparse)
+}
+
+// TestWorklistMatchesReferenceOrder checks that the heap-driven engine
+// is observationally identical to the full-scan reference in all three
+// of its uses — exact reduction to the fixpoint (Apply), R0/R1/R2/RN to
+// the empty graph (scholz), and scholz degrading to pure RN from the
+// start or midway: same elimination sequence (vertex, reduction and RN
+// color, in order), same residual bytes, same expanded selection.
+func TestWorklistMatchesReferenceOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for gi, g := range worklistGraphs(rng) {
+		for _, mode := range []struct {
+			name   string
+			rn     bool
+			rnFrom int
+		}{
+			{"exact", false, g.NumVertices() + 1},
+			{"scholz", true, g.NumVertices() + 1},
+			{"pure-rn", true, 0},
+			{"rn-midway", true, g.NumVertices() / 3},
+		} {
+			got, want := heapRun(g, mode.rn, mode.rnFrom), referenceRun(g, mode.rn, mode.rnFrom)
+			if got.Eliminated != want.Eliminated || len(got.stack) != len(want.stack) {
+				t.Fatalf("graph %d %s: eliminated %d in %d records, reference %d in %d\n%s",
+					gi, mode.name, got.Eliminated, len(got.stack), want.Eliminated, len(want.stack), g)
+			}
+			for i := range got.stack {
+				a, b := got.stack[i], want.stack[i]
+				if a.u != b.u || (a.vec == nil) != (b.vec == nil) || len(a.nbrs) != len(b.nbrs) || a.chosen != b.chosen {
+					t.Fatalf("graph %d %s step %d: (u=%d rn=%v nbrs=%d color=%d), reference (u=%d rn=%v nbrs=%d color=%d)\n%s",
+						gi, mode.name, i, a.u, a.vec == nil, len(a.nbrs), a.chosen, b.u, b.vec == nil, len(b.nbrs), b.chosen, g)
+				}
+			}
+			if got.Graph.String() != want.Graph.String() {
+				t.Fatalf("graph %d %s: residuals differ\nworklist:\n%s\nreference:\n%s", gi, mode.name, got.Graph, want.Graph)
+			}
+			if mode.rn && got.Graph.AliveCount() != 0 {
+				t.Fatalf("graph %d %s: %d vertices left with RN enabled", gi, mode.name, got.Graph.AliveCount())
+			}
+			seed := make(pbqp.Selection, g.NumVertices())
+			gotSel, gotOK := got.Expand(seed)
+			wantSel, wantOK := want.Expand(seed)
+			if gotOK != wantOK || fmt.Sprint(gotSel) != fmt.Sprint(wantSel) {
+				t.Fatalf("graph %d %s: expanded %v (ok %v), reference %v (ok %v)", gi, mode.name, gotSel, gotOK, wantSel, wantOK)
+			}
 		}
 	}
 }

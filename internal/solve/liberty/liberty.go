@@ -180,16 +180,11 @@ func (e *enum) solveEasyRemainder(from int, acc cost.Cost) (bool, cost.Cost) {
 			return false, cost.Inf
 		}
 	}
-	sub := pbqp.New(n-from, e.g.M())
-	for v := from; v < n; v++ {
-		sub.SetVertexCost(v-from, e.g.VertexCost(v))
+	suffix := make([]int, n-from)
+	for i := range suffix {
+		suffix[i] = from + i
 	}
-	for _, edge := range e.g.Edges() {
-		if edge.U >= from && edge.V >= from {
-			sub.SetEdgeCost(edge.U-from, edge.V-from, edge.M)
-		}
-	}
-	res := (scholz.Solver{}).SolveCtx(e.ctx, sub)
+	res := (scholz.Solver{}).SolveCtx(e.ctx, e.g.Induced(suffix))
 	e.states += res.States
 	if res.Truncated {
 		// Deadline hit inside the approximation: a feasible coloring is

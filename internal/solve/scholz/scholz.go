@@ -19,13 +19,17 @@
 // costs (ATE programs), RN frequently picks a row that later turns out
 // infeasible, which is why the paper reports this solver failing for
 // 9 of 10 ATE programs.
+//
+// The reductions, the (degree, id) elimination order and the
+// back-propagation are internal/reduce's; this package is that engine
+// run with RN enabled until the graph is empty.
 package scholz
 
 import (
 	"context"
 
-	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
+	"pbqprl/internal/reduce"
 	"pbqprl/internal/solve"
 )
 
@@ -34,26 +38,6 @@ type Solver struct{}
 
 // Name implements solve.Solver.
 func (Solver) Name() string { return "scholz" }
-
-type reductionKind int
-
-const (
-	r0 reductionKind = iota
-	r1
-	r2
-	rn
-)
-
-// record captures one reduction so back-propagation can re-derive the
-// removed vertex's color from its (by then colored) former neighbors.
-type record struct {
-	kind   reductionKind
-	u      int
-	vec    cost.Vector // u's vector at removal time
-	nbrs   []int       // former neighbors (1 for R1, 2 for R2, any for RN)
-	mats   []*cost.Matrix
-	chosen int // RN: color decided at reduction time
-}
 
 // Solve implements solve.Solver.
 func (s Solver) Solve(g *pbqp.Graph) solve.Result {
@@ -68,53 +52,19 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 // complete — possibly worse — selection is still produced and marked
 // Truncated.
 func (Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	w := g.Clone()
-	var stack []record
+	red := reduce.Start(g, true)
 	var states int64
 	truncated := ctx.Err() != nil
-
-	for w.AliveCount() > 0 {
+	for red.Graph.AliveCount() > 0 {
 		states++
 		if !truncated && states%solve.CheckInterval == 0 && ctx.Err() != nil {
 			truncated = true
 		}
-		u := minDegreeVertex(w)
-		if truncated {
-			stack = append(stack, reduceRN(w, u))
-			continue
-		}
-		switch w.Degree(u) {
-		case 0:
-			stack = append(stack, record{kind: r0, u: u, vec: w.VertexCost(u).Clone()})
-			w.RemoveVertex(u)
-		case 1:
-			stack = append(stack, reduceR1(w, u))
-		case 2:
-			stack = append(stack, reduceR2(w, u))
-		default:
-			stack = append(stack, reduceRN(w, u))
-		}
+		red.Step(truncated)
 	}
-
-	sel := make(pbqp.Selection, g.NumVertices())
-	for i := range sel {
-		sel[i] = -1
-	}
-	feasible := true
-	for i := len(stack) - 1; i >= 0; i-- {
-		rec := stack[i]
-		c := rec.backPropagate(sel)
-		if c < 0 {
-			feasible = false
-			c = 0 // arbitrary; the assignment is infeasible anyway
-		}
-		sel[rec.u] = c
-	}
-	for i := range sel {
-		if !g.Alive(i) {
-			sel[i] = 0
-		}
-	}
+	// Every alive vertex was eliminated, so Expand assigns them all; dead
+	// vertices keep color 0. An infeasible selection is still complete.
+	sel, feasible := red.Expand(make(pbqp.Selection, g.NumVertices()))
 	total := g.TotalCost(sel)
 	return solve.Result{
 		Selection: sel,
@@ -122,125 +72,5 @@ func (Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		Feasible:  feasible && !total.IsInf(),
 		Truncated: truncated,
 		States:    states,
-	}
-}
-
-// minDegreeVertex returns the alive vertex with the fewest incident
-// edges, breaking ties by index for determinism.
-func minDegreeVertex(g *pbqp.Graph) int {
-	best, bestDeg := -1, 0
-	for _, u := range g.Vertices() {
-		d := g.Degree(u)
-		if best == -1 || d < bestDeg {
-			best, bestDeg = u, d
-		}
-	}
-	return best
-}
-
-// reduceR1 folds degree-1 vertex u into its single neighbor y:
-// vec[y][j] += min_i (vec[u][i] + M_uy[i][j]).
-func reduceR1(g *pbqp.Graph, u int) record {
-	y := g.Neighbors(u)[0]
-	m := g.EdgeCost(u, y).Clone()
-	vec := g.VertexCost(u).Clone()
-	delta := make(cost.Vector, g.M())
-	for j := 0; j < g.M(); j++ {
-		best := cost.Inf
-		for i := 0; i < g.M(); i++ {
-			if c := vec[i].Add(m.At(i, j)); c.Less(best) {
-				best = c
-			}
-		}
-		delta[j] = best
-	}
-	g.AddToVertexCost(y, delta)
-	g.RemoveVertex(u)
-	return record{kind: r1, u: u, vec: vec, nbrs: []int{y}, mats: []*cost.Matrix{m}}
-}
-
-// reduceR2 folds degree-2 vertex u into the edge between its neighbors
-// (y, z): Δ[jy][jz] = min_i (vec[u][i] + M_uy[i][jy] + M_uz[i][jz]).
-func reduceR2(g *pbqp.Graph, u int) record {
-	ns := g.Neighbors(u)
-	y, z := ns[0], ns[1]
-	my := g.EdgeCost(u, y).Clone()
-	mz := g.EdgeCost(u, z).Clone()
-	vec := g.VertexCost(u).Clone()
-	m := g.M()
-	delta := cost.NewMatrix(m, m)
-	for jy := 0; jy < m; jy++ {
-		for jz := 0; jz < m; jz++ {
-			best := cost.Inf
-			for i := 0; i < m; i++ {
-				if c := vec[i].Add(my.At(i, jy)).Add(mz.At(i, jz)); c.Less(best) {
-					best = c
-				}
-			}
-			delta.Set(jy, jz, best)
-		}
-	}
-	g.RemoveVertex(u)
-	g.AddEdgeCost(y, z, delta)
-	if g.EdgeCost(y, z).IsZero() {
-		g.RemoveEdge(y, z)
-	}
-	return record{kind: r2, u: u, vec: vec, nbrs: []int{y, z}, mats: []*cost.Matrix{my, mz}}
-}
-
-// reduceRN heuristically colors high-degree vertex u with the minimizer
-// of its own cost plus, per incident edge, the best achievable combined
-// edge-plus-neighbor cost (LLVM's RN local minimum), then propagates the
-// selected rows (the paper's transition T) to the neighbors.
-func reduceRN(g *pbqp.Graph, u int) record {
-	ns := g.Neighbors(u)
-	vec := g.VertexCost(u).Clone()
-	mats := make([]*cost.Matrix, len(ns))
-	for k, v := range ns {
-		mats[k] = g.EdgeCost(u, v).Clone()
-	}
-	best, bestCost := -1, cost.Inf
-	for i := 0; i < g.M(); i++ {
-		c := vec[i]
-		for k, m := range mats {
-			nvec := g.VertexCost(ns[k])
-			local := cost.Inf
-			for j := 0; j < g.M(); j++ {
-				if combined := m.At(i, j).Add(nvec[j]); combined.Less(local) {
-					local = combined
-				}
-			}
-			c = c.Add(local)
-		}
-		if best == -1 || c.Less(bestCost) {
-			best, bestCost = i, c
-		}
-	}
-	g.ColorVertex(u, best)
-	return record{kind: rn, u: u, vec: vec, nbrs: ns, mats: mats, chosen: best}
-}
-
-// backPropagate re-derives the color of the removed vertex given the
-// already-assigned colors of its former neighbors. It returns -1 when
-// every color is infinite (infeasible).
-func (rec *record) backPropagate(sel pbqp.Selection) int {
-	switch rec.kind {
-	case rn:
-		return rec.chosen
-	case r0:
-		_, idx := rec.vec.Min()
-		return idx
-	default:
-		best, bestCost := -1, cost.Inf
-		for i := range rec.vec {
-			c := rec.vec[i]
-			for k, v := range rec.nbrs {
-				c = c.Add(rec.mats[k].At(i, sel[v]))
-			}
-			if !c.IsInf() && (best == -1 || c.Less(bestCost)) {
-				best, bestCost = i, c
-			}
-		}
-		return best
 	}
 }
