@@ -7,36 +7,17 @@ package pbqprl_test
 // pays a few minutes of training.
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"runtime"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"pbqprl"
-	"pbqprl/internal/analysis"
 	"pbqprl/internal/ate"
-	"pbqprl/internal/dist"
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
-	"pbqprl/internal/gcn"
 	"pbqprl/internal/llvmsuite"
 	"pbqprl/internal/mcts"
-	pbqpnet "pbqprl/internal/net"
-	"pbqprl/internal/nn"
 	"pbqprl/internal/perfmodel"
 	"pbqprl/internal/regalloc"
-	"pbqprl/internal/router"
-	"pbqprl/internal/selfplay"
-	"pbqprl/internal/server"
 	"pbqprl/internal/solve/scholz"
 )
 
@@ -178,8 +159,9 @@ func BenchmarkMCTSSimulate(b *testing.B) {
 // BenchmarkNetEvaluate measures one network evaluation (the roll-out
 // cost that dominates Deep-RL inference) on the inference engine, in
 // its best case: the same view every time, so after the first
-// iteration every memo table hits. BenchmarkInferThroughput measures
-// it over a mix of views and against the trainable pass.
+// iteration every memo table hits. benchmark/ measures it over the
+// states of real searches and against the trainable pass
+// (net.evaluate_into_us, net.forward_train_us).
 func BenchmarkNetEvaluate(b *testing.B) {
 	n := pbqprl.NewNet(pbqprl.NetConfig{M: 13, GCNLayers: 2, Hidden: 32, Blocks: 1, Seed: 3})
 	rng := rand.New(rand.NewSource(3))
@@ -225,648 +207,5 @@ func BenchmarkPerfModel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = perfmodel.EstimateFunc(bench.Prog.Funcs[0], asn, params)
-	}
-}
-
-// --- Batched inference benchmark ---
-
-// inferViews plays ZeroInf benchmark graphs with random legal colors,
-// snapshotting the position before every move, until it has collected a
-// pool of at least 40 positions: the same mix of shrinking subproblems
-// over shared transformed matrices that MCTS leaf batches present to
-// the network. Games that dead-end early just contribute fewer views;
-// later seeds top the pool up, so the pool composition is deterministic.
-func inferViews() []gcn.View {
-	var views []gcn.View
-	for seed := int64(3); len(views) < 40 && seed < 64; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g, _ := pbqprl.ZeroInf(rng, pbqprl.ZeroInfConfig{
-			N: 40, M: 13, PEdge: 0.25, HardRatio: 0.4, PEdgeInf: 0.3,
-		})
-		st := game.New(g, game.MakeOrder(g, game.OrderDecLiberty, nil))
-		for !st.Done() && !st.DeadEnd() {
-			views = append(views, st.Snapshot())
-			var legal []int
-			for c := 0; c < st.M(); c++ {
-				if st.Legal(c) {
-					legal = append(legal, c)
-				}
-			}
-			if len(legal) == 0 {
-				break
-			}
-			st.Play(legal[rng.Intn(len(legal))])
-		}
-	}
-	return views
-}
-
-// BenchmarkInferThroughput measures network evaluations per second
-// through the scalar training path (Forward + Softmax, fresh
-// allocations every call) and the batched inference engine
-// (EvaluateBatch: sparse kernels, content-addressed h⁰ cache, reusable
-// scratch) at several microbatch sizes. Every leg evaluates the same
-// view mix, so the ns/eval ratio is the engine's speedup independent
-// of the machine. After the sub-benchmarks finish the results are
-// written to BENCH_infer.json in the repository root; CI regenerates
-// the file and fails if a batched speedup falls below 80% of the
-// checked-in baseline's.
-func BenchmarkInferThroughput(b *testing.B) {
-	views := inferViews()
-	if len(views) == 0 {
-		b.Fatal("no views to evaluate")
-	}
-	newNet := func() *pbqprl.Net {
-		return pbqprl.NewNet(pbqprl.NetConfig{M: 13, GCNLayers: 2, Hidden: 32, Blocks: 1, Seed: 3})
-	}
-	type result struct {
-		Batch     int     `json:"batch"`
-		NsPerEval float64 `json:"ns_per_eval"`
-		Speedup   float64 `json:"speedup_vs_scalar"`
-	}
-	// the framework invokes each sub-benchmark more than once (a b.N=1
-	// calibration round first), so keep only the final run per leg
-	var scalarNs float64
-	b.Run("scalar", func(b *testing.B) {
-		n := newNet()
-		b.ResetTimer()
-		start := time.Now()
-		for i := 0; i < b.N; i++ {
-			// spelled out: n.Evaluate runs on the engine, and this leg
-			// is the engine's baseline
-			view := views[i%len(views)]
-			logits, _ := n.Forward(view)
-			_ = nn.Softmax(logits, pbqpnet.Mask(view))
-		}
-		scalarNs = float64(time.Since(start).Nanoseconds()) / float64(b.N)
-		b.ReportMetric(scalarNs, "ns/eval")
-	})
-	batches := []int{1, 8, 32, 128}
-	byBatch := map[int]result{}
-	for _, bs := range batches {
-		bs := bs
-		b.Run(fmt.Sprintf("batch=%d", bs), func(b *testing.B) {
-			n := newNet()
-			buf := make([]gcn.View, bs)
-			b.ResetTimer()
-			start := time.Now()
-			evals := 0
-			for evals < b.N {
-				for j := 0; j < bs; j++ {
-					buf[j] = views[(evals+j)%len(views)]
-				}
-				_, _ = n.EvaluateBatch(buf)
-				evals += bs
-			}
-			ns := float64(time.Since(start).Nanoseconds()) / float64(evals)
-			b.ReportMetric(ns, "ns/eval")
-			byBatch[bs] = result{Batch: bs, NsPerEval: ns, Speedup: scalarNs / ns}
-		})
-	}
-	var results []result
-	for _, bs := range batches {
-		if r, ok := byBatch[bs]; ok {
-			results = append(results, r)
-		}
-	}
-	report := struct {
-		Benchmark    string   `json:"benchmark"`
-		GoMaxProcs   int      `json:"gomaxprocs"`
-		Views        int      `json:"views"`
-		ScalarNsEval float64  `json:"scalar_ns_per_eval"`
-		Results      []result `json:"results"`
-	}{"BenchmarkInferThroughput", runtime.GOMAXPROCS(0), len(views), scalarNs, results}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_infer.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Self-play scaling benchmark ---
-
-// BenchmarkSelfplayEpisodes measures episode-generation throughput of
-// the training pipeline at several worker counts. The worker count
-// never changes the trained network (see internal/selfplay), so the
-// sub-benchmarks do identical work and the ratio of their episodes/sec
-// metrics is the parallel speedup. After the sub-benchmarks finish the
-// results are written to BENCH_selfplay.json in the repository root.
-func BenchmarkSelfplayEpisodes(b *testing.B) {
-	episodes, ktrain := 16, 16
-	if testing.Short() {
-		episodes, ktrain = 8, 8
-	}
-	counts := []int{1, 2, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		counts = append(counts, p)
-	}
-	type result struct {
-		Workers        int     `json:"workers"`
-		Episodes       int     `json:"episodes_per_iteration"`
-		KTrain         int     `json:"k_train"`
-		EpisodesPerSec float64 `json:"episodes_per_sec"`
-		SecPerIter     float64 `json:"sec_per_iteration"`
-	}
-	// the framework invokes each sub-benchmark more than once (a b.N=1
-	// calibration round first), so keep only the final run per count
-	byWorkers := map[int]result{}
-	for _, w := range counts {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				// a fresh trainer per iteration so every measurement
-				// plays the same episodes from the same initial
-				// network, whatever b.N is
-				n := pbqprl.NewNet(pbqprl.NetConfig{M: 4, GCNLayers: 1, Hidden: 16, Blocks: 1, Seed: 1})
-				trainer := selfplay.New(n, selfplay.Config{
-					EpisodesPerIter: episodes,
-					KTrain:          ktrain,
-					ReplayCap:       4096,
-					// minimal gradient/arena work: the episode loop is
-					// what this benchmark scales
-					BatchSize:  1,
-					TrainSteps: 1,
-					ArenaGames: 1,
-					ArenaWins:  1,
-					Workers:    w,
-					Order:      game.OrderFixed,
-					Seed:       1,
-					Generate: func(rng *rand.Rand) *pbqprl.Graph {
-						return pbqprl.ErdosRenyi(rng, pbqprl.ErdosRenyiConfig{
-							N: 10 + rng.Intn(6), M: 4, PEdge: 0.4, PInf: 0.05,
-						})
-					},
-				})
-				b.StartTimer()
-				start := time.Now()
-				if _, err := trainer.RunIteration(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				elapsed += time.Since(start)
-			}
-			perSec := float64(episodes*b.N) / elapsed.Seconds()
-			b.ReportMetric(perSec, "episodes/sec")
-			byWorkers[w] = result{
-				Workers:        w,
-				Episodes:       episodes,
-				KTrain:         ktrain,
-				EpisodesPerSec: perSec,
-				SecPerIter:     elapsed.Seconds() / float64(b.N),
-			}
-		})
-	}
-	var results []result
-	for _, w := range counts {
-		if r, ok := byWorkers[w]; ok {
-			results = append(results, r)
-		}
-	}
-	report := struct {
-		Benchmark  string   `json:"benchmark"`
-		GoMaxProcs int      `json:"gomaxprocs"`
-		Results    []result `json:"results"`
-	}{"BenchmarkSelfplayEpisodes", runtime.GOMAXPROCS(0), results}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_selfplay.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Serving benchmark ---
-
-// BenchmarkServeThroughput measures end-to-end request throughput of
-// the allocation service (internal/server) at several client
-// concurrency levels: full HTTP handler path — parse, admission,
-// portfolio solve, JSON response — without network sockets, so the
-// number is the service's in-process ceiling. After the sub-benchmarks
-// finish the results are written to BENCH_serve.json in the repository
-// root.
-func BenchmarkServeThroughput(b *testing.B) {
-	// A small but non-trivial graph (the paper's Figure 2 example): the
-	// benchmark exercises the serving overhead, not solver scaling —
-	// BenchmarkScholzSolve and friends cover that.
-	const graphText = "pbqp 3 2\nv 0 5 2\nv 1 5 0\nv 2 0 0\ne 0 1 0 inf inf 4\ne 1 2 1 0 0 2\n"
-	counts := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		counts = append(counts, p)
-	}
-	type result struct {
-		Clients        int     `json:"clients"`
-		Requests       int     `json:"requests"`
-		RequestsPerSec float64 `json:"requests_per_sec"`
-	}
-	// keep only the final (largest b.N) run per concurrency level
-	byClients := map[int]result{}
-	for _, c := range counts {
-		c := c
-		b.Run(fmt.Sprintf("clients=%d", c), func(b *testing.B) {
-			srv, err := server.New(server.Config{
-				Workers:         runtime.GOMAXPROCS(0),
-				QueueDepth:      4096,
-				DefaultChain:    []string{"liberty", "scholz"},
-				DefaultDeadline: time.Minute,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			h := srv.Handler()
-			var bad atomic.Int64
-			b.ResetTimer()
-			start := time.Now()
-			var wg sync.WaitGroup
-			for g := 0; g < c; g++ {
-				n := b.N / c
-				if g < b.N%c {
-					n++
-				}
-				wg.Add(1)
-				go func(n int) {
-					defer wg.Done()
-					for i := 0; i < n; i++ {
-						req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(graphText))
-						rec := httptest.NewRecorder()
-						h.ServeHTTP(rec, req)
-						if rec.Code != http.StatusOK {
-							bad.Add(1)
-						}
-					}
-				}(n)
-			}
-			wg.Wait()
-			elapsed := time.Since(start)
-			b.StopTimer()
-			if bad.Load() > 0 {
-				b.Fatalf("%d of %d requests failed", bad.Load(), b.N)
-			}
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if err := srv.Drain(ctx); err != nil {
-				b.Fatal(err)
-			}
-			perSec := float64(b.N) / elapsed.Seconds()
-			b.ReportMetric(perSec, "req/sec")
-			byClients[c] = result{Clients: c, Requests: b.N, RequestsPerSec: perSec}
-		})
-	}
-	var results []result
-	for _, c := range counts {
-		if r, ok := byClients[c]; ok {
-			results = append(results, r)
-		}
-	}
-	report := struct {
-		Benchmark  string   `json:"benchmark"`
-		GoMaxProcs int      `json:"gomaxprocs"`
-		Results    []result `json:"results"`
-	}{"BenchmarkServeThroughput", runtime.GOMAXPROCS(0), results}
-	// Merge rather than overwrite: BenchmarkRouterThroughput owns the
-	// sibling "router" section of the same file.
-	mergeBenchServe(b, map[string]any{
-		"benchmark":  report.Benchmark,
-		"gomaxprocs": report.GoMaxProcs,
-		"results":    report.Results,
-	})
-}
-
-// mergeBenchServe updates the given top-level keys of BENCH_serve.json
-// in place, preserving whatever other sections are already there, so
-// the serve and router benchmarks can each own part of one report file
-// regardless of run order.
-func mergeBenchServe(b *testing.B, sections map[string]any) {
-	b.Helper()
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile("BENCH_serve.json"); err == nil {
-		// Best effort: a corrupt file is replaced, not fatal.
-		json.Unmarshal(data, &doc)
-	}
-	for key, v := range sections {
-		data, err := json.Marshal(v)
-		if err != nil {
-			b.Fatal(err)
-		}
-		doc[key] = data
-	}
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_serve.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkRouterThroughput measures the fleet front (internal/router)
-// on the three paths that matter for repeat-heavy allocation traffic,
-// against one real pbqp-serve backend over real sockets:
-//
-//   - uncached_single_backend: cache disabled, every request a distinct
-//     graph — the baseline where each request costs a backend solve;
-//   - cache_hit: one graph repeated — after the first solve every
-//     request answers from the content-addressed cache;
-//   - coalesced: cache disabled, identical concurrent requests —
-//     singleflight collapses each wave into one backend solve.
-//
-// Results merge into the "router" section of BENCH_serve.json, with
-// the cache-hit speedup over the uncached baseline called out.
-func BenchmarkRouterThroughput(b *testing.B) {
-	// Pre-rendered distinct graphs (Figure 2 with a varied cost) so the
-	// uncached path cannot accidentally hit the cache or coalesce.
-	graphs := make([]string, 512)
-	for i := range graphs {
-		graphs[i] = fmt.Sprintf("pbqp 3 2\nv 0 %d 2\nv 1 5 0\nv 2 0 0\ne 0 1 0 inf inf 4\ne 1 2 1 0 0 2\n", i+1)
-	}
-	type result struct {
-		Path           string  `json:"path"`
-		Clients        int     `json:"clients"`
-		Requests       int     `json:"requests"`
-		RequestsPerSec float64 `json:"requests_per_sec"`
-	}
-	run := func(b *testing.B, cacheBytes int64, clients int, graphFor func(i int) string) float64 {
-		b.Helper()
-		srv, err := server.New(server.Config{
-			Workers:         runtime.GOMAXPROCS(0),
-			QueueDepth:      4096,
-			DefaultChain:    []string{"liberty", "scholz"},
-			DefaultDeadline: time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		rt, err := router.New(router.Config{
-			Backends:        []string{ts.URL},
-			CacheBytes:      cacheBytes,
-			QueueDepth:      4096,
-			DefaultDeadline: time.Minute,
-			MaxDeadline:     time.Minute,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h := rt.Handler()
-		var bad atomic.Int64
-		b.ResetTimer()
-		start := time.Now()
-		var wg sync.WaitGroup
-		next := atomic.Int64{}
-		for g := 0; g < clients; g++ {
-			n := b.N / clients
-			if g < b.N%clients {
-				n++
-			}
-			wg.Add(1)
-			go func(n int) {
-				defer wg.Done()
-				for i := 0; i < n; i++ {
-					req := httptest.NewRequest(http.MethodPost, "/v1/solve",
-						strings.NewReader(graphFor(int(next.Add(1)))))
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						bad.Add(1)
-					}
-				}
-			}(n)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		b.StopTimer()
-		if bad.Load() > 0 {
-			b.Fatalf("%d of %d requests failed", bad.Load(), b.N)
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		if err := rt.Drain(ctx); err != nil {
-			b.Fatal(err)
-		}
-		ts.Close()
-		if err := srv.Drain(ctx); err != nil {
-			b.Fatal(err)
-		}
-		perSec := float64(b.N) / elapsed.Seconds()
-		b.ReportMetric(perSec, "req/sec")
-		return perSec
-	}
-
-	clients := 4
-	if p := runtime.GOMAXPROCS(0); p > 4 {
-		clients = p
-	}
-	byPath := map[string]result{} // keep only the final (largest b.N) run
-	cases := []struct {
-		path       string
-		cacheBytes int64
-		graphFor   func(i int) string
-	}{
-		{"uncached_single_backend", -1, func(i int) string { return graphs[i%len(graphs)] }},
-		{"cache_hit", 0, func(int) string { return graphs[0] }},
-		{"coalesced", -1, func(int) string { return graphs[0] }},
-	}
-	for _, tc := range cases {
-		tc := tc
-		b.Run(tc.path, func(b *testing.B) {
-			perSec := run(b, tc.cacheBytes, clients, tc.graphFor)
-			byPath[tc.path] = result{Path: tc.path, Clients: clients, Requests: b.N, RequestsPerSec: perSec}
-		})
-	}
-	var results []result
-	for _, tc := range cases {
-		if r, ok := byPath[tc.path]; ok {
-			results = append(results, r)
-		}
-	}
-	section := map[string]any{
-		"benchmark":  "BenchmarkRouterThroughput",
-		"gomaxprocs": runtime.GOMAXPROCS(0),
-		"results":    results,
-	}
-	if base, hit := byPath["uncached_single_backend"], byPath["cache_hit"]; base.RequestsPerSec > 0 && hit.RequestsPerSec > 0 {
-		section["cache_hit_speedup_vs_uncached"] = hit.RequestsPerSec / base.RequestsPerSec
-	}
-	mergeBenchServe(b, map[string]any{"router": section})
-}
-
-// --- Distributed self-play benchmark ---
-
-// BenchmarkDistEpisodes measures episode throughput of the distributed
-// training path (internal/dist) at several worker-process-equivalents:
-// a coordinator behind a real HTTP listener with N in-process lease
-// workers claiming, playing, and streaming trajectories back. The
-// worker count never changes the trained network (lease results merge
-// in episode order), so the sub-benchmarks do identical work and the
-// ratio of their episodes/sec metrics is the distribution speedup net
-// of lease/transport overhead. After the sub-benchmarks finish the
-// results are written to BENCH_dist.json in the repository root.
-func BenchmarkDistEpisodes(b *testing.B) {
-	episodes, ktrain := 8, 4
-	if testing.Short() {
-		episodes, ktrain = 4, 2
-	}
-	spec := dist.Spec{
-		Episodes: episodes,
-		KTrain:   ktrain,
-		Regime:   "er",
-		MeanN:    10,
-		Seed:     61,
-		Net:      pbqprl.NetConfig{M: 13, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 7},
-	}
-	counts := []int{1, 2, 4}
-	type result struct {
-		Workers        int     `json:"workers"`
-		Episodes       int     `json:"episodes_per_iteration"`
-		KTrain         int     `json:"k_train"`
-		EpisodesPerSec float64 `json:"episodes_per_sec"`
-		SecPerIter     float64 `json:"sec_per_iteration"`
-	}
-	byWorkers := map[int]result{}
-	for _, w := range counts {
-		w := w
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			var elapsed time.Duration
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				coord := dist.NewCoordinator(dist.CoordinatorConfig{
-					Spec:          spec,
-					LeaseEpisodes: 2,
-					LeaseTTL:      10 * time.Second,
-				})
-				srv := httptest.NewServer(coord.Handler())
-				ctx, cancel := context.WithCancel(context.Background())
-				var wg sync.WaitGroup
-				for k := 0; k < w; k++ {
-					worker, err := dist.NewWorker(dist.WorkerConfig{
-						Coordinator: srv.URL,
-						Name:        fmt.Sprintf("bench-%d", k),
-						Spec:        spec,
-						BackoffBase: time.Millisecond,
-						Seed:        int64(k + 1),
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						worker.Run(ctx)
-					}()
-				}
-				cfg, err := spec.SelfplayConfig()
-				if err != nil {
-					b.Fatal(err)
-				}
-				// minimal gradient/arena work: the leased episode loop
-				// is what this benchmark scales
-				cfg.ReplayCap = 4096
-				cfg.BatchSize = 1
-				cfg.TrainSteps = 1
-				cfg.ArenaGames = 1
-				cfg.ArenaWins = 1
-				cfg.Episodes = coord.RunEpisodes
-				trainer := selfplay.New(pbqprl.NewNet(spec.Net), cfg)
-				b.StartTimer()
-				start := time.Now()
-				if _, err := trainer.RunIteration(context.Background()); err != nil {
-					b.Fatal(err)
-				}
-				elapsed += time.Since(start)
-				b.StopTimer()
-				cancel()
-				wg.Wait()
-				srv.Close()
-			}
-			perSec := float64(episodes*b.N) / elapsed.Seconds()
-			b.ReportMetric(perSec, "episodes/sec")
-			byWorkers[w] = result{
-				Workers:        w,
-				Episodes:       episodes,
-				KTrain:         ktrain,
-				EpisodesPerSec: perSec,
-				SecPerIter:     elapsed.Seconds() / float64(b.N),
-			}
-		})
-	}
-	var results []result
-	for _, w := range counts {
-		if r, ok := byWorkers[w]; ok {
-			results = append(results, r)
-		}
-	}
-	report := struct {
-		Benchmark  string   `json:"benchmark"`
-		GoMaxProcs int      `json:"gomaxprocs"`
-		Results    []result `json:"results"`
-	}{"BenchmarkDistEpisodes", runtime.GOMAXPROCS(0), results}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_dist.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- Static-analysis cost benchmark ---
-
-// BenchmarkVet measures pbqp-vet's analyzer wall-time over the full
-// module: every package is loaded and type-checked once (untimed
-// setup), then each iteration runs the whole analyzer suite — the
-// per-package analyzers plus the module-wide concurrency suite with
-// its call-graph index rebuilt from scratch. The result is written to
-// BENCH_vet.json so analysis cost is tracked as the tree grows; the
-// load-and-type-check time is reported alongside for context since CI
-// pays it once per vet run.
-func BenchmarkVet(b *testing.B) {
-	dirs, err := analysis.PackageDirs(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	loader, err := analysis.NewLoader(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	loadStart := time.Now()
-	var pkgs []*analysis.Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir)
-		if err != nil {
-			b.Fatalf("load %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	loadSec := time.Since(loadStart).Seconds()
-	b.ResetTimer()
-	start := time.Now()
-	findings := 0
-	for i := 0; i < b.N; i++ {
-		diags, err := analysis.RunModule(pkgs, analysis.All())
-		if err != nil {
-			b.Fatal(err)
-		}
-		findings = len(diags)
-	}
-	msPerRun := float64(time.Since(start).Milliseconds()) / float64(b.N)
-	b.ReportMetric(msPerRun, "ms/run")
-	report := struct {
-		Benchmark  string  `json:"benchmark"`
-		GoMaxProcs int     `json:"gomaxprocs"`
-		Packages   int     `json:"packages"`
-		Analyzers  int     `json:"analyzers"`
-		Findings   int     `json:"findings"`
-		LoadSec    float64 `json:"load_and_typecheck_sec"`
-		MsPerRun   float64 `json:"analyze_ms_per_run"`
-	}{"BenchmarkVet", runtime.GOMAXPROCS(0), len(pkgs), len(analysis.All()), findings, loadSec, msPerRun}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_vet.json", append(data, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	pbqp-train [-iters N] [-episodes N] [-ktrain N] [-workers N] [-batch-leaves N]
+//	pbqp-train [-iters N] [-episodes N] [-ktrain N] [-workers N]
 //	           [-regime ate|er] [-out net.gob]
 //	           [-seed S] [-resume] [-checkpoint-dir DIR] [-checkpoint-every N] [-checkpoint-keep K]
 //	pbqp-train -worker http://coordinator:8090 [-regime ...] [-episodes ...] [-ktrain ...] [-seed ...]
@@ -64,7 +64,6 @@ func main() {
 	episodes := flag.Int("episodes", 20, "episodes per iteration (paper: 100)")
 	ktrain := flag.Int("ktrain", 50, "MCTS simulations per move (paper: 50 or 100)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent self-play workers (any value trains bit-identically)")
-	batchLeaves := flag.Int("batch-leaves", 0, "MCTS leaves per batched network evaluation (0 or 1 = sequential; any value trains bit-identically)")
 	regime := flag.String("regime", "ate", "training distribution: ate (zero/inf) or er (Erdős–Rényi, p_inf=1%)")
 	out := flag.String("out", "pbqp-net.gob", "best-network output path")
 	seed := flag.Int64("seed", 1, "training seed")
@@ -126,7 +125,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.Workers = *workers
-	cfg.MCTS.BatchLeaves = *batchLeaves
 	cfg.Logf = log.Printf
 
 	trainer, err := selfplay.NewTrainer(net.New(spec.Net), cfg)

@@ -47,8 +47,8 @@ type Solver struct {
 	// Workers bounds how many connected components solve in parallel.
 	// ≤ 1 solves sequentially. Workers > 1 requires an Inner that is
 	// safe for concurrent Solve calls (the stateless built-ins brute,
-	// scholz, liberty and anneal are; rl solvers carry scratch buffers
-	// and are not, unless backed by a net.Batcher).
+	// scholz, liberty and anneal are; rl solvers carry their network's
+	// scratch buffers and are not).
 	Workers int
 }
 

@@ -25,15 +25,6 @@ type Evaluator interface {
 	Evaluate(view gcn.View) (prior tensor.Vec, value float64)
 }
 
-// BatchEvaluator is an Evaluator that can serve many views in one
-// pass. Implementations must be per-view bit-identical to their scalar
-// Evaluate (as *net.PBQPNet is), so that batched search reproduces the
-// scalar search exactly; see Config.BatchLeaves.
-type BatchEvaluator interface {
-	Evaluator
-	EvaluateBatch(views []gcn.View) (priors []tensor.Vec, values []float64)
-}
-
 // Config tunes the search.
 type Config struct {
 	// CPuct is the exploration constant of Equation 2 (default 1.25).
@@ -55,16 +46,6 @@ type Config struct {
 	// it to the garbage collector, so per-episode memory is bounded by
 	// the live subtree instead of growing with game depth.
 	RetainParents bool
-	// BatchLeaves collects up to this many simulations' leaf states
-	// per flush and evaluates them through the evaluator's batched
-	// path (when it implements BatchEvaluator) before replaying the
-	// simulations against the cached results. Leaves are gathered by
-	// speculative descents under virtual loss; the replay is the
-	// unchanged scalar simulation loop, so the resulting tree is
-	// bit-identical to the BatchLeaves == 1 (purely sequential)
-	// search — see DESIGN.md §10. Values ≤ 1, or an evaluator without
-	// a batched path, select the sequential loop.
-	BatchLeaves int
 }
 
 func (c Config) withDefaults() Config {
@@ -93,16 +74,6 @@ type node struct {
 	n        []int
 	q        []float64
 	children []*node
-
-	// leaf-batching state (see Tree.speculate): a pending evaluation
-	// stashed for expand, and the already-collected marker that
-	// deduplicates leaves within one speculation round. The stash stays
-	// valid indefinitely — a node's state is fixed by its path from the
-	// root, so the evaluation cannot go stale.
-	hasPend   bool
-	pendPrior tensor.Vec
-	pendValue float64
-	specSeen  bool
 }
 
 // actionOpen reports whether action a of nd is selectable: legal, not
@@ -126,18 +97,6 @@ type Tree struct {
 	root  *node
 	m     int
 	nodes int64
-
-	// reusable speculation buffers (RunCtx leaf batching)
-	specVirt   []specStep
-	specLeaves []*node
-	specViews  []gcn.View
-}
-
-// specStep records one virtual visit taken during speculation, to be
-// reverted before replay.
-type specStep struct {
-	nd *node
-	a  int
 }
 
 // New creates an empty tree for a game with m colors.
@@ -160,113 +119,16 @@ func (t *Tree) Run(s *game.State, k int) {
 // simulation, so cancellation lands within one simulation's latency
 // (one root-to-leaf descent plus one evaluator call). It returns the
 // number of simulations actually performed; the tree and state are
-// always left consistent, partial batches simply carry less-visited
+// always left consistent; a cancelled run simply carries less-visited
 // root statistics.
-//
-// With Config.BatchLeaves > 1 and a BatchEvaluator, simulations run in
-// flushes: up to BatchLeaves speculative descents collect distinct
-// unexpanded leaves, one batched evaluation stashes their results on
-// the nodes, and the unchanged sequential loop then replays the
-// simulations, consuming the stashes in expand. Virtual visits taken
-// during speculation are fully reverted before replay, so the tree
-// statistics — and therefore the whole search — are bit-identical to
-// the sequential search. Replayed simulations that reach a leaf
-// without a stash (the replayed selection drifted from the
-// speculation) fall back to the scalar evaluator, which returns the
-// same bits; stashes left unconsumed stay valid for later simulations.
 func (t *Tree) RunCtx(ctx context.Context, s *game.State, k int) int {
-	be, batched := t.eval.(BatchEvaluator)
-	if !batched || t.cfg.BatchLeaves <= 1 {
-		for i := 0; i < k; i++ {
-			if ctx.Err() != nil {
-				return i
-			}
-			t.simulate(s, t.root)
-		}
-		return k
-	}
-	done := 0
-	for done < k {
+	for i := 0; i < k; i++ {
 		if ctx.Err() != nil {
-			return done
+			return i
 		}
-		flush := k - done
-		if flush > t.cfg.BatchLeaves {
-			flush = t.cfg.BatchLeaves
-		}
-		t.speculate(s, flush, be)
-		for i := 0; i < flush; i++ {
-			if ctx.Err() != nil {
-				return done
-			}
-			t.simulate(s, t.root)
-			done++
-		}
+		t.simulate(s, t.root)
 	}
-	return done
-}
-
-// speculate performs flush virtual descents from the root, collecting
-// the distinct unexpanded non-terminal leaves they reach, evaluates
-// them in one batched pass, and stashes each result on its node. Each
-// descent increments the visit counts along its path (virtual loss) so
-// successive descents spread over different leaves; every increment is
-// recorded and reverted before returning, leaving the tree statistics
-// untouched. The game state is played forward and undone around every
-// descent.
-func (t *Tree) speculate(s *game.State, flush int, be BatchEvaluator) {
-	t.specVirt = t.specVirt[:0]
-	t.specLeaves = t.specLeaves[:0]
-	t.specViews = t.specViews[:0]
-	for i := 0; i < flush; i++ {
-		nd := t.root
-		depth := 0
-		for {
-			if !nd.expanded {
-				if !nd.specSeen && !nd.hasPend && !s.Done() && !s.DeadEnd() {
-					nd.specSeen = true
-					t.specLeaves = append(t.specLeaves, nd)
-					// Snapshot: the live view's cost vectors mutate on
-					// Undo, the stashed evaluation must see this state
-					t.specViews = append(t.specViews, s.Snapshot())
-				}
-				break
-			}
-			if nd.terminal {
-				break
-			}
-			a := t.selectAction(nd)
-			if a < 0 {
-				// exhausted subtree: replay's simulate marks it
-				break
-			}
-			s.Play(a)
-			nd.n[a]++
-			t.specVirt = append(t.specVirt, specStep{nd, a})
-			child := nd.children[a]
-			if child == nil {
-				child = &node{parent: nd}
-				nd.children[a] = child
-			}
-			nd = child
-			depth++
-		}
-		for ; depth > 0; depth-- {
-			s.Undo()
-		}
-	}
-	if len(t.specLeaves) > 0 {
-		priors, values := be.EvaluateBatch(t.specViews)
-		for i, nd := range t.specLeaves {
-			nd.hasPend = true
-			nd.pendPrior = priors[i]
-			nd.pendValue = values[i]
-			nd.specSeen = false
-		}
-	}
-	for _, st := range t.specVirt {
-		st.nd.n[st.a]--
-	}
+	return k
 }
 
 // simulate is Algorithm 1: descend by UCB to an undiscovered leaf,
@@ -317,18 +179,7 @@ func (t *Tree) expand(s *game.State, nd *node) {
 		nd.value = s.TerminalValue()
 		return
 	}
-	var prior tensor.Vec
-	var value float64
-	if nd.hasPend {
-		// consume the evaluation stashed by speculate: bit-identical
-		// to evaluating s.View() here (the node's state is fixed by
-		// its path, and the batched evaluator matches the scalar one)
-		prior, value = nd.pendPrior, nd.pendValue
-		nd.hasPend = false
-		nd.pendPrior = nil
-	} else {
-		prior, value = t.eval.Evaluate(s.View())
-	}
+	prior, value := t.eval.Evaluate(s.View())
 	if t.cfg.HeuristicValue {
 		value = s.HeuristicValue()
 	}

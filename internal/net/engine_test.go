@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"pbqprl/internal/cost"
@@ -131,38 +130,35 @@ func engineTestViews(m int) []gcn.View {
 	return views
 }
 
-// TestEvaluateBatchBitIdenticalShuffled is the tentpole property test:
-// for shuffled batches of mixed views, every (prior, value) pair out
-// of the batched engine equals the trainable pass bit for bit,
-// independent of batch composition and of cache warmth.
-func TestEvaluateBatchBitIdenticalShuffled(t *testing.T) {
+// TestEvaluateBitIdenticalShuffled is the engine's property test: for
+// mixed views (stand-alone graph views, a game's window view and its
+// snapshot) evaluated in shuffled order, every (prior, value) pair out
+// of Evaluate and EvaluateInto equals the trainable pass bit for bit,
+// on a net whose memo tables are warm from every earlier trial and on a
+// cold clone alike.
+func TestEvaluateBitIdenticalShuffled(t *testing.T) {
 	const m = 5
 	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 98})
-	views := engineTestViews(m)
+	st := zeroInfGame(89, 12, m)
+	views := append(engineTestViews(m), st.View(), st.Snapshot())
 
+	ref := p.Clone()
 	wantPrior := make([]tensor.Vec, len(views))
 	wantValue := make([]float64, len(views))
 	for i, v := range views {
-		wantPrior[i], wantValue[i] = scalarEvaluate(p, v)
+		wantPrior[i], wantValue[i] = scalarEvaluate(ref, v)
 	}
 
 	rng := rand.New(rand.NewSource(99))
+	into := make(tensor.Vec, m)
 	for trial := 0; trial < 20; trial++ {
-		idx := rng.Perm(len(views))
-		sz := 1 + rng.Intn(len(views))
-		idx = idx[:sz]
-		batch := make([]gcn.View, sz)
-		for i, j := range idx {
-			batch[i] = views[j]
+		cold := p.Clone()
+		for _, j := range rng.Perm(len(views))[:1+rng.Intn(len(views))] {
+			prior, value := p.Evaluate(views[j])
+			sameBits(t, fmt.Sprintf("trial %d warm Evaluate(view %d)", trial, j), prior, wantPrior[j], value, wantValue[j])
+			value = cold.EvaluateInto(views[j], into)
+			sameBits(t, fmt.Sprintf("trial %d cold EvaluateInto(view %d)", trial, j), into, wantPrior[j], value, wantValue[j])
 		}
-		priors, values := p.EvaluateBatch(batch)
-		for i, j := range idx {
-			sameBits(t, fmt.Sprintf("trial %d view %d", trial, j), priors[i], wantPrior[j], values[i], wantValue[j])
-		}
-		// the single-view entry point shares the warm caches
-		j := idx[0]
-		prior, value := p.Evaluate(views[j])
-		sameBits(t, fmt.Sprintf("trial %d Evaluate(view %d)", trial, j), prior, wantPrior[j], value, wantValue[j])
 	}
 }
 
@@ -198,140 +194,32 @@ func TestEvaluateEngineAfterWeightChange(t *testing.T) {
 	sameBits(t, "after CopyFrom", prior, wantPrior, value, wantValue)
 }
 
-// TestBatcherConcurrentBitIdentical: many goroutines sharing one
-// Batcher each get exactly the scalar results, whatever microbatches
-// their requests coalesce into. Run under -race in CI.
-func TestBatcherConcurrentBitIdentical(t *testing.T) {
-	const m = 5
-	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 105})
-	views := engineTestViews(m)
-
-	ref := p.Clone()
-	wantPrior := make([]tensor.Vec, len(views))
-	wantValue := make([]float64, len(views))
-	for i, v := range views {
-		wantPrior[i], wantValue[i] = scalarEvaluate(ref, v)
-	}
-
-	b := NewBatcher(p, 8)
-	const workers = 6
-	var wg sync.WaitGroup
-	errs := make(chan string, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(200 + w)))
-			for iter := 0; iter < 30; iter++ {
-				j := rng.Intn(len(views))
-				prior, value := b.Evaluate(views[j])
-				if math.Float64bits(value) != math.Float64bits(wantValue[j]) {
-					errs <- "value mismatch"
-					return
-				}
-				for c := range prior {
-					if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[j][c]) {
-						errs <- "prior mismatch"
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.Close()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-}
-
-// TestBatcherContainsEvaluationPanics pins the failure isolation of
-// the shared-batcher path: a view whose dimensions do not match the
-// network panics on its caller's goroutine — where the portfolio's
-// per-stage recovery lives — with the scalar path's message, while
-// batchmates sharing the microbatch still get their bit-identical
-// answers and the dispatcher keeps serving. Before this pin, one
-// mismatched request killed the dispatcher goroutine and with it the
-// whole server.
-func TestBatcherContainsEvaluationPanics(t *testing.T) {
+// TestEvaluateMismatchedViewPanics: a view whose color count does not
+// match the network panics with the trainable pass's message — up
+// front, never by reading a kernel out of bounds — on the goroutine
+// that called Evaluate, where the portfolio's per-stage recovery lives.
+// The refused evaluation leaves the engine usable.
+func TestEvaluateMismatchedViewPanics(t *testing.T) {
 	const m = 5
 	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 106})
-	views := engineTestViews(m)
-	bad := zeroInfView(9, 8, 3) // M=3 graph: the scalar path rejects it
+	good := zeroInfView(107, 12, m)
+	bad := zeroInfView(9, 8, 3)
+	wantPrior, wantValue := scalarEvaluate(p.Clone(), good)
 
-	ref := p.Clone()
-	wantPrior := make([]tensor.Vec, len(views))
-	wantValue := make([]float64, len(views))
-	for i, v := range views {
-		wantPrior[i], wantValue[i] = scalarEvaluate(ref, v)
-	}
-
-	b := NewBatcher(p, 8)
-	defer b.Close()
-
-	recovered := func(view gcn.View) (pv any) {
-		defer func() { pv = recover() }()
-		b.Evaluate(view)
-		return nil
-	}
-
-	var wg sync.WaitGroup
-	errs := make(chan string, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(300 + w)))
-			for iter := 0; iter < 25; iter++ {
-				j := rng.Intn(len(views))
-				prior, value := b.Evaluate(views[j])
-				if math.Float64bits(value) != math.Float64bits(wantValue[j]) {
-					errs <- "value mismatch beside panicking batchmate"
-					return
+	p.Evaluate(good) // warm caches
+	for name, eval := range map[string]func(){
+		"Forward":  func() { p.Forward(bad) },
+		"Evaluate": func() { p.Evaluate(bad) },
+	} {
+		func() {
+			defer func() {
+				if pv := recover(); pv == nil || !strings.Contains(fmt.Sprint(pv), "dimension mismatch") {
+					t.Errorf("%s on an M=3 view: recovered %v, want the dimension-mismatch panic", name, pv)
 				}
-				for c := range prior {
-					if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[j][c]) {
-						errs <- "prior mismatch beside panicking batchmate"
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < 2; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for iter := 0; iter < 10; iter++ {
-				pv := recovered(bad)
-				if pv == nil {
-					errs <- "mismatched view did not panic"
-					return
-				}
-				if !strings.Contains(fmt.Sprint(pv), "dimension mismatch") {
-					errs <- fmt.Sprintf("unexpected panic value: %v", pv)
-					return
-				}
-			}
+			}()
+			eval()
 		}()
 	}
-	wg.Wait()
-	select {
-	case e := <-errs:
-		t.Fatal(e)
-	default:
-	}
-
-	// the dispatcher survived: a fresh request still gets exact answers
-	prior, value := b.Evaluate(views[0])
-	if math.Float64bits(value) != math.Float64bits(wantValue[0]) {
-		t.Fatal("value mismatch after recovered panics")
-	}
-	for c := range prior {
-		if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[0][c]) {
-			t.Fatal("prior mismatch after recovered panics")
-		}
-	}
+	prior, value := p.Evaluate(good)
+	sameBits(t, "after the refused view", prior, wantPrior, value, wantValue)
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync"
 	"testing"
 
 	"pbqprl/internal/game"
@@ -142,46 +141,4 @@ func TestEvaluateGameViewsBitIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestBatcherGameViewsConcurrent: searchers on their own goroutines,
-// each walking its own game, evaluate live window views through one
-// shared Batcher. The dispatcher goroutine fills each game's edge-table
-// memo while that game's owner waits for the answer, so the hand-off
-// must be race-free (run under -race) and every answer must still be
-// the trainable pass's.
-func TestBatcherGameViewsConcurrent(t *testing.T) {
-	const m = 4
-	p := New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 140})
-	b := NewBatcher(p.Clone(), 4)
-	defer b.Close()
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ref := p.Clone()
-			st := zeroInfGame(int64(141+w), 12, m)
-			for !st.Done() && !st.DeadEnd() {
-				wantPrior, wantValue := scalarEvaluate(ref, st.View())
-				prior, value := b.Evaluate(st.View())
-				if math.Float64bits(value) != math.Float64bits(wantValue) {
-					t.Errorf("worker %d turn %d: value %v, want %v", w, st.Turn(), value, wantValue)
-					return
-				}
-				a := -1
-				for c := range prior {
-					if math.Float64bits(prior[c]) != math.Float64bits(wantPrior[c]) {
-						t.Errorf("worker %d turn %d: prior[%d] %v, want %v", w, st.Turn(), c, prior[c], wantPrior[c])
-						return
-					}
-					if st.Legal(c) && a < 0 {
-						a = c
-					}
-				}
-				st.Play(a)
-			}
-		}(w)
-	}
-	wg.Wait()
 }

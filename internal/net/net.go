@@ -69,10 +69,10 @@ type PBQPNet struct {
 	lastH      []tensor.Vec
 	lastN      int
 
-	// eng is the lazily built read-only inference engine (engine.go)
-	// behind Evaluate. Like the Forward caches it makes the net
+	// eng is the read-only inference engine (engine.go) behind
+	// Evaluate. Like the Forward caches it makes the net
 	// single-goroutine.
-	eng *engine
+	eng engine
 }
 
 // New builds a PBQPNet from cfg.
@@ -97,6 +97,7 @@ func New(cfg Config) *PBQPNet {
 		torso:  nn.NewSequential(torso...),
 		policy: nn.NewDense(rng, cfg.Hidden, m),
 		value:  nn.NewSequential(nn.NewDense(rng, cfg.Hidden, 1), &nn.Tanh{}),
+		eng:    engine{pooled: tensor.NewMat(1, in), mask: make([]bool, m)},
 	}
 }
 

@@ -291,40 +291,6 @@ func TestEpisodeBackendShortReturnIsAnError(t *testing.T) {
 	}
 }
 
-// TestBatchLeavesBitIdentical pins the leaf-batching contract end to
-// end: training with MCTS.BatchLeaves > 1 — alone and combined with a
-// parallel worker pool — must produce byte-identical EncodeState
-// payloads to the sequential search, because the batched evaluator is
-// per-view bit-identical and the speculate/replay loop leaves the tree
-// statistics untouched.
-func TestBatchLeavesBitIdentical(t *testing.T) {
-	ref := poolTrainer(t, 38, 1)
-	refStats := runIters(t, ref, 2)
-
-	for _, c := range []struct {
-		name        string
-		workers     int
-		batchLeaves int
-	}{
-		{"batch=4", 1, 4},
-		{"batch=16", 1, 16},
-		{"batch=8 workers=4", 4, 8},
-	} {
-		tr := poolTrainer(t, 38, c.workers)
-		tr.cfg.MCTS.BatchLeaves = c.batchLeaves
-		stats := runIters(t, tr, 2)
-		for i := range refStats {
-			if stats[i] != refStats[i] {
-				t.Errorf("%s: iteration %d stats diverged:\n  sequential %+v\n  batched    %+v",
-					c.name, i+1, refStats[i], stats[i])
-			}
-		}
-		if !bytes.Equal(encodeBytes(t, ref), encodeBytes(t, tr)) {
-			t.Errorf("%s: EncodeState diverged from sequential search", c.name)
-		}
-	}
-}
-
 // TestParallelSkipsPanickedEpisodesIdentically makes the generator
 // panic on a seed-determined subset of episodes: the skip accounting
 // and the surviving state must still be independent of the worker

@@ -87,22 +87,15 @@ type Config struct {
 	// game.OrderFixed. cmd/pbqp-serve defaults its flag to the
 	// paper's best, decreasing liberty.
 	Order game.Order
-	// Evaluator supplies the MCTS evaluator for rl stages; the factory
-	// is called once per admitted request that uses one. Cloning
-	// factories hand every request a private network (evaluators carry
-	// the inference engine's scratch and memo tables, which are not
-	// safe to share across worker goroutines and start cold in every
-	// clone); a factory returning one shared net.Batcher instead
-	// funnels every request's evaluations through a single network and
-	// coalesces them into batches (cmd/pbqp-serve -batch). Nil uses
-	// the uniform (untrained) prior.
+	// Evaluator supplies the MCTS evaluator for rl stages. The factory
+	// is called once per request whose chain has an rl stage, on that
+	// request's handler goroutine (and once by New, validating the
+	// default chain), so calls run concurrently and each must return
+	// an evaluator no other goroutine uses: base.Clone() of a loaded
+	// network. Evaluators carry the inference engine's scratch and
+	// memo tables, which start cold in every clone. Nil uses the
+	// uniform (untrained) prior.
 	Evaluator func() mcts.Evaluator
-	// BatchLeaves is the mcts.Config.BatchLeaves value for rl stages:
-	// how many simulations' leaves each search collects per batched
-	// evaluation. Search results are bit-identical whatever the value;
-	// it only matters for throughput. Zero (or an evaluator without a
-	// batched path) keeps the sequential per-leaf loop.
-	BatchLeaves int
 	// MakeSolver overrides solver construction by name; tests inject
 	// blocking or panicking solvers through it. Nil uses the built-in
 	// names (brute, scholz, liberty, anneal, rl, rl-bt).
@@ -255,11 +248,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // buildChain constructs fresh solver instances for the named chain.
 // Fresh per request on purpose: solver structs carry per-solve state,
-// and with a cloning Evaluator factory each request also gets a
-// private network (evaluators carry scratch buffers that are not safe
-// to share across worker goroutines). A batching factory instead hands
-// every request the same concurrency-safe net.Batcher, which
-// serializes the shared network behind its queue.
+// and the Evaluator factory gives each request's rl stages a private
+// network (evaluators carry scratch buffers that are not safe to share
+// across worker goroutines).
 func buildChain(cfg Config, names []string) ([]solve.Solver, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("empty solver chain")
@@ -308,7 +299,6 @@ func makeSolver(cfg Config, name string) (solve.Solver, error) {
 			Backtrack:    name == "rl-bt",
 			ReinvokeMCTS: true,
 			MaxNodes:     cfg.MaxStates,
-			MCTS:         mcts.Config{BatchLeaves: cfg.BatchLeaves},
 		}}, nil
 	default:
 		return nil, fmt.Errorf("unknown solver %q (want brute, scholz, liberty, anneal, rl, or rl-bt, optionally prefixed decomp:)", name)
