@@ -16,8 +16,10 @@ import (
 	"pbqprl/internal/game"
 	"pbqprl/internal/llvmsuite"
 	"pbqprl/internal/mcts"
+	"pbqprl/internal/net"
 	"pbqprl/internal/perfmodel"
 	"pbqprl/internal/regalloc"
+	"pbqprl/internal/rl"
 	"pbqprl/internal/solve/scholz"
 )
 
@@ -176,7 +178,49 @@ func BenchmarkNetEvaluate(b *testing.B) {
 	}
 }
 
-// BenchmarkGamePlayUndo measures the do/undo transition kernel.
+// BenchmarkRLBacktrackNode is the source of DESIGN §10's "µs per tree
+// node" row: 24 rl-bt solves — four generated programs at each PRO1–PRO6
+// size, the first four of each size class of
+// benchmark/testdata/ate_pool.json — as pbqp-serve runs them (K=25,
+// increasing liberty, MaxNodes 4000, an untrained net, a cold Clone per
+// solve). It reports wall time per generated tree node and the node
+// count, which must not move unless the search was meant to change.
+// Run it with -cpu 1.
+func BenchmarkRLBacktrackNode(b *testing.B) {
+	seeds := [][4]int64{
+		{1000, 1001, 1002, 1004}, {2000, 2001, 2003, 2004}, {3000, 3001, 3002, 3004},
+		{4000, 4002, 4003, 4011}, {5000, 5002, 5003, 5004}, {6002, 6006, 6007, 6010},
+	}
+	var graphs []*pbqprl.Graph
+	for class, vregs := range []int{28, 45, 60, 78, 95, 115} {
+		for _, seed := range seeds[class] {
+			prog, _ := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
+				Name: "bench", NumVRegs: vregs, PairRatio: 0.30, HardRatio: 0.40, MaxLive: 8,
+				Seed: seed,
+			})
+			g, err := ate.BuildPBQP(prog)
+			if err != nil {
+				b.Fatal(err)
+			}
+			graphs = append(graphs, g)
+		}
+	}
+	base := net.New(experiments.DefaultNetConfig())
+	cfg := rl.Config{K: 25, Order: game.OrderIncLiberty, Backtrack: true, ReinvokeMCTS: true, MaxNodes: 4000}
+	var nodes int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nodes = 0
+		for _, g := range graphs {
+			nodes += (&rl.Solver{Net: base.Clone(), Cfg: cfg}).Solve(g).States
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*nodes), "us/node")
+	b.ReportMetric(float64(nodes), "nodes")
+}
+
+// BenchmarkGamePlayUndo measures the do/undo transition kernel, which
+// allocates nothing once the game's undo buffers are warm.
 func BenchmarkGamePlayUndo(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	g, _ := pbqprl.ZeroInf(rng, pbqprl.ZeroInfConfig{

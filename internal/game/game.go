@@ -13,6 +13,10 @@
 // the saved neighbor vectors. This makes MCTS simulation cheap and makes
 // the backtracking solver's take-backs exact (infinity saturation is not
 // arithmetically reversible, so vectors are restored, not subtracted).
+// Play walks the vertex's later-neighbor list, which New builds once
+// with each edge's matrix beside the neighbor, and logs into the undo
+// record of its turn, whose buffer every later visit to the turn
+// reuses: a warm Play/Undo pair allocates nothing and probes no map.
 package game
 
 import (
@@ -78,16 +82,15 @@ func MakeOrder(g *pbqp.Graph, o Order, rng *rand.Rand) []int {
 // State is a PBQP game in progress.
 type State struct {
 	n, m     int
-	vecs     []cost.Vector          // current cost vectors (mutated in place)
-	adj      [][]int                // full adjacency among all vertices
-	edges    gcn.EdgeTable          // adj with the transformed matrices, for views
-	rawmats  []map[int]*cost.Matrix // oriented rows = first index
-	order    []int                  // game vertex -> original vertex
-	t        int                    // next vertex to color
+	vecs     []cost.Vector // current cost vectors (mutated in place)
+	later    [][]laterEdge // per vertex, its neighbors colored after it
+	edges    gcn.EdgeTable // full adjacency with the transformed matrices, for views
+	order    []int         // game vertex -> original vertex
+	t        int           // next vertex to color
 	played   []int
 	acc      cost.Cost
-	dead     int // uncolored vertices with all-infinite vectors
-	undo     []undoRec
+	dead     int       // uncolored vertices with all-infinite vectors
+	undo     []undoRec // indexed by turn; a record's buffer outlives its Undo
 	baseline cost.Cost
 	graded   bool
 }
@@ -108,6 +111,13 @@ type undoRec struct {
 	dead    int
 }
 
+// laterEdge is one edge Play propagates along: the neighbor and the
+// edge matrix oriented so that its rows are the played vertex's colors.
+type laterEdge struct {
+	v   int
+	mat *cost.Matrix
+}
+
 // New builds a game over g with the given coloring order (a permutation
 // of g's alive vertices, as returned by MakeOrder). The graph is not
 // retained or mutated. The baseline for terminal rewards defaults to
@@ -118,30 +128,27 @@ func New(g *pbqp.Graph, order []int) *State {
 	s := &State{
 		n: n, m: m,
 		vecs:     make([]cost.Vector, n),
-		adj:      make([][]int, n),
-		rawmats:  make([]map[int]*cost.Matrix, n),
+		later:    make([][]laterEdge, n),
 		order:    append([]int(nil), order...),
+		undo:     make([]undoRec, n),
 		baseline: cost.Inf,
 	}
 	// h is private to this call, so the game takes over its vectors; its
 	// matrices are g's own, shared read-only (the pbqp ownership rule),
 	// so the game keeps both orientations without copying either.
+	s.edges.Start = make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		s.vecs[u] = h.VertexCost(u)
-		s.adj[u] = h.Neighbors(u)
-		s.rawmats[u] = make(map[int]*cost.Matrix, len(s.adj[u]))
-		for _, w := range s.adj[u] {
-			s.rawmats[u][w] = h.EdgeCost(u, w)
-		}
 		if s.vecs[u].AllInf() {
 			s.dead++
 		}
-	}
-	s.edges.Start = make([]int32, n+1)
-	for u := 0; u < n; u++ {
-		for _, w := range s.adj[u] {
+		for _, w := range h.Neighbors(u) {
+			mat := h.EdgeCost(u, w)
+			if w > u {
+				s.later[u] = append(s.later[u], laterEdge{v: w, mat: mat})
+			}
 			s.edges.Nbr = append(s.edges.Nbr, int32(w))
-			s.edges.Mat = append(s.edges.Mat, gcn.TransformMatrix(s.rawmats[u][w]))
+			s.edges.Mat = append(s.edges.Mat, gcn.TransformMatrix(mat))
 		}
 		s.edges.Start[u+1] = int32(len(s.edges.Nbr))
 	}
@@ -207,6 +214,8 @@ func (s *State) DeadEnd() bool { return !s.Done() && s.dead > 0 }
 // Play colors the next vertex with color a, propagating costs to its
 // uncolored neighbors. It panics if the game is done or a is illegal;
 // use Legal first.
+//
+//pbqpvet:hotpath
 func (s *State) Play(a int) {
 	if s.Done() {
 		//pbqpvet:ignore panicfree documented contract: callers check Done/Legal first; the self-play hot path cannot afford error returns
@@ -216,40 +225,42 @@ func (s *State) Play(a int) {
 		//pbqpvet:ignore panicfree documented contract: callers check Done/Legal first; the self-play hot path cannot afford error returns
 		panic(fmt.Sprintf("game: illegal action %d at turn %d", a, s.t))
 	}
-	rec := undoRec{acc: s.acc, dead: s.dead}
-	for _, v := range s.adj[s.t] {
-		if v <= s.t {
-			continue
-		}
-		row := s.rawmats[s.t][v].Row(a)
-		vec := s.vecs[v]
-		wasDead := vec.AllInf()
-		for i, rc := range row {
+	rec := &s.undo[s.t]
+	rec.acc, rec.dead = s.acc, s.dead
+	changes := rec.changes[:0]
+	for _, e := range s.later[s.t] {
+		vec := s.vecs[e.v]
+		// a vector can only die by a finite entry turning infinite
+		killed := false
+		for i, rc := range e.mat.Row(a) {
 			if rc.IsZero() {
 				continue
 			}
-			rec.changes = append(rec.changes, change{v: v, i: i, old: vec[i]})
-			vec[i] = vec[i].Add(rc)
+			old := vec[i]
+			changes = append(changes, change{v: e.v, i: i, old: old})
+			vec[i] = old.Add(rc)
+			killed = killed || (!old.IsInf() && vec[i].IsInf())
 		}
-		if !wasDead && vec.AllInf() {
+		if killed && vec.AllInf() {
 			s.dead++
 		}
 	}
-	s.undo = append(s.undo, rec)
+	rec.changes = changes
 	s.acc = s.acc.Add(s.vecs[s.t][a])
 	s.played = append(s.played, a)
 	s.t++
 }
 
 // Undo reverts the most recent Play. It panics if no action was taken.
+//
+//pbqpvet:hotpath
 func (s *State) Undo() {
 	if s.t == 0 {
 		//pbqpvet:ignore panicfree documented contract: Undo without a prior Play is a caller bug
 		panic("game: Undo at initial state")
 	}
 	s.t--
-	rec := s.undo[len(s.undo)-1]
-	s.undo = s.undo[:len(s.undo)-1]
+	rec := &s.undo[s.t]
 	s.played = s.played[:len(s.played)-1]
 	s.acc = rec.acc
 	s.dead = rec.dead

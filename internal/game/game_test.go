@@ -280,3 +280,64 @@ func TestPlayedAndLegalMask(t *testing.T) {
 		t.Error("Played aliases internal state")
 	}
 }
+
+// TestPlayUndoWarmAllocFree: Play logs into the undo record of its
+// turn, whose buffer the first visit to the turn sizes; every later
+// Play/Undo pair at that turn allocates nothing.
+func TestPlayUndoWarmAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	g, hidden := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
+		N: 30, M: 6, PEdge: 0.4, HardRatio: 0.4, PEdgeInf: 0.3,
+	})
+	st := New(g, MakeOrder(g, OrderFixed, nil))
+	for u := 0; u < 10; u++ {
+		st.Play(hidden[u])
+	}
+	a := hidden[10]
+	st.Play(a) // size turn 10's buffer
+	st.Undo()
+	if n := testing.AllocsPerRun(100, func() {
+		st.Play(a)
+		st.Undo()
+	}); n != 0 {
+		t.Fatalf("a warm Play/Undo pair allocates %.1f times", n)
+	}
+}
+
+// TestDeadCountUnderPlayUndo: along a walk that goes back as often as
+// forward, the eager dead-vertex count equals a scan of the uncolored
+// suffix at every step — Play only rescans a vector in which a finite
+// entry turned infinite, and Undo restores the count it saved.
+func TestDeadCountUnderPlayUndo(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 10; trial++ {
+		g, _ := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
+			N: 14, M: 4, PEdge: 0.5, HardRatio: 0.5, PEdgeInf: 0.5,
+		})
+		st := New(g, MakeOrder(g, OrderRandom, rng))
+		for step := 0; step < 300; step++ {
+			var legal []int
+			for a := 0; a < st.M() && !st.Done(); a++ {
+				if st.Legal(a) {
+					legal = append(legal, a)
+				}
+			}
+			// a dead end does not stop the walk: it backs out of it, so
+			// Undo's restored count is checked as often as Play's
+			if st.Turn() > 0 && (len(legal) == 0 || rng.Intn(2) == 0) {
+				st.Undo()
+			} else if len(legal) > 0 {
+				st.Play(legal[rng.Intn(len(legal))])
+			}
+			dead := 0
+			for _, vec := range st.vecs[st.Turn():] {
+				if vec.AllInf() {
+					dead++
+				}
+			}
+			if st.dead != dead {
+				t.Fatalf("trial %d step %d: %d dead vertices counted, %d in the suffix", trial, step, st.dead, dead)
+			}
+		}
+	}
+}

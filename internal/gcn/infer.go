@@ -159,20 +159,39 @@ func (k *matKernel) addMulVec(dst, x tensor.Vec) {
 // vertex's neighbors and transformed edge matrices, fixed when the
 // game is built. Colored vertices only ever leave from the front of
 // the coloring order, so each state of the game is the window of
-// vertices [off, n) onto the one table, and what Infer prepares per
-// edge — the kernel — is prepared once per game instead of being
-// looked up once per edge per evaluation.
+// vertices [off, n) onto the one table, and what Infer works out per
+// edge and per vertex lives in the table, where the next evaluation of
+// the same game finds it without building a key or probing a map.
 type EdgeTable struct {
 	Start []int32       // len n+1: vertex u owns edges [Start[u], Start[u+1])
 	Nbr   []int32       // neighbor of each edge, ascending within a vertex
 	Mat   []*tensor.Mat // transformed matrix of each edge, rows = the owner's color
 
-	// kern[e] memoizes owner.kernel(Mat[e]) for as long as owner's
-	// kernel cache stays in generation gen. The memo makes a table, like
-	// the game it belongs to, single-goroutine.
+	// The memo below is owner's, filled while its generation was gen; it
+	// makes a table, like the game it belongs to, single-goroutine.
+	// kern[e] is owner.kernel(Mat[e]). The slots hold, per vertex, the
+	// inputs of the last evaluation and the rows that came out: the cost
+	// vector with its h⁰ row, and per layer the update's inputs with its
+	// output row. Successive leaves of a search differ in a handful of
+	// vertices, so most slots answer by comparing a few words. A slot
+	// pins its rows and names its inputs by never-reused ids, so it
+	// stays right when a memo map is evicted under it; only another
+	// owner, dropped kernels or changed weights (adopt) empty it.
 	owner *Scratch
 	gen   uint64
 	kern  []*matKernel
+	vecs  cost.Vector // n·m: the cost vector each vertex was last seen with ...
+	h0    []rowRef    // ... and its h⁰ row (id 0 = never seen)
+	lay   []layerSlots
+}
+
+// layerSlots is one layer's slot per table vertex: the inputs of the
+// last update computed for the vertex and the row it produced.
+type layerSlots struct {
+	lo   []int32  // first edge inside the window
+	self []uint64 // id of the vertex's own input row (0 = empty)
+	nbr  []uint64 // per edge from lo on: id of the neighbor's input row
+	out  []rowRef
 }
 
 // TableView is a View that is the window [off, n) onto an EdgeTable:
@@ -192,33 +211,36 @@ func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 	return lo, hi
 }
 
-// adopt points the kernel memo at sc, emptying it if it was filled
-// from another Scratch or before sc last dropped its kernels.
-func (t *EdgeTable) adopt(sc *Scratch) {
-	if t.owner == sc && t.gen == sc.kernGen {
+// adopt points the memo at sc, emptying it if it was filled from
+// another Scratch or before sc last dropped its kernels or was told its
+// network's weights changed.
+func (t *EdgeTable) adopt(sc *Scratch, m, layers int) {
+	if t.owner == sc && t.gen == sc.gen {
 		return
 	}
-	if t.kern == nil {
-		t.kern = make([]*matKernel, len(t.Mat))
-	} else {
-		clear(t.kern)
+	n := len(t.Start) - 1
+	t.owner, t.gen = sc, sc.gen
+	t.kern = make([]*matKernel, len(t.Mat))
+	t.vecs = make(cost.Vector, n*m)
+	t.h0 = make([]rowRef, n)
+	t.lay = make([]layerSlots, layers)
+	for l := range t.lay {
+		t.lay[l] = layerSlots{
+			lo: make([]int32, n), self: make([]uint64, n),
+			nbr: make([]uint64, len(t.Nbr)), out: make([]rowRef, n),
+		}
 	}
-	t.owner, t.gen = sc, sc.kernGen
 }
 
 // Cache bounds: kernels accumulate across episodes (graphs come and
-// go); h⁰, message-intern, contribution, and update entries accumulate
-// across a search. Each map resets wholesale when it grows past its
-// limit — resets cost recomputation, never correctness, because every
-// cache key pins its referents (see the memoization comment on Infer).
-const (
-	maxKernels = 8192
-	maxH0      = 4096
-	maxIntern  = 8192
-	maxContrib = 32768
-	maxMsg     = 16384
-	maxUpd     = 16384
-)
+// go); h⁰, contribution, and row entries accumulate across a search.
+// Each map resets wholesale when it grows past its limit — resets cost
+// recomputation, never correctness, because every cache key pins its
+// referents or names them by never-reused ids (see the memoization
+// comment on Infer).
+type memoLimits struct{ kernels, h0, contrib, rows int }
+
+var defaultLimits = memoLimits{kernels: 8192, h0: 4096, contrib: 32768, rows: 16384}
 
 // rowRef is a canonical cached row plus its identity: ids are drawn
 // from a per-Scratch counter that never decreases and is never reused,
@@ -231,18 +253,9 @@ type rowRef struct {
 	id  uint64
 }
 
-// updKey identifies one layer-update output row: the layer index plus
-// the ids of the vertex's canonical hidden row and its (interned)
-// message row. Update rows depend on the layer weights, so the upd
-// cache is dropped by InvalidateWeights.
-type updKey struct {
-	layer  int
-	h, msg uint64
-}
-
 // Scratch holds the reusable state of one Infer caller: the flattened
-// adjacency of the current view, the kernel cache, and the
-// content-addressed memoization maps. A Scratch must not be shared
+// adjacency of a view that brings no edge table, the kernel cache, and
+// the content-addressed memoization maps. A Scratch must not be shared
 // between goroutines, and it belongs to one network: after the
 // network's weights change the owner must call InvalidateWeights
 // (net.PBQPNet does this on its training-mode and weight-loading
@@ -255,20 +268,16 @@ type Scratch struct {
 	rowsB   []rowRef
 	rowsOut []tensor.Vec // Infer's return slice, aliasing cached rows
 
-	edgeStart []int32
-	edgeU     []int32
-	edgeK     []*matKernel
+	flat EdgeTable // Start, Nbr, kern of the current view when it is no TableView; no slots
 
+	lim          memoLimits
 	kern         map[*tensor.Mat]*matKernel
-	kernGen      uint64 // bumped whenever kern is dropped; see EdgeTable
+	gen          uint64 // bumped by dropKernels and InvalidateWeights; see EdgeTable
 	h0           map[string]rowRef
-	intern       map[string]rowRef
-	msg          map[string]rowRef // (kernel id, row id) edge list → message
-	upd          map[updKey]rowRef
-	contribCount int // total entries across all kernels' contrib maps
+	rows         map[string]rowRef // (layer, own row id, (kernel id, neighbor row id)…) → update output
+	contribCount int               // total entries across all kernels' contrib maps
 	nextID       uint64
-	key          []byte // content-key buffer (h0, intern)
-	mkey         []byte // id-key buffer (msg); distinct: both live at once
+	key          []byte // key buffer (h0, rows)
 }
 
 // newID returns a fresh never-reused row/kernel identity.
@@ -277,18 +286,21 @@ func (sc *Scratch) newID() uint64 {
 	return sc.nextID
 }
 
-// InvalidateWeights drops every cache derived from network weights:
-// the h⁰ rows and the layer-update rows. Kernels, interned message
-// rows, and edge contributions survive — they depend only on the
-// (immutable) edge matrices and on row contents, not on weights. The
-// msg cache is dropped too, not for correctness (its keys name rows by
-// never-reused ids, so stale entries can only miss) but because every
-// entry keyed by a pre-change row id is dead weight after the rows are
-// recomputed under fresh ids.
+// InvalidateWeights drops everything derived from network weights: the
+// h⁰ rows, the layer-update rows, and (by starting a new generation)
+// every edge table's slots. Kernels and edge contributions survive —
+// they depend only on the (immutable) edge matrices and on row
+// contents, not on weights.
 func (sc *Scratch) InvalidateWeights() {
 	clear(sc.h0)
-	clear(sc.upd)
-	clear(sc.msg)
+	clear(sc.rows)
+	sc.gen++
+}
+
+// LimitMemosForTest bounds every memo map of sc at n entries, so that
+// a test's walk evicts each of them many times over. Test-only.
+func (sc *Scratch) LimitMemosForTest(n int) {
+	sc.lim = memoLimits{kernels: n, h0: n, contrib: n, rows: n}
 }
 
 // ensure sizes the buffers for an n-vertex, m-color view.
@@ -308,7 +320,6 @@ func (sc *Scratch) ensure(m, n int) {
 		sc.rowsA = make([]rowRef, n)
 		sc.rowsB = make([]rowRef, n)
 		sc.rowsOut = make([]tensor.Vec, n) //pbqpvet:ignore hotalloc grow-once alongside rowsA
-		sc.edgeStart = make([]int32, 0, n+1)
 	} else {
 		sc.rowsA, sc.rowsB = sc.rowsA[:n], sc.rowsB[:n]
 		sc.rowsOut = sc.rowsOut[:n]
@@ -316,9 +327,10 @@ func (sc *Scratch) ensure(m, n int) {
 	if sc.kern == nil {
 		sc.kern = make(map[*tensor.Mat]*matKernel)
 		sc.h0 = make(map[string]rowRef)
-		sc.intern = make(map[string]rowRef)
-		sc.msg = make(map[string]rowRef)
-		sc.upd = make(map[updKey]rowRef)
+		sc.rows = make(map[string]rowRef)
+		if sc.lim == (memoLimits{}) {
+			sc.lim = defaultLimits
+		}
 	}
 }
 
@@ -327,7 +339,7 @@ func (sc *Scratch) ensure(m, n int) {
 // holding kernels of the old one resolve theirs afresh.
 func (sc *Scratch) dropKernels() {
 	clear(sc.kern)
-	sc.kernGen++
+	sc.gen++
 }
 
 // kernel returns the prepared kernel for the m×m edge matrix mat,
@@ -350,7 +362,7 @@ func (sc *Scratch) kernel(mat *tensor.Mat, m int) *matKernel {
 	if k, ok := sc.kern[mat]; ok {
 		return k
 	}
-	if len(sc.kern) >= maxKernels {
+	if len(sc.kern) >= sc.lim.kernels {
 		sc.dropKernels()
 	}
 	//pbqpvet:ignore hotalloc kernel build on first sight of an edge matrix; amortized across every later evaluation of its graph
@@ -369,21 +381,23 @@ func (sc *Scratch) kernel(mat *tensor.Mat, m int) *matKernel {
 // Beyond the sparse kernels, Infer memoizes the whole message pass on
 // canonical rows. Every hidden row a layer consumes is a stable cached
 // vector with a never-reused id — h⁰ rows come from the
-// content-addressed h0 map, later rows from the upd map — so a
-// (kernel, row) pair names an edge contribution, a vertex's (kernel
-// id, row id) edge list names its whole message row, and a (layer,
-// row, message) id triple names an update output, each computed once
-// and replayed by lookup. On a steady-state hit a vertex's entire
-// message fold — per-edge mat·vec adds and the mean — collapses to one
-// key build and one map probe. Message rows are interned by content to
-// give identical messages one identity. Replaying a cached value is
-// exact, not approximate: each cached vector was produced by the
-// identical floating-point fold the scalar path would run, and
-// substituting a row for another with identical bits cannot change any
-// downstream operation. Pointer-keyed maps pin their referents, and
-// id-composed keys can only go stale towards misses (ids are never
-// reused), so an entry can never be read against recycled memory;
-// evicting any one map merely forces recomputation.
+// content-addressed h0 map, later rows from the row memo — so a
+// (kernel, row) pair names an edge contribution, and a layer with a
+// vertex's own row id and its (kernel id, row id) edge list names the
+// vertex's whole update — per-edge mat·vec adds, the mean (its divisor
+// is the list's length) and the tanh layer — computed once and
+// replayed by one key build and one map probe. Where the view is a
+// window onto a game's edge table, the table's per-vertex slots sit in
+// front of both maps: a vertex whose cost vector, or whose own and
+// neighbor row ids, are what they were at the last evaluation of the
+// game takes its row from the slot and touches no map at all.
+// Replaying a cached value is exact, not approximate: each cached
+// vector was produced by the identical floating-point fold the scalar
+// path would run, and substituting a row for another with identical
+// bits cannot change any downstream operation. Pointer-keyed maps pin
+// their referents, and id-composed keys can only go stale towards
+// misses (ids are never reused), so an entry can never be read against
+// recycled memory; evicting any one map merely forces recomputation.
 //
 //pbqpvet:hotpath
 func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
@@ -391,36 +405,24 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	m := g.m
 	sc.ensure(m, n)
 
-	// Flatten the adjacency once: Forward calls view.Mat per edge per
-	// layer; one pass here resolves each directed edge to its kernel —
-	// by slot where the view is a window onto a game's edge table, by
-	// matrix pointer otherwise.
-	sc.edgeStart = sc.edgeStart[:0]
-	sc.edgeU = sc.edgeU[:0]
-	sc.edgeK = sc.edgeK[:0]
+	// Forward calls view.Mat per edge per layer. A window onto a game's
+	// edge table brings its edges resolved; any other view is flattened
+	// here, once, each directed edge to its kernel by matrix pointer.
+	tbl, off := &sc.flat, 0
 	if tv, ok := view.(TableView); ok {
-		tbl, off := tv.EdgeTable()
-		tbl.adopt(sc)
-		for v := 0; v < n; v++ {
-			sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
-			for e, hi := tbl.From(off+v, off); e < hi; e++ {
-				if tbl.kern[e] == nil {
-					tbl.kern[e] = sc.kernel(tbl.Mat[e], m)
-				}
-				sc.edgeU = append(sc.edgeU, tbl.Nbr[e]-int32(off))
-				sc.edgeK = append(sc.edgeK, tbl.kern[e])
-			}
-		}
+		tbl, off = tv.EdgeTable()
+		tbl.adopt(sc, m, g.layers)
 	} else {
+		tbl.Start, tbl.Nbr, tbl.kern = tbl.Start[:0], tbl.Nbr[:0], tbl.kern[:0]
 		for v := 0; v < n; v++ {
-			sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
+			tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 			for _, u := range view.Nbrs(v) {
-				sc.edgeU = append(sc.edgeU, int32(u))
-				sc.edgeK = append(sc.edgeK, sc.kernel(view.Mat(v, u), m))
+				tbl.Nbr = append(tbl.Nbr, int32(u))
+				tbl.kern = append(tbl.kern, sc.kernel(view.Mat(v, u), m))
 			}
 		}
+		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
-	sc.edgeStart = append(sc.edgeStart, int32(len(sc.edgeU)))
 
 	// h⁰ = tanh(W_in·φ(v) + b_in), content-cached by cost-vector bytes:
 	// across the leaves of one search most vertices carry unchanged
@@ -428,35 +430,11 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	// vector instead of once per vertex per evaluation.
 	cur, nxt := sc.rowsA, sc.rowsB
 	for v := 0; v < n; v++ {
-		cur[v] = sc.h0Row(g, view.Vec(v))
+		cur[v] = sc.h0Row(g, view.Vec(v), tbl, off+v)
 	}
-	if g.layers == 0 {
-		for v := 0; v < n; v++ {
-			sc.rowsOut[v] = cur[v].vec
-		}
-		return sc.rowsOut
-	}
-
 	for l := 0; l < g.layers; l++ {
-		wself, wnbr, b := g.wself[l].W, g.wnbr[l].W, g.b[l].W
 		for v := 0; v < n; v++ {
-			// message pass: msg_v = mean of M̃_vu · h_u over neighbors,
-			// neighbor order and rounding identical to Forward. The
-			// (kernel id, row id) edge list determines the whole fold,
-			// including the mean's divisor (the key's length), so a hit
-			// skips it entirely. Edgeless vertices share the empty key —
-			// and, exactly like Forward, an unscaled all-zero message.
-			sc.mkey = sc.mkey[:0]
-			lo, hi := sc.edgeStart[v], sc.edgeStart[v+1]
-			for e := lo; e < hi; e++ {
-				sc.mkey = binary.LittleEndian.AppendUint64(sc.mkey, sc.edgeK[e].id)
-				sc.mkey = binary.LittleEndian.AppendUint64(sc.mkey, cur[sc.edgeU[e]].id)
-			}
-			msg, ok := sc.msg[string(sc.mkey)]
-			if !ok {
-				msg = sc.msgRow(cur, lo, hi)
-			}
-			nxt[v] = sc.updateRow(l, cur[v], msg, wself, wnbr, b, m)
+			nxt[v] = sc.layerRow(g, l, tbl, off, v, cur)
 		}
 		cur, nxt = nxt, cur
 	}
@@ -466,46 +444,95 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	return sc.rowsOut
 }
 
-// msgRow computes one vertex's message row the slow way — per-edge
-// cached contributions folded in neighbor order, then the mean — and
-// caches it under the (kernel id, row id) edge list sc.mkey holds.
-// Adding each whole contribution vector equals the kernel's selective
-// per-row adds because a skipped row's entry is exactly +0.0 and the
-// accumulator can never be -0.0 (see the package comment).
-func (sc *Scratch) msgRow(cur []rowRef, lo, hi int32) rowRef {
-	mrow := sc.mrow
-	mrow.Zero()
+// layerRow returns layer l's output row for active vertex v of the
+// window of tbl at off, given the layer's input rows cur: from the
+// vertex's slot if its inputs are the slot's, else from the row memo,
+// else computed.
+func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []rowRef) rowRef {
+	u, self := off+v, cur[v]
+	lo, hi := tbl.From(u, off)
+	var slot *layerSlots
+	if tbl.lay != nil {
+		slot = &tbl.lay[l]
+		if slot.self[u] == self.id && slot.lo[u] == lo {
+			e := lo
+			for e < hi && slot.nbr[e] == cur[int(tbl.Nbr[e])-off].id {
+				e++
+			}
+			if e == hi {
+				return slot.out[u]
+			}
+		}
+	}
+	// The key determines the whole update, including the mean's divisor
+	// (the edge list's length). Edgeless vertices, exactly like Forward,
+	// get an unscaled all-zero message.
+	key := append(sc.key[:0], byte(l))
+	key = binary.LittleEndian.AppendUint64(key, self.id)
 	for e := lo; e < hi; e++ {
-		mrow.AddInPlace(sc.contribution(sc.edgeK[e], cur[sc.edgeU[e]].vec))
+		if tbl.kern[e] == nil {
+			tbl.kern[e] = sc.kernel(tbl.Mat[e], g.m)
+		}
+		id := cur[int(tbl.Nbr[e])-off].id
+		if slot != nil {
+			slot.nbr[e] = id
+		}
+		key = binary.LittleEndian.AppendUint64(key, tbl.kern[e].id)
+		key = binary.LittleEndian.AppendUint64(key, id)
 	}
-	if cnt := hi - lo; cnt > 0 {
-		mrow.Scale(1 / float64(cnt))
+	sc.key = key
+	out, ok := sc.rows[string(key)]
+	if !ok {
+		out = sc.updateRow(g, l, tbl, off, lo, hi, self.vec, cur)
 	}
-	c := sc.internMsg(mrow)
-	if len(sc.msg) >= maxMsg {
-		clear(sc.msg)
+	if slot != nil {
+		slot.lo[u], slot.self[u], slot.out[u] = lo, self.id, out
 	}
-	sc.msg[string(sc.mkey)] = c
-	return c
+	return out
 }
 
-// h0Row returns the canonical h⁰ row for vertex vec, computing and
-// caching it on first sight of the vector's contents.
-func (sc *Scratch) h0Row(g *GCN, vec cost.Vector) rowRef {
+// h0Row returns the canonical h⁰ row for table vertex u carrying vec:
+// from the vertex's slot if vec is what the slot last saw, else from
+// the h0 map, computing and caching it on first sight of the vector's
+// contents.
+func (sc *Scratch) h0Row(g *GCN, vec cost.Vector, tbl *EdgeTable, u int) rowRef {
 	// Forward featurizes into a 2·len(vec) vector that W_in·φ rejects
 	// unless len(vec) == m; mirror the check with the scalar path's
 	// message so a mismatched vertex never silently embeds short.
-	if len(vec) != g.m {
+	m := g.m
+	if len(vec) != m {
 		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).MulVec's shape panic on the scalar path
-		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", 2*g.m, 2*len(vec)))
+		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", 2*m, 2*len(vec)))
+	}
+	var seen cost.Vector
+	if tbl.h0 != nil {
+		seen = tbl.vecs[u*m : (u+1)*m]
+		i := 0
+		for i < m && math.Float64bits(float64(seen[i])) == math.Float64bits(float64(vec[i])) {
+			i++
+		}
+		if i == m && tbl.h0[u].id != 0 {
+			return tbl.h0[u]
+		}
 	}
 	sc.key = sc.key[:0]
 	for _, c := range vec {
 		sc.key = binary.LittleEndian.AppendUint64(sc.key, math.Float64bits(float64(c)))
 	}
-	if h, ok := sc.h0[string(sc.key)]; ok {
-		return h
+	r, ok := sc.h0[string(sc.key)]
+	if !ok {
+		r = sc.h0Compute(g, vec)
 	}
+	if seen != nil {
+		copy(seen, vec)
+		tbl.h0[u] = r
+	}
+	return r
+}
+
+// h0Compute computes the h⁰ row of a vector the h0 map has not seen
+// and caches it under the content key sc.key holds.
+func (sc *Scratch) h0Compute(g *GCN, vec cost.Vector) rowRef {
 	m := g.m
 	// φ(v): squashed finite channel then infinity mask, nonzero indices
 	// recorded in ascending order so the sparse fold below visits them
@@ -537,7 +564,7 @@ func (sc *Scratch) h0Row(g *GCN, vec cost.Vector) rowRef {
 		}
 		dst[i] = math.Tanh(s + bin[i])
 	}
-	if len(sc.h0) >= maxH0 {
+	if len(sc.h0) >= sc.lim.h0 {
 		clear(sc.h0)
 	}
 	r := rowRef{vec: dst, id: sc.newID()}
@@ -551,7 +578,7 @@ func (sc *Scratch) contribution(k *matKernel, x tensor.Vec) tensor.Vec {
 	if c, ok := k.contrib[&x[0]]; ok {
 		return c
 	}
-	if sc.contribCount >= maxContrib {
+	if sc.contribCount >= sc.lim.contrib {
 		// Dropping the kernel map releases every per-kernel contribution
 		// cache at once; kernels rebuild on first sight like any miss.
 		sc.dropKernels()
@@ -568,41 +595,27 @@ func (sc *Scratch) contribution(k *matKernel, x tensor.Vec) tensor.Vec {
 	return c
 }
 
-// internMsg returns the canonical row holding mrow's contents, so
-// identical message rows share one identity the msg and upd caches can
-// key on.
-func (sc *Scratch) internMsg(mrow tensor.Vec) rowRef {
-	sc.key = sc.key[:0]
-	for _, f := range mrow {
-		sc.key = binary.LittleEndian.AppendUint64(sc.key, math.Float64bits(f))
+// updateRow computes one vertex's layer output the slow way and caches
+// it under the key sc.key holds. The message is the per-edge cached
+// contributions of edges [lo, hi) folded in neighbor order, then the
+// mean; adding each whole contribution vector equals the kernel's
+// selective per-row adds because a skipped row's entry is exactly +0.0
+// and the accumulator can never be -0.0 (see the package comment). The
+// row is tanh(W_self·h + W_nbr·msg + b): both folds run in ascending j
+// exactly like Forward's MulVec calls, and the combination (self + nbr)
+// + b matches Forward's AddInPlace order, so it is bit-identical to the
+// scalar layer.
+func (sc *Scratch) updateRow(g *GCN, l int, tbl *EdgeTable, off int, lo, hi int32, hv tensor.Vec, cur []rowRef) rowRef {
+	m, mv := g.m, sc.mrow
+	mv.Zero()
+	for e := lo; e < hi; e++ {
+		mv.AddInPlace(sc.contribution(tbl.kern[e], cur[int(tbl.Nbr[e])-off].vec))
 	}
-	if c, ok := sc.intern[string(sc.key)]; ok {
-		return c
+	if cnt := hi - lo; cnt > 0 {
+		mv.Scale(1 / float64(cnt))
 	}
-	if len(sc.intern) >= maxIntern {
-		clear(sc.intern)
-	}
-	//pbqpvet:ignore hotalloc intern fill on first sight of a message row; later identical rows share the canonical vector
-	c := rowRef{vec: mrow.Clone(), id: sc.newID()}
-	sc.intern[string(sc.key)] = c
-	return c
-}
-
-// updateRow returns tanh(W_self·h + W_nbr·msg + b) for one vertex as a
-// cached canonical row. Both folds run in ascending j exactly like
-// Forward's MulVec calls, and the combination (self + nbr) + b matches
-// Forward's AddInPlace order, so the computed row is bit-identical to
-// the scalar layer. h and msg must be canonical cached rows.
-func (sc *Scratch) updateRow(l int, h, msg rowRef, wself, wnbr, b tensor.Vec, m int) rowRef {
-	uk := updKey{layer: l, h: h.id, msg: msg.id}
-	if o, ok := sc.upd[uk]; ok {
-		return o
-	}
-	if len(sc.upd) >= maxUpd {
-		clear(sc.upd)
-	}
-	hv, mv := h.vec, msg.vec
-	//pbqpvet:ignore hotalloc update cache fill on first sight of a (layer, row, message) triple; later evaluations hit the cache
+	wself, wnbr, b := g.wself[l].W, g.wnbr[l].W, g.b[l].W
+	//pbqpvet:ignore hotalloc row memo fill on first sight of a (layer, row, edge list) key; later evaluations hit the memo
 	o := make(tensor.Vec, m)
 	for i := 0; i < m; i++ {
 		ws := wself[i*m : (i+1)*m]
@@ -614,7 +627,10 @@ func (sc *Scratch) updateRow(l int, h, msg rowRef, wself, wnbr, b tensor.Vec, m 
 		}
 		o[i] = math.Tanh(s + t + b[i])
 	}
+	if len(sc.rows) >= sc.lim.rows {
+		clear(sc.rows)
+	}
 	r := rowRef{vec: o, id: sc.newID()}
-	sc.upd[uk] = r
+	sc.rows[string(sc.key)] = r
 	return r
 }

@@ -204,9 +204,10 @@ func (w *windowView) Mat(i, j int) *tensor.Mat { return w.GraphView.Mat(w.off+i,
 
 // TestInferEdgeTableBitIdenticalToForward drives Infer's edge-table
 // path over every window of a graph, against Forward reading the same
-// window through Nbrs/Mat. The table's kernel memo must survive what
-// can happen to it between evaluations: a second Scratch taking it
-// over, and its own Scratch dropping the kernel cache.
+// window through Nbrs/Mat. The table's memo must survive what can
+// happen to it between evaluations: a second Scratch taking it over,
+// its own Scratch dropping the kernel cache, the window moving back as
+// well as forward (Undo), and cost vectors changing under its slots.
 func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 	g := New(rand.New(rand.NewSource(81)), 6, 2)
 	w := newWindowView(zeroInfView(82, 15, 6).(*GraphView))
@@ -230,9 +231,23 @@ func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 		a.dropKernels()
 		check(a, "after dropping kernels")
 	}
+	// one scratch keeps the table: its slots now answer, and each was
+	// filled for another window than the one that asks
+	rng := rand.New(rand.NewSource(83))
+	for _, off := range []int{13, 12, 9, 10, 11, 4, 3, 3, 8, 2, 1, 0, 7, 0} {
+		w.off = off
+		check(a, "window moved")
+		vec := w.GraphView.Vec(off + rng.Intn(15-off))
+		i := rng.Intn(len(vec))
+		old := vec[i]
+		vec[i] = cost.Inf
+		check(a, "cost vector changed")
+		vec[i] = old
+		check(a, "cost vector restored")
+	}
 	w.off = 0
 	check(a, "whole graph")
-	if w.tbl.owner != a || w.tbl.gen != a.kernGen {
+	if w.tbl.owner != a || w.tbl.gen != a.gen {
 		t.Error("the table's memo does not follow the scratch that last used it")
 	}
 	for e, k := range w.tbl.kern {

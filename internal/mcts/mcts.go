@@ -70,7 +70,7 @@ type node struct {
 	value    float64 // v̂ from the DNN, or the terminal game value
 	prior    tensor.Vec
 	legal    []bool
-	disabled []bool // actions masked by the backtracking solver
+	disabled []bool // actions masked by the backtracking solver; nil = none
 	n        []int
 	q        []float64
 	children []*node
@@ -81,7 +81,7 @@ type node struct {
 // (The graph manager detects dead ends on transition, so the planner
 // never walks into one twice.)
 func (nd *node) actionOpen(a int) bool {
-	if !nd.legal[a] || nd.disabled[a] {
+	if !nd.legal[a] || (nd.disabled != nil && nd.disabled[a]) {
 		return false
 	}
 	if c := nd.children[a]; c != nil && c.expanded && c.deadEnd {
@@ -185,8 +185,10 @@ func (t *Tree) expand(s *game.State, nd *node) {
 	}
 	nd.prior = prior
 	nd.value = value
-	nd.legal = s.LegalMask()
-	nd.disabled = make([]bool, t.m)
+	nd.legal = make([]bool, t.m)
+	for a := range nd.legal {
+		nd.legal[a] = s.Legal(a)
+	}
 	nd.n = make([]int, t.m)
 	nd.q = make([]float64, t.m)
 	nd.children = make([]*node, t.m)

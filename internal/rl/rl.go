@@ -136,8 +136,11 @@ func (s *Solver) SolveStatsCtx(ctx context.Context, g *pbqp.Graph) (solve.Result
 	res := solve.Result{Cost: cost.Inf, Truncated: run.truncated, States: tree.Nodes()}
 	if ok {
 		res.Feasible = true
-		res.Cost = st.Acc()
 		res.Selection = st.Selection(g.NumVertices())
+		// st.Acc() folds edge rows in play order; report Equation 1 in
+		// the graph's canonical order so that Cost == TotalCost(Selection)
+		// to the last bit on non-integer costs too
+		res.Cost = g.TotalCost(res.Selection)
 	}
 	return res, run.stats
 }

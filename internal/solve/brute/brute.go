@@ -61,6 +61,10 @@ func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		for i, u := range vs {
 			res.Selection[u] = st.bestSel[i]
 		}
+		// st.best was summed in search order; report Equation 1 in the
+		// graph's canonical order so that Cost == TotalCost(Selection)
+		// to the last bit on non-integer costs too
+		res.Cost = g.TotalCost(res.Selection)
 	}
 	return res
 }

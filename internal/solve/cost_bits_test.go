@@ -1,0 +1,76 @@
+package solve_test
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"pbqprl/internal/cost"
+	"pbqprl/internal/game"
+	"pbqprl/internal/net"
+	"pbqprl/internal/pbqp"
+	"pbqprl/internal/rl"
+	"pbqprl/internal/solve"
+	"pbqprl/internal/solve/anneal"
+	"pbqprl/internal/solve/brute"
+	"pbqprl/internal/solve/liberty"
+	"pbqprl/internal/solve/portfolio"
+	"pbqprl/internal/solve/scholz"
+)
+
+// TestCostIsTotalCostOfSelection pins what Result.Cost is: Equation 1
+// evaluated over the returned selection in the graph's canonical order,
+// to the last bit. No sum of the costs used here (0.1, 0.7, 1.3) is
+// exact in binary, so a solver that reports the sum it accumulated
+// along its own search order — as brute, liberty and rl did — disagrees
+// with TotalCost in the low bits.
+func TestCostIsTotalCostOfSelection(t *testing.T) {
+	const n, m = 9, 3
+	evaluator := net.New(net.Config{M: m, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 5})
+	deepRL := func(backtrack bool) solve.Solver {
+		return &rl.Solver{Net: evaluator.Clone(), Cfg: rl.Config{
+			K: 8, Order: game.OrderDecLiberty, Backtrack: backtrack, ReinvokeMCTS: true,
+		}}
+	}
+	solvers := map[string]solve.Solver{
+		"brute":     brute.Solver{},
+		"liberty":   liberty.Solver{},
+		"scholz":    scholz.Solver{},
+		"anneal":    anneal.Solver{Seed: 3},
+		"rl":        deepRL(false),
+		"rl-bt":     deepRL(true),
+		"portfolio": portfolio.New(0, deepRL(true), liberty.Solver{}, scholz.Solver{}),
+	}
+	values := []cost.Cost{0.1, 0.7, 1.3}
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := pbqp.New(n, m)
+		for u := 0; u < n; u++ {
+			vec := cost.NewVector(m)
+			for i := range vec {
+				vec[i] = values[rng.Intn(len(values))]
+			}
+			g.SetVertexCost(u, vec)
+			for v := u + 1; v < n; v++ {
+				if rng.Float64() < 0.5 {
+					mat := cost.NewMatrix(m, m)
+					for i := range mat.Data {
+						mat.Data[i] = values[rng.Intn(len(values))]
+					}
+					g.SetEdgeCost(u, v, mat)
+				}
+			}
+		}
+		for name, s := range solvers {
+			res := s.Solve(g)
+			if !res.Feasible {
+				t.Fatalf("seed %d: %s found no coloring of a graph without infinite costs", seed, name)
+			}
+			want := g.TotalCost(res.Selection)
+			if math.Float64bits(float64(res.Cost)) != math.Float64bits(float64(want)) {
+				t.Errorf("seed %d: %s reports cost %v (%x), TotalCost(Selection) = %v (%x)", seed, name,
+					res.Cost, math.Float64bits(float64(res.Cost)), want, math.Float64bits(float64(want)))
+			}
+		}
+	}
+}

@@ -88,19 +88,17 @@ func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		maxState: s.MaxStates,
 	}
 	e.stopped = ctx.Err() != nil
-	var ok bool
-	var total cost.Cost
-	if !e.stopped {
-		ok, total = e.run(0, 0)
-	}
+	ok := !e.stopped && e.run(0)
 	res := solve.Result{Cost: cost.Inf, Truncated: e.stopped, States: e.states}
 	if ok {
 		res.Feasible = true
-		res.Cost = total
 		res.Selection = make(pbqp.Selection, g.NumVertices())
 		for i, u := range vs {
 			res.Selection[u] = e.sel[i]
 		}
+		// Equation 1 in the graph's canonical order, not summed along the
+		// search, so that Cost == TotalCost(Selection) to the last bit
+		res.Cost = g.TotalCost(res.Selection)
 	}
 	return res
 }
@@ -124,19 +122,18 @@ type enum struct {
 // if the approximation fails, the enumeration simply continues over the
 // easy vertices in the same chronological order — the backtracking
 // search is complete, it just prefers to stop enumerating as soon as
-// the approximation succeeds. It returns success and the total cost.
-func (e *enum) run(depth int, acc cost.Cost) (bool, cost.Cost) {
+// the approximation succeeds. It reports success, with the coloring
+// left in e.sel.
+func (e *enum) run(depth int) bool {
 	if depth == e.g.NumVertices() {
-		return true, acc
+		return true
 	}
-	if depth >= e.numHard {
-		if ok, total := e.solveEasyRemainder(depth, acc); ok {
-			return true, total
-		}
-		// fall through: keep enumerating chronologically
+	if depth >= e.numHard && e.solveEasyRemainder(depth) {
+		return true
 	}
+	// the approximation failed: keep enumerating chronologically
 	if e.stopped || (e.maxState > 0 && e.states >= e.maxState) {
-		return false, cost.Inf
+		return false
 	}
 	vec := e.g.VertexCost(depth).Clone()
 	later := laterNeighbors(e.g, depth)
@@ -154,22 +151,22 @@ func (e *enum) run(depth int, acc cost.Cost) (bool, cost.Cost) {
 		}
 		saved := propagate(e.g, depth, c, later)
 		e.sel[depth] = c
-		if ok, total := e.run(depth+1, acc.Add(vec[c])); ok {
-			restore(e.g, saved)
-			return true, total
-		}
+		ok := e.run(depth + 1)
 		restore(e.g, saved)
+		if ok {
+			return true
+		}
 	}
-	return false, cost.Inf
+	return false
 }
 
 // solveEasyRemainder builds the induced subgraph over the uncolored
 // suffix [from, n) with its propagated cost vectors and approximates it
 // with the Scholz–Eckstein solver.
-func (e *enum) solveEasyRemainder(from int, acc cost.Cost) (bool, cost.Cost) {
+func (e *enum) solveEasyRemainder(from int) bool {
 	n := e.g.NumVertices()
 	if from == n {
-		return true, acc
+		return true
 	}
 	// Fast path with identical semantics: a vertex whose propagated
 	// vector is all-infinite makes the reduction infeasible no matter
@@ -177,7 +174,7 @@ func (e *enum) solveEasyRemainder(from int, acc cost.Cost) (bool, cost.Cost) {
 	for v := from; v < n; v++ {
 		if e.g.VertexCost(v).AllInf() {
 			e.states++
-			return false, cost.Inf
+			return false
 		}
 	}
 	suffix := make([]int, n-from)
@@ -192,12 +189,12 @@ func (e *enum) solveEasyRemainder(from int, acc cost.Cost) (bool, cost.Cost) {
 		e.stopped = true
 	}
 	if !res.Feasible {
-		return false, cost.Inf
+		return false
 	}
 	for v := from; v < n; v++ {
 		e.sel[v] = res.Selection[v-from]
 	}
-	return true, acc.Add(res.Cost)
+	return true
 }
 
 // laterNeighbors returns u's neighbors with a larger index (the ones
