@@ -17,9 +17,12 @@ import (
 	"pbqprl/internal/llvmsuite"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/net"
+	"pbqprl/internal/nn"
 	"pbqprl/internal/perfmodel"
+	"pbqprl/internal/randgraph"
 	"pbqprl/internal/regalloc"
 	"pbqprl/internal/rl"
+	"pbqprl/internal/selfplay"
 	"pbqprl/internal/solve/scholz"
 )
 
@@ -217,6 +220,76 @@ func BenchmarkRLBacktrackNode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*nodes), "us/node")
 	b.ReportMetric(float64(nodes), "nodes")
+}
+
+// BenchmarkTrainStep is the source of DESIGN §10's "µs per gradient
+// sample" row: the gradient phase of one iteration of benchmark/'s train
+// workload (64 minibatches of 32: Forward, loss and Backward per sample,
+// L2 and an Adam step per minibatch), drawing as (*selfplay.Trainer).train
+// draws — a seeded rng over the whole replay — from the ≥ 2 000
+// snapshots of as many self-played games as it takes (about 90; an
+// untrained network dead-ends early) on that workload's ATE distribution.
+// It exists because the per-layer probes net.forward_train_us and
+// net.backward_us cannot see what a gradient step costs in a training
+// run: they loop over the 50 snapshots of one game, whose few hundred
+// edge matrices stay cache-hot, where the replay holds hundreds of
+// games and nearly every edge a sample touches is a cache miss. Before
+// the pass moved onto packed kernels that was 1.3 KB of dense matrix per
+// edge per layer, and the probes read 142 µs per sample against 380 µs
+// in the run (2.7×).
+func BenchmarkTrainStep(b *testing.B) {
+	cfg := selfplay.Config{
+		KTrain: 25,
+		Order:  game.OrderDecLiberty,
+		Generate: func(rng *rand.Rand) *pbqprl.Graph {
+			prog, _ := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
+				Name: "train", NumVRegs: randgraph.NormalN(rng, 50, 16, 20),
+				PairRatio: 0.3, HardRatio: 0.4, MaxLive: 8, Seed: rng.Int63(),
+			})
+			g, err := ate.BuildPBQP(prog)
+			if err != nil {
+				panic(err)
+			}
+			return g
+		},
+	}
+	n := net.New(experiments.DefaultNetConfig())
+	best := n.Clone()
+	var replay []selfplay.Sample
+	games := 0
+	for ; len(replay) < 2048; games++ {
+		res := selfplay.RunEpisode(cfg, n, best, int64(1+games))
+		if res.Err != nil {
+			b.Fatal(res.Err)
+		}
+		for i := range res.Samples {
+			res.Samples[i].Z = res.Z
+		}
+		replay = append(replay, res.Samples...)
+	}
+	const steps, batch = 64, 32
+	rng := rand.New(rand.NewSource(1))
+	opt := nn.NewAdam(1e-3)
+	n.SetTraining(true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for step := 0; step < steps; step++ {
+			for k := 0; k < batch; k++ {
+				s := replay[rng.Intn(len(replay))]
+				logits, v := n.Forward(s.View)
+				mask := net.Mask(s.View)
+				p := nn.Softmax(logits, mask)
+				dLogits := nn.CrossEntropyGrad(p, s.Pi, mask)
+				dLogits.Scale(1.0 / batch)
+				n.Backward(dLogits, nn.MSEGrad(v, s.Z)/batch)
+			}
+			nn.AddL2Grad(n.Params(), 1e-4)
+			opt.Step(n.Params())
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*steps*batch), "us/sample")
+	b.ReportMetric(float64(len(replay)), "snapshots")
+	b.ReportMetric(float64(games), "games")
 }
 
 // BenchmarkGamePlayUndo measures the do/undo transition kernel, which

@@ -84,7 +84,7 @@ type State struct {
 	n, m     int
 	vecs     []cost.Vector // current cost vectors (mutated in place)
 	later    [][]laterEdge // per vertex, its neighbors colored after it
-	edges    gcn.EdgeTable // full adjacency with the transformed matrices, for views
+	edges    gcn.EdgeTable // full adjacency with the transformed, packed matrices, for views
 	order    []int         // game vertex -> original vertex
 	t        int           // next vertex to color
 	played   []int
@@ -147,8 +147,7 @@ func New(g *pbqp.Graph, order []int) *State {
 			if w > u {
 				s.later[u] = append(s.later[u], laterEdge{v: w, mat: mat})
 			}
-			s.edges.Nbr = append(s.edges.Nbr, int32(w))
-			s.edges.Mat = append(s.edges.Mat, gcn.TransformMatrix(mat))
+			s.edges.AddEdge(w, gcn.TransformMatrix(mat))
 		}
 		s.edges.Start[u+1] = int32(len(s.edges.Nbr))
 	}

@@ -4,9 +4,60 @@ import (
 	"math/rand"
 	"testing"
 
+	"pbqprl/internal/cost"
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/randgraph"
 )
+
+// TestSnapshotSurvivesRewind: a snapshot shares the game's edges but
+// owns its vectors, so it reads the same while the game it was taken
+// from plays on, is rewound to the first turn and is played again with
+// other colors — what an episode's second player does to the first's.
+func TestSnapshotSurvivesRewind(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	g := randgraph.ErdosRenyi(rng, randgraph.Config{N: 12, M: 3, PEdge: 0.5, PInf: 0})
+	st := New(g, rng.Perm(12))
+	st.Play(0)
+	st.Play(1)
+	snap, live := st.Snapshot(), st.View()
+	var want []cost.Vector
+	for i := 0; i < snap.N(); i++ {
+		want = append(want, snap.Vec(i).Clone())
+		if !snap.Vec(i).Equal(live.Vec(i)) {
+			t.Fatalf("snapshot vector %d is not the state's", i)
+		}
+	}
+	if j := snap.Nbrs(0)[0]; snap.Mat(0, j) != live.Mat(0, j) {
+		t.Error("the snapshot copied an edge matrix it was meant to share")
+	}
+	check := func(when string) {
+		t.Helper()
+		for i, w := range want {
+			if !snap.Vec(i).Equal(w) {
+				t.Fatalf("%s: snapshot vector %d changed to %v, was %v", when, i, snap.Vec(i), w)
+			}
+		}
+	}
+	changed := false
+	for !st.Done() {
+		st.Play(2)
+		for i := st.Turn(); i < st.n; i++ {
+			changed = changed || !st.vecs[i].Equal(want[i-2])
+		}
+		check("playing on")
+	}
+	if !changed {
+		t.Fatal("playing on never changed a vector the snapshot covers")
+	}
+	for st.Turn() > 0 {
+		st.Undo()
+	}
+	check("rewound")
+	for !st.Done() {
+		st.Play(st.Turn() % 3)
+		check("replayed")
+	}
+}
 
 // TestViewMatchesGraphAtEveryTurn checks the window view and the
 // snapshot against the graph itself at every turn of shuffled games:

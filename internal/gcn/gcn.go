@@ -18,6 +18,12 @@
 //	hˡ⁺¹_v    = tanh(W_self·hˡ_v + W_nbr·msg_v + b)
 //
 // where M̃_vu is the transformed cost matrix oriented (rows = v's color).
+//
+// Each transformed matrix is packed once, where its game's edge table is
+// built (infer.go). The trainable pass (Forward and Backward, here, on a
+// tape the GCN reuses) and the read-only one (Infer, infer.go, on a
+// Scratch's memo) resolve a view's edges through one function and fold
+// them with one addMulVec, bit-equal to reference_test.go's dense pass.
 package gcn
 
 import (
@@ -102,10 +108,22 @@ type GCN struct {
 	wnbr   []*nn.Param
 	b      []*nn.Param
 
-	// caches from the most recent Forward, consumed by Backward
-	feats []tensor.Vec   // φ(v)
-	hs    [][]tensor.Vec // hs[l][v], l = 0..layers
-	msgs  [][]tensor.Vec // msgs[l][v], message into layer l+1
+	tape tape
+}
+
+// tape is what the most recent Forward leaves for Backward, in flat
+// buffers the (single-goroutine) GCN reuses: vertex v's row of layer l is
+// hs[(l·n+v)·m:][:m], its message into layer l+1 msgs[(l·n+v)·m:][:m].
+type tape struct {
+	tbl    *EdgeTable   // the view's edges, as edges resolved them ...
+	off, n int          // ... and its window [off, off+n)
+	pk     []*packedMat // per table edge: tbl's own, or packed for this call
+	flat   EdgeTable    // tbl, for a view that brought no table
+	feats  tensor.Vec   // n·2m: φ(v)
+	nz     []int32      // h0Into's index buffer
+	hs     tensor.Vec   // (layers+1)·n·m
+	msgs   tensor.Vec   // layers·n·m
+	grad   tensor.Vec   // Backward's: two n·m gradient planes, then dpre, dmsg and one product
 }
 
 // New returns a GCN with the given number of message-passing layers for
@@ -146,107 +164,122 @@ func (g *GCN) Params() []*nn.Param {
 	return ps
 }
 
-// Forward embeds every active vertex of view, returning the final
-// hidden vectors (one length-m vector per vertex). The caches needed by
-// Backward are retained until the next Forward.
+// Forward embeds every active vertex of view on the tape, which
+// Backward reads until the next Forward, and returns a copy the caller
+// owns of the final hidden vectors (one length-m vector per vertex).
+//
+//pbqpvet:hotpath
 func (g *GCN) Forward(view View) []tensor.Vec {
-	n := view.N()
-	g.feats = make([]tensor.Vec, n)
-	g.hs = make([][]tensor.Vec, g.layers+1)
-	g.msgs = make([][]tensor.Vec, g.layers)
-	h0 := make([]tensor.Vec, n)
-	winM := &tensor.Mat{R: g.m, C: 2 * g.m, W: g.win.W}
-	for v := 0; v < n; v++ {
-		g.feats[v] = Featurize(view.Vec(v))
-		pre := winM.MulVec(g.feats[v])
-		pre.AddInPlace(g.bin.W)
-		h0[v] = tanhVec(pre)
-	}
-	g.hs[0] = h0
-	for l := 0; l < g.layers; l++ {
-		prev := g.hs[l]
-		next := make([]tensor.Vec, n)
-		msgs := make([]tensor.Vec, n)
-		wself := &tensor.Mat{R: g.m, C: g.m, W: g.wself[l].W}
-		wnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].W}
-		for v := 0; v < n; v++ {
-			msg := tensor.NewVec(g.m)
-			nbrs := view.Nbrs(v)
-			for _, u := range nbrs {
-				view.Mat(v, u).AddMulVec(msg, prev[u])
-			}
-			if len(nbrs) > 0 {
-				msg.Scale(1 / float64(len(nbrs)))
-			}
-			msgs[v] = msg
-			pre := wself.MulVec(prev[v])
-			pre.AddInPlace(wnbr.MulVec(msg))
-			pre.AddInPlace(g.b[l].W)
-			next[v] = tanhVec(pre)
+	n, m, tp := view.N(), g.m, &g.tape
+	tbl, off := edges(view, &tp.flat)
+	tp.tbl, tp.off, tp.n, tp.pk = tbl, off, n, tbl.packed
+	if tp.pk == nil {
+		tp.pk = make([]*packedMat, len(tbl.Mat))
+		for e := tbl.Start[off]; int(e) < len(tbl.Mat); e++ {
+			tp.pk[e] = buildKernel(tbl.Mat[e])
 		}
-		g.msgs[l] = msgs
-		g.hs[l+1] = next
 	}
-	return g.hs[g.layers]
+	tp.feats, tp.hs, tp.msgs = grow(tp.feats, n*2*m), grow(tp.hs, (g.layers+1)*n*m), grow(tp.msgs, g.layers*n*m)
+	for v := 0; v < n; v++ {
+		tp.nz = g.h0Into(tp.hs[v*m:(v+1)*m], tp.feats[v*2*m:(v+1)*2*m], tp.nz[:0], view.Vec(v))
+	}
+	for l := 0; l < g.layers; l++ {
+		prev, next := tp.hs[l*n*m:(l+1)*n*m], tp.hs[(l+1)*n*m:(l+2)*n*m]
+		for v := 0; v < n; v++ {
+			// an edgeless vertex keeps an unscaled all-zero message
+			msg := tp.msgs[(l*n+v)*m : (l*n+v+1)*m]
+			msg.Zero()
+			lo, hi := tbl.From(off+v, off)
+			for e := lo; e < hi; e++ {
+				u := int(tbl.Nbr[e]) - off
+				checkShape(tbl.Mat[e], m)
+				tp.pk[e].addMulVec(msg, prev[u*m:(u+1)*m])
+			}
+			if hi > lo {
+				msg.Scale(1 / float64(hi-lo))
+			}
+			g.layerInto(next[v*m:(v+1)*m], l, prev[v*m:(v+1)*m], msg)
+		}
+	}
+	//pbqpvet:ignore hotalloc the caller-owned result: rows of two Forwards never alias
+	out := make(tensor.Vec, n*m)
+	copy(out, tp.hs[g.layers*n*m:])
+	rows := make([]tensor.Vec, n)
+	for v := range rows {
+		rows[v] = out[v*m : (v+1)*m : (v+1)*m]
+	}
+	return rows
 }
 
-// Backward accumulates parameter gradients given dL/dH for the final
-// hidden vectors returned by the most recent Forward over view.
-func (g *GCN) Backward(view View, dH []tensor.Vec) {
-	n := view.N()
-	grad := make([]tensor.Vec, n)
+// layerInto writes layer l's update tanh(W_self·h + W_nbr·msg + b) into
+// o, folding in ascending j and combining as (self + nbr) + b like the
+// dense pass's MulVec and AddInPlace calls.
+func (g *GCN) layerInto(o tensor.Vec, l int, h, msg tensor.Vec) {
+	m, wself, wnbr, b := g.m, g.wself[l].W, g.wnbr[l].W, g.b[l].W
+	for i := range o {
+		ws, wn := wself[i*m:(i+1)*m], wnbr[i*m:(i+1)*m]
+		var s, t float64
+		for j, wsj := range ws {
+			s += wsj * h[j]
+			t += wn[j] * msg[j]
+		}
+		o[i] = math.Tanh(s + t + b[i])
+	}
+}
+
+// Backward accumulates parameter gradients, layer descending and vertex
+// ascending, given dL/dH for the hidden vectors of the most recent
+// Forward, whose view it is handed again; it allocates nothing.
+//
+//pbqpvet:hotpath
+func (g *GCN) Backward(_ View, dH []tensor.Vec) {
+	tp, m := &g.tape, g.m
+	n, tbl, off := tp.n, tp.tbl, tp.off
+	tp.grad = grow(tp.grad, (2*n+3)*m)
+	grad, next, rest := tp.grad[:n*m], tp.grad[n*m:2*n*m], tp.grad[2*n*m:]
+	dpre, dmsg, prod := rest[:m], rest[m:2*m], rest[2*m:]
 	for v := 0; v < n; v++ {
-		grad[v] = dH[v].Clone()
+		copy(grad[v*m:(v+1)*m], dH[v])
 	}
 	for l := g.layers - 1; l >= 0; l-- {
-		prev := g.hs[l]
-		out := g.hs[l+1]
-		wself := &tensor.Mat{R: g.m, C: g.m, W: g.wself[l].W}
-		wnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].W}
-		gwself := &tensor.Mat{R: g.m, C: g.m, W: g.wself[l].G}
-		gwnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].G}
-		nextGrad := make([]tensor.Vec, n)
+		prev, out := tp.hs[l*n*m:(l+1)*n*m], tp.hs[(l+1)*n*m:(l+2)*n*m]
+		wself, wnbr := tensor.Mat{R: m, C: m, W: g.wself[l].W}, tensor.Mat{R: m, C: m, W: g.wnbr[l].W}
+		gwself, gwnbr := tensor.Mat{R: m, C: m, W: g.wself[l].G}, tensor.Mat{R: m, C: m, W: g.wnbr[l].G}
+		next.Zero()
 		for v := 0; v < n; v++ {
-			nextGrad[v] = tensor.NewVec(g.m)
-		}
-		for v := 0; v < n; v++ {
-			dpre := grad[v].Clone()
-			for i := range dpre {
-				dpre[i] *= 1 - out[v][i]*out[v][i]
+			for i, o := range out[v*m : (v+1)*m] {
+				dpre[i] = grad[v*m+i] * (1 - o*o)
 			}
-			gwself.AddOuter(1, dpre, prev[v])
-			gwnbr.AddOuter(1, dpre, g.msgs[l][v])
+			gwself.AddOuter(1, dpre, prev[v*m:(v+1)*m])
+			gwnbr.AddOuter(1, dpre, tp.msgs[(l*n+v)*m:(l*n+v+1)*m])
 			g.b[l].G.AddInPlace(dpre)
-			nextGrad[v].AddInPlace(wself.MulTVec(dpre))
-			dmsg := wnbr.MulTVec(dpre)
-			nbrs := view.Nbrs(v)
-			if len(nbrs) == 0 {
-				continue
-			}
-			scale := 1 / float64(len(nbrs))
-			for _, u := range nbrs {
-				// d msg_v / d h_u = scale · M̃_vu, so the gradient
-				// flows back through M̃_vuᵀ = M̃_uv.
-				nextGrad[u].AddScaled(scale, view.Mat(u, v).MulVec(dmsg))
+			wself.MulTVecInto(prod, dpre)
+			next[v*m : (v+1)*m].AddInPlace(prod)
+			wnbr.MulTVecInto(dmsg, dpre)
+			lo, hi := tbl.From(off+v, off)
+			scale := 1 / float64(hi-lo)
+			for e := lo; e < hi; e++ {
+				// d msg_v / d h_u = scale · M̃_vu, so the gradient flows back
+				// through M̃_vuᵀ = M̃_uv: the reverse edge's kernel, folded into
+				// zeros, is the dense MulVec (infer.go, zero skipping)
+				u := int(tbl.Nbr[e])
+				r := tbl.Start[u]
+				for int(tbl.Nbr[r]) != off+v {
+					r++
+				}
+				prod.Zero()
+				tp.pk[r].addMulVec(prod, dmsg)
+				next[(u-off)*m:(u-off+1)*m].AddScaled(scale, prod)
 			}
 		}
-		grad = nextGrad
+		grad, next = next, grad
 	}
-	gwin := &tensor.Mat{R: g.m, C: 2 * g.m, W: g.win.G}
+	gwin := tensor.Mat{R: m, C: 2 * m, W: g.win.G}
 	for v := 0; v < n; v++ {
-		dpre := grad[v].Clone()
-		for i := range dpre {
-			dpre[i] *= 1 - g.hs[0][v][i]*g.hs[0][v][i]
+		for i, h := range tp.hs[v*m : (v+1)*m] {
+			dpre[i] = grad[v*m+i] * (1 - h*h)
 		}
-		gwin.AddOuter(1, dpre, g.feats[v])
+		gwin.AddOuter(1, dpre, tp.feats[v*2*m:(v+1)*2*m])
 		g.bin.G.AddInPlace(dpre)
 	}
-}
-
-func tanhVec(x tensor.Vec) tensor.Vec {
-	y := make(tensor.Vec, len(x))
-	for i, v := range x {
-		y[i] = math.Tanh(v)
-	}
-	return y
 }

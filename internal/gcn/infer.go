@@ -1,8 +1,8 @@
 package gcn
 
-// Read-only GCN inference. Infer embeds a view exactly like Forward
-// but through caller-owned scratch buffers and specialized edge-matrix
-// kernels, without touching the Backward caches. Its contract is
+// The packed edge-matrix kernels both passes fold, and read-only GCN
+// inference. Infer embeds a view exactly like Forward but through a
+// caller-owned memo, without touching Forward's tape. Its contract is
 // bit-identity: every hidden element is produced by the same
 // floating-point operations, in the same order, as Forward.
 //
@@ -41,17 +41,24 @@ const (
 	kDense         // dense fallback: plain row folds
 )
 
-// matKernel is the prepared form of one transformed edge matrix.
-// Kernels are immutable once built (transformed matrices never change)
-// and cached by matrix pointer; the map key keeps the matrix alive, so
-// a cached pointer can never be recycled to a different matrix.
-type matKernel struct {
+// packedMat is the prepared form of one transformed edge matrix: its
+// kind and, for the packed kinds, its nonzero structure. Immutable once
+// built (transformed matrices never change): a game's edge table packs
+// each matrix once (EdgeTable.AddEdge), and Infer, Forward and Backward
+// over the game, its snapshots and their decoded copies fold that form.
+type packedMat struct {
 	kind     int
-	id       uint64 // never-reused identity for msg-cache keys
 	mat      *tensor.Mat
 	rowStart []int32 // len R+1; nonzero ranges per row (kBinary, kSparse)
 	idx      []int32 // column indices, ascending within each row
 	val      []float64
+}
+
+// matKernel is one Scratch's half of a kernel: the identity its memo
+// keys name the matrix by, and the contributions it has computed.
+type matKernel struct {
+	*packedMat
+	id uint64 // never-reused identity for msg-cache keys
 	// contrib caches mat · row per canonical row, keyed by the row's
 	// base pointer (the key pins the row, so it can never be read
 	// against recycled memory). Living on the kernel keeps the key a
@@ -60,7 +67,7 @@ type matKernel struct {
 }
 
 // buildKernel classifies m and packs its nonzero structure.
-func buildKernel(m *tensor.Mat) *matKernel {
+func buildKernel(m *tensor.Mat) *packedMat {
 	nz := 0
 	binary := true
 	for _, w := range m.W {
@@ -73,7 +80,7 @@ func buildKernel(m *tensor.Mat) *matKernel {
 			}
 		}
 	}
-	k := &matKernel{mat: m}
+	k := &packedMat{mat: m}
 	switch {
 	case nz == 0:
 		k.kind = kZero
@@ -87,8 +94,8 @@ func buildKernel(m *tensor.Mat) *matKernel {
 	default:
 		k.kind = kSparse
 	}
-	k.rowStart = make([]int32, m.R+1)
-	k.idx = make([]int32, 0, nz)
+	ints := make([]int32, m.R+1+nz) // one allocation for both index slices
+	k.rowStart, k.idx = ints[:m.R+1:m.R+1], ints[m.R+1:m.R+1]
 	if k.kind == kSparse {
 		k.val = make([]float64, 0, nz)
 	}
@@ -111,7 +118,7 @@ func buildKernel(m *tensor.Mat) *matKernel {
 
 // addMulVec adds k.mat · x into dst, bit-identically to
 // (*tensor.Mat).AddMulVec.
-func (k *matKernel) addMulVec(dst, x tensor.Vec) {
+func (k *packedMat) addMulVec(dst, x tensor.Vec) {
 	switch k.kind {
 	case kZero:
 		// Σ ±0.0 into a +0.0-started accumulator is a no-op
@@ -162,14 +169,18 @@ func (k *matKernel) addMulVec(dst, x tensor.Vec) {
 // vertices [off, n) onto the one table, and what Infer works out per
 // edge and per vertex lives in the table, where the next evaluation of
 // the same game finds it without building a key or probing a map.
+// What AddEdge builds is immutable, so a snapshot's table shares it.
 type EdgeTable struct {
 	Start []int32       // len n+1: vertex u owns edges [Start[u], Start[u+1])
 	Nbr   []int32       // neighbor of each edge, ascending within a vertex
 	Mat   []*tensor.Mat // transformed matrix of each edge, rows = the owner's color
 
+	packed []*packedMat // Mat's packed forms, where AddEdge built the table; else nil
+	frozen bool         // a snapshot's table, one of many onto its game's slices: it takes no memo
+
 	// The memo below is owner's, filled while its generation was gen; it
 	// makes a table, like the game it belongs to, single-goroutine.
-	// kern[e] is owner.kernel(Mat[e]). The slots hold, per vertex, the
+	// kern[e] is owner's kernel over edge e. The slots hold, per vertex, the
 	// inputs of the last evaluation and the rows that came out: the cost
 	// vector with its h⁰ row, and per layer the update's inputs with its
 	// output row. Successive leaves of a search differ in a handful of
@@ -183,6 +194,15 @@ type EdgeTable struct {
 	vecs  cost.Vector // n·m: the cost vector each vertex was last seen with ...
 	h0    []rowRef    // ... and its h⁰ row (id 0 = never seen)
 	lay   []layerSlots
+}
+
+// AddEdge appends an edge to nbr, with transformed matrix mat, to the
+// vertex under construction (the caller closes it by appending to
+// Start) and packs mat: the one place a table's matrix is classified.
+func (t *EdgeTable) AddEdge(nbr int, mat *tensor.Mat) {
+	t.Nbr = append(t.Nbr, int32(nbr))
+	t.Mat = append(t.Mat, mat)
+	t.packed = append(t.packed, buildKernel(mat))
 }
 
 // layerSlots is one layer's slot per table vertex: the inputs of the
@@ -209,6 +229,25 @@ func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 		lo++
 	}
 	return lo, hi
+}
+
+// edges resolves the directed edges of view for Infer and Forward alike:
+// a window onto an edge table brings them resolved; any other view is
+// flattened into flat through Nbrs and Mat, once per call.
+func edges(view View, flat *EdgeTable) (tbl *EdgeTable, off int) {
+	if tv, ok := view.(TableView); ok {
+		return tv.EdgeTable()
+	}
+	flat.Start, flat.Nbr, flat.Mat = flat.Start[:0], flat.Nbr[:0], flat.Mat[:0]
+	for v, n := 0, view.N(); v < n; v++ {
+		flat.Start = append(flat.Start, int32(len(flat.Nbr)))
+		for _, u := range view.Nbrs(v) {
+			flat.Nbr = append(flat.Nbr, int32(u))
+			flat.Mat = append(flat.Mat, view.Mat(v, u))
+		}
+	}
+	flat.Start = append(flat.Start, int32(len(flat.Nbr)))
+	return flat, 0
 }
 
 // adopt points the memo at sc, emptying it if it was filled from
@@ -254,12 +293,12 @@ type rowRef struct {
 }
 
 // Scratch holds the reusable state of one Infer caller: the flattened
-// adjacency of a view that brings no edge table, the kernel cache, and
-// the content-addressed memoization maps. A Scratch must not be shared
-// between goroutines, and it belongs to one network: after the
-// network's weights change the owner must call InvalidateWeights
-// (net.PBQPNet does this on its training-mode and weight-loading
-// transitions).
+// adjacency of a view that brings no edge table, the kernel cache for
+// edges outside a table whose memo it owns, and the content-addressed
+// memoization maps. A Scratch must not be shared between goroutines,
+// and it belongs to one network: after the network's weights change the
+// owner must call InvalidateWeights (net.PBQPNet does this on its
+// training-mode and weight-loading transitions).
 type Scratch struct {
 	feat    tensor.Vec // one vertex's 2m-feature buffer
 	featNZ  []int32    // ascending nonzero feature indices
@@ -268,7 +307,7 @@ type Scratch struct {
 	rowsB   []rowRef
 	rowsOut []tensor.Vec // Infer's return slice, aliasing cached rows
 
-	flat EdgeTable // Start, Nbr, kern of the current view when it is no TableView; no slots
+	flat EdgeTable // Start, Nbr, Mat of the current view when it is no TableView; kern of any view whose table takes no memo
 
 	lim          memoLimits
 	kern         map[*tensor.Mat]*matKernel
@@ -303,23 +342,26 @@ func (sc *Scratch) LimitMemosForTest(n int) {
 	sc.lim = memoLimits{kernels: n, h0: n, contrib: n, rows: n}
 }
 
+// grow returns buf, or a longer buffer, with length n and any contents.
+func grow(buf tensor.Vec, n int) tensor.Vec {
+	if cap(buf) < n {
+		//pbqpvet:ignore hotalloc scratch growth on first sight of a larger view; steady state reuses the buffers
+		return make(tensor.Vec, n)
+	}
+	return buf[:n]
+}
+
 // ensure sizes the buffers for an n-vertex, m-color view.
 func (sc *Scratch) ensure(m, n int) {
-	if cap(sc.feat) < 2*m {
-		//pbqpvet:ignore hotalloc scratch growth on first sight of a larger view; steady state reuses the buffers
-		sc.feat = make(tensor.Vec, 2*m)
+	sc.feat, sc.mrow = grow(sc.feat, 2*m), grow(sc.mrow, m)
+	if cap(sc.featNZ) < 2*m {
 		sc.featNZ = make([]int32, 0, 2*m)
-		sc.mrow = make(tensor.Vec, m) //pbqpvet:ignore hotalloc grow-once alongside feat
 		sc.key = make([]byte, 0, 8*m)
-	} else {
-		sc.feat = sc.feat[:2*m]
-		sc.mrow = sc.mrow[:m]
 	}
 	if cap(sc.rowsA) < n {
-		//pbqpvet:ignore hotalloc scratch growth on first sight of a larger view; steady state reuses the buffers
 		sc.rowsA = make([]rowRef, n)
 		sc.rowsB = make([]rowRef, n)
-		sc.rowsOut = make([]tensor.Vec, n) //pbqpvet:ignore hotalloc grow-once alongside rowsA
+		sc.rowsOut = make([]tensor.Vec, n)
 	} else {
 		sc.rowsA, sc.rowsB = sc.rowsA[:n], sc.rowsB[:n]
 		sc.rowsOut = sc.rowsOut[:n]
@@ -342,15 +384,19 @@ func (sc *Scratch) dropKernels() {
 	sc.gen++
 }
 
-// kernel returns the prepared kernel for the m×m edge matrix mat,
-// building and caching it on first sight.
-func (sc *Scratch) kernel(mat *tensor.Mat, m int) *matKernel {
-	// Forward's AddMulVec rejects any edge matrix that is not m×m
-	// before touching it; mirror both checks (columns first) so a
-	// mismatched graph panics with the scalar path's exact message
-	// instead of reading a kernel out of bounds — or, worse, silently
-	// succeeding where the scalar path panics (a zero kernel has no
-	// bounds to trip).
+// checkVec rejects a cost vector that is not m long with the message
+// of the dense W_in·φ product over its 2·len(vec) features.
+func checkVec(vec cost.Vector, m int) {
+	if len(vec) != m {
+		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).MulVec's shape panic on the scalar path
+		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", 2*m, 2*len(vec)))
+	}
+}
+
+// checkShape rejects an edge matrix that is not m×m with the dense
+// AddMulVec's messages, columns first — a packed kernel would read out
+// of bounds or, worse, succeed (a zero kernel has no bounds to trip).
+func checkShape(mat *tensor.Mat, m int) {
 	if mat.C != m {
 		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
 		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mat.C, m))
@@ -359,15 +405,34 @@ func (sc *Scratch) kernel(mat *tensor.Mat, m int) *matKernel {
 		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
 		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mat.R, m))
 	}
+}
+
+// kernel returns sc's kernel over edge e of tbl. In a table whose memo
+// sc owns it wraps the table's packed matrix and lives in the table;
+// elsewhere it lives in the pointer-keyed cache (the key pins the
+// matrix, so a cached pointer is never recycled to another), and only a
+// matrix nobody packed is scanned here.
+func (sc *Scratch) kernel(tbl *EdgeTable, e int32, m int) *matKernel {
+	mat := tbl.Mat[e]
+	checkShape(mat, m)
+	var pk *packedMat
+	if tbl.packed != nil {
+		pk = tbl.packed[e]
+	}
+	if pk != nil && tbl.owner == sc {
+		return &matKernel{packedMat: pk, id: sc.newID()}
+	}
 	if k, ok := sc.kern[mat]; ok {
 		return k
 	}
 	if len(sc.kern) >= sc.lim.kernels {
 		sc.dropKernels()
 	}
-	//pbqpvet:ignore hotalloc kernel build on first sight of an edge matrix; amortized across every later evaluation of its graph
-	k := buildKernel(mat)
-	k.id = sc.newID()
+	if pk == nil {
+		//pbqpvet:ignore hotalloc kernel build on first sight of an edge matrix; amortized across every later evaluation of its graph
+		pk = buildKernel(mat)
+	}
+	k := &matKernel{packedMat: pk, id: sc.newID()}
 	sc.kern[mat] = k
 	return k
 }
@@ -405,23 +470,20 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	m := g.m
 	sc.ensure(m, n)
 
-	// Forward calls view.Mat per edge per layer. A window onto a game's
-	// edge table brings its edges resolved; any other view is flattened
-	// here, once, each directed edge to its kernel by matrix pointer.
-	tbl, off := &sc.flat, 0
-	if tv, ok := view.(TableView); ok {
-		tbl, off = tv.EdgeTable()
-		tbl.adopt(sc, m, g.layers)
-	} else {
-		tbl.Start, tbl.Nbr, tbl.kern = tbl.Start[:0], tbl.Nbr[:0], tbl.kern[:0]
-		for v := 0; v < n; v++ {
-			tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
-			for _, u := range view.Nbrs(v) {
-				tbl.Nbr = append(tbl.Nbr, int32(u))
-				tbl.kern = append(tbl.kern, sc.kernel(view.Mat(v, u), m))
-			}
+	// A live game's table takes sc's memo, kernels included. A flattened
+	// view has no table and a snapshot's is one of many onto its game:
+	// their kernels are looked up per call, by matrix pointer.
+	tbl, off := edges(view, &sc.flat)
+	var kern []*matKernel
+	if tbl == &sc.flat || tbl.frozen {
+		if cap(sc.flat.kern) < len(tbl.Nbr) {
+			sc.flat.kern = make([]*matKernel, len(tbl.Nbr))
 		}
-		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
+		kern = sc.flat.kern[:len(tbl.Nbr)]
+		clear(kern)
+	} else {
+		tbl.adopt(sc, m, g.layers)
+		kern = tbl.kern
 	}
 
 	// h⁰ = tanh(W_in·φ(v) + b_in), content-cached by cost-vector bytes:
@@ -434,7 +496,7 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	}
 	for l := 0; l < g.layers; l++ {
 		for v := 0; v < n; v++ {
-			nxt[v] = sc.layerRow(g, l, tbl, off, v, cur)
+			nxt[v] = sc.layerRow(g, l, tbl, kern, off, v, cur)
 		}
 		cur, nxt = nxt, cur
 	}
@@ -448,7 +510,7 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 // window of tbl at off, given the layer's input rows cur: from the
 // vertex's slot if its inputs are the slot's, else from the row memo,
 // else computed.
-func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []rowRef) rowRef {
+func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, kern []*matKernel, off, v int, cur []rowRef) rowRef {
 	u, self := off+v, cur[v]
 	lo, hi := tbl.From(u, off)
 	var slot *layerSlots
@@ -470,20 +532,20 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []row
 	key := append(sc.key[:0], byte(l))
 	key = binary.LittleEndian.AppendUint64(key, self.id)
 	for e := lo; e < hi; e++ {
-		if tbl.kern[e] == nil {
-			tbl.kern[e] = sc.kernel(tbl.Mat[e], g.m)
+		if kern[e] == nil {
+			kern[e] = sc.kernel(tbl, e, g.m)
 		}
 		id := cur[int(tbl.Nbr[e])-off].id
 		if slot != nil {
 			slot.nbr[e] = id
 		}
-		key = binary.LittleEndian.AppendUint64(key, tbl.kern[e].id)
+		key = binary.LittleEndian.AppendUint64(key, kern[e].id)
 		key = binary.LittleEndian.AppendUint64(key, id)
 	}
 	sc.key = key
 	out, ok := sc.rows[string(key)]
 	if !ok {
-		out = sc.updateRow(g, l, tbl, off, lo, hi, self.vec, cur)
+		out = sc.updateRow(g, l, tbl, kern, off, lo, hi, self.vec, cur)
 	}
 	if slot != nil {
 		slot.lo[u], slot.self[u], slot.out[u] = lo, self.id, out
@@ -496,14 +558,8 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []row
 // the h0 map, computing and caching it on first sight of the vector's
 // contents.
 func (sc *Scratch) h0Row(g *GCN, vec cost.Vector, tbl *EdgeTable, u int) rowRef {
-	// Forward featurizes into a 2·len(vec) vector that W_in·φ rejects
-	// unless len(vec) == m; mirror the check with the scalar path's
-	// message so a mismatched vertex never silently embeds short.
 	m := g.m
-	if len(vec) != m {
-		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).MulVec's shape panic on the scalar path
-		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", 2*m, 2*len(vec)))
-	}
+	checkVec(vec, m)
 	var seen cost.Vector
 	if tbl.h0 != nil {
 		seen = tbl.vecs[u*m : (u+1)*m]
@@ -533,43 +589,49 @@ func (sc *Scratch) h0Row(g *GCN, vec cost.Vector, tbl *EdgeTable, u int) rowRef 
 // h0Compute computes the h⁰ row of a vector the h0 map has not seen
 // and caches it under the content key sc.key holds.
 func (sc *Scratch) h0Compute(g *GCN, vec cost.Vector) rowRef {
-	m := g.m
-	// φ(v): squashed finite channel then infinity mask, nonzero indices
-	// recorded in ascending order so the sparse fold below visits them
-	// exactly as Forward's dense fold does
-	sc.feat.Zero()
-	sc.featNZ = sc.featNZ[:0]
-	for i, c := range vec {
-		s := squash(c)
-		//pbqpvet:ignore floatcmp exact-zero skipping is the kernel's contract; see the package comment on zero skipping
-		if s != 0 {
-			sc.feat[i] = s
-			sc.featNZ = append(sc.featNZ, int32(i))
-		}
-	}
-	for i, c := range vec {
-		if c.IsInf() {
-			sc.feat[m+i] = 1
-			sc.featNZ = append(sc.featNZ, int32(m+i))
-		}
-	}
 	//pbqpvet:ignore hotalloc h⁰ cache fill on first sight of a cost vector; later evaluations of the same vector hit the cache
-	dst := make(tensor.Vec, m)
-	win, bin := g.win.W, g.bin.W
-	for i := 0; i < m; i++ {
-		row := win[i*2*m : (i+1)*2*m]
-		s := 0.0
-		for _, j := range sc.featNZ {
-			s += row[j] * sc.feat[j]
-		}
-		dst[i] = math.Tanh(s + bin[i])
-	}
+	dst := make(tensor.Vec, g.m)
+	sc.featNZ = g.h0Into(dst, sc.feat, sc.featNZ[:0], vec)
 	if len(sc.h0) >= sc.lim.h0 {
 		clear(sc.h0)
 	}
 	r := rowRef{vec: dst, id: sc.newID()}
 	sc.h0[string(sc.key)] = r
 	return r
+}
+
+// h0Into writes h⁰ = tanh(W_in·φ + b_in) of the cost vector vec into
+// dst and φ — the squashed finite channel, then the infinity mask —
+// into feat. It records φ's nonzero indices, ascending, in nz (which it
+// returns), so the fold skips only what the dense product adds as ±0.
+func (g *GCN) h0Into(dst, feat tensor.Vec, nz []int32, vec cost.Vector) []int32 {
+	m := g.m
+	checkVec(vec, m)
+	feat.Zero()
+	for i, c := range vec {
+		s := squash(c)
+		//pbqpvet:ignore floatcmp exact-zero skipping is the kernel's contract; see the package comment on zero skipping
+		if s != 0 {
+			feat[i] = s
+			nz = append(nz, int32(i))
+		}
+	}
+	for i, c := range vec {
+		if c.IsInf() {
+			feat[m+i] = 1
+			nz = append(nz, int32(m+i))
+		}
+	}
+	win, bin := g.win.W, g.bin.W
+	for i := range dst {
+		row := win[i*2*m : (i+1)*2*m]
+		s := 0.0
+		for _, j := range nz {
+			s += row[j] * feat[j]
+		}
+		dst[i] = math.Tanh(s + bin[i])
+	}
+	return nz
 }
 
 // contribution returns k.mat · x as a cached vector. x must be a
@@ -601,32 +663,19 @@ func (sc *Scratch) contribution(k *matKernel, x tensor.Vec) tensor.Vec {
 // mean; adding each whole contribution vector equals the kernel's
 // selective per-row adds because a skipped row's entry is exactly +0.0
 // and the accumulator can never be -0.0 (see the package comment). The
-// row is tanh(W_self·h + W_nbr·msg + b): both folds run in ascending j
-// exactly like Forward's MulVec calls, and the combination (self + nbr)
-// + b matches Forward's AddInPlace order, so it is bit-identical to the
-// scalar layer.
-func (sc *Scratch) updateRow(g *GCN, l int, tbl *EdgeTable, off int, lo, hi int32, hv tensor.Vec, cur []rowRef) rowRef {
+// row is layerInto's, as Forward's is.
+func (sc *Scratch) updateRow(g *GCN, l int, tbl *EdgeTable, kern []*matKernel, off int, lo, hi int32, hv tensor.Vec, cur []rowRef) rowRef {
 	m, mv := g.m, sc.mrow
 	mv.Zero()
 	for e := lo; e < hi; e++ {
-		mv.AddInPlace(sc.contribution(tbl.kern[e], cur[int(tbl.Nbr[e])-off].vec))
+		mv.AddInPlace(sc.contribution(kern[e], cur[int(tbl.Nbr[e])-off].vec))
 	}
 	if cnt := hi - lo; cnt > 0 {
 		mv.Scale(1 / float64(cnt))
 	}
-	wself, wnbr, b := g.wself[l].W, g.wnbr[l].W, g.b[l].W
 	//pbqpvet:ignore hotalloc row memo fill on first sight of a (layer, row, edge list) key; later evaluations hit the memo
 	o := make(tensor.Vec, m)
-	for i := 0; i < m; i++ {
-		ws := wself[i*m : (i+1)*m]
-		wn := wnbr[i*m : (i+1)*m]
-		var s, t float64
-		for j, wsj := range ws {
-			s += wsj * hv[j]
-			t += wn[j] * mv[j]
-		}
-		o[i] = math.Tanh(s + t + b[i])
-	}
+	g.layerInto(o, l, hv, mv)
 	if len(sc.rows) >= sc.lim.rows {
 		clear(sc.rows)
 	}

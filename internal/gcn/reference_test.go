@@ -1,0 +1,410 @@
+package gcn_test
+
+// The dense trainable pass, as it stood before Forward and Backward
+// moved onto the tape and the packed edge kernels: one matrix looked up
+// through View.Mat and one dense product per directed edge per layer, a
+// fresh vector for everything. It is the oracle the tape is held to,
+// bit for bit: every layer's rows, every message, every gradient tensor.
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"pbqprl/internal/ate"
+	"pbqprl/internal/cost"
+	"pbqprl/internal/game"
+	"pbqprl/internal/gcn"
+	"pbqprl/internal/nn"
+	"pbqprl/internal/pbqp"
+	"pbqprl/internal/randgraph"
+	"pbqprl/internal/selfplay"
+	"pbqprl/internal/tensor"
+)
+
+// refGCN is the dense pass over a GCN's weights, with gradient tensors
+// and caches of its own.
+type refGCN struct {
+	m, layers int
+	win, bin  *nn.Param
+	wself     []*nn.Param
+	wnbr      []*nn.Param
+	b         []*nn.Param
+
+	feats []tensor.Vec   // φ(v)
+	hs    [][]tensor.Vec // hs[l][v], l = 0..layers
+	msgs  [][]tensor.Vec // msgs[l][v], message into layer l+1
+}
+
+// newRef returns the dense pass over g's weights (shared, so a weight
+// update reaches both) with zeroed gradients.
+func newRef(g *gcn.GCN) *refGCN {
+	var ps []*nn.Param
+	for _, p := range g.Params() {
+		ps = append(ps, &nn.Param{Name: p.Name, W: p.W, G: tensor.NewVec(len(p.G))})
+	}
+	r := &refGCN{m: g.M(), layers: g.Layers(), win: ps[0], bin: ps[1]}
+	for l := 0; l < r.layers; l++ {
+		r.wself, r.wnbr, r.b = append(r.wself, ps[2+3*l]), append(r.wnbr, ps[3+3*l]), append(r.b, ps[4+3*l])
+	}
+	return r
+}
+
+func (g *refGCN) params() []*nn.Param {
+	ps := []*nn.Param{g.win, g.bin}
+	for l := 0; l < g.layers; l++ {
+		ps = append(ps, g.wself[l], g.wnbr[l], g.b[l])
+	}
+	return ps
+}
+
+func (g *refGCN) Forward(view gcn.View) []tensor.Vec {
+	n := view.N()
+	g.feats = make([]tensor.Vec, n)
+	g.hs = make([][]tensor.Vec, g.layers+1)
+	g.msgs = make([][]tensor.Vec, g.layers)
+	h0 := make([]tensor.Vec, n)
+	winM := &tensor.Mat{R: g.m, C: 2 * g.m, W: g.win.W}
+	for v := 0; v < n; v++ {
+		g.feats[v] = gcn.Featurize(view.Vec(v))
+		pre := winM.MulVec(g.feats[v])
+		pre.AddInPlace(g.bin.W)
+		h0[v] = tanhVec(pre)
+	}
+	g.hs[0] = h0
+	for l := 0; l < g.layers; l++ {
+		prev := g.hs[l]
+		next := make([]tensor.Vec, n)
+		msgs := make([]tensor.Vec, n)
+		wself := &tensor.Mat{R: g.m, C: g.m, W: g.wself[l].W}
+		wnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].W}
+		for v := 0; v < n; v++ {
+			msg := tensor.NewVec(g.m)
+			nbrs := view.Nbrs(v)
+			for _, u := range nbrs {
+				view.Mat(v, u).AddMulVec(msg, prev[u])
+			}
+			if len(nbrs) > 0 {
+				msg.Scale(1 / float64(len(nbrs)))
+			}
+			msgs[v] = msg
+			pre := wself.MulVec(prev[v])
+			pre.AddInPlace(wnbr.MulVec(msg))
+			pre.AddInPlace(g.b[l].W)
+			next[v] = tanhVec(pre)
+		}
+		g.msgs[l] = msgs
+		g.hs[l+1] = next
+	}
+	return g.hs[g.layers]
+}
+
+func (g *refGCN) Backward(view gcn.View, dH []tensor.Vec) {
+	n := view.N()
+	grad := make([]tensor.Vec, n)
+	for v := 0; v < n; v++ {
+		grad[v] = dH[v].Clone()
+	}
+	for l := g.layers - 1; l >= 0; l-- {
+		prev := g.hs[l]
+		out := g.hs[l+1]
+		wself := &tensor.Mat{R: g.m, C: g.m, W: g.wself[l].W}
+		wnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].W}
+		gwself := &tensor.Mat{R: g.m, C: g.m, W: g.wself[l].G}
+		gwnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].G}
+		nextGrad := make([]tensor.Vec, n)
+		for v := 0; v < n; v++ {
+			nextGrad[v] = tensor.NewVec(g.m)
+		}
+		for v := 0; v < n; v++ {
+			dpre := grad[v].Clone()
+			for i := range dpre {
+				dpre[i] *= 1 - out[v][i]*out[v][i]
+			}
+			gwself.AddOuter(1, dpre, prev[v])
+			gwnbr.AddOuter(1, dpre, g.msgs[l][v])
+			g.b[l].G.AddInPlace(dpre)
+			nextGrad[v].AddInPlace(wself.MulTVec(dpre))
+			dmsg := wnbr.MulTVec(dpre)
+			nbrs := view.Nbrs(v)
+			if len(nbrs) == 0 {
+				continue
+			}
+			scale := 1 / float64(len(nbrs))
+			for _, u := range nbrs {
+				// d msg_v / d h_u = scale · M̃_vu, so the gradient
+				// flows back through M̃_vuᵀ = M̃_uv.
+				nextGrad[u].AddScaled(scale, view.Mat(u, v).MulVec(dmsg))
+			}
+		}
+		grad = nextGrad
+	}
+	gwin := &tensor.Mat{R: g.m, C: 2 * g.m, W: g.win.G}
+	for v := 0; v < n; v++ {
+		dpre := grad[v].Clone()
+		for i := range dpre {
+			dpre[i] *= 1 - g.hs[0][v][i]*g.hs[0][v][i]
+		}
+		gwin.AddOuter(1, dpre, g.feats[v])
+		g.bin.G.AddInPlace(dpre)
+	}
+}
+
+func tanhVec(x tensor.Vec) tensor.Vec {
+	y := make(tensor.Vec, len(x))
+	for i, v := range x {
+		y[i] = math.Tanh(v)
+	}
+	return y
+}
+
+// kernel kinds, in gcn's order
+const (
+	kZero = iota
+	kBinary
+	kSparse
+	kDense
+)
+
+func sameRows(t *testing.T, what string, got, want []tensor.Vec) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for v := range want {
+		if len(got[v]) != len(want[v]) {
+			t.Fatalf("%s row %d: width %d, want %d", what, v, len(got[v]), len(want[v]))
+		}
+		for i := range want[v] {
+			if math.Float64bits(got[v][i]) != math.Float64bits(want[v][i]) {
+				t.Fatalf("%s row %d col %d: got %x want %x", what, v, i, math.Float64bits(got[v][i]), math.Float64bits(want[v][i]))
+			}
+		}
+	}
+}
+
+// oracle holds one tape GCN against the dense pass over its weights,
+// sample after sample, the gradients of both accumulating as a
+// minibatch's do.
+type oracle struct {
+	t     *testing.T
+	g     *gcn.GCN
+	ref   *refGCN
+	rng   *rand.Rand
+	kinds [4]int
+}
+
+func newOracle(t *testing.T, m, layers int) *oracle {
+	g := gcn.New(rand.New(rand.NewSource(7)), m, layers)
+	return &oracle{t: t, g: g, ref: newRef(g), rng: rand.New(rand.NewSource(8))}
+}
+
+// sample runs Forward and Backward over view on both passes and
+// compares everything either leaves behind.
+func (o *oracle) sample(what string, view gcn.View) {
+	o.t.Helper()
+	want, got := o.ref.Forward(view), o.g.Forward(view)
+	sameRows(o.t, what+": result", got, want)
+	for l := 0; l <= o.g.Layers(); l++ {
+		sameRows(o.t, fmt.Sprintf("%s: layer %d", what, l), o.g.TapeRows(l), o.ref.hs[l])
+	}
+	for l := 0; l < o.g.Layers(); l++ {
+		sameRows(o.t, fmt.Sprintf("%s: messages into layer %d", what, l+1), o.g.TapeMsgs(l), o.ref.msgs[l])
+	}
+	for k, c := range o.g.TapeKinds() {
+		o.kinds[k] += c
+	}
+	dH := make([]tensor.Vec, view.N())
+	for v := range dH {
+		dH[v] = make(tensor.Vec, view.M())
+		for i := range dH[v] {
+			dH[v][i] = o.rng.NormFloat64()
+		}
+	}
+	o.ref.Backward(view, dH)
+	o.g.Backward(view, dH)
+	for k, p := range o.g.Params() {
+		sameRows(o.t, what+": gradient of "+p.Name, []tensor.Vec{p.G}, []tensor.Vec{o.ref.params()[k].G})
+	}
+}
+
+func ateGraph(t *testing.T, vregs int, seed int64) *pbqp.Graph {
+	t.Helper()
+	prog, _ := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
+		Name: "ref", NumVRegs: vregs, PairRatio: 0.3, HardRatio: 0.4, MaxLive: 8, Seed: seed,
+	})
+	g, err := ate.BuildPBQP(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// mixedGraph is a random finite-cost graph whose edge matrices cover
+// what a register allocator produces beyond zero/∞: all-zero edges,
+// sparse matrices of negative coalescing hints, dense matrices, ∞
+// entries among finite ones — and a vertex with no edge at all.
+func mixedGraph(seed int64, n, m int) *pbqp.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: m, PEdge: 0.4, PInf: 0.1})
+	for _, e := range g.Edges() {
+		if e.U == n-1 || e.V == n-1 {
+			g.RemoveEdge(e.U, e.V)
+			continue
+		}
+		mat := cost.NewMatrix(m, m)
+		switch rng.Intn(4) {
+		case 0: // all zero
+		case 1: // a coalescing hint: a few negative entries on the diagonal
+			for i := 0; i < m; i += 2 {
+				mat.Set(i, i, cost.Cost(-1-rng.Float64()*4))
+			}
+		case 2: // ∞ interference plus a finite penalty
+			mat.Set(rng.Intn(m), rng.Intn(m), cost.Inf)
+			mat.Set(rng.Intn(m), rng.Intn(m), cost.Cost(rng.Float64()*9))
+		default: // the generator's dense matrix
+			continue
+		}
+		g.SetEdgeCost(e.U, e.V, mat)
+	}
+	return g
+}
+
+// playSome plays up to k legal moves, first legal color each.
+func playSome(st *game.State, k int) {
+	for ; k > 0 && !st.Done() && !st.DeadEnd(); k-- {
+		for a := 0; a < st.M(); a++ {
+			if st.Legal(a) {
+				st.Play(a)
+				break
+			}
+		}
+	}
+}
+
+// TestTapeBitIdenticalToDensePass drives one GCN's tape and the dense
+// oracle through every kind of view and kernel, as one sample stream:
+// the tape is reused across views of different sizes, and the
+// gradients of both passes accumulate over the whole stream.
+func TestTapeBitIdenticalToDensePass(t *testing.T) {
+	const m = 13
+	o := newOracle(t, m, 3)
+
+	// ATE zero/∞ programs: whole games, snapshots along a playout, and a
+	// live window that moved forward and back
+	for seed := int64(1); seed <= 2; seed++ {
+		g := ateGraph(t, 24+int(seed)*7, seed)
+		st := game.New(g, game.MakeOrder(g, game.OrderDecLiberty, nil))
+		o.sample("ate live view, turn 0", st.View())
+		for !st.Done() && !st.DeadEnd() {
+			if st.Turn()%5 == 0 {
+				o.sample(fmt.Sprintf("ate snapshot, turn %d", st.Turn()), st.Snapshot())
+			}
+			playSome(st, 1)
+		}
+		for st.Turn() > 3 {
+			st.Undo()
+		}
+		o.sample("ate live view after Play/Undo, turn 3", st.View())
+	}
+	if o.kinds[kBinary] == 0 {
+		t.Error("the ATE programs folded no binary kernel")
+	}
+
+	// finite costs: every kernel kind, an edgeless vertex, through the
+	// game's table, through GraphView's maps, and after a wire round trip
+	g := mixedGraph(21, 17, m)
+	o.sample("mixed GraphView", gcn.NewGraphView(g))
+	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
+	o.sample("mixed live view", st.View())
+	playSome(st, 4)
+	o.sample("mixed live view, turn 4", st.View())
+	snap := st.Snapshot()
+	o.sample("mixed snapshot, turn 4", snap)
+	if got := snap.Nbrs(snap.N() - 1); len(got) != 0 {
+		t.Fatalf("the last vertex was meant to be edgeless, has neighbors %v", got)
+	}
+	wire, err := selfplay.EncodeSamples([]selfplay.Sample{{View: snap, Pi: make(tensor.Vec, m)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed, err := selfplay.DecodeSamples(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.sample("mixed thawed sample", thawed[0].View)
+	o.sample("single vertex", gcn.NewGraphView(mixedGraph(22, 1, m)))
+	o.sample("mixed GraphView again", gcn.NewGraphView(g))
+	for k, name := range []string{"zero", "binary", "sparse", "dense"} {
+		if o.kinds[k] == 0 {
+			t.Errorf("no %s kernel was folded", name)
+		}
+	}
+}
+
+// badView is a two-vertex view whose one edge carries an r×c matrix and
+// whose vectors are vm long, in a network of m colors.
+type badView struct {
+	vm  int
+	mat *tensor.Mat
+}
+
+func (v badView) N() int                   { return 2 }
+func (v badView) M() int                   { return v.vm }
+func (v badView) Vec(int) cost.Vector      { return cost.NewVector(v.vm) }
+func (v badView) Nbrs(i int) []int         { return []int{1 - i} }
+func (v badView) Mat(_, _ int) *tensor.Mat { return v.mat }
+
+func panicOf(f func()) (msg string) {
+	defer func() { msg = fmt.Sprint(recover()) }()
+	f()
+	return
+}
+
+// TestTapeMismatchedShapesPanicLikeDensePass: a view that does not fit
+// the network is rejected with the dense pass's message, whether its
+// edges arrive through Nbrs/Mat or packed in a table.
+func TestTapeMismatchedShapesPanicLikeDensePass(t *testing.T) {
+	const m = 4
+	for _, v := range []badView{
+		{vm: m, mat: tensor.NewMat(m, m+1)},
+		{vm: m, mat: tensor.NewMat(m+1, m)},
+		{vm: m - 1, mat: tensor.NewMat(m, m)},
+	} {
+		g := gcn.New(rand.New(rand.NewSource(1)), m, 2)
+		want := panicOf(func() { newRef(g).Forward(v) })
+		if want == "<nil>" {
+			t.Fatalf("the dense pass accepts %+v", v)
+		}
+		tbl := &gcn.EdgeTable{Start: []int32{0}}
+		for i := 0; i < 2; i++ {
+			tbl.AddEdge(1-i, v.mat)
+			tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
+		}
+		table := gcn.NewFrozenView(tbl, 0, v.vm, []cost.Vector{v.Vec(0), v.Vec(1)})
+		for name, view := range map[string]gcn.View{"flattened": v, "table": table} {
+			if got := panicOf(func() { g.Forward(view) }); got != want {
+				t.Errorf("%s view %+v: Forward panics with %q, the dense pass with %q", name, v, got, want)
+			}
+		}
+	}
+}
+
+// TestTapeSteadyStateAllocations: over a warm snapshot Backward
+// allocates nothing and Forward only the rows it returns.
+func TestTapeSteadyStateAllocations(t *testing.T) {
+	g := ateGraph(t, 40, 3)
+	st := game.New(g, game.MakeOrder(g, game.OrderDecLiberty, nil))
+	playSome(st, 5)
+	snap := st.Snapshot()
+	net := gcn.New(rand.New(rand.NewSource(2)), st.M(), 3)
+	dH := net.Forward(snap)
+	net.Backward(snap, dH)
+	if n := testing.AllocsPerRun(20, func() { net.Forward(snap) }); n > 2 {
+		t.Errorf("warm Forward allocates %.0f times, want its result only (2)", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { net.Backward(snap, dH) }); n != 0 {
+		t.Errorf("warm Backward allocates %.0f times", n)
+	}
+}

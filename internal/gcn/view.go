@@ -55,3 +55,50 @@ func (v *GraphView) Nbrs(i int) []int { return v.nbrs[i] }
 
 // Mat implements View.
 func (v *GraphView) Mat(i, j int) *tensor.Mat { return v.mats[i][j] }
+
+// WindowNbrs returns, window-relative, table vertex u's neighbors at or
+// after off: a TableView's Nbrs, for encoders and tests (it allocates).
+func (t *EdgeTable) WindowNbrs(u, off int) (nbrs []int) {
+	for lo, hi := t.From(u, off); lo < hi; lo++ {
+		nbrs = append(nbrs, int(t.Nbr[lo])-off)
+	}
+	return nbrs
+}
+
+// MatOf returns the matrix of the edge from table vertex u to w, or nil.
+func (t *EdgeTable) MatOf(u, w int) *tensor.Mat {
+	for e := t.Start[u]; e < t.Start[u+1]; e++ {
+		if int(t.Nbr[e]) == w {
+			return t.Mat[e]
+		}
+	}
+	return nil
+}
+
+// FrozenView is an immutable TableView, what a replay buffer holds: its
+// own copy of a window's cost vectors, in one allocation, over the
+// immutable slices of the table it was taken from — a game's, or a
+// decoded sample's own small one. Its table takes no memo.
+type FrozenView struct {
+	tbl    EdgeTable
+	off, m int
+	vecs   cost.Vector // the window's vectors back to back
+}
+
+// NewFrozenView freezes the window of tbl from off on: it copies the
+// window's m-color cost vectors, vecs, and keeps tbl's slices.
+func NewFrozenView(tbl *EdgeTable, off, m int, vecs []cost.Vector) *FrozenView {
+	v := &FrozenView{off: off, m: m, vecs: make(cost.Vector, 0, len(vecs)*m)}
+	v.tbl = EdgeTable{Start: tbl.Start, Nbr: tbl.Nbr, Mat: tbl.Mat, packed: tbl.packed, frozen: true}
+	for _, vec := range vecs {
+		v.vecs = append(v.vecs, vec...)
+	}
+	return v
+}
+
+func (v *FrozenView) N() int                       { return len(v.tbl.Start) - 1 - v.off }
+func (v *FrozenView) M() int                       { return v.m }
+func (v *FrozenView) Vec(i int) cost.Vector        { return v.vecs[i*v.m : (i+1)*v.m : (i+1)*v.m] }
+func (v *FrozenView) Nbrs(i int) []int             { return v.tbl.WindowNbrs(v.off+i, v.off) }
+func (v *FrozenView) Mat(i, j int) *tensor.Mat     { return v.tbl.MatOf(v.off+i, v.off+j) }
+func (v *FrozenView) EdgeTable() (*EdgeTable, int) { return &v.tbl, v.off }

@@ -63,11 +63,9 @@ type PBQPNet struct {
 	policy nn.Module
 	value  nn.Module
 
-	// caches from the most recent Forward
-	lastView   gcn.View
-	lastPooled tensor.Vec
-	lastH      []tensor.Vec
-	lastN      int
+	lastView gcn.View     // the most recent Forward's
+	dH       []tensor.Vec // Backward's dL/dH: reused row headers over dRows' two rows,
+	dRows    tensor.Vec   // the target vertex's and the one every other vertex shares
 
 	// eng is the read-only inference engine (engine.go) behind
 	// Evaluate. Like the Forward caches it makes the net
@@ -97,6 +95,7 @@ func New(cfg Config) *PBQPNet {
 		torso:  nn.NewSequential(torso...),
 		policy: nn.NewDense(rng, cfg.Hidden, m),
 		value:  nn.NewSequential(nn.NewDense(rng, cfg.Hidden, 1), &nn.Tanh{}),
+		dRows:  tensor.NewVec(2 * m),
 		eng:    engine{pooled: tensor.NewMat(1, in), mask: make([]bool, m)},
 	}
 }
@@ -117,10 +116,8 @@ func (p *PBQPNet) SetTraining(training bool) {
 // Forward runs the network on view (active vertex 0 is the next to
 // color) and returns the raw policy logits and the value in (-1, 1).
 func (p *PBQPNet) Forward(view gcn.View) (logits tensor.Vec, value float64) {
-	h := p.gcn.Forward(view)
-	p.lastView, p.lastH, p.lastN = view, h, view.N()
-	p.lastPooled = pool(view, h)
-	t := p.torso.Forward(p.lastPooled)
+	p.lastView = view
+	t := p.torso.Forward(pool(view, p.gcn.Forward(view)))
 	logits = p.policy.Forward(t)
 	value = p.value.Forward(t)[0]
 	return logits, value
@@ -197,15 +194,18 @@ func (p *PBQPNet) Backward(dLogits tensor.Vec, dValue float64) {
 	gv := p.value.Backward(tensor.Vec{dValue})
 	gt.AddInPlace(gv)
 	gf := p.torso.Backward(gt)
-	m := p.cfg.M
-	dH := make([]tensor.Vec, p.lastN)
-	inv := 1 / float64(p.lastN)
-	for v := 0; v < p.lastN; v++ {
-		dH[v] = tensor.NewVec(m)
-		dH[v].AddScaled(inv, gf[m:2*m])
+	// the mean's share for every vertex, the target's own on top
+	m, n := p.cfg.M, p.lastView.N()
+	first, rest := p.dRows[:m], p.dRows[m:]
+	first.Zero()
+	first.AddScaled(1/float64(n), gf[m:2*m])
+	copy(rest, first)
+	first.AddInPlace(gf[:m])
+	p.dH = append(p.dH[:0], first)
+	for v := 1; v < n; v++ {
+		p.dH = append(p.dH, rest)
 	}
-	dH[0].AddInPlace(gf[:m])
-	p.gcn.Backward(p.lastView, dH)
+	p.gcn.Backward(p.lastView, p.dH)
 }
 
 // Params returns every trainable parameter.

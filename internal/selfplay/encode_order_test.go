@@ -15,15 +15,30 @@ import (
 	"pbqprl/internal/tensor"
 )
 
-// orderedView builds a two-vertex frozenView whose neighbor slices and
+// mapView is a gcn.View that keeps its edge matrices in maps and its
+// neighbors in whatever order it was handed them.
+type mapView struct {
+	m    int
+	vecs []cost.Vector
+	nbrs [][]int
+	mats []map[int]*tensor.Mat
+}
+
+func (v *mapView) N() int                   { return len(v.vecs) }
+func (v *mapView) M() int                   { return v.m }
+func (v *mapView) Vec(i int) cost.Vector    { return v.vecs[i] }
+func (v *mapView) Nbrs(i int) []int         { return v.nbrs[i] }
+func (v *mapView) Mat(i, j int) *tensor.Mat { return v.mats[i][j] }
+
+// orderedView builds a four-vertex mapView whose neighbor slices and
 // edge-matrix maps are populated in the given key order.
-func orderedView(keys []int) *frozenView {
+func orderedView(keys []int) *mapView {
 	mat := func(v float64) *tensor.Mat {
 		m := tensor.NewMat(2, 2)
 		m.W[0] = v
 		return m
 	}
-	v := &frozenView{m: 2}
+	v := &mapView{m: 2}
 	for i := 0; i < 4; i++ {
 		vec := cost.NewVector(2)
 		vec[0] = cost.Cost(i)

@@ -486,19 +486,22 @@ func runEpisode(cfg *Config, cur, best *net.PBQPNet, epSeed int64) (z float64, s
 	}()
 	rng := rand.New(rand.NewSource(epSeed))
 	g := cfg.Generate(rng)
-	order := game.MakeOrder(g, cfg.Order, rng)
-	baseCost, _ := playEpisode(cfg, rng, best, g, order, false)
-	curCost, samples := playEpisode(cfg, rng, cur, g, order, true)
+	st := game.New(g, game.MakeOrder(g, cfg.Order, rng))
+	baseCost, _ := playEpisode(cfg, rng, best, st, false)
+	curCost, samples := playEpisode(cfg, rng, cur, st, true)
 	return game.CompareCosts(curCost, baseCost), samples, nil
 }
 
-// playEpisode colors g with n, using sampling from the MCTS policy for
-// training runs (collect) and greedy argmax otherwise. It returns the
-// achieved cost (infinite on a dead end) and, for training runs, the
-// collected tuples (with Z still unset).
-func playEpisode(cfg *Config, rng *rand.Rand, n *net.PBQPNet, g *pbqp.Graph, order []int, collect bool) (cost.Cost, []Sample) {
-	st := game.New(g, order)
-	tree := mcts.New(n, g.M(), cfg.MCTS)
+// playEpisode colors st's graph with n from the first turn (an episode
+// builds one game; its second player rewinds what the first played),
+// using sampling from the MCTS policy for training runs (collect) and
+// greedy argmax otherwise. It returns the achieved cost (infinite on a
+// dead end) and, for training runs, the collected tuples (Z still unset).
+func playEpisode(cfg *Config, rng *rand.Rand, n *net.PBQPNet, st *game.State, collect bool) (cost.Cost, []Sample) {
+	for st.Turn() > 0 {
+		st.Undo()
+	}
+	tree := mcts.New(n, st.M(), cfg.MCTS)
 	var samples []Sample
 	for !st.Done() {
 		if st.DeadEnd() {
@@ -649,8 +652,8 @@ func (t *Trainer) arena() (wins, losses int) {
 func arenaGame(cfg *Config, cur, best *net.PBQPNet, seed int64) int {
 	rng := rand.New(rand.NewSource(seed))
 	g := cfg.Generate(rng)
-	order := game.MakeOrder(g, cfg.Order, rng)
-	curCost, _ := playEpisode(cfg, rng, cur, g, order, false)
-	bestCost, _ := playEpisode(cfg, rng, best, g, order, false)
+	st := game.New(g, game.MakeOrder(g, cfg.Order, rng))
+	curCost, _ := playEpisode(cfg, rng, cur, st, false)
+	bestCost, _ := playEpisode(cfg, rng, best, st, false)
 	return int(game.CompareCosts(curCost, bestCost))
 }

@@ -71,21 +71,6 @@ type edgeMat struct {
 	Mat *tensor.Mat
 }
 
-// frozenView is the gcn.View a restored replay sample presents to the
-// network; Forward over it is bit-identical to the original snapshot.
-type frozenView struct {
-	m    int
-	vecs []cost.Vector
-	nbrs [][]int
-	mats []map[int]*tensor.Mat
-}
-
-func (v *frozenView) N() int                   { return len(v.vecs) }
-func (v *frozenView) M() int                   { return v.m }
-func (v *frozenView) Vec(i int) cost.Vector    { return v.vecs[i] }
-func (v *frozenView) Nbrs(i int) []int         { return v.nbrs[i] }
-func (v *frozenView) Mat(i, j int) *tensor.Mat { return v.mats[i][j] }
-
 // freezeSample converts a Sample to its serialized form through the
 // gcn.View interface, so it works for live snapshots and already-thawed
 // samples alike. Edge matrices are emitted in sorted neighbor order for
@@ -107,17 +92,18 @@ func freezeSample(s Sample) replaySample {
 	return out
 }
 
-// thawSample reverses freezeSample.
+// thawSample reverses freezeSample into the view game.Snapshot returns,
+// a gcn.FrozenView, over a small edge table of the sample's own, packed
+// here: a restored or transported sample trains like a live snapshot.
 func thawSample(rs replaySample) Sample {
-	v := &frozenView{m: rs.M, vecs: rs.Vecs, nbrs: rs.Nbrs}
+	tbl := &gcn.EdgeTable{Start: make([]int32, 1, len(rs.Mats)+1)}
 	for _, mats := range rs.Mats {
-		m := make(map[int]*tensor.Mat, len(mats))
 		for _, em := range mats {
-			m[em.J] = em.Mat
+			tbl.AddEdge(em.J, em.Mat)
 		}
-		v.mats = append(v.mats, m)
+		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
-	return Sample{View: gcn.View(v), Pi: rs.Pi, Z: rs.Z}
+	return Sample{View: gcn.NewFrozenView(tbl, 0, rs.M, rs.Vecs), Pi: rs.Pi, Z: rs.Z}
 }
 
 // EncodeSamples serializes training samples for transport between
