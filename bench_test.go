@@ -7,6 +7,8 @@ package pbqprl_test
 // pays a few minutes of training.
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -18,6 +20,7 @@ import (
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/net"
 	"pbqprl/internal/nn"
+	"pbqprl/internal/pbqp"
 	"pbqprl/internal/perfmodel"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/regalloc"
@@ -311,6 +314,58 @@ func BenchmarkGamePlayUndo(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		st.Play(a)
 		st.Undo()
+	}
+}
+
+// BenchmarkGraphCodec is the text codec's checked-in number: Read, Write
+// and CanonicalHash on what the serving benchmark sends — a 60-vreg ATE
+// graph, 144 KB of 64 000 tokens of which all but 500 are "0" or "inf",
+// every one decoded and formatted by hand — and on an Erdős–Rényi graph
+// of random real costs of about the same byte size, where nearly every
+// token is a 17-digit decimal and takes strconv.ParseFloat and
+// strconv.AppendFloat as before. The per-layer rows pbqp.read_mb_per_s,
+// pbqp.write_mb_per_s and pbqp.canonical_hash_us under
+// benchmark/baseline/ were recorded on the ATE shape before the codec
+// moved onto bytes (PR 23) and are stale by 4–5×; ROADMAP item 2(a)
+// owns re-recording them.
+func BenchmarkGraphCodec(b *testing.B) {
+	prog, _ := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
+		Name: "bench", NumVRegs: 60, PairRatio: 0.30, HardRatio: 0.40, MaxLive: 8, Seed: 3000,
+	})
+	ateGraph, err := ate.BuildPBQP(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	finite := randgraph.ErdosRenyi(rand.New(rand.NewSource(7)),
+		randgraph.Config{N: 30, M: 8, PEdge: 0.3, PInf: 0.01})
+	for _, shape := range []struct {
+		name string
+		g    *pbqprl.Graph
+	}{{"ate60", ateGraph}, {"finite30", finite}} {
+		var text bytes.Buffer
+		if err := pbqp.Write(&text, shape.g); err != nil {
+			b.Fatal(err)
+		}
+		run := func(op string, f func() error) {
+			b.Run(shape.name+"/"+op, func(b *testing.B) {
+				b.SetBytes(int64(text.Len()))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := f(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+		run("read", func() error {
+			_, err := pbqp.Read(bytes.NewReader(text.Bytes()))
+			return err
+		})
+		run("write", func() error { return pbqp.Write(io.Discard, shape.g) })
+		run("hash", func() error {
+			_, err := pbqp.CanonicalHash(shape.g)
+			return err
+		})
 	}
 }
 

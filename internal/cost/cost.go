@@ -127,11 +127,9 @@ func fromFloat(f float64) (Cost, error) {
 }
 
 // Parse parses a cost from its textual form. "inf" (case-insensitive)
-// denotes the infinite cost.
+// denotes the infinite cost; strconv.ParseFloat reads that spelling
+// (and "+inf", "infinity") as +Inf itself.
 func Parse(s string) (Cost, error) {
-	if strings.EqualFold(strings.TrimSpace(s), "inf") {
-		return Inf, nil
-	}
 	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
 	if err != nil {
 		return 0, fmt.Errorf("cost: parse %q: %w", s, err)

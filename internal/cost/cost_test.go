@@ -2,8 +2,10 @@ package cost
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -136,6 +138,34 @@ func TestParseAndString(t *testing.T) {
 	}
 	if got := Cost(2).String(); got != "2" {
 		t.Errorf("Cost(2).String() = %q", got)
+	}
+}
+
+// TestParseSpellings pins Parse on the spellings its former
+// EqualFold("inf") test and strconv.ParseFloat could have disagreed on:
+// ParseFloat alone now decides, and must decide the same.
+func TestParseSpellings(t *testing.T) {
+	for _, s := range []string{"inf", "iNf", "+inf", "+INF", "infinity", "+Infinity", "\u00a0inf\u0085", "\tInf\n"} {
+		if c, err := Parse(s); err != nil || c != Inf {
+			t.Errorf("Parse(%q) = %v, %v; want Inf", s, c, err)
+		}
+	}
+	for _, s := range []string{"", " ", "-inf", "-Infinity", "infinit", "in f", "ınf", "İNF", "i̇nf", "nan", "+NaN",
+		"1e999", "-1e999", "1__0", "0x", "1 2", "1e", "--1"} {
+		if c, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", s, c)
+		} else if !strings.HasPrefix(err.Error(), fmt.Sprintf("cost: parse %q: ", s)) {
+			t.Errorf("Parse(%q) error %q does not quote its input", s, err)
+		}
+	}
+	for s, want := range map[string]Cost{"0": 0, "007": 7, " 2.5 ": 2.5, "-3": -3, "0x1p4": 16, "0x_1p4": 16, "1_0": 10,
+		"1e-999": 0, "1e308": 1e308, "-1e308": -1e308, "1.7976931348623157e308": Inf} {
+		if c, err := Parse(s); err != nil || c != want {
+			t.Errorf("Parse(%q) = %v, %v; want %v", s, c, err, want)
+		}
+	}
+	if c, err := Parse("-0"); err != nil || c != 0 || !math.Signbit(float64(c)) {
+		t.Errorf("Parse(-0) = %v, %v; want negative zero", c, err)
 	}
 }
 

@@ -140,6 +140,15 @@ func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 	g.adj[v][u] = sum.Transpose()
 }
 
+// adoptEdge installs uv (rows = u's color) and its transpose vu as the
+// new edge (u, v), taking ownership: the caller — the text reader —
+// built both, has checked the endpoints, and never touches them again,
+// so AddEdgeCost's copies would buy nothing under the ownership rule.
+func (g *Graph) adoptEdge(u, v int, uv, vu *cost.Matrix) {
+	g.adj[u][v] = uv
+	g.adj[v][u] = vu
+}
+
 func (g *Graph) checkEdge(u, v int) {
 	if u == v {
 		//pbqpvet:ignore panicfree documented API-contract panic on caller error, mirrors the slice-bounds panic

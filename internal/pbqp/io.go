@@ -2,6 +2,7 @@ package pbqp
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -25,11 +26,11 @@ import (
 // representable and cause an error.
 //
 // The serialization is strconv-append into a reused chunk buffer
-// rather than fmt: Write sits on the serving hot path (CanonicalHash
-// runs it per request to content-address the graph), where fmt's
+// rather than fmt: Write sits on the serving hot path (the router runs
+// it on every new spelling to content-address the graph), where fmt's
 // per-value boxing and a per-call bufio.Writer dominated the profile.
-// The byte stream is unchanged — it is pinned by the round-trip and
-// canonical-hash regression tests over the fuzz seed corpus.
+// The byte stream is the cache key and never changes: round-trip tests
+// over the fuzz corpus and TestCanonicalHashGolden's digests pin it.
 func Write(w io.Writer, g *Graph) error {
 	if g.AliveCount() != g.NumVertices() {
 		return fmt.Errorf("pbqp: cannot serialize graph with removed vertices")
@@ -51,11 +52,7 @@ func Write(w io.Writer, g *Graph) error {
 	for u := 0; u < g.NumVertices(); u++ {
 		buf = append(buf, "v "...)
 		buf = strconv.AppendInt(buf, int64(u), 10)
-		for _, c := range g.VertexCost(u) {
-			buf = append(buf, ' ')
-			buf = appendCost(buf, c)
-		}
-		buf = append(buf, '\n')
+		buf = append(appendCosts(buf, g.VertexCost(u)), '\n')
 		flush(32 << 10)
 	}
 	for _, e := range g.Edges() {
@@ -63,23 +60,30 @@ func Write(w io.Writer, g *Graph) error {
 		buf = strconv.AppendInt(buf, int64(e.U), 10)
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(e.V), 10)
-		for _, c := range e.M.Data {
-			buf = append(buf, ' ')
-			buf = appendCost(buf, c)
-		}
-		buf = append(buf, '\n')
+		buf = append(appendCosts(buf, e.M.Data), '\n')
 		flush(32 << 10)
 	}
 	flush(1)
 	return err
 }
 
-// appendCost renders c exactly as cost.Cost.String does, into buf.
-func appendCost(buf []byte, c cost.Cost) []byte {
-	if c.IsInf() {
-		return append(buf, "inf"...)
+// appendCosts appends each cost of cs after a space, rendered exactly
+// as cost.Cost.String renders it; an exact positive zero — with inf,
+// 99 % of an ATE graph — skips strconv.
+//
+//pbqpvet:hotpath
+func appendCosts(buf []byte, cs []cost.Cost) []byte {
+	for _, c := range cs {
+		switch {
+		case c.IsZero() && !math.Signbit(float64(c)):
+			buf = append(buf, ' ', '0')
+		case c.IsInf():
+			buf = append(buf, " inf"...)
+		default:
+			buf = strconv.AppendFloat(append(buf, ' '), float64(c), 'g', -1, 64)
+		}
 	}
-	return strconv.AppendFloat(buf, float64(c), 'g', -1, 64)
+	return buf
 }
 
 // String renders g in the textual PBQP format (empty on serialization
@@ -177,6 +181,11 @@ func Read(r io.Reader) (*Graph, error) {
 // them — the defaults are the hard ceiling. Graphs past any cap are
 // rejected with a descriptive error before the corresponding
 // allocation happens.
+//
+// It works on the scanner's bytes, in place, once: a line's fields are
+// counted before its m or m·m costs get a vector (a hostile "pbqp 2
+// 4096" header must not buy 128 MB per short edge line), then decoded
+// straight into the storage the graph keeps.
 func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 	lim := limits.withDefaults()
 	sc := bufio.NewScanner(r)
@@ -189,25 +198,32 @@ func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 	lineno := 0
 	for sc.Scan() {
 		lineno++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
+		line := sc.Bytes()
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
+		nf, ascii := countFields(line)
+		if !ascii {
+			// Unicode white space (U+0085, U+00A0, …) separates fields
+			// too: strings.Fields says where, as it always has.
+			fields := strings.Fields(string(line))
+			line, nf = []byte(strings.Join(fields, " ")), len(fields)
+		}
+		if nf == 0 {
 			continue
 		}
-		switch fields[0] {
+		directive, rest := cutField(line)
+		switch string(directive) {
 		case "pbqp":
 			if g != nil {
 				return nil, fmt.Errorf("pbqp: line %d: duplicate header", lineno)
 			}
-			if len(fields) != 3 {
+			if nf != 3 {
 				return nil, fmt.Errorf("pbqp: line %d: header wants 'pbqp n m'", lineno)
 			}
-			n, err1 := strconv.Atoi(fields[1])
-			m, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || n < 0 || m <= 0 {
+			n, rest, okN := cutInt(rest)
+			m, _, okM := cutInt(rest)
+			if !okN || !okM || n < 0 || m <= 0 {
 				return nil, fmt.Errorf("pbqp: line %d: bad dimensions", lineno)
 			}
 			if n > lim.MaxVertices {
@@ -225,46 +241,44 @@ func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 			if g == nil {
 				return nil, fmt.Errorf("pbqp: line %d: vertex before header", lineno)
 			}
-			if len(fields) != 2+g.M() {
-				return nil, fmt.Errorf("pbqp: line %d: vertex wants %d costs", lineno, g.M())
+			if nf != 2+g.m {
+				return nil, fmt.Errorf("pbqp: line %d: vertex wants %d costs", lineno, g.m)
 			}
-			u, err := strconv.Atoi(fields[1])
-			if err != nil || u < 0 || u >= g.NumVertices() {
+			u, costs, ok := cutInt(rest)
+			if !ok || u < 0 || u >= g.NumVertices() {
 				return nil, fmt.Errorf("pbqp: line %d: bad vertex id", lineno)
 			}
 			if seenVertex[u] {
 				return nil, fmt.Errorf("pbqp: line %d: duplicate vertex %d", lineno, u)
 			}
 			seenVertex[u] = true
-			vec, err := parseCosts(fields[2:])
-			if err != nil {
+			// Into the zero vector New gave the vertex: no copy to install.
+			if err := decodeCosts(costs, g.vecs[u], nil, 0); err != nil {
 				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, err)
 			}
-			g.SetVertexCost(u, vec)
 		case "e":
 			if g == nil {
 				return nil, fmt.Errorf("pbqp: line %d: edge before header", lineno)
 			}
-			if len(fields) != 3+g.M()*g.M() {
-				return nil, fmt.Errorf("pbqp: line %d: edge wants %d costs", lineno, g.M()*g.M())
+			if nf != 3+g.m*g.m {
+				return nil, fmt.Errorf("pbqp: line %d: edge wants %d costs", lineno, g.m*g.m)
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil || u < 0 || v < 0 ||
+			u, rest, okU := cutInt(rest)
+			v, costs, okV := cutInt(rest)
+			if !okU || !okV || u < 0 || v < 0 ||
 				u >= g.NumVertices() || v >= g.NumVertices() || u == v {
 				return nil, fmt.Errorf("pbqp: line %d: bad edge endpoints", lineno)
 			}
 			if g.HasEdge(u, v) {
 				return nil, fmt.Errorf("pbqp: line %d: duplicate edge (%d,%d)", lineno, u, v)
 			}
-			vec, err := parseCosts(fields[3:])
-			if err != nil {
+			uv, vu := cost.NewMatrix(g.m, g.m), cost.NewMatrix(g.m, g.m)
+			if err := decodeCosts(costs, uv.Data, vu.Data, g.m); err != nil {
 				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, err)
 			}
-			mat := &cost.Matrix{Rows: g.M(), Cols: g.M(), Data: vec}
-			g.AddEdgeCost(u, v, mat)
+			g.adoptEdge(u, v, uv, vu)
 		default:
-			return nil, fmt.Errorf("pbqp: line %d: unknown directive %q", lineno, fields[0])
+			return nil, fmt.Errorf("pbqp: line %d: unknown directive %q", lineno, directive)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -276,25 +290,108 @@ func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 	return g, nil
 }
 
-func parseCosts(fields []string) (cost.Vector, error) {
-	v := make(cost.Vector, len(fields))
-	for i, f := range fields {
-		c, err := cost.Parse(f)
-		if err != nil {
-			return nil, err
+// isSpace reports whether c is one of the ASCII bytes unicode.IsSpace
+// accepts: what strings.Fields splits a pure-ASCII line on.
+func isSpace(c byte) bool {
+	const spaces = 1<<'\t' | 1<<'\n' | 1<<'\v' | 1<<'\f' | 1<<'\r' | 1<<' '
+	return c <= ' ' && spaces>>c&1 != 0
+}
+
+// countFields returns, from one scan of line, how many fields ASCII
+// white space cuts it into and whether it is pure ASCII — only then is
+// the count the one strings.Fields would give.
+func countFields(line []byte) (n int, ascii bool) {
+	var seen byte
+	wasSpace := true
+	for _, c := range line {
+		seen |= c
+		if wasSpace && !isSpace(c) {
+			n++
 		}
-		// cost.Parse rejects NaN and -∞ outright; additionally reject
-		// finite literals whose magnitude falls in the reserved
-		// infinite range (≥ MaxFloat64/4). A positive one would
-		// silently behave as "forbidden" (IsInf), a negative one breaks
-		// the saturating arithmetic — both are almost certainly
-		// corrupted input, and the explicit spelling "inf" exists.
-		if fl, ferr := strconv.ParseFloat(strings.TrimSpace(f), 64); ferr == nil && !math.IsInf(fl, 0) {
-			if cost.Cost(fl).IsInf() || cost.Cost(-fl).IsInf() {
-				return nil, fmt.Errorf("pbqp: finite cost %q is in the reserved infinite range; write \"inf\"", f)
+		wasSpace = isSpace(c)
+	}
+	return n, seen < 0x80
+}
+
+// cutField returns the first field of line and what follows it.
+func cutField(line []byte) (field, rest []byte) {
+	i := 0
+	for i < len(line) && isSpace(line[i]) {
+		i++
+	}
+	j := i
+	for j < len(line) && !isSpace(line[j]) {
+		j++
+	}
+	return line[i:j], line[j:]
+}
+
+// cutInt reads the first field of line as a decimal integer, with
+// strconv.Atoi's grammar ("+1" is 1), and returns what follows it.
+func cutInt(line []byte) (n int, rest []byte, ok bool) {
+	field, rest := cutField(line)
+	n, err := strconv.Atoi(string(field))
+	return n, rest, err == nil
+}
+
+// decodeCosts parses one cost per element of dst from the fields of
+// line, which the caller has counted. When tr is non-nil, dst is an
+// m×m matrix and tr receives its transpose in the same pass. An
+// unsigned integer of at most 15 digits — "0" above all — is below 2^53
+// and so is its own float64: it is decoded as the field is scanned.
+//
+//pbqpvet:hotpath
+func decodeCosts(line []byte, dst, tr cost.Vector, m int) error {
+	i, row, col := 0, 0, 0
+	for k := range dst {
+		for i < len(line) && isSpace(line[i]) {
+			i++
+		}
+		start, n, digits := i, uint64(0), true
+		for ; i < len(line) && !isSpace(line[i]); i++ {
+			d := line[i] - '0'
+			digits = digits && d <= 9
+			n = n*10 + uint64(d)
+		}
+		c := cost.Cost(n)
+		if !digits || uint(i-start-1) >= 15 {
+			var err error
+			if c, err = parseCost(line[start:i]); err != nil {
+				return err
 			}
 		}
-		v[i] = c
+		dst[k] = c
+		if tr != nil {
+			tr[col*m+row] = c
+			if col++; col == m {
+				row, col = row+1, 0
+			}
+		}
 	}
-	return v, nil
+	return nil
+}
+
+// parseCost classifies a cost token that is not a short unsigned
+// integer: lowercase "inf" by hand, every other — signs, points,
+// exponents, the other spellings of infinity — through one
+// strconv.ParseFloat, whose result is both what cost.Parse would have
+// classified and what the reserved-range check looks at.
+func parseCost(tok []byte) (cost.Cost, error) {
+	if string(tok) == "inf" {
+		return cost.Inf, nil
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	switch {
+	case err != nil || math.IsNaN(f) || math.IsInf(f, -1):
+		_, err = cost.Parse(string(tok)) // cost.Parse words its own rejections
+		return 0, err
+	case math.IsInf(f, 1):
+		return cost.Inf, nil
+	case cost.Cost(f).IsInf() || cost.Cost(-f).IsInf():
+		// A finite literal of magnitude ≥ MaxFloat64/4: positive it
+		// would silently behave as "forbidden", negative it breaks the
+		// saturating arithmetic. Almost certainly corrupted input.
+		return 0, fmt.Errorf("pbqp: finite cost %q is in the reserved infinite range; write \"inf\"", tok)
+	}
+	return cost.Cost(f), nil
 }

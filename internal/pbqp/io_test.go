@@ -2,6 +2,7 @@ package pbqp
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -112,8 +113,114 @@ func TestReadAcceptsExplicitInfinitySpellings(t *testing.T) {
 	}
 }
 
-// FuzzReadGraph asserts the parser's two safety properties on arbitrary
-// bytes: it never panics, and anything it accepts serializes through
+// TestReadMatchesReference holds Read to the reader it replaced on the
+// spellings where a byte-level tokenizer and hand-decoded costs could
+// part from strings.Fields and strconv: same verdict, same error text,
+// same graph (see AgreesWithReference).
+func TestReadMatchesReference(t *testing.T) {
+	accepted := 0
+	for _, in := range []string{
+		// white space: CRLF, tabs, \v, \f, a bare \r, NUL (not a space)
+		"pbqp 2 2\r\nv 0 1 2\r\ne 0 1 1 2 3 4\r\n",
+		"pbqp\t2\t2\nv\v0\f1\t 2\n\t e 0 1 1 2 3 4 \t\n",
+		"pbqp 1 2\nv 0 1\r2\n",
+		"pbqp 1 2\nv 0 1\x002\n",
+		"pbqp 1 2\nv 0 1 2\x00\n",
+		// Unicode separators split fields too; other non-ASCII does not
+		"pbqp 1 2\nv\u00a00\u00a01\u00a02\n",
+		"pbqp 1 2\nv 0 1\u00852\n",
+		"pbqp\u20031\u30002\nv 0 3\u2028 4\n",
+		"pbqp 1 2\nv 0 1\u00a0 2 3\n",
+		"pbqp 1 2\nv 0 1\u200b2\n",
+		"pbqp 1 2\nv 0 \xff 2\n",
+		"pbqp 1 2\nv 0 1\xc2 2\n",
+		"pbqp 1 2\nv 0 ı\u0307nf 2\n",
+		"pbqp 1 2\nv 0 İNF ınf\n",
+		"pbqp 1 2\nv 0 1 2 # non-ASCII only in the comment: ×\u00a0\n",
+		"\u00a0pbqp 1 1\nq\u00a0\n",
+		"é 1 2\n",
+		// spellings of infinity, zero and integers
+		"pbqp 1 6\nv 0 inf +inf INF Inf infinity +Infinity\n",
+		"pbqp 1 2\nv 0 -inf 0\n",
+		"pbqp 1 2\nv 0 infinit 0\n",
+		"pbqp 1 2\nv 0 in f\n",
+		"pbqp 1 6\nv 0 0 -0 +0 00 0.0 -0.0\n",
+		"pbqp 1 4\nv 0 007 7 +7 -7\n",
+		"pbqp 1 4\nv 0 999999999999999 1000000000000000 9007199254740993 12345678901234567890\n",
+		"pbqp 1 4\nv 0 0.1 .5 5. 1e-5\n",
+		"pbqp 1 4\nv 0 1e21 1E6 -2.5e-3 0x1p-2\n",
+		"pbqp 1 2\nv 0 1_000 2\n",
+		"pbqp 1 2\nv 0 0x_1p0 2\n",
+		"pbqp 1 2\nv 0 4.49423283715579e307 0\n",
+		"pbqp 1 2\nv 0 4.4942328371557893e307 0\n",
+		"pbqp 1 2\nv 0 1.7976931348623157e308 0\n",
+		"pbqp 1 2\nv 0 -4.5e307 0\n",
+		"pbqp 1 2\nv 0 1e999 0\n",
+		"pbqp 1 2\nv 0 -1e999 0\n",
+		"pbqp 1 2\nv 0 nan 0\n",
+		"pbqp 1 2\nv 0 1e-999 4e-324\n",
+		// ids go through strconv.Atoi
+		"pbqp +2 +2\nv +1 1 2\ne +0 +1 1 2 3 4\n",
+		"pbqp 2 2\nv -0 1 2\ne 01 00 1 2 3 4\n",
+		"pbqp 2 2\nv 1.0 1 2\n",
+		"pbqp 2 2\nv 99999999999999999999 1 2\n",
+		"pbqp 2 2\ne 0 0x1 1 2 3 4\n",
+		"pbqp 2 0x2\n",
+		"pbqp 2\n",
+		"pbqp 2 2 2\n",
+		// which error wins: count before id before duplicate before cost
+		"pbqp 2 2\nv 0 zebra\n",
+		"pbqp 2 2\nv 9 1 zebra 3\n",
+		"pbqp 2 2\nv 9 1 zebra\n",
+		"pbqp 2 2\nv 0 1 2\nv 0 1 zebra\n",
+		"pbqp 2 2\ne 0 1 1 2 3\n",
+		"pbqp 2 2\ne 0 1 1 2 3 1e308 5\n",
+		"pbqp 2 2\ne 0 1 1 2 3 4\ne 1 0 zebra 2 3 4\n",
+		"pbqp 2 2\ne 0 1 1 nan 1e308 4\n",
+		"pbqp 2 2\ne 0 1 1 1e308 nan 4\n",
+		"pbqp 2 2\nV 0 1 2\n",
+		"pbqp 2 2\nvv 0 1 2\n",
+		"PBQP 2 2\n",
+		"pbqp 2 2\ne 1 0 0.5 -1 2e3 inf\nv 1 3 # trailing\n",
+		"pbqp 2 2 # header\n#\n   \n\t\nv 1 1 2#no space\n",
+		"pbqp 3 3\ne 2 0 1 2 3 4 5 6 7 8 9\ne 1 2 0 0 inf inf 0 0 1 1 1",
+	} {
+		if AgreesWithReference(t, []byte(in), ReadLimits{}) != nil {
+			accepted++
+		}
+	}
+	for _, data := range corpusInputs(t) {
+		if AgreesWithReference(t, data, ReadLimits{}) != nil {
+			accepted++
+		}
+	}
+	if accepted < 20 {
+		t.Fatalf("only %d inputs were accepted; the comparison mostly covers rejections", accepted)
+	}
+}
+
+// TestReadCountsBeforeAllocating pins count-before-allocate: under a
+// "pbqp 2 4096" header an edge line is owed 16 777 216 costs, and a
+// short one must be turned away on its field count before the reader
+// makes the 128 MB matrix (and its transpose) to decode it into.
+func TestReadCountsBeforeAllocating(t *testing.T) {
+	in := []byte("pbqp 2 4096\ne 0 1 0 inf 0\n")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := Read(bytes.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "edge wants 16777216 costs") {
+		t.Fatalf("Read = %v, want an edge-count rejection", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("rejecting a short edge line allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+// FuzzReadGraph asserts the parser's safety properties on arbitrary
+// bytes: it never panics, it agrees with the reader it replaced
+// (AgreesWithReference), and anything it accepts serializes through
 // Write→Read→Write byte-stably.
 func FuzzReadGraph(f *testing.F) {
 	f.Add([]byte("pbqp 3 2\nv 0 5 2\nv 1 5 0\ne 0 1 0 inf inf 4\n"))
@@ -122,12 +229,13 @@ func FuzzReadGraph(f *testing.F) {
 	f.Add([]byte("pbqp 0 3\n"))
 	f.Add([]byte("pbqp 2 2\ne 1 0 0.5 -1 2e3 inf\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Read(bytes.NewReader(data))
-		if err != nil {
+		// Under the package caps a mutated "pbqp 4000000 16" header is a
+		// gigabyte of empty graph per parse, and the comparison parses
+		// twice: fuzz workers were seen at 1.1 GB RSS and one died while
+		// minimizing. The caps' own values are TestReadWithLimits' business.
+		g := AgreesWithReference(t, data, ReadLimits{MaxVertices: 1 << 12, MaxCostEntries: 1 << 16})
+		if g == nil {
 			return // rejected: fine, as long as we did not panic
-		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
 		}
 		var first bytes.Buffer
 		if err := Write(&first, g); err != nil {

@@ -4,12 +4,13 @@
 //
 // The request path, in order:
 //
-//   - canonicalize: the request graph is parsed and content-addressed
-//     with pbqp.CanonicalHash (SHA-256 over the byte-stable canonical
-//     serialization pinned by FuzzReadGraph), so two spellings of the
-//     same graph are the same key everywhere downstream; a raw-bytes →
-//     canonical-hash memo in the same LRU lets byte-identical repeats
-//     skip the parse entirely;
+//   - canonicalize: the body is read once, parsed, and written back
+//     once in the canonical form (the byte-stable serialization pinned
+//     by FuzzReadGraph): the SHA-256 of those bytes is
+//     pbqp.CanonicalHash, so two spellings of the same graph are the
+//     same key everywhere downstream, and on a miss they are the
+//     forwarded body; a raw-bytes → canonical-hash memo in the same LRU
+//     lets byte-identical repeats skip the parse entirely;
 //   - cache: a memory-bounded LRU solution cache answers repeat
 //     traffic without touching a backend — register allocation is
 //     dominated by recompiles of the same functions;
@@ -352,9 +353,18 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// a flight, and a shard. The raw request bytes are hashed first and
 	// memoized against the canonical hash in the same bounded LRU:
 	// byte-identical repeats (the dominant recompile traffic) skip the
-	// parse entirely, while a new spelling pays one full parse +
-	// canonical serialization and lands on the same key.
-	raw, err := io.ReadAll(http.MaxBytesReader(sw, req.Body, r.cfg.MaxRequestBytes))
+	// parse entirely, while a new spelling pays one parse and one
+	// canonical serialization (about 1 ms per 100 KB), whose bytes are
+	// hashed into the key and, on a miss, are the body the backend gets.
+	// The body lands in one buffer sized from Content-Length, never from
+	// a length above the cap; bytes.MinRead of slack lets ReadFrom meet
+	// EOF without growing it.
+	var body bytes.Buffer
+	if n := req.ContentLength; n > 0 && n <= r.cfg.MaxRequestBytes {
+		body.Grow(int(n) + bytes.MinRead)
+	}
+	_, err = body.ReadFrom(http.MaxBytesReader(sw, req.Body, r.cfg.MaxRequestBytes))
+	raw := body.Bytes()
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -365,20 +375,17 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		r.writeError(sw, http.StatusBadRequest, err.Error())
 		return
 	}
-	var g *pbqp.Graph
+	var canon []byte // the canonical serialization, once this request has made it
 	var sum [sha256.Size]byte
 	rawKey := rawCacheKey(raw)
 	if _, memo, ok := r.cache.Get(rawKey); ok && len(memo) == sha256.Size {
 		copy(sum[:], memo)
 	} else {
-		if g, err = r.parseGraph(raw); err != nil {
+		if canon, err = r.canonicalize(raw); err != nil {
 			r.writeError(sw, http.StatusBadRequest, err.Error())
 			return
 		}
-		if sum, err = pbqp.CanonicalHash(g); err != nil {
-			r.writeError(sw, http.StatusBadRequest, err.Error())
-			return
-		}
+		sum = sha256.Sum256(canon) // pbqp.CanonicalHash, of bytes already in hand
 		r.cache.Put(rawKey, 0, append([]byte(nil), sum[:]...))
 	}
 	key := cacheKey(sum, knobs)
@@ -392,9 +399,9 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	r.reg.Counter("router_cache_misses_total").Inc()
 
 	// A raw-memo hit that misses the solution cache (evicted, or a new
-	// knob combination) still needs the parsed graph to forward.
-	if g == nil {
-		if g, err = r.parseGraph(raw); err != nil {
+	// knob combination) still needs the canonical body to forward.
+	if canon == nil {
+		if canon, err = r.canonicalize(raw); err != nil {
 			r.writeError(sw, http.StatusBadRequest, err.Error())
 			return
 		}
@@ -408,7 +415,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	defer cancel()
 
 	res, leader := r.flights.Do(req.Context(), key, func() flightResult {
-		return r.submitForward(solveCtx, g, sum, knobs)
+		return r.submitForward(solveCtx, canon, sum, knobs)
 	})
 	if !leader {
 		r.reg.Counter("router_coalesced_total").Inc()
@@ -447,19 +454,15 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 
 // submitForward runs one forward through the admission pool: bounded
 // concurrency, load shedding, and a drain barrier, exactly like the
-// backend's solve pool. The graph is serialized once here — the
-// canonical bytes, so backends see identical bodies for identical
-// graphs across every retry.
-func (r *Router) submitForward(ctx context.Context, g *pbqp.Graph, sum [sha256.Size]byte, k knobs) flightResult {
-	var buf bytes.Buffer
-	if err := pbqp.Write(&buf, g); err != nil {
-		return flightResult{err: err}
-	}
+// backend's solve pool. body is the canonical serialization sum was
+// hashed from, so backends see identical bodies for identical graphs
+// across every spelling and every retry.
+func (r *Router) submitForward(ctx context.Context, body []byte, sum [sha256.Size]byte, k knobs) flightResult {
 	var res flightResult
 	job := server.NewJob(func() {
 		r.reg.Gauge("requests_inflight").Add(1)
 		defer r.reg.Gauge("requests_inflight").Add(-1)
-		res = r.forward(ctx, buf.Bytes(), sum, k)
+		res = r.forward(ctx, body, sum, k)
 	})
 	if err := r.adm.Submit(job); err != nil {
 		return flightResult{err: err}
@@ -749,9 +752,19 @@ func (r *Router) parseKnobs(req *http.Request) (knobs, error) {
 	return k, nil
 }
 
-// parseGraph parses a buffered request body under the hardening caps.
-func (r *Router) parseGraph(raw []byte) (*pbqp.Graph, error) {
-	return pbqp.ReadWithLimits(bytes.NewReader(raw), r.cfg.ReadLimits)
+// canonicalize parses a buffered request body under the hardening caps
+// and returns its canonical serialization: the bytes pbqp.CanonicalHash
+// hashes, which are also the body a backend is sent.
+func (r *Router) canonicalize(raw []byte) ([]byte, error) {
+	g, err := pbqp.ReadWithLimits(bytes.NewReader(raw), r.cfg.ReadLimits)
+	if err != nil {
+		return nil, err
+	}
+	canon := bytes.NewBuffer(make([]byte, 0, len(raw))) // rarely much longer than a spelling
+	if err := pbqp.Write(canon, g); err != nil {
+		return nil, err
+	}
+	return canon.Bytes(), nil
 }
 
 // cacheKey builds the content-addressed key: the canonical graph hash

@@ -1,11 +1,17 @@
 package router
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +19,7 @@ import (
 	"time"
 
 	"pbqprl/internal/failpoint"
+	"pbqprl/internal/pbqp"
 	"pbqprl/internal/server"
 	"pbqprl/internal/server/metrics"
 )
@@ -193,6 +200,132 @@ func TestCanonicalizationSharesCacheSlot(t *testing.T) {
 	if got := arrivals.Load(); got != 1 {
 		t.Fatalf("backend saw %d requests, want 1", got)
 	}
+}
+
+// TestForwardedBodyIsTheCanonicalForm pins the one canonicalisation a
+// miss pays: whatever the client's spelling, the body the backend gets
+// is byte-equal to pbqp.Write of the graph, and its SHA-256 is both
+// pbqp.CanonicalHash and the key the answer is cached under — so every
+// router of a fleet, old or new, shards and caches a graph alike.
+func TestForwardedBodyIsTheCanonicalForm(t *testing.T) {
+	var mu sync.Mutex
+	var bodies [][]byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		b, _ := io.ReadAll(req.Body)
+		mu.Lock()
+		bodies = append(bodies, b)
+		mu.Unlock()
+		w.Write([]byte(okBody))
+	}))
+	defer ts.Close()
+	r := newTestRouter(t, testConfig(ts.URL))
+
+	scrambled := "# same graph\r\npbqp\t3 2\r\nv 2 0 -0\ne 1 2 1 0 0 2\nv 0 5 2.0\ne 1 0 0 inf +INF 4e0\nv 1 5 0\u00a0\n"
+	g, err := pbqp.Read(strings.NewReader(scrambled))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := pbqp.Write(&want, g); err != nil {
+		t.Fatal(err)
+	}
+	sum, err := pbqp.CanonicalHash(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rec := post(r.Handler(), scrambled, nil)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-PBQP-Cache") != "miss" {
+		t.Fatalf("scrambled spelling: %d, cache %q: %s", rec.Code, rec.Header().Get("X-PBQP-Cache"), rec.Body)
+	}
+	if len(bodies) != 1 || !bytes.Equal(bodies[0], want.Bytes()) {
+		t.Fatalf("backend received %q, want the canonical form %q", bodies, want.Bytes())
+	}
+	if sha256.Sum256(bodies[0]) != sum {
+		t.Fatal("the forwarded body does not hash to pbqp.CanonicalHash")
+	}
+	if _, _, ok := r.cache.Get(cacheKey(sum, knobs{costMode: "zeroinf"})); !ok {
+		t.Fatal("the answer is not cached under the canonical hash")
+	}
+	// The canonical spelling itself is a hit, and nothing more is forwarded.
+	if rec := post(r.Handler(), want.String(), nil); rec.Header().Get("X-PBQP-Cache") != "hit" {
+		t.Fatalf("canonical spelling: %d, cache %q", rec.Code, rec.Header().Get("X-PBQP-Cache"))
+	}
+	// A byte-identical repeat under a new knob resolves its hash from
+	// the raw memo and still has to forward the canonical body.
+	if rec := post(r.Handler(), scrambled, map[string]string{"X-PBQP-Chain": "scholz"}); rec.Header().Get("X-PBQP-Cache") != "miss" {
+		t.Fatalf("new chain: %d, cache %q", rec.Code, rec.Header().Get("X-PBQP-Cache"))
+	}
+	if len(bodies) != 2 || !bytes.Equal(bodies[1], want.Bytes()) {
+		t.Fatalf("after a raw-memo hit the backend received %q, want the canonical form", bodies[1:])
+	}
+}
+
+// TestRequestBodyRead pins how the body is read into its one buffer: a
+// declared length sizes it only under the cap, and a missing or lying
+// length changes nothing about the answer.
+func TestRequestBodyRead(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		w.Write([]byte(okBody))
+	}))
+	defer ts.Close()
+	cfg := testConfig(ts.URL)
+	cfg.MaxRequestBytes = 4096
+	r := newTestRouter(t, cfg)
+
+	t.Run("declared length above the cap", func(t *testing.T) {
+		const declared = 1 << 30
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve",
+			io.LimitReader(strings.NewReader(strings.Repeat("# padding\n", 1000)), declared))
+		req.ContentLength = declared
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r.Handler().ServeHTTP(rec, req)
+		runtime.ReadMemStats(&after)
+		if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), "exceeds 4096 bytes") {
+			t.Fatalf("answered %d %s, want 413", rec.Code, rec.Body)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Fatalf("a 1 GiB Content-Length bought %d bytes of allocation", got)
+		}
+	})
+
+	t.Run("chunked", func(t *testing.T) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", strings.NewReader(graphN(7)))
+		req.ContentLength = -1
+		rec := httptest.NewRecorder()
+		r.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("X-PBQP-Cache") != "miss" || rec.Body.String() != okBody {
+			t.Fatalf("no length: %d, cache %q: %s", rec.Code, rec.Header().Get("X-PBQP-Cache"), rec.Body)
+		}
+		// With its length the same body is the same request.
+		if rec := post(r.Handler(), graphN(7), nil); rec.Header().Get("X-PBQP-Cache") != "hit" {
+			t.Fatalf("with length: %d, cache %q", rec.Code, rec.Header().Get("X-PBQP-Cache"))
+		}
+	})
+
+	t.Run("shorter than declared", func(t *testing.T) {
+		// Only a real connection frames a body by its Content-Length.
+		front := httptest.NewServer(r.Handler())
+		defer front.Close()
+		conn, err := net.Dial("tcp", front.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		fmt.Fprintf(conn, "POST /v1/solve HTTP/1.1\r\nHost: router\r\nContent-Length: %d\r\n\r\n%s", len(fig2)+100, fig2)
+		conn.(*net.TCPConn).CloseWrite()
+		resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unexpected EOF") {
+			t.Fatalf("answered %d %s, want 400 unexpected EOF", resp.StatusCode, msg)
+		}
+	})
 }
 
 // TestSingleflightCoalesces64 is the coalescing gate: 64 concurrent
