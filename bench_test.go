@@ -16,6 +16,7 @@ import (
 	"pbqprl/internal/ate"
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
+	"pbqprl/internal/gcn"
 	"pbqprl/internal/llvmsuite"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/net"
@@ -182,6 +183,40 @@ func BenchmarkNetEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_, _ = n.Evaluate(view)
 	}
+}
+
+// BenchmarkGCNInferSnapshot measures gcn.Infer where no table slot can
+// answer: over the snapshots along one playout of a 60-vreg ATE program
+// — the path benchmark/'s gcn.infer_us probe times — on one Scratch
+// whose maps start each pass empty. A snapshot's table takes no slots,
+// so every row comes from the two memo maps or is computed.
+func BenchmarkGCNInferSnapshot(b *testing.B) {
+	prog, hidden := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
+		Name: "bench", NumVRegs: 60, PairRatio: 0.30, HardRatio: 0.40, MaxLive: 8, Seed: 3000,
+	})
+	g, err := ate.BuildPBQP(prog)
+	if err != nil {
+		b.Fatal(err)
+	}
+	order := game.MakeOrder(g, game.OrderIncLiberty, nil)
+	st := game.New(g, order)
+	var views []gcn.View
+	for t := 0; !st.Done() && !st.DeadEnd(); t++ {
+		views = append(views, st.Snapshot())
+		st.Play(hidden[order[t]])
+	}
+	cfg := experiments.DefaultNetConfig()
+	layer := gcn.New(rand.New(rand.NewSource(cfg.Seed)), cfg.M, cfg.GCNLayers)
+	var sc gcn.Scratch
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sc.InvalidateWeights()
+		for _, v := range views {
+			layer.Infer(v, &sc)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(views)), "us/view")
+	b.ReportMetric(float64(len(views)), "views")
 }
 
 // BenchmarkRLBacktrackNode is the source of DESIGN §10's "µs per tree

@@ -165,7 +165,7 @@ func main() {
 			r, di := ds.SolveWithInfo(ctx, g)
 			res, decompInfo = r, &di
 		} else if *timeout > 0 {
-			res = solve.SolveCtx(ctx, s, g)
+			res = s.SolveCtx(ctx, g)
 		} else {
 			res = s.Solve(g)
 		}

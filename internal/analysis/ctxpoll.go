@@ -20,7 +20,7 @@ import (
 // call trees into the sweep.
 const ctxrootMarker = "pbqpvet:ctxroot"
 
-// CtxPoll enforces the solve.ContextSolver contract: a SolveCtx
+// CtxPoll enforces the solve.Solver cancellation contract: a SolveCtx
 // implementation must actually poll its context, and every unbounded
 // loop reachable from it (same-package static calls) must contain a
 // poll — a ctx.Err()/ctx.Done() check, a call to a same-package helper

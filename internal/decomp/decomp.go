@@ -39,7 +39,7 @@ import (
 )
 
 // Solver decomposes a graph and solves the pieces with Inner. It
-// implements solve.Solver and solve.ContextSolver.
+// implements solve.Solver.
 type Solver struct {
 	// Inner solves the individual blocks. It must be exact (brute) for
 	// exact decomposition; any solver works for heuristic use.
@@ -100,7 +100,7 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
 
-// SolveCtx implements solve.ContextSolver: the ctx budget is shared by
+// SolveCtx implements solve.Solver: the ctx budget is shared by
 // every block solve (each one is delegated the context), so a deadline
 // interrupts the pipeline wherever it currently is.
 func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
@@ -236,7 +236,7 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 		verts := sc.block(b)
 		h := blockGraph(w, csr, verts)
 		if sc.isRoot[b] {
-			res := solve.SolveCtx(ctx, s.Inner, h)
+			res := s.Inner.SolveCtx(ctx, h)
 			oc.states += res.States
 			if res.Truncated {
 				oc.truncated = true
@@ -265,7 +265,7 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 			pin[a] = 0
 			h.SetVertexCost(0, pin)
 			pin[a] = cost.Inf
-			res := solve.SolveCtx(ctx, s.Inner, h)
+			res := s.Inner.SolveCtx(ctx, h)
 			oc.states += res.States
 			if res.Truncated {
 				oc.truncated = true

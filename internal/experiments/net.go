@@ -39,7 +39,7 @@ type TrainSpec struct {
 
 // DefaultNetConfig is the laptop-scale network: m = 13 (the ATE
 // register count, and equally the compiler target's 12 registers +
-// spill), two GCN layers, a compact torso.
+// spill), one GCN message round (h⁰, then one layer), a compact torso.
 func DefaultNetConfig() net.Config {
 	return net.Config{M: 13, GCNLayers: 1, Hidden: 24, Blocks: 1, Seed: 7}
 }

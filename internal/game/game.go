@@ -193,15 +193,6 @@ func (s *State) SetGraded(g bool) { s.graded = g }
 // finite cost.
 func (s *State) Legal(a int) bool { return !s.vecs[s.t][a].IsInf() }
 
-// LegalMask returns the legal-color mask of the next vertex.
-func (s *State) LegalMask() []bool {
-	mask := make([]bool, s.m)
-	for i, c := range s.vecs[s.t] {
-		mask[i] = !c.IsInf()
-	}
-	return mask
-}
-
 // DeadEnd reports whether the game is stuck: some uncolored vertex has
 // no finite color left (Section IV-E). Detection is eager, as in the
 // paper's graph manager, which notices a dead end as soon as it

@@ -266,9 +266,8 @@ func TestSnapshotIsFrozen(t *testing.T) {
 func TestPlayedAndLegalMask(t *testing.T) {
 	g := fig2Graph()
 	st := New(g, []int{0, 1, 2})
-	mask := st.LegalMask()
-	if !mask[0] || !mask[1] {
-		t.Errorf("mask = %v", mask)
+	if !st.Legal(0) || !st.Legal(1) {
+		t.Errorf("legal colors = %v, %v, want both", st.Legal(0), st.Legal(1))
 	}
 	st.Play(0)
 	played := st.Played()

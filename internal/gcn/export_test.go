@@ -25,8 +25,22 @@ func (g *GCN) TapeKinds() (kinds [4]int) {
 	tp := &g.tape
 	for v := 0; v < tp.n; v++ {
 		for lo, hi := tp.tbl.From(tp.off+v, tp.off); lo < hi; lo++ {
-			kinds[tp.pk[lo].kind]++
+			kinds[tp.tbl.packed[lo].kind]++
 		}
 	}
 	return kinds
+}
+
+// BuiltByAddEdge reports whether every matrix of t has its packed form
+// beside it, the rule edges holds a table to.
+func (t *EdgeTable) BuiltByAddEdge() bool {
+	if len(t.packed) != len(t.Mat) || len(t.Nbr) != len(t.Mat) {
+		return false
+	}
+	for e, pk := range t.packed {
+		if pk == nil || pk.mat != t.Mat[e] {
+			return false
+		}
+	}
+	return true
 }

@@ -19,11 +19,12 @@
 //
 // where M̃_vu is the transformed cost matrix oriented (rows = v's color).
 //
-// Each transformed matrix is packed once, where its game's edge table is
-// built (infer.go). The trainable pass (Forward and Backward, here, on a
-// tape the GCN reuses) and the read-only one (Infer, infer.go, on a
-// Scratch's memo) resolve a view's edges through one function and fold
-// them with one addMulVec, bit-equal to reference_test.go's dense pass.
+// Each transformed matrix is packed once, where it enters an edge table
+// (EdgeTable.AddEdge, infer.go). The trainable pass (Forward and
+// Backward, here, on a tape the GCN reuses) and the read-only one
+// (Infer, infer.go, on a Scratch's memo) resolve a view's edges through
+// one function and fold them with one addMulVec, bit-equal to
+// reference_test.go's dense pass.
 package gcn
 
 import (
@@ -115,15 +116,14 @@ type GCN struct {
 // buffers the (single-goroutine) GCN reuses: vertex v's row of layer l is
 // hs[(l·n+v)·m:][:m], its message into layer l+1 msgs[(l·n+v)·m:][:m].
 type tape struct {
-	tbl    *EdgeTable   // the view's edges, as edges resolved them ...
-	off, n int          // ... and its window [off, off+n)
-	pk     []*packedMat // per table edge: tbl's own, or packed for this call
-	flat   EdgeTable    // tbl, for a view that brought no table
-	feats  tensor.Vec   // n·2m: φ(v)
-	nz     []int32      // h0Into's index buffer
-	hs     tensor.Vec   // (layers+1)·n·m
-	msgs   tensor.Vec   // layers·n·m
-	grad   tensor.Vec   // Backward's: two n·m gradient planes, then dpre, dmsg and one product
+	tbl    *EdgeTable // the view's edges, as edges resolved them ...
+	off, n int        // ... and its window [off, off+n)
+	flat   EdgeTable  // tbl, for a view that brought no table
+	feats  tensor.Vec // n·2m: φ(v)
+	nz     []int32    // h0Into's index buffer
+	hs     tensor.Vec // (layers+1)·n·m
+	msgs   tensor.Vec // layers·n·m
+	grad   tensor.Vec // Backward's: two n·m gradient planes, then dpre, dmsg and one product
 }
 
 // New returns a GCN with the given number of message-passing layers for
@@ -172,13 +172,7 @@ func (g *GCN) Params() []*nn.Param {
 func (g *GCN) Forward(view View) []tensor.Vec {
 	n, m, tp := view.N(), g.m, &g.tape
 	tbl, off := edges(view, &tp.flat)
-	tp.tbl, tp.off, tp.n, tp.pk = tbl, off, n, tbl.packed
-	if tp.pk == nil {
-		tp.pk = make([]*packedMat, len(tbl.Mat))
-		for e := tbl.Start[off]; int(e) < len(tbl.Mat); e++ {
-			tp.pk[e] = buildKernel(tbl.Mat[e])
-		}
-	}
+	tp.tbl, tp.off, tp.n = tbl, off, n
 	tp.feats, tp.hs, tp.msgs = grow(tp.feats, n*2*m), grow(tp.hs, (g.layers+1)*n*m), grow(tp.msgs, g.layers*n*m)
 	for v := 0; v < n; v++ {
 		tp.nz = g.h0Into(tp.hs[v*m:(v+1)*m], tp.feats[v*2*m:(v+1)*2*m], tp.nz[:0], view.Vec(v))
@@ -193,7 +187,7 @@ func (g *GCN) Forward(view View) []tensor.Vec {
 			for e := lo; e < hi; e++ {
 				u := int(tbl.Nbr[e]) - off
 				checkShape(tbl.Mat[e], m)
-				tp.pk[e].addMulVec(msg, prev[u*m:(u+1)*m])
+				tbl.packed[e].addMulVec(msg, prev[u*m:(u+1)*m])
 			}
 			if hi > lo {
 				msg.Scale(1 / float64(hi-lo))
@@ -268,7 +262,7 @@ func (g *GCN) Backward(_ View, dH []tensor.Vec) {
 					r++
 				}
 				prod.Zero()
-				tp.pk[r].addMulVec(prod, dmsg)
+				tbl.packed[r].addMulVec(prod, dmsg)
 				next[(u-off)*m:(u-off+1)*m].AddScaled(scale, prod)
 			}
 		}

@@ -2,9 +2,12 @@ package gcn
 
 // The packed edge-matrix kernels both passes fold, and read-only GCN
 // inference. Infer embeds a view exactly like Forward but through a
-// caller-owned memo, without touching Forward's tape. Its contract is
+// caller-owned memo of whole rows — two maps, h⁰ rows by cost-vector
+// content and layer rows by their inputs' ids, behind a game table's
+// per-vertex slots — without touching Forward's tape. Its contract is
 // bit-identity: every hidden element is produced by the same
-// floating-point operations, in the same order, as Forward.
+// floating-point operations, in the same order, as Forward; a row the
+// memo does not hold is computed by the very fold Forward runs.
 //
 // Two IEEE-754 facts make the kernel specializations exact rather than
 // approximate:
@@ -19,7 +22,7 @@ package gcn
 //     kernels win their time back.
 //
 //   - Power-of-two factoring. The infinity stand-in infFeature is 2.0,
-//     so a "binary" matrix row contributes Σ 2·h[j] = 2·Σ h[j]:
+//     so a "binary" matrix row adds Σ 2·h[j] = 2·Σ h[j]:
 //     multiplication by a power of two is exact and commutes with
 //     rounding, making the factored sum bit-identical to the unfactored
 //     fold.
@@ -28,14 +31,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/tensor"
 )
 
-// matKernel kinds, from cheapest to most general.
+// packedMat kinds, from cheapest to most general.
 const (
-	kZero   = iota // every entry exactly 0: the edge contributes nothing
+	kZero   = iota // every entry exactly 0: the edge adds nothing
 	kBinary        // entries ∈ {0, infFeature}: factored index sums
 	kSparse        // mostly zero: (index, value) pairs in row-major order
 	kDense         // dense fallback: plain row folds
@@ -48,25 +52,21 @@ const (
 // over the game, its snapshots and their decoded copies fold that form.
 type packedMat struct {
 	kind     int
+	id       uint64 // what a row-memo key names the matrix by
 	mat      *tensor.Mat
 	rowStart []int32 // len R+1; nonzero ranges per row (kBinary, kSparse)
 	idx      []int32 // column indices, ascending within each row
 	val      []float64
 }
 
-// matKernel is one Scratch's half of a kernel: the identity its memo
-// keys name the matrix by, and the contributions it has computed.
-type matKernel struct {
-	*packedMat
-	id uint64 // never-reused identity for msg-cache keys
-	// contrib caches mat · row per canonical row, keyed by the row's
-	// base pointer (the key pins the row, so it can never be read
-	// against recycled memory). Living on the kernel keeps the key a
-	// single word — the map stays on the fast pointer-hash path.
-	contrib map[*float64]tensor.Vec
-}
+// kernelIDs numbers the packed matrices of the process. A table, and so
+// its kernels, is shared by every Scratch that evaluates its game (and
+// games are built on many goroutines), so the ids that name a matrix in
+// a row-memo key cannot come from any one Scratch's counter.
+var kernelIDs atomic.Uint64
 
-// buildKernel classifies m and packs its nonzero structure.
+// buildKernel classifies m, packs its nonzero structure and draws its
+// never-reused id.
 func buildKernel(m *tensor.Mat) *packedMat {
 	nz := 0
 	binary := true
@@ -80,7 +80,7 @@ func buildKernel(m *tensor.Mat) *packedMat {
 			}
 		}
 	}
-	k := &packedMat{mat: m}
+	k := &packedMat{mat: m, id: kernelIDs.Add(1)}
 	switch {
 	case nz == 0:
 		k.kind = kZero
@@ -167,30 +167,32 @@ func (k *packedMat) addMulVec(dst, x tensor.Vec) {
 // game is built. Colored vertices only ever leave from the front of
 // the coloring order, so each state of the game is the window of
 // vertices [off, n) onto the one table, and what Infer works out per
-// edge and per vertex lives in the table, where the next evaluation of
-// the same game finds it without building a key or probing a map.
-// What AddEdge builds is immutable, so a snapshot's table shares it.
+// vertex lives in the table, where the next evaluation of the same game
+// finds it without building a key or probing a map.
+//
+// Every edge enters a table through AddEdge, which packs its matrix:
+// Nbr, Mat and the packed forms stay parallel, and the passes reject a
+// table assembled any other way. What AddEdge builds is immutable, so a
+// snapshot's table shares it.
 type EdgeTable struct {
 	Start []int32       // len n+1: vertex u owns edges [Start[u], Start[u+1])
 	Nbr   []int32       // neighbor of each edge, ascending within a vertex
 	Mat   []*tensor.Mat // transformed matrix of each edge, rows = the owner's color
 
-	packed []*packedMat // Mat's packed forms, where AddEdge built the table; else nil
-	frozen bool         // a snapshot's table, one of many onto its game's slices: it takes no memo
+	packed []*packedMat // Mat's packed forms, edge for edge
+	frozen bool         // a snapshot's table, one of many onto its game's slices, or a flattened view's: it takes no slots
 
-	// The memo below is owner's, filled while its generation was gen; it
-	// makes a table, like the game it belongs to, single-goroutine.
-	// kern[e] is owner's kernel over edge e. The slots hold, per vertex, the
-	// inputs of the last evaluation and the rows that came out: the cost
-	// vector with its h⁰ row, and per layer the update's inputs with its
-	// output row. Successive leaves of a search differ in a handful of
-	// vertices, so most slots answer by comparing a few words. A slot
-	// pins its rows and names its inputs by never-reused ids, so it
-	// stays right when a memo map is evicted under it; only another
-	// owner, dropped kernels or changed weights (adopt) empty it.
+	// The slots below are owner's, filled while its generation was gen;
+	// they make a table, like the game it belongs to, single-goroutine.
+	// They hold, per vertex, the inputs of the last evaluation and the
+	// rows that came out: the cost vector with its h⁰ row, and per layer
+	// the update's inputs with its output row. Successive leaves of a
+	// search differ in a handful of vertices, so most slots answer by
+	// comparing a few words. A slot pins its rows and names its inputs by
+	// never-reused ids, so it stays right when a memo map is evicted
+	// under it; only another owner or changed weights (adopt) empty it.
 	owner *Scratch
 	gen   uint64
-	kern  []*matKernel
 	vecs  cost.Vector // n·m: the cost vector each vertex was last seen with ...
 	h0    []rowRef    // ... and its h⁰ row (id 0 = never seen)
 	lay   []layerSlots
@@ -198,7 +200,7 @@ type EdgeTable struct {
 
 // AddEdge appends an edge to nbr, with transformed matrix mat, to the
 // vertex under construction (the caller closes it by appending to
-// Start) and packs mat: the one place a table's matrix is classified.
+// Start) and packs mat: the one place a matrix is classified.
 func (t *EdgeTable) AddEdge(nbr int, mat *tensor.Mat) {
 	t.Nbr = append(t.Nbr, int32(nbr))
 	t.Mat = append(t.Mat, mat)
@@ -232,34 +234,40 @@ func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 }
 
 // edges resolves the directed edges of view for Infer and Forward alike:
-// a window onto an edge table brings them resolved; any other view is
-// flattened into flat through Nbrs and Mat, once per call.
+// a window onto an edge table brings them resolved and packed; any
+// other view is flattened into flat through Nbrs and Mat and packed,
+// once per call — a view that is evaluated more than once should bring
+// its table (NewGraphView builds one for a graph).
 func edges(view View, flat *EdgeTable) (tbl *EdgeTable, off int) {
 	if tv, ok := view.(TableView); ok {
-		return tv.EdgeTable()
+		tbl, off = tv.EdgeTable()
+		if len(tbl.packed) != len(tbl.Mat) {
+			//pbqpvet:ignore panicfree a table's exported slices were filled by hand: a caller bug, caught here rather than as an index panic inside the fold
+			panic(fmt.Sprintf("gcn: EdgeTable holds %d matrices but %d packed forms: every edge must enter a table through AddEdge", len(tbl.Mat), len(tbl.packed)))
+		}
+		return tbl, off
 	}
-	flat.Start, flat.Nbr, flat.Mat = flat.Start[:0], flat.Nbr[:0], flat.Mat[:0]
+	flat.Start, flat.Nbr, flat.Mat, flat.packed = flat.Start[:0], flat.Nbr[:0], flat.Mat[:0], flat.packed[:0]
+	flat.frozen = true
 	for v, n := 0, view.N(); v < n; v++ {
 		flat.Start = append(flat.Start, int32(len(flat.Nbr)))
 		for _, u := range view.Nbrs(v) {
-			flat.Nbr = append(flat.Nbr, int32(u))
-			flat.Mat = append(flat.Mat, view.Mat(v, u))
+			flat.AddEdge(u, view.Mat(v, u))
 		}
 	}
 	flat.Start = append(flat.Start, int32(len(flat.Nbr)))
 	return flat, 0
 }
 
-// adopt points the memo at sc, emptying it if it was filled from
-// another Scratch or before sc last dropped its kernels or was told its
-// network's weights changed.
+// adopt points the slots at sc, emptying them if they were filled from
+// another Scratch or before sc was last told its network's weights
+// changed.
 func (t *EdgeTable) adopt(sc *Scratch, m, layers int) {
 	if t.owner == sc && t.gen == sc.gen {
 		return
 	}
 	n := len(t.Start) - 1
 	t.owner, t.gen = sc, sc.gen
-	t.kern = make([]*matKernel, len(t.Mat))
 	t.vecs = make(cost.Vector, n*m)
 	t.h0 = make([]rowRef, n)
 	t.lay = make([]layerSlots, layers)
@@ -271,15 +279,14 @@ func (t *EdgeTable) adopt(sc *Scratch, m, layers int) {
 	}
 }
 
-// Cache bounds: kernels accumulate across episodes (graphs come and
-// go); h⁰, contribution, and row entries accumulate across a search.
-// Each map resets wholesale when it grows past its limit — resets cost
-// recomputation, never correctness, because every cache key pins its
-// referents or names them by never-reused ids (see the memoization
-// comment on Infer).
-type memoLimits struct{ kernels, h0, contrib, rows int }
+// Memo bounds: h⁰ and row entries accumulate across a search. Each map
+// resets wholesale when it grows past its limit — resets cost
+// recomputation, never correctness, because a key is either a row's
+// whole content or names its referents by never-reused ids (see the
+// memoization comment on Infer).
+type memoLimits struct{ h0, rows int }
 
-var defaultLimits = memoLimits{kernels: 8192, h0: 4096, contrib: 32768, rows: 16384}
+var defaultLimits = memoLimits{h0: 4096, rows: 16384}
 
 // rowRef is a canonical cached row plus its identity: ids are drawn
 // from a per-Scratch counter that never decreases and is never reused,
@@ -293,12 +300,11 @@ type rowRef struct {
 }
 
 // Scratch holds the reusable state of one Infer caller: the flattened
-// adjacency of a view that brings no edge table, the kernel cache for
-// edges outside a table whose memo it owns, and the content-addressed
-// memoization maps. A Scratch must not be shared between goroutines,
-// and it belongs to one network: after the network's weights change the
-// owner must call InvalidateWeights (net.PBQPNet does this on its
-// training-mode and weight-loading transitions).
+// adjacency of a view that brings no edge table and the two memo maps.
+// A Scratch must not be shared between goroutines, and it belongs to
+// one network: after the network's weights change the owner must call
+// InvalidateWeights (net.PBQPNet does this on its training-mode and
+// weight-loading transitions).
 type Scratch struct {
 	feat    tensor.Vec // one vertex's 2m-feature buffer
 	featNZ  []int32    // ascending nonzero feature indices
@@ -307,19 +313,17 @@ type Scratch struct {
 	rowsB   []rowRef
 	rowsOut []tensor.Vec // Infer's return slice, aliasing cached rows
 
-	flat EdgeTable // Start, Nbr, Mat of the current view when it is no TableView; kern of any view whose table takes no memo
+	flat EdgeTable // the current view's edges when it is no TableView
 
-	lim          memoLimits
-	kern         map[*tensor.Mat]*matKernel
-	gen          uint64 // bumped by dropKernels and InvalidateWeights; see EdgeTable
-	h0           map[string]rowRef
-	rows         map[string]rowRef // (layer, own row id, (kernel id, neighbor row id)…) → update output
-	contribCount int               // total entries across all kernels' contrib maps
-	nextID       uint64
-	key          []byte // key buffer (h0, rows)
+	lim    memoLimits
+	gen    uint64            // bumped by InvalidateWeights; see EdgeTable
+	h0     map[string]rowRef // cost vector bytes → h⁰ row
+	rows   map[string]rowRef // (layer, own row id, (kernel id, neighbor row id)…) → update output
+	nextID uint64
+	key    []byte // key buffer (h0, rows)
 }
 
-// newID returns a fresh never-reused row/kernel identity.
+// newID returns a fresh never-reused row identity.
 func (sc *Scratch) newID() uint64 {
 	sc.nextID++
 	return sc.nextID
@@ -327,19 +331,17 @@ func (sc *Scratch) newID() uint64 {
 
 // InvalidateWeights drops everything derived from network weights: the
 // h⁰ rows, the layer-update rows, and (by starting a new generation)
-// every edge table's slots. Kernels and edge contributions survive —
-// they depend only on the (immutable) edge matrices and on row
-// contents, not on weights.
+// every edge table's slots.
 func (sc *Scratch) InvalidateWeights() {
 	clear(sc.h0)
 	clear(sc.rows)
 	sc.gen++
 }
 
-// LimitMemosForTest bounds every memo map of sc at n entries, so that
+// LimitMemosForTest bounds both memo maps of sc at n entries, so that
 // a test's walk evicts each of them many times over. Test-only.
 func (sc *Scratch) LimitMemosForTest(n int) {
-	sc.lim = memoLimits{kernels: n, h0: n, contrib: n, rows: n}
+	sc.lim = memoLimits{h0: n, rows: n}
 }
 
 // grow returns buf, or a longer buffer, with length n and any contents.
@@ -359,29 +361,16 @@ func (sc *Scratch) ensure(m, n int) {
 		sc.key = make([]byte, 0, 8*m)
 	}
 	if cap(sc.rowsA) < n {
-		sc.rowsA = make([]rowRef, n)
-		sc.rowsB = make([]rowRef, n)
-		sc.rowsOut = make([]tensor.Vec, n)
-	} else {
-		sc.rowsA, sc.rowsB = sc.rowsA[:n], sc.rowsB[:n]
-		sc.rowsOut = sc.rowsOut[:n]
+		sc.rowsA, sc.rowsB, sc.rowsOut = make([]rowRef, n), make([]rowRef, n), make([]tensor.Vec, n)
 	}
-	if sc.kern == nil {
-		sc.kern = make(map[*tensor.Mat]*matKernel)
+	sc.rowsA, sc.rowsB, sc.rowsOut = sc.rowsA[:n], sc.rowsB[:n], sc.rowsOut[:n]
+	if sc.h0 == nil {
 		sc.h0 = make(map[string]rowRef)
 		sc.rows = make(map[string]rowRef)
 		if sc.lim == (memoLimits{}) {
 			sc.lim = defaultLimits
 		}
 	}
-}
-
-// dropKernels empties the kernel cache (and with it every per-kernel
-// contribution cache) and starts a new generation, so edge tables
-// holding kernels of the old one resolve theirs afresh.
-func (sc *Scratch) dropKernels() {
-	clear(sc.kern)
-	sc.gen++
 }
 
 // checkVec rejects a cost vector that is not m long with the message
@@ -407,62 +396,32 @@ func checkShape(mat *tensor.Mat, m int) {
 	}
 }
 
-// kernel returns sc's kernel over edge e of tbl. In a table whose memo
-// sc owns it wraps the table's packed matrix and lives in the table;
-// elsewhere it lives in the pointer-keyed cache (the key pins the
-// matrix, so a cached pointer is never recycled to another), and only a
-// matrix nobody packed is scanned here.
-func (sc *Scratch) kernel(tbl *EdgeTable, e int32, m int) *matKernel {
-	mat := tbl.Mat[e]
-	checkShape(mat, m)
-	var pk *packedMat
-	if tbl.packed != nil {
-		pk = tbl.packed[e]
-	}
-	if pk != nil && tbl.owner == sc {
-		return &matKernel{packedMat: pk, id: sc.newID()}
-	}
-	if k, ok := sc.kern[mat]; ok {
-		return k
-	}
-	if len(sc.kern) >= sc.lim.kernels {
-		sc.dropKernels()
-	}
-	if pk == nil {
-		//pbqpvet:ignore hotalloc kernel build on first sight of an edge matrix; amortized across every later evaluation of its graph
-		pk = buildKernel(mat)
-	}
-	k := &matKernel{packedMat: pk, id: sc.newID()}
-	sc.kern[mat] = k
-	return k
-}
-
 // Infer embeds every active vertex of view, bit-identically to Forward
-// but read-only and through sc's caches. The returned vectors alias
-// sc's caches and stay valid until the next Infer on the same Scratch;
+// but read-only and through sc's memo. The returned vectors alias the
+// memo's rows and stay valid until the next Infer on the same Scratch;
 // callers consume them (net pools them into a fixed vector) before
 // re-entering, and must never write into them.
 //
-// Beyond the sparse kernels, Infer memoizes the whole message pass on
-// canonical rows. Every hidden row a layer consumes is a stable cached
-// vector with a never-reused id — h⁰ rows come from the
-// content-addressed h0 map, later rows from the row memo — so a
-// (kernel, row) pair names an edge contribution, and a layer with a
-// vertex's own row id and its (kernel id, row id) edge list names the
-// vertex's whole update — per-edge mat·vec adds, the mean (its divisor
-// is the list's length) and the tanh layer — computed once and
-// replayed by one key build and one map probe. Where the view is a
-// window onto a game's edge table, the table's per-vertex slots sit in
-// front of both maps: a vertex whose cost vector, or whose own and
-// neighbor row ids, are what they were at the last evaluation of the
-// game takes its row from the slot and touches no map at all.
-// Replaying a cached value is exact, not approximate: each cached
-// vector was produced by the identical floating-point fold the scalar
-// path would run, and substituting a row for another with identical
-// bits cannot change any downstream operation. Pointer-keyed maps pin
-// their referents, and id-composed keys can only go stale towards
-// misses (ids are never reused), so an entry can never be read against
-// recycled memory; evicting any one map merely forces recomputation.
+// Infer memoizes whole rows, in two maps. Every hidden row a layer
+// consumes is a stable vector with a never-reused id — h⁰ rows come
+// from the h0 map, keyed by the cost vector's bytes, so equal vectors
+// on different vertices share one row and one id; later rows from the
+// row memo — and every packed matrix has a never-reused id of its own,
+// so a layer with a vertex's own row id and its (kernel id, row id)
+// edge list names the vertex's whole update — per-edge mat·vec adds,
+// the mean (its divisor is the list's length) and the tanh layer —
+// computed once, by the fold Forward runs, and replayed by one key
+// build and one map probe, for a live game, its snapshots and their
+// decoded copies alike. Where the view is a window onto a live table,
+// the table's per-vertex slots sit in front of both maps: a vertex
+// whose cost vector, or whose own and neighbor row ids, are what they
+// were at the last evaluation of the game takes its row from the slot
+// and touches no map at all. Replaying a memoized row is exact, not
+// approximate: it was produced by the identical floating-point fold,
+// and substituting a row for another with identical bits cannot change
+// any downstream operation. Id-composed keys can only go stale towards
+// misses (ids are never reused), so evicting either map merely forces
+// recomputation.
 //
 //pbqpvet:hotpath
 func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
@@ -470,33 +429,20 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	m := g.m
 	sc.ensure(m, n)
 
-	// A live game's table takes sc's memo, kernels included. A flattened
-	// view has no table and a snapshot's is one of many onto its game:
-	// their kernels are looked up per call, by matrix pointer.
+	// A live table takes sc's slots. A snapshot's is one of many onto its
+	// game and a flattened view's is rebuilt per call: they go to the maps.
 	tbl, off := edges(view, &sc.flat)
-	var kern []*matKernel
-	if tbl == &sc.flat || tbl.frozen {
-		if cap(sc.flat.kern) < len(tbl.Nbr) {
-			sc.flat.kern = make([]*matKernel, len(tbl.Nbr))
-		}
-		kern = sc.flat.kern[:len(tbl.Nbr)]
-		clear(kern)
-	} else {
+	if !tbl.frozen {
 		tbl.adopt(sc, m, g.layers)
-		kern = tbl.kern
 	}
 
-	// h⁰ = tanh(W_in·φ(v) + b_in), content-cached by cost-vector bytes:
-	// across the leaves of one search most vertices carry unchanged
-	// vectors, so the squash + mat-vec + tanh runs once per distinct
-	// vector instead of once per vertex per evaluation.
 	cur, nxt := sc.rowsA, sc.rowsB
 	for v := 0; v < n; v++ {
 		cur[v] = sc.h0Row(g, view.Vec(v), tbl, off+v)
 	}
 	for l := 0; l < g.layers; l++ {
 		for v := 0; v < n; v++ {
-			nxt[v] = sc.layerRow(g, l, tbl, kern, off, v, cur)
+			nxt[v] = sc.layerRow(g, l, tbl, off, v, cur)
 		}
 		cur, nxt = nxt, cur
 	}
@@ -510,7 +456,7 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 // window of tbl at off, given the layer's input rows cur: from the
 // vertex's slot if its inputs are the slot's, else from the row memo,
 // else computed.
-func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, kern []*matKernel, off, v int, cur []rowRef) rowRef {
+func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []rowRef) rowRef {
 	u, self := off+v, cur[v]
 	lo, hi := tbl.From(u, off)
 	var slot *layerSlots
@@ -532,20 +478,17 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, kern []*matKernel, of
 	key := append(sc.key[:0], byte(l))
 	key = binary.LittleEndian.AppendUint64(key, self.id)
 	for e := lo; e < hi; e++ {
-		if kern[e] == nil {
-			kern[e] = sc.kernel(tbl, e, g.m)
-		}
 		id := cur[int(tbl.Nbr[e])-off].id
 		if slot != nil {
 			slot.nbr[e] = id
 		}
-		key = binary.LittleEndian.AppendUint64(key, kern[e].id)
+		key = binary.LittleEndian.AppendUint64(key, tbl.packed[e].id)
 		key = binary.LittleEndian.AppendUint64(key, id)
 	}
 	sc.key = key
 	out, ok := sc.rows[string(key)]
 	if !ok {
-		out = sc.updateRow(g, l, tbl, kern, off, lo, hi, self.vec, cur)
+		out = sc.updateRow(g, l, tbl, off, lo, hi, self.vec, cur)
 	}
 	if slot != nil {
 		slot.lo[u], slot.self[u], slot.out[u] = lo, self.id, out
@@ -634,41 +577,15 @@ func (g *GCN) h0Into(dst, feat tensor.Vec, nz []int32, vec cost.Vector) []int32 
 	return nz
 }
 
-// contribution returns k.mat · x as a cached vector. x must be a
-// canonical cached row so its pointer names its contents.
-func (sc *Scratch) contribution(k *matKernel, x tensor.Vec) tensor.Vec {
-	if c, ok := k.contrib[&x[0]]; ok {
-		return c
-	}
-	if sc.contribCount >= sc.lim.contrib {
-		// Dropping the kernel map releases every per-kernel contribution
-		// cache at once; kernels rebuild on first sight like any miss.
-		sc.dropKernels()
-		sc.contribCount = 0
-	}
-	if k.contrib == nil {
-		k.contrib = make(map[*float64]tensor.Vec)
-	}
-	//pbqpvet:ignore hotalloc contribution cache fill on first sight of a (kernel, row) pair; later message passes hit the cache
-	c := make(tensor.Vec, len(x))
-	k.addMulVec(c, x)
-	k.contrib[&x[0]] = c
-	sc.contribCount++
-	return c
-}
-
-// updateRow computes one vertex's layer output the slow way and caches
-// it under the key sc.key holds. The message is the per-edge cached
-// contributions of edges [lo, hi) folded in neighbor order, then the
-// mean; adding each whole contribution vector equals the kernel's
-// selective per-row adds because a skipped row's entry is exactly +0.0
-// and the accumulator can never be -0.0 (see the package comment). The
-// row is layerInto's, as Forward's is.
-func (sc *Scratch) updateRow(g *GCN, l int, tbl *EdgeTable, kern []*matKernel, off int, lo, hi int32, hv tensor.Vec, cur []rowRef) rowRef {
+// updateRow computes one vertex's layer output exactly as Forward does
+// — edges [lo, hi) folded into the message in neighbor order, then the
+// mean, then layerInto — and caches it under the key sc.key holds.
+func (sc *Scratch) updateRow(g *GCN, l int, tbl *EdgeTable, off int, lo, hi int32, hv tensor.Vec, cur []rowRef) rowRef {
 	m, mv := g.m, sc.mrow
 	mv.Zero()
 	for e := lo; e < hi; e++ {
-		mv.AddInPlace(sc.contribution(kern[e], cur[int(tbl.Nbr[e])-off].vec))
+		checkShape(tbl.Mat[e], m)
+		tbl.packed[e].addMulVec(mv, cur[int(tbl.Nbr[e])-off].vec)
 	}
 	if cnt := hi - lo; cnt > 0 {
 		mv.Scale(1 / float64(cnt))

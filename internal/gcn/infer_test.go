@@ -94,7 +94,7 @@ func TestKernelAddMulVecBitIdentical(t *testing.T) {
 // TestInferBitIdenticalToForward is the engine's core contract: Infer
 // equals Forward bit for bit, across mixed finite/infinite graphs,
 // zero/infinity graphs, every n mod 4 residue, and repeated calls on
-// one Scratch so the kernel and h⁰ cache hit paths are exercised.
+// one Scratch so the slot and memo hit paths are exercised.
 func TestInferBitIdenticalToForward(t *testing.T) {
 	sc := &Scratch{}
 	views := []View{
@@ -177,9 +177,8 @@ type windowView struct {
 func newWindowView(gv *GraphView) *windowView {
 	tbl := &EdgeTable{Start: make([]int32, gv.N()+1)}
 	for v := 0; v < gv.N(); v++ {
-		for _, u := range gv.nbrs[v] {
-			tbl.Nbr = append(tbl.Nbr, int32(u))
-			tbl.Mat = append(tbl.Mat, gv.mats[v][u])
+		for _, u := range gv.Nbrs(v) {
+			tbl.AddEdge(u, gv.Mat(v, u))
 		}
 		tbl.Start[v+1] = int32(len(tbl.Nbr))
 	}
@@ -206,8 +205,9 @@ func (w *windowView) Mat(i, j int) *tensor.Mat { return w.GraphView.Mat(w.off+i,
 // path over every window of a graph, against Forward reading the same
 // window through Nbrs/Mat. The table's memo must survive what can
 // happen to it between evaluations: a second Scratch taking it over,
-// its own Scratch dropping the kernel cache, the window moving back as
-// well as forward (Undo), and cost vectors changing under its slots.
+// its own Scratch being told the weights changed, the window moving
+// back as well as forward (Undo), and cost vectors changing under its
+// slots.
 func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 	g := New(rand.New(rand.NewSource(81)), 6, 2)
 	w := newWindowView(zeroInfView(82, 15, 6).(*GraphView))
@@ -228,8 +228,8 @@ func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 		check(a, "first scratch")
 		check(b, "second scratch")
 		check(a, "first scratch again")
-		a.dropKernels()
-		check(a, "after dropping kernels")
+		a.InvalidateWeights()
+		check(a, "after invalidating weights")
 	}
 	// one scratch keeps the table: its slots now answer, and each was
 	// filled for another window than the one that asks
@@ -249,10 +249,5 @@ func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 	check(a, "whole graph")
 	if w.tbl.owner != a || w.tbl.gen != a.gen {
 		t.Error("the table's memo does not follow the scratch that last used it")
-	}
-	for e, k := range w.tbl.kern {
-		if k == nil || a.kern[w.tbl.Mat[e]] != k {
-			t.Fatalf("edge %d does not memoize the kernel its scratch caches", e)
-		}
 	}
 }

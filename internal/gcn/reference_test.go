@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pbqprl/internal/ate"
@@ -313,7 +314,7 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 	}
 
 	// finite costs: every kernel kind, an edgeless vertex, through the
-	// game's table, through GraphView's maps, and after a wire round trip
+	// game's table, through GraphView's, and after a wire round trip
 	g := mixedGraph(21, 17, m)
 	o.sample("mixed GraphView", gcn.NewGraphView(g))
 	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
@@ -387,6 +388,60 @@ func TestTapeMismatchedShapesPanicLikeDensePass(t *testing.T) {
 			if got := panicOf(func() { g.Forward(view) }); got != want {
 				t.Errorf("%s view %+v: Forward panics with %q, the dense pass with %q", name, v, got, want)
 			}
+		}
+	}
+}
+
+// handTable is a view over a table whose exported slices were filled in
+// directly.
+type handTable struct {
+	gcn.View
+	tbl *gcn.EdgeTable
+}
+
+func (v handTable) EdgeTable() (*gcn.EdgeTable, int) { return v.tbl, 0 }
+
+// TestEveryTableIsBuiltByAddEdge: each constructor of a table view in
+// the tree — game.New, its snapshots, selfplay's thawSample and
+// NewGraphView — packs every matrix it holds, and both passes reject a
+// table assembled around AddEdge with a message that names it.
+func TestEveryTableIsBuiltByAddEdge(t *testing.T) {
+	const m = 13
+	g := mixedGraph(31, 12, m)
+	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
+	playSome(st, 3)
+	snap := st.Snapshot()
+	wire, err := selfplay.EncodeSamples([]selfplay.Sample{{View: snap, Pi: make(tensor.Vec, m)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed, err := selfplay.DecodeSamples(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gv := gcn.NewGraphView(g)
+	for name, view := range map[string]gcn.View{
+		"game.New": st.View(), "Snapshot": snap, "thawSample": thawed[0].View, "NewGraphView": gv,
+	} {
+		tv, ok := view.(gcn.TableView)
+		if !ok {
+			t.Errorf("%s: the view brings no edge table", name)
+			continue
+		}
+		if tbl, _ := tv.EdgeTable(); len(tbl.Mat) == 0 || !tbl.BuiltByAddEdge() {
+			t.Errorf("%s: %d matrices, not all packed beside them", name, len(tbl.Mat))
+		}
+	}
+
+	built, _ := gv.EdgeTable()
+	hand := handTable{View: gv, tbl: &gcn.EdgeTable{Start: built.Start, Nbr: built.Nbr, Mat: built.Mat}}
+	net := gcn.New(rand.New(rand.NewSource(3)), m, 2)
+	for name, pass := range map[string]func(){
+		"Forward": func() { net.Forward(hand) },
+		"Infer":   func() { net.Infer(hand, &gcn.Scratch{}) },
+	} {
+		if msg := panicOf(pass); !strings.Contains(msg, "AddEdge") {
+			t.Errorf("%s over a hand-assembled table: panic %q does not name AddEdge", name, msg)
 		}
 	}
 }

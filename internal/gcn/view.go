@@ -7,13 +7,12 @@ import (
 )
 
 // GraphView adapts a pbqp.Graph (its alive vertices, compacted to
-// [0, N)) to the View interface, caching transformed edge matrices.
+// [0, N)) to the View interface: a TableView over the whole of an edge
+// table of its own, built, transformed and packed once.
 type GraphView struct {
-	g    *pbqp.Graph
-	ids  []int       // active index -> graph vertex
-	pos  map[int]int // graph vertex -> active index
-	nbrs [][]int
-	mats []map[int]*tensor.Mat
+	g   *pbqp.Graph
+	ids []int // active index -> graph vertex
+	tbl EdgeTable
 }
 
 // NewGraphView builds a View over the alive vertices of g. The view
@@ -21,40 +20,27 @@ type GraphView struct {
 // structural changes (edge or vertex removal) are not.
 func NewGraphView(g *pbqp.Graph) *GraphView {
 	ids := g.Vertices()
-	pos := make(map[int]int, len(ids))
+	pos := make(map[int]int, len(ids)) // graph vertex -> active index
 	for i, u := range ids {
 		pos[u] = i
 	}
-	v := &GraphView{
-		g: g, ids: ids, pos: pos,
-		nbrs: make([][]int, len(ids)),
-		mats: make([]map[int]*tensor.Mat, len(ids)),
-	}
-	for i, u := range ids {
-		v.mats[i] = make(map[int]*tensor.Mat)
+	v := &GraphView{g: g, ids: ids}
+	v.tbl.Start = make([]int32, 1, len(ids)+1)
+	for _, u := range ids {
 		for _, w := range g.Neighbors(u) {
-			j := pos[w]
-			v.nbrs[i] = append(v.nbrs[i], j)
-			v.mats[i][j] = TransformMatrix(g.EdgeCost(u, w))
+			v.tbl.AddEdge(pos[w], TransformMatrix(g.EdgeCost(u, w)))
 		}
+		v.tbl.Start = append(v.tbl.Start, int32(len(v.tbl.Nbr)))
 	}
 	return v
 }
 
-// N implements View.
-func (v *GraphView) N() int { return len(v.ids) }
-
-// M implements View.
-func (v *GraphView) M() int { return v.g.M() }
-
-// Vec implements View.
-func (v *GraphView) Vec(i int) cost.Vector { return v.g.VertexCost(v.ids[i]) }
-
-// Nbrs implements View.
-func (v *GraphView) Nbrs(i int) []int { return v.nbrs[i] }
-
-// Mat implements View.
-func (v *GraphView) Mat(i, j int) *tensor.Mat { return v.mats[i][j] }
+func (v *GraphView) N() int                       { return len(v.ids) }
+func (v *GraphView) M() int                       { return v.g.M() }
+func (v *GraphView) Vec(i int) cost.Vector        { return v.g.VertexCost(v.ids[i]) }
+func (v *GraphView) Nbrs(i int) []int             { return v.tbl.WindowNbrs(i, 0) }
+func (v *GraphView) Mat(i, j int) *tensor.Mat     { return v.tbl.MatOf(i, j) }
+func (v *GraphView) EdgeTable() (*EdgeTable, int) { return &v.tbl, 0 }
 
 // WindowNbrs returns, window-relative, table vertex u's neighbors at or
 // after off: a TableView's Nbrs, for encoders and tests (it allocates).
@@ -78,7 +64,7 @@ func (t *EdgeTable) MatOf(u, w int) *tensor.Mat {
 // FrozenView is an immutable TableView, what a replay buffer holds: its
 // own copy of a window's cost vectors, in one allocation, over the
 // immutable slices of the table it was taken from — a game's, or a
-// decoded sample's own small one. Its table takes no memo.
+// decoded sample's own small one. Its table takes no slots.
 type FrozenView struct {
 	tbl    EdgeTable
 	off, m int

@@ -3,7 +3,7 @@ package net
 // Read-only evaluation: Evaluate and EvaluateInto. The engine runs the
 // same computation as the trainable pass — GCN embedding, pooling,
 // torso, heads (Forward), then the masked softmax — through the
-// read-only inference paths (gcn.Infer, nn.InferBatch) and reusable
+// read-only inference paths (gcn.Infer, nn.Infer) and reusable
 // scratch buffers. Its contract is bit-identity: a view's (prior,
 // value) is bit-for-bit what Forward(view) followed by
 // nn.Softmax(logits, Mask(view)) gives, whatever was evaluated before
@@ -25,7 +25,7 @@ import (
 type engine struct {
 	gsc    gcn.Scratch
 	isc    nn.InferScratch
-	pooled *tensor.Mat // 1 × (2m+2) torso input
+	pooled tensor.Vec // the 2m+2 torso input
 	mask   []bool
 }
 
@@ -38,10 +38,10 @@ func (p *PBQPNet) invalidateEngine() { p.eng.gsc.InvalidateWeights() }
 //pbqpvet:hotpath
 func (p *PBQPNet) inferHeads(view gcn.View) (logits tensor.Vec, value float64) {
 	e := &p.eng
-	poolInto(e.pooled.Row(0), view, p.gcn.Infer(view, &e.gsc))
+	poolInto(e.pooled, view, p.gcn.Infer(view, &e.gsc))
 	e.isc.Reset()
-	t := nn.InferBatch(p.torso, e.pooled, &e.isc)
-	return nn.InferBatch(p.policy, t, &e.isc).Row(0), nn.InferBatch(p.value, t, &e.isc).At(0, 0)
+	t := nn.Infer(p.torso, e.pooled, &e.isc)
+	return nn.Infer(p.policy, t, &e.isc), nn.Infer(p.value, t, &e.isc)[0]
 }
 
 // EvaluateInto is Evaluate writing the prior into a caller-provided

@@ -96,7 +96,7 @@ func New(cfg Config) *PBQPNet {
 		policy: nn.NewDense(rng, cfg.Hidden, m),
 		value:  nn.NewSequential(nn.NewDense(rng, cfg.Hidden, 1), &nn.Tanh{}),
 		dRows:  tensor.NewVec(2 * m),
-		eng:    engine{pooled: tensor.NewMat(1, in), mask: make([]bool, m)},
+		eng:    engine{pooled: tensor.NewVec(in), mask: make([]bool, m)},
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"pbqprl/internal/ate"
+	"pbqprl/internal/cost"
 	"pbqprl/internal/game"
+	"pbqprl/internal/gcn"
 	"pbqprl/internal/tensor"
 )
 
@@ -103,6 +105,63 @@ func TestSlotsEvictedMaps(t *testing.T) {
 		p := slotNet(2, 147)
 		p.eng.gsc.LimitMemosForTest(limit)
 		walk(t, fmt.Sprintf("memo limit %d", limit), 500, 148, []*game.State{ateGame(1)}, p)
+	}
+}
+
+// thaw rebuilds view over a table of its own the way selfplay's
+// thawSample does (which this package cannot import).
+func thaw(view gcn.View) gcn.View {
+	tbl := &gcn.EdgeTable{Start: []int32{0}}
+	var vecs []cost.Vector
+	for i := 0; i < view.N(); i++ {
+		vecs = append(vecs, view.Vec(i))
+		for _, j := range view.Nbrs(i) {
+			tbl.AddEdge(j, view.Mat(i, j))
+		}
+		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
+	}
+	return gcn.NewFrozenView(tbl, 0, view.M(), vecs)
+}
+
+// TestOneScratchEveryKindOfView: a live game, snapshots of it from
+// earlier turns, a thawed copy of one of them and a GraphView of the
+// same graph share one engine, whose two maps are bounded at 16 entries
+// and so evicted many times over, in random interleaving across a
+// Play/Undo walk. The snapshots and the live table hold the same
+// kernels (one row memo serves both), the thawed copy kernels of its
+// own over the same matrices, and only the live table and the
+// GraphView take slots.
+func TestOneScratchEveryKindOfView(t *testing.T) {
+	p := slotNet(2, 155)
+	p.eng.gsc.LimitMemosForTest(16)
+	ref := p.Clone()
+	st := ateGame(1)
+	views := []gcn.View{gcn.NewGraphView(ate.Suite()[0].Graph)}
+	names := []string{"GraphView"}
+	rng := rand.New(rand.NewSource(156))
+	prior := make(tensor.Vec, 13)
+	for step := 0; step < 1500; step++ {
+		randomStep(st, rng)
+		if st.Done() {
+			continue
+		}
+		if step%100 == 0 {
+			snap := st.Snapshot()
+			views, names = append(views, snap), append(names, fmt.Sprintf("snapshot of turn %d", st.Turn()))
+			if step == 300 {
+				views, names = append(views, thaw(snap)), append(names, fmt.Sprintf("thawed snapshot of turn %d", st.Turn()))
+			}
+		}
+		view, name := st.View(), "live view"
+		if k := rng.Intn(2 * len(views)); k < len(views) {
+			view, name = views[k], names[k]
+		}
+		wantPrior, wantValue := scalarEvaluate(ref, view)
+		value := p.EvaluateInto(view, prior)
+		sameBits(t, fmt.Sprintf("step %d, game at turn %d, %s", step, st.Turn(), name), prior, wantPrior, value, wantValue)
+	}
+	if len(views) < 10 {
+		t.Fatalf("the walk took only %d views beside the live one", len(views))
 	}
 }
 

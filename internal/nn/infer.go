@@ -1,14 +1,13 @@
 package nn
 
-// Read-only batched inference. InferBatch walks a module tree built
-// from this package's concrete types and evaluates a whole batch of
-// input rows in one pass per layer, without touching the activation
-// caches that Forward keeps for Backward and without updating
-// BatchNorm statistics. Every output element is computed by exactly
-// the operations (in the same order) the scalar Forward performs on
-// that row, so InferBatch is bit-identical to row-by-row Forward in
-// inference mode. Buffers come from an InferScratch arena owned by the
-// caller; the steady-state pass allocates nothing.
+// Read-only inference. Infer walks a module tree built from this
+// package's concrete types and evaluates one input vector, without
+// touching the activation caches that Forward keeps for Backward and
+// without updating BatchNorm statistics. Every output element is
+// computed by exactly the operations (in the same order) Forward
+// performs, so Infer is bit-identical to Forward in inference mode.
+// Buffers come from an InferScratch arena owned by the caller; the
+// steady-state pass allocates nothing.
 
 import (
 	"math"
@@ -16,108 +15,93 @@ import (
 	"pbqprl/internal/tensor"
 )
 
-// InferScratch is the buffer arena of one InferBatch caller. A scratch
-// must not be shared between goroutines; layers take buffers from it
-// in deterministic walk order, so after the first call on a given
+// InferScratch is the buffer arena of one Infer caller. A scratch must
+// not be shared between goroutines; layers take buffers from it in
+// deterministic walk order, so after the first call on a given
 // architecture every take is a reuse.
 type InferScratch struct {
-	bufs []*tensor.Mat
+	bufs []tensor.Vec
 	next int
 }
 
-// Reset rewinds the arena; the next InferBatch call reuses the buffers
-// from the start. Callers reset once per batch.
+// Reset rewinds the arena; the next Infer call reuses the buffers from
+// the start. Callers reset once per evaluation.
 func (sc *InferScratch) Reset() { sc.next = 0 }
 
-// take returns the next arena buffer resized to r×c, reusing its
-// backing array whenever the capacity suffices.
-func (sc *InferScratch) take(r, c int) *tensor.Mat {
-	if sc.next < len(sc.bufs) {
-		m := sc.bufs[sc.next]
-		sc.next++
-		if cap(m.W) >= r*c {
-			m.W = m.W[:r*c]
-			m.R, m.C = r, c
-			return m
-		}
-		//pbqpvet:ignore hotalloc arena growth on first sight of a larger batch; steady state reuses the buffer
-		m.W = tensor.NewVec(r * c)
-		m.R, m.C = r, c
-		return m
+// take returns the next arena buffer at length n, reusing its backing
+// array whenever the capacity suffices.
+func (sc *InferScratch) take(n int) tensor.Vec {
+	if sc.next == len(sc.bufs) {
+		sc.bufs = append(sc.bufs, nil)
 	}
-	//pbqpvet:ignore hotalloc arena growth on the first pass over a new architecture; steady state reuses the buffer
-	m := tensor.NewMat(r, c)
-	sc.bufs = append(sc.bufs, m)
+	if cap(sc.bufs[sc.next]) < n {
+		//pbqpvet:ignore hotalloc arena growth on the first pass over a new architecture; steady state reuses the buffer
+		sc.bufs[sc.next] = tensor.NewVec(n)
+	}
 	sc.next++
-	return m
+	return sc.bufs[sc.next-1][:n]
 }
 
-// InferBatch evaluates mod on every row of x (batch × in) and returns
-// the batch × out result in an arena buffer, valid until the next
-// Reset. The module tree is read-only during the walk: activation
-// caches stay untouched and BatchNorm uses its frozen statistics. It
-// panics on a module type it does not know or on a BatchNorm left in
-// training mode — evaluating through the batched path while statistics
-// are being updated would silently diverge from the scalar path.
+// Infer evaluates mod on x and returns the result in an arena buffer,
+// valid until the next Reset. The module tree is read-only during the
+// walk: activation caches stay untouched and BatchNorm uses its frozen
+// statistics. It panics on a module type it does not know or on a
+// BatchNorm left in training mode — evaluating through the read-only
+// path while statistics are being updated would silently diverge from
+// Forward.
 //
 //pbqpvet:hotpath
-func InferBatch(mod Module, x *tensor.Mat, sc *InferScratch) *tensor.Mat {
+func Infer(mod Module, x tensor.Vec, sc *InferScratch) tensor.Vec {
 	switch m := mod.(type) {
 	case *Dense:
-		w := &tensor.Mat{R: m.Out, C: m.In, W: m.w.W}
-		out := sc.take(x.R, m.Out)
-		tensor.MatMulTInto(out, x, w)
-		for r := 0; r < out.R; r++ {
-			out.Row(r).AddInPlace(m.b.W)
-		}
+		w := tensor.Mat{R: m.Out, C: m.In, W: m.w.W}
+		out := sc.take(m.Out)
+		w.MulVecInto(out, x)
+		out.AddInPlace(m.b.W)
 		return out
 	case *ReLU:
-		out := sc.take(x.R, x.C)
-		for i, v := range x.W {
+		out := sc.take(len(x))
+		for i, v := range x {
 			if v < 0 {
-				out.W[i] = 0
+				out[i] = 0
 			} else {
-				out.W[i] = v
+				out[i] = v
 			}
 		}
 		return out
 	case *Tanh:
-		out := sc.take(x.R, x.C)
-		for i, v := range x.W {
-			out.W[i] = math.Tanh(v)
+		out := sc.take(len(x))
+		for i, v := range x {
+			out[i] = math.Tanh(v)
 		}
 		return out
 	case *BatchNorm:
 		if m.training {
-			//pbqpvet:ignore panicfree training-mode batched inference would silently diverge from the scalar path; failing fast is the contract
-			panic("nn: InferBatch through a training-mode BatchNorm")
+			//pbqpvet:ignore panicfree training-mode inference would silently diverge from Forward's frozen-statistics result; failing fast is the contract
+			panic("nn: Infer through a training-mode BatchNorm")
 		}
-		out := sc.take(x.R, x.C)
-		for r := 0; r < x.R; r++ {
-			xr, or := x.Row(r), out.Row(r)
-			for i, v := range xr {
-				// identical expression (and rounding order) to the
-				// scalar Forward
-				or[i] = m.gamma.W[i]*(v-m.mean[i])/math.Sqrt(m.vari[i]+m.eps) + m.beta.W[i]
-			}
+		out := sc.take(len(x))
+		for i, v := range x {
+			// identical expression (and rounding order) to Forward
+			out[i] = m.gamma.W[i]*(v-m.mean[i])/math.Sqrt(m.vari[i]+m.eps) + m.beta.W[i]
 		}
 		return out
 	case *Sequential:
 		for _, sub := range m.mods {
-			x = InferBatch(sub, x, sc)
+			x = Infer(sub, x, sc)
 		}
 		return x
 	case *Residual:
 		// body buffers come from later arena slots, so x stays intact
 		// for the skip connection
-		y := InferBatch(m.body, x, sc)
-		out := sc.take(x.R, x.C)
-		for i := range out.W {
-			out.W[i] = y.W[i] + x.W[i]
+		y := Infer(m.body, x, sc)
+		out := sc.take(len(x))
+		for i := range out {
+			out[i] = y[i] + x[i]
 		}
 		return out
 	default:
 		//pbqpvet:ignore panicfree unknown module type is a code bug in the net assembly, not a runtime condition
-		panic("nn: InferBatch on unknown module type")
+		panic("nn: Infer on unknown module type")
 	}
 }

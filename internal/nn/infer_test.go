@@ -22,42 +22,45 @@ func torsoLike(rng *rand.Rand, in, hidden int) Module {
 	)
 }
 
+// randInput returns a standard-normal vector of length n.
+func randInput(rng *rand.Rand, n int) tensor.Vec {
+	x := make(tensor.Vec, n)
+	for i := range x {
+		x[i] = rng.NormFloat64()
+	}
+	return x
+}
+
 // warmStats runs a few training-mode samples through mod so the
 // BatchNorm statistics are not the trivial (0, 1) initialization.
 func warmStats(rng *rand.Rand, mod Module, in int) {
 	SetTraining(mod, true)
 	for i := 0; i < 7; i++ {
-		x := make(tensor.Vec, in)
-		for j := range x {
-			x[j] = rng.NormFloat64()
-		}
-		mod.Forward(x)
+		mod.Forward(randInput(rng, in))
 	}
 	SetTraining(mod, false)
 }
 
-// TestInferBatchBitIdenticalToForward is the walker's core contract:
-// one batched pass equals row-by-row scalar Forward, bit for bit.
+// TestInferBatchBitIdenticalToForward is the walker's core contract
+// (it kept its name when Infer lost its batch dimension): the read-only
+// pass equals Forward, bit for bit, on one reused arena.
 func TestInferBatchBitIdenticalToForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const in, hidden = 10, 16
 	mod := torsoLike(rng, in, hidden)
 	warmStats(rng, mod, in)
 	sc := &InferScratch{}
-	for _, batch := range []int{1, 2, 5, 8, 13} {
-		x := tensor.NewMat(batch, in)
-		for i := range x.W {
-			x.W[i] = rng.NormFloat64()
-		}
+	for trial := 0; trial < 29; trial++ {
+		x := randInput(rng, in)
 		sc.Reset()
-		got := InferBatch(mod, x, sc)
-		for r := 0; r < batch; r++ {
-			want := mod.Forward(x.Row(r))
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(got.At(r, i)) {
-					t.Fatalf("batch %d row %d col %d: got %x want %x",
-						batch, r, i, math.Float64bits(got.At(r, i)), math.Float64bits(want[i]))
-				}
+		got := Infer(mod, x, sc)
+		want := mod.Forward(x)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d outputs, want %d", trial, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("trial %d col %d: got %x want %x", trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
 		}
 	}
@@ -71,47 +74,35 @@ func TestInferBatchLeavesModuleUntouched(t *testing.T) {
 	mod := torsoLike(rng, in, hidden)
 	warmStats(rng, mod, in)
 
-	probe := make(tensor.Vec, in)
-	for j := range probe {
-		probe[j] = rng.NormFloat64()
-	}
+	probe := randInput(rng, in)
 	before := mod.Forward(probe).Clone()
 
-	sc := &InferScratch{}
-	x := tensor.NewMat(4, in)
-	for i := range x.W {
-		x.W[i] = rng.NormFloat64()
-	}
-	InferBatch(mod, x, sc)
+	Infer(mod, randInput(rng, in), &InferScratch{})
 
 	after := mod.Forward(probe)
 	for i := range before {
 		if math.Float64bits(before[i]) != math.Float64bits(after[i]) {
-			t.Fatalf("InferBatch changed module state: forward[%d] %x -> %x",
+			t.Fatalf("Infer changed module state: forward[%d] %x -> %x",
 				i, math.Float64bits(before[i]), math.Float64bits(after[i]))
 		}
 	}
 }
 
 // TestInferBatchAllocFree: after the first pass sizes the arena, the
-// steady-state batched pass performs zero allocations.
+// steady-state pass performs zero allocations.
 func TestInferBatchAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const in, hidden = 10, 16
 	mod := torsoLike(rng, in, hidden)
 	warmStats(rng, mod, in)
 	sc := &InferScratch{}
-	x := tensor.NewMat(8, in)
-	for i := range x.W {
-		x.W[i] = rng.NormFloat64()
-	}
-	sc.Reset()
-	InferBatch(mod, x, sc) // size the arena
+	x := randInput(rng, in)
+	Infer(mod, x, sc) // size the arena
 	if n := testing.AllocsPerRun(50, func() {
 		sc.Reset()
-		InferBatch(mod, x, sc)
+		Infer(mod, x, sc)
 	}); n != 0 {
-		t.Fatalf("steady-state InferBatch allocates %.1f times per run", n)
+		t.Fatalf("steady-state Infer allocates %.1f times per run", n)
 	}
 }
 
@@ -126,7 +117,7 @@ func TestInferBatchTrainingModePanics(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	InferBatch(mod, tensor.NewMat(1, 4), &InferScratch{})
+	Infer(mod, tensor.NewVec(4), &InferScratch{})
 }
 
 // TestSoftmaxAllInfiniteLogits is the saturated-vertex regression: when

@@ -89,7 +89,7 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 	return res
 }
 
-// SolveCtx implements solve.ContextSolver. The context is polled before
+// SolveCtx implements solve.Solver. The context is polled before
 // every MCTS simulation and every coloring action, so cancellation
 // lands within one simulation's latency. The solver commits to a
 // coloring only when it reaches a complete feasible one, so there is no

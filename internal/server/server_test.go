@@ -543,6 +543,9 @@ type panicNamer struct{}
 
 func (panicNamer) Name() string                   { panic("injected Name panic") }
 func (panicNamer) Solve(*pbqp.Graph) solve.Result { panic("unreachable") }
+func (panicNamer) SolveCtx(context.Context, *pbqp.Graph) solve.Result {
+	panic("unreachable")
+}
 
 func TestWorkerPanicIsolation(t *testing.T) {
 	var logged atomic.Value

@@ -73,7 +73,7 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
 
-// SolveCtx implements solve.ContextSolver. Annealing is inherently
+// SolveCtx implements solve.Solver. Annealing is inherently
 // anytime: on cancellation the lowest-energy assignment seen so far in
 // the interrupted run still competes with completed restarts, so the
 // result carries the best feasible selection found overall, marked

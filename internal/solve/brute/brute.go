@@ -31,7 +31,7 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
 
-// SolveCtx implements solve.ContextSolver. The context is polled every
+// SolveCtx implements solve.Solver. The context is polled every
 // solve.CheckInterval explored states; on cancellation the search stops
 // and the best (incumbent) selection found so far is returned with
 // Truncated set.

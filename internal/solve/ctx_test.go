@@ -54,7 +54,7 @@ func pigeonhole60() *pbqp.Graph {
 	return g
 }
 
-// checkAnytime asserts the ContextSolver contract on a result: a
+// checkAnytime asserts the cancellation contract on a result: a
 // feasible answer must be internally consistent, an infeasible one must
 // say so rather than hang or lie.
 func checkAnytime(t *testing.T, g *pbqp.Graph, res solve.Result) {
@@ -109,7 +109,7 @@ func TestExpiredContextReturnsImmediately(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			start := time.Now()
-			res := solve.SolveCtx(ctx, tc.solver, tc.graph)
+			res := tc.solver.SolveCtx(ctx, tc.graph)
 			if elapsed := time.Since(start); elapsed > 2*time.Second {
 				t.Fatalf("took %v with an expired context", elapsed)
 			}
@@ -133,7 +133,7 @@ func TestDeadlineTruncatesWithBestSoFar(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), deadline)
 			defer cancel()
 			start := time.Now()
-			res := solve.SolveCtx(ctx, tc.solver, tc.graph)
+			res := tc.solver.SolveCtx(ctx, tc.graph)
 			elapsed := time.Since(start)
 			if elapsed > 2*time.Second {
 				t.Fatalf("took %v against a %v deadline", elapsed, deadline)
@@ -159,7 +159,7 @@ func TestCrossGoroutineCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan solve.Result, 1)
 	go func() {
-		done <- solve.SolveCtx(ctx, brute.Solver{}, g)
+		done <- brute.Solver{}.SolveCtx(ctx, g)
 	}()
 	time.Sleep(20 * time.Millisecond)
 	cancel()
@@ -210,7 +210,7 @@ func TestUncancelledSolversUnchanged(t *testing.T) {
 	small.SetEdgeCost(2, 3, neq)
 	for _, s := range []solve.Solver{brute.Solver{}, liberty.Solver{}, scholz.Solver{}} {
 		plain := s.Solve(small)
-		ctxed := solve.SolveCtx(context.Background(), s, small)
+		ctxed := s.SolveCtx(context.Background(), small)
 		if plain.Feasible != ctxed.Feasible || plain.Cost != ctxed.Cost ||
 			plain.States != ctxed.States || ctxed.Truncated {
 			t.Fatalf("%s: plain %+v != ctx %+v", s.Name(), plain, ctxed)

@@ -55,7 +55,7 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
 
-// SolveCtx implements solve.ContextSolver. The enumeration stops at the
+// SolveCtx implements solve.Solver. The enumeration stops at the
 // first feasible solution, so there is no incumbent to salvage: on
 // cancellation the result is infeasible with Truncated set.
 func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {

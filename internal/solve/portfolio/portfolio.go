@@ -2,7 +2,7 @@
 // a configurable fallback chain of solvers (e.g. Deep-RL → liberty
 // enumeration → Scholz–Eckstein) run under one total time budget with
 // graceful degradation. Each stage gets a slice of the remaining
-// budget, runs through solve.SolveCtx so it can be truncated
+// budget, runs through its SolveCtx so it can be truncated
 // cooperatively, and is isolated from the others — a panicking stage is
 // recovered (with the offending graph serialized for reproduction) and
 // the chain simply moves on. The portfolio keeps the cheapest feasible
@@ -25,9 +25,8 @@ import (
 
 // Stage is one solver in the fallback chain.
 type Stage struct {
-	// Solver runs this stage. Solvers implementing solve.ContextSolver
-	// are cancelled cooperatively at the stage deadline; legacy solvers
-	// run through solve.WithContext (only checked before starting).
+	// Solver runs this stage, and is cancelled cooperatively at the
+	// stage deadline.
 	Solver solve.Solver
 	// Fraction, when positive, is the share of the budget remaining at
 	// this stage's start that it may spend. Zero divides the remainder
@@ -67,7 +66,7 @@ type Stats struct {
 }
 
 // Solver runs a fallback chain of PBQP solvers under a total time
-// budget. It implements both solve.Solver and solve.ContextSolver.
+// budget. It implements solve.Solver.
 type Solver struct {
 	// Stages is the fallback chain, tried in order.
 	Stages []Stage
@@ -110,7 +109,7 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
 
-// SolveCtx implements solve.ContextSolver.
+// SolveCtx implements solve.Solver.
 func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	res, _ := s.SolveStats(ctx, g)
 	return res
@@ -223,5 +222,5 @@ func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(str
 				sv.Name(), r, pbqp.Elide(g.String(), maxGraphLogBytes), debug.Stack())
 		}
 	}()
-	return solve.SolveCtx(ctx, sv, g.Clone()), false, ""
+	return sv.SolveCtx(ctx, g.Clone()), false, ""
 }

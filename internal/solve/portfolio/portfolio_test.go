@@ -23,16 +23,20 @@ type stub struct {
 	res  solve.Result
 }
 
-func (s stub) Name() string                   { return s.name }
-func (s stub) Solve(*pbqp.Graph) solve.Result { return s.res }
+func (s stub) Name() string                                       { return s.name }
+func (s stub) Solve(*pbqp.Graph) solve.Result                     { return s.res }
+func (s stub) SolveCtx(context.Context, *pbqp.Graph) solve.Result { return s.res }
 
 // panicky always panics, simulating a buggy stage.
 type panicky struct{}
 
 func (panicky) Name() string                   { return "panicky" }
 func (panicky) Solve(*pbqp.Graph) solve.Result { panic("injected failure") }
+func (p panicky) SolveCtx(_ context.Context, g *pbqp.Graph) solve.Result {
+	return p.Solve(g)
+}
 
-// spinner is a ContextSolver that busy-loops until its context fires.
+// spinner busy-loops until its context fires.
 type spinner struct{}
 
 func (spinner) Name() string { return "spinner" }
@@ -201,7 +205,10 @@ func TestMutatingStageCannotPoisonLaterStages(t *testing.T) {
 type vandal struct{}
 
 func (vandal) Name() string { return "vandal" }
-func (vandal) Solve(g *pbqp.Graph) solve.Result {
+func (v vandal) Solve(g *pbqp.Graph) solve.Result {
+	return v.SolveCtx(context.Background(), g)
+}
+func (vandal) SolveCtx(_ context.Context, g *pbqp.Graph) solve.Result {
 	g.RemoveVertex(0)
 	panic("vandalized")
 }

@@ -44,7 +44,7 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
 
-// SolveCtx implements solve.ContextSolver. The reduction is polynomial
+// SolveCtx implements solve.Solver. The reduction is polynomial
 // and normally finishes well inside any realistic deadline; when the
 // context fires mid-reduction the solver degrades gracefully instead of
 // stopping cold: every remaining vertex is colored immediately with the

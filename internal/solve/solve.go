@@ -39,66 +39,25 @@ type Result struct {
 	States int64 `json:"states"`
 }
 
-// Solver solves PBQP problems.
+// Solver solves PBQP problems, and honors context cancellation while
+// it does: SolveCtx periodically polls ctx and, once it is done, stops
+// searching and returns its best feasible selection found so far with
+// Result.Truncated set (Feasible=false when none was found yet).
+// Implementations never hang past a few polling intervals and never
+// panic on cancellation.
 type Solver interface {
 	// Name identifies the solver in experiment reports.
 	Name() string
 	// Solve finds a (locally or globally) minimal coloring of g.
 	// Implementations must not retain or mutate g.
 	Solve(g *pbqp.Graph) Result
-}
-
-// ContextSolver is a Solver that honors context cancellation: SolveCtx
-// periodically polls ctx and, once it is done, stops searching and
-// returns its best feasible selection found so far with
-// Result.Truncated set (Feasible=false when none was found yet).
-// Implementations never hang past a few polling intervals and never
-// panic on cancellation.
-type ContextSolver interface {
-	Solver
 	// SolveCtx is Solve under a context. A canceled ctx truncates the
 	// search; it never produces an error or a panic.
 	SolveCtx(ctx context.Context, g *pbqp.Graph) Result
 }
 
-// CheckInterval is how many search states context-aware solvers explore
-// between ctx polls. Polling a context is cheap but not free; at a few
-// hundred states per poll the overhead is unmeasurable while a 50 ms
-// deadline still lands within a small fraction of itself.
+// CheckInterval is how many search states solvers explore between ctx
+// polls. Polling a context is cheap but not free; at a few hundred
+// states per poll the overhead is unmeasurable while a 50 ms deadline
+// still lands within a small fraction of itself.
 const CheckInterval = 256
-
-// SolveCtx solves g with s under ctx: solvers implementing
-// ContextSolver are cancelled cooperatively, legacy solvers run through
-// the WithContext adapter (checked before starting, not interruptible
-// mid-run).
-func SolveCtx(ctx context.Context, s Solver, g *pbqp.Graph) Result {
-	if cs, ok := s.(ContextSolver); ok {
-		return cs.SolveCtx(ctx, g)
-	}
-	return WithContext(s).SolveCtx(ctx, g)
-}
-
-// WithContext adapts a legacy Solver to the ContextSolver interface.
-// The adapter is best-effort: a context that is already done yields an
-// immediate truncated, infeasible result, but once the wrapped solver
-// starts it runs to completion — true mid-solve cancellation requires
-// the solver to implement ContextSolver itself.
-func WithContext(s Solver) ContextSolver {
-	if cs, ok := s.(ContextSolver); ok {
-		return cs
-	}
-	return ctxAdapter{s}
-}
-
-type ctxAdapter struct {
-	Solver
-}
-
-// SolveCtx implements ContextSolver.
-func (a ctxAdapter) SolveCtx(ctx context.Context, g *pbqp.Graph) Result {
-	if ctx.Err() != nil {
-		return Result{Cost: cost.Inf, Truncated: true}
-	}
-	res := a.Solver.Solve(g)
-	return res
-}

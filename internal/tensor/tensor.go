@@ -166,45 +166,6 @@ func (m *Mat) MulTVecInto(dst, x Vec) {
 	}
 }
 
-// MatMulTInto computes dst = x·wᵀ without allocating: x is B×C, w is
-// R×C, dst is B×R. Every dst[b][i] is the same left-to-right fold over
-// j that w.MulVecInto(dst[b], x[b]) would compute — the blocking runs
-// over independent output elements only, so the result is bit-identical
-// to B scalar mat-vec products. Rows of x are processed four at a time
-// with independent accumulators, which breaks the floating-point add
-// dependency chain without reordering any element's summation.
-func MatMulTInto(dst, x, w *Mat) {
-	checkLen(x.C, w.C)
-	checkLen(dst.R, x.R)
-	checkLen(dst.C, w.R)
-	c := x.C
-	b := 0
-	for ; b+4 <= x.R; b += 4 {
-		x0 := x.W[(b+0)*c : (b+1)*c]
-		x1 := x.W[(b+1)*c : (b+2)*c]
-		x2 := x.W[(b+2)*c : (b+3)*c]
-		x3 := x.W[(b+3)*c : (b+4)*c]
-		d0 := dst.W[(b+0)*dst.C : (b+1)*dst.C]
-		d1 := dst.W[(b+1)*dst.C : (b+2)*dst.C]
-		d2 := dst.W[(b+2)*dst.C : (b+3)*dst.C]
-		d3 := dst.W[(b+3)*dst.C : (b+4)*dst.C]
-		for i := 0; i < w.R; i++ {
-			wr := w.W[i*c : (i+1)*c]
-			var s0, s1, s2, s3 float64
-			for j, wj := range wr {
-				s0 += wj * x0[j]
-				s1 += wj * x1[j]
-				s2 += wj * x2[j]
-				s3 += wj * x3[j]
-			}
-			d0[i], d1[i], d2[i], d3[i] = s0, s1, s2, s3
-		}
-	}
-	for ; b < x.R; b++ {
-		w.MulVecInto(dst.Row(b), x.Row(b))
-	}
-}
-
 // MulTVec returns mᵀ·x (length C). It panics if len(x) != R.
 func (m *Mat) MulTVec(x Vec) Vec {
 	checkLen(m.R, len(x))

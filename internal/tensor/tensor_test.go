@@ -192,41 +192,15 @@ func TestMulVecIntoBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMatMulTIntoBitIdentical checks the blocked batch kernel against
-// row-by-row MulVec, including batch sizes that exercise the 4-row
-// blocks and the tail.
-func TestMatMulTIntoBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, b := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31} {
-		r, c := 1+rng.Intn(20), 1+rng.Intn(20)
-		w := randMat(rng, r, c)
-		x := randMat(rng, b, c)
-		dst := NewMat(b, r)
-		MatMulTInto(dst, x, w)
-		for row := 0; row < b; row++ {
-			want := w.MulVec(x.Row(row))
-			for i := range want {
-				if math.Float64bits(want[i]) != math.Float64bits(dst.At(row, i)) {
-					t.Fatalf("batch %d row %d col %d: got %x want %x", b, row, i, math.Float64bits(dst.At(row, i)), math.Float64bits(want[i]))
-				}
-			}
-		}
-	}
-}
-
 // TestIntoVariantsAllocFree pins the reason the Into variants exist.
 func TestIntoVariantsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	m := randMat(rng, 13, 13)
-	w := randMat(rng, 13, 13)
 	x := randVec(rng, 13)
 	dst := NewVec(13)
-	xb := randMat(rng, 8, 13)
-	db := NewMat(8, 13)
 	if n := testing.AllocsPerRun(100, func() {
 		m.MulVecInto(dst, x)
 		m.MulTVecInto(dst, x)
-		MatMulTInto(db, xb, w)
 	}); n != 0 {
 		t.Fatalf("Into kernels allocate %.1f times per run", n)
 	}

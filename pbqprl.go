@@ -70,33 +70,21 @@ func WriteGraph(w io.Writer, g *Graph) error { return pbqp.Write(w, g) }
 
 // Solver is the common solver interface; Result carries the selection,
 // cost, feasibility, the Truncated (deadline-cut) flag, and the
-// explored-state count. ContextSolver adds cooperative cancellation:
-// all solvers in this package implement it.
+// explored-state count. Every solver also runs under a context:
+// s.SolveCtx(ctx, g) stops at cancellation and returns its best
+// feasible selection found so far with Result.Truncated set.
 type (
-	Solver        = solve.Solver
-	ContextSolver = solve.ContextSolver
-	Result        = solve.Result
+	Solver = solve.Solver
+	Result = solve.Result
 )
-
-// SolveCtx solves g with s under ctx. Solvers implementing
-// ContextSolver stop at cancellation and return their best feasible
-// selection found so far with Result.Truncated set; legacy solvers are
-// only checked before they start.
-func SolveCtx(ctx context.Context, s Solver, g *Graph) Result {
-	return solve.SolveCtx(ctx, s, g)
-}
 
 // SolveWithTimeout solves g with s under a wall-clock deadline; on
 // expiry the result is the solver's best-so-far, marked Truncated.
 func SolveWithTimeout(s Solver, g *Graph, timeout time.Duration) Result {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	return solve.SolveCtx(ctx, s, g)
+	return s.SolveCtx(ctx, g)
 }
-
-// WithContext adapts a legacy Solver to ContextSolver (best-effort: the
-// context is only checked before the solve starts).
-func WithContext(s Solver) ContextSolver { return solve.WithContext(s) }
 
 // Solver portfolio: a fallback chain under one time budget with panic
 // isolation per stage (see internal/solve/portfolio).
