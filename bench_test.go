@@ -8,6 +8,7 @@ package pbqprl_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
@@ -262,11 +263,13 @@ func BenchmarkRLBacktrackNode(b *testing.B) {
 
 // BenchmarkTrainStep is the source of DESIGN §10's "µs per gradient
 // sample" row: the gradient phase of one iteration of benchmark/'s train
-// workload (64 minibatches of 32: Forward, loss and Backward per sample,
-// L2 and an Adam step per minibatch), drawing as (*selfplay.Trainer).train
-// draws — a seeded rng over the whole replay — from the ≥ 2 000
-// snapshots of as many self-played games as it takes (about 90; an
-// untrained network dead-ends early) on that workload's ATE distribution.
+// workload (64 minibatches of 32 through selfplay.GradientStep, the
+// function (*selfplay.Trainer).train calls, then L2 and an Adam step per
+// minibatch), on one worker and on two, drawing as train draws — a
+// seeded rng over the whole replay — from the ≥ 2 000 snapshots of as
+// many self-played games as it takes (about 90; an untrained network
+// dead-ends early) on that workload's ATE distribution. Run it with
+// -cpu 2 or more: workers=2 on one CPU measures only what the hand-offs cost.
 // It exists because the per-layer probes net.forward_train_us and
 // net.backward_us cannot see what a gradient step costs in a training
 // run: they loop over the 50 snapshots of one game, whose few hundred
@@ -291,12 +294,12 @@ func BenchmarkTrainStep(b *testing.B) {
 			return g
 		},
 	}
-	n := net.New(experiments.DefaultNetConfig())
-	best := n.Clone()
+	base := net.New(experiments.DefaultNetConfig())
+	best := base.Clone()
 	var replay []selfplay.Sample
 	games := 0
 	for ; len(replay) < 2048; games++ {
-		res := selfplay.RunEpisode(cfg, n, best, int64(1+games))
+		res := selfplay.RunEpisode(cfg, base, best, int64(1+games))
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
@@ -305,29 +308,30 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		replay = append(replay, res.Samples...)
 	}
-	const steps, batch = 64, 32
-	rng := rand.New(rand.NewSource(1))
-	opt := nn.NewAdam(1e-3)
-	n.SetTraining(true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for step := 0; step < steps; step++ {
-			for k := 0; k < batch; k++ {
-				s := replay[rng.Intn(len(replay))]
-				logits, v := n.Forward(s.View)
-				mask := net.Mask(s.View)
-				p := nn.Softmax(logits, mask)
-				dLogits := nn.CrossEntropyGrad(p, s.Pi, mask)
-				dLogits.Scale(1.0 / batch)
-				n.Backward(dLogits, nn.MSEGrad(v, s.Z)/batch)
+	const steps, batchSize = 64, 32
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			n := base.Clone()
+			rng := rand.New(rand.NewSource(1))
+			opt := nn.NewAdam(1e-3)
+			slots, batch := make([]net.Slot, selfplay.StepSlots(workers, batchSize)), make([]selfplay.Sample, batchSize)
+			n.SetTraining(true)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for step := 0; step < steps; step++ {
+					for k := range batch {
+						batch[k] = replay[rng.Intn(len(replay))]
+					}
+					selfplay.GradientStep(n, workers, slots, batch, 0)
+					nn.AddL2Grad(n.Params(), 1e-4)
+					opt.Step(n.Params())
+				}
 			}
-			nn.AddL2Grad(n.Params(), 1e-4)
-			opt.Step(n.Params())
-		}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*steps*batchSize), "us/sample")
+			b.ReportMetric(float64(len(replay)), "snapshots")
+			b.ReportMetric(float64(games), "games")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*steps*batch), "us/sample")
-	b.ReportMetric(float64(len(replay)), "snapshots")
-	b.ReportMetric(float64(games), "games")
 }
 
 // BenchmarkGamePlayUndo measures the do/undo transition kernel, which

@@ -29,8 +29,9 @@
 // Checkpointing, resume, and signal handling match pbqp-train: first
 // SIGINT/SIGTERM checkpoints and exits cleanly, a second forces
 // immediate exit 1. Training flags must match across coordinator and
-// workers (the claim handshake verifies a fingerprint); arena games
-// run locally on -workers goroutines.
+// workers (the claim handshake verifies a fingerprint); gradient steps
+// and arena games run locally on -workers goroutines, which like the
+// remote workers' number never changes a trained byte.
 package main
 
 import (
@@ -58,7 +59,7 @@ func main() {
 	iters := flag.Int("iters", 5, "training iterations (paper: 200)")
 	episodes := flag.Int("episodes", 20, "episodes per iteration (paper: 100)")
 	ktrain := flag.Int("ktrain", 50, "MCTS simulations per move (paper: 50 or 100)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "local goroutines for arena games (episodes run on remote workers)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "local goroutines for gradient steps and arena games (episodes run on remote workers)")
 	regime := flag.String("regime", "ate", "training distribution: ate (zero/inf) or er (Erdős–Rényi, p_inf=1%)")
 	out := flag.String("out", "pbqp-net.gob", "best-network output path")
 	seed := flag.Int64("seed", 1, "training seed")

@@ -25,13 +25,17 @@
 // newest checkpoint is detected by checksum and the run falls back to
 // the previous valid one.
 //
-// Episodes and arena games run on -workers goroutines (default: all
-// CPUs), each with its own clone of the networks. Every episode's
-// randomness comes from a seed pre-drawn from the master RNG stream and
-// results are merged in episode order, so the worker count never
-// changes the result: any -workers value — including resuming a
-// checkpoint under a different one — trains bit-identically to
-// -workers 1.
+// Episodes, gradient steps and arena games run on -workers goroutines
+// (default: all CPUs): episodes and arena games each on a worker's own
+// clone of the networks, a minibatch's samples embedded and
+// back-propagated side by side while one goroutine adds to every sum in
+// sample order. Every episode's randomness comes from a seed
+// pre-drawn from the master RNG stream and results are merged in
+// episode order, so the worker count never changes the result: any
+// -workers value — including resuming a checkpoint under a different
+// one — trains bit-identically to -workers 1. The log carries one line
+// per iteration with the wall-clock of the three phases and the
+// gradient samples per second.
 //
 // With -worker, the process instead claims episode leases from a
 // pbqp-coord coordinator and streams trajectories back, heartbeating
@@ -63,7 +67,7 @@ func main() {
 	iters := flag.Int("iters", 5, "training iterations (paper: 200)")
 	episodes := flag.Int("episodes", 20, "episodes per iteration (paper: 100)")
 	ktrain := flag.Int("ktrain", 50, "MCTS simulations per move (paper: 50 or 100)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent self-play workers (any value trains bit-identically)")
+	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for self-play episodes, gradient steps and arena games (any value trains bit-identically)")
 	regime := flag.String("regime", "ate", "training distribution: ate (zero/inf) or er (Erdős–Rényi, p_inf=1%)")
 	out := flag.String("out", "pbqp-net.gob", "best-network output path")
 	seed := flag.Int64("seed", 1, "training seed")

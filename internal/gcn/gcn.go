@@ -20,8 +20,9 @@
 // where M̃_vu is the transformed cost matrix oriented (rows = v's color).
 //
 // Each transformed matrix is packed once, where it enters an edge table
-// (EdgeTable.AddEdge, infer.go). The trainable pass (Forward and
-// Backward, here, on a tape the GCN reuses) and the read-only one
+// (EdgeTable.AddEdge, infer.go). The trainable pass (ForwardTape,
+// Backprop and Accumulate, here, on a Tape the caller owns; Forward
+// and Backward are those three on the GCN's own) and the read-only one
 // (Infer, infer.go, on a Scratch's memo) resolve a view's edges through
 // one function and fold them with one addMulVec, bit-equal to
 // reference_test.go's dense pass.
@@ -99,7 +100,10 @@ func Featurize(v cost.Vector) tensor.Vec {
 	return f
 }
 
-// GCN is the trainable graph embedding network.
+// GCN is the trainable graph embedding network. Forward and Backward
+// run on a tape of its own, which makes them single-goroutine;
+// ForwardTape, Backprop and Accumulate take the tape from the caller
+// and share the GCN as their doc comments say.
 type GCN struct {
 	m      int
 	layers int
@@ -109,22 +113,31 @@ type GCN struct {
 	wnbr   []*nn.Param
 	b      []*nn.Param
 
-	tape tape
+	tape Tape
 }
 
-// tape is what the most recent Forward leaves for Backward, in flat
-// buffers the (single-goroutine) GCN reuses: vertex v's row of layer l is
-// hs[(l·n+v)·m:][:m], its message into layer l+1 msgs[(l·n+v)·m:][:m].
-type tape struct {
-	tbl    *EdgeTable // the view's edges, as edges resolved them ...
-	off, n int        // ... and its window [off, off+n)
-	flat   EdgeTable  // tbl, for a view that brought no table
-	feats  tensor.Vec // n·2m: φ(v)
-	nz     []int32    // h0Into's index buffer
-	hs     tensor.Vec // (layers+1)·n·m
-	msgs   tensor.Vec // layers·n·m
-	grad   tensor.Vec // Backward's: two n·m gradient planes, then dpre, dmsg and one product
+// Tape is one sample's trainable pass, in flat buffers reused from
+// sample to sample: ForwardTape fills the activations, Backprop the
+// pre-activation gradients, Accumulate reads both. Vertex v's row of
+// layer l is hs[(l·n+v)·m:][:m], its message into layer l+1
+// msgs[(l·n+v)·m:][:m]. The zero value is ready, and a tape is one
+// goroutine's at a time.
+type Tape struct {
+	tbl    *EdgeTable   // the view's edges, as edges resolved them ...
+	off, n int          // ... and its window [off, off+n)
+	flat   EdgeTable    // tbl, for a view that brought no table
+	feats  tensor.Vec   // n·2m: φ(v)
+	nz     []int32      // h0Into's index buffer
+	hs     tensor.Vec   // (layers+1)·n·m
+	msgs   tensor.Vec   // layers·n·m
+	rows   []tensor.Vec // Rows' headers over the last plane of hs
+	dpre   tensor.Vec   // (layers+1)·n·m: dL/d(pre-activation) of hs, row for row
+	grad   tensor.Vec   // Backprop's: two n·m gradient planes, then dmsg and one product
 }
+
+// Rows returns the final hidden vectors of the most recent ForwardTape,
+// one length-m vector per vertex, aliasing the tape.
+func (tp *Tape) Rows() []tensor.Vec { return tp.rows }
 
 // New returns a GCN with the given number of message-passing layers for
 // m-color problems, Xavier-initialized from rng.
@@ -164,13 +177,33 @@ func (g *GCN) Params() []*nn.Param {
 	return ps
 }
 
-// Forward embeds every active vertex of view on the tape, which
-// Backward reads until the next Forward, and returns a copy the caller
-// owns of the final hidden vectors (one length-m vector per vertex).
+// Forward embeds every active vertex of view on the GCN's own tape,
+// which Backward reads until the next Forward, and returns a copy the
+// caller owns of the final hidden vectors (one length-m vector per
+// vertex).
 //
 //pbqpvet:hotpath
 func (g *GCN) Forward(view View) []tensor.Vec {
-	n, m, tp := view.N(), g.m, &g.tape
+	g.ForwardTape(&g.tape, view)
+	n, m := g.tape.n, g.m
+	//pbqpvet:ignore hotalloc the caller-owned result: rows of two Forwards never alias
+	out := make(tensor.Vec, n*m)
+	copy(out, g.tape.hs[g.layers*n*m:])
+	rows := make([]tensor.Vec, n)
+	for v := range rows {
+		rows[v] = out[v*m : (v+1)*m : (v+1)*m]
+	}
+	return rows
+}
+
+// ForwardTape embeds every active vertex of view on tp. It reads the
+// weights and the view and writes only tp, so any number of goroutines
+// may run it over one GCN at once, each on a tape of its own, as long as
+// nothing writes the weights meanwhile.
+//
+//pbqpvet:hotpath
+func (g *GCN) ForwardTape(tp *Tape, view View) {
+	n, m := view.N(), g.m
 	tbl, off := edges(view, &tp.flat)
 	tp.tbl, tp.off, tp.n = tbl, off, n
 	tp.feats, tp.hs, tp.msgs = grow(tp.feats, n*2*m), grow(tp.hs, (g.layers+1)*n*m), grow(tp.msgs, g.layers*n*m)
@@ -195,14 +228,11 @@ func (g *GCN) Forward(view View) []tensor.Vec {
 			g.layerInto(next[v*m:(v+1)*m], l, prev[v*m:(v+1)*m], msg)
 		}
 	}
-	//pbqpvet:ignore hotalloc the caller-owned result: rows of two Forwards never alias
-	out := make(tensor.Vec, n*m)
-	copy(out, tp.hs[g.layers*n*m:])
-	rows := make([]tensor.Vec, n)
-	for v := range rows {
-		rows[v] = out[v*m : (v+1)*m : (v+1)*m]
+	tp.rows = tp.rows[:0]
+	for v, out := 0, tp.hs[g.layers*n*m:]; v < n; v++ {
+		//pbqpvet:ignore hotalloc header growth on first sight of a larger view; steady state reuses the slice
+		tp.rows = append(tp.rows, out[v*m:(v+1)*m:(v+1)*m])
 	}
-	return rows
 }
 
 // layerInto writes layer l's update tanh(W_self·h + W_nbr·msg + b) into
@@ -221,32 +251,41 @@ func (g *GCN) layerInto(o tensor.Vec, l int, h, msg tensor.Vec) {
 	}
 }
 
-// Backward accumulates parameter gradients, layer descending and vertex
-// ascending, given dL/dH for the hidden vectors of the most recent
-// Forward, whose view it is handed again; it allocates nothing.
+// Backward accumulates parameter gradients given dL/dH for the hidden
+// vectors of the most recent Forward, whose view it is handed again:
+// Backprop then Accumulate, on the GCN's own tape. It allocates
+// nothing.
 //
 //pbqpvet:hotpath
 func (g *GCN) Backward(_ View, dH []tensor.Vec) {
-	tp, m := &g.tape, g.m
-	n, tbl, off := tp.n, tp.tbl, tp.off
-	tp.grad = grow(tp.grad, (2*n+3)*m)
+	g.Backprop(&g.tape, dH)
+	g.Accumulate(&g.tape)
+}
+
+// Backprop is the activation half of the backward pass: given dL/dH for
+// the rows ForwardTape left on tp, it writes the gradient of every
+// (layer, vertex) pre-activation to tp. Like ForwardTape it reads the
+// weights and writes only tp — no Param's W or G — so it shares a GCN
+// between goroutines on the same terms. It allocates nothing.
+//
+//pbqpvet:hotpath
+func (g *GCN) Backprop(tp *Tape, dH []tensor.Vec) {
+	m, n, tbl, off := g.m, tp.n, tp.tbl, tp.off
+	tp.dpre, tp.grad = grow(tp.dpre, (g.layers+1)*n*m), grow(tp.grad, (2*n+2)*m)
 	grad, next, rest := tp.grad[:n*m], tp.grad[n*m:2*n*m], tp.grad[2*n*m:]
-	dpre, dmsg, prod := rest[:m], rest[m:2*m], rest[2*m:]
+	dmsg, prod := rest[:m], rest[m:]
 	for v := 0; v < n; v++ {
 		copy(grad[v*m:(v+1)*m], dH[v])
 	}
 	for l := g.layers - 1; l >= 0; l-- {
-		prev, out := tp.hs[l*n*m:(l+1)*n*m], tp.hs[(l+1)*n*m:(l+2)*n*m]
+		out, dpres := tp.hs[(l+1)*n*m:(l+2)*n*m], tp.dpre[(l+1)*n*m:(l+2)*n*m]
 		wself, wnbr := tensor.Mat{R: m, C: m, W: g.wself[l].W}, tensor.Mat{R: m, C: m, W: g.wnbr[l].W}
-		gwself, gwnbr := tensor.Mat{R: m, C: m, W: g.wself[l].G}, tensor.Mat{R: m, C: m, W: g.wnbr[l].G}
 		next.Zero()
 		for v := 0; v < n; v++ {
+			dpre := dpres[v*m : (v+1)*m]
 			for i, o := range out[v*m : (v+1)*m] {
 				dpre[i] = grad[v*m+i] * (1 - o*o)
 			}
-			gwself.AddOuter(1, dpre, prev[v*m:(v+1)*m])
-			gwnbr.AddOuter(1, dpre, tp.msgs[(l*n+v)*m:(l*n+v+1)*m])
-			g.b[l].G.AddInPlace(dpre)
 			wself.MulTVecInto(prod, dpre)
 			next[v*m : (v+1)*m].AddInPlace(prod)
 			wnbr.MulTVecInto(dmsg, dpre)
@@ -268,11 +307,33 @@ func (g *GCN) Backward(_ View, dH []tensor.Vec) {
 		}
 		grad, next = next, grad
 	}
+	for i, h := range tp.hs[:n*m] {
+		tp.dpre[i] = grad[i] * (1 - h*h)
+	}
+}
+
+// Accumulate is the parameter half of the backward pass: it adds the
+// rank-1 terms of the sample Backprop left on tp to every gradient
+// matrix and bias, layer descending and vertex ascending. It reads tp
+// and writes every Param's G, so a minibatch's tapes go through it one
+// at a time, in sample order. It allocates nothing.
+//
+//pbqpvet:hotpath
+func (g *GCN) Accumulate(tp *Tape) {
+	m, n := g.m, tp.n
+	for l := g.layers - 1; l >= 0; l-- {
+		prev, dpres := tp.hs[l*n*m:(l+1)*n*m], tp.dpre[(l+1)*n*m:(l+2)*n*m]
+		gwself, gwnbr := tensor.Mat{R: m, C: m, W: g.wself[l].G}, tensor.Mat{R: m, C: m, W: g.wnbr[l].G}
+		for v := 0; v < n; v++ {
+			dpre := dpres[v*m : (v+1)*m]
+			gwself.AddOuter(1, dpre, prev[v*m:(v+1)*m])
+			gwnbr.AddOuter(1, dpre, tp.msgs[(l*n+v)*m:(l*n+v+1)*m])
+			g.b[l].G.AddInPlace(dpre)
+		}
+	}
 	gwin := tensor.Mat{R: m, C: 2 * m, W: g.win.G}
 	for v := 0; v < n; v++ {
-		for i, h := range tp.hs[v*m : (v+1)*m] {
-			dpre[i] = grad[v*m+i] * (1 - h*h)
-		}
+		dpre := tp.dpre[v*m : (v+1)*m]
 		gwin.AddOuter(1, dpre, tp.feats[v*2*m:(v+1)*2*m])
 		g.bin.G.AddInPlace(dpre)
 	}

@@ -10,7 +10,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"pbqprl/internal/ate"
@@ -342,6 +344,149 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 			t.Errorf("no %s kernel was folded", name)
 		}
 	}
+}
+
+// tableless hides a view's edge table, so the pass flattens it through
+// Nbrs and Mat.
+type tableless struct{ gcn.View }
+
+// contractViews is the view matrix of TestTapeBitIdenticalToDensePass,
+// as a list: live, snapshot, thawed, GraphView, table-less, an edgeless
+// vertex, a single vertex. Live views come from games of their own,
+// which nothing moves afterwards.
+func contractViews(t *testing.T, m int) (names []string, views []gcn.View) {
+	t.Helper()
+	add := func(name string, v gcn.View) { names, views = append(names, name), append(views, v) }
+	ag := ateGraph(t, 31, 1)
+	live := game.New(ag, game.MakeOrder(ag, game.OrderDecLiberty, nil))
+	playSome(live, 6)
+	add("ate live view", live.View())
+	moved := game.New(ag, game.MakeOrder(ag, game.OrderDecLiberty, nil))
+	playSome(moved, 9)
+	add("ate snapshot", moved.Snapshot())
+	for moved.Turn() > 3 {
+		moved.Undo()
+	}
+	add("ate live view after Play/Undo", moved.View())
+
+	g := mixedGraph(21, 17, m)
+	add("mixed GraphView", gcn.NewGraphView(g))
+	add("mixed table-less", tableless{gcn.NewGraphView(g)})
+	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
+	playSome(st, 4)
+	snap := st.Snapshot()
+	if got := snap.Nbrs(snap.N() - 1); len(got) != 0 {
+		t.Fatalf("the last vertex was meant to be edgeless, has neighbors %v", got)
+	}
+	add("mixed snapshot with an edgeless vertex", snap)
+	wire, err := selfplay.EncodeSamples([]selfplay.Sample{{View: snap, Pi: make(tensor.Vec, m)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	thawed, err := selfplay.DecodeSamples(wire)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("mixed thawed sample", thawed[0].View)
+	add("single vertex", gcn.NewGraphView(mixedGraph(22, 1, m)))
+	return names, views
+}
+
+func randomDH(rng *rand.Rand, view gcn.View) []tensor.Vec {
+	dH := make([]tensor.Vec, view.N())
+	for v := range dH {
+		dH[v] = make(tensor.Vec, view.M())
+		for i := range dH[v] {
+			dH[v][i] = rng.NormFloat64()
+		}
+	}
+	return dH
+}
+
+func sameGradients(t *testing.T, what string, got, want []*nn.Param) {
+	t.Helper()
+	for k, p := range got {
+		sameRows(t, what+": gradient of "+p.Name, []tensor.Vec{p.G}, []tensor.Vec{want[k].G})
+	}
+}
+
+// TestBackpropAccumulateIsDenseBackward: on a tape the caller owns,
+// ForwardTape + Backprop + Accumulate leave what the dense pass leaves —
+// rows, messages and every gradient tensor, accumulating over the stream
+// of views as a minibatch's do — and Backprop alone moves no bit of any
+// parameter or gradient, which is what lets a minibatch's samples run it
+// at once.
+func TestBackpropAccumulateIsDenseBackward(t *testing.T) {
+	const m = 13
+	names, views := contractViews(t, m)
+	for _, layers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d layers", layers), func(t *testing.T) {
+			g := gcn.New(rand.New(rand.NewSource(7)), m, layers)
+			ref := newRef(g)
+			rng := rand.New(rand.NewSource(8))
+			var tp gcn.Tape
+			for k, view := range views {
+				g.ForwardTape(&tp, view)
+				sameRows(t, names[k]+": result", tp.Rows(), ref.Forward(view))
+				dH := randomDH(rng, view)
+				ref.Backward(view, dH)
+				before := paramBits(g)
+				g.Backprop(&tp, dH)
+				if after := paramBits(g); !slices.Equal(before, after) {
+					t.Fatalf("%s: Backprop wrote a parameter or a gradient", names[k])
+				}
+				g.Accumulate(&tp)
+				sameGradients(t, names[k], g.Params(), ref.params())
+			}
+		})
+	}
+}
+
+// paramBits is every W and G of g, bit for bit.
+func paramBits(g *gcn.GCN) (bits []uint64) {
+	for _, p := range g.Params() {
+		for _, vec := range []tensor.Vec{p.W, p.G} {
+			for _, x := range vec {
+				bits = append(bits, math.Float64bits(x))
+			}
+		}
+	}
+	return bits
+}
+
+// TestTapesFillConcurrently is a gradient step's sharing pattern, for
+// the race detector: one GCN, a tape per view filled and back-propagated
+// by a goroutine each — two of them over the same view — then
+// accumulated in order. The gradients must be the serial
+// Forward/Backward stream's.
+func TestTapesFillConcurrently(t *testing.T) {
+	const m = 13
+	_, views := contractViews(t, m)
+	views = append(views, views[1])
+	g := gcn.New(rand.New(rand.NewSource(7)), m, 3)
+	serial := gcn.New(rand.New(rand.NewSource(7)), m, 3)
+	rng := rand.New(rand.NewSource(9))
+	dHs := make([][]tensor.Vec, len(views))
+	for k, view := range views {
+		dHs[k] = randomDH(rng, view)
+		serial.Forward(view)
+		serial.Backward(view, dHs[k])
+	}
+	tapes := make([]gcn.Tape, len(views))
+	var wg sync.WaitGroup
+	for k := range views {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.ForwardTape(&tapes[k], views[k])
+			g.Backprop(&tapes[k], dHs[k])
+		}()
+	}
+	wg.Wait()
+	for k := range tapes {
+		g.Accumulate(&tapes[k])
+	}
+	sameGradients(t, "concurrent tapes", g.Params(), serial.Params())
 }
 
 // badView is a two-vertex view whose one edge carries an r×c matrix and

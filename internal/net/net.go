@@ -63,14 +63,23 @@ type PBQPNet struct {
 	policy nn.Module
 	value  nn.Module
 
-	lastView gcn.View     // the most recent Forward's
-	dH       []tensor.Vec // Backward's dL/dH: reused row headers over dRows' two rows,
-	dRows    tensor.Vec   // the target vertex's and the one every other vertex shares
+	slot Slot // Forward's and Backward's own
 
 	// eng is the read-only inference engine (engine.go) behind
 	// Evaluate. Like the Forward caches it makes the net
 	// single-goroutine.
 	eng engine
+}
+
+// Slot is one sample's share of a gradient step: the view, the GCN tape
+// Embed fills from it and the dL/dH HeadsBackward leaves for Backprop. A
+// gradient step keeps its Slots and reuses them from sample to sample;
+// the zero value is ready.
+type Slot struct {
+	view  gcn.View
+	tape  gcn.Tape
+	dH    []tensor.Vec // dL/dH: row headers over dRows' two rows,
+	dRows tensor.Vec   // the target vertex's and the one every other vertex shares
 }
 
 // New builds a PBQPNet from cfg.
@@ -95,7 +104,6 @@ func New(cfg Config) *PBQPNet {
 		torso:  nn.NewSequential(torso...),
 		policy: nn.NewDense(rng, cfg.Hidden, m),
 		value:  nn.NewSequential(nn.NewDense(rng, cfg.Hidden, 1), &nn.Tanh{}),
-		dRows:  tensor.NewVec(2 * m),
 		eng:    engine{pooled: tensor.NewVec(in), mask: make([]bool, m)},
 	}
 }
@@ -114,10 +122,30 @@ func (p *PBQPNet) SetTraining(training bool) {
 }
 
 // Forward runs the network on view (active vertex 0 is the next to
-// color) and returns the raw policy logits and the value in (-1, 1).
+// color) and returns the raw policy logits and the value in (-1, 1):
+// Embed then Heads on the net's own slot.
 func (p *PBQPNet) Forward(view gcn.View) (logits tensor.Vec, value float64) {
-	p.lastView = view
-	t := p.torso.Forward(pool(view, p.gcn.Forward(view)))
+	p.Embed(&p.slot, view)
+	return p.Heads(&p.slot)
+}
+
+// Embed runs the GCN over view on s's tape. It reads the weights and
+// writes only s, so the samples of a minibatch embed concurrently, one
+// goroutine per Slot, while nothing updates the network.
+//
+//pbqpvet:hotpath
+func (p *PBQPNet) Embed(s *Slot, view gcn.View) {
+	s.view = view
+	p.gcn.ForwardTape(&s.tape, view)
+}
+
+// Heads pools s's embedding and runs the torso and both heads, which
+// cache their activations for HeadsBackward and, in training mode, move
+// the batch-normalization statistics: one goroutine, one sample at a
+// time, in the order the samples are to count. HeadsBackward must
+// follow before the next sample's Heads.
+func (p *PBQPNet) Heads(s *Slot) (logits tensor.Vec, value float64) {
+	t := p.torso.Forward(pool(s.view, s.tape.Rows()))
 	logits = p.policy.Forward(t)
 	value = p.value.Forward(t)[0]
 	return logits, value
@@ -188,25 +216,50 @@ func MaskInto(mask []bool, view gcn.View) []bool {
 }
 
 // Backward accumulates gradients for the most recent Forward given
-// dL/dlogits and dL/dvalue (pre-tanh gradients are handled internally).
+// dL/dlogits and dL/dvalue (pre-tanh gradients are handled internally):
+// HeadsBackward, Backprop and Accumulate on the net's own slot.
 func (p *PBQPNet) Backward(dLogits tensor.Vec, dValue float64) {
+	p.HeadsBackward(&p.slot, dLogits, dValue)
+	p.Backprop(&p.slot)
+	p.Accumulate(&p.slot)
+}
+
+// HeadsBackward back-propagates through the heads and the torso for the
+// sample Heads last ran, accumulating their parameter gradients, and
+// leaves dL/dH of the embedding in s. Ordered like Heads.
+func (p *PBQPNet) HeadsBackward(s *Slot, dLogits tensor.Vec, dValue float64) {
 	gt := p.policy.Backward(dLogits)
 	gv := p.value.Backward(tensor.Vec{dValue})
 	gt.AddInPlace(gv)
 	gf := p.torso.Backward(gt)
 	// the mean's share for every vertex, the target's own on top
-	m, n := p.cfg.M, p.lastView.N()
-	first, rest := p.dRows[:m], p.dRows[m:]
+	m, n := p.cfg.M, s.view.N()
+	if s.dRows == nil {
+		s.dRows = tensor.NewVec(2 * m)
+	}
+	first, rest := s.dRows[:m], s.dRows[m:]
 	first.Zero()
 	first.AddScaled(1/float64(n), gf[m:2*m])
 	copy(rest, first)
 	first.AddInPlace(gf[:m])
-	p.dH = append(p.dH[:0], first)
+	s.dH = append(s.dH[:0], first)
 	for v := 1; v < n; v++ {
-		p.dH = append(p.dH, rest)
+		s.dH = append(s.dH, rest)
 	}
-	p.gcn.Backward(p.lastView, p.dH)
 }
+
+// Backprop carries s's dL/dH back through the GCN's activations on s's
+// tape and touches no parameter: concurrent like Embed.
+//
+//pbqpvet:hotpath
+func (p *PBQPNet) Backprop(s *Slot) { p.gcn.Backprop(&s.tape, s.dH) }
+
+// Accumulate adds s's terms to the GCN's parameter gradients: one slot
+// at a time, in sample order. It shares no tensor with Heads and
+// HeadsBackward, so one sample's may run beside another's.
+//
+//pbqpvet:hotpath
+func (p *PBQPNet) Accumulate(s *Slot) { p.gcn.Accumulate(&s.tape) }
 
 // Params returns every trainable parameter.
 func (p *PBQPNet) Params() []*nn.Param {

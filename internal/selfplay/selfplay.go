@@ -14,6 +14,9 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
+	"sync"
+	"sync/atomic"
+	"time"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/game"
@@ -76,15 +79,18 @@ type Config struct {
 	Order game.Order
 	// MCTS configures the search constants.
 	MCTS mcts.Config
-	// Workers is the number of goroutines playing self-play episodes
-	// (and arena games) concurrently, each on its own clone of the
-	// networks; 0 or 1 plays sequentially. Every episode's randomness
-	// comes from a seed pre-drawn from the master stream and results
-	// are merged in episode order, so any worker count — including
-	// resuming a checkpoint under a different one — trains
-	// bit-identically. With Workers > 1, Generate must be safe for
-	// concurrent calls (derive all randomness from the rng it is
-	// handed).
+	// Workers is the number of goroutines an iteration fans out over: its
+	// self-play episodes and arena games, each worker on its own clone of
+	// the networks, and its gradient steps, whose samples are embedded
+	// and back-propagated concurrently while one goroutine adds to every
+	// sum in sample order (GradientStep); 0 or 1 runs everything on the
+	// caller's goroutine. Every episode's randomness comes from a
+	// seed pre-drawn from the master stream, results are merged in
+	// episode order, and every gradient element receives its terms in
+	// sample order, so any worker count — including resuming a
+	// checkpoint under a different one — trains bit-identically. With
+	// Workers > 1, Generate must be safe for concurrent calls (derive all
+	// randomness from the rng it is handed).
 	Workers int
 	// Episodes optionally delegates the episode phase of each
 	// iteration to an external backend — internal/dist's coordinator
@@ -99,7 +105,10 @@ type Config struct {
 	// Seed makes training reproducible.
 	Seed int64
 	// Logf receives warnings — a skipped (panicked) episode with its
-	// reproduction seed, for example. Nil discards them.
+	// reproduction seed, for example — and one line per completed
+	// iteration with the wall-clock of its three phases (episodes,
+	// gradient steps, arena) and the gradient samples per second. Nil
+	// discards them.
 	Logf func(format string, args ...any)
 }
 
@@ -218,6 +227,9 @@ type Trainer struct {
 	rng    *rand.Rand
 	iter   int // iterations started (including an interrupted one)
 
+	slots []net.Slot // GradientStep's, StepSlots of them, and train's
+	batch []Sample   // minibatch, reused from step to step
+
 	// pending holds the partial stats of an iteration interrupted by
 	// context cancellation; RunIteration resumes it at pendingEpisode.
 	// Both survive checkpointing, so a resumed run picks up exactly
@@ -323,6 +335,8 @@ func (t *Trainer) RunIteration(ctx context.Context) (IterStats, error) {
 		t.iter++
 		stats = IterStats{Iteration: t.iter, Episodes: t.cfg.EpisodesPerIter}
 	}
+	var mark time.Time
+	lap(&mark)
 	if t.cfg.Episodes != nil || t.cfg.Workers > 1 {
 		next, err := t.runEpisodesBatch(ctx, start, &stats)
 		if err != nil {
@@ -342,13 +356,20 @@ func (t *Trainer) RunIteration(ctx context.Context) (IterStats, error) {
 			t.recordEpisode(&stats, e, z, samples, err)
 		}
 	}
+	episodes := lap(&mark)
 	stats.ReplaySize = t.replay.len()
 	avg, err := t.train()
+	gradient := lap(&mark)
 	stats.AvgLoss = avg
 	if err != nil {
 		return stats, err
 	}
 	wins, losses := t.arena()
+	// Wall-clock goes to the log and nowhere else: IterStats is encoded
+	// into checkpoints, which must not depend on how long anything took.
+	t.logf("selfplay: phases: episodes %.3fs, gradient steps %.3fs (%.0f samples/s), arena %.3fs",
+		episodes.Seconds(), gradient.Seconds(),
+		float64(t.cfg.TrainSteps*t.cfg.BatchSize)/gradient.Seconds(), lap(&mark).Seconds())
 	stats.ArenaWins = wins
 	stats.ArenaLosses = losses
 	if wins > t.cfg.ArenaWins || (t.cfg.PromoteOnTie && wins >= losses) {
@@ -359,6 +380,15 @@ func (t *Trainer) RunIteration(ctx context.Context) (IterStats, error) {
 		t.cur.CopyFrom(t.best)
 	}
 	return stats, nil
+}
+
+// lap returns the wall-clock since *mark and moves mark to now.
+func lap(mark *time.Time) time.Duration {
+	//pbqpvet:ignore determinism phase wall-clock is only ever formatted into a Logf line: never into IterStats, the replay or encoded state
+	now := time.Now()
+	d := now.Sub(*mark)
+	*mark = now
+	return d
 }
 
 // recordEpisode merges the outcome of episode e into the iteration
@@ -580,27 +610,125 @@ func (t *Trainer) train() (float64, error) {
 	// start in inference mode), and net.Evaluate panics inside it.
 	t.cur.SetTraining(true)
 	defer t.cur.SetTraining(false)
-	totalLoss, count := 0.0, 0
+	if t.slots == nil {
+		t.slots, t.batch = make([]net.Slot, StepSlots(t.cfg.Workers, t.cfg.BatchSize)), make([]Sample, t.cfg.BatchSize)
+	}
+	totalLoss := 0.0
 	for step := 0; step < t.cfg.TrainSteps; step++ {
-		for b := 0; b < t.cfg.BatchSize; b++ {
-			s := t.replay.at(t.rng.Intn(t.replay.len()))
-			logits, v := t.cur.Forward(s.View)
-			mask := net.Mask(s.View)
-			p := nn.Softmax(logits, mask)
-			totalLoss += nn.CrossEntropy(p, s.Pi) + nn.MSE(v, s.Z)
-			count++
-			dLogits := nn.CrossEntropyGrad(p, s.Pi, mask)
-			dLogits.Scale(1 / float64(t.cfg.BatchSize))
-			t.cur.Backward(dLogits, nn.MSEGrad(v, s.Z)/float64(t.cfg.BatchSize))
+		for b := range t.batch {
+			t.batch[b] = t.replay.at(t.rng.Intn(t.replay.len()))
 		}
+		totalLoss = GradientStep(t.cur, t.cfg.Workers, t.slots, t.batch, totalLoss)
 		nn.AddL2Grad(t.cur.Params(), t.cfg.L2)
 		t.opt.Step(t.cur.Params())
 	}
-	avg := totalLoss/float64(count) + nn.L2Penalty(t.cur.Params(), t.cfg.L2)
+	avg := totalLoss/float64(t.cfg.TrainSteps*t.cfg.BatchSize) + nn.L2Penalty(t.cur.Params(), t.cfg.L2)
 	if math.IsNaN(avg) || math.IsInf(avg, 0) {
 		return avg, fmt.Errorf("selfplay: training diverged at iteration %d: loss = %v", t.iter, avg)
 	}
 	return avg, t.checkFinite()
+}
+
+// GradientStep adds one minibatch's gradients — each sample's scaled by
+// 1/len(batch) — to n's parameter gradients and returns loss plus every
+// sample's loss. n must be in training mode. The minibatch goes through in
+// waves of len(slots) samples (at least one), a slot each, on workers
+// goroutines of which the caller's is one. A sample passes four phases:
+// (A) the GCN embeds it on the slot's tape, a function of the sample and
+// the weights, which nothing writes during a step; (B) pooling, torso,
+// heads, loss and the heads' and torso's backward pass; (C) the slot's
+// dL/dH goes back through the GCN's activations on the tape, writing no
+// parameter; (D) the tape's terms are added to the GCN's parameter
+// gradients. A is dealt to every goroutine. B and D are the caller's
+// alone, each a loop in sample order: batch normalization's running
+// statistics are a moving average over the sample stream, and every other
+// sum B or D adds to — the loss, each element of each Param.G — is a
+// floating-point chain whose value is the order of its terms. C is the
+// other goroutines', which take each sample as its B completes; the caller
+// takes what they have not whenever the next D is not yet due, and B
+// touches no tensor D touches. Every addition therefore happens in the
+// order of a loop over the samples calling n.Forward and n.Backward, which
+// is what one slot and one worker run, and the gradients are bit-identical
+// to that loop's for every workers and len(slots). Nothing spins: a
+// goroutine without work is parked, and none outlives the call.
+func GradientStep(n *net.PBQPNet, workers int, slots []net.Slot, batch []Sample, loss float64) float64 {
+	size := float64(len(batch))
+	for len(batch) > 0 {
+		wave := batch[:min(len(slots), len(batch))]
+		batch = batch[len(wave):]
+		helpers := min(workers, len(wave)) - 1
+
+		var next atomic.Int64
+		embed := func() {
+			for i := int(next.Add(1)) - 1; i < len(wave); i = int(next.Add(1)) - 1 {
+				n.Embed(&slots[i], wave[i].View)
+			}
+		}
+		wait := spawn(helpers, embed)
+		embed()
+		wait()
+
+		ready := make(chan int, len(wave)) // samples whose B is done and C not begun
+		done := make([]atomic.Bool, len(wave))
+		backprop := func(i int) {
+			n.Backprop(&slots[i])
+			done[i].Store(true)
+		}
+		wait = spawn(helpers, func() {
+			for i := range ready {
+				backprop(i)
+			}
+		})
+		for i, s := range wave {
+			logits, v := n.Heads(&slots[i])
+			mask := net.Mask(s.View)
+			p := nn.Softmax(logits, mask)
+			loss += nn.CrossEntropy(p, s.Pi) + nn.MSE(v, s.Z)
+			dLogits := nn.CrossEntropyGrad(p, s.Pi, mask)
+			dLogits.Scale(1 / size)
+			n.HeadsBackward(&slots[i], dLogits, nn.MSEGrad(v, s.Z)/size)
+			ready <- i
+		}
+		close(ready)
+		for d := 0; d < len(wave); {
+			if done[d].Load() {
+				n.Accumulate(&slots[d])
+				d++
+			} else if i, ok := <-ready; ok {
+				backprop(i)
+			} else {
+				wait() // a helper has sample d
+			}
+		}
+		wait()
+	}
+	return loss
+}
+
+// StepSlots is how many slots GradientStep wants for minibatches of
+// batchSize samples: one for a lone goroutine, which then takes each
+// sample through all four phases on a tape that stays in cache, and one
+// per sample for more, so that a wave is a whole minibatch and the
+// goroutines are started twice a step.
+func StepSlots(workers, batchSize int) int {
+	if workers <= 1 {
+		return 1
+	}
+	return batchSize
+}
+
+// spawn runs work on helpers new goroutines and returns the function
+// that waits for all of them to return.
+func spawn(helpers int, work func()) (wait func()) {
+	var wg sync.WaitGroup
+	for h := 0; h < helpers; h++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	return wg.Wait
 }
 
 // checkFinite scans the current network for NaN/Inf weights.
