@@ -1,13 +1,11 @@
 // Command pbqp-train runs the self-play training pipeline of Section
-// IV-A with fault-tolerant checkpointing, either standalone or as a
-// worker in a distributed run.
+// IV-A in one process, with fault-tolerant checkpointing.
 //
 // Usage:
 //
 //	pbqp-train [-iters N] [-episodes N] [-ktrain N] [-workers N]
 //	           [-regime ate|er] [-out net.gob]
 //	           [-seed S] [-resume] [-checkpoint-dir DIR] [-checkpoint-every N] [-checkpoint-keep K]
-//	pbqp-train -worker http://coordinator:8090 [-regime ...] [-episodes ...] [-ktrain ...] [-seed ...]
 //
 // The "ate" regime trains on zero/infinity graphs with the ATE
 // statistics; "er" trains on the paper's Erdős–Rényi distribution with
@@ -17,13 +15,14 @@
 //
 // The trainer checkpoints its complete state (both networks, Adam
 // moments, replay queue, RNG stream, iteration position) atomically
-// every -checkpoint-every iterations. SIGINT/SIGTERM finishes the
-// in-flight episode, checkpoints, and exits cleanly; a second signal
-// during that graceful exit forces immediate termination with exit
-// code 1. Restarting with -resume (and the same flags) continues
-// bit-identically to an uninterrupted run. A truncated or corrupt
-// newest checkpoint is detected by checksum and the run falls back to
-// the previous valid one.
+// every -checkpoint-every iterations, and logs what each checkpoint
+// cost: its bytes, the seconds to encode it and the seconds to write
+// it. SIGINT/SIGTERM finishes the in-flight episode, checkpoints, and
+// exits cleanly; a second signal during that graceful exit forces
+// immediate termination with exit code 1. Restarting with -resume (and
+// the same flags) continues bit-identically to an uninterrupted run. A
+// truncated or corrupt newest checkpoint is detected by checksum and
+// the run falls back to the previous valid one.
 //
 // Episodes, gradient steps and arena games run on -workers goroutines
 // (default: all CPUs): episodes and arena games each on a worker's own
@@ -37,12 +36,8 @@
 // per iteration with the wall-clock of the three phases and the
 // gradient samples per second.
 //
-// With -worker, the process instead claims episode leases from a
-// pbqp-coord coordinator and streams trajectories back, heartbeating
-// while it works. The training flags must match the coordinator's (the
-// claim handshake verifies a fingerprint of them); scheduling flags
-// are local. Workers hold no training state — kill -9 one whenever you
-// like.
+// Exit status: 0 trained (or interrupted and checkpointed), 1 runtime
+// failure, 2 usage error.
 package main
 
 import (
@@ -50,45 +45,95 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math/rand"
 	"os"
 	"os/signal"
 	"runtime"
 	"syscall"
+	"time"
 
 	"pbqprl/internal/checkpoint"
-	"pbqprl/internal/dist"
 	"pbqprl/internal/experiments"
+	"pbqprl/internal/game"
 	"pbqprl/internal/net"
+	"pbqprl/internal/pbqp"
+	"pbqprl/internal/randgraph"
 	"pbqprl/internal/selfplay"
 )
 
 func main() {
-	iters := flag.Int("iters", 5, "training iterations (paper: 200)")
-	episodes := flag.Int("episodes", 20, "episodes per iteration (paper: 100)")
-	ktrain := flag.Int("ktrain", 50, "MCTS simulations per move (paper: 50 or 100)")
-	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "goroutines for self-play episodes, gradient steps and arena games (any value trains bit-identically)")
-	regime := flag.String("regime", "ate", "training distribution: ate (zero/inf) or er (Erdős–Rényi, p_inf=1%)")
-	out := flag.String("out", "pbqp-net.gob", "best-network output path")
-	seed := flag.Int64("seed", 1, "training seed")
-	meanN := flag.Float64("mean-n", 36, "mean graph size (paper: 100)")
-	ckptDir := flag.String("checkpoint-dir", "", "checkpoint directory (default: <out>.ckpts)")
-	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint every N completed iterations (0 disables periodic checkpoints)")
-	ckptKeep := flag.Int("checkpoint-keep", 3, "checkpoints retained on disk")
-	resume := flag.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
-	workerURL := flag.String("worker", "", "run as a distributed self-play worker against this coordinator URL")
-	flag.Parse()
-	log.SetFlags(log.LstdFlags)
-	log.SetPrefix("pbqp-train: ")
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	spec := dist.Spec{
-		Episodes: *episodes,
-		KTrain:   *ktrain,
-		Regime:   *regime,
-		MeanN:    *meanN,
-		Seed:     *seed,
-		Net:      experiments.DefaultNetConfig(),
+// selfplayConfig maps the training flags to the configuration a run
+// trains under: "ate" plays zero/infinity graphs in decreasing-liberty
+// order, "er" Erdős–Rényi graphs with 1 % infinities in fixed order.
+// Every constant here shapes the trained bytes (main_test.go pins one
+// digest per regime).
+func selfplayConfig(regime string, meanN float64, episodes, ktrain int, seed int64) (selfplay.Config, error) {
+	cfg := selfplay.Config{
+		EpisodesPerIter: episodes,
+		KTrain:          ktrain,
+		Seed:            seed,
 	}
+	switch regime {
+	case "ate":
+		cfg.Order = game.OrderDecLiberty
+		cfg.Generate = func(rng *rand.Rand) *pbqp.Graph {
+			n := randgraph.NormalN(rng, meanN, meanN/4, 10)
+			g, _ := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
+				N: n, M: 13, PEdge: 0.25, HardRatio: 0.4, PEdgeInf: 0.3,
+			})
+			return g
+		}
+	case "er":
+		cfg.Order = game.OrderFixed
+		cfg.Generate = func(rng *rand.Rand) *pbqp.Graph {
+			n := randgraph.NormalN(rng, meanN, meanN/4, 10)
+			return randgraph.ErdosRenyi(rng, randgraph.Config{
+				N: n, M: 13, PEdge: 0.15, PInf: 0.01, MaxCost: 40,
+			})
+		}
+	default:
+		return selfplay.Config{}, fmt.Errorf("unknown regime %q (want ate or er)", regime)
+	}
+	return cfg, nil
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pbqp-train", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	iters := fs.Int("iters", 5, "training iterations (paper: 200)")
+	episodes := fs.Int("episodes", 20, "episodes per iteration (paper: 100)")
+	ktrain := fs.Int("ktrain", 50, "MCTS simulations per move (paper: 50 or 100)")
+	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "goroutines for self-play episodes, gradient steps and arena games (any value trains bit-identically)")
+	regime := fs.String("regime", "ate", "training distribution: ate (zero/inf) or er (Erdős–Rényi, p_inf=1%)")
+	out := fs.String("out", "pbqp-net.gob", "best-network output path")
+	seed := fs.Int64("seed", 1, "training seed")
+	meanN := fs.Float64("mean-n", 36, "mean graph size (paper: 100)")
+	ckptDir := fs.String("checkpoint-dir", "", "checkpoint directory (default: <out>.ckpts)")
+	ckptEvery := fs.Int("checkpoint-every", 1, "checkpoint every N completed iterations (0 disables periodic checkpoints)")
+	ckptKeep := fs.Int("checkpoint-keep", 3, "checkpoints retained on disk")
+	resume := fs.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	logger := log.New(stderr, "pbqp-train: ", log.LstdFlags)
+	fail := func(err error) int {
+		logger.Print(err)
+		return 1
+	}
+
+	cfg, err := selfplayConfig(*regime, *meanN, *episodes, *ktrain, *seed)
+	if err != nil {
+		fmt.Fprintf(stderr, "pbqp-train: %v\n", err)
+		fs.Usage()
+		return 2
+	}
+	cfg.Workers = *workers
+	cfg.Logf = logger.Printf
 
 	// SIGINT/SIGTERM cancels the context; the first signal drains
 	// gracefully (finish the in-flight episode, checkpoint, exit
@@ -98,42 +143,27 @@ func main() {
 	defer cancel()
 	sigc := make(chan os.Signal, 2)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+	returned := make(chan struct{})
+	defer close(returned)
 	go func() {
-		<-sigc
-		cancel()
-		<-sigc
-		log.Printf("second signal: forcing immediate exit")
-		os.Exit(1)
+		select {
+		case <-sigc:
+			cancel()
+		case <-returned:
+			return
+		}
+		select {
+		case <-sigc:
+			logger.Printf("second signal: forcing immediate exit")
+			os.Exit(1)
+		case <-returned:
+		}
 	}()
 
-	if *workerURL != "" {
-		w, err := dist.NewWorker(dist.WorkerConfig{
-			Coordinator: *workerURL,
-			Spec:        spec,
-			Logf:        log.Printf,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("worker mode: coordinator %s, fingerprint %q", *workerURL, spec.Fingerprint())
-		if err := w.Run(ctx); err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("worker: interrupted; exiting cleanly")
-		return
-	}
-
-	cfg, err := spec.SelfplayConfig()
+	trainer, err := selfplay.NewTrainer(net.New(experiments.DefaultNetConfig()), cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "pbqp-train: %v\n", err)
-		os.Exit(2)
-	}
-	cfg.Workers = *workers
-	cfg.Logf = log.Printf
-
-	trainer, err := selfplay.NewTrainer(net.New(spec.Net), cfg)
-	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 
 	if *ckptDir == "" {
@@ -141,67 +171,76 @@ func main() {
 	}
 	store, err := checkpoint.NewStore(*ckptDir, *ckptKeep)
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	store.Logf = log.Printf
+	store.Logf = logger.Printf
 
 	if *resume {
 		id, payload, err := store.LoadLatest()
 		switch {
 		case err == nil:
 			if err := trainer.DecodeState(payload); err != nil {
-				log.Fatal(err)
+				return fail(err)
 			}
-			log.Printf("resumed from checkpoint %d (%d iterations complete)", id, trainer.Iter())
+			logger.Printf("resumed from checkpoint %d (%d iterations complete)", id, trainer.Iter())
 		case errors.Is(err, checkpoint.ErrNoCheckpoint):
-			log.Printf("no checkpoint in %s; starting fresh", store.Dir())
+			logger.Printf("no checkpoint in %s; starting fresh", store.Dir())
 		default:
-			log.Fatal(err)
+			return fail(err)
 		}
 	}
 
-	save := func() {
+	// save checkpoints the trainer and logs what that cost.
+	save := func() error {
+		//pbqpvet:ignore determinism checkpoint wall-clock is only ever formatted into a log line: the payload is EncodeState's, which reads no clock
+		start := time.Now()
 		payload, err := trainer.EncodeState()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
+		encode := time.Since(start)
 		if err := store.Save(trainer.Iter(), payload); err != nil {
-			log.Fatal(err)
+			return err
 		}
+		logger.Printf("checkpoint %d: %d bytes, encode %.3fs, write %.3fs",
+			trainer.Iter(), len(payload), encode.Seconds(), (time.Since(start) - encode).Seconds())
+		return nil
 	}
 
-	interrupted := false
 	for trainer.Iter() < *iters {
 		stats, err := trainer.RunIteration(ctx)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
-				save()
-				log.Printf("interrupted during iteration %d; state checkpointed to %s — rerun with -resume", trainer.Iter()+1, store.Dir())
-				interrupted = true
-				break
+				if err := save(); err != nil {
+					return fail(err)
+				}
+				logger.Printf("interrupted during iteration %d; state checkpointed to %s — rerun with -resume", trainer.Iter()+1, store.Dir())
+				return 0
 			}
 			// divergence or another unrecoverable error: do NOT
 			// checkpoint the poisoned state
-			log.Fatal(err)
+			return fail(err)
 		}
-		fmt.Println(stats)
+		fmt.Fprintln(stdout, stats)
 		if *ckptEvery > 0 && trainer.Iter()%*ckptEvery == 0 {
-			save()
+			if err := save(); err != nil {
+				return fail(err)
+			}
 		}
-	}
-	if interrupted {
-		return
 	}
 	if *ckptEvery > 0 && *iters%*ckptEvery != 0 {
-		save()
+		if err := save(); err != nil {
+			return fail(err)
+		}
 	}
 
 	data, err := trainer.Best().SaveBytes()
 	if err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
 	if err := checkpoint.WriteFileAtomic(*out, data); err != nil {
-		log.Fatal(err)
+		return fail(err)
 	}
-	fmt.Printf("saved best network to %s\n", *out)
+	fmt.Fprintf(stdout, "saved best network to %s\n", *out)
+	return 0
 }

@@ -20,7 +20,8 @@
 // inject faults into child processes they cannot reach with a function
 // call:
 //
-//	PBQPFAIL='dist/worker/episode=delay(300ms);checkpoint/torn-write=error' ./pbqp-train ...
+//	PBQPFAIL='checkpoint/torn-write=error' ./pbqp-train ...
+//	PBQPFAIL='server/solve=delay(300ms)' ./pbqp-serve ...
 //
 // Spec grammar: name=action pairs separated by ';' (or ','). Names are
 // slash-separated paths by convention, e.g. "checkpoint/torn-write".

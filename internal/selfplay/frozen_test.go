@@ -24,7 +24,7 @@ const (
 	goldenStateSHA   = "8411a60249642f751ea0684b0b22b2814829bff864c72e6b8e2f3fad90869ac9"
 )
 
-// TestEncodedBytesUnchanged pins the checkpoint and dist wire bytes
+// TestEncodedBytesUnchanged pins the checkpoint and EncodeSamples bytes
 // across the change of view type underneath them: freezeSample reads a
 // snapshot through Nbrs and Mat, and what it reads must encode as it
 // did when the snapshot kept per-vertex slices and maps. gob numbers

@@ -92,11 +92,12 @@ type Config struct {
 	// Workers > 1, Generate must be safe for concurrent calls (derive all
 	// randomness from the rng it is handed).
 	Workers int
-	// Episodes optionally delegates the episode phase of each
-	// iteration to an external backend — internal/dist's coordinator
-	// hands the batch out to remote workers lease by lease. Nil plays
-	// episodes in process on the Workers pool. See EpisodeBackend for
-	// the contract that keeps a backend-driven run bit-identical to a
+	// Episodes optionally hands the episode phase of each iteration
+	// to a backend of the caller's. Nil — what every training run sets
+	// — plays episodes in process on the Workers pool; the callers
+	// today are the benchmark's tracer, which wraps RunEpisode to time
+	// each episode, and the contract tests. See EpisodeBackend for the
+	// contract that keeps a backend-driven run bit-identical to a
 	// sequential one. Arena games always run in process.
 	Episodes EpisodeBackend
 	// Generate produces the episode graph distribution (paper:
@@ -180,7 +181,9 @@ type EpisodeBatch struct {
 	Cur, Best *net.PBQPNet
 }
 
-// EpisodeBackend runs an episode batch on behalf of the trainer. It
+// EpisodeBackend runs an episode batch on behalf of the trainer — in
+// this tree the benchmark's tracer and the TestEpisodeBackend* contract
+// tests; a remote one would be an addition behind the same contract. It
 // must return results for a prefix of the batch in episode order: all
 // of them with a nil error (batch complete), or the committed prefix
 // plus the reason dispatch stopped — typically ctx.Err(). The trainer
@@ -487,10 +490,10 @@ func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterSt
 }
 
 // RunEpisode plays one self-play episode exactly as the trainer's own
-// loops do — it is the reference implementation an EpisodeBackend's
-// remote workers run. Zero Config fields take the same defaults the
-// trainer applies, so a worker handed the coordinator's (pre-default)
-// Config produces bit-identical episodes. cur and best are mutated
+// loops do — it is the reference implementation an EpisodeBackend
+// calls. Zero Config fields take the same defaults the trainer
+// applies, so a backend handed the trainer's (pre-default) Config
+// produces bit-identical episodes. cur and best are mutated
 // only through their inference caches; they must not be shared across
 // concurrent calls.
 func RunEpisode(cfg Config, cur, best *net.PBQPNet, seed int64) EpisodeResult {
@@ -605,9 +608,9 @@ func (t *Trainer) train() (float64, error) {
 	if t.replay.len() == 0 {
 		return 0, t.checkFinite()
 	}
-	// The only training-mode bracket there is: episodes, arena games and
-	// dist workers evaluate outside it (their clones and loaded nets
-	// start in inference mode), and net.Evaluate panics inside it.
+	// The only training-mode bracket there is: episodes and arena games
+	// evaluate outside it (their clones start in inference mode), and
+	// net.Evaluate panics inside it.
 	t.cur.SetTraining(true)
 	defer t.cur.SetTraining(false)
 	if t.slots == nil {

@@ -94,7 +94,7 @@ func freezeSample(s Sample) replaySample {
 
 // thawSample reverses freezeSample into the view game.Snapshot returns,
 // a gcn.FrozenView, over a small edge table of the sample's own, packed
-// here: a restored or transported sample trains like a live snapshot.
+// here: a restored sample trains like a live snapshot.
 func thawSample(rs replaySample) Sample {
 	tbl := &gcn.EdgeTable{Start: make([]int32, 1, len(rs.Mats)+1)}
 	for _, mats := range rs.Mats {
@@ -106,11 +106,12 @@ func thawSample(rs replaySample) Sample {
 	return Sample{View: gcn.NewFrozenView(tbl, 0, rs.M, rs.Vecs), Pi: rs.Pi, Z: rs.Z}
 }
 
-// EncodeSamples serializes training samples for transport between
-// distributed self-play workers and the coordinator. It uses the same
-// frozen form as checkpoints (sorted neighbor order, gob), so the
-// encoding is deterministic and a decoded sample trains bit-identically
-// to the live snapshot it came from.
+// EncodeSamples serializes training samples on their own, outside a
+// checkpoint; the tests that compare a thawed view against a live
+// snapshot build theirs through it. It uses the same frozen form as
+// checkpoints (sorted neighbor order, gob), so the encoding is
+// deterministic and a decoded sample trains bit-identically to the live
+// snapshot it came from.
 func EncodeSamples(samples []Sample) ([]byte, error) {
 	frozen := make([]replaySample, 0, len(samples))
 	for _, s := range samples {

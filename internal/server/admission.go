@@ -23,10 +23,9 @@ import (
 // closed and every worker has exited.
 //
 // The type is exported (rather than private to the solve service)
-// because the distributed-training coordinator (internal/dist) fronts
-// its lease endpoints with the same pool: bounded handler concurrency,
-// load shedding under claim storms, and a drain barrier for clean
-// shutdown.
+// because the router (internal/router) fronts its forwards with the
+// same pool: bounded handler concurrency, load shedding under request
+// storms, and a drain barrier for clean shutdown.
 var (
 	// ErrQueueFull rejects a request because the bounded queue is at
 	// capacity; the client should retry after backing off.
