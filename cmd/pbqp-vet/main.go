@@ -5,11 +5,9 @@
 //	costarith    no raw arithmetic or comparison on cost.Cost outside internal/cost
 //	ctxpoll      every SolveCtx polls its context from each unbounded loop
 //	determinism  no time.Now / global math/rand / map-order leaks in encode paths
-//	floatcmp     no exact == / != on floats outside internal/cost
 //	goroleak     every go statement has a bounded exit path or a daemon marker
 //	hotalloc     no allocating tensor calls on //pbqpvet:hotpath-reachable paths
 //	lockorder    acyclic lock acquisition; no lock held across blocking ops
-//	panicfree    no panic in library code outside Must* and init
 //	wgmisuse     WaitGroup Add/Wait protocol; no by-value sync primitives
 //
 // Usage:

@@ -13,11 +13,11 @@ const fixtureRoot = "../../internal/analysis/testdata/src"
 
 func TestRunFindsFixtureDiagnostics(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-only", "floatcmp", fixtureRoot + "/floatcmp"}, &out)
+	code := run([]string{"-only", "costarith", fixtureRoot + "/costarith"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "== on floating-point operands") {
+	if !strings.Contains(out.String(), "raw + on cost.Cost") {
 		t.Errorf("output missing expected finding:\n%s", out.String())
 	}
 	if !strings.Contains(out.String(), "finding(s)") {
@@ -27,7 +27,7 @@ func TestRunFindsFixtureDiagnostics(t *testing.T) {
 
 func TestRunJSONOutput(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-json", "-only", "panicfree", fixtureRoot + "/panicfree"}, &out)
+	code := run([]string{"-json", "-only", "determinism", fixtureRoot + "/determinism"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -39,7 +39,7 @@ func TestRunJSONOutput(t *testing.T) {
 		t.Fatal("JSON output decoded to zero findings")
 	}
 	for _, d := range diags {
-		if d.Analyzer != "panicfree" || d.File == "" || d.Line == 0 || d.Message == "" {
+		if d.Analyzer != "determinism" || d.File == "" || d.Line == 0 || d.Message == "" {
 			t.Errorf("incomplete diagnostic: %+v", d)
 		}
 	}
@@ -79,8 +79,8 @@ func TestRunList(t *testing.T) {
 		t.Fatalf("exit code = %d, want 0", code)
 	}
 	for _, name := range []string{
-		"atomicmix", "costarith", "ctxpoll", "determinism", "floatcmp",
-		"goroleak", "hotalloc", "lockorder", "panicfree", "wgmisuse",
+		"atomicmix", "costarith", "ctxpoll", "determinism",
+		"goroleak", "hotalloc", "lockorder", "wgmisuse",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output missing %s:\n%s", name, out.String())

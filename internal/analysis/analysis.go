@@ -1,7 +1,9 @@
 // Package analysis is a small stdlib-only static-analysis framework for
 // the project's domain invariants: determinism of encode paths,
 // saturating ℝ∞ cost arithmetic, cancellation discipline in solvers,
-// float comparison hygiene, and panic-free library code.
+// allocation-free hot paths, and the concurrency protocols (lock
+// order, goroutine exits, atomic access, WaitGroup use). DESIGN.md §12
+// keeps the census that decides which analyzers stay.
 //
 // It deliberately avoids golang.org/x/tools: packages are parsed with
 // go/parser and type-checked with go/types, resolving module-internal

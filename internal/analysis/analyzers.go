@@ -3,8 +3,8 @@ package analysis
 // All returns every analyzer in the suite, in report-name order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix, CostArith, CtxPoll, Determinism, FloatCmp,
-		GoroLeak, HotAlloc, LockOrder, PanicFree, WgMisuse,
+		AtomicMix, CostArith, CtxPoll, Determinism,
+		GoroLeak, HotAlloc, LockOrder, WgMisuse,
 	}
 }
 

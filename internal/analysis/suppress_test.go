@@ -23,7 +23,7 @@ func TestMalformedDirectives(t *testing.T) {
 	cases := []struct {
 		name, directive string
 	}{
-		{"missing reason", "//pbqpvet:ignore floatcmp"},
+		{"missing reason", "//pbqpvet:ignore costarith"},
 		{"missing name and reason", "//pbqpvet:ignore"},
 		{"only commas", "//pbqpvet:ignore ,, some reason"},
 	}
@@ -45,25 +45,25 @@ func TestMalformedDirectives(t *testing.T) {
 }
 
 func TestWellFormedDirectiveCoversTwoLines(t *testing.T) {
-	src := "package p\n\n//pbqpvet:ignore floatcmp,panicfree the reason\nvar x = 1\n"
+	src := "package p\n\n//pbqpvet:ignore costarith,ctxpoll the reason\nvar x = 1\n"
 	_, bad, sup := parseSrc(t, src)
 	if len(bad) != 0 {
 		t.Fatalf("unexpected malformed diagnostics: %v", bad)
 	}
 	for _, line := range []int{3, 4} {
-		for _, name := range []string{"floatcmp", "panicfree"} {
+		for _, name := range []string{"costarith", "ctxpoll"} {
 			if !sup["sup.go"][line][name] {
 				t.Errorf("line %d analyzer %s not suppressed", line, name)
 			}
 		}
 	}
-	if sup["sup.go"][5]["floatcmp"] {
+	if sup["sup.go"][5]["costarith"] {
 		t.Error("suppression leaked past the following line")
 	}
 	kept := sup.filter([]Diagnostic{
-		{Analyzer: "floatcmp", File: "sup.go", Line: 4},
+		{Analyzer: "costarith", File: "sup.go", Line: 4},
 		{Analyzer: "determinism", File: "sup.go", Line: 4},
-		{Analyzer: "floatcmp", File: "sup.go", Line: 9},
+		{Analyzer: "costarith", File: "sup.go", Line: 9},
 	})
 	if len(kept) != 2 {
 		t.Fatalf("filter kept %d diagnostics, want 2: %v", len(kept), kept)

@@ -37,7 +37,7 @@ func viaMethods(a, b cost.Cost) cost.Cost {
 	return cost.Inf
 }
 
-// plainFloats are not costs; costarith leaves them to floatcmp.
+// plainFloats are not costs and stay silent.
 func plainFloats(x, y float64) float64 {
 	return x + y*2
 }

@@ -4,30 +4,36 @@
 // covered by unit tests in the analysis package.)
 package suppress
 
-func trailing(x float64) bool {
-	return x == 1 //pbqpvet:ignore floatcmp trailing directives suppress their own line
+import (
+	"time"
+
+	"pbqprl/internal/cost"
+)
+
+func trailing(a, b cost.Cost) bool {
+	return a == b //pbqpvet:ignore costarith trailing directives suppress their own line
 }
 
-func above(x float64) bool {
-	//pbqpvet:ignore floatcmp standalone directives suppress the next line
-	return x == 2
+func above(a, b cost.Cost) bool {
+	//pbqpvet:ignore costarith standalone directives suppress the next line
+	return a < b
 }
 
-func multiName(x float64) bool {
-	if x != 3 { // want "!= on floating-point operands"
-		//pbqpvet:ignore floatcmp,panicfree one directive may silence several analyzers
-		panic(x == 3)
+func multiName(a cost.Cost) cost.Cost {
+	if a != 3 { // want "raw != on cost.Cost"
+		//pbqpvet:ignore costarith,determinism one directive may silence several analyzers
+		return a + cost.Cost(time.Now().Unix())
 	}
-	return false
+	return a
 }
 
-func wrongName(x float64) bool {
-	//pbqpvet:ignore panicfree this names the wrong analyzer, so floatcmp still fires
-	return x == 4 // want "== on floating-point operands"
+func wrongName(a, b cost.Cost) bool {
+	//pbqpvet:ignore determinism this names the wrong analyzer, so costarith still fires
+	return a == b // want "raw == on cost.Cost"
 }
 
-func tooFar(x float64) bool {
-	//pbqpvet:ignore floatcmp directives reach one line, not two
+func tooFar(a, b cost.Cost) bool {
+	//pbqpvet:ignore costarith directives reach one line, not two
 
-	return x == 5 // want "== on floating-point operands"
+	return a == b // want "raw == on cost.Cost"
 }

@@ -48,7 +48,8 @@ func Suite() []Benchmark {
 		})
 		g, err := BuildPBQP(prog)
 		if err != nil {
-			//pbqpvet:ignore panicfree built-in suite programs are valid by construction; failure is a code bug caught by the suite tests
+			// Built-in suite programs are valid by construction; the suite
+			// tests catch a bad one.
 			panic("ate: suite program invalid: " + err.Error())
 		}
 		out = append(out, Benchmark{Program: prog, Graph: g, Hidden: hidden})

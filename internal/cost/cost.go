@@ -59,7 +59,6 @@ func (c Cost) Less(d Cost) bool {
 // Finite returns the float64 value of a finite cost; it panics on Inf.
 func (c Cost) Finite() float64 {
 	if c.IsInf() {
-		//pbqpvet:ignore panicfree documented contract: Finite on Inf is a caller bug, there is no value to return
 		panic("cost: Finite called on infinite cost")
 	}
 	return float64(c)
@@ -169,7 +168,6 @@ func (v Vector) Clone() Vector {
 // It panics if the lengths differ.
 func (v Vector) AddInPlace(w Vector) {
 	if len(v) != len(w) {
-		//pbqpvet:ignore panicfree shape mismatch is a caller bug, like the slice bounds panic it mirrors
 		panic("cost: vector length mismatch")
 	}
 	for i := range v {
@@ -253,7 +251,6 @@ func NewMatrixFrom(rows [][]Cost) *Matrix {
 	m := NewMatrix(len(rows), len(rows[0]))
 	for i, r := range rows {
 		if len(r) != m.Cols {
-			//pbqpvet:ignore panicfree ragged literal is a caller bug in test/fixture construction code
 			panic("cost: ragged matrix rows")
 		}
 		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
@@ -301,7 +298,6 @@ func (m *Matrix) Transpose() *Matrix {
 // It panics on shape mismatch.
 func (m *Matrix) AddInPlace(o *Matrix) {
 	if m.Rows != o.Rows || m.Cols != o.Cols {
-		//pbqpvet:ignore panicfree shape mismatch is a caller bug, like the slice bounds panic it mirrors
 		panic("cost: matrix shape mismatch")
 	}
 	for i := range m.Data {

@@ -90,7 +90,7 @@ func CostSums(progress func(string)) []CostSumRow {
 				}
 			}
 			row.RL[k] = sum
-			//pbqpvet:ignore floatcmp exact zero marks a missing PBQP baseline, assigned not computed
+			// Zero marks a missing PBQP baseline.
 			if row.PBQP != 0 {
 				row.Delta[k] = (sum - row.PBQP) / row.PBQP
 			}

@@ -62,7 +62,8 @@ func ateTrainingGraph(rng *rand.Rand) *pbqp.Graph {
 	})
 	g, err := ate.BuildPBQP(prog)
 	if err != nil {
-		//pbqpvet:ignore panicfree experiment harness: aborting beats publishing figures from a broken training setup
+		// An experiment harness aborts rather than publish figures from
+		// a broken training setup.
 		panic("experiments: training program invalid: " + err.Error())
 	}
 	return g
@@ -157,7 +158,6 @@ func buildNet(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order
 	for i := 0; i < spec.Iterations; i++ {
 		stats, err := trainer.RunIteration(context.Background())
 		if err != nil {
-			//pbqpvet:ignore panicfree experiment harness: aborting beats publishing figures from a broken training setup
 			panic("experiments: training failed: " + err.Error())
 		}
 		if progress != nil {

@@ -180,7 +180,6 @@ func Hit(name string) error {
 	mu.Unlock()
 	switch act {
 	case actPanic:
-		//pbqpvet:ignore panicfree panicking is this failpoint action's documented contract; it only fires when a test armed the point
 		panic("failpoint: injected panic at " + name)
 	case actDelay:
 		time.Sleep(delay)

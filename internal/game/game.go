@@ -208,11 +208,11 @@ func (s *State) DeadEnd() bool { return !s.Done() && s.dead > 0 }
 //pbqpvet:hotpath
 func (s *State) Play(a int) {
 	if s.Done() {
-		//pbqpvet:ignore panicfree documented contract: callers check Done/Legal first; the self-play hot path cannot afford error returns
+		// Callers check Done/Legal first: the self-play hot path cannot
+		// afford error returns.
 		panic("game: Play on a finished game")
 	}
 	if a < 0 || a >= s.m || !s.Legal(a) {
-		//pbqpvet:ignore panicfree documented contract: callers check Done/Legal first; the self-play hot path cannot afford error returns
 		panic(fmt.Sprintf("game: illegal action %d at turn %d", a, s.t))
 	}
 	rec := &s.undo[s.t]
@@ -246,7 +246,6 @@ func (s *State) Play(a int) {
 //pbqpvet:hotpath
 func (s *State) Undo() {
 	if s.t == 0 {
-		//pbqpvet:ignore panicfree documented contract: Undo without a prior Play is a caller bug
 		panic("game: Undo at initial state")
 	}
 	s.t--

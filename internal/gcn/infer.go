@@ -71,10 +71,9 @@ func buildKernel(m *tensor.Mat) *packedMat {
 	nz := 0
 	binary := true
 	for _, w := range m.W {
-		//pbqpvet:ignore floatcmp exact-zero skipping is the kernel's contract; see the package comment on zero skipping
 		if w != 0 {
 			nz++
-			//pbqpvet:ignore floatcmp infFeature is assigned, never computed, so the exact comparison identifies it
+			// infFeature is assigned, never computed, so != identifies it.
 			if w != infFeature {
 				binary = false
 			}
@@ -103,7 +102,6 @@ func buildKernel(m *tensor.Mat) *packedMat {
 		k.rowStart[i] = int32(len(k.idx))
 		row := m.W[i*m.C : (i+1)*m.C]
 		for j, w := range row {
-			//pbqpvet:ignore floatcmp exact-zero skipping is the kernel's contract; see the package comment on zero skipping
 			if w != 0 {
 				k.idx = append(k.idx, int32(j))
 				if k.kind == kSparse {
@@ -242,7 +240,6 @@ func edges(view View, flat *EdgeTable) (tbl *EdgeTable, off int) {
 	if tv, ok := view.(TableView); ok {
 		tbl, off = tv.EdgeTable()
 		if len(tbl.packed) != len(tbl.Mat) {
-			//pbqpvet:ignore panicfree a table's exported slices were filled by hand: a caller bug, caught here rather than as an index panic inside the fold
 			panic(fmt.Sprintf("gcn: EdgeTable holds %d matrices but %d packed forms: every edge must enter a table through AddEdge", len(tbl.Mat), len(tbl.packed)))
 		}
 		return tbl, off
@@ -377,7 +374,6 @@ func (sc *Scratch) ensure(m, n int) {
 // of the dense W_in·φ product over its 2·len(vec) features.
 func checkVec(vec cost.Vector, m int) {
 	if len(vec) != m {
-		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).MulVec's shape panic on the scalar path
 		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", 2*m, 2*len(vec)))
 	}
 }
@@ -387,11 +383,9 @@ func checkVec(vec cost.Vector, m int) {
 // of bounds or, worse, succeed (a zero kernel has no bounds to trip).
 func checkShape(mat *tensor.Mat, m int) {
 	if mat.C != m {
-		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
 		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mat.C, m))
 	}
 	if mat.R != m {
-		//pbqpvet:ignore panicfree mirrors (*tensor.Mat).AddMulVec's shape panic on the scalar path
 		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", mat.R, m))
 	}
 }
@@ -553,7 +547,6 @@ func (g *GCN) h0Into(dst, feat tensor.Vec, nz []int32, vec cost.Vector) []int32 
 	feat.Zero()
 	for i, c := range vec {
 		s := squash(c)
-		//pbqpvet:ignore floatcmp exact-zero skipping is the kernel's contract; see the package comment on zero skipping
 		if s != 0 {
 			feat[i] = s
 			nz = append(nz, int32(i))

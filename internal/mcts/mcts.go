@@ -25,13 +25,16 @@ type Evaluator interface {
 	Evaluate(view gcn.View) (prior tensor.Vec, value float64)
 }
 
+// The search constants of Equation 2: cPuct is the exploration
+// constant, and eps sits under the square root so that the prior drives
+// the very first selection.
+const (
+	cPuct = 1.25
+	eps   = 1e-3
+)
+
 // Config tunes the search.
 type Config struct {
-	// CPuct is the exploration constant of Equation 2 (default 1.25).
-	CPuct float64
-	// Eps is the small constant under the square root of Equation 2
-	// that lets the prior drive the very first selection (default 1e-3).
-	Eps float64
 	// HeuristicValue replaces the DNN value at leaf evaluation with
 	// the game's lower-bound heuristic (see game.State.HeuristicValue);
 	// the DNN still supplies the priors. Used for minimization
@@ -46,18 +49,6 @@ type Config struct {
 	// it to the garbage collector, so per-episode memory is bounded by
 	// the live subtree instead of growing with game depth.
 	RetainParents bool
-}
-
-func (c Config) withDefaults() Config {
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if c.CPuct == 0 {
-		c.CPuct = 1.25
-	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if c.Eps == 0 {
-		c.Eps = 1e-3
-	}
-	return c
 }
 
 // node is one state in the partial game tree. Edge statistics (Q, N,
@@ -101,7 +92,7 @@ type Tree struct {
 
 // New creates an empty tree for a game with m colors.
 func New(eval Evaluator, m int, cfg Config) *Tree {
-	return &Tree{cfg: cfg.withDefaults(), eval: eval, root: &node{}, m: m}
+	return &Tree{cfg: cfg, eval: eval, root: &node{}, m: m}
 }
 
 // Nodes returns the total number of nodes (states) generated in the
@@ -201,13 +192,13 @@ func (t *Tree) selectAction(nd *node) int {
 	for _, n := range nd.n {
 		total += n
 	}
-	sqrtTotal := math.Sqrt(t.cfg.Eps + float64(total))
+	sqrtTotal := math.Sqrt(eps + float64(total))
 	best, bestU := -1, math.Inf(-1)
 	for a := 0; a < t.m; a++ {
 		if !nd.actionOpen(a) {
 			continue
 		}
-		u := nd.q[a] + t.cfg.CPuct*nd.prior[a]*sqrtTotal/float64(1+nd.n[a])
+		u := nd.q[a] + cPuct*nd.prior[a]*sqrtTotal/float64(1+nd.n[a])
 		if u > bestU {
 			best, bestU = a, u
 		}
@@ -231,7 +222,6 @@ func (t *Tree) Policy() tensor.Vec {
 			total += pi[a]
 		}
 	}
-	//pbqpvet:ignore floatcmp visit weights are non-negative; an exactly-zero sum means no visits at all
 	if total == 0 {
 		for a := 0; a < t.m; a++ {
 			if nd.actionOpen(a) {
@@ -248,15 +238,6 @@ func (t *Tree) Policy() tensor.Vec {
 	return pi
 }
 
-// RootValue returns the DNN value estimate v̂ of the root.
-func (t *Tree) RootValue() float64 { return t.root.value }
-
-// RootPrior returns the DNN prior p̂(·|s_root); it aliases tree storage.
-func (t *Tree) RootPrior() tensor.Vec { return t.root.prior }
-
-// RootExpanded reports whether the root has been evaluated.
-func (t *Tree) RootExpanded() bool { return t.root.expanded }
-
 // Advance moves the root to the child reached by action a, reusing the
 // subtree and its statistics (the caller plays a on its state). Unless
 // Config.RetainParents is set, the abandoned parent and every sibling
@@ -264,7 +245,6 @@ func (t *Tree) RootExpanded() bool { return t.root.expanded }
 func (t *Tree) Advance(a int) {
 	nd := t.root
 	if !nd.expanded || nd.terminal {
-		//pbqpvet:ignore panicfree documented contract: Advance is only legal on an expanded non-terminal root
 		panic("mcts: Advance on unexpanded or terminal root")
 	}
 	child := nd.children[a]
@@ -284,7 +264,6 @@ func (t *Tree) Advance(a int) {
 // was not retained (see Config.RetainParents).
 func (t *Tree) Back() {
 	if t.root.parent == nil {
-		//pbqpvet:ignore panicfree documented contract: Back requires Config.RetainParents, enforced by the rl solver
 		panic("mcts: Back at tree root (backtracking requires Config.RetainParents)")
 	}
 	t.root = t.root.parent

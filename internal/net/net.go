@@ -322,12 +322,10 @@ func (p *PBQPNet) CopyFrom(src *PBQPNet) {
 	p.invalidateEngine()
 	dst, s := p.tensors(), src.tensors()
 	if len(dst) != len(s) {
-		//pbqpvet:ignore panicfree both nets come from the same Config by construction; mismatch is a code bug
 		panic("net: CopyFrom across different architectures")
 	}
 	for i := range dst {
 		if len(dst[i]) != len(s[i]) {
-			//pbqpvet:ignore panicfree both nets come from the same Config by construction; mismatch is a code bug
 			panic("net: CopyFrom across different architectures")
 		}
 		copy(dst[i], s[i])

@@ -77,7 +77,8 @@ func Infer(mod Module, x tensor.Vec, sc *InferScratch) tensor.Vec {
 		return out
 	case *BatchNorm:
 		if m.training {
-			//pbqpvet:ignore panicfree training-mode inference would silently diverge from Forward's frozen-statistics result; failing fast is the contract
+			// Training-mode inference would silently diverge from
+			// Forward's frozen-statistics result.
 			panic("nn: Infer through a training-mode BatchNorm")
 		}
 		out := sc.take(len(x))
@@ -101,7 +102,6 @@ func Infer(mod Module, x tensor.Vec, sc *InferScratch) tensor.Vec {
 		}
 		return out
 	default:
-		//pbqpvet:ignore panicfree unknown module type is a code bug in the net assembly, not a runtime condition
 		panic("nn: Infer on unknown module type")
 	}
 }

@@ -41,10 +41,10 @@ func warmStats(rng *rand.Rand, mod Module, in int) {
 	SetTraining(mod, false)
 }
 
-// TestInferBatchBitIdenticalToForward is the walker's core contract
+// TestInferBitIdenticalToForward is the walker's core contract
 // (it kept its name when Infer lost its batch dimension): the read-only
 // pass equals Forward, bit for bit, on one reused arena.
-func TestInferBatchBitIdenticalToForward(t *testing.T) {
+func TestInferBitIdenticalToForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const in, hidden = 10, 16
 	mod := torsoLike(rng, in, hidden)
@@ -66,9 +66,9 @@ func TestInferBatchBitIdenticalToForward(t *testing.T) {
 	}
 }
 
-// TestInferBatchLeavesModuleUntouched pins the read-only property: the
+// TestInferLeavesModuleUntouched pins the read-only property: the
 // walker neither updates BatchNorm statistics nor the Forward caches.
-func TestInferBatchLeavesModuleUntouched(t *testing.T) {
+func TestInferLeavesModuleUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const in, hidden = 6, 8
 	mod := torsoLike(rng, in, hidden)
@@ -88,9 +88,9 @@ func TestInferBatchLeavesModuleUntouched(t *testing.T) {
 	}
 }
 
-// TestInferBatchAllocFree: after the first pass sizes the arena, the
+// TestInferAllocFree: after the first pass sizes the arena, the
 // steady-state pass performs zero allocations.
-func TestInferBatchAllocFree(t *testing.T) {
+func TestInferAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const in, hidden = 10, 16
 	mod := torsoLike(rng, in, hidden)
@@ -106,9 +106,9 @@ func TestInferBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestInferBatchTrainingModePanics: evaluating through a training-mode
+// TestInferTrainingModePanics: evaluating through a training-mode
 // BatchNorm must fail fast instead of silently diverging.
-func TestInferBatchTrainingModePanics(t *testing.T) {
+func TestInferTrainingModePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	mod := torsoLike(rng, 4, 4)
 	SetTraining(mod, true)

@@ -67,7 +67,7 @@ func SoftmaxInto(out, logits tensor.Vec, mask []bool) {
 func CrossEntropy(p, target tensor.Vec) float64 {
 	l := 0.0
 	for i, t := range target {
-		//pbqpvet:ignore floatcmp one-hot targets carry exact zeros; skips the 0*log(p) terms
+		// One-hot targets carry exact zeros: skip their 0·log(p) terms.
 		if t == 0 {
 			continue
 		}

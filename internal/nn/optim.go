@@ -29,7 +29,6 @@ func NewSGD(lr, momentum float64) *SGD {
 // Step implements Optimizer.
 func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
-		//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
 		if s.Momentum == 0 {
 			p.W.AddScaled(-s.LR, p.G)
 		} else {

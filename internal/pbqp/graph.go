@@ -43,7 +43,6 @@ type Graph struct {
 // no edges. It panics if n < 0 or m <= 0.
 func New(n, m int) *Graph {
 	if n < 0 || m <= 0 {
-		//pbqpvet:ignore panicfree documented constructor contract; dimensions are code constants, not input data
 		panic(fmt.Sprintf("pbqp: invalid dimensions n=%d m=%d", n, m))
 	}
 	g := &Graph{
@@ -81,7 +80,6 @@ func (g *Graph) VertexCost(u int) cost.Vector { return g.vecs[u] }
 // It panics if len(v) != M().
 func (g *Graph) SetVertexCost(u int, v cost.Vector) {
 	if len(v) != g.m {
-		//pbqpvet:ignore panicfree shape/dimension mismatch is a caller bug, mirrors the slice-bounds panic
 		panic("pbqp: vertex cost vector has wrong length")
 	}
 	g.vecs[u] = v.Clone()
@@ -115,7 +113,6 @@ func (g *Graph) EdgeCost(u, v int) *cost.Matrix { return g.adj[u][v] }
 func (g *Graph) SetEdgeCost(u, v int, mat *cost.Matrix) {
 	g.checkEdge(u, v)
 	if mat.Rows != g.m || mat.Cols != g.m {
-		//pbqpvet:ignore panicfree shape/dimension mismatch is a caller bug, mirrors the slice-bounds panic
 		panic("pbqp: edge cost matrix has wrong shape")
 	}
 	g.adj[u][v] = mat.Clone()
@@ -129,7 +126,6 @@ func (g *Graph) SetEdgeCost(u, v int, mat *cost.Matrix) {
 func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 	g.checkEdge(u, v)
 	if mat.Rows != g.m || mat.Cols != g.m {
-		//pbqpvet:ignore panicfree shape/dimension mismatch is a caller bug, mirrors the slice-bounds panic
 		panic("pbqp: edge cost matrix has wrong shape")
 	}
 	sum := mat.Clone()
@@ -151,11 +147,9 @@ func (g *Graph) adoptEdge(u, v int, uv, vu *cost.Matrix) {
 
 func (g *Graph) checkEdge(u, v int) {
 	if u == v {
-		//pbqpvet:ignore panicfree documented API-contract panic on caller error, mirrors the slice-bounds panic
 		panic("pbqp: self loop")
 	}
 	if !g.alive[u] || !g.alive[v] {
-		//pbqpvet:ignore panicfree documented API-contract panic on caller error, mirrors the slice-bounds panic
 		panic("pbqp: edge endpoint is not alive")
 	}
 }
@@ -292,7 +286,6 @@ func (g *Graph) TotalCost(sel Selection) cost.Cost {
 			continue
 		}
 		if u >= len(sel) || sel[u] < 0 || sel[u] >= g.m {
-			//pbqpvet:ignore panicfree documented contract: selections are produced by solvers, an invalid one is a solver bug
 			panic(fmt.Sprintf("pbqp: invalid selection for vertex %d", u))
 		}
 		sum = sum.Add(g.vecs[u][sel[u]])
@@ -316,11 +309,9 @@ func (g *Graph) TotalCost(sel Selection) cost.Cost {
 // dead or a is out of range.
 func (g *Graph) ColorVertex(u, a int) cost.Cost {
 	if !g.alive[u] {
-		//pbqpvet:ignore panicfree documented API-contract panic on caller error, mirrors the slice-bounds panic
 		panic("pbqp: coloring a dead vertex")
 	}
 	if a < 0 || a >= g.m {
-		//pbqpvet:ignore panicfree documented API-contract panic on caller error, mirrors the slice-bounds panic
 		panic("pbqp: color out of range")
 	}
 	own := g.vecs[u][a]
@@ -338,7 +329,6 @@ func (g *Graph) ColorVertex(u, a int) cost.Cost {
 // g's edge matrices.
 func (g *Graph) Permute(order []int) *Graph {
 	if len(order) != g.live {
-		//pbqpvet:ignore panicfree documented contract: the order comes from the solver's own bookkeeping
 		panic("pbqp: order must list every alive vertex exactly once")
 	}
 	return g.Induced(order)
@@ -353,11 +343,9 @@ func (g *Graph) Induced(verts []int) *Graph {
 	pos := make(map[int]int, len(verts))
 	for i, u := range verts {
 		if !g.alive[u] {
-			//pbqpvet:ignore panicfree documented contract: the vertex list comes from the solver's own bookkeeping
 			panic("pbqp: vertex list contains a dead vertex")
 		}
 		if _, dup := pos[u]; dup {
-			//pbqpvet:ignore panicfree documented contract: the vertex list comes from the solver's own bookkeeping
 			panic("pbqp: vertex list contains a duplicate vertex")
 		}
 		pos[u] = i

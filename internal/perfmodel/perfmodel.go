@@ -58,20 +58,10 @@ func EstimateFunc(f *ir.Func, asn regalloc.Assignment, p Params) float64 {
 	return total
 }
 
-// EstimateProgram sums EstimateFunc over a program's functions given
-// one assignment per function.
-func EstimateProgram(prog *ir.Program, asns []regalloc.Assignment, p Params) float64 {
-	total := 0.0
-	for i, f := range prog.Funcs {
-		total += EstimateFunc(f, asns[i], p)
-	}
-	return total
-}
-
 // Speedup returns base/other: how much faster `other` cycles are than
 // `base` cycles (>1 means faster than the baseline allocator).
 func Speedup(baseCycles, otherCycles float64) float64 {
-	//pbqpvet:ignore floatcmp guards division; exactly zero cycles only comes from an empty schedule
+	// Exactly zero cycles only comes from an empty schedule.
 	if otherCycles == 0 {
 		return math.Inf(1)
 	}

@@ -31,7 +31,6 @@ type Config struct {
 // every instance has at least one finite-cost assignment candidate.
 func ErdosRenyi(rng *rand.Rand, cfg Config) *pbqp.Graph {
 	maxCost := cfg.MaxCost
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
 	if maxCost == 0 {
 		maxCost = 10
 	}
@@ -94,9 +93,10 @@ type LargeSparseConfig struct {
 	// PInf is the ratio of infinite cost entries; keep it small (or
 	// zero) on large instances if a feasible instance is required.
 	PInf float64
-	// MaxCost bounds finite random costs; zero means 10.
-	MaxCost float64
 }
+
+// largeSparseMaxCost bounds LargeSparse's finite random costs.
+const largeSparseMaxCost = 10
 
 // LargeSparse generates a large sparse PBQP graph as chains of dense
 // circulant clusters joined by bridges. The same seed yields a
@@ -115,17 +115,12 @@ func LargeSparse(rng *rand.Rand, cfg LargeSparseConfig) *pbqp.Graph {
 	if clusterSize <= 0 {
 		clusterSize = 12
 	}
-	maxCost := cfg.MaxCost
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if maxCost == 0 {
-		maxCost = 10
-	}
 	g := pbqp.New(cfg.N, cfg.M)
 	entry := func() cost.Cost {
 		if rng.Float64() < cfg.PInf {
 			return cost.Inf
 		}
-		return cost.Cost(rng.Float64() * maxCost)
+		return cost.Cost(rng.Float64() * largeSparseMaxCost)
 	}
 	for u := 0; u < cfg.N; u++ {
 		v := make(cost.Vector, cfg.M)
@@ -133,7 +128,7 @@ func LargeSparse(rng *rand.Rand, cfg LargeSparseConfig) *pbqp.Graph {
 			v[i] = entry()
 		}
 		if v.AllInf() {
-			v[rng.Intn(cfg.M)] = cost.Cost(rng.Float64() * maxCost)
+			v[rng.Intn(cfg.M)] = cost.Cost(rng.Float64() * largeSparseMaxCost)
 		}
 		g.SetVertexCost(u, v)
 	}
@@ -146,7 +141,7 @@ func LargeSparse(rng *rand.Rand, cfg LargeSparseConfig) *pbqp.Graph {
 			mat.Data[i] = entry()
 		}
 		if mat.IsZero() {
-			mat.Set(rng.Intn(cfg.M), rng.Intn(cfg.M), cost.Cost(1+rng.Float64()*maxCost))
+			mat.Set(rng.Intn(cfg.M), rng.Intn(cfg.M), cost.Cost(1+rng.Float64()*largeSparseMaxCost))
 		}
 		g.SetEdgeCost(u, w, mat)
 	}
@@ -205,14 +200,12 @@ type ZeroInfConfig struct {
 	HardRatio float64
 	// PEdgeInf is the probability that an edge matrix entry (other
 	// than the hidden assignment's) is infinite, for edges incident
-	// to at least one hard vertex.
+	// to at least one hard vertex. Edges between two easy vertices use
+	// PEdgeInf/8: in real ATE programs the irregular pairing and
+	// major-cycle constraints concentrate on a minority of registers, so
+	// easy-easy interactions are sparse and the liberty solver's
+	// approximated remainder is tractable.
 	PEdgeInf float64
-	// PEasyInf is the same probability for edges between two easy
-	// vertices. Zero means PEdgeInf/8: in real ATE programs the
-	// irregular pairing and major-cycle constraints concentrate on a
-	// minority of registers, so easy-easy interactions are sparse and
-	// the liberty solver's approximated remainder is tractable.
-	PEasyInf float64
 }
 
 // ZeroInf generates a zero/infinity PBQP graph with a guaranteed
@@ -220,11 +213,7 @@ type ZeroInfConfig struct {
 // entries are exactly zero, so any solution cost is zero or infinity —
 // the no-spill ATE regime of Section II-B.
 func ZeroInf(rng *rand.Rand, cfg ZeroInfConfig) (*pbqp.Graph, pbqp.Selection) {
-	pEasyInf := cfg.PEasyInf
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if pEasyInf == 0 {
-		pEasyInf = cfg.PEdgeInf / 8
-	}
+	pEasyInf := cfg.PEdgeInf / 8
 	g := pbqp.New(cfg.N, cfg.M)
 	hidden := make(pbqp.Selection, cfg.N)
 	hard := make([]bool, cfg.N)

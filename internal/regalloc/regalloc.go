@@ -278,7 +278,6 @@ type prioQueue []prioItem
 func (q prioQueue) Len() int      { return len(q) }
 func (q prioQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 func (q prioQueue) Less(i, j int) bool {
-	//pbqpvet:ignore floatcmp sort comparator: bit-unequal weights order by value, exact ties fall through to the index tie-break
 	if q[i].weight != q[j].weight {
 		return q[i].weight > q[j].weight
 	}

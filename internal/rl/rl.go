@@ -40,8 +40,6 @@ type Config struct {
 	// MaxNodes aborts the search once the game tree has generated
 	// this many nodes (0 = unlimited).
 	MaxNodes int64
-	// MCTS configures the search constants of Equation 2.
-	MCTS mcts.Config
 	// Seed drives the random coloring order.
 	Seed int64
 	// Baseline, when HasBaseline is set, is the best-known cost the
@@ -118,12 +116,9 @@ func (s *Solver) SolveStatsCtx(ctx context.Context, g *pbqp.Graph) (solve.Result
 		st.SetBaseline(cfg.Baseline)
 	}
 	st.SetGraded(cfg.Graded)
-	mcfg := cfg.MCTS
-	mcfg.HeuristicValue = cfg.HeuristicValue
 	// Backtracking re-roots at the parent after a dead end (Back), so
 	// the parent chain must stay alive; one-way runs let Advance free it.
-	mcfg.RetainParents = cfg.Backtrack
-	tree := mcts.New(s.Net, g.M(), mcfg)
+	tree := mcts.New(s.Net, g.M(), mcts.Config{HeuristicValue: cfg.HeuristicValue, RetainParents: cfg.Backtrack})
 	run := &runner{ctx: ctx, cfg: cfg, st: st, tree: tree}
 
 	var ok bool

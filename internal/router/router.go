@@ -101,15 +101,10 @@ type Config struct {
 	QueueDepth int
 	// MaxRequestBytes caps the request body. Default: 4 MiB.
 	MaxRequestBytes int64
-	// MaxResponseBytes caps a backend response body. Default: 16 MiB.
-	MaxResponseBytes int64
 	// DefaultDeadline/MaxDeadline mirror the backend's deadline knobs.
 	// Defaults: 2s / 30s.
 	DefaultDeadline time.Duration
 	MaxDeadline     time.Duration
-	// RetryAfter is the floor for Retry-After hints on 429/503
-	// answers. Default: 1s.
-	RetryAfter time.Duration
 	// ReadLimits tightens the PBQP parser caps for request bodies.
 	ReadLimits pbqp.ReadLimits
 	// Client issues backend requests; nil builds one with a pooled
@@ -120,9 +115,15 @@ type Config struct {
 	JitterSeed uint64
 	// Logf receives operational log lines. Nil uses a no-op.
 	Logf func(format string, args ...any)
-	// Registry receives the router's metrics. Nil creates a fresh one.
-	Registry *metrics.Registry
 }
+
+const (
+	// maxResponseBytes caps a backend response body.
+	maxResponseBytes = 16 << 20
+	// retryAfterFloor is the floor for Retry-After hints on 429/503
+	// answers, the router's own and a backend's without a usable header.
+	retryAfterFloor = time.Second
+)
 
 // withDefaults fills unset fields.
 func (c Config) withDefaults() Config {
@@ -159,17 +160,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = 4 << 20
 	}
-	if c.MaxResponseBytes <= 0 {
-		c.MaxResponseBytes = 16 << 20
-	}
 	if c.DefaultDeadline <= 0 {
 		c.DefaultDeadline = 2 * time.Second
 	}
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 30 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Transport: &http.Transport{
@@ -189,9 +184,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
 	}
 	return c
 }
@@ -236,7 +228,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		reg:     cfg.Registry,
+		reg:     metrics.NewRegistry(),
 		adm:     server.NewAdmission(cfg.Workers, cfg.QueueDepth),
 		cache:   NewCache(cfg.CacheBytes),
 		flights: newFlightGroup(),
@@ -283,10 +275,6 @@ func (r *Router) Handler() http.Handler { return r.mux }
 
 // Registry returns the router's metrics registry.
 func (r *Router) Registry() *metrics.Registry { return r.reg }
-
-// CacheStats exposes the solution cache counters for tests and the
-// fleet smoke stage.
-func (r *Router) CacheStats() (hits, misses, evictions int64) { return r.cache.Stats() }
 
 // Draining reports whether the router has begun draining.
 func (r *Router) Draining() bool { return r.adm.IsDraining() }
@@ -592,7 +580,7 @@ func (r *Router) tryOnce(ctx context.Context, b *backend, reqBody []byte, k knob
 		return 0, nil, 0, err
 	}
 	defer drainBody(resp)
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, r.cfg.MaxResponseBytes+1))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		// A torn response (connection cut mid-body, short read against
 		// Content-Length) is a transport failure: fail over.
@@ -603,10 +591,10 @@ func (r *Router) tryOnce(ctx context.Context, b *backend, reqBody []byte, k knob
 	if err := failpoint.Hit("router/forward/read"); err != nil {
 		return 0, nil, 0, err
 	}
-	if int64(len(respBody)) > r.cfg.MaxResponseBytes {
-		return 0, nil, 0, fmt.Errorf("backend response exceeds %d bytes", r.cfg.MaxResponseBytes)
+	if len(respBody) > maxResponseBytes {
+		return 0, nil, 0, fmt.Errorf("backend response exceeds %d bytes", maxResponseBytes)
 	}
-	return resp.StatusCode, respBody, parseRetryAfter(resp.Header.Get("Retry-After"), r.cfg.RetryAfter), nil
+	return resp.StatusCode, respBody, parseRetryAfter(resp.Header.Get("Retry-After")), nil
 }
 
 // pickBackend scans the key's replica chain, starting at the attempt
@@ -813,10 +801,10 @@ func (r *Router) shed(w http.ResponseWriter, status int, msg string) {
 	r.writeError(w, status, msg)
 }
 
-// retryAfterHint scales the configured floor by admission-queue
-// pressure, the same shape as the backend's hint.
+// retryAfterHint scales the floor by admission-queue pressure, the same
+// shape as the backend's hint.
 func (r *Router) retryAfterHint() time.Duration {
-	return server.RetryAfterHint(r.cfg.RetryAfter, r.adm.Depth(), r.cfg.Workers)
+	return server.RetryAfterHint(retryAfterFloor, r.adm.Depth(), r.cfg.Workers)
 }
 
 // withJitter spreads d by ±50% so synchronized failures do not retry
@@ -854,12 +842,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // parseRetryAfter reads a Retry-After header (whole seconds), falling
-// back to floor when absent or malformed.
-func parseRetryAfter(v string, floor time.Duration) time.Duration {
+// back to retryAfterFloor when absent or malformed.
+func parseRetryAfter(v string) time.Duration {
 	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
 		return time.Duration(secs) * time.Second
 	}
-	return floor
+	return retryAfterFloor
 }
 
 // retryAfterSeconds renders a Retry-After header value (whole seconds,

@@ -37,6 +37,13 @@ type Sample struct {
 	Z    float64
 }
 
+// The optimiser's settings (§IV-D): Adam's learning rate and the c of
+// the loss's L2 regularization term.
+const (
+	learningRate = 1e-3
+	l2Weight     = 1e-4
+)
+
 // Config tunes the trainer. Zero values take the listed defaults, which
 // are laptop-scale versions of the paper's hyperparameters.
 type Config struct {
@@ -53,10 +60,6 @@ type Config struct {
 	// TrainSteps is the number of minibatch steps per iteration
 	// (default: 2 × EpisodesPerIter).
 	TrainSteps int
-	// LR is the Adam learning rate (default 1e-3).
-	LR float64
-	// L2 is the c of the loss's regularization term (default 1e-4).
-	L2 float64
 	// ArenaGames and ArenaWins gate network promotion: the new
 	// network is kept if it wins strictly more than ArenaWins of
 	// ArenaGames fresh games (paper: more than 5 of 10).
@@ -69,16 +72,8 @@ type Config struct {
 	// iteration's learning at laptop scale; this rule keeps the gate
 	// meaningful for decisive games without starving training.
 	PromoteOnTie bool
-	// RootNoise mixes Dirichlet noise into root priors during
-	// training runs (AlphaZero's self-play exploration); NoiseAlpha
-	// and NoiseFrac default to 0.5 and 0.25 when enabled.
-	RootNoise  bool
-	NoiseAlpha float64
-	NoiseFrac  float64
 	// Order is the coloring order for training games.
 	Order game.Order
-	// MCTS configures the search constants.
-	MCTS mcts.Config
 	// Workers is the number of goroutines an iteration fans out over: its
 	// self-play episodes and arena games, each worker on its own clone of
 	// the networks, and its gradient steps, whose samples are embedded
@@ -129,27 +124,11 @@ func (c Config) withDefaults() Config {
 	if c.TrainSteps == 0 {
 		c.TrainSteps = 2 * c.EpisodesPerIter
 	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if c.LR == 0 {
-		c.LR = 1e-3
-	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if c.L2 == 0 {
-		c.L2 = 1e-4
-	}
 	if c.ArenaGames == 0 {
 		c.ArenaGames = 10
 	}
 	if c.ArenaWins == 0 {
 		c.ArenaWins = c.ArenaGames / 2
-	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if c.NoiseAlpha == 0 {
-		c.NoiseAlpha = 0.5
-	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
-	if c.NoiseFrac == 0 {
-		c.NoiseFrac = 0.25
 	}
 	if c.Workers == 0 {
 		c.Workers = 1
@@ -255,9 +234,6 @@ func NewTrainer(n *net.PBQPNet, cfg Config) (*Trainer, error) {
 		cfg.BatchSize < 0 || cfg.TrainSteps < 0 || cfg.ArenaGames < 0 || cfg.Workers < 0 {
 		return nil, fmt.Errorf("selfplay: negative size in config %+v", cfg)
 	}
-	if cfg.LR < 0 || cfg.L2 < 0 {
-		return nil, fmt.Errorf("selfplay: negative learning rate or L2 weight")
-	}
 	cfg = cfg.withDefaults()
 	src := newPCGSource(cfg.Seed)
 	return &Trainer{
@@ -265,7 +241,7 @@ func NewTrainer(n *net.PBQPNet, cfg Config) (*Trainer, error) {
 		cur:    n,
 		best:   n.Clone(),
 		replay: newReplayQueue(cfg.ReplayCap),
-		opt:    nn.NewAdam(cfg.LR),
+		opt:    nn.NewAdam(learningRate),
 		src:    src,
 		rng:    rand.New(src),
 	}, nil
@@ -276,7 +252,6 @@ func NewTrainer(n *net.PBQPNet, cfg Config) (*Trainer, error) {
 func New(n *net.PBQPNet, cfg Config) *Trainer {
 	t, err := NewTrainer(n, cfg)
 	if err != nil {
-		//pbqpvet:ignore panicfree documented panicking twin of NewTrainer, like regexp.MustCompile vs Compile
 		panic(err.Error())
 	}
 	return t
@@ -439,7 +414,6 @@ func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterSt
 	if err != nil {
 		// the PCG state marshal cannot fail; losing it silently would
 		// forfeit the rewind guarantee, so fail loudly
-		//pbqpvet:ignore panicfree PCG state marshal cannot fail; losing it silently would forfeit the bit-identical resume guarantee
 		panic("selfplay: snapshot master RNG: " + err.Error())
 	}
 	seeds := make([]int64, total-start)
@@ -480,7 +454,8 @@ func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterSt
 	// interrupted: rewind the master stream to exactly the seeds of the
 	// committed prefix, as if the sequential loop had stopped here
 	if err := t.src.setState(pre); err != nil {
-		//pbqpvet:ignore panicfree PCG state rewind cannot fail; losing it silently would forfeit the bit-identical resume guarantee
+		// The PCG state rewind cannot fail; losing it silently would
+		// forfeit the bit-identical resume guarantee.
 		panic("selfplay: rewind master RNG: " + err.Error())
 	}
 	for range results {
@@ -534,17 +509,13 @@ func playEpisode(cfg *Config, rng *rand.Rand, n *net.PBQPNet, st *game.State, co
 	for st.Turn() > 0 {
 		st.Undo()
 	}
-	tree := mcts.New(n, st.M(), cfg.MCTS)
+	tree := mcts.New(n, st.M(), mcts.Config{})
 	var samples []Sample
 	for !st.Done() {
 		if st.DeadEnd() {
 			return cost.Inf, samples
 		}
 		tree.Run(st, cfg.KTrain)
-		if collect && cfg.RootNoise {
-			tree.AddRootNoise(rng, cfg.NoiseAlpha, cfg.NoiseFrac)
-			tree.Run(st, cfg.KTrain/2+1)
-		}
 		pi := tree.Policy()
 		var a int
 		if collect {
@@ -575,7 +546,6 @@ func samplePolicy(rng *rand.Rand, pi tensor.Vec) int {
 		}
 		total += p
 	}
-	//pbqpvet:ignore floatcmp policy weights are non-negative; an exactly-zero total means no legal action
 	if total == 0 {
 		return -1
 	}
@@ -622,10 +592,10 @@ func (t *Trainer) train() (float64, error) {
 			t.batch[b] = t.replay.at(t.rng.Intn(t.replay.len()))
 		}
 		totalLoss = GradientStep(t.cur, t.cfg.Workers, t.slots, t.batch, totalLoss)
-		nn.AddL2Grad(t.cur.Params(), t.cfg.L2)
+		nn.AddL2Grad(t.cur.Params(), l2Weight)
 		t.opt.Step(t.cur.Params())
 	}
-	avg := totalLoss/float64(t.cfg.TrainSteps*t.cfg.BatchSize) + nn.L2Penalty(t.cur.Params(), t.cfg.L2)
+	avg := totalLoss/float64(t.cfg.TrainSteps*t.cfg.BatchSize) + nn.L2Penalty(t.cur.Params(), l2Weight)
 	if math.IsNaN(avg) || math.IsInf(avg, 0) {
 		return avg, fmt.Errorf("selfplay: training diverged at iteration %d: loss = %v", t.iter, avg)
 	}

@@ -190,9 +190,6 @@ func TestNewTrainerValidates(t *testing.T) {
 	if _, err := NewTrainer(n, Config{Generate: gen, EpisodesPerIter: -1}); err == nil {
 		t.Error("negative episode count accepted")
 	}
-	if _, err := NewTrainer(n, Config{Generate: gen, LR: -0.1}); err == nil {
-		t.Error("negative learning rate accepted")
-	}
 	if _, err := NewTrainer(n, Config{Generate: gen}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}

@@ -124,10 +124,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), deadline)
 	defer cancel()
 
-	p := &portfolio.Solver{StopOnFeasible: stopOnFeasible, Logf: s.cfg.Logf}
-	for _, sv := range chain {
-		p.Stages = append(p.Stages, portfolio.Stage{Solver: sv})
-	}
+	p := &portfolio.Solver{Stages: chain, StopOnFeasible: stopOnFeasible, Logf: s.cfg.Logf}
 
 	var (
 		res        solve.Result

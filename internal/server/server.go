@@ -104,8 +104,6 @@ type Config struct {
 	// serializations, drain progress). Nil uses a no-op; cmd/pbqp-serve
 	// passes log.Printf.
 	Logf func(format string, args ...any)
-	// Registry receives the server's metrics. Nil creates a fresh one.
-	Registry *metrics.Registry
 }
 
 // withDefaults fills unset fields.
@@ -143,9 +141,6 @@ func (c Config) withDefaults() Config {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.Registry == nil {
-		c.Registry = metrics.NewRegistry()
-	}
 	return c
 }
 
@@ -169,7 +164,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg: cfg,
-		reg: cfg.Registry,
+		reg: metrics.NewRegistry(),
 		adm: NewAdmission(cfg.Workers, cfg.QueueDepth),
 		mux: http.NewServeMux(),
 	}

@@ -113,15 +113,12 @@ func (s Solver) solveOnce(ctx context.Context, g *pbqp.Graph, seed int64, random
 	if s.Steps == 0 {
 		s.Steps = 200 * len(vs)
 	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
 	if s.T0 == 0 {
 		s.T0 = 2.0
 	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
 	if s.T1 == 0 {
 		s.T1 = 0.01
 	}
-	//pbqpvet:ignore floatcmp zero is the unset-config sentinel, assigned by the caller and never computed
 	if s.ViolationPenalty == 0 {
 		s.ViolationPenalty = 1000
 	}

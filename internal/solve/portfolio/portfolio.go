@@ -23,19 +23,6 @@ import (
 	"pbqprl/internal/solve"
 )
 
-// Stage is one solver in the fallback chain.
-type Stage struct {
-	// Solver runs this stage, and is cancelled cooperatively at the
-	// stage deadline.
-	Solver solve.Solver
-	// Fraction, when positive, is the share of the budget remaining at
-	// this stage's start that it may spend. Zero divides the remainder
-	// evenly among this and all later stages, so a chain of unset
-	// fractions degrades from an even split to "last stage gets all the
-	// time the earlier ones did not use".
-	Fraction float64
-}
-
 // Outcome reports how one stage of a portfolio run went. It marshals
 // to JSON — the duration in nanoseconds, like time.Duration itself —
 // so the CLI's -stats-json and the serving layer emit the same shape.
@@ -68,8 +55,12 @@ type Stats struct {
 // Solver runs a fallback chain of PBQP solvers under a total time
 // budget. It implements solve.Solver.
 type Solver struct {
-	// Stages is the fallback chain, tried in order.
-	Stages []Stage
+	// Stages is the fallback chain, tried in order. Under a deadline
+	// each stage may spend an even share of the time remaining at its
+	// start — the remainder divided by the stages left, itself included —
+	// and is cancelled cooperatively when that runs out, so the last
+	// stage gets all the time the earlier ones did not use.
+	Stages []solve.Solver
 	// Budget is the total wall-clock budget for the whole chain. Zero
 	// means no budget of its own — only the caller's context limits
 	// the run.
@@ -88,18 +79,14 @@ type Solver struct {
 // New returns a portfolio over the given chain with an even budget
 // split and StopOnFeasible semantics.
 func New(budget time.Duration, chain ...solve.Solver) *Solver {
-	s := &Solver{Budget: budget, StopOnFeasible: true}
-	for _, c := range chain {
-		s.Stages = append(s.Stages, Stage{Solver: c})
-	}
-	return s
+	return &Solver{Stages: chain, Budget: budget, StopOnFeasible: true}
 }
 
 // Name implements solve.Solver.
 func (s *Solver) Name() string {
 	names := make([]string, len(s.Stages))
 	for i, st := range s.Stages {
-		names[i] = st.Solver.Name()
+		names[i] = st.Name()
 	}
 	return "portfolio(" + strings.Join(names, "→") + ")"
 }
@@ -142,7 +129,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 	deadlineHit := false
 	for i, stage := range s.Stages {
 		out := &stats.Stages[i]
-		out.Name = stage.Solver.Name()
+		out.Name = stage.Name()
 		remaining := time.Duration(0)
 		if hasDeadline {
 			remaining = time.Until(deadline)
@@ -155,19 +142,11 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 		stageCtx := ctx
 		var cancel context.CancelFunc
 		if hasDeadline {
-			share := stage.Fraction
-			if share <= 0 {
-				share = 1 / float64(len(s.Stages)-i)
-			}
-			if share > 1 {
-				share = 1
-			}
-			stageBudget := time.Duration(float64(remaining) * share)
-			stageCtx, cancel = context.WithTimeout(ctx, stageBudget)
+			stageCtx, cancel = context.WithTimeout(ctx, remaining/time.Duration(len(s.Stages)-i))
 		}
 		//pbqpvet:ignore determinism per-stage wall time is reporting only; it never feeds back into solver decisions
 		start := time.Now()
-		res, panicked, panicVal := runStage(stageCtx, stage.Solver, g, logf)
+		res, panicked, panicVal := runStage(stageCtx, stage, g, logf)
 		if cancel != nil {
 			cancel()
 		}
@@ -193,7 +172,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 			// run and report the result as untruncated — more time
 			// would not have changed it under these semantics.
 			for j := i + 1; j < len(s.Stages); j++ {
-				stats.Stages[j].Name = s.Stages[j].Solver.Name()
+				stats.Stages[j].Name = s.Stages[j].Name()
 				stats.Stages[j].Skipped = true
 			}
 			deadlineHit = false

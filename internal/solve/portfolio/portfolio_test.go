@@ -70,9 +70,9 @@ func feasible(c cost.Cost, sel ...int) solve.Result {
 func TestPanicRecoveredAndLogged(t *testing.T) {
 	var logged strings.Builder
 	p := &Solver{
-		Stages: []Stage{
-			{Solver: panicky{}},
-			{Solver: stub{name: "ok", res: feasible(7, 0, 1)}},
+		Stages: []solve.Solver{
+			panicky{},
+			stub{name: "ok", res: feasible(7, 0, 1)},
 		},
 		StopOnFeasible: true,
 		Logf:           func(f string, args ...any) { fmt.Fprintf(&logged, f, args...) },
@@ -111,11 +111,70 @@ func TestBudgetTruncatesEveryStage(t *testing.T) {
 	}
 }
 
+// clock records the start and the deadline of the stage context it is
+// handed; with spin set it then runs until that context fires.
+type clock struct {
+	spin            bool
+	start, deadline time.Time
+}
+
+func (*clock) Name() string                       { return "clock" }
+func (c *clock) Solve(g *pbqp.Graph) solve.Result { return c.SolveCtx(context.Background(), g) }
+func (c *clock) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
+	c.start = time.Now()
+	c.deadline, _ = ctx.Deadline()
+	if c.spin {
+		return spinner{}.SolveCtx(ctx, g)
+	}
+	return solve.Result{Cost: cost.Inf}
+}
+
+// TestBudgetSplitsEvenlyOverStagesLeft pins the one budget split there
+// is: a stage may spend the time remaining at its start divided by the
+// stages left, itself included.
+func TestBudgetSplitsEvenlyOverStagesLeft(t *testing.T) {
+	g := chainGraph(t)
+	const tol = 20 * time.Millisecond
+	checkShare := func(i, left int, c *clock, end time.Time) {
+		t.Helper()
+		got, want := c.deadline.Sub(c.start)*time.Duration(left), end.Sub(c.start)
+		if d := got - want; d < -tol || d > tol {
+			t.Errorf("stage %d: budget %v × %d stages left = %v, want the %v remaining", i, c.deadline.Sub(c.start), left, got, want)
+		}
+	}
+
+	// A first stage that returns at once leaves the second all of what
+	// remains: its deadline is the caller's.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	end, _ := ctx.Deadline()
+	quick, second := &clock{}, &clock{}
+	New(0, quick, second).SolveStats(ctx, g)
+	checkShare(0, 2, quick, end)
+	if !second.deadline.Equal(end) {
+		t.Errorf("second stage's deadline is %v before the caller's", end.Sub(second.deadline))
+	}
+
+	// Three stages that spend all they are given: each gets 1/(stages
+	// left) of what remains at its start.
+	ctx, cancel = context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	end, _ = ctx.Deadline()
+	stages := []*clock{{spin: true}, {spin: true}, {spin: true}}
+	New(0, stages[0], stages[1], stages[2]).SolveStats(ctx, g)
+	for i, c := range stages {
+		checkShare(i, len(stages)-i, c, end)
+	}
+	if last := stages[2]; !last.deadline.Equal(end) {
+		t.Errorf("last stage's deadline is %v before the caller's", end.Sub(last.deadline))
+	}
+}
+
 func TestStopOnFeasibleSkipsRest(t *testing.T) {
 	p := &Solver{
-		Stages: []Stage{
-			{Solver: stub{name: "first", res: feasible(3, 1, 0)}},
-			{Solver: panicky{}}, // must never run
+		Stages: []solve.Solver{
+			stub{name: "first", res: feasible(3, 1, 0)},
+			panicky{}, // must never run
 		},
 		StopOnFeasible: true,
 	}
@@ -130,10 +189,10 @@ func TestStopOnFeasibleSkipsRest(t *testing.T) {
 
 func TestKeepsCheapestAcrossStages(t *testing.T) {
 	p := &Solver{
-		Stages: []Stage{
-			{Solver: stub{name: "pricey", res: feasible(10, 0, 1)}},
-			{Solver: stub{name: "cheap", res: feasible(2, 1, 0)}},
-			{Solver: stub{name: "mid", res: feasible(5, 0, 1)}},
+		Stages: []solve.Solver{
+			stub{name: "pricey", res: feasible(10, 0, 1)},
+			stub{name: "cheap", res: feasible(2, 1, 0)},
+			stub{name: "mid", res: feasible(5, 0, 1)},
 		},
 		StopOnFeasible: false,
 	}
@@ -181,9 +240,9 @@ func TestRealChain(t *testing.T) {
 // second stage must still see the original graph.
 func TestMutatingStageCannotPoisonLaterStages(t *testing.T) {
 	p := &Solver{
-		Stages: []Stage{
-			{Solver: vandal{}},
-			{Solver: scholz.Solver{}},
+		Stages: []solve.Solver{
+			vandal{},
+			scholz.Solver{},
 		},
 		StopOnFeasible: true,
 		Logf:           func(string, ...any) {},
@@ -219,11 +278,11 @@ func (vandal) SolveCtx(_ context.Context, g *pbqp.Graph) solve.Result {
 // must invert encoding.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	p := &Solver{
-		Stages: []Stage{
-			{Solver: panicky{}},
-			{Solver: stub{"hopeless", solve.Result{Cost: cost.Inf}}},
-			{Solver: stub{"winner", feasible(3, 1, 0)}},
-			{Solver: stub{"spare", feasible(5, 0, 1)}},
+		Stages: []solve.Solver{
+			panicky{},
+			stub{"hopeless", solve.Result{Cost: cost.Inf}},
+			stub{"winner", feasible(3, 1, 0)},
+			stub{"spare", feasible(5, 0, 1)},
 		},
 		StopOnFeasible: true,
 		Logf:           func(string, ...any) {},

@@ -77,7 +77,6 @@ type Mat struct {
 // NewMat returns a zero R×C matrix.
 func NewMat(r, c int) *Mat {
 	if r < 0 || c < 0 {
-		//pbqpvet:ignore panicfree shape/dimension mismatch is a caller bug, mirrors the slice-bounds panic
 		panic(fmt.Sprintf("tensor: negative dimensions %d×%d", r, c))
 	}
 	return &Mat{R: r, C: c, W: NewVec(r * c)}
@@ -156,7 +155,6 @@ func (m *Mat) MulTVecInto(dst, x Vec) {
 	for i := 0; i < m.R; i++ {
 		row := m.W[i*m.C : (i+1)*m.C]
 		xi := x[i]
-		//pbqpvet:ignore floatcmp sparsity skip: an exactly-zero multiplicand contributes nothing
 		if xi == 0 {
 			continue
 		}
@@ -173,7 +171,6 @@ func (m *Mat) MulTVec(x Vec) Vec {
 	for i := 0; i < m.R; i++ {
 		row := m.W[i*m.C : (i+1)*m.C]
 		xi := x[i]
-		//pbqpvet:ignore floatcmp sparsity skip: an exactly-zero multiplicand contributes nothing
 		if xi == 0 {
 			continue
 		}
@@ -191,7 +188,6 @@ func (m *Mat) AddOuter(s float64, a, b Vec) {
 	checkLen(m.C, len(b))
 	for i := 0; i < m.R; i++ {
 		ai := s * a[i]
-		//pbqpvet:ignore floatcmp sparsity skip: an exactly-zero multiplicand contributes nothing
 		if ai == 0 {
 			continue
 		}
@@ -204,7 +200,6 @@ func (m *Mat) AddOuter(s float64, a, b Vec) {
 
 func checkLen(want, got int) {
 	if want != got {
-		//pbqpvet:ignore panicfree shape/dimension mismatch is a caller bug, mirrors the slice-bounds panic
 		panic(fmt.Sprintf("tensor: dimension mismatch: want %d, got %d", want, got))
 	}
 }

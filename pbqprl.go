@@ -93,8 +93,6 @@ type (
 	// total time budget across stages, recovering stage panics, and
 	// keeping the cheapest feasible result.
 	PortfolioSolver = portfolio.Solver
-	// PortfolioStage is one solver in the chain with its budget share.
-	PortfolioStage = portfolio.Stage
 	// PortfolioOutcome reports how one stage went.
 	PortfolioOutcome = portfolio.Outcome
 	// PortfolioStats reports a full portfolio run.
