@@ -1,13 +1,11 @@
 package pbqp
 
-import "slices"
-
 // CSR is a compressed-sparse-row snapshot of a graph's alive vertices
-// and edges: a read-only, cache-friendly adjacency for traversal-heavy
-// algorithms (connected components, block-cut trees) that would
-// otherwise walk map[int]*cost.Matrix per step. On 10⁵-vertex graphs
-// the difference is the difference between pointer-chasing hash buckets
-// and streaming two int32 arrays.
+// and edges: a read-only adjacency for traversal-heavy algorithms
+// (connected components, block-cut trees). The graph's own rows are
+// already ordered slices, so what the snapshot buys is density: dense
+// int32 indices in two flat arrays, with no tombstones, tails or
+// matrix pointers between the neighbors, and only the alive vertices.
 //
 // Vertices are renumbered densely: CSR index i ∈ [0, Len()) maps to
 // graph vertex ID(i), with IndexOf inverting the mapping. Neighbor
@@ -47,14 +45,13 @@ func NewCSR(g *Graph) *CSR {
 		c.rowPtr[i+1] = int32(total)
 	}
 	c.colIdx = make([]int32, total)
+	var scratch []entry
 	for i, u := range c.ids {
+		// Ascending ids renumber to ascending indices: the row stays sorted.
 		row := c.colIdx[c.rowPtr[i]:c.rowPtr[i]:c.rowPtr[i+1]]
-		// adj iteration order is randomized; the sort below restores a
-		// deterministic ascending row, so nothing order-dependent leaks.
-		for v := range g.adj[u] {
-			row = append(row, c.index[v])
+		for _, e := range g.rows[u].ordered(&scratch) {
+			row = append(row, c.index[e.v])
 		}
-		slices.Sort(row)
 	}
 	return c
 }

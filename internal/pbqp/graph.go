@@ -14,6 +14,21 @@
 // always addressed as (color of u, color of v); mutators keep the two
 // orientations in sync.
 //
+// Each vertex's edges are one row: a slice of (neighbor, matrix)
+// entries whose prefix ascends by neighbor, so the ordered walks —
+// Neighbors, Edges, TotalCost, NewCSR — are scans with no sort, a
+// lookup is a binary search, and Clone is two flat copies. A plain
+// sorted slice would make some mutations quadratic in a vertex's degree
+// (a hub losing its leaves from the front, an R2 fan inserting at the
+// front), so two slack devices keep every mutation within O(√degree)
+// amortized: a removal far from the row's end leaves a tombstone, and
+// the row is compacted once tombstones are half of it; an insert far
+// from the end goes to a short unsorted tail after the prefix, merged
+// into it once the tail outgrows √len. Only mutators tidy a row. Reads
+// never write — solvers share one input graph read-only across
+// goroutines — so a read that meets a tail or tombstones orders a
+// private copy of the row instead.
+//
 // Ownership rule: a *cost.Matrix installed in a Graph is never written
 // again. Mutators replace an edge's two matrices, they do not edit
 // them, so Clone, Induced, Permute, CSR snapshots and solver records
@@ -22,8 +37,9 @@
 package pbqp
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pbqprl/internal/cost"
 )
@@ -36,7 +52,199 @@ type Graph struct {
 	vecs  []cost.Vector
 	alive []bool
 	live  int
-	adj   []map[int]*cost.Matrix // adj[u][v] is oriented (rows = u's color)
+	rows  []row // rows[u] holds u's edges, oriented with rows = u's color
+}
+
+// entry is one edge of a row: the neighbor and the matrix oriented from
+// the row's vertex. A nil matrix is a tombstone, which only the sorted
+// prefix holds; it keeps its neighbor so the prefix stays searchable.
+type entry struct {
+	v int
+	m *cost.Matrix
+}
+
+// row is one vertex's edges: es[:sorted] ascends strictly by neighbor
+// and holds dead tombstones, es[sorted:] is the unsorted tail. A
+// neighbor appears at most once, live or tombstoned, in the whole row.
+type row struct {
+	es     []entry
+	sorted int
+	dead   int
+}
+
+func byNeighbor(a, b entry) int { return cmp.Compare(a.v, b.v) }
+
+// short reports whether k entries are few enough, in a row of n, to
+// shift by one on an insert or removal, or to leave in the unsorted
+// tail: at most √n, and never fewer than eight.
+func short(k, n int) bool { return k <= 8 || k*k <= n }
+
+// lowerBound returns the first index of es, which ascends by neighbor,
+// whose neighbor is not below v.
+func lowerBound(es []entry, v int) int {
+	lo, hi := 0, len(es)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if es[h].v < v {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// search returns the first index of the sorted prefix whose neighbor is
+// not below v.
+func (r *row) search(v int) int { return lowerBound(r.es[:r.sorted], v) }
+
+// find returns the index of v's live entry, or -1.
+func (r *row) find(v int) int {
+	if i := r.search(v); i < r.sorted && r.es[i].v == v {
+		if r.es[i].m == nil {
+			return -1 // a tombstoned neighbor is never in the tail too
+		}
+		return i
+	}
+	for i := r.sorted; i < len(r.es); i++ {
+		if r.es[i].v == v {
+			return i
+		}
+	}
+	return -1
+}
+
+func (r *row) degree() int { return len(r.es) - r.dead }
+
+// set installs m as the matrix toward v, replacing v's entry or adding
+// one.
+func (r *row) set(v int, m *cost.Matrix) {
+	n := len(r.es)
+	if n == r.sorted && (n == 0 || r.es[n-1].v < v) {
+		r.es = append(r.es, entry{v, m}) // the ascending append path
+		r.sorted++
+		return
+	}
+	p := r.search(v)
+	if p < r.sorted && r.es[p].v == v {
+		if r.es[p].m == nil {
+			r.dead--
+		}
+		r.es[p].m = m
+		return
+	}
+	for i := r.sorted; i < n; i++ {
+		if r.es[i].v == v {
+			r.es[i].m = m
+			return
+		}
+	}
+	if !short(r.sorted-p, n) {
+		r.es = append(r.es, entry{v, m})
+		r.tidy()
+		return
+	}
+	// Open a slot at p; the tail's first entry, if any, moves to the end
+	// to make room.
+	if r.sorted < n {
+		r.es = append(r.es, r.es[r.sorted])
+	} else {
+		r.es = append(r.es, entry{})
+	}
+	copy(r.es[p+1:r.sorted+1], r.es[p:r.sorted])
+	r.es[p] = entry{v, m}
+	r.sorted++
+}
+
+// remove deletes v's entry if there is one.
+func (r *row) remove(v int) {
+	i := r.find(v)
+	if i < 0 {
+		return
+	}
+	last := len(r.es) - 1
+	switch {
+	case i >= r.sorted: // the tail has no order to keep
+		r.es[i] = r.es[last]
+	case short(last-i, last+1):
+		copy(r.es[i:], r.es[i+1:])
+		r.sorted--
+	default:
+		r.es[i].m = nil
+		r.dead++
+		r.tidy()
+		return
+	}
+	r.es[last] = entry{}
+	r.es = r.es[:last]
+	r.tidy()
+}
+
+// tidy compacts the row once tombstones are half of it or the tail has
+// outgrown short.
+func (r *row) tidy() {
+	if (r.dead > 0 && 2*r.dead >= len(r.es)) || !short(len(r.es)-r.sorted, len(r.es)) {
+		r.compact()
+	}
+}
+
+// compact drops the tombstones and merges the sorted tail into the
+// prefix, in place.
+func (r *row) compact() {
+	tail := slices.Clone(r.es[r.sorted:])
+	slices.SortFunc(tail, byNeighbor)
+	n := 0
+	for _, e := range r.es[:r.sorted] {
+		if e.m != nil {
+			r.es[n] = e
+			n++
+		}
+	}
+	// Merge from the top down: the slot written is always above every
+	// prefix entry not yet moved.
+	k := n + len(tail)
+	clear(r.es[k:])
+	r.es = r.es[:k]
+	for j := len(tail) - 1; j >= 0; j-- {
+		for n > 0 && r.es[n-1].v > tail[j].v {
+			k, n = k-1, n-1
+			r.es[k] = r.es[n]
+		}
+		k--
+		r.es[k] = tail[j]
+	}
+	r.sorted, r.dead = len(r.es), 0
+}
+
+// ordered returns the row's live entries in ascending neighbor order
+// without writing the row: a tidy row is returned as it is (read-only),
+// anything else is ordered in *scratch, which is kept for reuse.
+func (r *row) ordered(scratch *[]entry) []entry {
+	if r.dead == 0 && r.sorted == len(r.es) {
+		return r.es
+	}
+	buf := (*scratch)[:0]
+	for _, e := range r.es[:r.sorted] {
+		if e.m != nil {
+			buf = append(buf, e)
+		}
+	}
+	if r.sorted < len(r.es) {
+		buf = append(buf, r.es[r.sorted:]...)
+		slices.SortFunc(buf, byNeighbor)
+	}
+	*scratch = buf
+	return buf
+}
+
+// flatVectors returns n zero vectors of length m cut from one array.
+func flatVectors(n, m int) []cost.Vector {
+	vecs := make([]cost.Vector, n)
+	flat := make(cost.Vector, n*m)
+	for u := range vecs {
+		vecs[u] = flat[u*m : (u+1)*m : (u+1)*m]
+	}
+	return vecs
 }
 
 // New returns a graph with n vertices, m colors, zero cost vectors and
@@ -47,15 +255,13 @@ func New(n, m int) *Graph {
 	}
 	g := &Graph{
 		m:     m,
-		vecs:  make([]cost.Vector, n),
+		vecs:  flatVectors(n, m),
 		alive: make([]bool, n),
 		live:  n,
-		adj:   make([]map[int]*cost.Matrix, n),
+		rows:  make([]row, n),
 	}
-	for u := 0; u < n; u++ {
-		g.vecs[u] = cost.NewVector(m)
+	for u := range g.alive {
 		g.alive[u] = true
-		g.adj[u] = make(map[int]*cost.Matrix)
 	}
 	return g
 }
@@ -95,17 +301,20 @@ func (g *Graph) AddToVertexCost(u int, v cost.Vector) {
 func (g *Graph) Liberty(u int) int { return g.vecs[u].Liberty() }
 
 // HasEdge reports whether the edge (u, v) is present.
-func (g *Graph) HasEdge(u, v int) bool {
-	_, ok := g.adj[u][v]
-	return ok
-}
+func (g *Graph) HasEdge(u, v int) bool { return g.rows[u].find(v) >= 0 }
 
 // EdgeCost returns the cost matrix of edge (u, v) oriented so that rows
 // index u's color and columns index v's color, or nil if no edge exists.
 // The returned matrix is graph-owned and possibly shared with clones of
 // g: never write to it. It stays valid, unchanged, after any later
 // mutation of the graph.
-func (g *Graph) EdgeCost(u, v int) *cost.Matrix { return g.adj[u][v] }
+func (g *Graph) EdgeCost(u, v int) *cost.Matrix {
+	r := &g.rows[u]
+	if i := r.find(v); i >= 0 {
+		return r.es[i].m
+	}
+	return nil
+}
 
 // SetEdgeCost installs matrix mat (oriented with rows = u's color) as the
 // cost of edge (u, v), replacing any existing edge. It panics on a self
@@ -115,8 +324,8 @@ func (g *Graph) SetEdgeCost(u, v int, mat *cost.Matrix) {
 	if mat.Rows != g.m || mat.Cols != g.m {
 		panic("pbqp: edge cost matrix has wrong shape")
 	}
-	g.adj[u][v] = mat.Clone()
-	g.adj[v][u] = mat.Transpose()
+	g.rows[u].set(v, mat.Clone())
+	g.rows[v].set(u, mat.Transpose())
 }
 
 // AddEdgeCost adds mat (oriented with rows = u's color) into the cost of
@@ -129,20 +338,54 @@ func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 		panic("pbqp: edge cost matrix has wrong shape")
 	}
 	sum := mat.Clone()
-	if existing, ok := g.adj[u][v]; ok {
+	if existing := g.EdgeCost(u, v); existing != nil {
 		sum.AddInPlace(existing)
 	}
-	g.adj[u][v] = sum
-	g.adj[v][u] = sum.Transpose()
+	g.rows[u].set(v, sum)
+	g.rows[v].set(u, sum.Transpose())
 }
 
-// adoptEdge installs uv (rows = u's color) and its transpose vu as the
-// new edge (u, v), taking ownership: the caller — the text reader —
-// built both, has checked the endpoints, and never touches them again,
-// so AddEdgeCost's copies would buy nothing under the ownership rule.
-func (g *Graph) adoptEdge(u, v int, uv, vu *cost.Matrix) {
-	g.adj[u][v] = uv
-	g.adj[v][u] = vu
+// adoptEdges installs the text reader's edges into g, which has none,
+// taking ownership of both orientations of each: the reader built them,
+// checked the endpoints and never touches them again, so AddEdgeCost's
+// copies would buy nothing under the ownership rule. Every row is
+// filled in input order into one array, then sorted if it arrived out
+// of order. It reports whether some row lists a neighbor twice — a
+// duplicate edge, which leaves g invalid and is the caller's error.
+func (g *Graph) adoptEdges(edges []edgeLine) (dup bool) {
+	// end[u+1] counts row u; summed, end[u] is where row u starts, and
+	// filling advances it to where row u ends.
+	end := make([]int, len(g.rows)+1)
+	for _, e := range edges {
+		end[e.u+1]++
+		end[e.v+1]++
+	}
+	for u := range g.rows {
+		end[u+1] += end[u]
+	}
+	flat := make([]entry, end[len(g.rows)])
+	for _, e := range edges {
+		flat[end[e.u]] = entry{int(e.v), e.uv}
+		end[e.u]++
+		flat[end[e.v]] = entry{int(e.u), e.vu}
+		end[e.v]++
+	}
+	start := 0
+	for u := range g.rows {
+		es := flat[start:end[u]:end[u]]
+		start = end[u]
+		for i := 1; i < len(es); i++ {
+			if es[i-1].v >= es[i].v { // out of order, or a repeat
+				slices.SortFunc(es, byNeighbor)
+				for j := 1; j < len(es); j++ {
+					dup = dup || es[j-1].v == es[j].v
+				}
+				break
+			}
+		}
+		g.rows[u] = row{es: es, sorted: len(es)}
+	}
+	return dup
 }
 
 func (g *Graph) checkEdge(u, v int) {
@@ -156,8 +399,8 @@ func (g *Graph) checkEdge(u, v int) {
 
 // RemoveEdge deletes edge (u, v) if present.
 func (g *Graph) RemoveEdge(u, v int) {
-	delete(g.adj[u], v)
-	delete(g.adj[v], u)
+	g.rows[u].remove(v)
+	g.rows[v].remove(u)
 }
 
 // RemoveVertex detaches vertex u: all incident edges are deleted and the
@@ -166,26 +409,29 @@ func (g *Graph) RemoveVertex(u int) {
 	if !g.alive[u] {
 		return
 	}
-	for v := range g.adj[u] {
-		delete(g.adj[v], u)
+	for _, e := range g.rows[u].es {
+		if e.m != nil {
+			g.rows[e.v].remove(u)
+		}
 	}
-	g.adj[u] = nil // a dead vertex never gets an edge again (checkEdge)
+	g.rows[u] = row{} // a dead vertex never gets an edge again (checkEdge)
 	g.alive[u] = false
 	g.live--
 }
 
 // Neighbors returns the alive neighbors of u in ascending order.
 func (g *Graph) Neighbors(u int) []int {
-	ns := make([]int, 0, len(g.adj[u]))
-	for v := range g.adj[u] {
-		ns = append(ns, v)
+	var scratch []entry
+	es := g.rows[u].ordered(&scratch)
+	ns := make([]int, len(es))
+	for i, e := range es {
+		ns[i] = e.v
 	}
-	sort.Ints(ns)
 	return ns
 }
 
 // Degree returns the number of incident edges of u.
-func (g *Graph) Degree(u int) int { return len(g.adj[u]) }
+func (g *Graph) Degree(u int) int { return g.rows[u].degree() }
 
 // Vertices returns the alive vertices in ascending order.
 func (g *Graph) Vertices() []int {
@@ -208,35 +454,21 @@ type Edge struct {
 // The matrices are graph-owned and possibly shared: never write to them.
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.NumEdges())
-	var later []int
-	for u := range g.vecs {
-		later = g.laterNeighbors(u, later)
-		for _, v := range later {
-			es = append(es, Edge{U: u, V: v, M: g.adj[u][v]})
+	var scratch []entry
+	for u := range g.rows {
+		r := g.rows[u].ordered(&scratch)
+		for _, e := range r[lowerBound(r, u+1):] {
+			es = append(es, Edge{U: u, V: e.v, M: e.m})
 		}
 	}
 	return es
 }
 
-// laterNeighbors returns u's neighbors v > u in ascending order, reusing
-// buf. Walking u upward and each result in order visits every edge once
-// in the canonical (U, V) order.
-func (g *Graph) laterNeighbors(u int, buf []int) []int {
-	buf = buf[:0]
-	for v := range g.adj[u] {
-		if v > u {
-			buf = append(buf, v)
-		}
-	}
-	sort.Ints(buf)
-	return buf
-}
-
 // NumEdges returns the number of alive edges.
 func (g *Graph) NumEdges() int {
 	n := 0
-	for u := range g.vecs {
-		n += len(g.adj[u])
+	for u := range g.rows {
+		n += g.rows[u].degree()
 	}
 	return n / 2
 }
@@ -245,22 +477,26 @@ func (g *Graph) NumEdges() int {
 // bookkeeping: vectors, liveness and adjacency are copied, both
 // orientations of every edge matrix are shared (see the ownership rule
 // in the package comment), so no mutation of either graph is visible
-// through the other.
+// through the other. The rows are copied as they stand into one array,
+// each capped at its own length, so a row that later grows moves out
+// on its own.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		m:     g.m,
-		vecs:  make([]cost.Vector, len(g.vecs)),
-		alive: make([]bool, len(g.alive)),
+		vecs:  flatVectors(len(g.vecs), g.m),
+		alive: slices.Clone(g.alive),
 		live:  g.live,
-		adj:   make([]map[int]*cost.Matrix, len(g.adj)),
+		rows:  slices.Clone(g.rows),
 	}
-	copy(c.alive, g.alive)
-	for u := range g.vecs {
-		c.vecs[u] = g.vecs[u].Clone()
-		c.adj[u] = make(map[int]*cost.Matrix, len(g.adj[u]))
-		for v, m := range g.adj[u] {
-			c.adj[u][v] = m
-		}
+	total := 0
+	for u := range g.rows {
+		total += len(g.rows[u].es)
+	}
+	flat := make([]entry, total)
+	for u := range c.rows {
+		copy(c.vecs[u], g.vecs[u])
+		n := copy(flat, g.rows[u].es)
+		c.rows[u].es, flat = flat[:n:n], flat[n:]
 	}
 	return c
 }
@@ -292,11 +528,11 @@ func (g *Graph) TotalCost(sel Selection) cost.Cost {
 	}
 	// Canonical (U, V) order, as Edges() lists them, so the sum keeps
 	// its bits; nothing is materialised.
-	var later []int
-	for u := range g.vecs {
-		later = g.laterNeighbors(u, later)
-		for _, v := range later {
-			sum = sum.Add(g.adj[u][v].At(sel[u], sel[v]))
+	var scratch []entry
+	for u := range g.rows {
+		r := g.rows[u].ordered(&scratch)
+		for _, e := range r[lowerBound(r, u+1):] {
+			sum = sum.Add(e.m.At(sel[u], sel[e.v]))
 		}
 	}
 	return sum
@@ -315,8 +551,10 @@ func (g *Graph) ColorVertex(u, a int) cost.Cost {
 		panic("pbqp: color out of range")
 	}
 	own := g.vecs[u][a]
-	for v, m := range g.adj[u] {
-		g.vecs[v].AddInPlace(m.Row(a))
+	for _, e := range g.rows[u].es { // each neighbor once, so any order
+		if e.m != nil {
+			g.vecs[e.v].AddInPlace(e.m.Row(a))
+		}
 	}
 	g.RemoveVertex(u)
 	return own
@@ -341,6 +579,7 @@ func (g *Graph) Permute(order []int) *Graph {
 // vertices.
 func (g *Graph) Induced(verts []int) *Graph {
 	pos := make(map[int]int, len(verts))
+	total := 0 // exact when verts is a whole component
 	for i, u := range verts {
 		if !g.alive[u] {
 			panic("pbqp: vertex list contains a dead vertex")
@@ -349,29 +588,41 @@ func (g *Graph) Induced(verts []int) *Graph {
 			panic("pbqp: vertex list contains a duplicate vertex")
 		}
 		pos[u] = i
+		total += len(g.rows[u].es)
 	}
 	h := &Graph{
 		m:     g.m,
-		vecs:  make([]cost.Vector, len(verts)),
+		vecs:  flatVectors(len(verts), g.m),
 		alive: make([]bool, len(verts)),
 		live:  len(verts),
-		adj:   make([]map[int]*cost.Matrix, len(verts)),
+		rows:  make([]row, len(verts)),
 	}
+	flat := make([]entry, 0, total)
 	for i, u := range verts {
-		h.vecs[i] = g.vecs[u].Clone()
+		copy(h.vecs[i], g.vecs[u])
 		h.alive[i] = true
-		h.adj[i] = make(map[int]*cost.Matrix, len(g.adj[u])) // exact when verts is a whole component
-		for v, m := range g.adj[u] {
-			if j, ok := pos[v]; ok {
-				h.adj[i][j] = m
+		start, ascending := len(flat), true
+		for _, e := range g.rows[u].es {
+			if e.m == nil {
+				continue
+			}
+			if j, ok := pos[e.v]; ok {
+				ascending = ascending && (len(flat) == start || flat[len(flat)-1].v < j)
+				flat = append(flat, entry{j, e.m})
 			}
 		}
+		es := flat[start:len(flat):len(flat)]
+		if !ascending {
+			slices.SortFunc(es, byNeighbor)
+		}
+		h.rows[i] = row{es: es, sorted: len(es)}
 	}
 	return h
 }
 
-// Validate checks internal consistency: orientation symmetry, shape, and
-// liveness invariants. It is intended for tests and debugging.
+// Validate checks internal consistency: orientation symmetry, shape,
+// liveness, and the row layout's invariants (see row). It is intended
+// for tests and debugging.
 func (g *Graph) Validate() error {
 	live := 0
 	for u := range g.vecs {
@@ -381,24 +632,76 @@ func (g *Graph) Validate() error {
 		if len(g.vecs[u]) != g.m {
 			return fmt.Errorf("pbqp: vertex %d has vector length %d, want %d", u, len(g.vecs[u]), g.m)
 		}
-		for v, m := range g.adj[u] {
-			if u == v {
-				return fmt.Errorf("pbqp: self loop at %d", u)
+		r := &g.rows[u]
+		if err := r.check(u, len(g.vecs)); err != nil {
+			return fmt.Errorf("pbqp: row %d: %w", u, err)
+		}
+		for _, e := range r.es {
+			v := e.v
+			if e.m == nil {
+				continue
 			}
 			if !g.alive[u] || !g.alive[v] {
 				return fmt.Errorf("pbqp: edge (%d,%d) touches dead vertex", u, v)
 			}
-			back, ok := g.adj[v][u]
-			if !ok {
+			back := g.EdgeCost(v, u)
+			if back == nil {
 				return fmt.Errorf("pbqp: edge (%d,%d) missing reverse orientation", u, v)
 			}
-			if !m.Equal(back.Transpose()) {
+			if !e.m.Equal(back.Transpose()) {
 				return fmt.Errorf("pbqp: edge (%d,%d) orientations disagree", u, v)
 			}
 		}
 	}
 	if live != g.live {
 		return fmt.Errorf("pbqp: live count %d, counted %d", g.live, live)
+	}
+	return nil
+}
+
+// check verifies the row layout: a strictly ascending prefix with an
+// exact tombstone count under half the row, a tail within short that
+// holds no tombstone and no neighbor listed elsewhere in the row, and
+// every neighbor a vertex of a graph of n other than u, the row's own.
+func (r *row) check(u, n int) error {
+	if r.sorted < 0 || r.sorted > len(r.es) {
+		return fmt.Errorf("sorted prefix %d of %d entries", r.sorted, len(r.es))
+	}
+	dead := 0
+	for i, e := range r.es {
+		if e.v == u {
+			return fmt.Errorf("self loop at %d", u)
+		}
+		if e.v < 0 || e.v >= n {
+			return fmt.Errorf("neighbor %d out of range", e.v)
+		}
+		if i >= r.sorted {
+			if e.m == nil {
+				return fmt.Errorf("tombstone for %d in the tail", e.v)
+			}
+			if p := r.search(e.v); p < r.sorted && r.es[p].v == e.v {
+				return fmt.Errorf("neighbor %d in both the prefix and the tail", e.v)
+			}
+			if slices.ContainsFunc(r.es[i+1:], func(f entry) bool { return f.v == e.v }) {
+				return fmt.Errorf("neighbor %d twice in the tail", e.v)
+			}
+			continue
+		}
+		if i > 0 && r.es[i-1].v >= e.v {
+			return fmt.Errorf("prefix not strictly ascending at %d", i)
+		}
+		if e.m == nil {
+			dead++
+		}
+	}
+	if dead != r.dead {
+		return fmt.Errorf("%d tombstones, counted %d", r.dead, dead)
+	}
+	if r.dead > 0 && 2*r.dead >= len(r.es) {
+		return fmt.Errorf("%d tombstones in %d entries", r.dead, len(r.es))
+	}
+	if t := len(r.es) - r.sorted; !short(t, len(r.es)) {
+		return fmt.Errorf("tail of %d in %d entries", t, len(r.es))
 	}
 	return nil
 }

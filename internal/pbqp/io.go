@@ -3,9 +3,11 @@ package pbqp
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -185,9 +187,56 @@ func Read(r io.Reader) (*Graph, error) {
 // It works on the scanner's bytes, in place, once: a line's fields are
 // counted before its m or m·m costs get a vector (a hostile "pbqp 2
 // 4096" header must not buy 128 MB per short edge line), then decoded
-// straight into the storage the graph keeps.
+// straight into the storage the graph keeps. Edges are installed once
+// the input is read (see adoptEdges), so that a vertex listing
+// thousands of neighbors in any order costs one sort, not a sorted
+// insert per line.
 func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
-	lim := limits.withDefaults()
+	var edges []edgeLine
+	g, err := readLines(r, limits.withDefaults(), &edges)
+	// An edge listed twice is reported at its second line if no error
+	// came before that line, as a reader checking each line against the
+	// edges before it would; every line in the log precedes the error,
+	// if any. Installing the edges says whether there is a duplicate,
+	// the log where the first one is.
+	if err != nil || g.adoptEdges(edges) {
+		if d, ok := firstDuplicate(edges); ok {
+			return nil, fmt.Errorf("pbqp: line %d: duplicate edge (%d,%d)", d.line, d.u, d.v)
+		}
+		return nil, err
+	}
+	return g, nil
+}
+
+// edgeLine is one edge line that passed its count and endpoint checks:
+// where it stands, its endpoints as written, and the matrix it carries
+// in both orientations (rows = u's color in uv).
+type edgeLine struct {
+	line   int
+	u, v   int32
+	uv, vu *cost.Matrix
+}
+
+// firstDuplicate returns the earliest line that repeats the edge of a
+// line before it, in either orientation. It sorts edges.
+func firstDuplicate(edges []edgeLine) (edgeLine, bool) {
+	key := func(e edgeLine) int64 { return int64(min(e.u, e.v))<<32 | int64(max(e.u, e.v)) }
+	slices.SortFunc(edges, func(a, b edgeLine) int {
+		return cmp.Or(cmp.Compare(key(a), key(b)), cmp.Compare(a.line, b.line))
+	})
+	var first edgeLine
+	found := false
+	for i := 1; i < len(edges); i++ {
+		if key(edges[i-1]) == key(edges[i]) && (!found || edges[i].line < first.line) {
+			first, found = edges[i], true
+		}
+	}
+	return first, found
+}
+
+// readLines parses the text into a graph with vectors and no edges,
+// logging each edge line to *edges for ReadWithLimits to install.
+func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	// Nil initial buffer: the scanner grows lazily (4KiB doubling) up to
 	// the 16MiB token cap, so parsing a small graph does not pay a fixed
@@ -269,14 +318,13 @@ func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 				u >= g.NumVertices() || v >= g.NumVertices() || u == v {
 				return nil, fmt.Errorf("pbqp: line %d: bad edge endpoints", lineno)
 			}
-			if g.HasEdge(u, v) {
-				return nil, fmt.Errorf("pbqp: line %d: duplicate edge (%d,%d)", lineno, u, v)
-			}
+			// Logged before the costs are decoded: were this line a
+			// duplicate, that would be its error, not a bad cost.
 			uv, vu := cost.NewMatrix(g.m, g.m), cost.NewMatrix(g.m, g.m)
+			*edges = append(*edges, edgeLine{line: lineno, u: int32(u), v: int32(v), uv: uv, vu: vu})
 			if err := decodeCosts(costs, uv.Data, vu.Data, g.m); err != nil {
 				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, err)
 			}
-			g.adoptEdge(u, v, uv, vu)
 		default:
 			return nil, fmt.Errorf("pbqp: line %d: unknown directive %q", lineno, directive)
 		}

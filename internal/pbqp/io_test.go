@@ -184,6 +184,16 @@ func TestReadMatchesReference(t *testing.T) {
 		"pbqp 2 2\ne 1 0 0.5 -1 2e3 inf\nv 1 3 # trailing\n",
 		"pbqp 2 2 # header\n#\n   \n\t\nv 1 1 2#no space\n",
 		"pbqp 3 3\ne 2 0 1 2 3 4 5 6 7 8 9\ne 1 2 0 0 inf inf 0 0 1 1 1",
+		// duplicate edges: the earliest repeat, unless an error comes first
+		"pbqp 3 1\ne 0 1 1\ne 0 2 1\ne 2 0 1\ne 1 0 1\n",
+		"pbqp 3 1\ne 0 1 1\ne 0 1 1\ne 0 1 1\n",
+		"pbqp 3 1\ne 0 1 1\ne 1 0 zebra\n",
+		"pbqp 3 1\ne 0 1 zebra\ne 1 0 1\n",
+		"pbqp 3 1\ne 0 1 1\ne 0 1 1 1\n",
+		"pbqp 3 1\ne 0 1 1\nq\ne 1 0 1\n",
+		"pbqp 3 1\ne 0 1 1\ne 1 0 1\npbqp 3 1\n",
+		"pbqp 3 1\ne 0 1 1\ne 1 0 1\nv 9 1\n",
+		"pbqp 4 1\ne 0 3 1\ne 0 2 1\ne 0 1 1\ne 1 2 1\ne 2 1 1\ne 3 0 1\n",
 	} {
 		if AgreesWithReference(t, []byte(in), ReadLimits{}) != nil {
 			accepted++

@@ -222,11 +222,15 @@ func reduceR2(g *pbqp.Graph, u int, ns []int) record {
 // selected rows (the paper's transition T) to the neighbors.
 func reduceRN(g *pbqp.Graph, u int, ns []int) record {
 	vec := g.VertexCost(u)
+	mats := make([]*cost.Matrix, len(ns))
+	for k, v := range ns {
+		mats[k] = g.EdgeCost(u, v)
+	}
 	best, bestCost := -1, cost.Inf
 	for i := 0; i < g.M(); i++ {
 		c := vec[i]
-		for _, v := range ns {
-			m, nvec := g.EdgeCost(u, v), g.VertexCost(v)
+		for k, v := range ns {
+			m, nvec := mats[k], g.VertexCost(v)
 			local := cost.Inf
 			for j := 0; j < g.M(); j++ {
 				if combined := m.At(i, j).Add(nvec[j]); combined.Less(local) {
