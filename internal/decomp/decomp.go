@@ -20,19 +20,18 @@
 // heuristic itself.
 //
 // Wrap any solve.Solver and it transparently becomes a big-graph
-// solver: components solve under bounded parallelism (results merged
-// in component order, so the selection is deterministic for a
-// deterministic inner solver), and the shared ctx budget cancels all
-// of it.
+// solver: components fan out over Workers goroutines through par.Do
+// (results merged in component order, so the selection is deterministic
+// for a deterministic inner solver), and the shared ctx budget cancels
+// every block solve.
 package decomp
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/par"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/reduce"
 	"pbqprl/internal/solve"
@@ -44,16 +43,16 @@ type Solver struct {
 	// Inner solves the individual blocks. It must be exact (brute) for
 	// exact decomposition; any solver works for heuristic use.
 	Inner solve.Solver
-	// Workers bounds how many connected components solve in parallel.
-	// ≤ 1 solves sequentially. Workers > 1 requires an Inner that is
-	// safe for concurrent Solve calls (the stateless built-ins brute,
-	// scholz, liberty and anneal are; rl solvers carry their network's
-	// scratch buffers and are not).
+	// Workers bounds how many connected components solve in parallel;
+	// ≤ 1 solves them all on the caller's goroutine. Workers > 1
+	// requires an Inner that is safe for concurrent Solve calls (the
+	// stateless built-ins brute, scholz, liberty and anneal are; rl
+	// solvers carry their network's scratch buffers and are not).
 	Workers int
 }
 
-// Wrap returns a decomposing wrapper around inner with sequential
-// component solving.
+// Wrap returns a decomposing wrapper around inner that solves components
+// one at a time.
 func Wrap(inner solve.Solver) *Solver { return &Solver{Inner: inner} }
 
 // Info reports what the decomposition did to one instance; the CLI
@@ -150,38 +149,18 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 			}
 		}
 		info.BlockCut = lap()
+		// Components touch disjoint vertices: each goroutine writes only
+		// its components' vector folds and selection slots, so the shared
+		// graph and selection need no locks. Outcomes are merged in
+		// component order below, keeping the result deterministic
+		// whatever the scheduling. par.Do gets no ctx: every component
+		// must be claimed, because one never claimed would keep a zero
+		// outcome — infeasible, not truncated — while solveComponent
+		// reports a cancelled one as truncated.
 		outcomes := make([]compOutcome, sc.numComps())
-		workers := s.Workers
-		if workers > len(outcomes) {
-			workers = len(outcomes)
-		}
-		if workers <= 1 {
-			for c := range outcomes {
-				outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel)
-			}
-		} else {
-			// Components touch disjoint vertices: each goroutine writes
-			// only its components' vector folds and selection slots, so
-			// the shared graph and selection need no locks. Outcomes are
-			// merged in component order below, keeping the result
-			// deterministic whatever the scheduling.
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for k := 0; k < workers; k++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						c := int(next.Add(1)) - 1
-						if c >= len(outcomes) {
-							return
-						}
-						outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel)
-					}
-				}()
-			}
-			wg.Wait()
-		}
+		par.Do(context.Background(), s.Workers, len(outcomes), func(_, c int) {
+			outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel)
+		})
 		info.Solve = lap()
 		feasible := true
 		for _, oc := range outcomes {

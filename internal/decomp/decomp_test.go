@@ -3,12 +3,14 @@ package decomp
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 	"time"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
+	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/brute"
 	"pbqprl/internal/solve/scholz"
 )
@@ -276,6 +278,56 @@ func TestDecompCancelled(t *testing.T) {
 	res := Wrap(brute.Solver{}).SolveCtx(ctx, g)
 	if !res.Truncated || res.Feasible {
 		t.Fatalf("cancelled solve: truncated=%v feasible=%v, want true/false", res.Truncated, res.Feasible)
+	}
+}
+
+// cancelOnFirst solves blocks exactly with brute and cancels the solve's
+// context as it returns the first one, feasible.
+type cancelOnFirst struct {
+	cancel context.CancelFunc
+	once   sync.Once
+}
+
+func (s *cancelOnFirst) Name() string { return "cancel-on-first" }
+
+func (s *cancelOnFirst) Solve(g *pbqp.Graph) solve.Result {
+	return s.SolveCtx(context.Background(), g)
+}
+
+func (s *cancelOnFirst) SolveCtx(_ context.Context, g *pbqp.Graph) solve.Result {
+	res := brute.Solver{}.Solve(g)
+	s.once.Do(s.cancel)
+	return res
+}
+
+// TestDecompCancelledMidSolve: a deadline that lands after the first
+// component solved feasibly truncates the rest, and the whole answer is
+// truncated, not a proof of infeasibility. Sixteen components of one K4
+// each keep most of them unstarted when the context is cancelled.
+func TestDecompCancelledMidSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(89))
+	const comps = 16
+	g := pbqp.New(4*comps, 2)
+	for c := 0; c < comps; c++ {
+		k4 := cliqueChain(rng, 1, 4, 2)
+		for u := 0; u < 4; u++ {
+			g.SetVertexCost(4*c+u, k4.VertexCost(u))
+		}
+		for _, e := range k4.Edges() {
+			g.SetEdgeCost(4*c+e.U, 4*c+e.V, e.M)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		d := &Solver{Inner: &cancelOnFirst{cancel: cancel}, Workers: workers}
+		res, info := d.SolveWithInfo(ctx, g)
+		cancel()
+		if info.Components != comps {
+			t.Fatalf("workers=%d: %d components, want %d", workers, info.Components, comps)
+		}
+		if !res.Truncated || res.Feasible {
+			t.Errorf("workers=%d: cancelled mid-solve: truncated=%v feasible=%v, want true/false", workers, res.Truncated, res.Feasible)
+		}
 	}
 }
 

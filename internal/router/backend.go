@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"pbqprl/internal/failpoint"
+	"pbqprl/internal/par"
 )
 
 // Breaker states. The passive circuit breaker per backend follows the
@@ -184,8 +185,8 @@ func (r *Router) probeOne(ctx context.Context, b *backend) string {
 }
 
 // healthLoop drives active probes for every backend until ctx is
-// cancelled. Probes run concurrently per tick so one black-holed
-// backend cannot delay the others' verdicts.
+// cancelled. A tick probes its backends on a goroutine each (par.Do), so
+// one black-holed backend cannot delay the others' verdicts.
 func (r *Router) healthLoop(ctx context.Context) {
 	defer close(r.healthDone)
 	ticker := time.NewTicker(r.cfg.HealthInterval)
@@ -196,15 +197,9 @@ func (r *Router) healthLoop(ctx context.Context) {
 			return
 		case <-ticker.C:
 		}
-		var wg sync.WaitGroup
-		for _, b := range r.backends {
-			wg.Add(1)
-			go func(b *backend) {
-				defer wg.Done()
-				r.probeOne(ctx, b)
-			}(b)
-		}
-		wg.Wait()
+		par.Do(ctx, len(r.backends), len(r.backends), func(_, i int) {
+			r.probeOne(ctx, r.backends[i])
+		})
 		r.publishBackendGauges()
 	}
 }

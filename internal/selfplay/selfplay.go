@@ -14,7 +14,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime/debug"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -24,6 +23,7 @@ import (
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/net"
 	"pbqprl/internal/nn"
+	"pbqprl/internal/par"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/rl"
 	"pbqprl/internal/tensor"
@@ -74,26 +74,27 @@ type Config struct {
 	PromoteOnTie bool
 	// Order is the coloring order for training games.
 	Order game.Order
-	// Workers is the number of goroutines an iteration fans out over: its
-	// self-play episodes and arena games, each worker on its own clone of
-	// the networks, and its gradient steps, whose samples are embedded
-	// and back-propagated concurrently while one goroutine adds to every
-	// sum in sample order (GradientStep); 0 or 1 runs everything on the
-	// caller's goroutine. Every episode's randomness comes from a
-	// seed pre-drawn from the master stream, results are merged in
-	// episode order, and every gradient element receives its terms in
-	// sample order, so any worker count — including resuming a
+	// Workers is the number of goroutines an iteration fans out over
+	// (par.Do, the caller's goroutine among them): its self-play episodes
+	// and arena games, the caller's on the trainer's own networks and
+	// each other on its own clones, and its gradient steps, whose samples
+	// are embedded and back-propagated concurrently while one goroutine
+	// adds to every sum in sample order (GradientStep); 0 or 1 runs
+	// everything on the caller's goroutine. Every episode's randomness
+	// comes from a seed pre-drawn from the master stream, results are
+	// merged in episode order, and every gradient element receives its
+	// terms in sample order, so any worker count — including resuming a
 	// checkpoint under a different one — trains bit-identically. With
 	// Workers > 1, Generate must be safe for concurrent calls (derive all
 	// randomness from the rng it is handed).
 	Workers int
 	// Episodes optionally hands the episode phase of each iteration
 	// to a backend of the caller's. Nil — what every training run sets
-	// — plays episodes in process on the Workers pool; the callers
+	// — plays episodes in process on Workers goroutines; the callers
 	// today are the benchmark's tracer, which wraps RunEpisode to time
 	// each episode, and the contract tests. See EpisodeBackend for the
-	// contract that keeps a backend-driven run bit-identical to a
-	// sequential one. Arena games always run in process.
+	// contract that keeps a backend-driven run bit-identical to the
+	// in-process one. Arena games always run in process.
 	Episodes EpisodeBackend
 	// Generate produces the episode graph distribution (paper:
 	// Erdős–Rényi with normally distributed n). Required.
@@ -160,14 +161,13 @@ type EpisodeBatch struct {
 	Cur, Best *net.PBQPNet
 }
 
-// EpisodeBackend runs an episode batch on behalf of the trainer — in
-// this tree the benchmark's tracer and the TestEpisodeBackend* contract
-// tests; a remote one would be an addition behind the same contract. It
-// must return results for a prefix of the batch in episode order: all
-// of them with a nil error (batch complete), or the committed prefix
-// plus the reason dispatch stopped — typically ctx.Err(). The trainer
-// merges the prefix and rewinds its master RNG over the remainder,
-// exactly as the in-process pool does on cancellation, so the run
+// EpisodeBackend runs an episode batch on behalf of the trainer — by
+// default the trainer's own in-process player; in this tree also the
+// benchmark's tracer and the TestEpisodeBackend* contract tests. It must
+// return results for a prefix of the batch in episode order: all of them
+// with a nil error (batch complete), or the committed prefix plus the
+// reason dispatch stopped — typically ctx.Err(). The trainer merges the
+// prefix and rewinds its master RNG over the remainder, so the run
 // resumes bit-identically however the batch was scheduled or where it
 // was cut short.
 type EpisodeBackend func(ctx context.Context, batch EpisodeBatch) ([]EpisodeResult, error)
@@ -315,24 +315,10 @@ func (t *Trainer) RunIteration(ctx context.Context) (IterStats, error) {
 	}
 	var mark time.Time
 	lap(&mark)
-	if t.cfg.Episodes != nil || t.cfg.Workers > 1 {
-		next, err := t.runEpisodesBatch(ctx, start, &stats)
-		if err != nil {
-			snap := stats
-			t.pending, t.pendingEpisode = &snap, next
-			return stats, err
-		}
-	} else {
-		for e := start; e < t.cfg.EpisodesPerIter; e++ {
-			if err := ctx.Err(); err != nil {
-				snap := stats
-				t.pending, t.pendingEpisode = &snap, e
-				return stats, err
-			}
-			epSeed := t.rng.Int63()
-			z, samples, err := runEpisode(&t.cfg, t.cur, t.best, epSeed)
-			t.recordEpisode(&stats, e, z, samples, err)
-		}
+	if next, err := t.runEpisodesBatch(ctx, start, &stats); err != nil {
+		snap := stats
+		t.pending, t.pendingEpisode = &snap, next
+		return stats, err
 	}
 	episodes := lap(&mark)
 	stats.ReplaySize = t.replay.len()
@@ -370,41 +356,40 @@ func lap(mark *time.Time) time.Duration {
 }
 
 // recordEpisode merges the outcome of episode e into the iteration
-// stats and the replay queue. Both the sequential loop and the parallel
-// merge call it in strict episode order, which is what keeps the replay
-// contents and stats independent of the worker count.
-func (t *Trainer) recordEpisode(stats *IterStats, e int, z float64, samples []Sample, err error) {
-	if err != nil {
+// stats and the replay queue. runEpisodesBatch calls it in strict
+// episode order, which is what keeps the replay contents and stats
+// independent of the worker count.
+func (t *Trainer) recordEpisode(stats *IterStats, e int, r EpisodeResult) {
+	if r.Err != nil {
 		stats.Skipped++
-		t.logf("selfplay: iteration %d episode %d skipped: %v", stats.Iteration, e, err)
+		t.logf("selfplay: iteration %d episode %d skipped: %v", stats.Iteration, e, r.Err)
 		return
 	}
 	switch {
-	case z > 0:
+	case r.Z > 0:
 		stats.Wins++
-	case z < 0:
+	case r.Z < 0:
 		stats.Losses++
 	default:
 		stats.Ties++
 	}
-	for i := range samples {
-		samples[i].Z = z
+	for i := range r.Samples {
+		r.Samples[i].Z = r.Z
 	}
-	t.enqueue(samples)
-	stats.Samples += len(samples)
+	t.enqueue(r.Samples)
+	stats.Samples += len(r.Samples)
 }
 
-// runEpisodesBatch plays episodes [start, EpisodesPerIter) — on the
-// in-process worker pool, or through the external Episodes backend —
-// and merges the results in episode order. All episode seeds are
-// pre-drawn from the master stream in episode order, so a completed
-// batch leaves the stream exactly where the sequential loop would. On
-// cancellation (or a backend failure), the committed results cover an
-// in-order prefix of the batch and the stream is rewound to exactly
-// that prefix's seeds — so the returned resume position carries the
-// same pendingEpisode semantics as the sequential loop and a resumed
-// run stays bit-identical. The returned error is nil only when the
-// batch completed.
+// runEpisodesBatch plays episodes [start, EpisodesPerIter) through the
+// Episodes backend, or playEpisodes when there is none, and merges the
+// results in episode order. All episode seeds are pre-drawn from the
+// master stream in episode order, so a completed batch leaves the stream
+// where one draw per episode would. On cancellation (or a backend
+// failure), the committed results cover an in-order prefix of the batch
+// and the stream is rewound to exactly that prefix's seeds — so the
+// returned resume position is the first episode not played, and a
+// resumed run stays bit-identical. The returned error is nil only when
+// the batch completed.
 func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterStats) (int, error) {
 	total := t.cfg.EpisodesPerIter
 	if start >= total {
@@ -420,39 +405,28 @@ func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterSt
 	for i := range seeds {
 		seeds[i] = t.rng.Int63()
 	}
-	var results []EpisodeResult
-	var batchErr error
-	if t.cfg.Episodes != nil {
-		results, batchErr = t.cfg.Episodes(ctx, EpisodeBatch{
-			Iteration: stats.Iteration, Start: start, Seeds: seeds,
-			Cur: t.cur, Best: t.best,
-		})
-		if len(results) > len(seeds) {
-			results = results[:len(seeds)]
-		}
-		if batchErr == nil && len(results) < len(seeds) {
-			batchErr = fmt.Errorf("selfplay: episode backend returned %d of %d results without an error", len(results), len(seeds))
-		}
-	} else {
-		all, dispatched := runParallel(ctx, t.cfg.Workers, len(seeds),
-			func() (cur, best *net.PBQPNet) { return t.cur.Clone(), t.best.Clone() },
-			func(cur, best *net.PBQPNet, i int) EpisodeResult {
-				z, samples, err := runEpisode(&t.cfg, cur, best, seeds[i])
-				return EpisodeResult{Z: z, Samples: samples, Err: err}
-			})
-		results = all[:dispatched]
-		if dispatched < len(seeds) {
-			batchErr = ctx.Err()
-		}
+	backend := t.cfg.Episodes
+	if backend == nil {
+		backend = t.playEpisodes
+	}
+	results, batchErr := backend(ctx, EpisodeBatch{
+		Iteration: stats.Iteration, Start: start, Seeds: seeds,
+		Cur: t.cur, Best: t.best,
+	})
+	if len(results) > len(seeds) {
+		results = results[:len(seeds)]
+	}
+	if batchErr == nil && len(results) < len(seeds) {
+		batchErr = fmt.Errorf("selfplay: episode backend returned %d of %d results without an error", len(results), len(seeds))
 	}
 	for i, r := range results {
-		t.recordEpisode(stats, start+i, r.Z, r.Samples, r.Err)
+		t.recordEpisode(stats, start+i, r)
 	}
 	if batchErr == nil {
 		return total, nil
 	}
 	// interrupted: rewind the master stream to exactly the seeds of the
-	// committed prefix, as if the sequential loop had stopped here
+	// committed prefix
 	if err := t.src.setState(pre); err != nil {
 		// The PCG state rewind cannot fail; losing it silently would
 		// forfeit the bit-identical resume guarantee.
@@ -464,8 +438,39 @@ func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterSt
 	return start + len(results), batchErr
 }
 
+// playEpisodes is the EpisodeBackend a trainer without one uses: it plays
+// the batch's episodes on Workers goroutines and returns the prefix that
+// par.Do claimed before ctx was done.
+func (t *Trainer) playEpisodes(ctx context.Context, b EpisodeBatch) ([]EpisodeResult, error) {
+	results := make([]EpisodeResult, len(b.Seeds))
+	cur, best := workerNets(b.Cur, b.Best, t.cfg.Workers, len(b.Seeds))
+	k := par.Do(ctx, t.cfg.Workers, len(b.Seeds), func(w, i int) {
+		results[i] = runEpisode(&t.cfg, cur[w], best[w], b.Seeds[i])
+	})
+	if k < len(results) {
+		return results[:k], ctx.Err()
+	}
+	return results, nil
+}
+
+// workerNets gives each of par.Do's min(workers, n) workers the pair of
+// networks it plays on: worker 0 the pair it is handed, so one worker
+// clones nothing, and every other worker a cloned pair of its own,
+// because evaluation caches activations on the network. A game's result
+// is a function of its seed and the weights alone, so which worker plays
+// it does not change a bit.
+func workerNets(cur, best *net.PBQPNet, workers, n int) (curs, bests []*net.PBQPNet) {
+	k := max(min(workers, n), 1)
+	curs, bests = make([]*net.PBQPNet, k), make([]*net.PBQPNet, k)
+	curs[0], bests[0] = cur, best
+	for w := 1; w < k; w++ {
+		curs[w], bests[w] = cur.Clone(), best.Clone()
+	}
+	return curs, bests
+}
+
 // RunEpisode plays one self-play episode exactly as the trainer's own
-// loops do — it is the reference implementation an EpisodeBackend
+// player does — it is the reference implementation an EpisodeBackend
 // calls. Zero Config fields take the same defaults the trainer
 // applies, so a backend handed the trainer's (pre-default) Config
 // produces bit-identical episodes. cur and best are mutated
@@ -473,8 +478,7 @@ func (t *Trainer) runEpisodesBatch(ctx context.Context, start int, stats *IterSt
 // concurrent calls.
 func RunEpisode(cfg Config, cur, best *net.PBQPNet, seed int64) EpisodeResult {
 	cfg = cfg.withDefaults()
-	z, samples, err := runEpisode(&cfg, cur, best, seed)
-	return EpisodeResult{Z: z, Samples: samples, Err: err}
+	return runEpisode(&cfg, cur, best, seed)
 }
 
 // runEpisode plays one self-play episode pair (best, then current, on
@@ -482,14 +486,11 @@ func RunEpisode(cfg Config, cur, best *net.PBQPNet, seed int64) EpisodeResult {
 // a panic anywhere inside — graph generation, MCTS, the network — is
 // recovered into an error carrying epSeed so the failure is
 // reproducible offline, and the master RNG stream is unaffected beyond
-// the single draw that produced epSeed. It runs on the trainer's own
-// networks in the sequential path and on per-worker clones in the
-// parallel one.
-func runEpisode(cfg *Config, cur, best *net.PBQPNet, epSeed int64) (z float64, samples []Sample, err error) {
+// the single draw that produced epSeed.
+func runEpisode(cfg *Config, cur, best *net.PBQPNet, epSeed int64) (res EpisodeResult) {
 	defer func() {
 		if r := recover(); r != nil {
-			z, samples = 0, nil
-			err = fmt.Errorf("episode panic (graph seed %d): %v\n%s", epSeed, r, debug.Stack())
+			res = EpisodeResult{Err: fmt.Errorf("episode panic (graph seed %d): %v\n%s", epSeed, r, debug.Stack())}
 		}
 	}()
 	rng := rand.New(rand.NewSource(epSeed))
@@ -497,7 +498,7 @@ func runEpisode(cfg *Config, cur, best *net.PBQPNet, epSeed int64) (z float64, s
 	st := game.New(g, game.MakeOrder(g, cfg.Order, rng))
 	baseCost, _ := playEpisode(cfg, rng, best, st, false)
 	curCost, samples := playEpisode(cfg, rng, cur, st, true)
-	return game.CompareCosts(curCost, baseCost), samples, nil
+	return EpisodeResult{Z: game.CompareCosts(curCost, baseCost), Samples: samples}
 }
 
 // playEpisode colors st's graph with n from the first turn (an episode
@@ -629,17 +630,9 @@ func GradientStep(n *net.PBQPNet, workers int, slots []net.Slot, batch []Sample,
 	for len(batch) > 0 {
 		wave := batch[:min(len(slots), len(batch))]
 		batch = batch[len(wave):]
-		helpers := min(workers, len(wave)) - 1
-
-		var next atomic.Int64
-		embed := func() {
-			for i := int(next.Add(1)) - 1; i < len(wave); i = int(next.Add(1)) - 1 {
-				n.Embed(&slots[i], wave[i].View)
-			}
-		}
-		wait := spawn(helpers, embed)
-		embed()
-		wait()
+		par.Do(context.Background(), workers, len(wave), func(_, i int) {
+			n.Embed(&slots[i], wave[i].View)
+		})
 
 		ready := make(chan int, len(wave)) // samples whose B is done and C not begun
 		done := make([]atomic.Bool, len(wave))
@@ -647,7 +640,7 @@ func GradientStep(n *net.PBQPNet, workers int, slots []net.Slot, batch []Sample,
 			n.Backprop(&slots[i])
 			done[i].Store(true)
 		}
-		wait = spawn(helpers, func() {
+		wait := par.Go(min(workers, len(wave))-1, func() {
 			for i := range ready {
 				backprop(i)
 			}
@@ -690,20 +683,6 @@ func StepSlots(workers, batchSize int) int {
 	return batchSize
 }
 
-// spawn runs work on helpers new goroutines and returns the function
-// that waits for all of them to return.
-func spawn(helpers int, work func()) (wait func()) {
-	var wg sync.WaitGroup
-	for h := 0; h < helpers; h++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	return wg.Wait
-}
-
 // checkFinite scans the current network for NaN/Inf weights.
 func (t *Trainer) checkFinite() error {
 	for _, p := range t.cur.Params() {
@@ -718,24 +697,19 @@ func (t *Trainer) checkFinite() error {
 
 // arena plays ArenaGames fresh graphs with both networks (greedy
 // inference runs) and returns how many the current network wins and
-// loses outright. Like the episode loop, each game is fully determined
-// by a seed pre-drawn from the master stream, so the games parallelize
-// over the worker pool without perturbing the stream.
+// loses outright. Like an episode, each game is fully determined by a
+// seed pre-drawn from the master stream, so the games fan out over
+// Workers goroutines without perturbing the stream.
 func (t *Trainer) arena() (wins, losses int) {
 	seeds := make([]int64, t.cfg.ArenaGames)
 	for i := range seeds {
 		seeds[i] = t.rng.Int63()
 	}
-	var cmps []int
-	if t.cfg.Workers > 1 {
-		cmps, _ = runParallel(context.Background(), t.cfg.Workers, len(seeds),
-			func() (cur, best *net.PBQPNet) { return t.cur.Clone(), t.best.Clone() },
-			func(cur, best *net.PBQPNet, i int) int { return arenaGame(&t.cfg, cur, best, seeds[i]) })
-	} else {
-		for _, seed := range seeds {
-			cmps = append(cmps, arenaGame(&t.cfg, t.cur, t.best, seed))
-		}
-	}
+	cmps := make([]int, len(seeds))
+	cur, best := workerNets(t.cur, t.best, t.cfg.Workers, len(seeds))
+	par.Do(context.Background(), t.cfg.Workers, len(seeds), func(w, i int) {
+		cmps[i] = arenaGame(&t.cfg, cur[w], best[w], seeds[i])
+	})
 	for _, c := range cmps {
 		switch c {
 		case 1:

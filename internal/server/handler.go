@@ -255,9 +255,8 @@ func (s *Server) retryAfter() time.Duration {
 // service time — for which the floor stands in as a conservative
 // unit. An idle queue returns the floor unchanged; the hint is capped
 // at one minute so a deeply backed-up server still invites retries
-// within the window a client plausibly waits. Exported for the
-// distributed-training coordinator, whose lease endpoints shed load
-// the same way and whose worker clients honor the header.
+// within the window a client plausibly waits. Exported for the router,
+// whose own admission queue sheds load the same way.
 func RetryAfterHint(floor time.Duration, depth, workers int) time.Duration {
 	if floor <= 0 {
 		floor = time.Second
