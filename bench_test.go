@@ -359,14 +359,15 @@ func BenchmarkGamePlayUndo(b *testing.B) {
 // BenchmarkGraphCodec is the text codec's checked-in number: Read, Write
 // and CanonicalHash on what the serving benchmark sends — a 60-vreg ATE
 // graph, 144 KB of 64 000 tokens of which all but 500 are "0" or "inf",
-// every one decoded and formatted by hand — and on an Erdős–Rényi graph
-// of random real costs of about the same byte size, where nearly every
-// token is a 17-digit decimal and takes strconv.ParseFloat and
-// strconv.AppendFloat as before. The per-layer rows pbqp.read_mb_per_s,
-// pbqp.write_mb_per_s and pbqp.canonical_hash_us under
-// benchmark/baseline/ were recorded on the ATE shape before the codec
-// moved onto bytes (PR 23) and are stale by 4–5×; ROADMAP item 2(a)
-// owns re-recording them.
+// every one decoded and formatted by hand, and whose edges carry a few
+// distinct matrices that Read shares — and on an Erdős–Rényi graph of
+// random real costs of about the same byte size, where no two edges
+// share a matrix and nearly every token is a 17-digit decimal that
+// takes strconv.ParseFloat and strconv.AppendFloat as before. The
+// per-layer rows pbqp.read_mb_per_s, pbqp.write_mb_per_s and
+// pbqp.canonical_hash_us under benchmark/baseline/ were recorded on the
+// ATE shape before the codec moved onto bytes and are stale several
+// times over; ROADMAP item 9(a) owns re-recording them.
 func BenchmarkGraphCodec(b *testing.B) {
 	prog, _ := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
 		Name: "bench", NumVRegs: 60, PairRatio: 0.30, HardRatio: 0.40, MaxLive: 8, Seed: 3000,

@@ -32,7 +32,8 @@
 // Ownership rule: a *cost.Matrix installed in a Graph is never written
 // again. Mutators replace an edge's two matrices, they do not edit
 // them, so Clone, Induced, Permute, CSR snapshots and solver records
-// share matrices freely — across graphs and across goroutines — and
+// share matrices freely — across graphs and across goroutines — as Read
+// shares one pair among the edges whose costs are bit-identical, and
 // only vectors, liveness and adjacency are per-graph state.
 package pbqp
 
@@ -348,7 +349,8 @@ func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 // adoptEdges installs the text reader's edges into g, which has none,
 // taking ownership of both orientations of each: the reader built them,
 // checked the endpoints and never touches them again, so AddEdgeCost's
-// copies would buy nothing under the ownership rule. Every row is
+// copies would buy nothing under the ownership rule, which also lets
+// one pair serve every edge with its costs (see matrices). Every row is
 // filled in input order into one array, then sorted if it arrived out
 // of order. It reports whether some row lists a neighbor twice — a
 // duplicate edge, which leaves g invalid and is the caller's error.

@@ -184,13 +184,16 @@ func Read(r io.Reader) (*Graph, error) {
 // rejected with a descriptive error before the corresponding
 // allocation happens.
 //
-// It works on the scanner's bytes, in place, once: a line's fields are
-// counted before its m or m·m costs get a vector (a hostile "pbqp 2
-// 4096" header must not buy 128 MB per short edge line), then decoded
-// straight into the storage the graph keeps. Edges are installed once
-// the input is read (see adoptEdges), so that a vertex listing
-// thousands of neighbors in any order costs one sort, not a sorted
-// insert per line.
+// It works on the scanner's bytes, in place, in one walk per line (see
+// walk) that counts the line's fields and decodes its costs into one
+// scratch vector the call reuses, which never holds more costs than the
+// line has fields: a hostile "pbqp 2 4096" header must not buy 128 MB
+// per short edge line. Only a line that passes its count and id checks
+// gets storage in the graph: a vertex line's costs are copied into the
+// vector New gave it, an edge line gets the matrix pair of every line
+// with its costs (see matrices). Edges are installed once the input is
+// read (see adoptEdges), so that a vertex listing thousands of neighbors
+// in any order costs one sort, not a sorted insert per line.
 func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 	var edges []edgeLine
 	g, err := readLines(r, limits.withDefaults(), &edges)
@@ -244,6 +247,8 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 	sc.Buffer(nil, 1<<24)
 	var g *Graph
 	var seenVertex []bool
+	var costs cost.Vector // the line's costs, decoded by walk
+	shared := matrices{}
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -251,12 +256,16 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		nf, ascii := countFields(line)
+		m := 0
+		if g != nil {
+			m = g.m
+		}
+		nf, ascii, costErr := walk(line, m, &costs)
 		if !ascii {
 			// Unicode white space (U+0085, U+00A0, …) separates fields
 			// too: strings.Fields says where, as it always has.
-			fields := strings.Fields(string(line))
-			line, nf = []byte(strings.Join(fields, " ")), len(fields)
+			line = []byte(strings.Join(strings.Fields(string(line)), " "))
+			nf, _, costErr = walk(line, m, &costs)
 		}
 		if nf == 0 {
 			continue
@@ -293,7 +302,7 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 			if nf != 2+g.m {
 				return nil, fmt.Errorf("pbqp: line %d: vertex wants %d costs", lineno, g.m)
 			}
-			u, costs, ok := cutInt(rest)
+			u, _, ok := cutInt(rest)
 			if !ok || u < 0 || u >= g.NumVertices() {
 				return nil, fmt.Errorf("pbqp: line %d: bad vertex id", lineno)
 			}
@@ -301,10 +310,10 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 				return nil, fmt.Errorf("pbqp: line %d: duplicate vertex %d", lineno, u)
 			}
 			seenVertex[u] = true
-			// Into the zero vector New gave the vertex: no copy to install.
-			if err := decodeCosts(costs, g.vecs[u], nil, 0); err != nil {
-				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, err)
+			if costErr != nil {
+				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, costErr)
 			}
+			copy(g.vecs[u], costs)
 		case "e":
 			if g == nil {
 				return nil, fmt.Errorf("pbqp: line %d: edge before header", lineno)
@@ -313,17 +322,20 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 				return nil, fmt.Errorf("pbqp: line %d: edge wants %d costs", lineno, g.m*g.m)
 			}
 			u, rest, okU := cutInt(rest)
-			v, costs, okV := cutInt(rest)
+			v, _, okV := cutInt(rest)
 			if !okU || !okV || u < 0 || v < 0 ||
 				u >= g.NumVertices() || v >= g.NumVertices() || u == v {
 				return nil, fmt.Errorf("pbqp: line %d: bad edge endpoints", lineno)
 			}
-			// Logged before the costs are decoded: were this line a
-			// duplicate, that would be its error, not a bad cost.
-			uv, vu := cost.NewMatrix(g.m, g.m), cost.NewMatrix(g.m, g.m)
-			*edges = append(*edges, edgeLine{line: lineno, u: int32(u), v: int32(v), uv: uv, vu: vu})
-			if err := decodeCosts(costs, uv.Data, vu.Data, g.m); err != nil {
-				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, err)
+			// Logged even with a bad cost: were this line a duplicate,
+			// that would be its error.
+			e := edgeLine{line: lineno, u: int32(u), v: int32(v)}
+			if costErr == nil {
+				e.uv, e.vu = shared.pair(costs, g.m)
+			}
+			*edges = append(*edges, e)
+			if costErr != nil {
+				return nil, fmt.Errorf("pbqp: line %d: %w", lineno, costErr)
 			}
 		default:
 			return nil, fmt.Errorf("pbqp: line %d: unknown directive %q", lineno, directive)
@@ -343,22 +355,6 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 func isSpace(c byte) bool {
 	const spaces = 1<<'\t' | 1<<'\n' | 1<<'\v' | 1<<'\f' | 1<<'\r' | 1<<' '
 	return c <= ' ' && spaces>>c&1 != 0
-}
-
-// countFields returns, from one scan of line, how many fields ASCII
-// white space cuts it into and whether it is pure ASCII — only then is
-// the count the one strings.Fields would give.
-func countFields(line []byte) (n int, ascii bool) {
-	var seen byte
-	wasSpace := true
-	for _, c := range line {
-		seen |= c
-		if wasSpace && !isSpace(c) {
-			n++
-		}
-		wasSpace = isSpace(c)
-	}
-	return n, seen < 0x80
 }
 
 // cutField returns the first field of line and what follows it.
@@ -382,41 +378,101 @@ func cutInt(line []byte) (n int, rest []byte, ok bool) {
 	return n, rest, err == nil
 }
 
-// decodeCosts parses one cost per element of dst from the fields of
-// line, which the caller has counted. When tr is non-nil, dst is an
-// m×m matrix and tr receives its transpose in the same pass. An
-// unsigned integer of at most 15 digits — "0" above all — is below 2^53
-// and so is its own float64: it is decoded as the field is scanned.
+// walk makes the one pass over a line's bytes. It counts the fields
+// ASCII white space cuts the line into and reports whether the line is
+// pure ASCII — only then is the count the one strings.Fields gives.
+// Under a header of m colors (0 before the header) it also decodes the
+// costs the line's directive says follow its ids into *costs, reused
+// from line to line: at most the m or m·m the line owes, and never more
+// than it has. err is the first of those costs that does not decode;
+// the caller reports it only after the count and the ids, which come
+// first in the line but rank above it as errors.
+//
+// An unsigned integer of at most 15 digits — "0" above all — is below
+// 2^53 and so is its own float64: it is decoded as the field is walked.
+// Every other field is classified by parseCost.
 //
 //pbqpvet:hotpath
-func decodeCosts(line []byte, dst, tr cost.Vector, m int) error {
-	i, row, col := 0, 0, 0
-	for k := range dst {
+func walk(line []byte, m int, costs *cost.Vector) (nf int, ascii bool, err error) {
+	directive, _ := cutField(line)
+	skip, want := 1, 0 // fields before the costs, costs owed
+	switch string(directive) {
+	case "v":
+		skip, want = 2, m
+	case "e":
+		skip, want = 3, m*m
+	}
+	dst := (*costs)[:0]
+	var seen byte
+	for i := 0; ; {
 		for i < len(line) && isSpace(line[i]) {
 			i++
 		}
-		start, n, digits := i, uint64(0), true
+		if i == len(line) {
+			break
+		}
+		start, n, other := i, uint(0), uint(0)
 		for ; i < len(line) && !isSpace(line[i]); i++ {
-			d := line[i] - '0'
-			digits = digits && d <= 9
-			n = n*10 + uint64(d)
+			seen |= line[i]
+			d := uint(line[i] - '0')
+			other |= 9 - d // wraps past 2^63 unless line[i] is a digit
+			n = n*10 + d
 		}
-		c := cost.Cost(n)
-		if !digits || uint(i-start-1) >= 15 {
-			var err error
-			if c, err = parseCost(line[start:i]); err != nil {
-				return err
-			}
+		nf++
+		if nf <= skip || len(dst) == want || err != nil {
+			continue
 		}
-		dst[k] = c
-		if tr != nil {
-			tr[col*m+row] = c
-			if col++; col == m {
-				row, col = row+1, 0
-			}
+		var c cost.Cost
+		if int(other) >= 0 && i-start <= 15 {
+			c = cost.Cost(int(n))
+		} else if c, err = parseCost(line[start:i]); err != nil {
+			continue
+		}
+		dst = append(dst, c)
+	}
+	*costs = dst
+	return nf, seen < 0x80, err
+}
+
+// matrices shares edge costs within one Read: every edge line whose
+// m·m costs are bit-identical (math.Float64bits, so "0" and "00" are
+// one matrix and "0" and "-0" two) gets the same (uv, vu) pair. In the
+// zero/∞ regime a graph's edges carry a handful of distinct matrices,
+// so the reader allocates per distinct matrix, not per edge. Sharing is
+// what the ownership rule (see the package comment) already lets Clone,
+// Induced and the solvers' records do: an installed matrix is never
+// written again. The key is a hash of the words; a hit is compared bit
+// for bit, and a different matrix under a taken key gets a pair of its
+// own.
+type matrices map[uint64][2]*cost.Matrix
+
+// pair returns the matrix of the m×m costs, in row-major order, and its
+// transpose.
+func (ms matrices) pair(costs cost.Vector, m int) (uv, vu *cost.Matrix) {
+	var sum uint64
+	for _, c := range costs {
+		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
+	}
+	p, taken := ms[sum]
+	if taken && sameBits(p[0].Data, costs) {
+		return p[0], p[1]
+	}
+	uv = &cost.Matrix{Rows: m, Cols: m, Data: slices.Clone(costs)}
+	vu = uv.Transpose()
+	if !taken {
+		ms[sum] = [2]*cost.Matrix{uv, vu}
+	}
+	return uv, vu
+}
+
+// sameBits reports whether a and b, of one length, hold the same words.
+func sameBits(a, b []cost.Cost) bool {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
 		}
 	}
-	return nil
+	return true
 }
 
 // parseCost classifies a cost token that is not a short unsigned

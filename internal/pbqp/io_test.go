@@ -2,6 +2,7 @@ package pbqp
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -194,6 +195,20 @@ func TestReadMatchesReference(t *testing.T) {
 		"pbqp 3 1\ne 0 1 1\ne 1 0 1\npbqp 3 1\n",
 		"pbqp 3 1\ne 0 1 1\ne 1 0 1\nv 9 1\n",
 		"pbqp 4 1\ne 0 3 1\ne 0 2 1\ne 0 1 1\ne 1 2 1\ne 2 1 1\ne 3 0 1\n",
+		// the walk that counts and decodes an edge line at once: a field
+		// short or long, tokens near "inf" and hex, the 15/16-digit edge
+		// of the integer path, every ASCII separator, matrices equal up
+		// to the sign of a zero
+		"pbqp 3 2\ne 0 1 0 inf inf\ne 1 2 0 inf inf 0\n",
+		"pbqp 3 2\ne 0 1 0 inf inf 0 0\ne 1 2 0 inf inf 0\n",
+		"pbqp 2 2\ne 0 1 0 in inf 0\n",
+		"pbqp 2 2\ne 0 1 0 infx inf 0\n",
+		"pbqp 2 2\ne 0 1 0 inf0 inf 0\n",
+		"pbqp 2 2\ne 0 1 0 0inf inf 0\n",
+		"pbqp 2 2\ne 0 1 0 0x1 inf 0\n",
+		"pbqp 2 2\ne 0 1 999999999999999 1000000000000000 9007199254740993 123456789012345\n",
+		"pbqp 2 2\ne\v0\f1\r0 inf\vinf\f0\t\n",
+		"pbqp 3 2\ne 0 1 0 inf inf 0\ne 1 2 -0 inf inf 0\ne 2 0 0 inf inf -0\n",
 	} {
 		if AgreesWithReference(t, []byte(in), ReadLimits{}) != nil {
 			accepted++
@@ -225,6 +240,110 @@ func TestReadCountsBeforeAllocating(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("rejecting a short edge line allocated %d bytes, want < 1 MB", got)
+	}
+}
+
+// TestReadSharesIdenticalMatrices pins the reader's sharing under the
+// ownership rule: edge lines whose costs are bit-identical share one
+// matrix per orientation, however the costs are spelled, a line that
+// differs only by the sign of a zero gets its own, and no mutator
+// applied to a sharing edge shows through any other edge.
+func TestReadSharesIdenticalMatrices(t *testing.T) {
+	// Rows are u's color: the matrix is not symmetric, so each edge's
+	// two orientations differ.
+	const in = "pbqp 5 2\n" +
+		"e 0 1 0 inf 2 0\n" +
+		"e 1 2 00 inf 2.0 0\n" +
+		"e 3 2 0 inf 2 0\n" +
+		"e 3 4 -0 inf 2 0\n" +
+		"e 0 4 0 inf 2 0\n"
+	read := func() *Graph {
+		g, err := Read(strings.NewReader(in))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	g := read()
+	for _, e := range [][2]int{{1, 2}, {3, 2}, {0, 4}} {
+		if g.EdgeCost(e[0], e[1]) != g.EdgeCost(0, 1) || g.EdgeCost(e[1], e[0]) != g.EdgeCost(1, 0) {
+			t.Errorf("edge %v does not share edge (0,1)'s matrices", e)
+		}
+	}
+	if g.EdgeCost(0, 1) == g.EdgeCost(1, 0) {
+		t.Error("the two orientations of an asymmetric matrix are one matrix")
+	}
+	if g.EdgeCost(3, 4) == g.EdgeCost(0, 1) || g.EdgeCost(4, 3) == g.EdgeCost(1, 0) {
+		t.Error("a matrix with -0 shares the one with 0")
+	}
+
+	type entry struct {
+		u, v int
+		m    *cost.Matrix
+	}
+	snapshot := func(g *Graph) []entry {
+		var es []entry
+		for _, e := range g.Edges() {
+			es = append(es, entry{e.U, e.V, e.M.Clone()}, entry{e.V, e.U, g.EdgeCost(e.V, e.U).Clone()})
+		}
+		return es
+	}
+	bump := cost.NewMatrixFrom([][]cost.Cost{{1, 2}, {3, 4}})
+	for _, op := range []struct {
+		name    string
+		touched func(u, v int) bool // the edges the op may change
+		apply   func(g *Graph)
+	}{
+		{"AddEdgeCost", isEdge(1, 2), func(g *Graph) { g.AddEdgeCost(1, 2, bump) }},
+		{"SetEdgeCost", isEdge(1, 2), func(g *Graph) { g.SetEdgeCost(2, 1, bump) }},
+		{"RemoveEdge", isEdge(1, 2), func(g *Graph) { g.RemoveEdge(1, 2) }},
+		{"ColorVertex", func(u, v int) bool { return u == 2 || v == 2 }, func(g *Graph) { g.ColorVertex(2, 0) }},
+	} {
+		g := read()
+		before := snapshot(g)
+		op.apply(g)
+		if err := g.Validate(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		for _, e := range before {
+			if op.touched(e.u, e.v) {
+				continue
+			}
+			if got := g.EdgeCost(e.u, e.v); got == nil || !sameBits(got.Data, e.m.Data) {
+				t.Errorf("%s on a sharing edge changed edge (%d,%d): %v, was %v", op.name, e.u, e.v, got, e.m)
+			}
+		}
+	}
+}
+
+func isEdge(a, b int) func(u, v int) bool {
+	return func(u, v int) bool { return u == a && v == b || u == b && v == a }
+}
+
+// TestReadAllocatesPerDistinctMatrix pins that a parse allocates per
+// distinct matrix, not per edge: ten times the identical edge lines
+// cost a handful more allocations (the edge log's growth), not ten
+// times the matrices.
+func TestReadAllocatesPerDistinctMatrix(t *testing.T) {
+	body := func(edges int) []byte {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "pbqp %d 4\n", edges+1)
+		for u := 0; u < edges; u++ {
+			fmt.Fprintf(&b, "e %d %d 0 inf 0 0 inf 0 0 0 0 0 0 inf 0 0 inf 0\n", u, u+1)
+		}
+		return b.Bytes()
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Read(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(body(40)), allocs(body(400))
+	t.Logf("%.0f allocations for 40 edge lines, %.0f for 400", few, many)
+	if many > few+8 {
+		t.Fatalf("Read of 400 identical edge lines made %.0f allocations, of 40 %.0f: allocation grows with edges", many, few)
 	}
 }
 

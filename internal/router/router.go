@@ -342,8 +342,9 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// memoized against the canonical hash in the same bounded LRU:
 	// byte-identical repeats (the dominant recompile traffic) skip the
 	// parse entirely, while a new spelling pays one parse and one
-	// canonical serialization (about 1 ms per 100 KB), whose bytes are
-	// hashed into the key and, on a miss, are the body the backend gets.
+	// canonical serialization (BenchmarkGraphCodec times both), whose
+	// bytes are hashed into the key and, on a miss, are the body the
+	// backend gets.
 	// The body lands in one buffer sized from Content-Length, never from
 	// a length above the cap; bytes.MinRead of slack lets ReadFrom meet
 	// EOF without growing it.
