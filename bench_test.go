@@ -220,15 +220,10 @@ func BenchmarkGCNInferSnapshot(b *testing.B) {
 	b.ReportMetric(float64(len(views)), "views")
 }
 
-// BenchmarkRLBacktrackNode is the source of DESIGN §10's "µs per tree
-// node" row: 24 rl-bt solves — four generated programs at each PRO1–PRO6
-// size, the first four of each size class of
-// benchmark/testdata/ate_pool.json — as pbqp-serve runs them (K=25,
-// increasing liberty, MaxNodes 4000, an untrained net, a cold Clone per
-// solve). It reports wall time per generated tree node and the node
-// count, which must not move unless the search was meant to change.
-// Run it with -cpu 1.
-func BenchmarkRLBacktrackNode(b *testing.B) {
+// poolGraphs builds the 24 programs of BenchmarkRLBacktrackNode: the
+// first four of each PRO1–PRO6 size class of
+// benchmark/testdata/ate_pool.json.
+func poolGraphs(b *testing.B) []*pbqprl.Graph {
 	seeds := [][4]int64{
 		{1000, 1001, 1002, 1004}, {2000, 2001, 2003, 2004}, {3000, 3001, 3002, 3004},
 		{4000, 4002, 4003, 4011}, {5000, 5002, 5003, 5004}, {6002, 6006, 6007, 6010},
@@ -247,6 +242,18 @@ func BenchmarkRLBacktrackNode(b *testing.B) {
 			graphs = append(graphs, g)
 		}
 	}
+	return graphs
+}
+
+// BenchmarkRLBacktrackNode is the source of DESIGN §10's "µs per tree
+// node" row: 24 rl-bt solves — four generated programs at each PRO1–PRO6
+// size (poolGraphs) — as pbqp-serve runs them (K=25, increasing
+// liberty, MaxNodes 4000, an untrained net, a cold Clone per solve). It
+// reports wall time per generated tree node and the node count, which
+// must not move unless the search was meant to change. Run it with
+// -cpu 1.
+func BenchmarkRLBacktrackNode(b *testing.B) {
+	graphs := poolGraphs(b)
 	base := net.New(experiments.DefaultNetConfig())
 	cfg := rl.Config{K: 25, Order: game.OrderIncLiberty, Backtrack: true, ReinvokeMCTS: true, MaxNodes: 4000}
 	var nodes int64
@@ -330,6 +337,41 @@ func BenchmarkTrainStep(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*steps*batchSize), "us/sample")
 			b.ReportMetric(float64(len(replay)), "snapshots")
 			b.ReportMetric(float64(games), "games")
+		})
+	}
+}
+
+// BenchmarkGameNew measures what every solve and every episode pays
+// before its first move: game.New, which transforms, packs and indexes
+// each distinct edge matrix once. It runs over the 24 poolGraphs, whose
+// thousands of edges carry two distinct matrices, and over an
+// Erdős–Rényi graph of random real costs where no two directed edges
+// share one, so each of its 4 446 edges misses the intern and pays a
+// transform: there the time per edge is what a graph without sharing
+// costs, and an intern that scanned the matrices it holds would make it
+// grow with the edge count.
+func BenchmarkGameNew(b *testing.B) {
+	distinct := randgraph.ErdosRenyi(rand.New(rand.NewSource(9)),
+		randgraph.Config{N: 150, M: 13, PEdge: 0.2, PInf: 0.05})
+	for _, input := range []struct {
+		name   string
+		graphs []*pbqprl.Graph
+	}{{"pool24", poolGraphs(b)}, {"er150-distinct", []*pbqprl.Graph{distinct}}} {
+		orders := make([][]int, len(input.graphs))
+		edges := 0
+		for k, g := range input.graphs {
+			orders[k] = game.MakeOrder(g, game.OrderIncLiberty, nil)
+			edges += 2 * g.NumEdges()
+		}
+		b.Run(input.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for k, g := range input.graphs {
+					game.New(g, orders[k])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*edges), "ns/edge")
+			b.ReportMetric(float64(edges), "edges")
 		})
 	}
 }

@@ -14,19 +14,23 @@
 // the backtracking solver's take-backs exact (infinity saturation is not
 // arithmetically reversible, so vectors are restored, not subtracted).
 // Play walks the vertex's later-neighbor list, which New builds once
-// with each edge's matrix beside the neighbor, and logs into the undo
-// record of its turn, whose buffer every later visit to the turn
-// reuses: a warm Play/Undo pair allocates nothing and probes no map.
+// with the nonzero entries of each edge matrix's rows beside the
+// neighbor (one copy per distinct matrix of the game), and logs into
+// the undo record of its turn, whose buffer every later visit to the
+// turn reuses: a warm Play/Undo pair allocates nothing and probes no
+// map.
 package game
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/pbqp"
+	"pbqprl/internal/tensor"
 )
 
 // Order selects the coloring order of a PBQP game (Section IV-E).
@@ -96,10 +100,10 @@ type State struct {
 }
 
 // change records one overwritten cost-vector entry (infinity saturation
-// is not subtractable, so Undo restores saved values). Only entries that
-// actually change are logged; in the ATE zero/infinity regime most edge
-// row entries are zero, so logs stay tiny and Play/Undo stay cheap
-// inside MCTS simulation.
+// is not subtractable, so Undo restores saved values). Only the nonzero
+// entries of a row are visited and logged; in the ATE zero/infinity
+// regime a row has one or two, so logs stay tiny and Play/Undo stay
+// cheap inside MCTS simulation.
 type change struct {
 	v, i int
 	old  cost.Cost
@@ -112,10 +116,90 @@ type undoRec struct {
 }
 
 // laterEdge is one edge Play propagates along: the neighbor and the
-// edge matrix oriented so that its rows are the played vertex's colors.
+// edge matrix, oriented so that its rows are the played vertex's
+// colors, with the columns of each row that are not zero — the only
+// entries that can change the neighbor's vector.
 type laterEdge struct {
-	v   int
-	mat *cost.Matrix
+	v int
+	d *distinct
+}
+
+// distinct is one distinct edge matrix of a game, in the forms the game
+// keeps of it: the graph's own (shared read-only, the pbqp ownership
+// rule), transformed for the network, and per row the columns of its
+// nonzero entries, ascending, for Play.
+type distinct struct {
+	src   *cost.Matrix
+	mat   *tensor.Mat
+	start []int32 // len Rows+1: row a's nonzero columns are cols[start[a]:start[a+1]]
+	cols  []int32
+}
+
+// nonzero returns the columns of row a's nonzero entries.
+func (d *distinct) nonzero(a int) []int32 { return d.cols[d.start[a]:d.start[a+1]] }
+
+// interner gives every edge matrix of one game its distinct form,
+// looked up by pointer first — matrices a parsed graph shares, and the
+// same matrix met again — then by content: a hash of the words, and on
+// a hit a bitwise compare (math.Float64bits, so -0 and +0 stay apart
+// and the transformed matrix is bit for bit the one TransformMatrix
+// makes of either edge). A different matrix under a taken hash gets a
+// distinct form of its own.
+type interner struct {
+	byPtr     map[*cost.Matrix]*distinct
+	byContent map[uint64]*distinct
+}
+
+func (in *interner) intern(mat *cost.Matrix) *distinct {
+	if d := in.byPtr[mat]; d != nil {
+		return d
+	}
+	var sum uint64
+	for _, c := range mat.Data {
+		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
+	}
+	d, taken := in.byContent[sum]
+	if !taken || !sameBits(d.src.Data, mat.Data) {
+		d = newDistinct(mat)
+		if !taken {
+			in.byContent[sum] = d
+		}
+	}
+	in.byPtr[mat] = d
+	return d
+}
+
+// newDistinct transforms mat and indexes the nonzero entries of its
+// rows.
+func newDistinct(mat *cost.Matrix) *distinct {
+	count := 0
+	for _, c := range mat.Data {
+		if !c.IsZero() {
+			count++
+		}
+	}
+	ints := make([]int32, mat.Rows+1, mat.Rows+1+count) // one allocation for both
+	d := &distinct{src: mat, mat: gcn.TransformMatrix(mat), start: ints, cols: ints[mat.Rows+1:]}
+	for a := 0; a < mat.Rows; a++ {
+		d.start[a] = int32(len(d.cols))
+		for i, c := range mat.Row(a) {
+			if !c.IsZero() {
+				d.cols = append(d.cols, int32(i))
+			}
+		}
+	}
+	d.start[mat.Rows] = int32(len(d.cols))
+	return d
+}
+
+// sameBits reports whether a and b, of one length, hold the same words.
+func sameBits(a, b []cost.Cost) bool {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return true
 }
 
 // New builds a game over g with the given coloring order (a permutation
@@ -135,7 +219,12 @@ func New(g *pbqp.Graph, order []int) *State {
 	}
 	// h is private to this call, so the game takes over its vectors; its
 	// matrices are g's own, shared read-only (the pbqp ownership rule),
-	// so the game keeps both orientations without copying either.
+	// so the game keeps both orientations without copying either. Each
+	// distinct one is transformed, packed (by the table's AddEdge, which
+	// meets the same *tensor.Mat again on every edge that carries it) and
+	// indexed once per game, and the interference pattern of an ATE graph
+	// is nearly every edge.
+	in := interner{byPtr: make(map[*cost.Matrix]*distinct), byContent: make(map[uint64]*distinct)}
 	s.edges.Start = make([]int32, n+1)
 	for u := 0; u < n; u++ {
 		s.vecs[u] = h.VertexCost(u)
@@ -143,11 +232,11 @@ func New(g *pbqp.Graph, order []int) *State {
 			s.dead++
 		}
 		for _, w := range h.Neighbors(u) {
-			mat := h.EdgeCost(u, w)
+			d := in.intern(h.EdgeCost(u, w))
 			if w > u {
-				s.later[u] = append(s.later[u], laterEdge{v: w, mat: mat})
+				s.later[u] = append(s.later[u], laterEdge{v: w, d: d})
 			}
-			s.edges.AddEdge(w, gcn.TransformMatrix(mat))
+			s.edges.AddEdge(w, d.mat)
 		}
 		s.edges.Start[u+1] = int32(len(s.edges.Nbr))
 	}
@@ -219,16 +308,13 @@ func (s *State) Play(a int) {
 	rec.acc, rec.dead = s.acc, s.dead
 	changes := rec.changes[:0]
 	for _, e := range s.later[s.t] {
-		vec := s.vecs[e.v]
+		vec, row := s.vecs[e.v], e.d.src.Row(a)
 		// a vector can only die by a finite entry turning infinite
 		killed := false
-		for i, rc := range e.mat.Row(a) {
-			if rc.IsZero() {
-				continue
-			}
+		for _, i := range e.d.nonzero(a) {
 			old := vec[i]
-			changes = append(changes, change{v: e.v, i: i, old: old})
-			vec[i] = old.Add(rc)
+			changes = append(changes, change{v: e.v, i: int(i), old: old})
+			vec[i] = old.Add(row[i])
 			killed = killed || (!old.IsInf() && vec[i].IsInf())
 		}
 		if killed && vec.AllInf() {

@@ -19,9 +19,9 @@ func (g *GCN) plane(buf tensor.Vec, l int) []tensor.Vec {
 	return rows
 }
 
-// TapeKinds counts, by kernel kind (zero, binary, sparse, dense), the
-// edges inside the window of the most recent Forward.
-func (g *GCN) TapeKinds() (kinds [4]int) {
+// TapeKinds counts, by kernel kind (zero, diagonal, binary, sparse,
+// dense), the edges inside the window of the most recent Forward.
+func (g *GCN) TapeKinds() (kinds [5]int) {
 	tp := &g.tape
 	for v := 0; v < tp.n; v++ {
 		for lo, hi := tp.tbl.From(tp.off+v, tp.off); lo < hi; lo++ {

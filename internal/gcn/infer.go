@@ -26,6 +26,15 @@ package gcn
 //     multiplication by a power of two is exact and commutes with
 //     rounding, making the factored sum bit-identical to the unfactored
 //     fold.
+//
+// The kinds, from cheapest to most general, are zero, diagonal, binary,
+// sparse and dense (the constants below). The diagonal — infFeature on
+// the whole diagonal, the paper's interference constraint and nearly
+// every ATE edge — folds as dst[i] += 2·x[i]: the binary fold of a
+// one-entry row without the +0.0 its row sum starts from. 2·(+0.0 +
+// x[i]) and 2·x[i] differ only for x[i] = -0.0, and adding either into
+// an accumulator that is not -0.0 leaves the same bits; every call
+// site's accumulator starts at +0.0, so by the first fact it never is.
 
 import (
 	"encoding/binary"
@@ -40,6 +49,7 @@ import (
 // packedMat kinds, from cheapest to most general.
 const (
 	kZero   = iota // every entry exactly 0: the edge adds nothing
+	kDiag          // infFeature on the whole diagonal, 0 elsewhere: one vector add
 	kBinary        // entries ∈ {0, infFeature}: factored index sums
 	kSparse        // mostly zero: (index, value) pairs in row-major order
 	kDense         // dense fallback: plain row folds
@@ -48,8 +58,9 @@ const (
 // packedMat is the prepared form of one transformed edge matrix: its
 // kind and, for the packed kinds, its nonzero structure. Immutable once
 // built (transformed matrices never change): a game's edge table packs
-// each matrix once (EdgeTable.AddEdge), and Infer, Forward and Backward
-// over the game, its snapshots and their decoded copies fold that form.
+// each distinct matrix once (EdgeTable.AddEdge), its edges share the
+// form and its id, and Infer, Forward and Backward over the game, its
+// snapshots and their decoded copies fold that form.
 type packedMat struct {
 	kind     int
 	id       uint64 // what a row-memo key names the matrix by
@@ -84,6 +95,9 @@ func buildKernel(m *tensor.Mat) *packedMat {
 	case nz == 0:
 		k.kind = kZero
 		return k
+	case binary && nz == m.R && m.R == m.C && fullDiagonal(m):
+		k.kind = kDiag
+		return k
 	case nz*5 > len(m.W)*3:
 		// denser than 60 %: the packed form saves nothing
 		k.kind = kDense
@@ -114,13 +128,30 @@ func buildKernel(m *tensor.Mat) *packedMat {
 	return k
 }
 
+// fullDiagonal reports whether every diagonal entry of the square m is
+// nonzero.
+func fullDiagonal(m *tensor.Mat) bool {
+	for i := 0; i < m.R; i++ {
+		if m.W[i*m.C+i] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // addMulVec adds k.mat · x into dst, bit-identically to
-// (*tensor.Mat).AddMulVec.
+// (*tensor.Mat).AddMulVec into a dst none of whose entries is -0.0.
 func (k *packedMat) addMulVec(dst, x tensor.Vec) {
 	switch k.kind {
 	case kZero:
 		// Σ ±0.0 into a +0.0-started accumulator is a no-op
 		return
+	case kDiag:
+		// 2·x[i], not 2·(+0.0 + x[i]): the same bits in a dst that is not -0.0
+		x = x[:len(dst)]
+		for i, xi := range x {
+			dst[i] += 2 * xi
+		}
 	case kBinary:
 		rs, idx := k.rowStart, k.idx
 		for i := range dst {
@@ -177,8 +208,9 @@ type EdgeTable struct {
 	Nbr   []int32       // neighbor of each edge, ascending within a vertex
 	Mat   []*tensor.Mat // transformed matrix of each edge, rows = the owner's color
 
-	packed []*packedMat // Mat's packed forms, edge for edge
-	frozen bool         // a snapshot's table, one of many onto its game's slices, or a flattened view's: it takes no slots
+	packed []*packedMat               // Mat's packed forms, edge for edge
+	kern   map[*tensor.Mat]*packedMat // the packed form of each matrix AddEdge has seen
+	frozen bool                       // a snapshot's table, one of many onto its game's slices, or a flattened view's: it takes no slots
 
 	// The slots below are owner's, filled while its generation was gen;
 	// they make a table, like the game it belongs to, single-goroutine.
@@ -198,11 +230,22 @@ type EdgeTable struct {
 
 // AddEdge appends an edge to nbr, with transformed matrix mat, to the
 // vertex under construction (the caller closes it by appending to
-// Start) and packs mat: the one place a matrix is classified.
+// Start) and packs mat: the one place a matrix is classified. A matrix
+// the table has packed before keeps its packed form and kernel id, so
+// a caller that hands every edge of one content the same *tensor.Mat
+// (game.New does) packs each content once.
 func (t *EdgeTable) AddEdge(nbr int, mat *tensor.Mat) {
+	k := t.kern[mat]
+	if k == nil {
+		k = buildKernel(mat)
+		if t.kern == nil {
+			t.kern = make(map[*tensor.Mat]*packedMat)
+		}
+		t.kern[mat] = k
+	}
 	t.Nbr = append(t.Nbr, int32(nbr))
 	t.Mat = append(t.Mat, mat)
-	t.packed = append(t.packed, buildKernel(mat))
+	t.packed = append(t.packed, k)
 }
 
 // layerSlots is one layer's slot per table vertex: the inputs of the
@@ -245,6 +288,7 @@ func edges(view View, flat *EdgeTable) (tbl *EdgeTable, off int) {
 		return tbl, off
 	}
 	flat.Start, flat.Nbr, flat.Mat, flat.packed = flat.Start[:0], flat.Nbr[:0], flat.Mat[:0], flat.packed[:0]
+	clear(flat.kern) // a view need not keep a matrix's content from call to call
 	flat.frozen = true
 	for v, n := 0, view.N(); v < n; v++ {
 		flat.Start = append(flat.Start, int32(len(flat.Nbr)))

@@ -24,22 +24,57 @@ func TestBuildKernelKinds(t *testing.T) {
 		copy(m.W, vals)
 		return m
 	}
+	const d = infFeature
+	mk3 := func(vals ...float64) *tensor.Mat {
+		m := tensor.NewMat(3, 3)
+		copy(m.W, vals)
+		return m
+	}
 	cases := []struct {
 		mat  *tensor.Mat
 		kind int
 	}{
 		{mk(0, 0, 0, 0), kZero},
 		{mk(infFeature, 0, 0, 0), kBinary},
-		{mk(infFeature, 0, 0, infFeature), kBinary},
+		{mk(infFeature, 0, 0, infFeature), kDiag},
 		{mk(0.5, 0, 0, 0), kSparse},
 		{mk(infFeature, 0.5, 0, 0), kSparse},
 		{mk(0.5, 0.25, 0.125, 0), kDense},
 		{mk(infFeature, infFeature, infFeature, 0), kDense},
+		{mk3(d, 0, 0, 0, d, 0, 0, 0, d), kDiag},                            // the interference diagonal
+		{mk3(d, 0, 0, 0, 0, 0, 0, 0, d), kBinary},                          // one diagonal entry 0
+		{mk3(d, 0, 0, 0, d, d, 0, 0, d), kBinary},                          // one off-diagonal infFeature beside it
+		{mk3(0.5, 0, 0, 0, 0.5, 0, 0, 0, 0.5), kSparse},                    // a finite diagonal
+		{&tensor.Mat{R: 2, C: 3, W: []float64{d, 0, 0, 0, d, 0}}, kBinary}, // not square
 	}
 	for i, c := range cases {
 		if k := buildKernel(c.mat); k.kind != c.kind {
 			t.Errorf("case %d: kind = %d, want %d", i, k.kind, c.kind)
 		}
+	}
+}
+
+// TestAddEdgePacksEachMatrixOnce: a matrix handed to AddEdge again keeps
+// its packed form and kernel id; another matrix, even of equal content,
+// gets its own.
+func TestAddEdgePacksEachMatrixOnce(t *testing.T) {
+	a, b := tensor.NewMat(2, 2), tensor.NewMat(2, 2)
+	a.Set(0, 0, infFeature)
+	b.Set(0, 0, infFeature)
+	tbl := &EdgeTable{Start: []int32{0}}
+	for _, mat := range []*tensor.Mat{a, b, a, a} {
+		tbl.AddEdge(1, mat)
+	}
+	tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
+	p := tbl.packed
+	if p[0] != p[2] || p[0] != p[3] {
+		t.Error("a repeated matrix was packed again")
+	}
+	if p[0] == p[1] || p[0].id == p[1].id {
+		t.Error("two matrices share a packed form")
+	}
+	if !tbl.BuiltByAddEdge() {
+		t.Error("the table does not hold each matrix's packed form beside it")
 	}
 }
 
@@ -86,6 +121,37 @@ func TestKernelAddMulVecBitIdentical(t *testing.T) {
 			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 				t.Fatalf("trial %d (kind %d) row %d: got %x want %x",
 					trial, k.kind, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+
+	// the diagonal, on the inputs where 2·x[i] and 2·(+0.0 + x[i]) could
+	// part: signed zeros, subnormals and units
+	special := []float64{0, math.Copysign(0, -1), 5e-324, -5e-324, 0x1p-1050, 1, -1}
+	for r := 1; r <= 13; r++ {
+		m := tensor.NewMat(r, r)
+		for i := 0; i < r; i++ {
+			m.Set(i, i, infFeature)
+		}
+		k := buildKernel(m)
+		if k.kind != kDiag {
+			t.Fatalf("%d×%d diagonal: kind %d", r, r, k.kind)
+		}
+		for trial := 0; trial < 50; trial++ {
+			want, got := make(tensor.Vec, r), make(tensor.Vec, r)
+			for pass := 0; pass < 2; pass++ {
+				x := make(tensor.Vec, r)
+				for i := range x {
+					x[i] = special[rng.Intn(len(special))]
+				}
+				m.AddMulVec(want, x)
+				k.addMulVec(got, x)
+			}
+			for i := range want {
+				if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+					t.Fatalf("%d×%d diagonal, trial %d, row %d: got %x want %x",
+						r, r, trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
 	}

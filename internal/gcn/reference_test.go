@@ -165,6 +165,7 @@ func tanhVec(x tensor.Vec) tensor.Vec {
 // kernel kinds, in gcn's order
 const (
 	kZero = iota
+	kDiag
 	kBinary
 	kSparse
 	kDense
@@ -195,7 +196,7 @@ type oracle struct {
 	g     *gcn.GCN
 	ref   *refGCN
 	rng   *rand.Rand
-	kinds [4]int
+	kinds [5]int
 }
 
 func newOracle(t *testing.T, m, layers int) *oracle {
@@ -311,6 +312,9 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 		}
 		o.sample("ate live view after Play/Undo, turn 3", st.View())
 	}
+	if o.kinds[kDiag] == 0 {
+		t.Error("the ATE programs folded no diagonal kernel")
+	}
 	if o.kinds[kBinary] == 0 {
 		t.Error("the ATE programs folded no binary kernel")
 	}
@@ -339,7 +343,7 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 	o.sample("mixed thawed sample", thawed[0].View)
 	o.sample("single vertex", gcn.NewGraphView(mixedGraph(22, 1, m)))
 	o.sample("mixed GraphView again", gcn.NewGraphView(g))
-	for k, name := range []string{"zero", "binary", "sparse", "dense"} {
+	for k, name := range []string{"zero", "diagonal", "binary", "sparse", "dense"} {
 		if o.kinds[k] == 0 {
 			t.Errorf("no %s kernel was folded", name)
 		}

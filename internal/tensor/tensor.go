@@ -137,6 +137,7 @@ func (m *Mat) MulVecInto(dst, x Vec) {
 	checkLen(m.R, len(dst))
 	for i := 0; i < m.R; i++ {
 		row := m.W[i*m.C : (i+1)*m.C]
+		row = row[:len(x)] // proves row[j] in bounds: no check in the fold
 		s := 0.0
 		for j, xj := range x {
 			s += row[j] * xj
