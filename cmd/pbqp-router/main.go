@@ -42,17 +42,15 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
+	"pbqprl/internal/daemon"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/router"
 )
@@ -113,45 +111,10 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("routing to %s, listening on %s", *backends, *addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errc:
+	log.Printf("routing to %s, listening on %s", *backends, *addr)
+	if err := daemon.ServeUntilSignal(httpSrv, rt.Drain, *drainTimeout, log.Printf); err != nil {
 		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("received %s, draining", sig)
 	}
-
-	// Drain sequence mirrors pbqp-serve: stop admitting first (readyz
-	// flips to 503 while the listener stays up), finish accepted work,
-	// then close the listener.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- rt.Drain(drainCtx) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			log.Printf("drain incomplete: %v", err)
-			os.Exit(1)
-		}
-	case sig := <-sigc:
-		log.Printf("received second %s, aborting drain", sig)
-		os.Exit(1)
-	}
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
-		os.Exit(1)
-	}
-	log.Printf("drained cleanly, exiting")
 }
 
 func splitList(spec string) []string {

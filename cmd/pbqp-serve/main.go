@@ -35,22 +35,20 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
-	"os/signal"
-	"strings"
-	"syscall"
 	"time"
 
+	"pbqprl/internal/daemon"
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/server"
+	"pbqprl/internal/solve/portfolio"
 )
 
 func main() {
@@ -60,7 +58,7 @@ func main() {
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
 	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request solve budget when the client does not set one")
 	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
-	chain := flag.String("chain", "rl-bt,liberty,scholz", "default solver fallback chain (comma separated; prefix a stage with decomp: to route it through the big-graph decomposition pipeline)")
+	chain := flag.String("chain", portfolio.DefaultChain, "default solver fallback chain (comma separated; prefix a stage with decomp: to route it through the big-graph decomposition pipeline)")
 	netPath := flag.String("net", "", "network checkpoint for rl stages (empty: uniform prior)")
 	k := flag.Int("k", 50, "MCTS simulations per action for rl stages")
 	orderFlag := flag.String("order", "dec", "coloring order for rl stages: fixed, random, inc, dec")
@@ -76,8 +74,12 @@ func main() {
 	}
 	log.SetPrefix("pbqp-serve: ")
 	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	order, err := game.ParseOrder(*orderFlag)
+	if err != nil {
+		log.Fatal(err)
+	}
 
-	evaluator := func() mcts.Evaluator { return mcts.Uniform{} }
+	var evaluator func() mcts.Evaluator // nil: the uniform prior
 	if *netPath != "" {
 		base := experiments.LoadNet(*netPath)
 		if base == nil {
@@ -96,10 +98,10 @@ func main() {
 		DefaultDeadline: *defaultDeadline,
 		MaxDeadline:     *maxDeadline,
 		ReadLimits:      pbqp.ReadLimits{MaxVertices: *maxVertices, MaxColors: *maxColors},
-		DefaultChain:    splitChain(*chain),
+		DefaultChain:    portfolio.SplitChain(*chain),
 		MaxStates:       *maxStates,
 		K:               *k,
-		Order:           parseOrder(*orderFlag),
+		Order:           order,
 		Evaluator:       evaluator,
 		Logf:            log.Printf,
 	})
@@ -113,73 +115,8 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	errc := make(chan error, 1)
-	go func() {
-		log.Printf("listening on %s", *addr)
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errc:
+	log.Printf("listening on %s", *addr)
+	if err := daemon.ServeUntilSignal(httpSrv, srv.Drain, *drainTimeout, log.Printf); err != nil {
 		log.Fatal(err)
-	case sig := <-sigc:
-		log.Printf("received %s, draining", sig)
-	}
-
-	// Drain sequence: stop admitting solves first (new requests get
-	// 503 while the listener stays up, so load balancers see readyz
-	// flip rather than connection refused), finish the accepted work,
-	// then close the listener and any idle connections.
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	done := make(chan error, 1)
-	go func() { done <- srv.Drain(drainCtx) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			log.Printf("drain incomplete: %v", err)
-			os.Exit(1)
-		}
-	case sig := <-sigc:
-		log.Printf("received second %s, aborting drain", sig)
-		os.Exit(1)
-	}
-	// Shutdown gets its own short budget: reusing drainCtx would make a
-	// drain that legitimately consumed most of its timeout fail the
-	// final (near-instant, in-flight solves already done) listener close.
-	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelShutdown()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
-		os.Exit(1)
-	}
-	log.Printf("drained cleanly, exiting")
-}
-
-func splitChain(spec string) []string {
-	var names []string
-	for _, name := range strings.Split(spec, ",") {
-		if name = strings.TrimSpace(name); name != "" {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-func parseOrder(s string) game.Order {
-	switch s {
-	case "fixed":
-		return game.OrderFixed
-	case "random":
-		return game.OrderRandom
-	case "inc":
-		return game.OrderIncLiberty
-	case "dec":
-		return game.OrderDecLiberty
-	default:
-		log.Fatalf("unknown order %q", s)
-		return 0
 	}
 }

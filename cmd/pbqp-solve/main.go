@@ -8,13 +8,14 @@
 //	           [-timeout 50ms] [-portfolio] [-stats-json] file.pbqp
 //
 // The rl solvers use an untrained (uniform-prior) network unless -net
-// points at a checkpoint produced by pbqp-train. -timeout bounds the
-// wall-clock time of the whole solve; on expiry the best selection
-// found so far is printed and the result is marked truncated.
-// -portfolio ignores -solver and runs the fallback chain
-// deep-rl+backtrack → liberty → scholz, splitting the timeout across
-// stages, recovering stage panics, and keeping the cheapest feasible
-// answer. -stats-json prints the per-stage portfolio.Stats report as
+// points at a checkpoint produced by pbqp-train; -order and -net are
+// checked before the graph is read, whichever solver runs. -timeout
+// bounds the wall-clock time of the whole solve; on expiry the best
+// selection found so far is printed and the result is marked
+// truncated. -portfolio ignores -solver and runs
+// portfolio.DefaultChain, deep-rl+backtrack → liberty → scholz (the
+// default chain of pbqp-serve), splitting the timeout across stages,
+// recovering stage panics, and keeping the cheapest feasible answer. -stats-json prints the per-stage portfolio.Stats report as
 // one JSON line on stderr (a single -solver reports as a one-stage
 // chain) — the same struct pbqp-serve returns in its responses.
 //
@@ -42,6 +43,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -51,13 +53,8 @@ import (
 	"pbqprl/internal/game"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/rl"
 	"pbqprl/internal/solve"
-	"pbqprl/internal/solve/anneal"
-	"pbqprl/internal/solve/brute"
-	"pbqprl/internal/solve/liberty"
 	"pbqprl/internal/solve/portfolio"
-	"pbqprl/internal/solve/scholz"
 )
 
 const (
@@ -67,82 +64,80 @@ const (
 	exitTruncated  = 3
 )
 
-func main() {
-	solver := flag.String("solver", "scholz", "brute, scholz, liberty, anneal, rl, or rl-bt (with backtracking)")
-	k := flag.Int("k", 50, "MCTS simulations per action for the rl solvers")
-	orderFlag := flag.String("order", "dec", "coloring order for rl solvers: fixed, random, inc, dec")
-	netPath := flag.String("net", "", "network checkpoint for rl solvers (empty: uniform prior)")
-	maxStates := flag.Int64("max-states", 50_000_000, "search budget")
-	timeout := flag.Duration("timeout", 0, "wall-clock budget for the solve (0 = unlimited); exceeding it returns the best-so-far with exit status 3")
-	usePortfolio := flag.Bool("portfolio", false, "run the deep-rl+backtrack → liberty → scholz fallback chain under -timeout instead of -solver")
-	statsJSON := flag.Bool("stats-json", false, "print per-stage solver stats as JSON to stderr — the same portfolio.Stats struct pbqp-serve returns")
-	decompose := flag.Bool("decompose", false, "solve via the big-graph pipeline: reduce, split into biconnected blocks, solve blocks with the selected solver, recombine")
-	decompWorkers := flag.Int("decomp-workers", 0, "parallel component solves for -decompose (0 = auto: GOMAXPROCS for stateless solvers, 1 for rl)")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pbqp-solve [flags] file.pbqp")
-		flag.Usage()
-		os.Exit(exitError)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, solves, writes the report
+// to stdout and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pbqp-solve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	solver := fs.String("solver", "scholz", "brute, scholz, liberty, anneal, rl, or rl-bt (with backtracking)")
+	k := fs.Int("k", 50, "MCTS simulations per action for the rl solvers")
+	orderFlag := fs.String("order", "dec", "coloring order for rl solvers: fixed, random, inc, dec")
+	netPath := fs.String("net", "", "network checkpoint for rl solvers (empty: uniform prior)")
+	maxStates := fs.Int64("max-states", 50_000_000, "search budget")
+	timeout := fs.Duration("timeout", 0, "wall-clock budget for the solve (0 = unlimited); exceeding it returns the best-so-far with exit status 3")
+	usePortfolio := fs.Bool("portfolio", false, "run the "+portfolio.DefaultChain+" fallback chain under -timeout instead of -solver")
+	statsJSON := fs.Bool("stats-json", false, "print per-stage solver stats as JSON to stderr — the same portfolio.Stats struct pbqp-serve returns")
+	decompose := fs.Bool("decompose", false, "solve via the big-graph pipeline: reduce, split into biconnected blocks, solve blocks with the selected solver, recombine")
+	decompWorkers := fs.Int("decomp-workers", 0, "parallel component solves for -decompose (0 = GOMAXPROCS); rl solvers always solve components one at a time")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitError
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: pbqp-solve [flags] file.pbqp")
+		fs.Usage()
+		return exitError
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pbqp-solve:", err)
+		return exitError
+	}
+
+	stages := portfolio.Builder{MaxStates: *maxStates, K: *k, DecompWorkers: *decompWorkers}
+	if stages.DecompWorkers <= 0 {
+		stages.DecompWorkers = runtime.GOMAXPROCS(0)
+	}
+	var err error
+	if stages.Order, err = game.ParseOrder(*orderFlag); err != nil {
+		return fail(err)
+	}
+	if *netPath != "" {
+		n := experiments.LoadNet(*netPath)
+		if n == nil {
+			return fail(fmt.Errorf("cannot load network %s", *netPath))
+		}
+		stages.Evaluator = func() mcts.Evaluator { return n }
+	}
+	names := []string{*solver}
+	if *usePortfolio {
+		names = portfolio.SplitChain(portfolio.DefaultChain)
+	}
+	if *decompose {
+		for i, name := range names {
+			names[i] = "decomp:" + name
+		}
+	}
+	chain, err := stages.Chain(names)
 	if err != nil {
-		fatal(err)
+		return fail(err)
+	}
+	s := chain[0]
+	if *usePortfolio {
+		s = portfolio.New(*timeout, chain...)
+	}
+
+	f, err := os.Open(fs.Arg(0))
+	if err != nil {
+		return fail(err)
 	}
 	g, err := pbqp.Read(f)
 	f.Close()
 	if err != nil {
-		fatal(err)
-	}
-
-	rlSolver := func(backtrack bool) solve.Solver {
-		var evaluator mcts.Evaluator = mcts.Uniform{}
-		if *netPath != "" {
-			n := experiments.LoadNet(*netPath)
-			if n == nil {
-				fatal(fmt.Errorf("cannot load network %s", *netPath))
-			}
-			evaluator = n
-		}
-		return &rl.Solver{Net: evaluator, Cfg: rl.Config{
-			K:            *k,
-			Order:        parseOrder(*orderFlag),
-			Backtrack:    backtrack,
-			ReinvokeMCTS: true,
-			MaxNodes:     *maxStates,
-		}}
-	}
-
-	wrapDecomp := func(inner solve.Solver) solve.Solver {
-		if !*decompose {
-			return inner
-		}
-		return &decomp.Solver{Inner: inner, Workers: autoWorkers(inner, *decompWorkers)}
-	}
-
-	var s solve.Solver
-	switch {
-	case *usePortfolio:
-		s = portfolio.New(*timeout,
-			wrapDecomp(rlSolver(true)),
-			wrapDecomp(liberty.Solver{MaxStates: *maxStates}),
-			wrapDecomp(scholz.Solver{}),
-		)
-	default:
-		switch *solver {
-		case "brute":
-			s = brute.Solver{MaxStates: *maxStates}
-		case "scholz":
-			s = scholz.Solver{}
-		case "liberty":
-			s = liberty.Solver{MaxStates: *maxStates}
-		case "anneal":
-			s = anneal.Solver{}
-		case "rl", "rl-bt":
-			s = rlSolver(*solver == "rl-bt")
-		default:
-			fatal(fmt.Errorf("unknown solver %q", *solver))
-		}
-		s = wrapDecomp(s)
+		return fail(err)
 	}
 
 	var res solve.Result
@@ -186,50 +181,50 @@ func main() {
 	if *statsJSON && jsonStats != nil {
 		data, err := json.Marshal(statsReport{Stats: jsonStats, Decomposition: decompInfo})
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Fprintln(os.Stderr, string(data))
+		fmt.Fprintln(stderr, string(data))
 	}
 
-	fmt.Printf("solver:    %s\n", s.Name())
-	fmt.Printf("feasible:  %v\n", res.Feasible)
-	fmt.Printf("truncated: %v\n", res.Truncated)
-	fmt.Printf("states:    %d\n", res.States)
+	fmt.Fprintf(stdout, "solver:    %s\n", s.Name())
+	fmt.Fprintf(stdout, "feasible:  %v\n", res.Feasible)
+	fmt.Fprintf(stdout, "truncated: %v\n", res.Truncated)
+	fmt.Fprintf(stdout, "states:    %d\n", res.States)
 	if decompInfo != nil {
-		fmt.Printf("decomp:    eliminated %d of %d, residual %d in %d components / %d blocks (largest %d, cuts %d)\n",
+		fmt.Fprintf(stdout, "decomp:    eliminated %d of %d, residual %d in %d components / %d blocks (largest %d, cuts %d)\n",
 			decompInfo.Eliminated, decompInfo.OriginalVertices, decompInfo.ResidualVertices,
 			decompInfo.Components, decompInfo.Blocks, decompInfo.LargestBlock, decompInfo.CutVertices)
-		fmt.Printf("decomp:    reduce %.3fs, csr %.3fs, block-cut %.3fs, block solves %.3fs, expand %.3fs\n",
+		fmt.Fprintf(stdout, "decomp:    reduce %.3fs, csr %.3fs, block-cut %.3fs, block solves %.3fs, expand %.3fs\n",
 			decompInfo.Reduce, decompInfo.CSR, decompInfo.BlockCut, decompInfo.Solve, decompInfo.Expand)
 	}
 	if stats != nil {
 		for _, out := range stats.Stages {
 			switch {
 			case out.Skipped:
-				fmt.Printf("stage %-22s skipped (budget exhausted or earlier stage succeeded)\n", out.Name+":")
+				fmt.Fprintf(stdout, "stage %-22s skipped (budget exhausted or earlier stage succeeded)\n", out.Name+":")
 			case out.Panicked:
-				fmt.Printf("stage %-22s PANICKED (%s) in %v\n", out.Name+":", out.PanicValue, out.Duration.Round(time.Microsecond))
+				fmt.Fprintf(stdout, "stage %-22s PANICKED (%s) in %v\n", out.Name+":", out.PanicValue, out.Duration.Round(time.Microsecond))
 			default:
-				fmt.Printf("stage %-22s feasible=%v truncated=%v states=%d in %v\n",
+				fmt.Fprintf(stdout, "stage %-22s feasible=%v truncated=%v states=%d in %v\n",
 					out.Name+":", out.Result.Feasible, out.Result.Truncated, out.Result.States, out.Duration.Round(time.Microsecond))
 			}
 		}
 	}
 	if res.Feasible {
-		fmt.Printf("cost:      %s\n", res.Cost)
-		fmt.Printf("selection:")
+		fmt.Fprintf(stdout, "cost:      %s\n", res.Cost)
+		fmt.Fprintf(stdout, "selection:")
 		for _, c := range res.Selection {
-			fmt.Printf(" %d", c)
+			fmt.Fprintf(stdout, " %d", c)
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
 	switch {
 	case res.Truncated:
-		os.Exit(exitTruncated)
+		return exitTruncated
 	case !res.Feasible:
-		os.Exit(exitInfeasible)
+		return exitInfeasible
 	}
-	os.Exit(exitOK)
+	return exitOK
 }
 
 // statsReport is the -stats-json line: the portfolio stage report plus,
@@ -237,40 +232,4 @@ func main() {
 type statsReport struct {
 	*portfolio.Stats
 	Decomposition *decomp.Info `json:"decomposition,omitempty"`
-}
-
-// autoWorkers resolves the -decomp-workers value: an explicit positive
-// flag wins; otherwise stateless solvers get GOMAXPROCS-wide component
-// parallelism and everything else (the rl solvers reuse per-instance
-// scratch) stays sequential.
-func autoWorkers(inner solve.Solver, flagVal int) int {
-	if flagVal > 0 {
-		return flagVal
-	}
-	switch inner.(type) {
-	case brute.Solver, scholz.Solver, liberty.Solver, anneal.Solver:
-		return runtime.GOMAXPROCS(0)
-	}
-	return 1
-}
-
-func parseOrder(s string) game.Order {
-	switch s {
-	case "fixed":
-		return game.OrderFixed
-	case "random":
-		return game.OrderRandom
-	case "inc":
-		return game.OrderIncLiberty
-	case "dec":
-		return game.OrderDecLiberty
-	default:
-		fatal(fmt.Errorf("unknown order %q", s))
-		return 0
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "pbqp-solve:", err)
-	os.Exit(exitError)
 }

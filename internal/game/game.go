@@ -67,6 +67,23 @@ func (o Order) String() string {
 	}
 }
 
+// ParseOrder reads the command-line spelling of an order: fixed,
+// random, inc or dec.
+func ParseOrder(s string) (Order, error) {
+	switch s {
+	case "fixed":
+		return OrderFixed, nil
+	case "random":
+		return OrderRandom, nil
+	case "inc":
+		return OrderIncLiberty, nil
+	case "dec":
+		return OrderDecLiberty, nil
+	default:
+		return 0, fmt.Errorf("unknown order %q (want fixed, random, inc or dec)", s)
+	}
+}
+
 // MakeOrder returns the coloring order for g: a permutation listing the
 // alive vertices in the order they will be colored. rng is only used by
 // OrderRandom and may be nil otherwise.

@@ -2,6 +2,7 @@ package game
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"pbqprl/internal/cost"
@@ -204,6 +205,30 @@ func TestOrderStrings(t *testing.T) {
 	} {
 		if o.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(o), o.String(), want)
+		}
+	}
+}
+
+// TestParseOrder pins the four command-line spellings and that an
+// unknown one is refused with an error naming all four.
+func TestParseOrder(t *testing.T) {
+	for spelling, want := range map[string]Order{
+		"fixed": OrderFixed, "random": OrderRandom,
+		"inc": OrderIncLiberty, "dec": OrderDecLiberty,
+	} {
+		if got, err := ParseOrder(spelling); err != nil || got != want {
+			t.Errorf("ParseOrder(%q) = %v, %v; want %v", spelling, got, err, want)
+		}
+	}
+	for _, bad := range []string{"sideways", "", "dec-liberty", "DEC"} {
+		_, err := ParseOrder(bad)
+		if err == nil {
+			t.Fatalf("ParseOrder(%q) accepted", bad)
+		}
+		for _, name := range []string{"fixed", "random", "inc", "dec"} {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("ParseOrder(%q) error %q does not name %q", bad, err, name)
+			}
 		}
 	}
 }

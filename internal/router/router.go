@@ -330,11 +330,12 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	knobs, err := r.parseKnobs(req)
+	parsed, err := server.ParseKnobs(req, r.cfg.DefaultDeadline, r.cfg.MaxDeadline)
 	if err != nil {
 		r.writeError(sw, http.StatusBadRequest, err.Error())
 		return
 	}
+	knobs := knobs{chain: strings.Join(parsed.Chain, ","), costMode: parsed.CostMode}
 
 	// Canonicalize: key every downstream decision on the canonical
 	// graph hash so two spellings of the same graph share a cache slot,
@@ -400,7 +401,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// coalesced flight may be feeding many waiters, and the leader
 	// hanging up must not strand the followers. The deadline still
 	// binds it, so an abandoned flight dies with the request budget.
-	solveCtx, cancel := context.WithTimeout(context.WithoutCancel(req.Context()), knobs.deadline)
+	solveCtx, cancel := context.WithTimeout(context.WithoutCancel(req.Context()), parsed.Deadline)
 	defer cancel()
 
 	res, leader := r.flights.Do(req.Context(), key, func() flightResult {
@@ -570,11 +571,11 @@ func (r *Router) tryOnce(ctx context.Context, b *backend, reqBody []byte, k knob
 		return 0, nil, 0, err
 	}
 	req.Header.Set("Content-Type", "text/plain")
-	req.Header.Set("X-PBQP-Deadline", slice.String())
+	req.Header.Set(server.HeaderDeadline, slice.String())
 	if k.chain != "" {
-		req.Header.Set("X-PBQP-Chain", k.chain)
+		req.Header.Set(server.HeaderChain, k.chain)
 	}
-	req.Header.Set("X-PBQP-Cost-Mode", k.costMode)
+	req.Header.Set(server.HeaderCostMode, k.costMode)
 
 	resp, err := r.client.Do(req)
 	if err != nil {
@@ -701,44 +702,11 @@ func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
 
-// knobs are the request parameters that shape the answer — and
-// therefore the cache key.
+// knobs are the parsed request knobs that shape the answer — and
+// therefore the cache key — as they are forwarded.
 type knobs struct {
-	chain    string // normalized comma-joined solver chain; "" = backend default
+	chain    string // the chain comma-joined; "" = backend default
 	costMode string // "zeroinf" or "spill"
-	deadline time.Duration
-}
-
-// parseKnobs extracts and normalizes the chain, deadline, and
-// cost-mode knobs (same names and header aliases as pbqp-serve).
-func (r *Router) parseKnobs(req *http.Request) (knobs, error) {
-	k := knobs{costMode: "zeroinf", deadline: r.cfg.DefaultDeadline}
-	if spec := knob(req, "chain", "X-PBQP-Chain"); spec != "" {
-		names := splitTrim(spec)
-		if len(names) == 0 {
-			return knobs{}, errors.New("chain selects no solvers")
-		}
-		k.chain = strings.Join(names, ",")
-	}
-	if spec := knob(req, "deadline", "X-PBQP-Deadline"); spec != "" {
-		d, err := time.ParseDuration(spec)
-		if err != nil || d <= 0 {
-			return knobs{}, errors.New("deadline wants a positive Go duration like 250ms")
-		}
-		k.deadline = d
-	}
-	if k.deadline > r.cfg.MaxDeadline {
-		k.deadline = r.cfg.MaxDeadline
-	}
-	switch mode := knob(req, "cost-mode", "X-PBQP-Cost-Mode"); mode {
-	case "", "zeroinf":
-		k.costMode = "zeroinf"
-	case "spill":
-		k.costMode = "spill"
-	default:
-		return knobs{}, errors.New(`cost-mode wants "zeroinf" or "spill"`)
-	}
-	return k, nil
 }
 
 // canonicalize parses a buffered request body under the hardening caps
@@ -859,26 +827,6 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.FormatInt(secs, 10)
-}
-
-// knob reads one request knob: the header alias wins over the query
-// parameter.
-func knob(r *http.Request, query, header string) string {
-	if v := r.Header.Get(header); v != "" {
-		return v
-	}
-	return r.URL.Query().Get(query)
-}
-
-// splitTrim splits a comma-separated list, trimming blanks.
-func splitTrim(spec string) []string {
-	var out []string
-	for _, s := range strings.Split(spec, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, s)
-		}
-	}
-	return out
 }
 
 // drainBody finishes and closes a response body so the transport can

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"pbqprl/internal/failpoint"
@@ -30,11 +29,65 @@ import (
 //	                              "spill" runs every stage and keeps
 //	                              the cheapest answer, the right
 //	                              setting for weighted spill costs
+//
+// ParseKnobs reads them, for this server and for pbqp-router, which
+// keys its cache on the same parse.
 const (
-	headerChain    = "X-PBQP-Chain"
-	headerDeadline = "X-PBQP-Deadline"
-	headerCostMode = "X-PBQP-Cost-Mode"
+	HeaderChain    = "X-PBQP-Chain"
+	HeaderDeadline = "X-PBQP-Deadline"
+	HeaderCostMode = "X-PBQP-Cost-Mode"
 )
+
+// Knobs are one solve request's parsed knobs.
+type Knobs struct {
+	// Chain is the selected solver chain, blanks trimmed and empty
+	// names dropped; nil when the request leaves the chain to the
+	// serving default.
+	Chain []string
+	// Deadline is the solve budget: the requested one or, when none
+	// was, the default, capped at the maximum.
+	Deadline time.Duration
+	// CostMode is "zeroinf" or "spill".
+	CostMode string
+}
+
+// ParseKnobs reads r's chain, deadline and cost-mode knobs. def is the
+// deadline when r sets none, and maxDeadline caps the deadline.
+func ParseKnobs(r *http.Request, def, maxDeadline time.Duration) (Knobs, error) {
+	k := Knobs{Deadline: def, CostMode: "zeroinf"}
+	if spec := knob(r, "chain", HeaderChain); spec != "" {
+		if k.Chain = portfolio.SplitChain(spec); k.Chain == nil {
+			return Knobs{}, errors.New("chain selects no solvers")
+		}
+	}
+	if spec := knob(r, "deadline", HeaderDeadline); spec != "" {
+		d, err := time.ParseDuration(spec)
+		if err != nil || d <= 0 {
+			return Knobs{}, errors.New("deadline wants a positive Go duration like 250ms")
+		}
+		k.Deadline = d
+	}
+	if k.Deadline > maxDeadline {
+		k.Deadline = maxDeadline
+	}
+	switch mode := knob(r, "cost-mode", HeaderCostMode); mode {
+	case "", "zeroinf":
+	case "spill":
+		k.CostMode = mode
+	default:
+		return Knobs{}, errors.New(`cost-mode wants "zeroinf" or "spill"`)
+	}
+	return k, nil
+}
+
+// knob reads one request knob: the header alias wins over the query
+// parameter.
+func knob(r *http.Request, query, header string) string {
+	if v := r.Header.Get(header); v != "" {
+		return v
+	}
+	return r.URL.Query().Get(query)
+}
 
 // SolveResponse is the JSON body of a successful (or truncated or
 // infeasible) solve. Result is the portfolio's best answer; Stats
@@ -91,12 +144,16 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	// Parse the knobs before the body: a bad knob should not cost a
 	// graph parse.
-	chainNames, deadline, stopOnFeasible, err := s.parseKnobs(r)
+	knobs, err := ParseKnobs(r, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	if err != nil {
 		s.writeError(sw, http.StatusBadRequest, err.Error())
 		return
 	}
-	chain, err := buildChain(s.cfg, chainNames)
+	names := knobs.Chain
+	if names == nil {
+		names = s.cfg.DefaultChain
+	}
+	chain, err := s.stages.Chain(names)
 	if err != nil {
 		s.writeError(sw, http.StatusBadRequest, err.Error())
 		return
@@ -121,10 +178,10 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// request that queues for its whole budget gets a truncated
 	// answer, not a free extension. Deriving from the request context
 	// also cancels the solve when the client disconnects.
-	ctx, cancel := context.WithTimeout(r.Context(), deadline)
+	ctx, cancel := context.WithTimeout(r.Context(), knobs.Deadline)
 	defer cancel()
 
-	p := &portfolio.Solver{Stages: chain, StopOnFeasible: stopOnFeasible, Logf: s.cfg.Logf}
+	p := &portfolio.Solver{Stages: chain, StopOnFeasible: knobs.CostMode == "zeroinf", Logf: s.cfg.Logf}
 
 	var (
 		res        solve.Result
@@ -197,46 +254,6 @@ func statusFor(res solve.Result) int {
 	}
 }
 
-// parseKnobs extracts the chain, deadline, and cost-mode knobs.
-func (s *Server) parseKnobs(r *http.Request) (chain []string, deadline time.Duration, stopOnFeasible bool, err error) {
-	chainSpec := knob(r, "chain", headerChain)
-	if chainSpec == "" {
-		chain = s.cfg.DefaultChain
-	} else {
-		for _, name := range strings.Split(chainSpec, ",") {
-			name = strings.TrimSpace(name)
-			if name != "" {
-				chain = append(chain, name)
-			}
-		}
-		if len(chain) == 0 {
-			return nil, 0, false, errors.New("chain selects no solvers")
-		}
-	}
-
-	deadline = s.cfg.DefaultDeadline
-	if spec := knob(r, "deadline", headerDeadline); spec != "" {
-		d, perr := time.ParseDuration(spec)
-		if perr != nil || d <= 0 {
-			return nil, 0, false, errors.New("deadline wants a positive Go duration like 250ms")
-		}
-		deadline = d
-	}
-	if deadline > s.cfg.MaxDeadline {
-		deadline = s.cfg.MaxDeadline
-	}
-
-	switch mode := knob(r, "cost-mode", headerCostMode); mode {
-	case "", "zeroinf":
-		stopOnFeasible = true
-	case "spill":
-		stopOnFeasible = false
-	default:
-		return nil, 0, false, errors.New(`cost-mode wants "zeroinf" or "spill"`)
-	}
-	return chain, deadline, stopOnFeasible, nil
-}
-
 // maxGraphLogBytes caps graph serializations written to the log for
 // offline reproduction; past it the tail is elided with a byte count.
 const maxGraphLogBytes = 64 << 10
@@ -280,15 +297,6 @@ func retryAfterSeconds(d time.Duration) string {
 		secs = 1
 	}
 	return strconv.FormatInt(secs, 10)
-}
-
-// knob reads one request knob: the header alias wins over the query
-// parameter.
-func knob(r *http.Request, query, header string) string {
-	if v := r.Header.Get(header); v != "" {
-		return v
-	}
-	return r.URL.Query().Get(query)
 }
 
 // observeRequest records the per-status request metrics.

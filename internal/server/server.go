@@ -34,20 +34,14 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"strings"
 	"time"
 
-	"pbqprl/internal/decomp"
 	"pbqprl/internal/game"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/rl"
 	"pbqprl/internal/server/metrics"
 	"pbqprl/internal/solve"
-	"pbqprl/internal/solve/anneal"
-	"pbqprl/internal/solve/brute"
-	"pbqprl/internal/solve/liberty"
-	"pbqprl/internal/solve/scholz"
+	"pbqprl/internal/solve/portfolio"
 )
 
 // Config tunes a Server. The zero value is serviceable: every field
@@ -73,10 +67,11 @@ type Config struct {
 	// Zero fields use the pbqp package defaults.
 	ReadLimits pbqp.ReadLimits
 	// DefaultChain is the solver fallback chain used when the request
-	// does not select one. Default: rl-bt → liberty → scholz, the
-	// same chain as pbqp-solve -portfolio. A "decomp:" prefix on any
-	// stage name (e.g. "decomp:scholz") routes that stage through the
-	// big-graph decomposition pipeline.
+	// does not select one, in portfolio.Builder's stage names.
+	// Default: portfolio.DefaultChain, the same chain as pbqp-solve
+	// -portfolio. A "decomp:" stage solves its components one at a
+	// time; the server already runs requests in parallel across its
+	// worker pool.
 	DefaultChain []string
 	// MaxStates is the per-stage search budget. Default: 50,000,000.
 	MaxStates int64
@@ -96,9 +91,9 @@ type Config struct {
 	// memo tables, which start cold in every clone. Nil uses the
 	// uniform (untrained) prior.
 	Evaluator func() mcts.Evaluator
-	// MakeSolver overrides solver construction by name; tests inject
-	// blocking or panicking solvers through it. Nil uses the built-in
-	// names (brute, scholz, liberty, anneal, rl, rl-bt).
+	// MakeSolver overrides solver construction by name (see
+	// portfolio.Builder.Make); tests inject blocking or panicking
+	// solvers through it. Nil uses the built-in names.
 	MakeSolver func(name string) (solve.Solver, error)
 	// Logf receives operational log lines (panic reports with graph
 	// serializations, drain progress). Nil uses a no-op; cmd/pbqp-serve
@@ -127,16 +122,13 @@ func (c Config) withDefaults() Config {
 		c.RetryAfter = time.Second
 	}
 	if len(c.DefaultChain) == 0 {
-		c.DefaultChain = []string{"rl-bt", "liberty", "scholz"}
+		c.DefaultChain = portfolio.SplitChain(portfolio.DefaultChain)
 	}
 	if c.MaxStates <= 0 {
 		c.MaxStates = 50_000_000
 	}
 	if c.K <= 0 {
 		c.K = 50
-	}
-	if c.Evaluator == nil {
-		c.Evaluator = func() mcts.Evaluator { return mcts.Uniform{} }
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -147,26 +139,35 @@ func (c Config) withDefaults() Config {
 // Server is the allocation service. Create with New, expose via
 // Handler, stop via Drain.
 type Server struct {
-	cfg Config
-	reg *metrics.Registry
-	adm *Admission
-	mux *http.ServeMux
+	cfg    Config
+	stages portfolio.Builder
+	reg    *metrics.Registry
+	adm    *Admission
+	mux    *http.ServeMux
 }
 
 // New builds a Server (workers started, not yet listening — the caller
 // owns the http.Server/listener so tests can use httptest).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
+	stages := portfolio.Builder{
+		MaxStates: cfg.MaxStates,
+		K:         cfg.K,
+		Order:     cfg.Order,
+		Evaluator: cfg.Evaluator,
+		Make:      cfg.MakeSolver,
+	}
 	// Validate the default chain eagerly: a typo should fail startup,
 	// not every request.
-	if _, err := buildChain(cfg, cfg.DefaultChain); err != nil {
+	if _, err := stages.Chain(cfg.DefaultChain); err != nil {
 		return nil, fmt.Errorf("server: default chain: %w", err)
 	}
 	s := &Server{
-		cfg: cfg,
-		reg: metrics.NewRegistry(),
-		adm: NewAdmission(cfg.Workers, cfg.QueueDepth),
-		mux: http.NewServeMux(),
+		cfg:    cfg,
+		stages: stages,
+		reg:    metrics.NewRegistry(),
+		adm:    NewAdmission(cfg.Workers, cfg.QueueDepth),
+		mux:    http.NewServeMux(),
 	}
 	s.reg.Gauge("queue_depth").Set(0)
 	s.reg.Gauge("requests_inflight").Set(0)
@@ -239,63 +240,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-}
-
-// buildChain constructs fresh solver instances for the named chain.
-// Fresh per request on purpose: solver structs carry per-solve state,
-// and the Evaluator factory gives each request's rl stages a private
-// network (evaluators carry scratch buffers that are not safe to share
-// across worker goroutines).
-func buildChain(cfg Config, names []string) ([]solve.Solver, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("empty solver chain")
-	}
-	chain := make([]solve.Solver, 0, len(names))
-	for _, name := range names {
-		sv, err := makeSolver(cfg, name)
-		if err != nil {
-			return nil, err
-		}
-		chain = append(chain, sv)
-	}
-	return chain, nil
-}
-
-// makeSolver builds one solver by name, honoring the test override. A
-// "decomp:" prefix wraps the named solver in the big-graph
-// decomposition pipeline (internal/decomp) — e.g. "decomp:scholz"
-// reduces, splits into biconnected blocks, solves each block with
-// scholz, and recombines. Components solve sequentially per request;
-// the server already runs requests in parallel across its worker pool.
-func makeSolver(cfg Config, name string) (solve.Solver, error) {
-	if inner, ok := strings.CutPrefix(name, "decomp:"); ok {
-		sv, err := makeSolver(cfg, inner)
-		if err != nil {
-			return nil, err
-		}
-		return decomp.Wrap(sv), nil
-	}
-	if cfg.MakeSolver != nil {
-		return cfg.MakeSolver(name)
-	}
-	switch name {
-	case "brute":
-		return brute.Solver{MaxStates: cfg.MaxStates}, nil
-	case "scholz":
-		return scholz.Solver{}, nil
-	case "liberty":
-		return liberty.Solver{MaxStates: cfg.MaxStates}, nil
-	case "anneal":
-		return anneal.Solver{}, nil
-	case "rl", "rl-bt":
-		return &rl.Solver{Net: cfg.Evaluator(), Cfg: rl.Config{
-			K:            cfg.K,
-			Order:        cfg.Order,
-			Backtrack:    name == "rl-bt",
-			ReinvokeMCTS: true,
-			MaxNodes:     cfg.MaxStates,
-		}}, nil
-	default:
-		return nil, fmt.Errorf("unknown solver %q (want brute, scholz, liberty, anneal, rl, or rl-bt, optionally prefixed decomp:)", name)
-	}
 }
