@@ -66,7 +66,7 @@ func main() {
 	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker wait before a half-open probe")
 	healthInterval := flag.Duration("health-interval", time.Second, "active /readyz probe period (0 disables)")
 	healthTimeout := flag.Duration("health-timeout", time.Second, "active probe timeout")
-	workers := flag.Int("workers", 256, "forwarding worker pool size")
+	workers := flag.Int("workers", 256, "forwards in flight at once")
 	queue := flag.Int("queue", 512, "admission queue depth; beyond it requests are shed with 429")
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
 	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request budget when the client does not set one")

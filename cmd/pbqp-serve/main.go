@@ -1,7 +1,7 @@
 // Command pbqp-serve runs the PBQP allocation service: a long-running
 // HTTP daemon that solves PBQP graphs POSTed in the textual format of
-// internal/pbqp through a deadline-aware solver portfolio on a bounded
-// worker pool.
+// internal/pbqp through a deadline-aware solver portfolio, at most
+// -workers solves at once.
 //
 // Usage:
 //
@@ -53,7 +53,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8723", "listen address")
-	workers := flag.Int("workers", 0, "solver worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "solves in flight at once (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 128, "admission queue depth; beyond it requests are shed with 429")
 	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
 	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request solve budget when the client does not set one")

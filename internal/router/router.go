@@ -32,9 +32,10 @@
 //     hits and sheds the rest with 503 + Retry-After instead of
 //     hanging.
 //
-// The router reuses the internal/server admission pool (bounded
-// forwarding concurrency, load shedding, drain barrier) and metrics
-// registry for its own endpoint; new metric families cover cache
+// The router answers through the internal/server Shell, the front door
+// a backend has: the same endpoints, per-status request accounting,
+// JSON errors and admission gate (bounded forwarding concurrency, load
+// shedding, drain barrier). Its own metric families cover cache
 // hits/misses/evictions, coalesced requests, per-backend tries and
 // failovers, and breaker state.
 package router
@@ -51,7 +52,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -94,9 +94,9 @@ type Config struct {
 	HealthInterval time.Duration
 	// HealthTimeout bounds one active probe. Default: 1s.
 	HealthTimeout time.Duration
-	// Workers/QueueDepth size the admission pool for forwarded
-	// requests. Forwarding is I/O-bound, so the defaults are larger
-	// than a solve pool's: 256 workers, queue 512.
+	// Workers bounds the forwards in flight at once and QueueDepth
+	// the ones waiting for a slot. Forwarding is I/O-bound, so the
+	// defaults are larger than a backend's: 256 and 512.
 	Workers    int
 	QueueDepth int
 	// MaxRequestBytes caps the request body. Default: 4 MiB.
@@ -192,14 +192,14 @@ func (c Config) withDefaults() Config {
 // stop via Drain.
 type Router struct {
 	cfg      Config
-	reg      *metrics.Registry
 	adm      *server.Admission
+	shell    *server.Shell
+	reg      *metrics.Registry
 	cache    *Cache
 	flights  *flightGroup
 	ring     *ring
 	backends []*backend
 	client   *http.Client
-	mux      *http.ServeMux
 
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
@@ -228,14 +228,17 @@ func New(cfg Config) (*Router, error) {
 	}
 	r := &Router{
 		cfg:     cfg,
-		reg:     metrics.NewRegistry(),
 		adm:     server.NewAdmission(cfg.Workers, cfg.QueueDepth),
 		cache:   NewCache(cfg.CacheBytes),
 		flights: newFlightGroup(),
 		client:  cfg.Client,
-		mux:     http.NewServeMux(),
 		jitter:  rand.New(rand.NewPCG(cfg.JitterSeed, 0x9e3779b97f4a7c15)),
 	}
+	r.shell = server.NewShell("router", r.adm, retryAfterFloor, r.handleSolve, func() {
+		r.publishBackendGauges()
+		r.publishCacheGauges()
+	})
+	r.reg = r.shell.Registry()
 	seen := map[string]bool{}
 	for _, addr := range cfg.Backends {
 		b, err := newBackend(addr)
@@ -249,15 +252,6 @@ func New(cfg Config) (*Router, error) {
 		r.backends = append(r.backends, b)
 	}
 	r.ring = newRing(cfg.Backends)
-	r.mux.HandleFunc("/v1/solve", r.handleSolve)
-	r.mux.HandleFunc("/metrics", r.handleMetrics)
-	r.mux.HandleFunc("/healthz", r.handleHealthz)
-	r.mux.HandleFunc("/readyz", r.handleReadyz)
-	r.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	r.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	r.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	r.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	r.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	r.publishBackendGauges()
 	r.healthDone = make(chan struct{})
 	if cfg.HealthInterval > 0 {
@@ -271,17 +265,14 @@ func New(cfg Config) (*Router, error) {
 }
 
 // Handler returns the router's HTTP handler.
-func (r *Router) Handler() http.Handler { return r.mux }
+func (r *Router) Handler() http.Handler { return r.shell.Handler() }
 
 // Registry returns the router's metrics registry.
 func (r *Router) Registry() *metrics.Registry { return r.reg }
 
-// Draining reports whether the router has begun draining.
-func (r *Router) Draining() bool { return r.adm.IsDraining() }
-
 // Drain gracefully shuts the forward path down: admission flips to
 // draining (new solves and readyz answer 503), accepted requests run
-// to completion, the workers exit, and the health loop stops.
+// to completion, and the health loop stops.
 func (r *Router) Drain(ctx context.Context) error {
 	r.cfg.Logf("router: draining (queued: %d)", r.adm.Depth())
 	err := r.adm.Drain(ctx)
@@ -298,41 +289,20 @@ func (r *Router) Drain(ctx context.Context) error {
 	return nil
 }
 
-// now is the router's only wall-clock read point, for deadline
-// arithmetic, breaker timing, and latency metrics.
+// now is the router's only wall-clock read point, for breaker timing
+// and Retry-After windows.
 func now() time.Time {
 	//pbqpvet:ignore determinism serving-path timing is operational (deadlines, breakers, latency), never solver input
 	return time.Now()
 }
 
-// handleSolve is POST /v1/solve: canonicalize, consult the cache,
-// coalesce, forward with failover.
+// handleSolve answers POST /v1/solve behind the shell's method and
+// drain checks: canonicalize, consult the cache, coalesce, forward with
+// failover.
 func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
-	start := now()
-	sw := &statusWriter{ResponseWriter: w}
-	defer func() {
-		st := sw.status
-		if st == 0 {
-			st = http.StatusOK
-		}
-		code := strconv.Itoa(st)
-		r.reg.Counter("http_requests_total." + code).Inc()
-		r.reg.Histogram("http_request_seconds." + code).Observe(now().Sub(start))
-	}()
-
-	if req.Method != http.MethodPost {
-		sw.Header().Set("Allow", http.MethodPost)
-		r.writeError(sw, http.StatusMethodNotAllowed, "POST a PBQP graph in the textual format")
-		return
-	}
-	if r.adm.IsDraining() {
-		r.shed(sw, http.StatusServiceUnavailable, "router is draining; retry elsewhere")
-		return
-	}
-
 	parsed, err := server.ParseKnobs(req, r.cfg.DefaultDeadline, r.cfg.MaxDeadline)
 	if err != nil {
-		r.writeError(sw, http.StatusBadRequest, err.Error())
+		r.shell.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	knobs := knobs{chain: strings.Join(parsed.Chain, ","), costMode: parsed.CostMode}
@@ -353,16 +323,10 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	if n := req.ContentLength; n > 0 && n <= r.cfg.MaxRequestBytes {
 		body.Grow(int(n) + bytes.MinRead)
 	}
-	_, err = body.ReadFrom(http.MaxBytesReader(sw, req.Body, r.cfg.MaxRequestBytes))
+	_, err = body.ReadFrom(http.MaxBytesReader(w, req.Body, r.cfg.MaxRequestBytes))
 	raw := body.Bytes()
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			r.writeError(sw, http.StatusRequestEntityTooLarge,
-				"request body exceeds "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes")
-			return
-		}
-		r.writeError(sw, http.StatusBadRequest, err.Error())
+		r.shell.BodyError(w, err)
 		return
 	}
 	var canon []byte // the canonical serialization, once this request has made it
@@ -372,7 +336,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		copy(sum[:], memo)
 	} else {
 		if canon, err = r.canonicalize(raw); err != nil {
-			r.writeError(sw, http.StatusBadRequest, err.Error())
+			r.shell.BodyError(w, err)
 			return
 		}
 		sum = sha256.Sum256(canon) // pbqp.CanonicalHash, of bytes already in hand
@@ -382,8 +346,8 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 
 	if status, cached, ok := r.cache.Get(key); ok {
 		r.reg.Counter("router_cache_hits_total").Inc()
-		sw.Header().Set("X-PBQP-Cache", "hit")
-		writeRaw(sw, status, cached)
+		w.Header().Set("X-PBQP-Cache", "hit")
+		writeRaw(w, status, cached)
 		return
 	}
 	r.reg.Counter("router_cache_misses_total").Inc()
@@ -392,7 +356,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// knob combination) still needs the canonical body to forward.
 	if canon == nil {
 		if canon, err = r.canonicalize(raw); err != nil {
-			r.writeError(sw, http.StatusBadRequest, err.Error())
+			r.shell.BodyError(w, err)
 			return
 		}
 	}
@@ -404,8 +368,14 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	solveCtx, cancel := context.WithTimeout(context.WithoutCancel(req.Context()), parsed.Deadline)
 	defer cancel()
 
-	res, leader := r.flights.Do(req.Context(), key, func() flightResult {
-		return r.submitForward(solveCtx, canon, sum, knobs)
+	// The leader forwards through the admission gate: bounded
+	// concurrency, load shedding, and a drain barrier, exactly like the
+	// backend's solves.
+	res, leader := r.flights.Do(req.Context(), key, func() (res flightResult) {
+		if err := r.adm.Run(func() { res = r.forward(solveCtx, canon, sum, knobs) }); err != nil {
+			res = flightResult{err: err}
+		}
+		return res
 	})
 	if !leader {
 		r.reg.Counter("router_coalesced_total").Inc()
@@ -413,19 +383,15 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 
 	if res.err != nil {
 		switch {
-		case errors.Is(res.err, server.ErrQueueFull):
-			r.reg.Counter("requests_shed_total").Inc()
-			sw.Header().Set("Retry-After", retryAfterSeconds(r.retryAfterHint()))
-			r.writeError(sw, http.StatusTooManyRequests, "router queue full; retry after backoff")
-		case errors.Is(res.err, server.ErrDraining):
-			r.shed(sw, http.StatusServiceUnavailable, "router is draining; retry elsewhere")
+		case errors.Is(res.err, server.ErrQueueFull), errors.Is(res.err, server.ErrDraining):
+			r.shell.Refuse(w, res.err)
 		case errors.Is(res.err, errNoBackends):
 			r.reg.Counter("requests_shed_total").Inc()
-			r.shed(sw, http.StatusServiceUnavailable, "no backend available; retry after backoff")
+			r.shell.Shed(w, http.StatusServiceUnavailable, "no backend available; retry after backoff")
 		case errors.Is(res.err, context.DeadlineExceeded), errors.Is(res.err, context.Canceled):
-			r.writeError(sw, http.StatusGatewayTimeout, "deadline exhausted before any backend answered")
+			r.shell.Error(w, http.StatusGatewayTimeout, "deadline exhausted before any backend answered")
 		default:
-			r.writeError(sw, http.StatusBadGateway, res.err.Error())
+			r.shell.Error(w, http.StatusBadGateway, res.err.Error())
 		}
 		return
 	}
@@ -435,33 +401,11 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		r.publishCacheGauges()
 	}
 	if leader {
-		sw.Header().Set("X-PBQP-Cache", "miss")
+		w.Header().Set("X-PBQP-Cache", "miss")
 	} else {
-		sw.Header().Set("X-PBQP-Cache", "coalesced")
+		w.Header().Set("X-PBQP-Cache", "coalesced")
 	}
-	writeRaw(sw, res.status, res.body)
-}
-
-// submitForward runs one forward through the admission pool: bounded
-// concurrency, load shedding, and a drain barrier, exactly like the
-// backend's solve pool. body is the canonical serialization sum was
-// hashed from, so backends see identical bodies for identical graphs
-// across every spelling and every retry.
-func (r *Router) submitForward(ctx context.Context, body []byte, sum [sha256.Size]byte, k knobs) flightResult {
-	var res flightResult
-	job := server.NewJob(func() {
-		r.reg.Gauge("requests_inflight").Add(1)
-		defer r.reg.Gauge("requests_inflight").Add(-1)
-		res = r.forward(ctx, body, sum, k)
-	})
-	if err := r.adm.Submit(job); err != nil {
-		return flightResult{err: err}
-	}
-	<-job.Done()
-	if panicked, val, _ := job.Panicked(); panicked {
-		return flightResult{err: fmt.Errorf("router: forward panicked: %s", val)}
-	}
-	return res
+	writeRaw(w, res.status, res.body)
 }
 
 // forward pushes one solve to the fleet: walk the key's replica chain,
@@ -469,7 +413,9 @@ func (r *Router) submitForward(ctx context.Context, body []byte, sum [sha256.Siz
 // connection errors / 5xx / timeouts with capped exponential backoff +
 // jitter, and honor backend Retry-After hints. The loop is bounded by
 // MaxTries and polls ctx at every turn, so a request can never hang
-// past its deadline.
+// past its deadline. body is the canonical serialization sum was hashed
+// from, so backends see identical bodies for identical graphs across
+// every spelling and every retry.
 //
 //pbqpvet:ctxroot bounded retry loop must stay cancellable: every try and every backoff sleep polls ctx
 func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte, k knobs) flightResult {
@@ -673,35 +619,6 @@ func (r *Router) syncCounter(name string, total int64) {
 	}
 }
 
-// handleMetrics serves the registry snapshot with the sampled gauges
-// refreshed at scrape time.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	r.reg.Gauge("queue_depth").Set(int64(r.adm.Depth()))
-	r.publishBackendGauges()
-	r.publishCacheGauges()
-	r.reg.ServeHTTP(w, req)
-}
-
-// handleHealthz answers liveness: 200 as long as the process serves
-// HTTP, draining included.
-func (r *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"draining": r.adm.IsDraining(),
-	})
-}
-
-// handleReadyz answers readiness: 200 while accepting, 503 (with a
-// Retry-After hint) once draining.
-func (r *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if r.adm.IsDraining() {
-		w.Header().Set("Retry-After", retryAfterSeconds(r.retryAfterHint()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
-}
-
 // knobs are the parsed request knobs that shape the answer — and
 // therefore the cache key — as they are forwarded.
 type knobs struct {
@@ -763,19 +680,6 @@ func cacheable(status int, body []byte) bool {
 	}
 }
 
-// shed answers a request the router cannot serve right now with the
-// status and a Retry-After hint.
-func (r *Router) shed(w http.ResponseWriter, status int, msg string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(r.retryAfterHint()))
-	r.writeError(w, status, msg)
-}
-
-// retryAfterHint scales the floor by admission-queue pressure, the same
-// shape as the backend's hint.
-func (r *Router) retryAfterHint() time.Duration {
-	return server.RetryAfterHint(retryAfterFloor, r.adm.Depth(), r.cfg.Workers)
-}
-
 // withJitter spreads d by ±50% so synchronized failures do not retry
 // in lockstep.
 func (r *Router) withJitter(d time.Duration) time.Duration {
@@ -819,16 +723,6 @@ func parseRetryAfter(v string) time.Duration {
 	return retryAfterFloor
 }
 
-// retryAfterSeconds renders a Retry-After header value (whole seconds,
-// minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
 // drainBody finishes and closes a response body so the transport can
 // reuse the connection.
 func drainBody(resp *http.Response) {
@@ -841,47 +735,4 @@ func writeRaw(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(body)
-}
-
-// ErrorResponse is the JSON body of every router-originated error.
-type ErrorResponse struct {
-	Error string `json:"error"`
-}
-
-// writeError sends a JSON error body with the given status.
-func (r *Router) writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
-}
-
-// writeJSON sends v as a JSON body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
-}
-
-// statusWriter records the status code actually written so the
-// deferred metrics observation sees it.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
 }

@@ -6,26 +6,29 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
-// Admission control: a fixed worker pool behind a bounded queue.
+// Admission control: a gate that runs each admitted call on its
+// caller's goroutine, at most workers at once, with at most queueDepth
+// more waiting for a slot.
 //
-// The state machine has three states:
+// The state machine has two states:
 //
-//	accepting ──Drain──▶ draining ──queue empty & jobs done──▶ stopped
+//	accepting ──Drain──▶ draining
 //
-// While accepting, Submit either enqueues (queue has room) or fails
-// fast with ErrQueueFull — the server load-sheds with 429 instead of
-// queueing unboundedly, so memory and tail latency stay bounded no
-// matter the offered load. While draining, Submit fails with
-// ErrDraining (503): everything already accepted still runs to
-// completion, nothing new gets in. Stopped means the queue has been
-// closed and every worker has exited.
+// While accepting, Run admits fn (running it at once or after a wait
+// for a slot) or refuses it straight away with ErrQueueFull — the
+// server load-sheds with 429 instead of queueing unboundedly, so memory
+// and tail latency stay bounded no matter the offered load. While
+// draining, Run refuses with ErrDraining (503): every call already
+// admitted, waiting ones included, still runs to completion, nothing new
+// gets in, and Drain returns once the last one has.
 //
 // The type is exported (rather than private to the solve service)
-// because the router (internal/router) fronts its forwards with the
-// same pool: bounded handler concurrency, load shedding under request
-// storms, and a drain barrier for clean shutdown.
+// because the router (internal/router) gates its forwards with it too:
+// bounded forwarding concurrency, load shedding under request storms,
+// and a drain barrier for clean shutdown.
 var (
 	// ErrQueueFull rejects a request because the bounded queue is at
 	// capacity; the client should retry after backing off.
@@ -35,86 +38,103 @@ var (
 	ErrDraining = errors.New("server: draining")
 )
 
-// Job is one unit of admitted work. The worker runs fn exactly once,
-// converts a panic into the panicVal/stack fields, and closes done.
-type Job struct {
-	fn       func()
-	done     chan struct{}
-	panicked bool
-	panicVal string
-	stack    []byte
+// PanicError is a panic Run recovered from its fn: one call dies, never
+// its caller's process or the calls beside it.
+type PanicError struct {
+	Value any    // what fn panicked with
+	Stack []byte // the stack of the goroutine fn panicked on
 }
 
-// NewJob wraps fn for submission.
-func NewJob(fn func()) *Job {
-	return &Job{fn: fn, done: make(chan struct{})}
-}
+func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// Done is closed once the job has run (or panicked). Until it is
-// closed, the panic accessors must not be called.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Panicked reports whether the job's function panicked, with the
-// recovered value and stack. Only valid after Done is closed.
-func (j *Job) Panicked() (panicked bool, val string, stack []byte) {
-	return j.panicked, j.panicVal, j.stack
-}
-
-// Admission is the worker pool. All state transitions take mu; job
-// execution does not.
+// Admission is the gate. It starts no goroutine: admitted holds a token
+// per admitted call and running one per call that holds a slot, so both
+// bounds are channel capacities.
 type Admission struct {
-	queue chan *Job
+	admitted chan struct{} // cap workers+queueDepth
+	running  chan struct{} // cap workers
+	waiting  atomic.Int64  // admitted calls blocked on a slot
 
+	// mu orders admission against Drain's flip: no call is admitted
+	// once draining is set, so inside cannot grow under Drain's Wait.
 	mu       sync.Mutex
 	draining bool
-
-	// accepted tracks admitted-but-unfinished jobs; Drain waits on it.
-	accepted sync.WaitGroup
-	// workers tracks live worker goroutines.
-	workers sync.WaitGroup
+	inside   sync.WaitGroup // admitted calls that have not returned
 }
 
-// NewAdmission builds the pool and starts its workers.
+// NewAdmission builds a gate for workers concurrent calls and
+// queueDepth waiting ones.
 func NewAdmission(workers, queueDepth int) *Admission {
-	a := &Admission{queue: make(chan *Job, queueDepth)}
-	a.workers.Add(workers)
-	for i := 0; i < workers; i++ {
-		go a.worker()
+	return &Admission{
+		admitted: make(chan struct{}, workers+queueDepth),
+		running:  make(chan struct{}, workers),
 	}
-	return a
 }
 
-// Submit tries to admit j. It never blocks: the outcome is nil
-// (admitted), ErrQueueFull, or ErrDraining.
-func (a *Admission) Submit(j *Job) error {
+// Run admits fn and runs it on the calling goroutine once a slot is
+// free, returning nil, or the *PanicError fn panicked with. It never
+// blocks when it refuses: ErrDraining once Drain has started,
+// ErrQueueFull when workers calls run and queueDepth more wait.
+func (a *Admission) Run(fn func()) error {
+	if err := a.admit(); err != nil {
+		return err
+	}
+	defer func() {
+		<-a.admitted
+		a.inside.Done()
+	}()
+	select {
+	case a.running <- struct{}{}:
+	default:
+		a.waiting.Add(1)
+		a.running <- struct{}{}
+		a.waiting.Add(-1)
+	}
+	defer func() { <-a.running }()
+	return isolate(fn)
+}
+
+// admit takes an admission token, or says why there is none.
+func (a *Admission) admit() error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.draining {
 		return ErrDraining
 	}
-	// Add before the send: once j is on the queue a worker may run it
-	// and fire accepted.Done() at any moment, and a Done that lands
-	// before this Add would drive the counter negative and panic. The
-	// Add cannot race Drain's Wait either — Drain flips draining under
-	// mu first, and we re-checked it above while holding mu.
-	a.accepted.Add(1)
 	select {
-	case a.queue <- j:
+	case a.admitted <- struct{}{}:
+		a.inside.Add(1)
 		return nil
 	default:
-		a.accepted.Done()
 		return ErrQueueFull
 	}
 }
 
-// Depth is the current number of queued (not yet running) jobs.
-func (a *Admission) Depth() int { return len(a.queue) }
+// isolate runs fn, turning a panic into a *PanicError.
+func isolate(fn func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &PanicError{Value: r, Stack: debug.Stack()}
+		}
+	}()
+	fn()
+	return nil
+}
 
-// Drain moves the pool to draining (new submits fail immediately),
-// waits for every accepted job to finish — or for ctx to expire — then
-// stops the workers. It returns nil on a complete drain and ctx's
-// error when the deadline cut it short (workers are then abandoned
-// mid-job; the process is exiting anyway).
+// Depth is the number of admitted calls waiting for a slot.
+func (a *Admission) Depth() int { return int(a.waiting.Load()) }
+
+// InFlight is the number of calls holding a slot.
+func (a *Admission) InFlight() int { return len(a.running) }
+
+// workers is the number of calls that may run at once.
+func (a *Admission) workers() int { return cap(a.running) }
+
+// Drain moves the gate to draining (Run refuses at once) and waits for
+// every admitted call to return — or for ctx to expire. It returns nil
+// on a complete drain and ctx's error when the deadline cut it short
+// (the calls still running are abandoned; the process is exiting
+// anyway).
 func (a *Admission) Drain(ctx context.Context) error {
 	a.mu.Lock()
 	wasDraining := a.draining
@@ -126,20 +146,15 @@ func (a *Admission) Drain(ctx context.Context) error {
 
 	finished := make(chan struct{})
 	go func() {
-		a.accepted.Wait()
+		a.inside.Wait()
 		close(finished)
 	}()
 	select {
 	case <-finished:
+		return nil
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-	// No accepted jobs remain and Submit refuses new ones, so the
-	// queue is empty and closing it cannot race a send (Submit holds
-	// mu and re-checks draining first).
-	close(a.queue)
-	a.workers.Wait()
-	return nil
 }
 
 // IsDraining reports whether Drain has been called.
@@ -147,27 +162,4 @@ func (a *Admission) IsDraining() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.draining
-}
-
-// worker runs queued jobs until the queue is closed.
-func (a *Admission) worker() {
-	defer a.workers.Done()
-	for j := range a.queue {
-		a.runJob(j)
-	}
-}
-
-// runJob executes one job with panic isolation: a panicking handler
-// takes down this request, never the process or its pool neighbours.
-func (a *Admission) runJob(j *Job) {
-	defer a.accepted.Done()
-	defer close(j.done)
-	defer func() {
-		if r := recover(); r != nil {
-			j.panicked = true
-			j.panicVal = fmt.Sprint(r)
-			j.stack = debug.Stack()
-		}
-	}()
-	j.fn()
 }

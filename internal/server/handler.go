@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
-	"strconv"
 	"time"
 
 	"pbqprl/internal/failpoint"
@@ -101,15 +99,11 @@ type SolveResponse struct {
 	Result solve.Result `json:"result"`
 	// Stats has one outcome per stage, in chain order.
 	Stats portfolio.Stats `json:"stats"`
-	// QueueNanos is time spent waiting for a worker; SolveNanos is
-	// time on the worker. Both count against the request deadline.
+	// QueueNanos is time spent waiting for an admission slot;
+	// SolveNanos is time in the solve. Both count against the request
+	// deadline.
 	QueueNanos int64 `json:"queue_ns"`
 	SolveNanos int64 `json:"solve_ns"`
-}
-
-// ErrorResponse is the JSON body of every non-2xx answer.
-type ErrorResponse struct {
-	Error string `json:"error"`
 }
 
 // now is the server's only wall-clock read point, for latency
@@ -119,34 +113,14 @@ func now() time.Time {
 	return time.Now()
 }
 
-// handleSolve is POST /v1/solve.
+// handleSolve answers POST /v1/solve behind the shell's method and
+// drain checks.
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	start := now()
-	sw := &statusWriter{ResponseWriter: w}
-	defer func() {
-		st := sw.status
-		if st == 0 {
-			st = http.StatusOK
-		}
-		s.observeRequest(st, now().Sub(start))
-	}()
-
-	if r.Method != http.MethodPost {
-		sw.Header().Set("Allow", http.MethodPost)
-		s.writeError(sw, http.StatusMethodNotAllowed, "POST a PBQP graph in the textual format")
-		return
-	}
-	if s.adm.IsDraining() {
-		sw.Header().Set("Retry-After", retryAfterSeconds(s.retryAfter()))
-		s.writeError(sw, http.StatusServiceUnavailable, "server is draining; retry elsewhere")
-		return
-	}
-
 	// Parse the knobs before the body: a bad knob should not cost a
 	// graph parse.
 	knobs, err := ParseKnobs(r, s.cfg.DefaultDeadline, s.cfg.MaxDeadline)
 	if err != nil {
-		s.writeError(sw, http.StatusBadRequest, err.Error())
+		s.shell.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	names := knobs.Chain
@@ -155,27 +129,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	chain, err := s.stages.Chain(names)
 	if err != nil {
-		s.writeError(sw, http.StatusBadRequest, err.Error())
+		s.shell.Error(w, http.StatusBadRequest, err.Error())
 		return
 	}
 
 	// Harden the parse path: body size cap first, then the parser's
 	// own dimension caps.
-	body := http.MaxBytesReader(sw, r.Body, s.cfg.MaxRequestBytes)
-	g, err := pbqp.ReadWithLimits(body, s.cfg.ReadLimits)
+	g, err := pbqp.ReadWithLimits(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), s.cfg.ReadLimits)
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			s.writeError(sw, http.StatusRequestEntityTooLarge,
-				"request body exceeds "+strconv.FormatInt(tooLarge.Limit, 10)+" bytes")
-			return
-		}
-		s.writeError(sw, http.StatusBadRequest, err.Error())
+		s.shell.BodyError(w, err)
 		return
 	}
 
-	// The deadline starts at admission and covers queue wait: a
-	// request that queues for its whole budget gets a truncated
+	// The deadline starts at admission and covers the wait for a slot:
+	// a request that waits for its whole budget gets a truncated
 	// answer, not a free extension. Deriving from the request context
 	// also cancels the solve when the client disconnects.
 	ctx, cancel := context.WithTimeout(r.Context(), knobs.Deadline)
@@ -188,54 +155,42 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		stats      portfolio.Stats
 		solveStart time.Time
 	)
-	j := NewJob(func() {
+	queued := now()
+	err = s.adm.Run(func() {
 		solveStart = now()
-		s.reg.Gauge("requests_inflight").Add(1)
-		defer s.reg.Gauge("requests_inflight").Add(-1)
 		// Test fault injection: arming server/solve with a panic or
-		// delay action drives the worker-panic and slow-drain paths
+		// delay action drives the panic and slow-drain paths
 		// end-to-end without a bespoke MakeSolver stub.
 		_ = failpoint.Hit("server/solve")
 		res, stats = p.SolveStats(ctx, g)
 	})
-	queued := now()
-	if err := s.adm.Submit(j); err != nil {
-		switch {
-		case errors.Is(err, ErrQueueFull):
-			sw.Header().Set("Retry-After", retryAfterSeconds(s.retryAfter()))
-			s.reg.Counter("requests_shed_total").Inc()
-			s.writeError(sw, http.StatusTooManyRequests, "queue full; retry after backoff")
-		default:
-			sw.Header().Set("Retry-After", retryAfterSeconds(s.retryAfter()))
-			s.writeError(sw, http.StatusServiceUnavailable, "server is draining; retry elsewhere")
-		}
-		return
-	}
-	<-j.Done()
-
-	if panicked, val, stack := j.Panicked(); panicked {
+	var panicked *PanicError
+	switch {
+	case errors.As(err, &panicked):
 		// Mirror the portfolio's repro logging for panics that escape
 		// it (the portfolio already isolates per-stage panics; this
-		// catches everything else on the worker). The serialization is
+		// catches everything else in the solve). The serialization is
 		// capped: a max-dimension hostile graph must not be able to
 		// blow up the log pipeline.
 		s.reg.Counter("solve_panics_total").Inc()
-		s.cfg.Logf("server: solve panicked: %s\ngraph for repro:\n%s\n%s",
-			val, pbqp.Elide(g.String(), maxGraphLogBytes), stack)
-		s.writeError(sw, http.StatusInternalServerError, "solver panicked; the graph was logged for reproduction")
+		s.cfg.Logf("server: solve panicked: %v\ngraph for repro:\n%s\n%s",
+			panicked.Value, pbqp.Elide(g.String(), maxGraphLogBytes), panicked.Stack)
+		s.shell.Error(w, http.StatusInternalServerError, "solver panicked; the graph was logged for reproduction")
+		return
+	case err != nil:
+		s.shell.Refuse(w, err)
 		return
 	}
 
 	finish := now()
 	s.observeStages(stats)
-	resp := SolveResponse{
+	writeJSON(w, statusFor(res), SolveResponse{
 		Solver:     p.Name(),
 		Result:     res,
 		Stats:      stats,
 		QueueNanos: solveStart.Sub(queued).Nanoseconds(),
 		SolveNanos: finish.Sub(solveStart).Nanoseconds(),
-	}
-	writeJSON(sw, statusFor(res), resp)
+	})
 }
 
 // statusFor maps a solve result to its HTTP status, mirroring
@@ -258,54 +213,6 @@ func statusFor(res solve.Result) int {
 // offline reproduction; past it the tail is elided with a byte count.
 const maxGraphLogBytes = 64 << 10
 
-// retryAfter derives the Retry-After hint for 429/503 answers from the
-// server's current load via RetryAfterHint; cfg.RetryAfter is the
-// floor.
-func (s *Server) retryAfter() time.Duration {
-	return RetryAfterHint(s.cfg.RetryAfter, s.adm.Depth(), s.cfg.Workers)
-}
-
-// RetryAfterHint scales a configured floor hint by queue pressure:
-// with depth jobs queued ahead of a new arrival and workers draining
-// them, ceil(depth/workers) "queue generations" must clear before a
-// retry can be admitted, and each generation needs at least one
-// service time — for which the floor stands in as a conservative
-// unit. An idle queue returns the floor unchanged; the hint is capped
-// at one minute so a deeply backed-up server still invites retries
-// within the window a client plausibly waits. Exported for the router,
-// whose own admission queue sheds load the same way.
-func RetryAfterHint(floor time.Duration, depth, workers int) time.Duration {
-	if floor <= 0 {
-		floor = time.Second
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	generations := (depth + workers - 1) / workers
-	hint := floor * time.Duration(1+generations)
-	if max := time.Minute; hint > max {
-		hint = max
-	}
-	return hint
-}
-
-// retryAfterSeconds renders a Retry-After header value (whole seconds,
-// minimum 1).
-func retryAfterSeconds(d time.Duration) string {
-	secs := int64(d / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	return strconv.FormatInt(secs, 10)
-}
-
-// observeRequest records the per-status request metrics.
-func (s *Server) observeRequest(status int, d time.Duration) {
-	code := strconv.Itoa(status)
-	s.reg.Counter("http_requests_total." + code).Inc()
-	s.reg.Histogram("http_request_seconds." + code).Observe(d)
-}
-
 // observeStages records per-stage solver latency and outcome counts.
 func (s *Server) observeStages(stats portfolio.Stats) {
 	for _, out := range stats.Stages {
@@ -323,43 +230,4 @@ func (s *Server) observeStages(stats portfolio.Stats) {
 			s.reg.Counter("solve_stage_infeasible_total." + out.Name).Inc()
 		}
 	}
-}
-
-// writeError sends a JSON error body with the given status.
-func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, ErrorResponse{Error: msg})
-}
-
-// writeJSON sends v as a JSON body with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	data, err := json.Marshal(v)
-	if err != nil {
-		// Marshal of our own response types cannot fail; guard anyway.
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(append(data, '\n'))
-}
-
-// statusWriter records the status code actually written so the
-// deferred metrics observation sees it.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(status int) {
-	if w.status == 0 {
-		w.status = status
-	}
-	w.ResponseWriter.WriteHeader(status)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
 }

@@ -1,7 +1,7 @@
 // Package server is the PBQP allocation service: a stdlib-only
 // net/http layer that accepts PBQP graphs in the textual format,
-// solves each request through a deadline-aware solver portfolio on a
-// bounded worker pool, and reports per-stage statistics both in the
+// solves each request through a deadline-aware solver portfolio at
+// bounded concurrency, and reports per-stage statistics both in the
 // response and through the built-in metrics registry.
 //
 // The production spine, in request order:
@@ -9,30 +9,31 @@
 //   - input hardening: http.MaxBytesReader plus tightened
 //     pbqp.ReadLimits on the parse path — hostile bodies are rejected
 //     before any large allocation;
-//   - admission control: a fixed worker pool behind a bounded queue;
-//     past queue capacity the server sheds load with 429 + Retry-After
-//     instead of queueing unboundedly, and while draining it answers
-//     503;
+//   - admission control: a gate that runs at most Workers solves at
+//     once, each on its request's goroutine, with at most QueueDepth
+//     more waiting; past that the server sheds load with 429 +
+//     Retry-After instead of queueing unboundedly, and while draining
+//     it answers 503;
 //   - deadline propagation: each request's solve runs under the
 //     client's deadline capped by the server maximum, derived from the
-//     request context, so client disconnects cancel queued solves too;
+//     request context, so client disconnects cancel waiting solves too;
 //   - panic isolation: a panicking solve takes down its request (500,
 //     with the offending graph serialized to the log for offline
 //     reproduction, like the portfolio does per stage), never the
 //     process;
 //   - graceful drain: Drain stops admission (readyz goes 503, new
-//     solves get 503), finishes every accepted request, then stops the
-//     workers — the SIGTERM path of cmd/pbqp-serve.
+//     solves get 503) and finishes every accepted request — the
+//     SIGTERM path of cmd/pbqp-serve.
 //
-// Endpoints: POST /v1/solve, GET /metrics (expvar-style JSON), GET
-// /healthz, GET /readyz, and the /debug/pprof/* profiles.
+// Endpoints (the Shell, which pbqp-router shares): POST /v1/solve, GET
+// /metrics (expvar-style JSON), GET /healthz, GET /readyz, and the
+// /debug/pprof/* profiles.
 package server
 
 import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/pprof"
 	"runtime"
 	"time"
 
@@ -47,11 +48,12 @@ import (
 // Config tunes a Server. The zero value is serviceable: every field
 // falls back to the documented default.
 type Config struct {
-	// Workers is the solver worker-pool size — the number of solves
-	// in flight at once. Default: GOMAXPROCS.
+	// Workers is the number of solves in flight at once. Default:
+	// GOMAXPROCS.
 	Workers int
-	// QueueDepth bounds the admission queue; requests beyond
-	// Workers+QueueDepth in flight are shed with 429. Default: 128.
+	// QueueDepth bounds the solves waiting for one of the Workers
+	// slots; requests beyond Workers+QueueDepth in flight are shed
+	// with 429. Default: 128.
 	QueueDepth int
 	// MaxRequestBytes caps the request body. Default: 4 MiB.
 	MaxRequestBytes int64
@@ -70,8 +72,7 @@ type Config struct {
 	// does not select one, in portfolio.Builder's stage names.
 	// Default: portfolio.DefaultChain, the same chain as pbqp-solve
 	// -portfolio. A "decomp:" stage solves its components one at a
-	// time; the server already runs requests in parallel across its
-	// worker pool.
+	// time; the server already runs Workers requests in parallel.
 	DefaultChain []string
 	// MaxStates is the per-stage search budget. Default: 50,000,000.
 	MaxStates int64
@@ -141,13 +142,13 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg    Config
 	stages portfolio.Builder
-	reg    *metrics.Registry
 	adm    *Admission
-	mux    *http.ServeMux
+	shell  *Shell
+	reg    *metrics.Registry
 }
 
-// New builds a Server (workers started, not yet listening — the caller
-// owns the http.Server/listener so tests can use httptest).
+// New builds a Server (not yet listening — the caller owns the
+// http.Server/listener so tests can use httptest).
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	stages := portfolio.Builder{
@@ -162,29 +163,14 @@ func New(cfg Config) (*Server, error) {
 	if _, err := stages.Chain(cfg.DefaultChain); err != nil {
 		return nil, fmt.Errorf("server: default chain: %w", err)
 	}
-	s := &Server{
-		cfg:    cfg,
-		stages: stages,
-		reg:    metrics.NewRegistry(),
-		adm:    NewAdmission(cfg.Workers, cfg.QueueDepth),
-		mux:    http.NewServeMux(),
-	}
-	s.reg.Gauge("queue_depth").Set(0)
-	s.reg.Gauge("requests_inflight").Set(0)
-	s.mux.HandleFunc("/v1/solve", s.handleSolve)
-	s.mux.HandleFunc("/metrics", s.handleMetrics)
-	s.mux.HandleFunc("/healthz", s.handleHealthz)
-	s.mux.HandleFunc("/readyz", s.handleReadyz)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	s := &Server{cfg: cfg, stages: stages, adm: NewAdmission(cfg.Workers, cfg.QueueDepth)}
+	s.shell = NewShell("server", s.adm, cfg.RetryAfter, s.handleSolve, nil)
+	s.reg = s.shell.Registry()
 	return s, nil
 }
 
 // Handler returns the server's HTTP handler.
-func (s *Server) Handler() http.Handler { return s.mux }
+func (s *Server) Handler() http.Handler { return s.shell.Handler() }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
@@ -193,14 +179,13 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 func (s *Server) Draining() bool { return s.adm.IsDraining() }
 
 // Drain gracefully shuts the solve path down: admission flips to
-// draining (new solves and readyz answer 503), every accepted request
-// runs to completion, then the workers exit. It returns nil on a
-// complete drain and the context's error if the deadline cut it short.
+// draining (new solves and readyz answer 503) and every accepted
+// request runs to completion. It returns nil on a complete drain and
+// the context's error if the deadline cut it short.
 // The caller still owns its http.Server and should Shutdown it after
 // Drain returns so late health probes get answers during the drain.
 func (s *Server) Drain(ctx context.Context) error {
-	s.cfg.Logf("server: draining (in flight: %d queued: %d)",
-		s.reg.Gauge("requests_inflight").Value(), s.adm.Depth())
+	s.cfg.Logf("server: draining (in flight: %d queued: %d)", s.adm.InFlight(), s.adm.Depth())
 	err := s.adm.Drain(ctx)
 	if err != nil {
 		s.cfg.Logf("server: drain incomplete: %v", err)
@@ -208,36 +193,4 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.cfg.Logf("server: drain complete")
 	return nil
-}
-
-// handleMetrics serves the registry snapshot. queue_depth is sampled
-// here rather than written from request handlers: concurrent handlers
-// racing Gauge.Set could persist a stale pre-dequeue snapshot, whereas
-// sampling at scrape time always reflects the queue as it is now.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reg.Gauge("queue_depth").Set(int64(s.adm.Depth()))
-	s.reg.ServeHTTP(w, r)
-}
-
-// handleHealthz answers liveness: 200 as long as the process serves
-// HTTP, draining included — a draining server is still healthy, just
-// not ready.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":   "ok",
-		"draining": s.adm.IsDraining(),
-	})
-}
-
-// handleReadyz answers readiness: 200 while accepting, 503 once
-// draining so load balancers stop routing new work here. The 503
-// carries the same load-derived Retry-After hint as the solve path, so
-// a router's health prober knows when to re-check a draining replica.
-func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.adm.IsDraining() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.retryAfter()))
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "draining"})
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ready"})
 }
