@@ -223,7 +223,7 @@ func BenchmarkGCNInferSnapshot(b *testing.B) {
 // poolGraphs builds the 24 programs of BenchmarkRLBacktrackNode: the
 // first four of each PRO1–PRO6 size class of
 // benchmark/testdata/ate_pool.json.
-func poolGraphs(b *testing.B) []*pbqprl.Graph {
+func poolGraphs(tb testing.TB) []*pbqprl.Graph {
 	seeds := [][4]int64{
 		{1000, 1001, 1002, 1004}, {2000, 2001, 2003, 2004}, {3000, 3001, 3002, 3004},
 		{4000, 4002, 4003, 4011}, {5000, 5002, 5003, 5004}, {6002, 6006, 6007, 6010},
@@ -237,7 +237,7 @@ func poolGraphs(b *testing.B) []*pbqprl.Graph {
 			})
 			g, err := ate.BuildPBQP(prog)
 			if err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 			graphs = append(graphs, g)
 		}
@@ -249,23 +249,52 @@ func poolGraphs(b *testing.B) []*pbqprl.Graph {
 // node" row: 24 rl-bt solves — four generated programs at each PRO1–PRO6
 // size (poolGraphs) — as pbqp-serve runs them (K=25, increasing
 // liberty, MaxNodes 4000, an untrained net, a cold Clone per solve). It
-// reports wall time per generated tree node and the node count, which
-// must not move unless the search was meant to change. Run it with
-// -cpu 1.
+// reports wall time per generated tree node, the node count and the
+// solves won; the two counts must not move unless the search was meant
+// to change. Run it with -cpu 1.
 func BenchmarkRLBacktrackNode(b *testing.B) {
 	graphs := poolGraphs(b)
 	base := net.New(experiments.DefaultNetConfig())
-	cfg := rl.Config{K: 25, Order: game.OrderIncLiberty, Backtrack: true, ReinvokeMCTS: true, MaxNodes: 4000}
-	var nodes int64
+	var nodes, wins int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nodes = 0
+		nodes, wins = 0, 0
 		for _, g := range graphs {
-			nodes += (&rl.Solver{Net: base.Clone(), Cfg: cfg}).Solve(g).States
+			res := (&rl.Solver{Net: base.Clone(), Cfg: serveRLBT}).Solve(g)
+			nodes += res.States
+			if res.Feasible {
+				wins++
+			}
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*nodes), "us/node")
 	b.ReportMetric(float64(nodes), "nodes")
+	b.ReportMetric(float64(wins), "wins")
+}
+
+// serveRLBT is rl-bt as pbqp-serve runs it.
+var serveRLBT = rl.Config{K: 25, Order: game.OrderIncLiberty, Backtrack: true, ReinvokeMCTS: true, MaxNodes: 4000}
+
+// TestRLBacktrackLossesSpendBudget holds rl-bt to what a search with a
+// node budget may do on the poolGraphs, every one of which screens
+// feasible: lose only by spending the budget. A loss below MaxNodes
+// would mean the search gave up on a graph that has a coloring, that
+// is, a conflict set that jumped past a level that could have mended
+// the failure.
+func TestRLBacktrackLossesSpendBudget(t *testing.T) {
+	base := net.New(experiments.DefaultNetConfig())
+	graphs, wins := poolGraphs(t), 0
+	for i, g := range graphs {
+		res, stats := (&rl.Solver{Net: base.Clone(), Cfg: serveRLBT}).SolveStats(g)
+		if res.Feasible {
+			wins++
+			continue
+		}
+		if res.States < serveRLBT.MaxNodes {
+			t.Errorf("graph %d: lost after %d of %d nodes (%+v)", i, res.States, serveRLBT.MaxNodes, stats)
+		}
+	}
+	t.Logf("rl-bt won %d of %d", wins, len(graphs))
 }
 
 // BenchmarkTrainStep is the source of DESIGN §10's "µs per gradient

@@ -73,8 +73,8 @@ func main() {
 		fmt.Println("deep-rl solver: FAILED")
 		os.Exit(1)
 	}
-	fmt.Printf("deep-rl solver: success, cost=%s, %d nodes, %d backtracks, %d dead ends\n",
-		res.Cost, stats.Nodes, stats.Backtracks, stats.DeadEnds)
+	fmt.Printf("deep-rl solver: success, cost=%s, %d nodes, %d backtracks (%d levels jumped), %d dead ends, %d forced colors\n",
+		res.Cost, stats.Nodes, stats.Backtracks, stats.Jumps, stats.DeadEnds, stats.Forced)
 	fmt.Print("register assignment:")
 	for v, r := range res.Selection {
 		if v%8 == 0 {

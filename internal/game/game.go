@@ -114,6 +114,7 @@ type State struct {
 	undo     []undoRec // indexed by turn; a record's buffer outlives its Undo
 	baseline cost.Cost
 	graded   bool
+	killer   []int // Culprits' scratch, one turn per color
 }
 
 // change records one overwritten cost-vector entry (infinity saturation
@@ -360,6 +361,77 @@ func (s *State) Undo() {
 		ch := rec.changes[i]
 		s.vecs[ch.v][ch.i] = ch.old
 	}
+}
+
+// Culprits calls mark with played turns whose colors, as played, keep
+// every infinite entry of uncolored vertex v's cost vector infinite
+// whatever the other turns play: the conflict set a backjumping search
+// needs. An entry infinite from the start needs no turn. An entry a
+// Play made infinite by adding an infinite cost needs that turn alone,
+// since nothing added later or earlier can undo ∞; in the zero/∞ regime
+// that is every entry. An entry that finite costs saturated into the
+// infinite range depends on the whole sum, whose terms may be negative
+// and whose order decides when it saturates, so then every colored
+// neighbor of v is marked. Nothing is recorded for it: Culprits reads
+// the undo records of v's colored neighbors, so Play pays nothing.
+func (s *State) Culprits(v int, mark func(turn int)) {
+	nbrs := s.edges.Nbr[s.edges.Start[v]:s.edges.Start[v+1]]
+	for len(nbrs) > 0 && int(nbrs[len(nbrs)-1]) >= s.t {
+		nbrs = nbrs[:len(nbrs)-1] // neighbors ascend, and turn u colors vertex u
+	}
+	if s.killer == nil {
+		s.killer = make([]int, s.m)
+	}
+	// the turn that made entry i infinite is the last to change it while
+	// it was finite; an entry stays infinite once it is
+	killer := s.killer
+	for i := range killer {
+		killer[i] = -1
+	}
+	for _, u := range nbrs {
+		for _, ch := range s.undo[u].changes {
+			if ch.v == v && !ch.old.IsInf() {
+				killer[ch.i] = int(u)
+			}
+		}
+	}
+	vec := s.vecs[v]
+	for i, u := range killer {
+		if u < 0 || !vec[i].IsInf() {
+			continue
+		}
+		if !s.added(u, v, i).IsInf() {
+			for _, w := range nbrs {
+				mark(int(w))
+			}
+			return
+		}
+		mark(u)
+	}
+}
+
+// added returns the cost turn u's Play added to entry i of vertex v.
+func (s *State) added(u, v, i int) cost.Cost {
+	for _, e := range s.later[u] {
+		if e.v == v {
+			return e.d.src.At(s.played[u], i)
+		}
+	}
+	panic(fmt.Sprintf("game: vertex %d is not a later neighbor of turn %d", v, u))
+}
+
+// Killed returns a vertex the most recent Play killed (left with no
+// finite color), or -1 if it killed none.
+func (s *State) Killed() int {
+	if s.t == 0 {
+		return -1
+	}
+	for _, ch := range s.undo[s.t-1].changes {
+		if !ch.old.IsInf() && s.vecs[ch.v].AllInf() {
+			return ch.v
+		}
+	}
+	return -1
 }
 
 // Played returns the colors chosen so far, indexed by game vertex.

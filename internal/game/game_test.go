@@ -1,7 +1,9 @@
 package game
 
 import (
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -363,5 +365,95 @@ func TestDeadCountUnderPlayUndo(t *testing.T) {
 				t.Fatalf("trial %d step %d: %d dead vertices counted, %d in the suffix", trial, step, st.dead, dead)
 			}
 		}
+	}
+}
+
+// culprits collects State.Culprits(v) as a sorted slice.
+func culprits(st *State, v int) []int {
+	var turns []int
+	st.Culprits(v, func(t int) { turns = append(turns, t) })
+	sort.Ints(turns)
+	return turns
+}
+
+// TestCulpritsNameTheTurnsThatKilled pins the conflict sets the
+// backjumping solver reads: per infinite entry of a vertex, the turn
+// that made it infinite (none for an entry infinite from the start, and
+// not a turn whose Play found it infinite already), and Killed names
+// the vertex the last Play left with no color.
+func TestCulpritsNameTheTurnsThatKilled(t *testing.T) {
+	g := pbqp.New(4, 3)
+	for v := 0; v < 3; v++ {
+		g.SetVertexCost(v, cost.Vector{0, 0, 0})
+	}
+	g.SetVertexCost(3, cost.Vector{0, 0, cost.Inf})
+	kill := func(col int) *cost.Matrix {
+		mat := cost.NewMatrix(3, 3)
+		for row := 0; row < 3; row++ {
+			mat.Set(row, col, cost.Inf)
+		}
+		return mat
+	}
+	g.SetEdgeCost(0, 3, kill(0))
+	g.SetEdgeCost(1, 3, kill(0)) // finds v3's color 0 dead already
+	g.SetEdgeCost(2, 3, kill(1))
+	st := New(g, []int{0, 1, 2, 3})
+	if got := culprits(st, 3); len(got) != 0 {
+		t.Errorf("culprits before any play = %v, want none", got)
+	}
+	st.Play(0)
+	if st.Killed() != -1 {
+		t.Errorf("Killed = %d after a play that killed nothing", st.Killed())
+	}
+	st.Play(0)
+	if got := culprits(st, 3); len(got) != 1 || got[0] != 0 {
+		t.Errorf("culprits of v3 = %v, want [0]", got)
+	}
+	st.Play(0)
+	if !st.DeadEnd() || st.Killed() != 3 {
+		t.Fatalf("dead end %v, Killed = %d, want v3 killed", st.DeadEnd(), st.Killed())
+	}
+	if got := culprits(st, 3); len(got) != 2 || got[0] != 0 || got[1] != 2 {
+		t.Errorf("culprits of v3 = %v, want [0 2]", got)
+	}
+	st.Undo()
+	if got := culprits(st, 3); len(got) != 1 || got[0] != 0 {
+		t.Errorf("culprits of v3 after Undo = %v, want [0]", got)
+	}
+}
+
+// TestCulpritsOfSaturatedSums covers finite costs that add up into the
+// infinite range. Every colored neighbor is a culprit then, even one
+// that added nothing: v0 plays a color that adds 0 to v3, but its other
+// color adds a negative cost that keeps v3 finite.
+func TestCulpritsOfSaturatedSums(t *testing.T) {
+	big := cost.Cost(math.MaxFloat64 / 6)
+	g := pbqp.New(4, 2)
+	for v := 0; v < 3; v++ {
+		g.SetVertexCost(v, cost.Vector{0, 0})
+	}
+	g.SetVertexCost(3, cost.Vector{0, cost.Inf})
+	g.SetEdgeCost(0, 3, cost.NewMatrixFrom([][]cost.Cost{{0, 0}, {-big, 0}}))
+	g.SetEdgeCost(1, 3, cost.NewMatrixFrom([][]cost.Cost{{big, 0}, {big, 0}}))
+	g.SetEdgeCost(2, 3, cost.NewMatrixFrom([][]cost.Cost{{big, 0}, {big, 0}}))
+	st := New(g, []int{0, 1, 2, 3})
+	for _, first := range []int{1, 0} {
+		st.Play(first)
+		st.Play(0)
+		st.Play(0)
+		if st.DeadEnd() != (first == 0) {
+			t.Fatalf("v0 = %d: dead end %v", first, st.DeadEnd())
+		}
+		if first == 1 {
+			st.Undo()
+			st.Undo()
+			st.Undo()
+		}
+	}
+	if st.Killed() != 3 {
+		t.Fatalf("Killed = %d, want 3", st.Killed())
+	}
+	if got := culprits(st, 3); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
+		t.Errorf("culprits of v3 = %v, want [0 1 2]", got)
 	}
 }

@@ -162,9 +162,9 @@ func (t *Tree) simulate(s *game.State, nd *node) float64 {
 // expand appends nd to the tree: terminal states take the game result,
 // other states are evaluated by the DNN (the roll-out phase).
 func (t *Tree) expand(s *game.State, nd *node) {
-	t.nodes++
-	nd.expanded = true
 	if s.Done() || s.DeadEnd() {
+		t.nodes++
+		nd.expanded = true
 		nd.terminal = true
 		nd.deadEnd = s.DeadEnd()
 		nd.value = s.TerminalValue()
@@ -174,6 +174,14 @@ func (t *Tree) expand(s *game.State, nd *node) {
 	if t.cfg.HeuristicValue {
 		value = s.HeuristicValue()
 	}
+	t.grow(s, nd, prior, value)
+}
+
+// grow appends nd, whose state s is not terminal, to the tree with the
+// given prior and value.
+func (t *Tree) grow(s *game.State, nd *node, prior tensor.Vec, value float64) {
+	t.nodes++
+	nd.expanded = true
 	nd.prior = prior
 	nd.value = value
 	nd.legal = make([]bool, t.m)
@@ -241,10 +249,13 @@ func (t *Tree) Policy() tensor.Vec {
 // Advance moves the root to the child reached by action a, reusing the
 // subtree and its statistics (the caller plays a on its state). Unless
 // Config.RetainParents is set, the abandoned parent and every sibling
-// subtree are detached so the garbage collector can reclaim them.
+// subtree are detached so the garbage collector can reclaim them. A
+// root the search has exhausted (no action left open) still has its
+// children, so a caller can walk into them; an unexpanded root or a
+// terminal state has none, and Advance panics there.
 func (t *Tree) Advance(a int) {
 	nd := t.root
-	if !nd.expanded || nd.terminal {
+	if nd.children == nil {
 		panic("mcts: Advance on unexpanded or terminal root")
 	}
 	child := nd.children[a]
@@ -277,6 +288,51 @@ func (t *Tree) DisableRootAction(a int) {
 		t.root.disabled = make([]bool, t.m)
 	}
 	t.root.disabled[a] = true
+}
+
+// Forced reports the root's only open action: a is that action when
+// open, the number of open actions (see actionOpen), is one, and -1
+// otherwise. An unexpanded root counts its legal actions, and when
+// exactly one is legal it is expanded on the spot without an
+// evaluation, under a one-hot prior on that action and a value nothing
+// reads: the caller plays a forced action instead of searching it. s is
+// the root's state, neither done nor at a dead end.
+func (t *Tree) Forced(s *game.State) (a, open int) {
+	nd := t.root
+	a = -1
+	switch {
+	case !nd.expanded:
+		for b := 0; b < t.m; b++ {
+			if s.Legal(b) {
+				a, open = b, open+1
+			}
+		}
+		if open == 1 {
+			prior := make(tensor.Vec, t.m)
+			prior[a] = 1
+			t.grow(s, nd, prior, 0)
+		}
+	case !nd.terminal:
+		for b := 0; b < t.m; b++ {
+			if nd.actionOpen(b) {
+				a, open = b, open+1
+			}
+		}
+	}
+	if open != 1 {
+		a = -1
+	}
+	return a, open
+}
+
+// Closed reports whether root action a was closed by the search itself:
+// legal and not disabled, but leading to a child the tree has proven
+// dead — a dead-end state, or a node with no action left open. Nothing
+// selects a closed action again, so a caller that must explain why the
+// root failed walks the closed subtree (Advance into it) instead.
+func (t *Tree) Closed(a int) bool {
+	nd := t.root
+	return nd.legal[a] && (nd.disabled == nil || !nd.disabled[a]) && !nd.actionOpen(a)
 }
 
 // RootHasMove reports whether any legal, enabled action remains at the

@@ -413,3 +413,83 @@ func TestUniformEvaluator(t *testing.T) {
 		t.Errorf("dead-end uniform value = %v", v)
 	}
 }
+
+// panicEval fails any test that asks it for an evaluation.
+type panicEval struct{ t *testing.T }
+
+func (e panicEval) Evaluate(gcn.View) (tensor.Vec, float64) {
+	e.t.Fatal("evaluator called")
+	return nil, 0
+}
+
+// TestForcedPlaysWithoutEvaluation pins the forced-move shortcut: a
+// root with one legal color is expanded on the spot, as one node under
+// a one-hot prior, and the evaluator is never asked; a root with a
+// choice is left for Run.
+func TestForcedPlaysWithoutEvaluation(t *testing.T) {
+	g := pbqp.New(2, 3)
+	g.SetVertexCost(0, cost.Vector{cost.Inf, 0, cost.Inf})
+	g.SetVertexCost(1, cost.Vector{0, 0, cost.Inf})
+	st := game.New(g, []int{0, 1})
+	tree := New(panicEval{t}, 3, Config{})
+	if a, open := tree.Forced(st); a != 1 || open != 1 {
+		t.Fatalf("Forced = (%d, %d), want (1, 1)", a, open)
+	}
+	if tree.Nodes() != 1 {
+		t.Errorf("nodes = %d after a forced expansion, want 1", tree.Nodes())
+	}
+	if pi := tree.Policy(); pi[0] != 0 || pi[1] != 1 || pi[2] != 0 {
+		t.Errorf("policy %v, want one-hot on color 1", pi)
+	}
+	st.Play(1)
+	tree.Advance(1)
+	if a, open := tree.Forced(st); a != -1 || open != 2 {
+		t.Errorf("Forced = (%d, %d) with two legal colors, want (-1, 2)", a, open)
+	}
+	if tree.Nodes() != 1 {
+		t.Errorf("nodes = %d: a root with a choice was expanded", tree.Nodes())
+	}
+}
+
+// TestClosedActionsCanBeWalked covers what a backtracking caller needs
+// to explain a root the search closed: Closed names the actions whose
+// subtrees are proven dead, Forced finds none open, and Advance still
+// walks into the exhausted children.
+func TestClosedActionsCanBeWalked(t *testing.T) {
+	g := pbqp.New(3, 2)
+	for i := 0; i < 3; i++ {
+		g.SetVertexCost(i, cost.Vector{0, 0})
+	}
+	m02 := cost.NewMatrix(2, 2)
+	m02.Set(0, 0, cost.Inf)
+	m02.Set(1, 0, cost.Inf)
+	g.SetEdgeCost(0, 2, m02)
+	m12 := cost.NewMatrix(2, 2)
+	m12.Set(0, 1, cost.Inf)
+	m12.Set(1, 1, cost.Inf)
+	g.SetEdgeCost(1, 2, m12)
+	st := game.New(g, []int{0, 1, 2})
+	tree := New(Uniform{}, 2, Config{RetainParents: true})
+	tree.Run(st, 100)
+	if a, open := tree.Forced(st); a != -1 || open != 0 {
+		t.Errorf("Forced = (%d, %d) on an exhausted root, want (-1, 0)", a, open)
+	}
+	for a := 0; a < 2; a++ {
+		if !tree.Closed(a) {
+			t.Errorf("action %d not closed on an exhausted root", a)
+		}
+	}
+	st.Play(0)
+	tree.Advance(0)
+	for a := 0; a < 2; a++ {
+		if !tree.Closed(a) {
+			t.Errorf("after Advance(0): action %d not closed", a)
+		}
+	}
+	st.Undo()
+	tree.Back()
+	tree.DisableRootAction(1)
+	if tree.Closed(1) {
+		t.Error("a disabled action reports closed")
+	}
+}

@@ -4,10 +4,14 @@
 //
 // Without backtracking the solver performs a one-way pass: k MCTS
 // simulations per vertex, then the visit-count-maximizing color. With
-// backtracking, a dead end cancels the most recent coloring action,
-// masks it in the game tree, re-invokes MCTS at the parent state ("more
-// thinking time"), and tries the next most promising color —
-// depth-first until a solution is found or the node budget is spent.
+// backtracking, a dead end cancels a coloring action, masks it in the
+// game tree, re-invokes MCTS at the parent state ("more thinking
+// time"), and tries the next most promising color — depth-first until a
+// solution is found or the node budget is spent. Both runs skip work
+// that cannot change the answer (DESIGN §6): a vertex with one color
+// left is colored without MCTS, and a dead end unwinds past every
+// coloring that played no part in it (conflict-directed backjumping)
+// instead of only the most recent one.
 package rl
 
 import (
@@ -65,6 +69,12 @@ type Stats struct {
 	Backtracks int64
 	// DeadEnds counts dead-end states reached.
 	DeadEnds int64
+	// Jumps counts levels a failure unwound past without trying another
+	// of their colors, because their coloring played no part in it.
+	Jumps int64
+	// Forced counts colorings played without search: the vertex had one
+	// color left open.
+	Forced int64
 }
 
 // Solver colors PBQP graphs with a trained network and MCTS.
@@ -122,10 +132,14 @@ func (s *Solver) SolveStatsCtx(ctx context.Context, g *pbqp.Graph) (solve.Result
 	run := &runner{ctx: ctx, cfg: cfg, st: st, tree: tree}
 
 	var ok bool
-	if cfg.Backtrack {
-		ok = run.backtrack()
-	} else {
+	switch {
+	case !cfg.Backtrack:
 		ok = run.oneWay()
+	case st.DeadEnd():
+		run.stats.DeadEnds++
+	default:
+		run.sets = make([]turnSet, st.N()+1)
+		ok = run.search()
 	}
 	run.stats.Nodes = tree.Nodes()
 	res := solve.Result{Cost: cost.Inf, Truncated: run.truncated, States: tree.Nodes()}
@@ -145,6 +159,7 @@ type runner struct {
 	cfg       Config
 	st        *game.State
 	tree      *mcts.Tree
+	sets      []turnSet // sets[t]: the conflict set of turn t's level, allocated on first use
 	stats     Stats
 	truncated bool
 }
@@ -164,6 +179,10 @@ func (r *runner) cancelled() bool {
 	return r.truncated
 }
 
+// stopped reports whether the search must give up: the node budget is
+// spent or the context is done.
+func (r *runner) stopped() bool { return r.overBudget() || r.cancelled() }
+
 // oneWay is the inference run without backtracking: a dead end is a
 // failure.
 func (r *runner) oneWay() bool {
@@ -172,14 +191,19 @@ func (r *runner) oneWay() bool {
 			r.stats.DeadEnds++
 			return false
 		}
-		if r.overBudget() || r.cancelled() {
+		if r.stopped() {
 			return false
 		}
-		r.tree.RunCtx(r.ctx, r.st, r.cfg.K)
-		if r.cancelled() {
-			return false
+		a, open := r.tree.Forced(r.st)
+		if open == 1 {
+			r.stats.Forced++
+		} else if open > 1 {
+			r.tree.RunCtx(r.ctx, r.st, r.cfg.K)
+			if r.cancelled() {
+				return false
+			}
+			a = Argmax(r.tree.Policy())
 		}
-		a := Argmax(r.tree.Policy())
 		if a < 0 {
 			return false
 		}
@@ -189,43 +213,177 @@ func (r *runner) oneWay() bool {
 	return true
 }
 
-// backtrack is the depth-first inference run of Section IV-E.
-func (r *runner) backtrack() bool {
+// search is the depth-first inference run of Section IV-E from the
+// current state, which is not a dead end, with two deviations (DESIGN
+// §6). A vertex with one color left open is colored without MCTS. And a
+// failure unwinds to the turn that caused it: when search fails at turn
+// t, r.sets[t] holds the failure's conflict set, earlier turns whose
+// colors alone leave the state unsolvable, so a level whose turn is not
+// in its child's set is left without trying another color.
+func (r *runner) search() bool {
 	if r.st.Done() {
 		return true
 	}
-	if r.st.DeadEnd() {
-		r.stats.DeadEnds++
-		return false
-	}
-	first := true
+	t := r.st.Turn()
+	cs, sub := r.set(t), r.set(t+1)
+	clear(cs)
+	searched := false
 	for {
-		if r.overBudget() || r.cancelled() {
+		if r.stopped() {
 			return false
 		}
-		if first || r.cfg.ReinvokeMCTS {
-			r.tree.RunCtx(r.ctx, r.st, r.cfg.K)
-			if r.cancelled() {
-				return false
+		a, open := r.tree.Forced(r.st)
+		switch {
+		case open == 1:
+			r.stats.Forced++
+		case open > 1:
+			if !searched || r.cfg.ReinvokeMCTS {
+				r.tree.RunCtx(r.ctx, r.st, r.cfg.K)
+				if r.cancelled() {
+					return false
+				}
+				searched = true
+			}
+			if r.tree.RootHasMove() {
+				a = Argmax(r.tree.Policy())
 			}
 		}
-		first = false
-		if !r.tree.RootHasMove() {
-			return false
-		}
-		a := Argmax(r.tree.Policy())
 		if a < 0 {
+			// No color left: the loop has merged the sets of the colors it
+			// played, and explainRest adds the rest. A color still open
+			// (the policy gave it no weight) or a closed subtree the walk
+			// cannot account for leaves the whole prefix, which backtracks
+			// chronologically.
+			if r.tree.RootHasMove() || !r.explainRest(cs, false) {
+				cs.prefix(t)
+			}
 			return false
 		}
 		r.st.Play(a)
 		r.tree.Advance(a)
-		if r.backtrack() {
+		if r.st.DeadEnd() {
+			r.stats.DeadEnds++
+			r.deadEnd(sub)
+		} else if r.search() {
 			return true
 		}
 		r.st.Undo()
 		r.tree.Back()
 		r.tree.DisableRootAction(a)
 		r.stats.Backtracks++
+		if r.stopped() {
+			return false
+		}
+		if merge(cs, sub, t) {
+			r.stats.Jumps++ // no other color of this turn can help
+			return false
+		}
+	}
+}
+
+// explainRest adds to cs what rules out the root's colors that no level
+// of the search played: an illegal color by the culprits of its infinite
+// entry, and a color the tree closed by the conflict set of its closed
+// subtree (explain), which costs no evaluation. It reports false when a
+// color stays unexplained: under strict, any other legal color; without
+// it, the colors left are the ones the caller played and merged.
+func (r *runner) explainRest(cs turnSet, strict bool) bool {
+	t := r.st.Turn()
+	r.st.Culprits(t, cs.add)
+	sub := r.set(t + 1)
+	for b := 0; b < r.st.M(); b++ {
+		if !r.st.Legal(b) {
+			continue
+		}
+		if !r.tree.Closed(b) {
+			if strict {
+				return false
+			}
+			continue
+		}
+		r.st.Play(b)
+		r.tree.Advance(b)
+		ok := r.explain(sub)
+		r.st.Undo()
+		r.tree.Back()
+		if !ok {
+			return false
+		}
+		if merge(cs, sub, t) {
+			return true
+		}
+	}
+	return true
+}
+
+// merge folds sub, the conflict set of one failed color of turn t, into
+// cs, the set of t's level, and reports whether that settles the level:
+// when t is not in sub, the failure did not depend on t's color, so sub
+// alone explains the level and becomes its set.
+func merge(cs, sub turnSet, t int) bool {
+	if !sub.has(t) {
+		copy(cs, sub)
+		return true
+	}
+	sub.del(t)
+	cs.or(sub)
+	return false
+}
+
+// explain sets cs to the conflict set of the subtree at the tree's root,
+// which the tree has closed: a dead end's culprits, or, for a node with
+// no action left open, its colors' sets as a level of the search would
+// merge them.
+func (r *runner) explain(cs turnSet) bool {
+	if r.st.DeadEnd() {
+		r.deadEnd(cs)
+		return true
+	}
+	clear(cs)
+	return r.explainRest(cs, true)
+}
+
+// deadEnd sets cs to the culprits of the dead end the last Play reached:
+// the turns that made a color of the vertex it killed infinite.
+func (r *runner) deadEnd(cs turnSet) {
+	clear(cs)
+	r.st.Culprits(r.st.Killed(), cs.add)
+}
+
+// set returns turn t's conflict set, allocating it on first use: all n
+// of a big graph's sets would cost n²/8 bytes up front, and a search
+// that fails early never reaches the deep levels.
+func (r *runner) set(t int) turnSet {
+	if r.sets[t] == nil {
+		r.sets[t] = make(turnSet, (r.st.N()+63)/64)
+	}
+	return r.sets[t]
+}
+
+// turnSet is a set of game turns, one bit each.
+type turnSet []uint64
+
+func (s turnSet) add(t int)      { s[t>>6] |= 1 << (t & 63) }
+func (s turnSet) del(t int)      { s[t>>6] &^= 1 << (t & 63) }
+func (s turnSet) has(t int) bool { return s[t>>6]&(1<<(t&63)) != 0 }
+
+func (s turnSet) or(o turnSet) {
+	for i := range s {
+		s[i] |= o[i]
+	}
+}
+
+// prefix makes s the turns before t.
+func (s turnSet) prefix(t int) {
+	for i := range s {
+		switch lo := i * 64; {
+		case t >= lo+64:
+			s[i] = ^uint64(0)
+		case t > lo:
+			s[i] = 1<<(t-lo) - 1
+		default:
+			s[i] = 0
+		}
 	}
 }
 

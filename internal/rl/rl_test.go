@@ -215,3 +215,94 @@ func TestDeterministicGivenSeed(t *testing.T) {
 		t.Errorf("non-deterministic: (%v,%d) vs (%v,%d)", f1, s1, f2, s2)
 	}
 }
+
+// exactnessGraph returns graph i of TestBacktrackExact's mix: a small
+// ZeroInf graph, feasible as generated, which every third graph keeps.
+// The others are spoiled, so that some cannot be colored: every third a
+// pigeonhole clique (one more vertex than colors, pairwise forbidden to
+// share one) is planted, and every third gets random infinite entries
+// on random pairs, the hidden solution's included, which may or may not
+// leave a coloring.
+func exactnessGraph(rng *rand.Rand, i int) *pbqp.Graph {
+	m := 2 + rng.Intn(3)
+	n := 10 + rng.Intn(9)
+	g, _ := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
+		N: n, M: m, PEdge: 0.3, HardRatio: 0.4, PEdgeInf: 0.3,
+	})
+	switch i % 3 {
+	case 1:
+		interference := cost.NewMatrix(m, m)
+		for c := 0; c < m; c++ {
+			interference.Set(c, c, cost.Inf)
+		}
+		clique := rng.Perm(n)[:m+1]
+		for a, u := range clique {
+			for _, w := range clique[a+1:] {
+				g.AddEdgeCost(u, w, interference)
+			}
+		}
+	case 2:
+		for k := 0; k < n/2; k++ {
+			u, w := rng.Intn(n), rng.Intn(n)
+			if u == w {
+				continue
+			}
+			mat := cost.NewMatrix(m, m)
+			for e := range mat.Data {
+				if rng.Float64() < 0.4 {
+					mat.Data[e] = cost.Inf
+				}
+			}
+			g.AddEdgeCost(u, w, mat)
+		}
+	}
+	return g
+}
+
+// TestBacktrackExact pins the backtracking solver to the brute oracle
+// where nothing caps its search: with no node budget it must find a
+// coloring exactly when one exists, whatever it skips — forced colors
+// played without search, and levels a conflict set jumps over. A jump
+// past a level that could have mended the failure shows up here as a
+// feasible graph declared infeasible.
+func TestBacktrackExact(t *testing.T) {
+	const graphs = 420
+	rng := rand.New(rand.NewSource(11))
+	var feasible, infeasible int
+	var jumps, forced int64
+	for i := 0; i < graphs; i++ {
+		g := exactnessGraph(rng, i)
+		exact := (brute.Solver{}).Solve(g)
+		if exact.Feasible {
+			feasible++
+		} else {
+			infeasible++
+		}
+		order := []game.Order{game.OrderIncLiberty, game.OrderRandom, game.OrderDecLiberty, game.OrderFixed}[i%4]
+		for _, k := range []int{1, 3} {
+			for _, reinvoke := range []bool{true, false} {
+				s := &Solver{Net: mcts.Uniform{}, Cfg: Config{
+					K: k, Order: order, Backtrack: true, ReinvokeMCTS: reinvoke, Seed: int64(i),
+				}}
+				res, stats := s.SolveStats(g)
+				jumps += stats.Jumps
+				forced += stats.Forced
+				if res.Feasible != exact.Feasible {
+					t.Fatalf("graph %d (%v, K=%d, reinvoke %v): feasible = %v, brute says %v\n%s",
+						i, order, k, reinvoke, res.Feasible, exact.Feasible, g)
+				}
+				if res.Feasible && (res.Cost != exact.Cost || g.TotalCost(res.Selection) != res.Cost) {
+					t.Fatalf("graph %d (%v, K=%d, reinvoke %v): cost %v, selection %v, optimum %v",
+						i, order, k, reinvoke, res.Cost, g.TotalCost(res.Selection), exact.Cost)
+				}
+			}
+		}
+	}
+	t.Logf("%d feasible, %d infeasible; %d levels jumped, %d colors forced", feasible, infeasible, jumps, forced)
+	if feasible < graphs/4 || infeasible < graphs/4 {
+		t.Errorf("the mix has %d feasible and %d infeasible graphs; both should be at least a quarter", feasible, infeasible)
+	}
+	if jumps == 0 || forced == 0 {
+		t.Errorf("nothing was skipped (%d jumps, %d forced): the test no longer exercises the shortcuts", jumps, forced)
+	}
+}

@@ -5,8 +5,11 @@ import (
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/decomp"
+	"pbqprl/internal/game"
+	"pbqprl/internal/mcts"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/reduce"
+	"pbqprl/internal/rl"
 	"pbqprl/internal/solve/brute"
 	"pbqprl/internal/solve/liberty"
 	"pbqprl/internal/solve/scholz"
@@ -78,6 +81,12 @@ func graphFromBytes(data []byte) *pbqp.Graph {
 //   - the decomposition pipeline (reduce → block-cut split → per-block
 //     brute → recombine) is exact for an exact inner solver, so it must
 //     match brute on feasibility and cost bit-for-bit;
+//   - rl-bt with no node budget searches until it has proved the graph
+//     infeasible, whatever it skips (forced colors, levels its conflict
+//     sets jump over), so it must match brute on feasibility exactly;
+//     it stops at its first coloring, whose cost is ≥ the optimum;
+//   - one-way rl gives up at its first dead end, so like scholz it is
+//     one-sided: a coloring it claims must be one brute agrees exists;
 //   - every reported selection must re-evaluate to the reported cost.
 func FuzzSolverAgreement(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1, 2, 3, 1, 0, 5})
@@ -139,6 +148,34 @@ func FuzzSolverAgreement(f *testing.F) {
 			}
 			if dec.Cost != exact.Cost {
 				t.Fatalf("decomp cost %v, optimum %v\n%s", dec.Cost, exact.Cost, g)
+			}
+		}
+
+		bt := (&rl.Solver{Net: mcts.Uniform{}, Cfg: rl.Config{
+			K: 2, Order: game.OrderIncLiberty, Backtrack: true, ReinvokeMCTS: true,
+		}}).Solve(g)
+		if bt.Feasible != exact.Feasible {
+			t.Fatalf("rl-bt feasible=%v, brute feasible=%v\n%s", bt.Feasible, exact.Feasible, g)
+		}
+		if bt.Feasible {
+			if g.TotalCost(bt.Selection) != bt.Cost {
+				t.Fatalf("rl-bt selection does not re-evaluate to its cost\n%s", g)
+			}
+			if bt.Cost.Less(exact.Cost) {
+				t.Fatalf("rl-bt cost %v beats the optimum %v\n%s", bt.Cost, exact.Cost, g)
+			}
+		}
+
+		oneWay := (&rl.Solver{Net: mcts.Uniform{}, Cfg: rl.Config{K: 2, Order: game.OrderIncLiberty}}).Solve(g)
+		if oneWay.Feasible {
+			if !exact.Feasible {
+				t.Fatalf("one-way rl feasible on an infeasible graph\n%s", g)
+			}
+			if g.TotalCost(oneWay.Selection) != oneWay.Cost {
+				t.Fatalf("one-way rl selection does not re-evaluate to its cost\n%s", g)
+			}
+			if oneWay.Cost.Less(exact.Cost) {
+				t.Fatalf("one-way rl cost %v beats the optimum %v\n%s", oneWay.Cost, exact.Cost, g)
 			}
 		}
 
