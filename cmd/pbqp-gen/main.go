@@ -10,11 +10,18 @@
 // pipeline (pbqp-solve -decompose): chains of dense circulant clusters
 // joined by bridges, with -components connected components, clusters of
 // -cluster vertices, and -chords extra random edges per cluster.
+//
+// Exit status:
+//
+//	0  the graph was written
+//	1  writing the graph or the DOT file failed
+//	2  usage error: a bad flag or an unknown -kind
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -22,19 +29,40 @@ import (
 	"pbqprl/internal/randgraph"
 )
 
-func main() {
-	kind := flag.String("kind", "er", "er (Erdős–Rényi, paper's training distribution), zeroinf (ATE-style), or large (sparse big-graph workload)")
-	n := flag.Int("n", 40, "vertices")
-	m := flag.Int("m", 13, "colors")
-	pEdge := flag.Float64("pedge", 0.2, "edge probability")
-	pInf := flag.Float64("pinf", 0.01, "infinite-entry ratio (er) / edge-entry ratio (zeroinf)")
-	hard := flag.Float64("hard", 0.4, "hard-vertex ratio (zeroinf only)")
-	components := flag.Int("components", 1, "connected components (large only)")
-	cluster := flag.Int("cluster", 12, "dense-cluster size (large only)")
-	chords := flag.Int("chords", 4, "extra random edges per cluster (large only)")
-	seed := flag.Int64("seed", 1, "generator seed")
-	dot := flag.String("dot", "", "also write Graphviz DOT to this file")
-	flag.Parse()
+const (
+	exitOK    = 0
+	exitError = 1
+	exitUsage = 2
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the graph to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pbqp-gen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	kind := fs.String("kind", "er", "er (Erdős–Rényi, paper's training distribution), zeroinf (ATE-style), or large (sparse big-graph workload)")
+	n := fs.Int("n", 40, "vertices")
+	m := fs.Int("m", 13, "colors")
+	pEdge := fs.Float64("pedge", 0.2, "edge probability")
+	pInf := fs.Float64("pinf", 0.01, "infinite-entry ratio (er) / edge-entry ratio (zeroinf)")
+	hard := fs.Float64("hard", 0.4, "hard-vertex ratio (zeroinf only)")
+	components := fs.Int("components", 1, "connected components (large only)")
+	cluster := fs.Int("cluster", 12, "dense-cluster size (large only)")
+	chords := fs.Int("chords", 4, "extra random edges per cluster (large only)")
+	seed := fs.Int64("seed", 1, "generator seed")
+	dot := fs.String("dot", "", "also write Graphviz DOT to this file")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "pbqp-gen:", err)
+		return exitError
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	var g *pbqp.Graph
@@ -48,37 +76,31 @@ func main() {
 		g, hidden = randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
 			N: *n, M: *m, PEdge: *pEdge, HardRatio: *hard, PEdgeInf: max(*pInf, 0.25),
 		})
-		fmt.Fprintf(os.Stderr, "# hidden zero-cost solution: %v\n", hidden)
+		fmt.Fprintf(stderr, "# hidden zero-cost solution: %v\n", hidden)
 	case "large":
 		g = randgraph.LargeSparse(rng, randgraph.LargeSparseConfig{
 			N: *n, M: *m, Components: *components, ClusterSize: *cluster,
 			Chords: *chords, PInf: *pInf,
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "pbqp-gen: unknown kind %q\n", *kind)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "pbqp-gen: unknown kind %q\n", *kind)
+		return exitUsage
 	}
-	if err := pbqp.Write(os.Stdout, g); err != nil {
-		fmt.Fprintln(os.Stderr, "pbqp-gen:", err)
-		os.Exit(1)
+	if err := pbqp.Write(stdout, g); err != nil {
+		return fail(err)
 	}
 	if *dot != "" {
 		f, err := os.Create(*dot)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "pbqp-gen:", err)
-			os.Exit(1)
+			return fail(err)
 		}
-		defer f.Close()
-		if err := pbqp.WriteDOT(f, g, "pbqp"); err != nil {
-			fmt.Fprintln(os.Stderr, "pbqp-gen:", err)
-			os.Exit(1)
+		err = pbqp.WriteDOT(f, g, "pbqp")
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fail(err)
 		}
 	}
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
+	return exitOK
 }

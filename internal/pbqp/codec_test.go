@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pbqprl/internal/ate"
@@ -181,6 +182,135 @@ func TestReadMatchesReferenceOnGeneratedGraphs(t *testing.T) {
 			}
 			if !bytes.Equal(serialize(t, back), text) {
 				t.Fatalf("%s with %q for %q: Write→Read→Write changed the bytes", name, sep.new, sep.old)
+			}
+		}
+	}
+}
+
+// respellings rewrite the lines of a serialized graph without changing
+// the graph they spell. Each edits the fields of the lines it is given;
+// the header stays the first line.
+var respellings = []struct {
+	name  string
+	apply func(rng *rand.Rand, m int, lines [][]string) [][]string
+}{
+	{"zeros", func(_ *rand.Rand, _ int, lines [][]string) [][]string {
+		for _, l := range lines {
+			for i, f := range l {
+				if f == "0" {
+					l[i] = "00"
+				}
+			}
+		}
+		return lines
+	}},
+	{"flipped", func(_ *rand.Rand, m int, lines [][]string) [][]string {
+		for k, l := range lines {
+			if l[0] != "e" {
+				continue
+			}
+			flipped := []string{"e", l[2], l[1]}
+			for j := 0; j < m; j++ {
+				for i := 0; i < m; i++ {
+					flipped = append(flipped, l[3+i*m+j])
+				}
+			}
+			lines[k] = flipped
+		}
+		return lines
+	}},
+	{"separators", func(_ *rand.Rand, _ int, lines [][]string) [][]string {
+		for _, l := range lines {
+			for i := 1; i < len(l); i++ {
+				l[i] = "\t " + l[i]
+			}
+		}
+		return lines
+	}},
+	{"shuffled", func(rng *rand.Rand, _ int, lines [][]string) [][]string {
+		rest := lines[1:]
+		rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+		return lines
+	}},
+	{"comment", func(_ *rand.Rand, _ int, lines [][]string) [][]string {
+		return append(lines, []string{"#", "respelled"})
+	}},
+}
+
+func splitLines(text []byte) [][]string {
+	var lines [][]string
+	for _, l := range strings.Split(strings.TrimSuffix(string(text), "\n"), "\n") {
+		lines = append(lines, strings.Fields(l))
+	}
+	return lines
+}
+
+func joinLines(lines [][]string) []byte {
+	var b bytes.Buffer
+	for _, l := range lines {
+		b.WriteString(strings.Join(l, " "))
+		b.WriteByte('\n')
+	}
+	return b.Bytes()
+}
+
+// TestCanonicalFormOfRespellings holds the canonical form to the
+// relation that needs no oracle: a graph respelled in any of five ways,
+// or in all of them at once, writes back to the bytes it was read from
+// and hashes to its digest, while changing any one cost entry of its
+// text changes the digest. The edge lines of an ATE graph repeat one
+// another's costs, so most of them reach the reader's spelling memo.
+func TestCanonicalFormOfRespellings(t *testing.T) {
+	graphs := map[string]*pbqp.Graph{
+		"ate-28": ateGraph(t, 28, 1000),
+		"ate-60": ateGraph(t, 60, 3000),
+		"finite": finiteGraph(7, 30, 8),
+		"spiced": spicedGraph(11, 24, 6),
+	}
+	rng := rand.New(rand.NewSource(37))
+	for name, g := range graphs {
+		text := serialize(t, g)
+		want, err := pbqp.CanonicalHash(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(how string, respelled []byte) {
+			back, err := pbqp.Read(bytes.NewReader(respelled))
+			if err != nil {
+				t.Fatalf("%s, %s: %v", name, how, err)
+			}
+			if !bytes.Equal(serialize(t, back), text) {
+				t.Fatalf("%s, %s: the respelling writes other bytes", name, how)
+			}
+			if got, err := pbqp.CanonicalHash(back); err != nil || got != want {
+				t.Fatalf("%s, %s: CanonicalHash %x, %v; want %x", name, how, got, err, want)
+			}
+		}
+		all := splitLines(text)
+		for _, r := range respellings {
+			check(r.name, joinLines(r.apply(rng, g.M(), splitLines(text))))
+			all = r.apply(rng, g.M(), all)
+		}
+		check("all at once", joinLines(all))
+
+		for range 40 {
+			lines := splitLines(text)
+			l := lines[1+rng.Intn(len(lines)-1)]
+			ids := 2 // "v u", or "e u v"
+			if l[0] == "e" {
+				ids = 3
+			}
+			i := ids + rng.Intn(len(l)-ids)
+			was := l[i]
+			if l[i] = "inf"; was == "inf" {
+				l[i] = "0"
+			}
+			changed, err := pbqp.Read(bytes.NewReader(joinLines(lines)))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got, err := pbqp.CanonicalHash(changed); err != nil || got == want {
+				t.Fatalf("%s: %s on %q left the digest at %x (%v)", name, was, l[:ids], got, err)
 			}
 		}
 	}

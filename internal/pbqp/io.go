@@ -38,6 +38,16 @@ func Write(w io.Writer, g *Graph) error {
 		return fmt.Errorf("pbqp: cannot serialize graph with removed vertices")
 	}
 	buf := make([]byte, 0, 4<<10)
+	// Where in buf the costs of the last few matrices written stand: an
+	// edge carrying one of those pointers (Read shares a pair among the
+	// edges whose costs are bit-identical) copies its bytes instead of
+	// formatting them again.
+	type span struct {
+		m      *cost.Matrix
+		lo, hi int
+	}
+	var spans [8]span
+	next := 0
 	var err error
 	flush := func(min int) {
 		if err != nil || len(buf) < min {
@@ -45,6 +55,7 @@ func Write(w io.Writer, g *Graph) error {
 		}
 		_, err = w.Write(buf)
 		buf = buf[:0]
+		spans = [len(spans)]span{}
 	}
 	buf = append(buf, "pbqp "...)
 	buf = strconv.AppendInt(buf, int64(g.NumVertices()), 10)
@@ -62,7 +73,22 @@ func Write(w io.Writer, g *Graph) error {
 		buf = strconv.AppendInt(buf, int64(e.U), 10)
 		buf = append(buf, ' ')
 		buf = strconv.AppendInt(buf, int64(e.V), 10)
-		buf = append(appendCosts(buf, e.M.Data), '\n')
+		k := 0
+		for k < len(spans) && spans[k].m != e.M {
+			k++
+		}
+		if k < len(spans) {
+			buf = append(buf, buf[spans[k].lo:spans[k].hi]...)
+		} else {
+			lo := len(buf)
+			buf = appendCosts(buf, e.M.Data)
+			spans[next] = span{e.M, lo, len(buf)}
+			next++
+			if next == len(spans) {
+				next = 0
+			}
+		}
+		buf = append(buf, '\n')
 		flush(32 << 10)
 	}
 	flush(1)
@@ -196,7 +222,7 @@ func Read(r io.Reader) (*Graph, error) {
 // in any order costs one sort, not a sorted insert per line.
 func ReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 	var edges []edgeLine
-	g, err := readLines(r, limits.withDefaults(), &edges)
+	g, err := readLines(r, limits.withDefaults(), &edges, &matrices{})
 	// An edge listed twice is reported at its second line if no error
 	// came before that line, as a reader checking each line against the
 	// edges before it would; every line in the log precedes the error,
@@ -238,8 +264,9 @@ func firstDuplicate(edges []edgeLine) (edgeLine, bool) {
 }
 
 // readLines parses the text into a graph with vectors and no edges,
-// logging each edge line to *edges for ReadWithLimits to install.
-func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
+// logging each edge line to *edges for ReadWithLimits to install, with
+// the pairs of matrices shared among them.
+func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine, shared *matrices) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	// Nil initial buffer: the scanner grows lazily (4KiB doubling) up to
 	// the 16MiB token cap, so parsing a small graph does not pay a fixed
@@ -248,7 +275,6 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 	var g *Graph
 	var seenVertex []bool
 	var costs cost.Vector // the line's costs, decoded by walk
-	shared := matrices{}
 	lineno := 0
 	for sc.Scan() {
 		lineno++
@@ -260,12 +286,17 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 		if g != nil {
 			m = g.m
 		}
-		nf, ascii, costErr := walk(line, m, &costs)
-		if !ascii {
-			// Unicode white space (U+0085, U+00A0, …) separates fields
-			// too: strings.Fields says where, as it always has.
-			line = []byte(strings.Join(strings.Fields(string(line)), " "))
-			nf, _, costErr = walk(line, m, &costs)
+		tail, known, hit := shared.spelled(line)
+		nf, costErr := 3+m*m, error(nil) // a known spelling is a good edge line's costs
+		if !hit {
+			var ascii bool
+			nf, ascii, costErr = walk(line, m, &costs)
+			if !ascii {
+				// Unicode white space (U+0085, U+00A0, …) separates fields
+				// too: strings.Fields says where, as it always has.
+				line = []byte(strings.Join(strings.Fields(string(line)), " "))
+				nf, _, costErr = walk(line, m, &costs)
+			}
 		}
 		if nf == 0 {
 			continue
@@ -329,9 +360,9 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine) (*Graph, error) {
 			}
 			// Logged even with a bad cost: were this line a duplicate,
 			// that would be its error.
-			e := edgeLine{line: lineno, u: int32(u), v: int32(v)}
-			if costErr == nil {
-				e.uv, e.vu = shared.pair(costs, g.m)
+			e := edgeLine{line: lineno, u: int32(u), v: int32(v), uv: known[0], vu: known[1]}
+			if !hit && costErr == nil {
+				e.uv, e.vu = shared.pair(costs, g.m, tail)
 			}
 			*edges = append(*edges, e)
 			if costErr != nil {
@@ -444,23 +475,70 @@ func walk(line []byte, m int, costs *cost.Vector) (nf int, ascii bool, err error
 // written again. The key is a hash of the words; a hit is compared bit
 // for bit, and a different matrix under a taken key gets a pair of its
 // own.
-type matrices map[uint64][2]*cost.Matrix
+//
+// In front of the words sits their text: a line whose bytes after its
+// first three fields repeat those of an earlier edge line that got a
+// shared pair is that line's costs again, and is not walked at all (see
+// spelled). A spelling is kept only once its words have repeated, so a
+// graph of distinct matrices copies no text, and the text held is at
+// most what was read.
+type matrices struct {
+	words map[uint64][2]*cost.Matrix
+	texts map[string][2]*cost.Matrix
+}
+
+// spelled cuts line after its first three fields and looks the rest up
+// among the spellings pair kept. The lookup needs those fields to be
+// ASCII — then strings.Fields splits the line where they end, and the
+// rest alone says how many fields follow and what they decode to — but
+// not the directive to be "e": a hit is owed 3+m·m fields, which only an
+// edge line may have, so a vertex line that ends in an edge's costs is
+// turned away on its count, as walk's count would have turned it away.
+// tail is nil when the fields are not three and ASCII.
+//
+//pbqpvet:hotpath
+func (ms *matrices) spelled(line []byte) (tail []byte, p [2]*cost.Matrix, ok bool) {
+	rest := line
+	for range 3 {
+		var f []byte
+		if f, rest = cutField(rest); len(f) == 0 {
+			return nil, p, false
+		}
+	}
+	for _, c := range line[:len(line)-len(rest)] {
+		if c >= 0x80 {
+			return nil, p, false
+		}
+	}
+	p, ok = ms.texts[string(rest)]
+	return rest, p, ok
+}
 
 // pair returns the matrix of the m×m costs, in row-major order, and its
-// transpose.
-func (ms matrices) pair(costs cost.Vector, m int) (uv, vu *cost.Matrix) {
+// transpose. When the costs are an earlier line's, tail (if not nil) is
+// kept as their spelling.
+func (ms *matrices) pair(costs cost.Vector, m int, tail []byte) (uv, vu *cost.Matrix) {
 	var sum uint64
 	for _, c := range costs {
 		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
 	}
-	p, taken := ms[sum]
+	p, taken := ms.words[sum]
 	if taken && sameBits(p[0].Data, costs) {
+		if tail != nil {
+			if ms.texts == nil {
+				ms.texts = map[string][2]*cost.Matrix{}
+			}
+			ms.texts[string(tail)] = p
+		}
 		return p[0], p[1]
 	}
 	uv = &cost.Matrix{Rows: m, Cols: m, Data: slices.Clone(costs)}
 	vu = uv.Transpose()
 	if !taken {
-		ms[sum] = [2]*cost.Matrix{uv, vu}
+		if ms.words == nil {
+			ms.words = map[uint64][2]*cost.Matrix{}
+		}
+		ms.words[sum] = [2]*cost.Matrix{uv, vu}
 	}
 	return uv, vu
 }

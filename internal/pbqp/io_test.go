@@ -209,6 +209,33 @@ func TestReadMatchesReference(t *testing.T) {
 		"pbqp 2 2\ne 0 1 999999999999999 1000000000000000 9007199254740993 123456789012345\n",
 		"pbqp 2 2\ne\v0\f1\r0 inf\vinf\f0\t\n",
 		"pbqp 3 2\ne 0 1 0 inf inf 0\ne 1 2 -0 inf inf 0\ne 2 0 0 inf inf -0\n",
+		// the spelling memo: from the second line of a matrix on, a line
+		// whose text after its first three fields is known is not walked.
+		// Behind a known text: a prefix a field too long or too short, a
+		// directive that is not "e", U+00A0 in or before the ids, bad and
+		// equal endpoints, a duplicate edge; then 0 against 00 and -0,
+		// CRLF against LF, a bad cost before a repeat, a non-ASCII text
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 3 0 inf inf 0\ne 3 0 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 3 1 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\nv 0 1 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\nv 0 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\npbqp 2 3 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\nq 2 3 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2\u00a03 1 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2\u00a03 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\n\u00a0e 2 3 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 2 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 4 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne x 3 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 3 0 inf inf 0\ne 2 1 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 3 0 inf inf 0\ne 1 0 0 inf zebra 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 00 inf inf 0\ne 2 3 0 inf inf 0\ne 3 0 00 inf inf 0\ne 0 2 -0 inf inf 0\ne 1 3 -0 inf inf 0\n",
+		"pbqp 4 2\r\ne 0 1 0 inf inf 0\r\ne 1 2 0 inf inf 0\ne 2 3 0 inf inf 0\r\ne 3 0 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 3 0 inf zebra 0\ne 3 0 0 inf inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf 1e308 0\ne 1 2 0 inf 1e308 0\ne 2 3 0 inf 1e308 0\n",
+		"pbqp 4 2\ne 0 1 0\u00a0inf inf 0\ne 1 2 0\u00a0inf inf 0\ne 2 3 0\u00a0inf inf 0\ne 3 0 0 inf\u00a0inf 0\n",
+		"pbqp 4 2\ne 0 1 0 inf inf 0\ne 1 2 0 inf inf 0\ne 2 3 0 inf inf 0 # again\ne 0 3 0 inf inf 0 5\n",
 	} {
 		if AgreesWithReference(t, []byte(in), ReadLimits{}) != nil {
 			accepted++
@@ -344,6 +371,75 @@ func TestReadAllocatesPerDistinctMatrix(t *testing.T) {
 	t.Logf("%.0f allocations for 40 edge lines, %.0f for 400", few, many)
 	if many > few+8 {
 		t.Fatalf("Read of 400 identical edge lines made %.0f allocations, of 40 %.0f: allocation grows with edges", many, few)
+	}
+}
+
+// TestReadAllocatesPerDistinctLine pins what the spelling memo costs a
+// graph it cannot help: 400 edge lines that all carry different matrices
+// allocate no more per line than the pair each needs (the matrix and its
+// transpose, two allocations apiece), and keep no text.
+func TestReadAllocatesPerDistinctLine(t *testing.T) {
+	body := func(edges int) []byte {
+		var b bytes.Buffer
+		fmt.Fprintf(&b, "pbqp %d 4\n", edges+1)
+		for u := 0; u < edges; u++ {
+			fmt.Fprintf(&b, "e %d %d %d inf 0 0 inf 0 0 0 0 0 0 inf 0 0 inf 0\n", u, u+1, u)
+		}
+		return b.Bytes()
+	}
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Read(bytes.NewReader(data)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(body(40)), allocs(body(400))
+	perLine := (many - few) / 360
+	t.Logf("%.0f allocations for 40 distinct edge lines, %.0f for 400: %.2f a line", few, many, perLine)
+	if perLine > 4.1 {
+		t.Fatalf("Read made %.2f allocations per distinct edge line, want the pair's 4 and the logs' growth", perLine)
+	}
+	var edges []edgeLine
+	var ms matrices
+	if _, err := readLines(bytes.NewReader(body(400)), DefaultReadLimits(), &edges, &ms); err != nil {
+		t.Fatal(err)
+	}
+	if len(ms.texts) != 0 {
+		t.Fatalf("no matrix repeats, yet %d spellings were kept", len(ms.texts))
+	}
+}
+
+// TestReadMemoHoldsAtMostTheBytesRead reads 400 spellings of one matrix
+// — each line spaces its costs with tabs by the bits of its number — and
+// checks that every line after the first is kept, once, and that the
+// text kept is less than the text read.
+func TestReadMemoHoldsAtMostTheBytesRead(t *testing.T) {
+	var b bytes.Buffer
+	b.WriteString("pbqp 401 4\n")
+	for u := 0; u < 400; u++ {
+		fmt.Fprintf(&b, "e %d %d", u, u+1)
+		for i, c := range strings.Fields("0 inf 0 0 inf 0 0 0 0 0 0 inf 0 0 inf 0") {
+			sep := " "
+			if u>>i&1 == 1 {
+				sep = "\t"
+			}
+			b.WriteString(sep + c)
+		}
+		b.WriteByte('\n')
+	}
+	var edges []edgeLine
+	var ms matrices
+	if _, err := readLines(bytes.NewReader(b.Bytes()), DefaultReadLimits(), &edges, &ms); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for text := range ms.texts {
+		held += len(text)
+	}
+	t.Logf("%d spellings kept, %d bytes of %d read", len(ms.texts), held, b.Len())
+	if len(ms.texts) != 399 || held >= b.Len() {
+		t.Fatalf("kept %d spellings of %d bytes from %d bytes read, want 399 and fewer bytes", len(ms.texts), held, b.Len())
 	}
 }
 

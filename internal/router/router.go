@@ -313,9 +313,12 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// memoized against the canonical hash in the same bounded LRU:
 	// byte-identical repeats (the dominant recompile traffic) skip the
 	// parse entirely, while a new spelling pays one parse and one
-	// canonical serialization (BenchmarkGraphCodec times both), whose
-	// bytes are hashed into the key and, on a miss, are the body the
-	// backend gets.
+	// canonical serialization (BenchmarkGraphCodec's canonicalize op),
+	// whose bytes are hashed into the key and, on a miss, are the body
+	// the backend gets. Within that parse an edge line whose costs are
+	// spelled as an earlier line's is looked up, not decoded, and the
+	// write copies the text of a matrix it has just formatted, so most
+	// edge lines of a respelled ATE body cost a map lookup and a copy.
 	// The body lands in one buffer sized from Content-Length, never from
 	// a length above the cap; bytes.MinRead of slack lets ReadFrom meet
 	// EOF without growing it.
