@@ -7,12 +7,20 @@
 // Usage:
 //
 //	ate-alloc [-program PRO1|...|PRO10|all] [-solver scholz|liberty|rl|rl-bt] [-k N] [-listing]
+//
+// Exit status:
+//
+//	0  every selected program was allocated
+//	1  the solver found no valid assignment for some program
+//	2  usage error: a bad flag, a stray argument, an unknown -program or -solver
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"pbqprl/internal/ate"
 	"pbqprl/internal/experiments"
@@ -23,66 +31,88 @@ import (
 	"pbqprl/internal/solve/scholz"
 )
 
-func main() {
-	program := flag.String("program", "all", "PRO1..PRO10 or all")
-	solver := flag.String("solver", "rl-bt", "scholz, liberty, rl, or rl-bt")
-	k := flag.Int("k", 25, "MCTS simulations per action for rl solvers")
-	listing := flag.Bool("listing", false, "print the program listing before allocating")
-	flag.Parse()
+const (
+	exitOK         = 0
+	exitInfeasible = 1
+	exitUsage      = 2
+)
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes each program's
+// allocation to stdout and diagnostics to stderr, and returns the exit
+// status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ate-alloc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	program := fs.String("program", "all", "PRO1..PRO10 or all")
+	solver := fs.String("solver", "rl-bt", "scholz, liberty, rl, or rl-bt")
+	k := fs.Int("k", 25, "MCTS simulations per action for rl solvers")
+	listing := fs.Bool("listing", false, "print the program listing before allocating")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "ate-alloc: "+format+"\n", a...)
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
 	suite := ate.Suite()
-	anyFailed := false
-	for _, b := range suite {
-		if *program != "all" && b.Program.Name != *program {
-			continue
+	if *program != "all" {
+		i := slices.IndexFunc(suite, func(b ate.Benchmark) bool { return b.Program.Name == *program })
+		if i < 0 {
+			return usage("unknown program %q", *program)
 		}
-		if *listing {
-			fmt.Print(b.Program.String())
-		}
-		s := makeSolver(*solver, *k)
-		res := s.Solve(b.Graph)
-		fmt.Printf("%-6s n=%-3d solver=%-18s feasible=%-5v states=%d\n",
-			b.Program.Name, b.Graph.NumVertices(), s.Name(), res.Feasible, res.States)
-		if res.Feasible {
-			fmt.Printf("       assignment:")
-			for v, c := range res.Selection {
-				if v > 0 && v%16 == 0 {
-					fmt.Printf("\n                 ")
-				}
-				fmt.Printf(" v%d=r%d", v, c)
-			}
-			fmt.Println()
-		} else {
-			anyFailed = true
-		}
+		suite = suite[i : i+1]
 	}
-	if anyFailed {
-		os.Exit(1)
-	}
-}
-
-func makeSolver(name string, k int) solve.Solver {
-	switch name {
+	var s solve.Solver
+	switch *solver {
 	case "scholz":
-		return scholz.Solver{}
+		s = scholz.Solver{}
 	case "liberty":
-		return liberty.Solver{MaxStates: 50_000_000}
+		s = liberty.Solver{MaxStates: 50_000_000}
 	case "rl", "rl-bt":
-		n := experiments.TrainedNet(experiments.SpecK50(), func(s string) {
-			fmt.Fprintln(os.Stderr, "# "+s)
+		n := experiments.TrainedNet(experiments.SpecK50(), func(line string) {
+			fmt.Fprintln(stderr, "# "+line)
 		})
 		// increasing-liberty is the robust order at laptop training
 		// scale (see EXPERIMENTS.md E1)
-		return &rl.Solver{Net: n, Cfg: rl.Config{
-			K:            k,
+		s = &rl.Solver{Net: n, Cfg: rl.Config{
+			K:            *k,
 			Order:        game.OrderIncLiberty,
-			Backtrack:    name == "rl-bt",
+			Backtrack:    *solver == "rl-bt",
 			ReinvokeMCTS: true,
 			MaxNodes:     500_000,
 		}}
 	default:
-		fmt.Fprintf(os.Stderr, "ate-alloc: unknown solver %q\n", name)
-		os.Exit(2)
-		return nil
+		return usage("unknown solver %q", *solver)
 	}
+
+	code := exitOK
+	for _, b := range suite {
+		if *listing {
+			fmt.Fprint(stdout, b.Program.String())
+		}
+		res := s.Solve(b.Graph)
+		fmt.Fprintf(stdout, "%-6s n=%-3d solver=%-18s feasible=%-5v states=%d\n",
+			b.Program.Name, b.Graph.NumVertices(), s.Name(), res.Feasible, res.States)
+		if !res.Feasible {
+			code = exitInfeasible
+			continue
+		}
+		fmt.Fprintf(stdout, "       assignment:")
+		for v, c := range res.Selection {
+			if v > 0 && v%16 == 0 {
+				fmt.Fprintf(stdout, "\n                 ")
+			}
+			fmt.Fprintf(stdout, " v%d=r%d", v, c)
+		}
+		fmt.Fprintln(stdout)
+	}
+	return code
 }

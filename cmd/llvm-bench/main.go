@@ -6,42 +6,74 @@
 // Usage:
 //
 //	llvm-bench [-program name|all] [-rl] [-k N]
+//
+// Exit status:
+//
+//	0  the table was written
+//	2  usage error: a bad flag, a stray argument or an unknown -program
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
 	"pbqprl/internal/llvmsuite"
+	"pbqprl/internal/net"
 	"pbqprl/internal/perfmodel"
 	"pbqprl/internal/regalloc"
 	"pbqprl/internal/rl"
 	"pbqprl/internal/solve/scholz"
 )
 
-func main() {
-	program := flag.String("program", "all", "benchmark name or all")
-	useRL := flag.Bool("rl", false, "include the PBQP-RL allocator (trains a network on first use)")
-	k := flag.Int("k", 40, "MCTS simulations per action for PBQP-RL")
-	flag.Parse()
+const (
+	exitOK    = 0
+	exitUsage = 2
+)
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the table to stdout
+// and diagnostics to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("llvm-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	program := fs.String("program", "all", "benchmark name or all")
+	useRL := fs.Bool("rl", false, "include the PBQP-RL allocator (trains a network on first use)")
+	k := fs.Int("k", 40, "MCTS simulations per action for PBQP-RL")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "llvm-bench: unexpected argument %q\n", fs.Arg(0))
+		return exitUsage
+	}
+	names := llvmsuite.Names
+	if *program != "all" {
+		if !slices.Contains(names, *program) {
+			fmt.Fprintf(stderr, "llvm-bench: unknown program %q\n", *program)
+			return exitUsage
+		}
+		names = []string{*program}
+	}
+
+	var n *net.PBQPNet
+	if *useRL {
+		n = experiments.LLVMNet(func(s string) { fmt.Fprintln(stderr, "# "+s) })
+	}
 	target := regalloc.DefaultTarget()
 	params := perfmodel.DefaultParams()
 
-	fmt.Printf("%-12s %-8s %8s %14s %9s\n", "program", "alloc", "spills", "cycles", "speedup")
-	for _, b := range llvmsuite.All() {
-		if *program != "all" && b.Prog.Name != *program {
-			continue
-		}
-		type result struct {
-			name   string
-			spills int
-			cycles float64
-		}
-		var results []result
+	fmt.Fprintf(stdout, "%-12s %-8s %8s %14s %9s\n", "program", "alloc", "spills", "cycles", "speedup")
+	for _, name := range names {
+		b := llvmsuite.Generate(name)
 		fastCycles := 0.0
 		collect := func(name string, alloc func(regalloc.Input) regalloc.Assignment) {
 			spills, cycles := 0, 0.0
@@ -54,7 +86,8 @@ func main() {
 			if name == "FAST" {
 				fastCycles = cycles
 			}
-			results = append(results, result{name, spills, cycles})
+			fmt.Fprintf(stdout, "%-12s %-8s %8d %14.0f %8.3fx\n",
+				b.Prog.Name, name, spills, cycles, perfmodel.Speedup(fastCycles, cycles))
 		}
 		collect("FAST", regalloc.Fast)
 		collect("BASIC", regalloc.Basic)
@@ -63,8 +96,7 @@ func main() {
 			asn, _ := regalloc.PBQPAlloc(in, scholz.Solver{})
 			return asn
 		})
-		if *useRL {
-			n := experiments.LLVMNet(func(s string) { fmt.Fprintln(os.Stderr, "# "+s) })
+		if n != nil {
 			collect("PBQP-RL", func(in regalloc.Input) regalloc.Assignment {
 				g := regalloc.BuildPBQP(in)
 				base := (scholz.Solver{}).Solve(g)
@@ -77,9 +109,6 @@ func main() {
 				return asn
 			})
 		}
-		for _, r := range results {
-			fmt.Printf("%-12s %-8s %8d %14.0f %8.3fx\n",
-				b.Prog.Name, r.name, r.spills, r.cycles, perfmodel.Speedup(fastCycles, r.cycles))
-		}
 	}
+	return exitOK
 }

@@ -265,10 +265,10 @@ func TestViewConvention(t *testing.T) {
 		t.Errorf("view vec(0) = %v", v.Vec(0))
 	}
 	// edge between the remaining two vertices must be visible
-	if len(v.Nbrs(0)) != 1 || v.Nbrs(0)[0] != 1 {
-		t.Errorf("view nbrs = %v", v.Nbrs(0))
+	if nbrs := viewNbrs(v, 0); len(nbrs) != 1 || nbrs[0] != 1 {
+		t.Errorf("view nbrs = %v", nbrs)
 	}
-	if v.Mat(0, 1) == nil {
+	if viewMat(v, 0, 1) == nil {
 		t.Error("view missing edge matrix")
 	}
 }

@@ -24,8 +24,8 @@
 // Backprop and Accumulate, here, on a Tape the caller owns; Forward
 // and Backward are those three on the GCN's own) and the read-only one
 // (Infer, infer.go, on a Scratch's memo) resolve a view's edges through
-// one function and fold them with one addMulVec, bit-equal to
-// reference_test.go's dense pass.
+// one function and compute a vertex's layer update with one more,
+// bit-equal to reference_test.go's dense pass.
 package gcn
 
 import (
@@ -38,8 +38,9 @@ import (
 )
 
 // View is the graph a GCN embeds: the uncolored remainder of a PBQP
-// problem in reduced form. Implementations must present transformed
-// (finite) edge matrices; TransformMatrix is the canonical conversion.
+// problem in reduced form, as a window onto an edge table. Its edge
+// matrices are the table's, transformed (TransformMatrix is the
+// canonical conversion) and packed by AddEdge.
 type View interface {
 	// N returns the number of active vertices, addressed as [0, N).
 	N() int
@@ -47,11 +48,10 @@ type View interface {
 	M() int
 	// Vec returns active vertex v's current cost vector.
 	Vec(v int) cost.Vector
-	// Nbrs returns the active neighbors of v.
-	Nbrs(v int) []int
-	// Mat returns the transformed cost matrix of edge (v, u), oriented
-	// with rows indexing v's color.
-	Mat(v, u int) *tensor.Mat
+	// EdgeTable returns the table and the window's offset: active
+	// vertex v is table vertex off+v, and its neighbors are the table's
+	// that are ≥ off, in table order.
+	EdgeTable() (tbl *EdgeTable, off int)
 }
 
 const (
@@ -125,19 +125,18 @@ type GCN struct {
 type Tape struct {
 	tbl    *EdgeTable   // the view's edges, as edges resolved them ...
 	off, n int          // ... and its window [off, off+n)
-	flat   EdgeTable    // tbl, for a view that brought no table
 	feats  tensor.Vec   // n·2m: φ(v)
 	nz     []int32      // h0Into's index buffer
 	hs     tensor.Vec   // (layers+1)·n·m
 	msgs   tensor.Vec   // layers·n·m
-	rows   []tensor.Vec // Rows' headers over the last plane of hs
+	rows   []tensor.Vec // a header per row of hs, plane after plane
 	dpre   tensor.Vec   // (layers+1)·n·m: dL/d(pre-activation) of hs, row for row
 	grad   tensor.Vec   // Backprop's: two n·m gradient planes, then dmsg and one product
 }
 
 // Rows returns the final hidden vectors of the most recent ForwardTape,
 // one length-m vector per vertex, aliasing the tape.
-func (tp *Tape) Rows() []tensor.Vec { return tp.rows }
+func (tp *Tape) Rows() []tensor.Vec { return tp.rows[len(tp.rows)-tp.n:] }
 
 // New returns a GCN with the given number of message-passing layers for
 // m-color problems, Xavier-initialized from rng.
@@ -204,42 +203,43 @@ func (g *GCN) Forward(view View) []tensor.Vec {
 //pbqpvet:hotpath
 func (g *GCN) ForwardTape(tp *Tape, view View) {
 	n, m := view.N(), g.m
-	tbl, off := edges(view, &tp.flat)
+	tbl, off := edges(view)
 	tp.tbl, tp.off, tp.n = tbl, off, n
 	tp.feats, tp.hs, tp.msgs = grow(tp.feats, n*2*m), grow(tp.hs, (g.layers+1)*n*m), grow(tp.msgs, g.layers*n*m)
+	tp.rows = tp.rows[:0]
+	for r := 0; r < (g.layers+1)*n; r++ {
+		//pbqpvet:ignore hotalloc header growth on first sight of a larger view; steady state reuses the slice
+		tp.rows = append(tp.rows, tp.hs[r*m:(r+1)*m:(r+1)*m])
+	}
 	for v := 0; v < n; v++ {
-		tp.nz = g.h0Into(tp.hs[v*m:(v+1)*m], tp.feats[v*2*m:(v+1)*2*m], tp.nz[:0], view.Vec(v))
+		tp.nz = g.h0Into(tp.rows[v], tp.feats[v*2*m:(v+1)*2*m], tp.nz[:0], view.Vec(v))
 	}
 	for l := 0; l < g.layers; l++ {
-		prev, next := tp.hs[l*n*m:(l+1)*n*m], tp.hs[(l+1)*n*m:(l+2)*n*m]
+		in, out := tp.rows[l*n:(l+1)*n], tp.rows[(l+1)*n:(l+2)*n]
 		for v := 0; v < n; v++ {
-			// an edgeless vertex keeps an unscaled all-zero message
-			msg := tp.msgs[(l*n+v)*m : (l*n+v+1)*m]
-			msg.Zero()
-			lo, hi := tbl.From(off+v, off)
-			for e := lo; e < hi; e++ {
-				u := int(tbl.Nbr[e]) - off
-				checkShape(tbl.Mat[e], m)
-				tbl.packed[e].addMulVec(msg, prev[u*m:(u+1)*m])
-			}
-			if hi > lo {
-				msg.Scale(1 / float64(hi-lo))
-			}
-			g.layerInto(next[v*m:(v+1)*m], l, prev[v*m:(v+1)*m], msg)
+			g.update(out[v], tp.msgs[(l*n+v)*m:(l*n+v+1)*m], l, tbl, off, v, in)
 		}
-	}
-	tp.rows = tp.rows[:0]
-	for v, out := 0, tp.hs[g.layers*n*m:]; v < n; v++ {
-		//pbqpvet:ignore hotalloc header growth on first sight of a larger view; steady state reuses the slice
-		tp.rows = append(tp.rows, out[v*m:(v+1)*m:(v+1)*m])
 	}
 }
 
-// layerInto writes layer l's update tanh(W_self·h + W_nbr·msg + b) into
-// o, folding in ascending j and combining as (self + nbr) + b like the
-// dense pass's MulVec and AddInPlace calls.
-func (g *GCN) layerInto(o tensor.Vec, l int, h, msg tensor.Vec) {
-	m, wself, wnbr, b := g.m, g.wself[l].W, g.wnbr[l].W, g.b[l].W
+// update is both passes' layer update: it writes into o layer l's row
+// for active vertex v of the window of tbl at off, given the layer's
+// input rows in. v's edges fold into msg in neighbor order, the mean
+// scales it (an edgeless vertex keeps an unscaled zero message), and
+// o = tanh(W_self·h + W_nbr·msg + b) folds in ascending j, combined as
+// (self + nbr) + b like the dense pass's MulVec and AddInPlace calls.
+func (g *GCN) update(o, msg tensor.Vec, l int, tbl *EdgeTable, off, v int, in []tensor.Vec) {
+	m := g.m
+	lo, hi := tbl.From(off+v, off)
+	msg.Zero()
+	for e := lo; e < hi; e++ {
+		checkShape(tbl.Mat[e], m)
+		tbl.packed[e].addMulVec(msg, in[int(tbl.Nbr[e])-off])
+	}
+	if hi > lo {
+		msg.Scale(1 / float64(hi-lo))
+	}
+	h, wself, wnbr, b := in[v], g.wself[l].W, g.wnbr[l].W, g.b[l].W
 	for i := range o {
 		ws, wn := wself[i*m:(i+1)*m], wnbr[i*m:(i+1)*m]
 		var s, t float64

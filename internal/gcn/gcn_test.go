@@ -8,6 +8,7 @@ import (
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/nn"
+	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/tensor"
 )
@@ -96,8 +97,8 @@ func TestMessagesPropagate(t *testing.T) {
 	g2 := buildPath(4, m)
 	g2.AddToVertexCost(0, cost.Vector{40, 0, 0})
 	net := New(rand.New(rand.NewSource(5)), m, 2)
-	h1 := net.Forward(g1)
-	h2 := net.Forward(g2)
+	h1 := net.Forward(NewGraphView(g1))
+	h2 := net.Forward(NewGraphView(g2))
 	diff := 0.0
 	for i := 0; i < m; i++ {
 		diff += math.Abs(h1[2][i] - h2[2][i])
@@ -115,47 +116,19 @@ func TestMessagesPropagate(t *testing.T) {
 	}
 }
 
-func buildPath(n, m int) *cheapGraph {
-	g := newCheapGraph(n, m)
-	for i := 0; i+1 < n; i++ {
-		g.connect(i, i+1)
-	}
-	return g
-}
-
-// cheapGraph is a minimal View for hop tests, with identity-ish edges.
-type cheapGraph struct {
-	n, m int
-	vecs []cost.Vector
-	nbrs [][]int
-	mat  *tensor.Mat
-}
-
-func newCheapGraph(n, m int) *cheapGraph {
-	g := &cheapGraph{n: n, m: m, nbrs: make([][]int, n)}
-	for i := 0; i < n; i++ {
-		g.vecs = append(g.vecs, cost.NewVector(m))
-	}
-	mat := tensor.NewMat(m, m)
+// buildPath returns an n-vertex path whose edges cost 1 on the
+// diagonal: every message carries its neighbor's row.
+func buildPath(n, m int) *pbqp.Graph {
+	g := pbqp.New(n, m)
+	mat := cost.NewMatrix(m, m)
 	for i := 0; i < m; i++ {
 		mat.Set(i, i, 1)
 	}
-	g.mat = mat
+	for i := 0; i+1 < n; i++ {
+		g.SetEdgeCost(i, i+1, mat)
+	}
 	return g
 }
-
-func (g *cheapGraph) connect(u, v int) {
-	g.nbrs[u] = append(g.nbrs[u], v)
-	g.nbrs[v] = append(g.nbrs[v], u)
-}
-
-func (g *cheapGraph) AddToVertexCost(u int, v cost.Vector) { g.vecs[u].AddInPlace(v) }
-
-func (g *cheapGraph) N() int                   { return g.n }
-func (g *cheapGraph) M() int                   { return g.m }
-func (g *cheapGraph) Vec(v int) cost.Vector    { return g.vecs[v] }
-func (g *cheapGraph) Nbrs(v int) []int         { return g.nbrs[v] }
-func (g *cheapGraph) Mat(_, _ int) *tensor.Mat { return g.mat }
 
 func TestGradientsNumerically(t *testing.T) {
 	view := testView(t, 6, 5, 3)

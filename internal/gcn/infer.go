@@ -210,7 +210,7 @@ type EdgeTable struct {
 
 	packed []*packedMat               // Mat's packed forms, edge for edge
 	kern   map[*tensor.Mat]*packedMat // the packed form of each matrix AddEdge has seen
-	frozen bool                       // a snapshot's table, one of many onto its game's slices, or a flattened view's: it takes no slots
+	frozen bool                       // a snapshot's table, one of many onto its game's slices: it takes no slots
 
 	// The slots below are owner's, filled while its generation was gen;
 	// they make a table, like the game it belongs to, single-goroutine.
@@ -257,14 +257,6 @@ type layerSlots struct {
 	out  []rowRef
 }
 
-// TableView is a View that is the window [off, n) onto an EdgeTable:
-// active vertex i is table vertex off+i, and its neighbors are the
-// table's that are ≥ off, in table order.
-type TableView interface {
-	View
-	EdgeTable() (tbl *EdgeTable, off int)
-}
-
 // From returns the range of u's edges whose neighbor is ≥ off.
 func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 	lo, hi = t.Start[u], t.Start[u+1]
@@ -274,30 +266,14 @@ func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 	return lo, hi
 }
 
-// edges resolves the directed edges of view for Infer and Forward alike:
-// a window onto an edge table brings them resolved and packed; any
-// other view is flattened into flat through Nbrs and Mat and packed,
-// once per call — a view that is evaluated more than once should bring
-// its table (NewGraphView builds one for a graph).
-func edges(view View, flat *EdgeTable) (tbl *EdgeTable, off int) {
-	if tv, ok := view.(TableView); ok {
-		tbl, off = tv.EdgeTable()
-		if len(tbl.packed) != len(tbl.Mat) {
-			panic(fmt.Sprintf("gcn: EdgeTable holds %d matrices but %d packed forms: every edge must enter a table through AddEdge", len(tbl.Mat), len(tbl.packed)))
-		}
-		return tbl, off
+// edges resolves the directed edges of view for Infer and Forward
+// alike: the window's table, which must have packed every matrix.
+func edges(view View) (tbl *EdgeTable, off int) {
+	tbl, off = view.EdgeTable()
+	if len(tbl.packed) != len(tbl.Mat) {
+		panic(fmt.Sprintf("gcn: EdgeTable holds %d matrices but %d packed forms: every edge must enter a table through AddEdge", len(tbl.Mat), len(tbl.packed)))
 	}
-	flat.Start, flat.Nbr, flat.Mat, flat.packed = flat.Start[:0], flat.Nbr[:0], flat.Mat[:0], flat.packed[:0]
-	clear(flat.kern) // a view need not keep a matrix's content from call to call
-	flat.frozen = true
-	for v, n := 0, view.N(); v < n; v++ {
-		flat.Start = append(flat.Start, int32(len(flat.Nbr)))
-		for _, u := range view.Nbrs(v) {
-			flat.AddEdge(u, view.Mat(v, u))
-		}
-	}
-	flat.Start = append(flat.Start, int32(len(flat.Nbr)))
-	return flat, 0
+	return tbl, off
 }
 
 // adopt points the slots at sc, emptying them if they were filled from
@@ -340,21 +316,17 @@ type rowRef struct {
 	id  uint64
 }
 
-// Scratch holds the reusable state of one Infer caller: the flattened
-// adjacency of a view that brings no edge table and the two memo maps.
+// Scratch holds the reusable state of one Infer caller: a layer's input
+// and output rows and the two memo maps.
 // A Scratch must not be shared between goroutines, and it belongs to
 // one network: after the network's weights change the owner must call
 // InvalidateWeights (net.PBQPNet does this on its training-mode and
 // weight-loading transitions).
 type Scratch struct {
-	feat    tensor.Vec // one vertex's 2m-feature buffer
-	featNZ  []int32    // ascending nonzero feature indices
-	mrow    tensor.Vec // one vertex's message buffer
-	rowsA   []rowRef
-	rowsB   []rowRef
-	rowsOut []tensor.Vec // Infer's return slice, aliasing cached rows
-
-	flat EdgeTable // the current view's edges when it is no TableView
+	feat   tensor.Vec // one vertex's 2m-feature buffer
+	featNZ []int32    // ascending nonzero feature indices
+	mrow   tensor.Vec // one vertex's message buffer
+	layer  [2]rowSet  // a layer's input rows and its output rows, in turn
 
 	lim    memoLimits
 	gen    uint64            // bumped by InvalidateWeights; see EdgeTable
@@ -362,6 +334,12 @@ type Scratch struct {
 	rows   map[string]rowRef // (layer, own row id, (kernel id, neighbor row id)…) → update output
 	nextID uint64
 	key    []byte // key buffer (h0, rows)
+}
+
+// rowSet is one layer's rows, one per active vertex, and their ids.
+type rowSet struct {
+	vec []tensor.Vec
+	id  []uint64
 }
 
 // newID returns a fresh never-reused row identity.
@@ -401,10 +379,13 @@ func (sc *Scratch) ensure(m, n int) {
 		sc.featNZ = make([]int32, 0, 2*m)
 		sc.key = make([]byte, 0, 8*m)
 	}
-	if cap(sc.rowsA) < n {
-		sc.rowsA, sc.rowsB, sc.rowsOut = make([]rowRef, n), make([]rowRef, n), make([]tensor.Vec, n)
+	for i := range sc.layer {
+		rs := &sc.layer[i]
+		if cap(rs.id) < n {
+			*rs = rowSet{make([]tensor.Vec, n), make([]uint64, n)}
+		}
+		*rs = rowSet{rs.vec[:n], rs.id[:n]}
 	}
-	sc.rowsA, sc.rowsB, sc.rowsOut = sc.rowsA[:n], sc.rowsB[:n], sc.rowsOut[:n]
 	if sc.h0 == nil {
 		sc.h0 = make(map[string]rowRef)
 		sc.rows = make(map[string]rowRef)
@@ -468,41 +449,40 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	sc.ensure(m, n)
 
 	// A live table takes sc's slots. A snapshot's is one of many onto its
-	// game and a flattened view's is rebuilt per call: they go to the maps.
-	tbl, off := edges(view, &sc.flat)
+	// game: it goes to the maps.
+	tbl, off := edges(view)
 	if !tbl.frozen {
 		tbl.adopt(sc, m, g.layers)
 	}
 
-	cur, nxt := sc.rowsA, sc.rowsB
+	cur, nxt := &sc.layer[0], &sc.layer[1]
 	for v := 0; v < n; v++ {
-		cur[v] = sc.h0Row(g, view.Vec(v), tbl, off+v)
+		r := sc.h0Row(g, view.Vec(v), tbl, off+v)
+		cur.vec[v], cur.id[v] = r.vec, r.id
 	}
 	for l := 0; l < g.layers; l++ {
 		for v := 0; v < n; v++ {
-			nxt[v] = sc.layerRow(g, l, tbl, off, v, cur)
+			r := sc.layerRow(g, l, tbl, off, v, cur)
+			nxt.vec[v], nxt.id[v] = r.vec, r.id
 		}
 		cur, nxt = nxt, cur
 	}
-	for v := 0; v < n; v++ {
-		sc.rowsOut[v] = cur[v].vec
-	}
-	return sc.rowsOut
+	return cur.vec
 }
 
 // layerRow returns layer l's output row for active vertex v of the
 // window of tbl at off, given the layer's input rows cur: from the
 // vertex's slot if its inputs are the slot's, else from the row memo,
-// else computed.
-func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []rowRef) rowRef {
-	u, self := off+v, cur[v]
+// else computed by update, the fold ForwardTape runs, and memoized.
+func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur *rowSet) rowRef {
+	u, self := off+v, cur.id[v]
 	lo, hi := tbl.From(u, off)
 	var slot *layerSlots
 	if tbl.lay != nil {
 		slot = &tbl.lay[l]
-		if slot.self[u] == self.id && slot.lo[u] == lo {
+		if slot.self[u] == self && slot.lo[u] == lo {
 			e := lo
-			for e < hi && slot.nbr[e] == cur[int(tbl.Nbr[e])-off].id {
+			for e < hi && slot.nbr[e] == cur.id[int(tbl.Nbr[e])-off] {
 				e++
 			}
 			if e == hi {
@@ -514,9 +494,9 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []row
 	// (the edge list's length). Edgeless vertices, exactly like Forward,
 	// get an unscaled all-zero message.
 	key := append(sc.key[:0], byte(l))
-	key = binary.LittleEndian.AppendUint64(key, self.id)
+	key = binary.LittleEndian.AppendUint64(key, self)
 	for e := lo; e < hi; e++ {
-		id := cur[int(tbl.Nbr[e])-off].id
+		id := cur.id[int(tbl.Nbr[e])-off]
 		if slot != nil {
 			slot.nbr[e] = id
 		}
@@ -526,10 +506,17 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur []row
 	sc.key = key
 	out, ok := sc.rows[string(key)]
 	if !ok {
-		out = sc.updateRow(g, l, tbl, off, lo, hi, self.vec, cur)
+		//pbqpvet:ignore hotalloc row memo fill on first sight of a (layer, row, edge list) key; later evaluations hit the memo
+		o := make(tensor.Vec, g.m)
+		g.update(o, sc.mrow, l, tbl, off, v, cur.vec)
+		if len(sc.rows) >= sc.lim.rows {
+			clear(sc.rows)
+		}
+		out = rowRef{vec: o, id: sc.newID()}
+		sc.rows[string(key)] = out
 	}
 	if slot != nil {
-		slot.lo[u], slot.self[u], slot.out[u] = lo, self.id, out
+		slot.lo[u], slot.self[u], slot.out[u] = lo, self, out
 	}
 	return out
 }
@@ -612,28 +599,4 @@ func (g *GCN) h0Into(dst, feat tensor.Vec, nz []int32, vec cost.Vector) []int32 
 		dst[i] = math.Tanh(s + bin[i])
 	}
 	return nz
-}
-
-// updateRow computes one vertex's layer output exactly as Forward does
-// — edges [lo, hi) folded into the message in neighbor order, then the
-// mean, then layerInto — and caches it under the key sc.key holds.
-func (sc *Scratch) updateRow(g *GCN, l int, tbl *EdgeTable, off int, lo, hi int32, hv tensor.Vec, cur []rowRef) rowRef {
-	m, mv := g.m, sc.mrow
-	mv.Zero()
-	for e := lo; e < hi; e++ {
-		checkShape(tbl.Mat[e], m)
-		tbl.packed[e].addMulVec(mv, cur[int(tbl.Nbr[e])-off].vec)
-	}
-	if cnt := hi - lo; cnt > 0 {
-		mv.Scale(1 / float64(cnt))
-	}
-	//pbqpvet:ignore hotalloc row memo fill on first sight of a (layer, row, edge list) key; later evaluations hit the memo
-	o := make(tensor.Vec, m)
-	g.layerInto(o, l, hv, mv)
-	if len(sc.rows) >= sc.lim.rows {
-		clear(sc.rows)
-	}
-	r := rowRef{vec: o, id: sc.newID()}
-	sc.rows[string(sc.key)] = r
-	return r
 }

@@ -232,8 +232,8 @@ func TestInferInvalidateWeights(t *testing.T) {
 	}
 }
 
-// windowView presents the vertices [off, n) of a GraphView as a
-// TableView, the way a game presents its uncolored suffix.
+// windowView presents the vertices [off, n) of a GraphView over its
+// table, the way a game presents its uncolored suffix.
 type windowView struct {
 	*GraphView
 	tbl *EdgeTable
@@ -241,13 +241,7 @@ type windowView struct {
 }
 
 func newWindowView(gv *GraphView) *windowView {
-	tbl := &EdgeTable{Start: make([]int32, gv.N()+1)}
-	for v := 0; v < gv.N(); v++ {
-		for _, u := range gv.Nbrs(v) {
-			tbl.AddEdge(u, gv.Mat(v, u))
-		}
-		tbl.Start[v+1] = int32(len(tbl.Nbr))
-	}
+	tbl, _ := gv.EdgeTable()
 	return &windowView{GraphView: gv, tbl: tbl}
 }
 
@@ -255,21 +249,9 @@ func (w *windowView) N() int                       { return w.GraphView.N() - w.
 func (w *windowView) Vec(i int) cost.Vector        { return w.GraphView.Vec(w.off + i) }
 func (w *windowView) EdgeTable() (*EdgeTable, int) { return w.tbl, w.off }
 
-func (w *windowView) Nbrs(i int) []int {
-	var out []int
-	for _, u := range w.GraphView.Nbrs(w.off + i) {
-		if u >= w.off {
-			out = append(out, u-w.off)
-		}
-	}
-	return out
-}
-
-func (w *windowView) Mat(i, j int) *tensor.Mat { return w.GraphView.Mat(w.off+i, w.off+j) }
-
 // TestInferEdgeTableBitIdenticalToForward drives Infer's edge-table
-// path over every window of a graph, against Forward reading the same
-// window through Nbrs/Mat. The table's memo must survive what can
+// path over every window of a graph, against Forward over the same
+// window, which keeps no memo. The table's memo must survive what can
 // happen to it between evaluations: a second Scratch taking it over,
 // its own Scratch being told the weights changed, the window moving
 // back as well as forward (Undo), and cost vectors changing under its

@@ -2,8 +2,8 @@ package gcn_test
 
 // The dense trainable pass, as it stood before Forward and Backward
 // moved onto the tape and the packed edge kernels: one matrix looked up
-// through View.Mat and one dense product per directed edge per layer, a
-// fresh vector for everything. It is the oracle the tape is held to,
+// in the view's table (MatOf, beside WindowNbrs) and one dense product
+// per directed edge per layer, a fresh vector for everything. It is the oracle the tape is held to,
 // bit for bit: every layer's rows, every message, every gradient tensor.
 
 import (
@@ -62,6 +62,18 @@ func (g *refGCN) params() []*nn.Param {
 	return ps
 }
 
+// nbrsOf and matOf read the window of view's table an edge at a time:
+// v's neighbors, and the matrix of edge (v, u), rows = v's color.
+func nbrsOf(view gcn.View, v int) []int {
+	tbl, off := view.EdgeTable()
+	return tbl.WindowNbrs(off+v, off)
+}
+
+func matOf(view gcn.View, v, u int) *tensor.Mat {
+	tbl, off := view.EdgeTable()
+	return tbl.MatOf(off+v, off+u)
+}
+
 func (g *refGCN) Forward(view gcn.View) []tensor.Vec {
 	n := view.N()
 	g.feats = make([]tensor.Vec, n)
@@ -84,9 +96,9 @@ func (g *refGCN) Forward(view gcn.View) []tensor.Vec {
 		wnbr := &tensor.Mat{R: g.m, C: g.m, W: g.wnbr[l].W}
 		for v := 0; v < n; v++ {
 			msg := tensor.NewVec(g.m)
-			nbrs := view.Nbrs(v)
+			nbrs := nbrsOf(view, v)
 			for _, u := range nbrs {
-				view.Mat(v, u).AddMulVec(msg, prev[u])
+				matOf(view, v, u).AddMulVec(msg, prev[u])
 			}
 			if len(nbrs) > 0 {
 				msg.Scale(1 / float64(len(nbrs)))
@@ -130,7 +142,7 @@ func (g *refGCN) Backward(view gcn.View, dH []tensor.Vec) {
 			g.b[l].G.AddInPlace(dpre)
 			nextGrad[v].AddInPlace(wself.MulTVec(dpre))
 			dmsg := wnbr.MulTVec(dpre)
-			nbrs := view.Nbrs(v)
+			nbrs := nbrsOf(view, v)
 			if len(nbrs) == 0 {
 				continue
 			}
@@ -138,7 +150,7 @@ func (g *refGCN) Backward(view gcn.View, dH []tensor.Vec) {
 			for _, u := range nbrs {
 				// d msg_v / d h_u = scale · M̃_vu, so the gradient
 				// flows back through M̃_vuᵀ = M̃_uv.
-				nextGrad[u].AddScaled(scale, view.Mat(u, v).MulVec(dmsg))
+				nextGrad[u].AddScaled(scale, matOf(view, u, v).MulVec(dmsg))
 			}
 		}
 		grad = nextGrad
@@ -329,7 +341,7 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 	o.sample("mixed live view, turn 4", st.View())
 	snap := st.Snapshot()
 	o.sample("mixed snapshot, turn 4", snap)
-	if got := snap.Nbrs(snap.N() - 1); len(got) != 0 {
+	if got := nbrsOf(snap, snap.N()-1); len(got) != 0 {
 		t.Fatalf("the last vertex was meant to be edgeless, has neighbors %v", got)
 	}
 	wire, err := selfplay.EncodeSamples([]selfplay.Sample{{View: snap, Pi: make(tensor.Vec, m)}})
@@ -350,13 +362,9 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 	}
 }
 
-// tableless hides a view's edge table, so the pass flattens it through
-// Nbrs and Mat.
-type tableless struct{ gcn.View }
-
 // contractViews is the view matrix of TestTapeBitIdenticalToDensePass,
-// as a list: live, snapshot, thawed, GraphView, table-less, an edgeless
-// vertex, a single vertex. Live views come from games of their own,
+// as a list: live, snapshot, thawed, GraphView, an edgeless vertex, a
+// single vertex. Live views come from games of their own,
 // which nothing moves afterwards.
 func contractViews(t *testing.T, m int) (names []string, views []gcn.View) {
 	t.Helper()
@@ -375,11 +383,10 @@ func contractViews(t *testing.T, m int) (names []string, views []gcn.View) {
 
 	g := mixedGraph(21, 17, m)
 	add("mixed GraphView", gcn.NewGraphView(g))
-	add("mixed table-less", tableless{gcn.NewGraphView(g)})
 	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
 	playSome(st, 4)
 	snap := st.Snapshot()
-	if got := snap.Nbrs(snap.N() - 1); len(got) != 0 {
+	if got := nbrsOf(snap, snap.N()-1); len(got) != 0 {
 		t.Fatalf("the last vertex was meant to be edgeless, has neighbors %v", got)
 	}
 	add("mixed snapshot with an edgeless vertex", snap)
@@ -493,18 +500,16 @@ func TestTapesFillConcurrently(t *testing.T) {
 	sameGradients(t, "concurrent tapes", g.Params(), serial.Params())
 }
 
-// badView is a two-vertex view whose one edge carries an r×c matrix and
-// whose vectors are vm long, in a network of m colors.
-type badView struct {
-	vm  int
-	mat *tensor.Mat
+// badView is a two-vertex view over a table built by AddEdge, whose one
+// edge carries mat in both directions and whose vectors are vm long.
+func badView(vm int, mat *tensor.Mat) gcn.View {
+	tbl := &gcn.EdgeTable{Start: []int32{0}}
+	for i := 0; i < 2; i++ {
+		tbl.AddEdge(1-i, mat)
+		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
+	}
+	return gcn.NewFrozenView(tbl, 0, vm, []cost.Vector{cost.NewVector(vm), cost.NewVector(vm)})
 }
-
-func (v badView) N() int                   { return 2 }
-func (v badView) M() int                   { return v.vm }
-func (v badView) Vec(int) cost.Vector      { return cost.NewVector(v.vm) }
-func (v badView) Nbrs(i int) []int         { return []int{1 - i} }
-func (v badView) Mat(_, _ int) *tensor.Mat { return v.mat }
 
 func panicOf(f func()) (msg string) {
 	defer func() { msg = fmt.Sprint(recover()) }()
@@ -513,29 +518,27 @@ func panicOf(f func()) (msg string) {
 }
 
 // TestTapeMismatchedShapesPanicLikeDensePass: a view that does not fit
-// the network is rejected with the dense pass's message, whether its
-// edges arrive through Nbrs/Mat or packed in a table.
+// the network — an m×(m+1) or (m+1)×m edge matrix, vectors of m−1
+// colors — is rejected by Forward and by Infer on a fresh Scratch with
+// the dense pass's message.
 func TestTapeMismatchedShapesPanicLikeDensePass(t *testing.T) {
 	const m = 4
-	for _, v := range []badView{
-		{vm: m, mat: tensor.NewMat(m, m+1)},
-		{vm: m, mat: tensor.NewMat(m+1, m)},
-		{vm: m - 1, mat: tensor.NewMat(m, m)},
-	} {
+	for _, bad := range []struct {
+		vm   int
+		r, c int
+	}{{m, m, m + 1}, {m, m + 1, m}, {m - 1, m, m}} {
+		view := badView(bad.vm, tensor.NewMat(bad.r, bad.c))
 		g := gcn.New(rand.New(rand.NewSource(1)), m, 2)
-		want := panicOf(func() { newRef(g).Forward(v) })
+		want := panicOf(func() { newRef(g).Forward(view) })
 		if want == "<nil>" {
-			t.Fatalf("the dense pass accepts %+v", v)
+			t.Fatalf("the dense pass accepts %+v", bad)
 		}
-		tbl := &gcn.EdgeTable{Start: []int32{0}}
-		for i := 0; i < 2; i++ {
-			tbl.AddEdge(1-i, v.mat)
-			tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
-		}
-		table := gcn.NewFrozenView(tbl, 0, v.vm, []cost.Vector{v.Vec(0), v.Vec(1)})
-		for name, view := range map[string]gcn.View{"flattened": v, "table": table} {
-			if got := panicOf(func() { g.Forward(view) }); got != want {
-				t.Errorf("%s view %+v: Forward panics with %q, the dense pass with %q", name, v, got, want)
+		for name, pass := range map[string]func(){
+			"Forward": func() { g.Forward(view) },
+			"Infer":   func() { g.Infer(view, &gcn.Scratch{}) },
+		} {
+			if got := panicOf(pass); got != want {
+				t.Errorf("%+v: %s panics with %q, the dense pass with %q", bad, name, got, want)
 			}
 		}
 	}
@@ -572,12 +575,7 @@ func TestEveryTableIsBuiltByAddEdge(t *testing.T) {
 	for name, view := range map[string]gcn.View{
 		"game.New": st.View(), "Snapshot": snap, "thawSample": thawed[0].View, "NewGraphView": gv,
 	} {
-		tv, ok := view.(gcn.TableView)
-		if !ok {
-			t.Errorf("%s: the view brings no edge table", name)
-			continue
-		}
-		if tbl, _ := tv.EdgeTable(); len(tbl.Mat) == 0 || !tbl.BuiltByAddEdge() {
+		if tbl, _ := view.EdgeTable(); len(tbl.Mat) == 0 || !tbl.BuiltByAddEdge() {
 			t.Errorf("%s: %d matrices, not all packed beside them", name, len(tbl.Mat))
 		}
 	}

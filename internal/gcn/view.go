@@ -7,7 +7,7 @@ import (
 )
 
 // GraphView adapts a pbqp.Graph (its alive vertices, compacted to
-// [0, N)) to the View interface: a TableView over the whole of an edge
+// [0, N)) to the View interface: a window over the whole of an edge
 // table of its own, built, transformed and packed once.
 type GraphView struct {
 	g   *pbqp.Graph
@@ -38,12 +38,10 @@ func NewGraphView(g *pbqp.Graph) *GraphView {
 func (v *GraphView) N() int                       { return len(v.ids) }
 func (v *GraphView) M() int                       { return v.g.M() }
 func (v *GraphView) Vec(i int) cost.Vector        { return v.g.VertexCost(v.ids[i]) }
-func (v *GraphView) Nbrs(i int) []int             { return v.tbl.WindowNbrs(i, 0) }
-func (v *GraphView) Mat(i, j int) *tensor.Mat     { return v.tbl.MatOf(i, j) }
 func (v *GraphView) EdgeTable() (*EdgeTable, int) { return &v.tbl, 0 }
 
 // WindowNbrs returns, window-relative, table vertex u's neighbors at or
-// after off: a TableView's Nbrs, for encoders and tests (it allocates).
+// after off, for encoders and tests (it allocates).
 func (t *EdgeTable) WindowNbrs(u, off int) (nbrs []int) {
 	for lo, hi := t.From(u, off); lo < hi; lo++ {
 		nbrs = append(nbrs, int(t.Nbr[lo])-off)
@@ -61,7 +59,7 @@ func (t *EdgeTable) MatOf(u, w int) *tensor.Mat {
 	return nil
 }
 
-// FrozenView is an immutable TableView, what a replay buffer holds: its
+// FrozenView is an immutable View, what a replay buffer holds: its
 // own copy of a window's cost vectors, in one allocation, over the
 // immutable slices of the table it was taken from — a game's, or a
 // decoded sample's own small one. Its table takes no slots.
@@ -85,6 +83,4 @@ func NewFrozenView(tbl *EdgeTable, off, m int, vecs []cost.Vector) *FrozenView {
 func (v *FrozenView) N() int                       { return len(v.tbl.Start) - 1 - v.off }
 func (v *FrozenView) M() int                       { return v.m }
 func (v *FrozenView) Vec(i int) cost.Vector        { return v.vecs[i*v.m : (i+1)*v.m : (i+1)*v.m] }
-func (v *FrozenView) Nbrs(i int) []int             { return v.tbl.WindowNbrs(v.off+i, v.off) }
-func (v *FrozenView) Mat(i, j int) *tensor.Mat     { return v.tbl.MatOf(v.off+i, v.off+j) }
 func (v *FrozenView) EdgeTable() (*EdgeTable, int) { return &v.tbl, v.off }

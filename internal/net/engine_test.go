@@ -47,18 +47,11 @@ func sameBits(t *testing.T, what string, prior, wantPrior tensor.Vec, value, wan
 	}
 }
 
-// vecView is a minimal edgeless View whose vertex-0 cost vector the
-// test controls exactly.
-type vecView struct {
-	m    int
-	vecs []cost.Vector
+// vecView is a minimal edgeless View whose cost vectors the test
+// controls exactly.
+func vecView(m int, vecs ...cost.Vector) gcn.View {
+	return gcn.NewFrozenView(&gcn.EdgeTable{Start: make([]int32, len(vecs)+1)}, 0, m, vecs)
 }
-
-func (v *vecView) N() int                   { return len(v.vecs) }
-func (v *vecView) M() int                   { return v.m }
-func (v *vecView) Vec(i int) cost.Vector    { return v.vecs[i] }
-func (v *vecView) Nbrs(int) []int           { return nil }
-func (v *vecView) Mat(_, _ int) *tensor.Mat { return nil }
 
 // TestPoolMeanSingleDivision is the golden test for the pooling fix:
 // the mean channel must be the per-element sum scaled by exactly one
@@ -68,7 +61,7 @@ func (v *vecView) Mat(_, _ int) *tensor.Mat { return nil }
 func TestPoolMeanSingleDivision(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	m := 5
-	view := &vecView{m: m, vecs: []cost.Vector{cost.NewVector(m)}}
+	view := vecView(m, cost.NewVector(m))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(9)
 		h := make([]tensor.Vec, n)
@@ -98,10 +91,10 @@ func TestPoolMeanSingleDivision(t *testing.T) {
 // finite value, not NaN probabilities.
 func TestEvaluateSaturatedVertex(t *testing.T) {
 	m := 4
-	view := &vecView{m: m, vecs: []cost.Vector{
+	view := vecView(m,
 		cost.NewInfVector(m), // next-to-color vertex: fully saturated
 		cost.NewVector(m),
-	}}
+	)
 	p := New(Config{M: m, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 82})
 	prior, value := scalarEvaluate(p, view)
 	for i, pr := range prior {

@@ -111,12 +111,13 @@ func TestSlotsEvictedMaps(t *testing.T) {
 // thaw rebuilds view over a table of its own the way selfplay's
 // thawSample does (which this package cannot import).
 func thaw(view gcn.View) gcn.View {
+	src, off := view.EdgeTable()
 	tbl := &gcn.EdgeTable{Start: []int32{0}}
 	var vecs []cost.Vector
 	for i := 0; i < view.N(); i++ {
 		vecs = append(vecs, view.Vec(i))
-		for _, j := range view.Nbrs(i) {
-			tbl.AddEdge(j, view.Mat(i, j))
+		for _, j := range src.WindowNbrs(off+i, off) {
+			tbl.AddEdge(j, src.MatOf(off+i, off+j))
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}

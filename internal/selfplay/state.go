@@ -72,19 +72,20 @@ type edgeMat struct {
 }
 
 // freezeSample converts a Sample to its serialized form through the
-// gcn.View interface, so it works for live snapshots and already-thawed
-// samples alike. Edge matrices are emitted in sorted neighbor order for
-// deterministic encodings.
+// view's edge table window, so it works for live snapshots and
+// already-thawed samples alike. Edge matrices are emitted in sorted
+// neighbor order for deterministic encodings.
 func freezeSample(s Sample) replaySample {
 	v := s.View
+	tbl, off := v.EdgeTable()
 	out := replaySample{M: v.M(), Pi: s.Pi, Z: s.Z}
 	for i := 0; i < v.N(); i++ {
 		out.Vecs = append(out.Vecs, v.Vec(i))
-		nbrs := append([]int(nil), v.Nbrs(i)...)
+		nbrs := tbl.WindowNbrs(off+i, off)
 		sort.Ints(nbrs)
 		var mats []edgeMat
 		for _, j := range nbrs {
-			mats = append(mats, edgeMat{J: j, Mat: v.Mat(i, j)})
+			mats = append(mats, edgeMat{J: j, Mat: tbl.MatOf(off+i, off+j)})
 		}
 		out.Nbrs = append(out.Nbrs, nbrs)
 		out.Mats = append(out.Mats, mats)
