@@ -8,6 +8,7 @@ package pbqprl_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -286,7 +287,7 @@ func TestRLBacktrackLossesSpendBudget(t *testing.T) {
 	base := net.New(experiments.DefaultNetConfig())
 	graphs, wins := poolGraphs(t), 0
 	for i, g := range graphs {
-		res, stats := (&rl.Solver{Net: base.Clone(), Cfg: serveRLBT}).SolveStats(g)
+		res, stats := (&rl.Solver{Net: base.Clone(), Cfg: serveRLBT}).SolveStats(context.Background(), g)
 		if res.Feasible {
 			wins++
 			continue

@@ -5,6 +5,9 @@
 //
 //	experiments [-run all|fig6|ate-k|searchspace|deadend|ktradeoff|llvm-cost|llvm-speedup|baselines] [-v]
 //
+// An argument that is not a flag, such as "fig6" with the -run
+// forgotten, is a usage error (exit 2), as is an unknown -run.
+//
 // Networks are trained on first use at laptop scale and cached under
 // os.TempDir()/pbqprl-nets, so the first invocation trains for a few
 // minutes and later ones start immediately.
@@ -22,6 +25,11 @@ func main() {
 	run := flag.String("run", "all", "experiment to run: all, fig6, ate-k, searchspace, deadend, ktradeoff, llvm-cost, llvm-speedup, baselines")
 	verbose := flag.Bool("v", false, "print per-step progress")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q\n", flag.Arg(0))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var progress func(string)
 	if *verbose {

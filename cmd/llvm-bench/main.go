@@ -21,12 +21,10 @@ import (
 	"slices"
 
 	"pbqprl/internal/experiments"
-	"pbqprl/internal/game"
 	"pbqprl/internal/llvmsuite"
 	"pbqprl/internal/net"
 	"pbqprl/internal/perfmodel"
 	"pbqprl/internal/regalloc"
-	"pbqprl/internal/rl"
 	"pbqprl/internal/solve/scholz"
 )
 
@@ -100,12 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			collect("PBQP-RL", func(in regalloc.Input) regalloc.Assignment {
 				g := regalloc.BuildPBQP(in)
 				base := (scholz.Solver{}).Solve(g)
-				s := &rl.Solver{Net: n, Cfg: rl.Config{
-					K: *k, Order: game.OrderFixed,
-					Baseline: base.Cost, HasBaseline: true, Graded: true, HeuristicValue: true,
-					MaxNodes: 2_000_000,
-				}}
-				asn, _ := regalloc.PBQPAlloc(in, s)
+				asn, _ := regalloc.PBQPAlloc(in, experiments.LLVMSolver(n, *k, base.Cost))
 				return asn
 			})
 		}

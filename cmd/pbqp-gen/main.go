@@ -15,7 +15,7 @@
 //
 //	0  the graph was written
 //	1  writing the graph or the DOT file failed
-//	2  usage error: a bad flag or an unknown -kind
+//	2  usage error: a bad flag, a stray argument or an unknown -kind
 package main
 
 import (
@@ -57,6 +57,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err == flag.ErrHelp {
 			return exitOK
 		}
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "pbqp-gen: unexpected argument %q\n", fs.Arg(0))
 		return exitUsage
 	}
 	fail := func(err error) int {

@@ -26,6 +26,7 @@ func TestExitCodes(t *testing.T) {
 		{"unknown kind", []string{"-kind", "nosuch"}, exitUsage, `unknown kind "nosuch"`},
 		{"bad flag", []string{"-nosuch"}, exitUsage, "-nosuch"},
 		{"bad value", []string{"-n", "many"}, exitUsage, "many"},
+		{"stray argument", []string{"-n", "8", "er"}, exitUsage, `unexpected argument "er"`},
 		{"dot unwritable", []string{"-n", "8", "-dot", filepath.Join(dir, "absent", "g.dot")}, exitError, "absent"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

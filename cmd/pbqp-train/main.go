@@ -120,6 +120,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "pbqp-train: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	logger := log.New(stderr, "pbqp-train: ", log.LstdFlags)
 	fail := func(err error) int {
 		logger.Print(err)

@@ -36,6 +36,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}{
 		{[]string{"-regime", "nope"}, `unknown regime "nope" (want ate or er)`},
 		{[]string{"-worker", "http://x"}, "flag provided but not defined: -worker"},
+		{[]string{"-iters", "1", "10"}, `unexpected argument "10"`},
 	} {
 		stdout, stderr := train(t, 2, tc.args...)
 		if !strings.Contains(stderr, tc.want) || !strings.Contains(stderr, "Usage of pbqp-train:") {

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -68,7 +69,7 @@ func main() {
 		ReinvokeMCTS: true,
 		MaxNodes:     1_000_000,
 	}}
-	res, stats := s.SolveStats(g)
+	res, stats := s.SolveStats(context.Background(), g)
 	if !res.Feasible {
 		fmt.Println("deep-rl solver: FAILED")
 		os.Exit(1)

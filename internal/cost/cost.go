@@ -222,6 +222,27 @@ func (v Vector) Equal(w Vector) bool {
 	return true
 }
 
+// WordHash hashes the words of costs, their math.Float64bits, so -0 and
+// +0 hash apart: a map key under which equal cost data meets, a hit
+// that SameBits then confirms.
+func WordHash(costs []Cost) uint64 {
+	var sum uint64
+	for _, c := range costs {
+		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
+	}
+	return sum
+}
+
+// SameBits reports whether a and b, of one length, hold the same words.
+func SameBits(a, b []Cost) bool {
+	for i := range a {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
+			return false
+		}
+	}
+	return true
+}
+
 // String renders the vector as "[a b c]".
 func (v Vector) String() string {
 	parts := make([]string, len(v))

@@ -253,6 +253,26 @@ func TestVectorEqual(t *testing.T) {
 	}
 }
 
+// TestWordHashAndSameBits: equal words hash alike and compare same;
+// the two zeros, which Equal calls equal, are different words.
+func TestWordHashAndSameBits(t *testing.T) {
+	negZero := Cost(math.Copysign(0, -1))
+	a := Vector{1, 0, Inf, 0.1}
+	if b := a.Clone(); WordHash(a) != WordHash(b) || !SameBits(a, b) {
+		t.Error("a copy hashes or compares differently")
+	}
+	z := Vector{1, negZero, Inf, 0.1}
+	if !a.Equal(z) {
+		t.Fatal("Equal tells -0 from +0")
+	}
+	if WordHash(a) == WordHash(z) || SameBits(a, z) || SameBits(z, a) {
+		t.Error("-0 and +0 meet under WordHash or SameBits")
+	}
+	if WordHash(Vector{1, 2}) == WordHash(Vector{2, 1}) {
+		t.Error("WordHash ignores the order of the words")
+	}
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(1, 2, 7)

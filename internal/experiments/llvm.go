@@ -8,6 +8,7 @@ import (
 	"pbqprl/internal/cost"
 	"pbqprl/internal/game"
 	"pbqprl/internal/llvmsuite"
+	"pbqprl/internal/mcts"
 	"pbqprl/internal/net"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/perfmodel"
@@ -37,6 +38,20 @@ func LLVMNet(progress func(string)) *net.PBQPNet {
 	return trainedNetWith(SpecLLVM(), llvmTrainingGraph, game.OrderFixed, "llvm", progress)
 }
 
+// LLVMSolver is the PBQP-RL allocator of E6, E7 and llvm-bench:
+// minimization inference with k MCTS simulations per coloring, in the
+// fixed order, against base, the Scholz–Eckstein cost of the same
+// graph. The game's lower bound (game.State.HeuristicValue) scores every
+// position the search adds. The seed stays zero: only
+// game.OrderRandom draws from it.
+func LLVMSolver(n mcts.Evaluator, k int, base cost.Cost) *rl.Solver {
+	return &rl.Solver{Net: n, Cfg: rl.Config{
+		K: k, Order: game.OrderFixed, MaxNodes: 2_000_000,
+		Baseline: base, HasBaseline: true,
+		LeafValue: (*game.State).HeuristicValue,
+	}}
+}
+
 // CostSumRow is one program of experiment E6.
 type CostSumRow struct {
 	Program string
@@ -60,27 +75,20 @@ func CostSums(progress func(string)) []CostSumRow {
 	for _, b := range llvmsuite.All() {
 		row := CostSumRow{Program: b.Prog.Name, RL: map[int]float64{}, Delta: map[int]float64{}}
 		type fnProblem struct {
-			in regalloc.Input
 			g  *pbqp.Graph
 			sc solve.Result
 		}
 		var problems []fnProblem
 		for i, f := range b.Prog.Funcs {
-			in := regalloc.NewInput(f, target, b.Allowed[i])
-			g := regalloc.BuildPBQP(in)
+			g := regalloc.BuildPBQP(regalloc.NewInput(f, target, b.Allowed[i]))
 			sc := (scholz.Solver{}).Solve(g)
 			row.PBQP += float64(sc.Cost)
-			problems = append(problems, fnProblem{in: in, g: g, sc: sc})
+			problems = append(problems, fnProblem{g: g, sc: sc})
 		}
 		for _, k := range KInferLLVM {
 			sum := 0.0
 			for _, p := range problems {
-				s := &rl.Solver{Net: n, Cfg: rl.Config{
-					K: k, Order: game.OrderFixed,
-					Baseline: p.sc.Cost, HasBaseline: true, Graded: true, HeuristicValue: true,
-					MaxNodes: 2_000_000, Seed: 3,
-				}}
-				res := s.Solve(p.g)
+				res := LLVMSolver(n, k, p.sc.Cost).Solve(p.g)
 				if res.Feasible {
 					sum += float64(res.Cost)
 				} else {
@@ -152,13 +160,7 @@ func Speedups(progress func(string)) []SpeedupRow {
 			cycles["GREEDY"] += perfmodel.EstimateFunc(f, regalloc.Greedy(in), params)
 			asn, sc := regalloc.PBQPAlloc(in, scholz.Solver{})
 			cycles["PBQP"] += perfmodel.EstimateFunc(f, asn, params)
-			rlSolver := &rl.Solver{Net: n, Cfg: rl.Config{
-				K: KInferLLVM[len(KInferLLVM)-1], Order: game.OrderFixed,
-				Baseline: sc.Cost, HasBaseline: true, Graded: true, HeuristicValue: true,
-				MaxNodes: 2_000_000, Seed: 3,
-			}}
-			rlAsn, rlRes := regalloc.PBQPAlloc(in, rlSolver)
-			_ = rlRes
+			rlAsn, _ := regalloc.PBQPAlloc(in, LLVMSolver(n, KInferLLVM[len(KInferLLVM)-1], sc.Cost))
 			cycles["PBQP-RL"] += perfmodel.EstimateFunc(f, rlAsn, params)
 		}
 		if progress != nil {

@@ -23,7 +23,6 @@ package game
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sort"
 
@@ -113,7 +112,6 @@ type State struct {
 	dead     int       // uncolored vertices with all-infinite vectors
 	undo     []undoRec // indexed by turn; a record's buffer outlives its Undo
 	baseline cost.Cost
-	graded   bool
 	killer   []int // Culprits' scratch, one turn per color
 }
 
@@ -172,12 +170,9 @@ func (in *interner) intern(mat *cost.Matrix) *distinct {
 	if d := in.byPtr[mat]; d != nil {
 		return d
 	}
-	var sum uint64
-	for _, c := range mat.Data {
-		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
-	}
+	sum := cost.WordHash(mat.Data)
 	d, taken := in.byContent[sum]
-	if !taken || !sameBits(d.src.Data, mat.Data) {
+	if !taken || !cost.SameBits(d.src.Data, mat.Data) {
 		d = newDistinct(mat)
 		if !taken {
 			in.byContent[sum] = d
@@ -208,16 +203,6 @@ func newDistinct(mat *cost.Matrix) *distinct {
 	}
 	d.start[mat.Rows] = int32(len(d.cols))
 	return d
-}
-
-// sameBits reports whether a and b, of one length, hold the same words.
-func sameBits(a, b []cost.Cost) bool {
-	for i := range a {
-		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
-			return false
-		}
-	}
-	return true
 }
 
 // New builds a game over g with the given coloring order (a permutation
@@ -282,19 +267,6 @@ func (s *State) Acc() cost.Cost { return s.acc }
 // SetBaseline sets the best player's cost for this episode; terminal
 // values compare against it (Section III-B).
 func (s *State) SetBaseline(c cost.Cost) { s.baseline = c }
-
-// Baseline returns the current baseline.
-func (s *State) Baseline() cost.Cost { return s.baseline }
-
-// SetGraded switches terminal values from the paper's ternary
-// win/tie/loss to a graded margin against the baseline. The ternary
-// reward is right for training (the competition of Section III-B) and
-// for the ATE zero/∞ regime, but during *minimization inference* every
-// coloring that fails to beat a strong baseline scores the same −1 and
-// the search cannot tell nearly-as-good from terrible; the graded value
-// (baseline − cost)/baseline, clamped to [−1, 1], restores the
-// gradient.
-func (s *State) SetGraded(g bool) { s.graded = g }
 
 // Legal reports whether coloring the next vertex with color a has
 // finite cost.
@@ -458,9 +430,6 @@ func (s *State) TerminalValue() float64 {
 	if s.DeadEnd() {
 		return -1
 	}
-	if s.graded {
-		return GradedReward(s.acc, s.baseline)
-	}
 	return CompareCosts(s.acc, s.baseline)
 }
 
@@ -482,10 +451,15 @@ func (s *State) LowerBound() cost.Cost {
 }
 
 // HeuristicValue scores the current position by comparing the
-// LowerBound against the baseline on the graded scale. It is a cheap
-// stand-in for the V-Net during minimization inference: optimistic (a
-// bound, not an estimate), which is exactly what UCT-style search
-// wants from an admissible heuristic.
+// LowerBound against the baseline on the graded scale. It is the leaf
+// value of minimization inference (mcts.Config.LeafValue), a cheap
+// stand-in for the V-Net: optimistic (a bound, not an estimate), which
+// is exactly what UCT-style search wants from an admissible heuristic.
+// At a finished position LowerBound is Acc, so a finished coloring
+// scores its margin against the baseline. The ternary TerminalValue,
+// right for training and for the ATE zero/∞ regime, scores every
+// coloring that fails to beat a strong baseline the same −1, and a
+// search on it cannot tell nearly-as-good from terrible.
 func (s *State) HeuristicValue() float64 {
 	return GradedReward(s.LowerBound(), s.baseline)
 }

@@ -35,12 +35,14 @@ const (
 
 // Config tunes the search.
 type Config struct {
-	// HeuristicValue replaces the DNN value at leaf evaluation with
-	// the game's lower-bound heuristic (see game.State.HeuristicValue);
-	// the DNN still supplies the priors. Used for minimization
-	// inference, where games are far deeper than the simulation budget
-	// and a weakly trained V-Net provides no usable signal.
-	HeuristicValue bool
+	// LeafValue, when set, scores every position the search adds that
+	// is not a dead end, finished ones included, in place of the DNN's
+	// value and the game's TerminalValue; the DNN still supplies the
+	// priors, and a dead end still scores -1. Minimization inference
+	// sets it to game.State.HeuristicValue: its games are far deeper
+	// than the simulation budget, and a weakly trained V-Net provides
+	// no usable signal.
+	LeafValue func(*game.State) float64
 	// RetainParents keeps the abandoned parent (and its sibling
 	// subtrees) reachable across Advance so that Back can walk the
 	// chain upward — required by the backtracking solver, which
@@ -160,19 +162,24 @@ func (t *Tree) simulate(s *game.State, nd *node) float64 {
 }
 
 // expand appends nd to the tree: terminal states take the game result,
-// other states are evaluated by the DNN (the roll-out phase).
+// other states are evaluated by the DNN (the roll-out phase), and
+// Config.LeafValue overrides the value of both but a dead end's.
 func (t *Tree) expand(s *game.State, nd *node) {
 	if s.Done() || s.DeadEnd() {
 		t.nodes++
 		nd.expanded = true
 		nd.terminal = true
 		nd.deadEnd = s.DeadEnd()
-		nd.value = s.TerminalValue()
+		if t.cfg.LeafValue != nil && !nd.deadEnd {
+			nd.value = t.cfg.LeafValue(s)
+		} else {
+			nd.value = s.TerminalValue()
+		}
 		return
 	}
 	prior, value := t.eval.Evaluate(s.View())
-	if t.cfg.HeuristicValue {
-		value = s.HeuristicValue()
+	if t.cfg.LeafValue != nil {
+		value = t.cfg.LeafValue(s)
 	}
 	t.grow(s, nd, prior, value)
 }

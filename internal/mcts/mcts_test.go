@@ -189,6 +189,39 @@ func TestDeadEndsPropagateLoss(t *testing.T) {
 	}
 }
 
+// TestLeafValueScoresAllButDeadEnds: a set LeafValue scores open and
+// finished positions alike, and a dead end still scores -1 without
+// consulting it.
+func TestLeafValueScoresAllButDeadEnds(t *testing.T) {
+	g := pbqp.New(2, 2)
+	g.SetVertexCost(0, cost.Vector{0, 0})
+	g.SetVertexCost(1, cost.Vector{0, cost.Inf})
+	mat := cost.NewMatrix(2, 2)
+	mat.Set(0, 0, cost.Inf) // coloring v0 with 0 kills v1
+	g.SetEdgeCost(0, 1, mat)
+	st := game.New(g, []int{0, 1})
+	var open, done int
+	leaf := func(s *game.State) float64 {
+		switch {
+		case s.DeadEnd():
+			t.Error("LeafValue called on a dead end")
+		case s.Done():
+			done++
+		default:
+			open++
+		}
+		return 0.25
+	}
+	tree := New(Uniform{}, 2, Config{LeafValue: leaf})
+	tree.Run(st, 20)
+	if open == 0 || done == 0 {
+		t.Fatalf("LeafValue scored %d open and %d finished positions; want both", open, done)
+	}
+	if q := tree.root.q; q[0] != -1 || q[1] != 0.25 {
+		t.Errorf("root Q = %v, want [-1 0.25]", q)
+	}
+}
+
 // valueBiasedEval gives a high prior to a fixed color, to test that the
 // prior steers early exploration.
 type valueBiasedEval struct{ favorite int }

@@ -518,12 +518,9 @@ func (ms *matrices) spelled(line []byte) (tail []byte, p [2]*cost.Matrix, ok boo
 // transpose. When the costs are an earlier line's, tail (if not nil) is
 // kept as their spelling.
 func (ms *matrices) pair(costs cost.Vector, m int, tail []byte) (uv, vu *cost.Matrix) {
-	var sum uint64
-	for _, c := range costs {
-		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
-	}
+	sum := cost.WordHash(costs)
 	p, taken := ms.words[sum]
-	if taken && sameBits(p[0].Data, costs) {
+	if taken && cost.SameBits(p[0].Data, costs) {
 		if tail != nil {
 			if ms.texts == nil {
 				ms.texts = map[string][2]*cost.Matrix{}
@@ -541,16 +538,6 @@ func (ms *matrices) pair(costs cost.Vector, m int, tail []byte) (uv, vu *cost.Ma
 		ms.words[sum] = [2]*cost.Matrix{uv, vu}
 	}
 	return uv, vu
-}
-
-// sameBits reports whether a and b, of one length, hold the same words.
-func sameBits(a, b []cost.Cost) bool {
-	for i := range a {
-		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
-			return false
-		}
-	}
-	return true
 }
 
 // parseCost classifies a cost token that is not a short unsigned

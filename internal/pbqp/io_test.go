@@ -336,7 +336,7 @@ func TestReadSharesIdenticalMatrices(t *testing.T) {
 			if op.touched(e.u, e.v) {
 				continue
 			}
-			if got := g.EdgeCost(e.u, e.v); got == nil || !sameBits(got.Data, e.m.Data) {
+			if got := g.EdgeCost(e.u, e.v); got == nil || !cost.SameBits(got.Data, e.m.Data) {
 				t.Errorf("%s on a sharing edge changed edge (%d,%d): %v, was %v", op.name, e.u, e.v, got, e.m)
 			}
 		}

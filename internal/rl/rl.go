@@ -51,13 +51,9 @@ type Config struct {
 	// coloring counts as a win (the ATE zero/infinity regime).
 	Baseline    cost.Cost
 	HasBaseline bool
-	// Graded switches terminal rewards from ternary win/tie/loss to
-	// the margin against the baseline — the right setting for
-	// minimization inference (see game.State.SetGraded).
-	Graded bool
-	// HeuristicValue uses the lower-bound heuristic instead of the
-	// V-Net at MCTS leaves (see mcts.Config.HeuristicValue).
-	HeuristicValue bool
+	// LeafValue, when set, scores the positions MCTS adds in place of
+	// the V-Net and the terminal reward (see mcts.Config.LeafValue).
+	LeafValue func(*game.State) float64
 }
 
 // Stats reports search effort beyond the solve.Result fields.
@@ -93,8 +89,7 @@ func (s *Solver) Name() string {
 
 // Solve implements solve.Solver.
 func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
-	res, _ := s.SolveStats(g)
-	return res
+	return s.SolveCtx(context.Background(), g)
 }
 
 // SolveCtx implements solve.Solver. The context is polled before
@@ -104,17 +99,12 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 // partial incumbent: on cancellation the result is infeasible with
 // Truncated set.
 func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	res, _ := s.SolveStatsCtx(ctx, g)
+	res, _ := s.SolveStats(ctx, g)
 	return res
 }
 
-// SolveStats solves g and additionally reports search statistics.
-func (s *Solver) SolveStats(g *pbqp.Graph) (solve.Result, Stats) {
-	return s.SolveStatsCtx(context.Background(), g)
-}
-
-// SolveStatsCtx is SolveStats under a context (see SolveCtx).
-func (s *Solver) SolveStatsCtx(ctx context.Context, g *pbqp.Graph) (solve.Result, Stats) {
+// SolveStats is SolveCtx that additionally reports search statistics.
+func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, Stats) {
 	cfg := s.Cfg
 	if cfg.K <= 0 {
 		cfg.K = 50
@@ -125,10 +115,9 @@ func (s *Solver) SolveStatsCtx(ctx context.Context, g *pbqp.Graph) (solve.Result
 	if cfg.HasBaseline {
 		st.SetBaseline(cfg.Baseline)
 	}
-	st.SetGraded(cfg.Graded)
 	// Backtracking re-roots at the parent after a dead end (Back), so
 	// the parent chain must stay alive; one-way runs let Advance free it.
-	tree := mcts.New(s.Net, g.M(), mcts.Config{HeuristicValue: cfg.HeuristicValue, RetainParents: cfg.Backtrack})
+	tree := mcts.New(s.Net, g.M(), mcts.Config{LeafValue: cfg.LeafValue, RetainParents: cfg.Backtrack})
 	run := &runner{ctx: ctx, cfg: cfg, st: st, tree: tree}
 
 	var ok bool

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestOneWaySolvesEasyGraph(t *testing.T) {
 		N: 15, M: 6, PEdge: 0.2, HardRatio: 0.2, PEdgeInf: 0.1,
 	})
 	s := &Solver{Net: mcts.Uniform{}, Cfg: Config{K: 25, Order: game.OrderDecLiberty}}
-	res, stats := s.SolveStats(g)
+	res, stats := s.SolveStats(context.Background(), g)
 	if !res.Feasible {
 		t.Fatalf("failed on an easy graph (deadends=%d)", stats.DeadEnds)
 	}
@@ -284,7 +285,7 @@ func TestBacktrackExact(t *testing.T) {
 				s := &Solver{Net: mcts.Uniform{}, Cfg: Config{
 					K: k, Order: order, Backtrack: true, ReinvokeMCTS: reinvoke, Seed: int64(i),
 				}}
-				res, stats := s.SolveStats(g)
+				res, stats := s.SolveStats(context.Background(), g)
 				jumps += stats.Jumps
 				forced += stats.Forced
 				if res.Feasible != exact.Feasible {
