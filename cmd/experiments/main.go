@@ -5,8 +5,11 @@
 //
 //	experiments [-run all|fig6|ate-k|searchspace|deadend|ktradeoff|llvm-cost|llvm-speedup|baselines] [-v]
 //
-// An argument that is not a flag, such as "fig6" with the -run
-// forgotten, is a usage error (exit 2), as is an unknown -run.
+// Exit status:
+//
+//	0  the selected experiments ran
+//	2  usage error: a bad flag, a stray argument (such as "fig6" with
+//	   the -run forgotten) or an unknown -run
 //
 // Networks are trained on first use at laptop scale and cached under
 // os.TempDir()/pbqprl-nets, so the first invocation trains for a few
@@ -16,60 +19,75 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"pbqprl/internal/experiments"
 )
 
-func main() {
-	run := flag.String("run", "all", "experiment to run: all, fig6, ate-k, searchspace, deadend, ktradeoff, llvm-cost, llvm-speedup, baselines")
-	verbose := flag.Bool("v", false, "print per-step progress")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "experiments: unexpected argument %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
+const (
+	exitOK    = 0
+	exitUsage = 2
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, writes the tables to stdout
+// and progress to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	runFlag := fs.String("run", "all", "experiment to run: all, fig6, ate-k, searchspace, deadend, ktradeoff, llvm-cost, llvm-speedup, baselines")
+	verbose := fs.Bool("v", false, "print per-step progress")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "experiments: unexpected argument %q\n", fs.Arg(0))
+		return exitUsage
 	}
 
 	var progress func(string)
 	if *verbose {
-		progress = func(s string) { fmt.Fprintln(os.Stderr, "# "+s) }
+		progress = func(s string) { fmt.Fprintln(stderr, "# "+s) }
 	}
-	out := os.Stdout
 
-	want := func(name string) bool { return *run == "all" || *run == name }
+	want := func(name string) bool { return *runFlag == "all" || *runFlag == name }
 	ran := false
 	if want("fig6") {
-		experiments.PrintFig6(out, experiments.Fig6(progress))
+		experiments.PrintFig6(stdout, experiments.Fig6(progress))
 		ran = true
 	}
 	if want("ate-k") {
-		experiments.PrintATESuccess(out, experiments.ATESuccess(progress))
+		experiments.PrintATESuccess(stdout, experiments.ATESuccess(progress))
 		ran = true
 	}
 	if want("searchspace") || want("baselines") {
-		experiments.PrintSearchSpace(out, experiments.SearchSpace(progress))
+		experiments.PrintSearchSpace(stdout, experiments.SearchSpace(progress))
 		ran = true
 	}
 	if want("deadend") {
-		experiments.PrintDeadEnd(out, experiments.DeadEndAblation(progress))
+		experiments.PrintDeadEnd(stdout, experiments.DeadEndAblation(progress))
 		ran = true
 	}
 	if want("ktradeoff") {
-		experiments.PrintKTradeoff(out, experiments.KTradeoff(progress))
+		experiments.PrintKTradeoff(stdout, experiments.KTradeoff(progress))
 		ran = true
 	}
 	if want("llvm-cost") {
-		experiments.PrintCostSums(out, experiments.CostSums(progress))
+		experiments.PrintCostSums(stdout, experiments.CostSums(progress))
 		ran = true
 	}
 	if want("llvm-speedup") {
-		experiments.PrintSpeedups(out, experiments.Speedups(progress))
+		experiments.PrintSpeedups(stdout, experiments.Speedups(progress))
 		ran = true
 	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *run)
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintf(stderr, "experiments: unknown experiment %q\n", *runFlag)
+		return exitUsage
 	}
+	return exitOK
 }

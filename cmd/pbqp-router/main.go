@@ -39,11 +39,19 @@
 // On SIGTERM or SIGINT the router drains gracefully: readyz flips to
 // 503, accepted requests finish, then it exits 0. A second signal —
 // or the drain timeout — forces exit 1.
+//
+// Exit status:
+//
+//	0  drained cleanly after a signal
+//	1  a forced drain or a listen failure
+//	2  usage error: a bad flag, a stray argument, or a missing or
+//	   malformed -backends
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -55,34 +63,53 @@ import (
 	"pbqprl/internal/router"
 )
 
-func main() {
-	addr := flag.String("addr", ":8722", "listen address")
-	backends := flag.String("backends", "", "comma-separated pbqp-serve base URLs (required)")
-	cacheBytes := flag.Int64("cache-bytes", 64<<20, "solution cache memory ceiling in bytes (negative disables)")
-	maxTries := flag.Int("max-tries", 4, "forwarding attempts per request across all backends")
-	backoffBase := flag.Duration("backoff-base", 25*time.Millisecond, "initial failover backoff")
-	backoffMax := flag.Duration("backoff-max", 500*time.Millisecond, "failover backoff ceiling")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive failures that trip a backend's circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 2*time.Second, "open-breaker wait before a half-open probe")
-	healthInterval := flag.Duration("health-interval", time.Second, "active /readyz probe period (0 disables)")
-	healthTimeout := flag.Duration("health-timeout", time.Second, "active probe timeout")
-	workers := flag.Int("workers", 256, "forwards in flight at once")
-	queue := flag.Int("queue", 512, "admission queue depth; beyond it requests are shed with 429")
-	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
-	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request budget when the client does not set one")
-	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
-	maxVertices := flag.Int("max-vertices", 0, "per-request vertex cap (0 = parser default)")
-	maxColors := flag.Int("max-colors", 0, "per-request color cap (0 = parser default)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight requests")
-	flag.Parse()
-	if flag.NArg() != 0 || *backends == "" {
-		fmt.Fprintln(os.Stderr, "usage: pbqp-router -backends http://h1:8723,http://h2:8723 [flags]")
-		flag.Usage()
-		os.Exit(1)
-	}
-	log.SetPrefix("pbqp-router: ")
-	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+const (
+	exitOK    = 0
+	exitError = 1
+	exitUsage = 2
+)
 
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, routes until a signal
+// drains the router, logs to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pbqp-router", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8722", "listen address")
+	backends := fs.String("backends", "", "comma-separated pbqp-serve base URLs (required)")
+	cacheBytes := fs.Int64("cache-bytes", 64<<20, "solution cache memory ceiling in bytes (negative disables)")
+	maxTries := fs.Int("max-tries", 4, "forwarding attempts per request across all backends")
+	backoffBase := fs.Duration("backoff-base", 25*time.Millisecond, "initial failover backoff")
+	backoffMax := fs.Duration("backoff-max", 500*time.Millisecond, "failover backoff ceiling")
+	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive failures that trip a backend's circuit breaker")
+	breakerCooldown := fs.Duration("breaker-cooldown", 2*time.Second, "open-breaker wait before a half-open probe")
+	healthInterval := fs.Duration("health-interval", time.Second, "active /readyz probe period (0 disables)")
+	healthTimeout := fs.Duration("health-timeout", time.Second, "active probe timeout")
+	workers := fs.Int("workers", 256, "forwards in flight at once")
+	queue := fs.Int("queue", 512, "admission queue depth; beyond it requests are shed with 429")
+	maxBody := fs.Int64("max-body", 4<<20, "request body size cap in bytes")
+	defaultDeadline := fs.Duration("default-deadline", 2*time.Second, "per-request budget when the client does not set one")
+	maxDeadline := fs.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
+	maxVertices := fs.Int("max-vertices", 0, "per-request vertex cap (0 = parser default)")
+	maxColors := fs.Int("max-colors", 0, "per-request color cap (0 = parser default)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight requests")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
+	}
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pbqp-router: "+format+"\n", a...)
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
+	logger := log.New(stderr, "pbqp-router: ", log.LstdFlags|log.Lmsgprefix)
+
+	// router.New fails only on the backend list, an empty one included.
 	rt, err := router.New(router.Config{
 		Backends:         splitList(*backends),
 		CacheBytes:       *cacheBytes,
@@ -99,10 +126,10 @@ func main() {
 		DefaultDeadline:  *defaultDeadline,
 		MaxDeadline:      *maxDeadline,
 		ReadLimits:       pbqp.ReadLimits{MaxVertices: *maxVertices, MaxColors: *maxColors},
-		Logf:             log.Printf,
+		Logf:             logger.Printf,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return usage("%v", err)
 	}
 
 	httpSrv := &http.Server{
@@ -111,10 +138,12 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	log.Printf("routing to %s, listening on %s", *backends, *addr)
-	if err := daemon.ServeUntilSignal(httpSrv, rt.Drain, *drainTimeout, log.Printf); err != nil {
-		log.Fatal(err)
+	logger.Printf("routing to %s, listening on %s", *backends, *addr)
+	if err := daemon.ServeUntilSignal(httpSrv, rt.Drain, *drainTimeout, logger.Printf); err != nil {
+		logger.Print(err)
+		return exitError
 	}
+	return exitOK
 }
 
 func splitList(spec string) []string {

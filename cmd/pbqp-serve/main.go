@@ -32,11 +32,19 @@
 // accepting solves (readyz flips to 503), finishes every accepted
 // request, then exits 0. A second signal — or the drain timeout —
 // forces exit 1.
+//
+// Exit status:
+//
+//	0  drained cleanly after a signal
+//	1  a forced drain, a -net that fails to load, or a listen failure
+//	2  usage error: a bad flag, a stray argument, an unknown -order or
+//	   an unknown stage in -chain
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -51,39 +59,58 @@ import (
 	"pbqprl/internal/solve/portfolio"
 )
 
-func main() {
-	addr := flag.String("addr", ":8723", "listen address")
-	workers := flag.Int("workers", 0, "solves in flight at once (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 128, "admission queue depth; beyond it requests are shed with 429")
-	maxBody := flag.Int64("max-body", 4<<20, "request body size cap in bytes")
-	defaultDeadline := flag.Duration("default-deadline", 2*time.Second, "per-request solve budget when the client does not set one")
-	maxDeadline := flag.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
-	chain := flag.String("chain", portfolio.DefaultChain, "default solver fallback chain (comma separated; prefix a stage with decomp: to route it through the big-graph decomposition pipeline)")
-	netPath := flag.String("net", "", "network checkpoint for rl stages (empty: uniform prior)")
-	k := flag.Int("k", 50, "MCTS simulations per action for rl stages")
-	orderFlag := flag.String("order", "dec", "coloring order for rl stages: fixed, random, inc, dec")
-	maxStates := flag.Int64("max-states", 50_000_000, "per-stage search budget")
-	maxVertices := flag.Int("max-vertices", 0, "per-request vertex cap (0 = parser default)")
-	maxColors := flag.Int("max-colors", 0, "per-request color cap (0 = parser default)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight solves")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: pbqp-serve [flags]")
-		flag.Usage()
-		os.Exit(1)
+const (
+	exitOK    = 0
+	exitError = 1
+	exitUsage = 2
+)
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command: it parses args, serves until a signal
+// drains the daemon, logs to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pbqp-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8723", "listen address")
+	workers := fs.Int("workers", 0, "solves in flight at once (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 128, "admission queue depth; beyond it requests are shed with 429")
+	maxBody := fs.Int64("max-body", 4<<20, "request body size cap in bytes")
+	defaultDeadline := fs.Duration("default-deadline", 2*time.Second, "per-request solve budget when the client does not set one")
+	maxDeadline := fs.Duration("max-deadline", 30*time.Second, "cap on client-requested deadlines")
+	chain := fs.String("chain", portfolio.DefaultChain, "default solver fallback chain (comma separated; prefix a stage with decomp: to route it through the big-graph decomposition pipeline)")
+	netPath := fs.String("net", "", "network checkpoint for rl stages (empty: uniform prior)")
+	k := fs.Int("k", 50, "MCTS simulations per action for rl stages")
+	orderFlag := fs.String("order", "dec", "coloring order for rl stages: fixed, random, inc, dec")
+	maxStates := fs.Int64("max-states", 50_000_000, "per-stage search budget")
+	maxVertices := fs.Int("max-vertices", 0, "per-request vertex cap (0 = parser default)")
+	maxColors := fs.Int("max-colors", 0, "per-request color cap (0 = parser default)")
+	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "how long a SIGTERM drain may wait for in-flight solves")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
 	}
-	log.SetPrefix("pbqp-serve: ")
-	log.SetFlags(log.LstdFlags | log.Lmsgprefix)
+	usage := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "pbqp-serve: "+format+"\n", a...)
+		return exitUsage
+	}
+	if fs.NArg() > 0 {
+		return usage("unexpected argument %q", fs.Arg(0))
+	}
 	order, err := game.ParseOrder(*orderFlag)
 	if err != nil {
-		log.Fatal(err)
+		return usage("%v", err)
 	}
+	logger := log.New(stderr, "pbqp-serve: ", log.LstdFlags|log.Lmsgprefix)
 
 	var evaluator func() mcts.Evaluator // nil: the uniform prior
 	if *netPath != "" {
 		base := experiments.LoadNet(*netPath)
 		if base == nil {
-			log.Fatalf("cannot load network %s", *netPath)
+			logger.Printf("cannot load network %s", *netPath)
+			return exitError
 		}
 		// Network evaluators carry the inference engine's scratch and
 		// memo tables; hand every request its own clone so worker
@@ -91,6 +118,7 @@ func main() {
 		evaluator = func() mcts.Evaluator { return base.Clone() }
 	}
 
+	// server.New fails only on the default chain.
 	srv, err := server.New(server.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,
@@ -103,10 +131,10 @@ func main() {
 		K:               *k,
 		Order:           order,
 		Evaluator:       evaluator,
-		Logf:            log.Printf,
+		Logf:            logger.Printf,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return usage("%v", err)
 	}
 
 	httpSrv := &http.Server{
@@ -115,8 +143,10 @@ func main() {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 
-	log.Printf("listening on %s", *addr)
-	if err := daemon.ServeUntilSignal(httpSrv, srv.Drain, *drainTimeout, log.Printf); err != nil {
-		log.Fatal(err)
+	logger.Printf("listening on %s", *addr)
+	if err := daemon.ServeUntilSignal(httpSrv, srv.Drain, *drainTimeout, logger.Printf); err != nil {
+		logger.Print(err)
+		return exitError
 	}
+	return exitOK
 }

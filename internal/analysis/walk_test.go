@@ -61,7 +61,7 @@ func TestLoaderModulePath(t *testing.T) {
 	}
 }
 
-// TestRepoClean is the acceptance gate in test form: the five analyzers
+// TestRepoClean is the acceptance gate in test form: the analyzers
 // must report nothing on the production tree (the same walk the driver
 // does for ./...). Everything deliberate is expected to carry a
 // pbqpvet:ignore with a reason.
@@ -85,6 +85,43 @@ func TestRepoClean(t *testing.T) {
 		}
 		for _, d := range diags {
 			t.Errorf("%s", d)
+		}
+	}
+}
+
+// TestEveryInternalPackageHasAnImporter fails on a package under
+// internal/ that no non-test package of the module imports: the linker
+// drops it from every binary, so only its own tests keep it alive.
+func TestEveryInternalPackageHasAnImporter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-module load is slow; run without -short")
+	}
+	l := testLoader(t)
+	dirs, err := PackageDirs(l.ModuleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	internal := l.ModulePath + "/internal/"
+	imported := map[string]bool{}
+	var want []string
+	for _, dir := range dirs {
+		pkg, err := l.LoadDir(dir)
+		if err != nil {
+			t.Fatalf("load %s: %v", dir, err)
+		}
+		if strings.HasPrefix(pkg.Path, internal) {
+			want = append(want, pkg.Path)
+		}
+		for _, imp := range pkg.Types.Imports() {
+			imported[imp.Path()] = true
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("found no packages under internal/")
+	}
+	for _, path := range want {
+		if !imported[path] {
+			t.Errorf("%s is imported by no non-test package of the module", path)
 		}
 	}
 }

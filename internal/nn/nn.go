@@ -1,7 +1,7 @@
 // Package nn is a small neural-network library with explicit forward and
 // backward passes: dense layers, ReLU/Tanh nonlinearities, an online
 // batch-normalization variant, residual blocks, softmax with
-// cross-entropy, SGD and Adam optimizers, and Xavier initialization.
+// cross-entropy, the Adam optimizer, and Xavier initialization.
 //
 // Modules process one sample at a time and cache the activations of the
 // most recent Forward call; Backward consumes that cache, accumulates
@@ -59,13 +59,6 @@ func SetTraining(m Module, training bool) {
 			t.SetTraining(training)
 		}
 	})
-}
-
-// ZeroGrads clears the gradients of every parameter of m.
-func ZeroGrads(m Module) {
-	for _, p := range m.Params() {
-		p.ZeroGrad()
-	}
 }
 
 // Dense is a fully connected layer y = W·x + b.

@@ -7,45 +7,6 @@ import (
 	"pbqprl/internal/tensor"
 )
 
-// Optimizer applies accumulated gradients to parameters.
-type Optimizer interface {
-	// Step updates every parameter from its accumulated gradient and
-	// clears the gradients.
-	Step(params []*Param)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param]tensor.Vec
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: make(map[*Param]tensor.Vec)}
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if s.Momentum == 0 {
-			p.W.AddScaled(-s.LR, p.G)
-		} else {
-			v, ok := s.vel[p]
-			if !ok {
-				v = tensor.NewVec(len(p.W))
-				s.vel[p] = v
-			}
-			for i := range v {
-				v[i] = s.Momentum*v[i] + p.G[i]
-				p.W[i] -= s.LR * v[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba 2015), the paper's choice for
 // training the networks.
 type Adam struct {
@@ -62,7 +23,8 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step updates every parameter from its accumulated gradient and
+// clears the gradients.
 func (a *Adam) Step(params []*Param) {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))

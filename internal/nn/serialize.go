@@ -33,7 +33,10 @@ func Visit(m Module, f func(Module)) {
 	}
 }
 
-// snapshot is the serialized form of a module's tensors.
+// snapshot is the serialized form of a list of tensors. SaveTensors
+// writes every tensor to Params and leaves State empty, but State stays:
+// gob writes each field name into the stream's type descriptor, so
+// dropping it would change the bytes of every saved network.
 type snapshot struct {
 	Params [][]float64
 	State  [][]float64
@@ -87,68 +90,4 @@ func collect(m Module) (params, state []tensor.Vec) {
 		}
 	})
 	return params, state
-}
-
-// Save serializes every parameter and state tensor of m.
-func Save(w io.Writer, m Module) error {
-	params, state := collect(m)
-	snap := snapshot{}
-	for _, p := range params {
-		snap.Params = append(snap.Params, p)
-	}
-	for _, s := range state {
-		snap.State = append(snap.State, s)
-	}
-	return gob.NewEncoder(w).Encode(snap)
-}
-
-// Load restores tensors saved by Save into an identically structured
-// module. It fails if the architecture (tensor counts or shapes) differs.
-func Load(r io.Reader, m Module) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("nn: decode checkpoint: %w", err)
-	}
-	params, state := collect(m)
-	if len(snap.Params) != len(params) || len(snap.State) != len(state) {
-		return fmt.Errorf("nn: checkpoint has %d/%d tensors, module wants %d/%d",
-			len(snap.Params), len(snap.State), len(params), len(state))
-	}
-	for i, p := range params {
-		if len(snap.Params[i]) != len(p) {
-			return fmt.Errorf("nn: parameter %d has length %d, want %d", i, len(snap.Params[i]), len(p))
-		}
-		copy(p, snap.Params[i])
-	}
-	for i, s := range state {
-		if len(snap.State[i]) != len(s) {
-			return fmt.Errorf("nn: state %d has length %d, want %d", i, len(snap.State[i]), len(s))
-		}
-		copy(s, snap.State[i])
-	}
-	return nil
-}
-
-// CopyInto copies every parameter and state tensor of src into dst,
-// which must have the identical architecture. It is how the self-play
-// trainer clones the current network into the best network.
-func CopyInto(dst, src Module) error {
-	sp, ss := collect(src)
-	dp, ds := collect(dst)
-	if len(sp) != len(dp) || len(ss) != len(ds) {
-		return fmt.Errorf("nn: architecture mismatch: %d/%d vs %d/%d tensors", len(sp), len(ss), len(dp), len(ds))
-	}
-	for i := range sp {
-		if len(sp[i]) != len(dp[i]) {
-			return fmt.Errorf("nn: parameter %d shape mismatch", i)
-		}
-		copy(dp[i], sp[i])
-	}
-	for i := range ss {
-		if len(ss[i]) != len(ds[i]) {
-			return fmt.Errorf("nn: state %d shape mismatch", i)
-		}
-		copy(ds[i], ss[i])
-	}
-	return nil
 }

@@ -17,6 +17,13 @@ func buildNet(seed int64) Module {
 	)
 }
 
+// tensors lists every parameter and state tensor of m, the list a
+// network saves.
+func tensors(m Module) []tensor.Vec {
+	params, state := Collect(m)
+	return append(params, state...)
+}
+
 func TestSaveLoadRoundTrip(t *testing.T) {
 	src := buildNet(1)
 	// touch batchnorm stats so state serialization is exercised
@@ -25,11 +32,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	SetTraining(src, false)
 
 	var buf bytes.Buffer
-	if err := Save(&buf, src); err != nil {
+	if err := SaveTensors(&buf, tensors(src)); err != nil {
 		t.Fatal(err)
 	}
 	dst := buildNet(2) // different init
-	if err := Load(&buf, dst); err != nil {
+	if err := LoadTensors(&buf, tensors(dst)); err != nil {
 		t.Fatal(err)
 	}
 	x := tensor.Vec{0.5, 0.25, -1}
@@ -42,48 +49,31 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestLoadRejectsWrongArchitecture(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, buildNet(1)); err != nil {
-		t.Fatal(err)
-	}
+	saved := tensors(buildNet(1))
 	rng := rand.New(rand.NewSource(3))
-	other := NewSequential(NewDense(rng, 3, 4))
-	if err := Load(&buf, other); err == nil {
-		t.Error("Load accepted a mismatched architecture")
+	for _, tc := range []struct {
+		name  string
+		other Module
+	}{
+		{"fewer tensors", NewSequential(NewDense(rng, 3, 4))},
+		{"same count, other shapes", NewSequential(
+			NewDense(rng, 3, 4), NewBatchNorm(4), &ReLU{},
+			NewResidual(NewSequential(NewDense(rng, 4, 4), &Tanh{})),
+			NewDense(rng, 4, 2),
+		)},
+	} {
+		var buf bytes.Buffer
+		if err := SaveTensors(&buf, saved); err != nil {
+			t.Fatal(err)
+		}
+		if err := LoadTensors(&buf, tensors(tc.other)); err == nil {
+			t.Errorf("%s: LoadTensors accepted a mismatched architecture", tc.name)
+		}
 	}
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if err := Load(bytes.NewReader([]byte("not a checkpoint")), buildNet(1)); err == nil {
-		t.Error("Load accepted garbage")
-	}
-}
-
-func TestCopyInto(t *testing.T) {
-	src, dst := buildNet(4), buildNet(5)
-	SetTraining(src, true)
-	src.Forward(tensor.Vec{2, 2, 2})
-	SetTraining(src, false)
-	if err := CopyInto(dst, src); err != nil {
-		t.Fatal(err)
-	}
-	x := tensor.Vec{-1, 0, 1}
-	a, b := src.Forward(x), dst.Forward(x)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("outputs differ after CopyInto")
-		}
-	}
-	// mutating dst must not affect src
-	dst.Params()[0].W[0] += 1
-	if src.Params()[0].W[0] == dst.Params()[0].W[0] {
-		t.Error("CopyInto aliased parameters")
-	}
-}
-
-func TestCopyIntoRejectsMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	if err := CopyInto(NewSequential(NewDense(rng, 2, 2)), buildNet(1)); err == nil {
-		t.Error("CopyInto accepted mismatched architectures")
+	if err := LoadTensors(bytes.NewReader([]byte("not a checkpoint")), tensors(buildNet(1))); err == nil {
+		t.Error("LoadTensors accepted garbage")
 	}
 }

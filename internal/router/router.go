@@ -58,9 +58,9 @@ import (
 	"time"
 
 	"pbqprl/internal/failpoint"
+	"pbqprl/internal/metrics"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/server"
-	"pbqprl/internal/server/metrics"
 )
 
 // Config tunes a Router. Backends is the only required field; every

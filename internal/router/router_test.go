@@ -19,9 +19,9 @@ import (
 	"time"
 
 	"pbqprl/internal/failpoint"
+	"pbqprl/internal/metrics"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/server"
-	"pbqprl/internal/server/metrics"
 )
 
 // fig2 is the paper's Figure 2 example — small, feasible, and solvable

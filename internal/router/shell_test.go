@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"pbqprl/internal/metrics"
 	"pbqprl/internal/server"
-	"pbqprl/internal/server/metrics"
 )
 
 // TestShellMatchesServer sends the same front-door requests to a

@@ -39,8 +39,8 @@ import (
 
 	"pbqprl/internal/game"
 	"pbqprl/internal/mcts"
+	"pbqprl/internal/metrics"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/server/metrics"
 	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/portfolio"
 )

@@ -8,7 +8,7 @@ import (
 	"strconv"
 	"time"
 
-	"pbqprl/internal/server/metrics"
+	"pbqprl/internal/metrics"
 )
 
 // Shell is the HTTP front door pbqp-serve and pbqp-router share: the
