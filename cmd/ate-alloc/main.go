@@ -6,7 +6,12 @@
 //
 // Usage:
 //
-//	ate-alloc [-program PRO1|...|PRO10|all] [-solver scholz|liberty|rl|rl-bt] [-k N] [-listing]
+//	ate-alloc [-program PRO1|...|PRO10|all] [-solver NAME] [-k N] [-listing]
+//
+// -solver is one stage name of pbqp-solve's chain grammar: brute,
+// scholz, liberty, anneal, rl or rl-bt, optionally prefixed decomp:.
+// The rl solvers use a network trained at k_train = 50 on first use
+// and the increasing-liberty order.
 //
 // Exit status:
 //
@@ -25,10 +30,8 @@ import (
 	"pbqprl/internal/ate"
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
-	"pbqprl/internal/rl"
-	"pbqprl/internal/solve"
-	"pbqprl/internal/solve/liberty"
-	"pbqprl/internal/solve/scholz"
+	"pbqprl/internal/mcts"
+	"pbqprl/internal/solve/portfolio"
 )
 
 const (
@@ -46,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ate-alloc", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	program := fs.String("program", "all", "PRO1..PRO10 or all")
-	solver := fs.String("solver", "rl-bt", "scholz, liberty, rl, or rl-bt")
+	solver := fs.String("solver", "rl-bt", "brute, scholz, liberty, anneal, rl, or rl-bt, optionally prefixed decomp:")
 	k := fs.Int("k", 25, "MCTS simulations per action for rl solvers")
 	listing := fs.Bool("listing", false, "print the program listing before allocating")
 	if err := fs.Parse(args); err != nil {
@@ -70,27 +73,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		suite = suite[i : i+1]
 	}
-	var s solve.Solver
-	switch *solver {
-	case "scholz":
-		s = scholz.Solver{}
-	case "liberty":
-		s = liberty.Solver{MaxStates: 50_000_000}
-	case "rl", "rl-bt":
-		n := experiments.TrainedNet(experiments.SpecK50(), func(line string) {
-			fmt.Fprintln(stderr, "# "+line)
-		})
-		// increasing-liberty is the robust order at laptop training
-		// scale (see EXPERIMENTS.md E1)
-		s = &rl.Solver{Net: n, Cfg: rl.Config{
-			K:            *k,
-			Order:        game.OrderIncLiberty,
-			Backtrack:    *solver == "rl-bt",
-			ReinvokeMCTS: true,
-			MaxNodes:     500_000,
-		}}
-	default:
-		return usage("unknown solver %q", *solver)
+	// increasing-liberty is the robust order at laptop training scale
+	// (see EXPERIMENTS.md E1); only an rl stage trains the net.
+	s, err := portfolio.Builder{
+		MaxStates: 50_000_000,
+		K:         *k,
+		Order:     game.OrderIncLiberty,
+		Evaluator: func() mcts.Evaluator {
+			return experiments.TrainedNet(experiments.SpecK50(), func(line string) {
+				fmt.Fprintln(stderr, "# "+line)
+			})
+		},
+	}.Stage(*solver)
+	if err != nil {
+		return usage("%v", err)
 	}
 
 	code := exitOK

@@ -7,9 +7,10 @@
 //	pbqp-gen [-kind er|zeroinf|large] [-n N] [-m M] [-pedge P] [-pinf P] [-seed S] [-dot out.dot] > problem.pbqp
 //
 // -kind large emits the big-graph workload for the decomposition
-// pipeline (pbqp-solve -decompose): chains of dense circulant clusters
-// joined by bridges, with -components connected components, clusters of
-// -cluster vertices, and -chords extra random edges per cluster.
+// pipeline (pbqp-solve -solver decomp:scholz): chains of dense
+// circulant clusters joined by bridges, with -components connected
+// components, clusters of -cluster vertices, and -chords extra random
+// edges per cluster.
 //
 // Exit status:
 //

@@ -1,33 +1,38 @@
 // Command pbqp-solve reads a PBQP problem in the textual format of
 // internal/pbqp (see `pbqp-solve -help` for the grammar) and solves it
-// with the selected solver or a deadline-aware solver portfolio.
+// with a deadline-aware solver chain.
 //
 // Usage:
 //
-//	pbqp-solve [-solver brute|scholz|liberty|anneal|rl|rl-bt] [-k N] [-order fixed|random|inc|dec]
-//	           [-timeout 50ms] [-portfolio] [-stats-json] file.pbqp
+//	pbqp-solve [-solver CHAIN] [-k N] [-order fixed|random|inc|dec]
+//	           [-timeout 50ms] [-stats-json] file.pbqp
 //
-// The rl solvers use an untrained (uniform-prior) network unless -net
-// points at a checkpoint produced by pbqp-train; -order and -net are
-// checked before the graph is read, whichever solver runs. -timeout
+// -solver is a comma-separated chain of stage names, the grammar of
+// pbqp-serve -chain: brute, scholz, liberty, anneal, rl or rl-bt (rl
+// with backtracking), each optionally prefixed decomp:. Every chain, a
+// single stage included, runs through internal/solve/portfolio, as in
+// pbqp-serve: the timeout is split across stages, a stage panic is
+// recovered, the chain stops at the first complete feasible answer, and
+// the cheapest feasible one wins. rl-bt,liberty,scholz is pbqp-serve's
+// default chain. The rl solvers use an untrained (uniform-prior) network unless
+// -net points at a checkpoint produced by pbqp-train; -order and -net
+// are checked before the graph is read, whichever solver runs. -timeout
 // bounds the wall-clock time of the whole solve; on expiry the best
 // selection found so far is printed and the result is marked
-// truncated. -portfolio ignores -solver and runs
-// portfolio.DefaultChain, deep-rl+backtrack → liberty → scholz (the
-// default chain of pbqp-serve), splitting the timeout across stages,
-// recovering stage panics, and keeping the cheapest feasible answer. -stats-json prints the per-stage portfolio.Stats report as
-// one JSON line on stderr (a single -solver reports as a one-stage
-// chain) — the same struct pbqp-serve returns in its responses.
+// truncated. -stats-json prints the per-stage portfolio.Stats report as
+// one JSON line on stderr — the same struct pbqp-serve returns in its
+// responses.
 //
-// -decompose routes the solve through the big-graph pipeline
+// A decomp: stage routes its solve through the big-graph pipeline
 // (internal/decomp): exact R0/R1/R2 reduction, block-cut splitting of
-// the residual, per-block solving with the selected solver, and
+// the residual, per-block solving with the named solver, and
 // recombination. -decomp-workers bounds component parallelism (0
-// auto-selects GOMAXPROCS for the stateless solvers and 1 for the rl
-// solvers, whose scratch buffers are not concurrency-safe). With
-// -stats-json, the decomposition statistics (eliminated vertices,
-// component/block counts, largest block) join the report under
-// "decomposition".
+// auto-selects GOMAXPROCS for the stateless solvers; the rl solvers,
+// whose scratch buffers are not concurrency-safe, always use 1). The
+// stage reports its decomposition statistics (eliminated vertices,
+// component/block counts, largest block, stage seconds) in two
+// "decomp:" lines under its stage line and, with -stats-json, under
+// the stage's "decomposition".
 //
 // Exit status:
 //
@@ -48,12 +53,10 @@ import (
 	"runtime"
 	"time"
 
-	"pbqprl/internal/decomp"
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/portfolio"
 )
 
@@ -71,16 +74,14 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pbqp-solve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	solver := fs.String("solver", "scholz", "brute, scholz, liberty, anneal, rl, or rl-bt (with backtracking)")
+	solver := fs.String("solver", "scholz", "solver chain: comma-separated brute, scholz, liberty, anneal, rl, or rl-bt (with backtracking), each optionally prefixed decomp:")
 	k := fs.Int("k", 50, "MCTS simulations per action for the rl solvers")
 	orderFlag := fs.String("order", "dec", "coloring order for rl solvers: fixed, random, inc, dec")
 	netPath := fs.String("net", "", "network checkpoint for rl solvers (empty: uniform prior)")
 	maxStates := fs.Int64("max-states", 50_000_000, "search budget")
 	timeout := fs.Duration("timeout", 0, "wall-clock budget for the solve (0 = unlimited); exceeding it returns the best-so-far with exit status 3")
-	usePortfolio := fs.Bool("portfolio", false, "run the "+portfolio.DefaultChain+" fallback chain under -timeout instead of -solver")
 	statsJSON := fs.Bool("stats-json", false, "print per-stage solver stats as JSON to stderr — the same portfolio.Stats struct pbqp-serve returns")
-	decompose := fs.Bool("decompose", false, "solve via the big-graph pipeline: reduce, split into biconnected blocks, solve blocks with the selected solver, recombine")
-	decompWorkers := fs.Int("decomp-workers", 0, "parallel component solves for -decompose (0 = GOMAXPROCS); rl solvers always solve components one at a time")
+	decompWorkers := fs.Int("decomp-workers", 0, "parallel component solves of a decomp: stage (0 = GOMAXPROCS); rl solvers always solve components one at a time")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return exitOK
@@ -112,23 +113,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		stages.Evaluator = func() mcts.Evaluator { return n }
 	}
-	names := []string{*solver}
-	if *usePortfolio {
-		names = portfolio.SplitChain(portfolio.DefaultChain)
-	}
-	if *decompose {
-		for i, name := range names {
-			names[i] = "decomp:" + name
-		}
-	}
-	chain, err := stages.Chain(names)
+	chain, err := stages.Chain(portfolio.SplitChain(*solver))
 	if err != nil {
 		return fail(err)
 	}
-	s := chain[0]
-	if *usePortfolio {
-		s = portfolio.New(*timeout, chain...)
-	}
+	p := portfolio.New(*timeout, chain...)
 
 	f, err := os.Open(fs.Arg(0))
 	if err != nil {
@@ -140,74 +129,34 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 
-	var res solve.Result
-	var stats *portfolio.Stats
-	var jsonStats *portfolio.Stats
-	var decompInfo *decomp.Info
-	if p, ok := s.(*portfolio.Solver); ok {
-		// The portfolio manages its own -timeout budget itself; per-stage
-		// outcomes are worth reporting.
-		r, st := p.SolveStats(context.Background(), g)
-		res, stats, jsonStats = r, &st, &st
-	} else {
-		//pbqpvet:ignore determinism -stats-json reports operational solve latency, never solver input
-		start := time.Now()
-		ctx, cancel := context.Background(), context.CancelFunc(func() {})
-		if *timeout > 0 {
-			ctx, cancel = context.WithTimeout(ctx, *timeout)
-		}
-		if ds, ok := s.(*decomp.Solver); ok {
-			r, di := ds.SolveWithInfo(ctx, g)
-			res, decompInfo = r, &di
-		} else if *timeout > 0 {
-			res = s.SolveCtx(ctx, g)
-		} else {
-			res = s.Solve(g)
-		}
-		cancel()
-		if *statsJSON {
-			// A single solver reports as a one-stage chain so CLI and
-			// service emit the same shape regardless of -portfolio.
-			winner := -1
-			if res.Feasible {
-				winner = 0
-			}
-			jsonStats = &portfolio.Stats{
-				Stages: []portfolio.Outcome{{Name: s.Name(), Result: res, Duration: time.Since(start)}},
-				Winner: winner,
-			}
-		}
-	}
-	if *statsJSON && jsonStats != nil {
-		data, err := json.Marshal(statsReport{Stats: jsonStats, Decomposition: decompInfo})
+	res, stats := p.SolveStats(context.Background(), g)
+	if *statsJSON {
+		data, err := json.Marshal(stats)
 		if err != nil {
 			return fail(err)
 		}
 		fmt.Fprintln(stderr, string(data))
 	}
 
-	fmt.Fprintf(stdout, "solver:    %s\n", s.Name())
+	fmt.Fprintf(stdout, "solver:    %s\n", p.Name())
 	fmt.Fprintf(stdout, "feasible:  %v\n", res.Feasible)
 	fmt.Fprintf(stdout, "truncated: %v\n", res.Truncated)
 	fmt.Fprintf(stdout, "states:    %d\n", res.States)
-	if decompInfo != nil {
-		fmt.Fprintf(stdout, "decomp:    eliminated %d of %d, residual %d in %d components / %d blocks (largest %d, cuts %d)\n",
-			decompInfo.Eliminated, decompInfo.OriginalVertices, decompInfo.ResidualVertices,
-			decompInfo.Components, decompInfo.Blocks, decompInfo.LargestBlock, decompInfo.CutVertices)
-		fmt.Fprintf(stdout, "decomp:    reduce %.3fs, csr %.3fs, block-cut %.3fs, block solves %.3fs, expand %.3fs\n",
-			decompInfo.Reduce, decompInfo.CSR, decompInfo.BlockCut, decompInfo.Solve, decompInfo.Expand)
-	}
-	if stats != nil {
-		for _, out := range stats.Stages {
-			switch {
-			case out.Skipped:
-				fmt.Fprintf(stdout, "stage %-22s skipped (budget exhausted or earlier stage succeeded)\n", out.Name+":")
-			case out.Panicked:
-				fmt.Fprintf(stdout, "stage %-22s PANICKED (%s) in %v\n", out.Name+":", out.PanicValue, out.Duration.Round(time.Microsecond))
-			default:
-				fmt.Fprintf(stdout, "stage %-22s feasible=%v truncated=%v states=%d in %v\n",
-					out.Name+":", out.Result.Feasible, out.Result.Truncated, out.Result.States, out.Duration.Round(time.Microsecond))
-			}
+	for _, out := range stats.Stages {
+		switch {
+		case out.Skipped:
+			fmt.Fprintf(stdout, "stage %-22s skipped (budget exhausted or earlier stage succeeded)\n", out.Name+":")
+		case out.Panicked:
+			fmt.Fprintf(stdout, "stage %-22s PANICKED (%s) in %v\n", out.Name+":", out.PanicValue, out.Duration.Round(time.Microsecond))
+		default:
+			fmt.Fprintf(stdout, "stage %-22s feasible=%v truncated=%v states=%d in %v\n",
+				out.Name+":", out.Result.Feasible, out.Result.Truncated, out.Result.States, out.Duration.Round(time.Microsecond))
+		}
+		if d := out.Decomposition; d != nil {
+			fmt.Fprintf(stdout, "decomp:    eliminated %d of %d, residual %d in %d components / %d blocks (largest %d, cuts %d)\n",
+				d.Eliminated, d.OriginalVertices, d.ResidualVertices, d.Components, d.Blocks, d.LargestBlock, d.CutVertices)
+			fmt.Fprintf(stdout, "decomp:    reduce %.3fs, csr %.3fs, block-cut %.3fs, block solves %.3fs, expand %.3fs\n",
+				d.Reduce, d.CSR, d.BlockCut, d.Solve, d.Expand)
 		}
 	}
 	if res.Feasible {
@@ -225,11 +174,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return exitInfeasible
 	}
 	return exitOK
-}
-
-// statsReport is the -stats-json line: the portfolio stage report plus,
-// when -decompose ran outside a portfolio, the decomposition statistics.
-type statsReport struct {
-	*portfolio.Stats
-	Decomposition *decomp.Info `json:"decomposition,omitempty"`
 }

@@ -2,11 +2,24 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
+
+	"pbqprl/internal/decomp"
+	"pbqprl/internal/pbqp"
+	"pbqprl/internal/randgraph"
+	"pbqprl/internal/server"
+	"pbqprl/internal/solve/portfolio"
 )
+
+const fig2 = "../../testdata/fig2.pbqp"
 
 // TestExitCodes pins each documented exit status of run.
 func TestExitCodes(t *testing.T) {
@@ -15,7 +28,6 @@ func TestExitCodes(t *testing.T) {
 	if err := os.WriteFile(infeasible, []byte("pbqp 2 2\nv 0 0 0\nv 1 0 0\ne 0 1 inf inf inf inf\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	const fig2 = "../../testdata/fig2.pbqp"
 	for _, tc := range []struct {
 		name   string
 		args   []string
@@ -29,6 +41,8 @@ func TestExitCodes(t *testing.T) {
 		{"missing file", []string{filepath.Join(t.TempDir(), "absent.pbqp")}, exitError, "", "absent.pbqp"},
 		{"infeasible", []string{infeasible}, exitInfeasible, "feasible:  false", ""},
 		{"truncated", []string{"-solver", "brute", "-timeout", "1ns", fig2}, exitTruncated, "truncated: true", ""},
+		{"chain", []string{"-solver", "liberty,scholz", fig2}, exitOK, "solver:    portfolio(liberty→scholz)", ""},
+		{"decomp stage", []string{"-solver", "decomp:scholz", fig2}, exitOK, "decomp:    eliminated 3 of 3", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -42,5 +56,70 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr %q lacks %q", &stderr, tc.stderr)
 			}
 		})
+	}
+}
+
+// TestMatchesServer solves the same graphs with the same chains through
+// run -stats-json and through pbqp-serve's handler: the stage names,
+// results and decomposition counts agree, durations and stage seconds
+// aside.
+func TestMatchesServer(t *testing.T) {
+	// The graph of `pbqp-gen -kind zeroinf -n 30 -seed 3`.
+	g, _ := randgraph.ZeroInf(rand.New(rand.NewSource(3)), randgraph.ZeroInfConfig{
+		N: 30, M: 13, PEdge: 0.2, HardRatio: 0.4, PEdgeInf: 0.25,
+	})
+	var buf bytes.Buffer
+	if err := pbqp.Write(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	zeroinf := filepath.Join(t.TempDir(), "zeroinf.pbqp")
+	if err := os.WriteFile(zeroinf, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// untimed zeroes what varies from run to run.
+	untimed := func(st portfolio.Stats) portfolio.Stats {
+		for i := range st.Stages {
+			st.Stages[i].Duration = 0
+			if d := st.Stages[i].Decomposition; d != nil {
+				d.StageSeconds = decomp.StageSeconds{}
+			}
+		}
+		return st
+	}
+	for _, path := range []string{fig2, zeroinf} {
+		body, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chain := range []string{"scholz", "liberty,scholz", "decomp:scholz"} {
+			var stdout, stderr bytes.Buffer
+			if code := run([]string{"-solver", chain, "-stats-json", path}, &stdout, &stderr); code != exitOK {
+				t.Fatalf("%s on %s: exit %d\n%s", chain, path, code, &stderr)
+			}
+			var cli portfolio.Stats
+			if err := json.Unmarshal(stderr.Bytes(), &cli); err != nil {
+				t.Fatalf("%s on %s: %v\n%s", chain, path, err, &stderr)
+			}
+
+			req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+			req.Header.Set(server.HeaderChain, chain)
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, req)
+			var resp server.SolveResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || rec.Code != http.StatusOK {
+				t.Fatalf("%s on %s: HTTP %d %v\n%s", chain, path, rec.Code, err, rec.Body)
+			}
+
+			if got, want := untimed(cli), untimed(resp.Stats); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s on %s:\npbqp-solve %+v\npbqp-serve %+v", chain, path, got, want)
+			}
+			if strings.HasPrefix(chain, "decomp:") && cli.Stages[0].Decomposition == nil {
+				t.Errorf("%s on %s: no decomposition report", chain, path)
+			}
+		}
 	}
 }

@@ -55,8 +55,8 @@ type Solver struct {
 // one at a time.
 func Wrap(inner solve.Solver) *Solver { return &Solver{Inner: inner} }
 
-// Info reports what the decomposition did to one instance; the CLI
-// surfaces it under -stats-json.
+// Info reports what the decomposition did to one instance; a portfolio
+// reports it in a decomp: stage's Outcome.
 type Info struct {
 	// OriginalVertices is the alive vertex count of the input.
 	OriginalVertices int `json:"original_vertices"`

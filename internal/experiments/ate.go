@@ -230,7 +230,7 @@ type DeadEndRow struct {
 	OKWithMCTS, OKWithout bool
 }
 
-// DeadEndAblation reproduces experiment E4: variant (d) at k_infer = 25
+// DeadEndAblation reproduces experiment E4: variant (c) at k_infer = 25
 // with and without re-invoking MCTS at the parent of a dead end. The
 // paper found no tangible difference.
 func DeadEndAblation(progress func(string)) []DeadEndRow {
@@ -312,7 +312,7 @@ func KTradeoff(progress func(string)) []KTradeoffRow {
 
 // PrintKTradeoff renders E5.
 func PrintKTradeoff(w io.Writer, rows []KTradeoffRow) {
-	fmt.Fprintln(w, "\nSection V-B — k_train/k_infer trade-off (total nodes over PRO1-10, backtracking, dec-liberty)")
+	fmt.Fprintln(w, "\nSection V-B — k_train/k_infer trade-off (total nodes over PRO1-10, backtracking, inc-liberty)")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-10s nodes=%-10d failures=%d\n", r.Label, r.TotalNodes, r.Failures)
 	}

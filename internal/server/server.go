@@ -71,7 +71,7 @@ type Config struct {
 	// DefaultChain is the solver fallback chain used when the request
 	// does not select one, in portfolio.Builder's stage names.
 	// Default: portfolio.DefaultChain, the same chain as pbqp-solve
-	// -portfolio. A "decomp:" stage solves its components one at a
+	// -solver rl-bt,liberty,scholz. A "decomp:" stage solves its components one at a
 	// time; the server already runs Workers requests in parallel.
 	DefaultChain []string
 	// MaxStates is the per-stage search budget. Default: 50,000,000.

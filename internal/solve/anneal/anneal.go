@@ -19,16 +19,19 @@ import (
 	"pbqprl/internal/solve"
 )
 
+const (
+	// t0 and t1 are the initial and final temperatures of the
+	// geometric schedule.
+	t0, t1 = 2.0, 0.01
+	// violationPenalty converts one infinite selected entry into a
+	// finite energy term.
+	violationPenalty = 1000.0
+)
+
 // Solver is a simulated-annealing PBQP solver.
 type Solver struct {
 	// Steps is the number of proposals (default 200 × vertices).
 	Steps int
-	// T0 and T1 are the initial and final temperatures of the
-	// geometric schedule (defaults 2.0 and 0.01).
-	T0, T1 float64
-	// ViolationPenalty converts one infinite selected entry into a
-	// finite energy term (default 1000).
-	ViolationPenalty float64
 	// Restarts is the number of independent annealing runs; the best
 	// result wins (default 4). Restarts after a feasible run keep
 	// searching for lower cost; infeasible runs always retry.
@@ -40,17 +43,16 @@ type Solver struct {
 // Name implements solve.Solver.
 func (Solver) Name() string { return "anneal" }
 
-// energy is the annealing objective: finite cost plus a penalty per
+// totalEnergy is the annealing objective: finite cost plus a penalty per
 // selected infinite entry.
-func (s Solver) energy(g *pbqp.Graph, sel pbqp.Selection) (float64, int) {
-	penalty := s.ViolationPenalty
+func totalEnergy(g *pbqp.Graph, sel pbqp.Selection) (float64, int) {
 	e := 0.0
 	violations := 0
 	for _, u := range g.Vertices() {
 		c := g.VertexCost(u)[sel[u]]
 		if c.IsInf() {
 			violations++
-			e += penalty
+			e += violationPenalty
 		} else {
 			e += float64(c)
 		}
@@ -59,7 +61,7 @@ func (s Solver) energy(g *pbqp.Graph, sel pbqp.Selection) (float64, int) {
 		c := edge.M.At(sel[edge.U], sel[edge.V])
 		if c.IsInf() {
 			violations++
-			e += penalty
+			e += violationPenalty
 		} else {
 			e += float64(c)
 		}
@@ -113,15 +115,6 @@ func (s Solver) solveOnce(ctx context.Context, g *pbqp.Graph, seed int64, random
 	if s.Steps == 0 {
 		s.Steps = 200 * len(vs)
 	}
-	if s.T0 == 0 {
-		s.T0 = 2.0
-	}
-	if s.T1 == 0 {
-		s.T1 = 0.01
-	}
-	if s.ViolationPenalty == 0 {
-		s.ViolationPenalty = 1000
-	}
 	rng := rand.New(rand.NewSource(seed))
 	m := g.M()
 
@@ -148,13 +141,13 @@ func (s Solver) solveOnce(ctx context.Context, g *pbqp.Graph, seed int64, random
 			sel[u] = rng.Intn(m)
 		}
 	}
-	energy, _ := s.energy(g, sel)
+	energy, _ := totalEnergy(g, sel)
 	best := sel.Clone()
 	bestEnergy := energy
 	var states int64
 
-	cooling := math.Pow(s.T1/s.T0, 1/float64(s.Steps))
-	temp := s.T0
+	cooling := math.Pow(t1/t0, 1/float64(s.Steps))
+	temp := t0
 	truncated := false
 	for step := 0; step < s.Steps; step++ {
 		states++
@@ -168,7 +161,7 @@ func (s Solver) solveOnce(ctx context.Context, g *pbqp.Graph, seed int64, random
 		if next == old {
 			continue
 		}
-		delta := s.moveDelta(g, sel, u, next)
+		delta := moveDelta(g, sel, u, next)
 		if delta <= 0 || rng.Float64() < math.Exp(-delta/temp) {
 			sel[u] = next
 			energy += delta
@@ -192,19 +185,19 @@ func (s Solver) solveOnce(ctx context.Context, g *pbqp.Graph, seed int64, random
 
 // moveDelta computes the energy change of recoloring u to next, looking
 // only at u's vector entry and incident edges.
-func (s Solver) moveDelta(g *pbqp.Graph, sel pbqp.Selection, u, next int) float64 {
+func moveDelta(g *pbqp.Graph, sel pbqp.Selection, u, next int) float64 {
 	old := sel[u]
-	e := s.term(g.VertexCost(u)[next]) - s.term(g.VertexCost(u)[old])
+	e := term(g.VertexCost(u)[next]) - term(g.VertexCost(u)[old])
 	for _, v := range g.Neighbors(u) {
 		m := g.EdgeCost(u, v)
-		e += s.term(m.At(next, sel[v])) - s.term(m.At(old, sel[v]))
+		e += term(m.At(next, sel[v])) - term(m.At(old, sel[v]))
 	}
 	return e
 }
 
-func (s Solver) term(c cost.Cost) float64 {
+func term(c cost.Cost) float64 {
 	if c.IsInf() {
-		return s.ViolationPenalty
+		return violationPenalty
 	}
 	return float64(c)
 }

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/decomp"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/solve"
 )
@@ -41,6 +42,9 @@ type Outcome struct {
 	// Skipped reports that the stage never ran because the budget (or
 	// the caller's context) was already exhausted.
 	Skipped bool `json:"skipped,omitempty"`
+	// Decomposition reports what a decomp: stage's pipeline did to the
+	// graph; nil for every other stage.
+	Decomposition *decomp.Info `json:"decomposition,omitempty"`
 }
 
 // Stats reports a full portfolio run.
@@ -146,7 +150,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 		}
 		//pbqpvet:ignore determinism per-stage wall time is reporting only; it never feeds back into solver decisions
 		start := time.Now()
-		res, panicked, panicVal := runStage(stageCtx, stage, g, logf)
+		res, info, panicked, panicVal := runStage(stageCtx, stage, g, logf)
 		if cancel != nil {
 			cancel()
 		}
@@ -157,6 +161,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 			continue
 		}
 		out.Result = res
+		out.Decomposition = info
 		best.States += res.States
 		if res.Truncated {
 			deadlineHit = true
@@ -190,8 +195,9 @@ const maxGraphLogBytes = 64 << 10
 // runStage runs one solver under its stage context, converting a panic
 // into a recovered failure. The graph is cloned first so a stage that
 // dies mid-mutation (or violates the no-mutate contract) cannot poison
-// later stages, and the original serialization is logged for repro.
-func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(string, ...any)) (res solve.Result, panicked bool, panicVal string) {
+// later stages, and the original serialization is logged for repro. A
+// decomp: stage also returns its decomposition statistics.
+func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(string, ...any)) (res solve.Result, info *decomp.Info, panicked bool, panicVal string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
@@ -201,5 +207,9 @@ func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(str
 				sv.Name(), r, pbqp.Elide(g.String(), maxGraphLogBytes), debug.Stack())
 		}
 	}()
-	return sv.SolveCtx(ctx, g.Clone()), false, ""
+	if d, ok := sv.(*decomp.Solver); ok {
+		res, di := d.SolveWithInfo(ctx, g.Clone())
+		return res, &di, false, ""
+	}
+	return sv.SolveCtx(ctx, g.Clone()), nil, false, ""
 }

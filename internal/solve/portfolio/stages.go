@@ -16,9 +16,8 @@ import (
 )
 
 // DefaultChain is the fallback chain pbqp-serve runs when a request
-// selects none and pbqp-solve -portfolio runs: the paper's Deep-RL
-// solver with backtracking, then liberty enumeration, then
-// Scholz–Eckstein.
+// selects none: the paper's Deep-RL solver with backtracking, then
+// liberty enumeration, then Scholz–Eckstein.
 const DefaultChain = "rl-bt,liberty,scholz"
 
 // SplitChain splits a comma-separated chain spelling into stage names,
