@@ -63,6 +63,12 @@ import (
 	"pbqprl/internal/selfplay"
 )
 
+const (
+	exitOK    = 0
+	exitError = 1
+	exitUsage = 2
+)
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -118,24 +124,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ckptKeep := fs.Int("checkpoint-keep", 3, "checkpoints retained on disk")
 	resume := fs.Bool("resume", false, "resume from the newest valid checkpoint in -checkpoint-dir")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
 	}
 	if fs.NArg() > 0 {
 		fmt.Fprintf(stderr, "pbqp-train: unexpected argument %q\n", fs.Arg(0))
 		fs.Usage()
-		return 2
+		return exitUsage
 	}
 	logger := log.New(stderr, "pbqp-train: ", log.LstdFlags)
 	fail := func(err error) int {
 		logger.Print(err)
-		return 1
+		return exitError
 	}
 
 	cfg, err := selfplayConfig(*regime, *meanN, *episodes, *ktrain, *seed)
 	if err != nil {
 		fmt.Fprintf(stderr, "pbqp-train: %v\n", err)
 		fs.Usage()
-		return 2
+		return exitUsage
 	}
 	cfg.Workers = *workers
 	cfg.Logf = logger.Printf
@@ -161,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		select {
 		case <-sigc:
 			logger.Printf("second signal: forcing immediate exit")
-			os.Exit(1)
+			os.Exit(exitError)
 		case <-returned:
 		}
 	}()
@@ -220,7 +229,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 					return fail(err)
 				}
 				logger.Printf("interrupted during iteration %d; state checkpointed to %s — rerun with -resume", trainer.Iter()+1, store.Dir())
-				return 0
+				return exitOK
 			}
 			// divergence or another unrecoverable error: do NOT
 			// checkpoint the poisoned state
@@ -247,5 +256,5 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	fmt.Fprintf(stdout, "saved best network to %s\n", *out)
-	return 0
+	return exitOK
 }

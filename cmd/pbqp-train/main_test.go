@@ -48,6 +48,25 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestHelpExitsZero: asking for the usage is not a usage error.
+func TestHelpExitsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string // a flag the usage must name
+	}{
+		{"help", []string{"-help"}, "-regime"},
+	} {
+		stdout, stderr := train(t, exitOK, tc.args...)
+		if !strings.Contains(stderr, "Usage of pbqp-train:") || !strings.Contains(stderr, tc.want) {
+			t.Errorf("%s: stderr lacks the usage or %q:\n%s", tc.name, tc.want, stderr)
+		}
+		if stdout != "" {
+			t.Errorf("%s: wrote to stdout: %q", tc.name, stdout)
+		}
+	}
+}
+
 // checkpointSHA pins, per regime, the SHA-256 of the checkpoint that
 // `-iters 1 -episodes 2 -ktrain 2 -mean-n 10` (seed 1) writes — replay
 // queue, Adam moments, RNG position: selfplayConfig's constants are the

@@ -42,6 +42,12 @@ import (
 	"pbqprl/internal/analysis"
 )
 
+const (
+	exitOK       = 0
+	exitFindings = 1
+	exitUsage    = 2
+)
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout))
 }
@@ -53,7 +59,10 @@ func run(args []string, out io.Writer) int {
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	counts := fs.Bool("counts", false, "append per-analyzer totals of findings and //pbqpvet:ignore sites")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		if err == flag.ErrHelp {
+			return exitOK
+		}
+		return exitUsage
 	}
 
 	analyzers := analysis.All()
@@ -61,7 +70,7 @@ func run(args []string, out io.Writer) int {
 		for _, a := range analyzers {
 			fmt.Fprintf(out, "%-12s %s\n", a.Name, a.Doc)
 		}
-		return 0
+		return exitOK
 	}
 	if *only != "" {
 		analyzers = analyzers[:0]
@@ -69,7 +78,7 @@ func run(args []string, out io.Writer) int {
 			a := analysis.ByName(strings.TrimSpace(name))
 			if a == nil {
 				fmt.Fprintf(os.Stderr, "pbqp-vet: unknown analyzer %q\n", name)
-				return 2
+				return exitUsage
 			}
 			analyzers = append(analyzers, a)
 		}
@@ -82,27 +91,27 @@ func run(args []string, out io.Writer) int {
 	dirs, err := expandPatterns(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbqp-vet: %v\n", err)
-		return 2
+		return exitUsage
 	}
 
 	loader, err := analysis.NewLoader(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbqp-vet: %v\n", err)
-		return 2
+		return exitUsage
 	}
 	var pkgs []*analysis.Package
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "pbqp-vet: %v\n", err)
-			return 2
+			return exitUsage
 		}
 		pkgs = append(pkgs, pkg)
 	}
 	findings, err := analysis.RunModule(pkgs, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbqp-vet: %v\n", err)
-		return 2
+		return exitUsage
 	}
 
 	if *jsonOut {
@@ -113,7 +122,7 @@ func run(args []string, out io.Writer) int {
 		}
 		if err := enc.Encode(findings); err != nil {
 			fmt.Fprintf(os.Stderr, "pbqp-vet: %v\n", err)
-			return 2
+			return exitUsage
 		}
 	} else {
 		for _, d := range findings {
@@ -127,9 +136,9 @@ func run(args []string, out io.Writer) int {
 		if !*jsonOut {
 			fmt.Fprintf(out, "pbqp-vet: %d finding(s)\n", len(findings))
 		}
-		return 1
+		return exitFindings
 	}
-	return 0
+	return exitOK
 }
 
 // printCounts renders the suppression census: per-analyzer totals of

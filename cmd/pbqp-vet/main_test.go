@@ -73,6 +73,24 @@ func TestRunUnknownAnalyzer(t *testing.T) {
 	}
 }
 
+// TestRunHelp: asking for the usage is not a usage error.
+func TestRunHelp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"help", []string{"-help"}},
+	} {
+		var out bytes.Buffer
+		if code := run(tc.args, &out); code != exitOK {
+			t.Errorf("%s: exit code = %d, want %d", tc.name, code, exitOK)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: wrote to stdout: %q", tc.name, out.String())
+		}
+	}
+}
+
 func TestRunList(t *testing.T) {
 	var out bytes.Buffer
 	if code := run([]string{"-list"}, &out); code != 0 {

@@ -30,11 +30,13 @@ const infThreshold = Cost(math.MaxFloat64 / 4)
 // IsInf reports whether c represents the infinite cost.
 func (c Cost) IsInf() bool { return c >= infThreshold }
 
-// IsZero reports whether c is the exact finite zero cost. Zero is the
-// additive identity of the zero/infinity ATE regime — it is assigned,
-// never accumulated through rounding — so the exact comparison is
-// sound. Use it instead of a raw c == 0 outside this package.
-func (c Cost) IsZero() bool { return !c.IsInf() && c == 0 }
+// IsZero reports whether c is the exact finite zero cost (zero is
+// below infThreshold, so no infinite cost compares equal to it). Zero
+// is the additive identity of the zero/infinity ATE regime — it is
+// assigned, never accumulated through rounding — so the exact
+// comparison is sound. Use it instead of a raw c == 0 outside this
+// package.
+func (c Cost) IsZero() bool { return c == 0 }
 
 // Add returns c + d, saturating at Inf if either operand is infinite.
 func (c Cost) Add(d Cost) Cost {

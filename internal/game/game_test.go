@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/gcn"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
 )
@@ -327,6 +328,29 @@ func TestPlayUndoWarmAllocFree(t *testing.T) {
 		st.Undo()
 	}); n != 0 {
 		t.Fatalf("a warm Play/Undo pair allocates %.1f times", n)
+	}
+}
+
+// viewSink keeps the views TestViewAllocations takes alive past the call.
+var viewSink gcn.View
+
+// TestViewAllocations: a live view, which a search takes at every leaf
+// it evaluates, allocates nothing; a snapshot allocates its copy of the
+// window's vectors and their headers, and nothing else.
+func TestViewAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	g, hidden := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
+		N: 30, M: 6, PEdge: 0.4, HardRatio: 0.4, PEdgeInf: 0.3,
+	})
+	st := New(g, MakeOrder(g, OrderFixed, nil))
+	for u := 0; u < 10; u++ {
+		st.Play(hidden[u])
+	}
+	if n := testing.AllocsPerRun(100, func() { viewSink = st.View() }); n != 0 {
+		t.Errorf("View allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { viewSink = st.Snapshot() }); n > 2 {
+		t.Errorf("Snapshot allocates %.1f times, want at most 2", n)
 	}
 }
 

@@ -37,23 +37,6 @@ import (
 	"pbqprl/internal/tensor"
 )
 
-// View is the graph a GCN embeds: the uncolored remainder of a PBQP
-// problem in reduced form, as a window onto an edge table. Its edge
-// matrices are the table's, transformed (TransformMatrix is the
-// canonical conversion) and packed by AddEdge.
-type View interface {
-	// N returns the number of active vertices, addressed as [0, N).
-	N() int
-	// M returns the color count.
-	M() int
-	// Vec returns active vertex v's current cost vector.
-	Vec(v int) cost.Vector
-	// EdgeTable returns the table and the window's offset: active
-	// vertex v is table vertex off+v, and its neighbors are the table's
-	// that are ≥ off, in table order.
-	EdgeTable() (tbl *EdgeTable, off int)
-}
-
 const (
 	// infFeature is the numeric stand-in for an infinite cost after
 	// transformation. Finite costs squash into [0, 1); infinity maps

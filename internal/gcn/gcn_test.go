@@ -17,7 +17,28 @@ func testView(t *testing.T, seed int64, n, m int) View {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: m, PEdge: 0.5, PInf: 0.1})
-	return NewGraphView(g)
+	return graphView(g)
+}
+
+// graphView is a window over the whole of an edge table built, packed
+// and transformed from g's alive vertices (compacted to [0, N)), as
+// game.New builds a game's, and reading g's cost vectors in place.
+func graphView(g *pbqp.Graph) View {
+	ids := g.Vertices()
+	pos := make(map[int]int, len(ids)) // graph vertex -> active index
+	for i, u := range ids {
+		pos[u] = i
+	}
+	tbl := &EdgeTable{Start: make([]int32, 1, len(ids)+1)}
+	vecs := make([]cost.Vector, len(ids))
+	for i, u := range ids {
+		vecs[i] = g.VertexCost(u)
+		for _, w := range g.Neighbors(u) {
+			tbl.AddEdge(pos[w], TransformMatrix(g.EdgeCost(u, w)))
+		}
+		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
+	}
+	return NewView(tbl, 0, g.M(), vecs)
 }
 
 func TestFeaturize(t *testing.T) {
@@ -78,8 +99,8 @@ func TestEmbeddingDependsOnCosts(t *testing.T) {
 	g2 := g1.Clone()
 	g2.AddToVertexCost(0, cost.Vector{50, 0, 0})
 	net := New(rand.New(rand.NewSource(4)), 3, 2)
-	h1 := net.Forward(NewGraphView(g1))
-	h2 := net.Forward(NewGraphView(g2))
+	h1 := net.Forward(graphView(g1))
+	h2 := net.Forward(graphView(g2))
 	diff := 0.0
 	for i := range h1[0] {
 		diff += math.Abs(h1[0][i] - h2[0][i])
@@ -97,8 +118,8 @@ func TestMessagesPropagate(t *testing.T) {
 	g2 := buildPath(4, m)
 	g2.AddToVertexCost(0, cost.Vector{40, 0, 0})
 	net := New(rand.New(rand.NewSource(5)), m, 2)
-	h1 := net.Forward(NewGraphView(g1))
-	h2 := net.Forward(NewGraphView(g2))
+	h1 := net.Forward(graphView(g1))
+	h2 := net.Forward(graphView(g2))
 	diff := 0.0
 	for i := 0; i < m; i++ {
 		diff += math.Abs(h1[2][i] - h2[2][i])
@@ -177,7 +198,7 @@ func TestGradientsOnDisconnectedGraph(t *testing.T) {
 	// no edges: only W_in/b_in and the self paths receive gradient
 	rng := rand.New(rand.NewSource(8))
 	g := randgraph.ErdosRenyi(rng, randgraph.Config{N: 4, M: 2, PEdge: 0, PInf: 0.1})
-	view := NewGraphView(g)
+	view := graphView(g)
 	net := New(rand.New(rand.NewSource(9)), 2, 1)
 	h := net.Forward(view)
 	dH := make([]tensor.Vec, len(h))

@@ -202,7 +202,7 @@ func (k *packedMat) addMulVec(dst, x tensor.Vec) {
 // Every edge enters a table through AddEdge, which packs its matrix:
 // Nbr, Mat and the packed forms stay parallel, and the passes reject a
 // table assembled any other way. What AddEdge builds is immutable, so a
-// snapshot's table shares it.
+// snapshot (View.Freeze) shares it.
 type EdgeTable struct {
 	Start []int32       // len n+1: vertex u owns edges [Start[u], Start[u+1])
 	Nbr   []int32       // neighbor of each edge, ascending within a vertex
@@ -210,10 +210,11 @@ type EdgeTable struct {
 
 	packed []*packedMat               // Mat's packed forms, edge for edge
 	kern   map[*tensor.Mat]*packedMat // the packed form of each matrix AddEdge has seen
-	frozen bool                       // a snapshot's table, one of many onto its game's slices: it takes no slots
 
-	// The slots below are owner's, filled while its generation was gen;
-	// they make a table, like the game it belongs to, single-goroutine.
+	// The slots below are owner's, filled while its generation was gen,
+	// by Infer over a live view; they make a table's live window, like
+	// the game it belongs to, single-goroutine. Frozen views leave them
+	// alone.
 	// They hold, per vertex, the inputs of the last evaluation and the
 	// rows that came out: the cost vector with its h⁰ row, and per layer
 	// the update's inputs with its output row. Successive leaves of a
@@ -269,7 +270,7 @@ func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 // edges resolves the directed edges of view for Infer and Forward
 // alike: the window's table, which must have packed every matrix.
 func edges(view View) (tbl *EdgeTable, off int) {
-	tbl, off = view.EdgeTable()
+	tbl, off = view.tbl, view.off
 	if len(tbl.packed) != len(tbl.Mat) {
 		panic(fmt.Sprintf("gcn: EdgeTable holds %d matrices but %d packed forms: every edge must enter a table through AddEdge", len(tbl.Mat), len(tbl.packed)))
 	}
@@ -431,8 +432,8 @@ func checkShape(mat *tensor.Mat, m int) {
 // the mean (its divisor is the list's length) and the tanh layer —
 // computed once, by the fold Forward runs, and replayed by one key
 // build and one map probe, for a live game, its snapshots and their
-// decoded copies alike. Where the view is a window onto a live table,
-// the table's per-vertex slots sit in front of both maps: a vertex
+// decoded copies alike. Where the view is live (not frozen), the
+// table's per-vertex slots sit in front of both maps: a vertex
 // whose cost vector, or whose own and neighbor row ids, are what they
 // were at the last evaluation of the game takes its row from the slot
 // and touches no map at all. Replaying a memoized row is exact, not
@@ -448,21 +449,23 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	m := g.m
 	sc.ensure(m, n)
 
-	// A live table takes sc's slots. A snapshot's is one of many onto its
-	// game: it goes to the maps.
+	// A live view's table takes sc's slots. A frozen view is one of many
+	// onto its table, read on any goroutine: it goes to the maps and
+	// reads no slot.
 	tbl, off := edges(view)
-	if !tbl.frozen {
+	live := !view.frozen
+	if live {
 		tbl.adopt(sc, m, g.layers)
 	}
 
 	cur, nxt := &sc.layer[0], &sc.layer[1]
 	for v := 0; v < n; v++ {
-		r := sc.h0Row(g, view.Vec(v), tbl, off+v)
+		r := sc.h0Row(g, view.Vec(v), tbl, off+v, live)
 		cur.vec[v], cur.id[v] = r.vec, r.id
 	}
 	for l := 0; l < g.layers; l++ {
 		for v := 0; v < n; v++ {
-			r := sc.layerRow(g, l, tbl, off, v, cur)
+			r := sc.layerRow(g, l, tbl, off, v, cur, live)
 			nxt.vec[v], nxt.id[v] = r.vec, r.id
 		}
 		cur, nxt = nxt, cur
@@ -472,13 +475,14 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 
 // layerRow returns layer l's output row for active vertex v of the
 // window of tbl at off, given the layer's input rows cur: from the
-// vertex's slot if its inputs are the slot's, else from the row memo,
-// else computed by update, the fold ForwardTape runs, and memoized.
-func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur *rowSet) rowRef {
+// vertex's slot (live windows only) if its inputs are the slot's, else
+// from the row memo, else computed by update, the fold ForwardTape
+// runs, and memoized.
+func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur *rowSet, live bool) rowRef {
 	u, self := off+v, cur.id[v]
 	lo, hi := tbl.From(u, off)
 	var slot *layerSlots
-	if tbl.lay != nil {
+	if live {
 		slot = &tbl.lay[l]
 		if slot.self[u] == self && slot.lo[u] == lo {
 			e := lo
@@ -522,14 +526,14 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur *rowS
 }
 
 // h0Row returns the canonical h⁰ row for table vertex u carrying vec:
-// from the vertex's slot if vec is what the slot last saw, else from
-// the h0 map, computing and caching it on first sight of the vector's
-// contents.
-func (sc *Scratch) h0Row(g *GCN, vec cost.Vector, tbl *EdgeTable, u int) rowRef {
+// from the vertex's slot (live windows only) if vec is what the slot
+// last saw, else from the h0 map, computing and caching it on first
+// sight of the vector's contents.
+func (sc *Scratch) h0Row(g *GCN, vec cost.Vector, tbl *EdgeTable, u int, live bool) rowRef {
 	m := g.m
 	checkVec(vec, m)
 	var seen cost.Vector
-	if tbl.h0 != nil {
+	if live {
 		seen = tbl.vecs[u*m : (u+1)*m]
 		i := 0
 		for i < m && math.Float64bits(float64(seen[i])) == math.Float64bits(float64(vec[i])) {

@@ -15,7 +15,7 @@ func zeroInfView(seed int64, n, m int) View {
 	g, _ := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
 		N: n, M: m, PEdge: 0.4, HardRatio: 0.4, PEdgeInf: 0.3,
 	})
-	return NewGraphView(g)
+	return graphView(g)
 }
 
 func TestBuildKernelKinds(t *testing.T) {
@@ -232,23 +232,6 @@ func TestInferInvalidateWeights(t *testing.T) {
 	}
 }
 
-// windowView presents the vertices [off, n) of a GraphView over its
-// table, the way a game presents its uncolored suffix.
-type windowView struct {
-	*GraphView
-	tbl *EdgeTable
-	off int
-}
-
-func newWindowView(gv *GraphView) *windowView {
-	tbl, _ := gv.EdgeTable()
-	return &windowView{GraphView: gv, tbl: tbl}
-}
-
-func (w *windowView) N() int                       { return w.GraphView.N() - w.off }
-func (w *windowView) Vec(i int) cost.Vector        { return w.GraphView.Vec(w.off + i) }
-func (w *windowView) EdgeTable() (*EdgeTable, int) { return w.tbl, w.off }
-
 // TestInferEdgeTableBitIdenticalToForward drives Infer's edge-table
 // path over every window of a graph, against Forward over the same
 // window, which keeps no memo. The table's memo must survive what can
@@ -258,21 +241,30 @@ func (w *windowView) EdgeTable() (*EdgeTable, int) { return w.tbl, w.off }
 // slots.
 func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 	g := New(rand.New(rand.NewSource(81)), 6, 2)
-	w := newWindowView(zeroInfView(82, 15, 6).(*GraphView))
+	// the window is the vertices [off, 15) of one table, the way a game
+	// presents its uncolored suffix
+	whole := zeroInfView(82, 15, 6)
+	tbl, _ := whole.EdgeTable()
+	vecs := make([]cost.Vector, whole.N())
+	for i := range vecs {
+		vecs[i] = whole.Vec(i)
+	}
+	off := 0
 	a, b := &Scratch{}, &Scratch{}
 	check := func(sc *Scratch, what string) {
 		t.Helper()
+		w := NewView(tbl, off, 6, vecs[off:])
 		want, got := g.Forward(w), g.Infer(w, sc)
 		for v := range want {
 			for i := range want[v] {
 				if math.Float64bits(want[v][i]) != math.Float64bits(got[v][i]) {
 					t.Fatalf("%s, window %d, vertex %d col %d: got %x want %x",
-						what, w.off, v, i, math.Float64bits(got[v][i]), math.Float64bits(want[v][i]))
+						what, off, v, i, math.Float64bits(got[v][i]), math.Float64bits(want[v][i]))
 				}
 			}
 		}
 	}
-	for w.off = 0; w.off < 15; w.off++ {
+	for off = 0; off < 15; off++ {
 		check(a, "first scratch")
 		check(b, "second scratch")
 		check(a, "first scratch again")
@@ -282,10 +274,9 @@ func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 	// one scratch keeps the table: its slots now answer, and each was
 	// filled for another window than the one that asks
 	rng := rand.New(rand.NewSource(83))
-	for _, off := range []int{13, 12, 9, 10, 11, 4, 3, 3, 8, 2, 1, 0, 7, 0} {
-		w.off = off
+	for _, off = range []int{13, 12, 9, 10, 11, 4, 3, 3, 8, 2, 1, 0, 7, 0} {
 		check(a, "window moved")
-		vec := w.GraphView.Vec(off + rng.Intn(15-off))
+		vec := vecs[off+rng.Intn(15-off)]
 		i := rng.Intn(len(vec))
 		old := vec[i]
 		vec[i] = cost.Inf
@@ -293,9 +284,9 @@ func TestInferEdgeTableBitIdenticalToForward(t *testing.T) {
 		vec[i] = old
 		check(a, "cost vector restored")
 	}
-	w.off = 0
+	off = 0
 	check(a, "whole graph")
-	if w.tbl.owner != a || w.tbl.gen != a.gen {
+	if tbl.owner != a || tbl.gen != a.gen {
 		t.Error("the table's memo does not follow the scratch that last used it")
 	}
 }

@@ -287,6 +287,12 @@ func mixedGraph(seed int64, n, m int) *pbqp.Graph {
 	return g
 }
 
+// wholeView is a live view of the whole of g, in g's own vertex order,
+// through a game of its own.
+func wholeView(g *pbqp.Graph) gcn.View {
+	return game.New(g, game.MakeOrder(g, game.OrderFixed, nil)).View()
+}
+
 // playSome plays up to k legal moves, first legal color each.
 func playSome(st *game.State, k int) {
 	for ; k > 0 && !st.Done() && !st.DeadEnd(); k-- {
@@ -331,10 +337,10 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 		t.Error("the ATE programs folded no binary kernel")
 	}
 
-	// finite costs: every kernel kind, an edgeless vertex, through the
-	// game's table, through GraphView's, and after a wire round trip
+	// finite costs: every kernel kind, an edgeless vertex, through a
+	// game's table, through a second game's, and after a wire round trip
 	g := mixedGraph(21, 17, m)
-	o.sample("mixed GraphView", gcn.NewGraphView(g))
+	o.sample("mixed whole-graph view", wholeView(g))
 	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
 	o.sample("mixed live view", st.View())
 	playSome(st, 4)
@@ -353,8 +359,8 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 		t.Fatal(err)
 	}
 	o.sample("mixed thawed sample", thawed[0].View)
-	o.sample("single vertex", gcn.NewGraphView(mixedGraph(22, 1, m)))
-	o.sample("mixed GraphView again", gcn.NewGraphView(g))
+	o.sample("single vertex", wholeView(mixedGraph(22, 1, m)))
+	o.sample("mixed whole-graph view again", wholeView(g))
 	for k, name := range []string{"zero", "diagonal", "binary", "sparse", "dense"} {
 		if o.kinds[k] == 0 {
 			t.Errorf("no %s kernel was folded", name)
@@ -363,8 +369,8 @@ func TestTapeBitIdenticalToDensePass(t *testing.T) {
 }
 
 // contractViews is the view matrix of TestTapeBitIdenticalToDensePass,
-// as a list: live, snapshot, thawed, GraphView, an edgeless vertex, a
-// single vertex. Live views come from games of their own,
+// as a list: live, snapshot, thawed, a whole graph, an edgeless vertex,
+// a single vertex. Live views come from games of their own,
 // which nothing moves afterwards.
 func contractViews(t *testing.T, m int) (names []string, views []gcn.View) {
 	t.Helper()
@@ -382,7 +388,7 @@ func contractViews(t *testing.T, m int) (names []string, views []gcn.View) {
 	add("ate live view after Play/Undo", moved.View())
 
 	g := mixedGraph(21, 17, m)
-	add("mixed GraphView", gcn.NewGraphView(g))
+	add("mixed whole-graph view", wholeView(g))
 	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
 	playSome(st, 4)
 	snap := st.Snapshot()
@@ -399,7 +405,7 @@ func contractViews(t *testing.T, m int) (names []string, views []gcn.View) {
 		t.Fatal(err)
 	}
 	add("mixed thawed sample", thawed[0].View)
-	add("single vertex", gcn.NewGraphView(mixedGraph(22, 1, m)))
+	add("single vertex", wholeView(mixedGraph(22, 1, m)))
 	return names, views
 }
 
@@ -500,6 +506,75 @@ func TestTapesFillConcurrently(t *testing.T) {
 	sameGradients(t, "concurrent tapes", g.Params(), serial.Params())
 }
 
+// TestEveryKindOfViewAcrossGoroutines: snapshots share their game's
+// table, whose slots Infer over the game's live view fills, so Infer
+// over a frozen view must read none of them. One goroutine walks a
+// game and evaluates its live view while one per snapshot evaluates
+// that snapshot, each on a Scratch and a Tape of its own over one GCN:
+// every Infer must equal ForwardTape bit for bit, and under -race no
+// goroutine may touch what another writes.
+func TestEveryKindOfViewAcrossGoroutines(t *testing.T) {
+	g := ateGraph(t, 31, 1)
+	st := game.New(g, game.MakeOrder(g, game.OrderDecLiberty, nil))
+	var snaps []gcn.View
+	for len(snaps) < 4 && !st.Done() && !st.DeadEnd() {
+		snaps = append(snaps, st.Snapshot())
+		playSome(st, 3)
+	}
+	net := gcn.New(rand.New(rand.NewSource(5)), st.M(), 2)
+	type pair struct{ got, want []tensor.Vec }
+	evals := make([][]pair, len(snaps)+1)
+	eval := func(k int, view gcn.View, sc *gcn.Scratch, tp *gcn.Tape) {
+		var p pair
+		net.ForwardTape(tp, view)
+		for _, row := range tp.Rows() {
+			p.want = append(p.want, slices.Clone(row))
+		}
+		for _, row := range net.Infer(view, sc) {
+			p.got = append(p.got, slices.Clone(row))
+		}
+		evals[k] = append(evals[k], p)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var sc gcn.Scratch
+		var tp gcn.Tape
+		rng := rand.New(rand.NewSource(6))
+		for step := 0; step < 200; step++ {
+			if st.Turn() > 0 && (st.Done() || st.DeadEnd() || rng.Intn(3) == 0) {
+				st.Undo()
+			} else {
+				playSome(st, 1)
+			}
+			if !st.Done() {
+				eval(0, st.View(), &sc, &tp)
+			}
+		}
+	}()
+	for k, snap := range snaps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var sc gcn.Scratch
+			var tp gcn.Tape
+			for i := 0; i < 50; i++ {
+				eval(k+1, snap, &sc, &tp)
+			}
+		}()
+	}
+	wg.Wait()
+	for k, ps := range evals {
+		for i, p := range ps {
+			sameRows(t, fmt.Sprintf("goroutine %d, evaluation %d", k, i), p.got, p.want)
+		}
+	}
+	if len(evals[0]) == 0 {
+		t.Fatal("the live walk evaluated nothing")
+	}
+}
+
 // badView is a two-vertex view over a table built by AddEdge, whose one
 // edge carries mat in both directions and whose vectors are vm long.
 func badView(vm int, mat *tensor.Mat) gcn.View {
@@ -508,7 +583,7 @@ func badView(vm int, mat *tensor.Mat) gcn.View {
 		tbl.AddEdge(1-i, mat)
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
-	return gcn.NewFrozenView(tbl, 0, vm, []cost.Vector{cost.NewVector(vm), cost.NewVector(vm)})
+	return gcn.NewView(tbl, 0, vm, []cost.Vector{cost.NewVector(vm), cost.NewVector(vm)}).Freeze()
 }
 
 func panicOf(f func()) (msg string) {
@@ -544,19 +619,10 @@ func TestTapeMismatchedShapesPanicLikeDensePass(t *testing.T) {
 	}
 }
 
-// handTable is a view over a table whose exported slices were filled in
-// directly.
-type handTable struct {
-	gcn.View
-	tbl *gcn.EdgeTable
-}
-
-func (v handTable) EdgeTable() (*gcn.EdgeTable, int) { return v.tbl, 0 }
-
 // TestEveryTableIsBuiltByAddEdge: each constructor of a table view in
-// the tree — game.New, its snapshots, selfplay's thawSample and
-// NewGraphView — packs every matrix it holds, and both passes reject a
-// table assembled around AddEdge with a message that names it.
+// the tree — game.New, its snapshots and selfplay's thawSample — packs
+// every matrix it holds, and both passes reject a table assembled
+// around AddEdge with a message that names it.
 func TestEveryTableIsBuiltByAddEdge(t *testing.T) {
 	const m = 13
 	g := mixedGraph(31, 12, m)
@@ -571,17 +637,22 @@ func TestEveryTableIsBuiltByAddEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gv := gcn.NewGraphView(g)
+	live := st.View()
 	for name, view := range map[string]gcn.View{
-		"game.New": st.View(), "Snapshot": snap, "thawSample": thawed[0].View, "NewGraphView": gv,
+		"game.New": live, "Snapshot": snap, "thawSample": thawed[0].View,
 	} {
 		if tbl, _ := view.EdgeTable(); len(tbl.Mat) == 0 || !tbl.BuiltByAddEdge() {
 			t.Errorf("%s: %d matrices, not all packed beside them", name, len(tbl.Mat))
 		}
 	}
 
-	built, _ := gv.EdgeTable()
-	hand := handTable{View: gv, tbl: &gcn.EdgeTable{Start: built.Start, Nbr: built.Nbr, Mat: built.Mat}}
+	// a view over a table whose exported slices were filled in directly
+	built, off := live.EdgeTable()
+	var vecs []cost.Vector
+	for i := 0; i < live.N(); i++ {
+		vecs = append(vecs, live.Vec(i))
+	}
+	hand := gcn.NewView(&gcn.EdgeTable{Start: built.Start, Nbr: built.Nbr, Mat: built.Mat}, off, m, vecs)
 	net := gcn.New(rand.New(rand.NewSource(3)), m, 2)
 	for name, pass := range map[string]func(){
 		"Forward": func() { net.Forward(hand) },

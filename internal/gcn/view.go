@@ -2,43 +2,61 @@ package gcn
 
 import (
 	"pbqprl/internal/cost"
-	"pbqprl/internal/pbqp"
 	"pbqprl/internal/tensor"
 )
 
-// GraphView adapts a pbqp.Graph (its alive vertices, compacted to
-// [0, N)) to the View interface: a window over the whole of an edge
-// table of its own, built, transformed and packed once.
-type GraphView struct {
-	g   *pbqp.Graph
-	ids []int // active index -> graph vertex
-	tbl EdgeTable
+// View is the graph a GCN embeds: the uncolored remainder of a PBQP
+// problem in reduced form, as a window onto an edge table. Active
+// vertex v is table vertex off+v, and its neighbors are the table's
+// that are ≥ off, in table order; its edge matrices are the table's,
+// transformed (TransformMatrix is the canonical conversion) and packed
+// by AddEdge. A View is a small value: copying one copies no vector.
+type View struct {
+	tbl    *EdgeTable
+	off, m int
+	vecs   []cost.Vector // the active vertices' cost vectors
+	frozen bool          // Freeze's: Infer leaves the table's slots alone
 }
 
-// NewGraphView builds a View over the alive vertices of g. The view
-// reads g's cost vectors lazily, so vector mutations are visible, but
-// structural changes (edge or vertex removal) are not.
-func NewGraphView(g *pbqp.Graph) *GraphView {
-	ids := g.Vertices()
-	pos := make(map[int]int, len(ids)) // graph vertex -> active index
-	for i, u := range ids {
-		pos[u] = i
+// NewView returns the live window of tbl from off on, whose active
+// vertices carry the m-color cost vectors vecs. It reads the vectors in
+// place, so a change to one is seen by the next pass over the view, and
+// Infer keeps its per-vertex memo in the table's slots: like the game
+// it belongs to, a live view's table is one goroutine's at a time.
+func NewView(tbl *EdgeTable, off, m int, vecs []cost.Vector) View {
+	return View{tbl: tbl, off: off, m: m, vecs: vecs}
+}
+
+// Freeze returns an immutable copy of v, what a replay buffer holds: its
+// own copy of the cost vectors, in one allocation, over v's table. What
+// AddEdge built of the table is immutable and a frozen view never
+// touches the slots, so frozen views of a table may be read on any
+// number of goroutines while one plays on the table's live window.
+func (v View) Freeze() View {
+	flat := make(cost.Vector, 0, len(v.vecs)*v.m)
+	vecs := make([]cost.Vector, len(v.vecs))
+	for i, vec := range v.vecs {
+		flat = append(flat, vec...)
+		vecs[i] = flat[len(flat)-len(vec) : len(flat) : len(flat)]
 	}
-	v := &GraphView{g: g, ids: ids}
-	v.tbl.Start = make([]int32, 1, len(ids)+1)
-	for _, u := range ids {
-		for _, w := range g.Neighbors(u) {
-			v.tbl.AddEdge(pos[w], TransformMatrix(g.EdgeCost(u, w)))
-		}
-		v.tbl.Start = append(v.tbl.Start, int32(len(v.tbl.Nbr)))
-	}
+	v.vecs, v.frozen = vecs, true
 	return v
 }
 
-func (v *GraphView) N() int                       { return len(v.ids) }
-func (v *GraphView) M() int                       { return v.g.M() }
-func (v *GraphView) Vec(i int) cost.Vector        { return v.g.VertexCost(v.ids[i]) }
-func (v *GraphView) EdgeTable() (*EdgeTable, int) { return &v.tbl, 0 }
+// Frozen reports whether v came from Freeze.
+func (v View) Frozen() bool { return v.frozen }
+
+// N returns the number of active vertices, addressed as [0, N).
+func (v View) N() int { return len(v.vecs) }
+
+// M returns the color count.
+func (v View) M() int { return v.m }
+
+// Vec returns active vertex i's current cost vector.
+func (v View) Vec(i int) cost.Vector { return v.vecs[i] }
+
+// EdgeTable returns the table and the window's offset.
+func (v View) EdgeTable() (tbl *EdgeTable, off int) { return v.tbl, v.off }
 
 // WindowNbrs returns, window-relative, table vertex u's neighbors at or
 // after off, for encoders and tests (it allocates).
@@ -58,29 +76,3 @@ func (t *EdgeTable) MatOf(u, w int) *tensor.Mat {
 	}
 	return nil
 }
-
-// FrozenView is an immutable View, what a replay buffer holds: its
-// own copy of a window's cost vectors, in one allocation, over the
-// immutable slices of the table it was taken from — a game's, or a
-// decoded sample's own small one. Its table takes no slots.
-type FrozenView struct {
-	tbl    EdgeTable
-	off, m int
-	vecs   cost.Vector // the window's vectors back to back
-}
-
-// NewFrozenView freezes the window of tbl from off on: it copies the
-// window's m-color cost vectors, vecs, and keeps tbl's slices.
-func NewFrozenView(tbl *EdgeTable, off, m int, vecs []cost.Vector) *FrozenView {
-	v := &FrozenView{off: off, m: m, vecs: make(cost.Vector, 0, len(vecs)*m)}
-	v.tbl = EdgeTable{Start: tbl.Start, Nbr: tbl.Nbr, Mat: tbl.Mat, packed: tbl.packed, frozen: true}
-	for _, vec := range vecs {
-		v.vecs = append(v.vecs, vec...)
-	}
-	return v
-}
-
-func (v *FrozenView) N() int                       { return len(v.tbl.Start) - 1 - v.off }
-func (v *FrozenView) M() int                       { return v.m }
-func (v *FrozenView) Vec(i int) cost.Vector        { return v.vecs[i*v.m : (i+1)*v.m : (i+1)*v.m] }
-func (v *FrozenView) EdgeTable() (*EdgeTable, int) { return &v.tbl, v.off }

@@ -432,7 +432,7 @@ func TestRetainParentsKeepsChain(t *testing.T) {
 func TestUniformEvaluator(t *testing.T) {
 	g := pbqp.New(1, 4)
 	g.SetVertexCost(0, cost.Vector{0, cost.Inf, 0, cost.Inf})
-	prior, v := Uniform{}.Evaluate(gcn.NewGraphView(g))
+	prior, v := Uniform{}.Evaluate(game.New(g, g.Vertices()).View())
 	if prior[0] != 0.5 || prior[2] != 0.5 || prior[1] != 0 || prior[3] != 0 {
 		t.Errorf("uniform prior = %v", prior)
 	}
@@ -441,7 +441,7 @@ func TestUniformEvaluator(t *testing.T) {
 	}
 	g2 := pbqp.New(1, 2)
 	g2.SetVertexCost(0, cost.NewInfVector(2))
-	_, v = Uniform{}.Evaluate(gcn.NewGraphView(g2))
+	_, v = Uniform{}.Evaluate(game.New(g2, g2.Vertices()).View())
 	if v != -1 {
 		t.Errorf("dead-end uniform value = %v", v)
 	}

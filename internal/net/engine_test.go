@@ -19,7 +19,7 @@ func zeroInfView(seed int64, n, m int) gcn.View {
 	g, _ := randgraph.ZeroInf(rng, randgraph.ZeroInfConfig{
 		N: n, M: m, PEdge: 0.4, HardRatio: 0.4, PEdgeInf: 0.3,
 	})
-	return gcn.NewGraphView(g)
+	return graphView(g)
 }
 
 // scalarEvaluate is the reference every engine test compares against:
@@ -50,7 +50,7 @@ func sameBits(t *testing.T, what string, prior, wantPrior tensor.Vec, value, wan
 // vecView is a minimal edgeless View whose cost vectors the test
 // controls exactly.
 func vecView(m int, vecs ...cost.Vector) gcn.View {
-	return gcn.NewFrozenView(&gcn.EdgeTable{Start: make([]int32, len(vecs)+1)}, 0, m, vecs)
+	return gcn.NewView(&gcn.EdgeTable{Start: make([]int32, len(vecs)+1)}, 0, m, vecs).Freeze()
 }
 
 // TestPoolMeanSingleDivision is the golden test for the pooling fix:

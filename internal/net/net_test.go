@@ -7,8 +7,10 @@ import (
 	"testing"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/game"
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/nn"
+	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/tensor"
 )
@@ -16,8 +18,12 @@ import (
 func testView(seed int64, n, m int) gcn.View {
 	rng := rand.New(rand.NewSource(seed))
 	g := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: m, PEdge: 0.5, PInf: 0.1})
-	return gcn.NewGraphView(g)
+	return graphView(g)
 }
+
+// graphView is a live view of the whole of g, in g's own vertex order,
+// through a game of its own.
+func graphView(g *pbqp.Graph) gcn.View { return game.New(g, g.Vertices()).View() }
 
 func smallNet(m int) *PBQPNet {
 	return New(Config{M: m, GCNLayers: 2, Hidden: 16, Blocks: 1, Seed: 1})
@@ -49,7 +55,7 @@ func TestMaskZeroesInfColors(t *testing.T) {
 	m := 3
 	g := randgraph.ErdosRenyi(rand.New(rand.NewSource(3)), randgraph.Config{N: 5, M: m, PEdge: 0.4, PInf: 0})
 	g.VertexCost(g.Vertices()[0])[1] = cost.Inf
-	view := gcn.NewGraphView(g)
+	view := graphView(g)
 	prior, _ := smallNet(m).Evaluate(view)
 	if prior[1] != 0 {
 		t.Errorf("masked color has prior %v", prior[1])

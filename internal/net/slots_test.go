@@ -121,24 +121,25 @@ func thaw(view gcn.View) gcn.View {
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
-	return gcn.NewFrozenView(tbl, 0, view.M(), vecs)
+	return gcn.NewView(tbl, 0, view.M(), vecs).Freeze()
 }
 
 // TestOneScratchEveryKindOfView: a live game, snapshots of it from
-// earlier turns, a thawed copy of one of them and a GraphView of the
-// same graph share one engine, whose two maps are bounded at 16 entries
-// and so evicted many times over, in random interleaving across a
-// Play/Undo walk. The snapshots and the live table hold the same
-// kernels (one row memo serves both), the thawed copy kernels of its
-// own over the same matrices, and only the live table and the
-// GraphView take slots.
+// earlier turns, a thawed copy of one of them and a second game's live
+// view of the same graph share one engine, whose two maps are bounded
+// at 16 entries and so evicted many times over, in random interleaving
+// across a Play/Undo walk. The snapshots and the live table hold the
+// same kernels (one row memo serves both), the thawed copy kernels of
+// its own over the same matrices, and only the two games' live views
+// take slots.
 func TestOneScratchEveryKindOfView(t *testing.T) {
 	p := slotNet(2, 155)
 	p.eng.gsc.LimitMemosForTest(16)
 	ref := p.Clone()
 	st := ateGame(1)
-	views := []gcn.View{gcn.NewGraphView(ate.Suite()[0].Graph)}
-	names := []string{"GraphView"}
+	g := ate.Suite()[0].Graph
+	views := []gcn.View{game.New(g, game.MakeOrder(g, game.OrderFixed, nil)).View()}
+	names := []string{"second game's view"}
 	rng := rand.New(rand.NewSource(156))
 	prior := make(tensor.Vec, 13)
 	for step := 0; step < 1500; step++ {

@@ -25,7 +25,7 @@ type Cache struct {
 	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[string]*list.Element
 
-	hits, misses, evictions int64
+	evictions int64
 }
 
 // cacheEntry is one cached answer: the upstream status code and the
@@ -62,10 +62,8 @@ func (c *Cache) Get(key string) (status int, body []byte, ok bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
 		return 0, nil, false
 	}
-	c.hits++
 	c.order.MoveToFront(el)
 	e := el.Value.(*cacheEntry)
 	return e.status, e.body, true
@@ -118,9 +116,10 @@ func (c *Cache) Bytes() int64 {
 	return c.curByte
 }
 
-// Stats returns the cumulative hit/miss/eviction counts.
-func (c *Cache) Stats() (hits, misses, evictions int64) {
+// Evictions returns the cumulative count of entries evicted to keep
+// the memory ceiling.
+func (c *Cache) Evictions() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions
+	return c.evictions
 }

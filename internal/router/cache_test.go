@@ -28,7 +28,7 @@ func TestCacheMemoryCeilingUnderAdversarialInserts(t *testing.T) {
 	if c.Len() == 0 {
 		t.Fatal("ceiling-sized churn evicted everything; want the newest entries resident")
 	}
-	if _, _, evictions := c.Stats(); evictions == 0 {
+	if c.Evictions() == 0 {
 		t.Fatal("no evictions recorded under a workload that must evict")
 	}
 }

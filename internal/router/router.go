@@ -607,8 +607,7 @@ func (r *Router) publishBackendGauges() {
 // against the cache's own total, so publishing at scrape time and
 // after inserts stays idempotent.
 func (r *Router) publishCacheGauges() {
-	_, _, evictions := r.cache.Stats()
-	r.syncCounter("router_cache_evictions_total", evictions)
+	r.syncCounter("router_cache_evictions_total", r.cache.Evictions())
 	r.reg.Gauge("router_cache_bytes").Set(r.cache.Bytes())
 	r.reg.Gauge("router_cache_entries").Set(int64(r.cache.Len()))
 }

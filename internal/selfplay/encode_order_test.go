@@ -40,7 +40,7 @@ func orderedView(keys []int) gcn.View {
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
-	return gcn.NewFrozenView(tbl, 0, 2, vecs)
+	return gcn.NewView(tbl, 0, 2, vecs).Freeze()
 }
 
 func gobBytes(t *testing.T, rs replaySample) []byte {

@@ -66,8 +66,8 @@ func TestEncodedBytesUnchanged(t *testing.T) {
 
 // TestThawedSampleTrainsLikeLiveSnapshot drives a live snapshot and its
 // freeze→thaw copy through one GCN each: the embedding rows and every
-// gradient tensor must agree bit for bit, and the copy must be the
-// FrozenView the snapshot is.
+// gradient tensor must agree bit for bit, and the copy must be frozen,
+// as the snapshot is.
 func TestThawedSampleTrainsLikeLiveSnapshot(t *testing.T) {
 	tr := poolTrainer(t, 19, 1)
 	runIters(t, tr, 1)
@@ -75,8 +75,8 @@ func TestThawedSampleTrainsLikeLiveSnapshot(t *testing.T) {
 	for i := 0; i < tr.replay.len(); i++ {
 		live := tr.replay.at(i)
 		thawed := thawSample(freezeSample(live))
-		if _, ok := thawed.View.(*gcn.FrozenView); !ok {
-			t.Fatalf("sample %d thaws to %T, not the snapshot's FrozenView", i, thawed.View)
+		if !thawed.View.Frozen() {
+			t.Fatalf("sample %d thaws to a live view, not a frozen one like the snapshot", i)
 		}
 		dH := make([]tensor.Vec, live.View.N())
 		for v := range dH {

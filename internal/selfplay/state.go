@@ -94,7 +94,7 @@ func freezeSample(s Sample) replaySample {
 }
 
 // thawSample reverses freezeSample into the view game.Snapshot returns,
-// a gcn.FrozenView, over a small edge table of the sample's own, packed
+// a frozen gcn.View, over a small edge table of the sample's own, packed
 // here: a restored sample trains like a live snapshot.
 func thawSample(rs replaySample) Sample {
 	tbl := &gcn.EdgeTable{Start: make([]int32, 1, len(rs.Mats)+1)}
@@ -104,7 +104,7 @@ func thawSample(rs replaySample) Sample {
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
-	return Sample{View: gcn.NewFrozenView(tbl, 0, rs.M, rs.Vecs), Pi: rs.Pi, Z: rs.Z}
+	return Sample{View: gcn.NewView(tbl, 0, rs.M, rs.Vecs).Freeze(), Pi: rs.Pi, Z: rs.Z}
 }
 
 // EncodeSamples serializes training samples on their own, outside a

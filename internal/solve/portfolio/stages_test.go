@@ -84,8 +84,8 @@ func TestBuilderMake(t *testing.T) {
 	}
 }
 
-// TestDefaultChain pins the chain pbqp-serve and pbqp-solve -portfolio
-// share, and that it builds.
+// TestDefaultChain pins the chain pbqp-serve falls back to, which
+// pbqp-solve spells -solver rl-bt,liberty,scholz, and that it builds.
 func TestDefaultChain(t *testing.T) {
 	names := SplitChain(DefaultChain)
 	if want := []string{"rl-bt", "liberty", "scholz"}; !reflect.DeepEqual(names, want) {
