@@ -178,7 +178,7 @@ type SearchSpaceRow struct {
 
 // SearchSpace reproduces experiments E3 and E9: the original solver's
 // failures, the liberty enumeration's explored states, and the Deep-RL
-// (variant d) node counts, per ATE program.
+// (variant c) node counts, per ATE program.
 func SearchSpace(progress func(string)) []SearchSpaceRow {
 	n := TrainedNet(SpecK50(), progress)
 	var rows []SearchSpaceRow
@@ -198,7 +198,7 @@ func SearchSpace(progress func(string)) []SearchSpaceRow {
 			row.Ratio = float64(row.LibertyStates) / float64(row.RLNodes)
 		}
 		if progress != nil {
-			progress(fmt.Sprintf("searchspace %s: scholz=%v liberty=%d(%v) rl=%d(%v) ratio=%.0f",
+			progress(fmt.Sprintf("searchspace %s: scholz=%v liberty=%d(%v) rl=%d(%v) ratio=%.2f",
 				row.Program, row.ScholzOK, row.LibertyStates, row.LibertyOK, row.RLNodes, row.RLOK, row.Ratio))
 		}
 		rows = append(rows, row)
@@ -218,7 +218,7 @@ func PrintSearchSpace(w io.Writer, rows []SearchSpaceRow) {
 			}
 			return " X"
 		}
-		fmt.Fprintf(w, "%-8s %-8v %12d%2s %12d%2s %10.0f\n",
+		fmt.Fprintf(w, "%-8s %-8v %12d%2s %12d%2s %10.2f\n",
 			r.Program, r.ScholzOK, r.LibertyStates, mark(r.LibertyOK), r.RLNodes, mark(r.RLOK), r.Ratio)
 	}
 }

@@ -11,8 +11,9 @@
 // Play/Undo are O(degree): the structure of the graph is immutable for a
 // fixed order, only the suffix cost vectors mutate, and Undo restores
 // the saved neighbor vectors. This makes MCTS simulation cheap and makes
-// the backtracking solver's take-backs exact (infinity saturation is not
-// arithmetically reversible, so vectors are restored, not subtracted).
+// the backtracking solvers' take-backs (rl's and the liberty
+// enumeration's) exact (infinity saturation is not arithmetically
+// reversible, so vectors are restored, not subtracted).
 // Play walks the vertex's later-neighbor list, which New builds once
 // with the nonzero entries of each edge matrix's rows beside the
 // neighbor (one copy per distinct matrix of the game), and logs into
@@ -41,8 +42,9 @@ const (
 	OrderFixed Order = iota
 	// OrderRandom shuffles the vertices (Figure 6 variant b).
 	OrderRandom
-	// OrderIncLiberty colors low-liberty (hard) vertices first, the
-	// order used by the liberty enumeration solver (variant c).
+	// OrderIncLiberty colors low-liberty (hard) vertices first
+	// (variant c), as the liberty enumeration solver does; that solver
+	// keeps program order inside its hard and easy classes.
 	OrderIncLiberty
 	// OrderDecLiberty colors high-liberty (easy) vertices first so
 	// that hard decisions are made when MCTS is most informed — the
@@ -102,11 +104,12 @@ func MakeOrder(g *pbqp.Graph, o Order, rng *rand.Rand) []int {
 // State is a PBQP game in progress.
 type State struct {
 	n, m     int
-	vecs     []cost.Vector // current cost vectors (mutated in place)
-	later    [][]laterEdge // per vertex, its neighbors colored after it
-	edges    gcn.EdgeTable // full adjacency with the transformed, packed matrices, for views
-	order    []int         // game vertex -> original vertex
-	t        int           // next vertex to color
+	graph    *pbqp.Graph    // the graph permuted into coloring order; its vectors are vecs
+	vecs     []cost.Vector  // current cost vectors (mutated in place)
+	later    [][]laterEdge  // per vertex, its neighbors colored after it
+	edges    *gcn.EdgeTable // full adjacency with the transformed, packed matrices, for views
+	order    []int          // game vertex -> original vertex
+	t        int            // next vertex to color
 	played   []int
 	acc      cost.Cost
 	dead     int       // uncolored vertices with all-infinite vectors
@@ -214,21 +217,25 @@ func New(g *pbqp.Graph, order []int) *State {
 	n, m := h.NumVertices(), h.M()
 	s := &State{
 		n: n, m: m,
+		graph:    h,
 		vecs:     make([]cost.Vector, n),
 		later:    make([][]laterEdge, n),
 		order:    append([]int(nil), order...),
 		undo:     make([]undoRec, n),
 		baseline: cost.Inf,
 	}
-	// h is private to this call, so the game takes over its vectors; its
-	// matrices are g's own, shared read-only (the pbqp ownership rule),
-	// so the game keeps both orientations without copying either. Each
-	// distinct one is transformed, packed (by the table's AddEdge, which
-	// meets the same *tensor.Mat again on every edge that carries it) and
-	// indexed once per game, and the interference pattern of an ATE graph
-	// is nearly every edge.
+	// h is the game's own copy of g, kept for Remainder, so the game
+	// takes over its vectors: Play writes them in place. Its matrices
+	// are g's own, shared read-only (the pbqp ownership rule), so the
+	// game keeps both orientations without copying either. Each distinct
+	// one is transformed, packed (by the table's AddEdge, which meets the
+	// same *tensor.Mat again on every edge that carries it) and indexed
+	// once per game, and the interference pattern of an ATE graph is
+	// nearly every edge.
 	in := interner{byPtr: make(map[*cost.Matrix]*distinct), byContent: make(map[uint64]*distinct)}
-	s.edges.Start = make([]int32, n+1)
+	// The table is an allocation of its own, so that a snapshot, which
+	// a replay buffer keeps, holds it alive and not the game with h.
+	s.edges = &gcn.EdgeTable{Start: make([]int32, n+1)}
 	for u := 0; u < n; u++ {
 		s.vecs[u] = h.VertexCost(u)
 		if s.vecs[u].AllInf() {
@@ -404,6 +411,22 @@ func (s *State) Killed() int {
 		}
 	}
 	return -1
+}
+
+// Remainder returns the uncolored suffix as a graph of its own: vertex
+// i is turn Turn()+i, with a copy of its current (propagated) vector,
+// and the edges among uncolored vertices are the game's, matrices
+// shared read-only. Acc() plus the remainder's TotalCost of a
+// completion is the original graph's Equation-1 cost of the whole
+// coloring (exactly, on integer costs; the two sums round in different
+// orders otherwise). Writing into the result's vectors leaves the game
+// unchanged.
+func (s *State) Remainder() *pbqp.Graph {
+	turns := make([]int, s.n-s.t)
+	for i := range turns {
+		turns[i] = s.t + i
+	}
+	return s.graph.Induced(turns)
 }
 
 // Played returns the colors chosen so far, indexed by game vertex.

@@ -8,7 +8,7 @@ import "pbqprl/internal/gcn"
 // built and packed once in New: creating one copies and allocates
 // nothing. Vertex vectors are read live, so the view is invalidated by
 // Play/Undo. Use Snapshot for a frozen copy.
-func (s *State) View() gcn.View { return gcn.NewView(&s.edges, s.t, s.m, s.vecs[s.t:]) }
+func (s *State) View() gcn.View { return gcn.NewView(s.edges, s.t, s.m, s.vecs[s.t:]) }
 
 // Snapshot returns an immutable gcn.View of the current uncolored
 // suffix, for a training replay buffer: View, frozen, so the window's

@@ -89,13 +89,13 @@ func ctxSolvers() []solverUnderTest {
 	}}
 	return []solverUnderTest{
 		{"brute", brute.Solver{}, hardFeasible60(), true, true},
-		{"liberty", liberty.Solver{Threshold: 11}, pigeonhole60(), false, true},
+		{"liberty", liberty.Solver{}, pigeonhole60(), false, true},
 		{"anneal", anneal.Solver{Steps: 1 << 30, Restarts: 1}, hardFeasible60(), true, true},
 		{"rl-backtrack", deepRL, pigeonhole60(), false, true},
 		{"scholz", scholz.Solver{}, pigeonhole60(), false, false},
 		{"portfolio", portfolio.New(0,
 			&rl.Solver{Net: mcts.Uniform{}, Cfg: rl.Config{K: 30, Backtrack: true, ReinvokeMCTS: true}},
-			liberty.Solver{Threshold: 11},
+			liberty.Solver{},
 		), pigeonhole60(), false, true},
 	}
 }

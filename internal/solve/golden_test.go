@@ -23,12 +23,11 @@ import (
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/regalloc"
 	"pbqprl/internal/solve"
+	"pbqprl/internal/solve/liberty"
 	"pbqprl/internal/solve/scholz"
 )
 
-var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/scholz_golden.txt from the current tree")
-
-const goldenPath = "testdata/scholz_golden.txt"
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/scholz_golden.txt and testdata/liberty_golden.txt from the current tree")
 
 // goldenGraphs is the pinned input set: the FuzzSolverAgreement seeds
 // (inline and checked-in corpus), the PRO1–PRO6 ATE programs, and the
@@ -139,17 +138,37 @@ func TestScholzGolden(t *testing.T) {
 		got.WriteString(goldenLine(c.name, "scholz-rn", scholz.Solver{}.SolveCtx(cancelled, c.g)))
 		got.WriteString(goldenLine(c.name, "decomp(scholz)", decomp.Wrap(scholz.Solver{}).Solve(c.g)))
 	}
+	checkGolden(t, "testdata/scholz_golden.txt", got.String())
+}
+
+// TestLibertyGolden pins liberty and decomp(liberty) at a budget of
+// 200 000 states the same way, against values recorded before liberty
+// enumerated on game.State. The budget truncates PRO5 and decomp(PRO2).
+func TestLibertyGolden(t *testing.T) {
+	solver := liberty.Solver{MaxStates: 200_000}
+	var got bytes.Buffer
+	for _, c := range goldenGraphs(t) {
+		got.WriteString(goldenLine(c.name, "liberty", solver.Solve(c.g)))
+		got.WriteString(goldenLine(c.name, "decomp(liberty)", decomp.Wrap(solver).Solve(c.g)))
+	}
+	checkGolden(t, "testdata/liberty_golden.txt", got.String())
+}
+
+// checkGolden compares got with the golden file at path line by line,
+// or rewrites the file under -update-golden.
+func checkGolden(t *testing.T, path, got string) {
+	t.Helper()
 	if *updateGolden {
-		if err := os.WriteFile(goldenPath, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	want, err := os.ReadFile(goldenPath)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotLines, wantLines := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	gotLines, wantLines := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 	if len(gotLines) != len(wantLines) {
 		t.Fatalf("%d result lines, golden has %d", len(gotLines), len(wantLines))
 	}

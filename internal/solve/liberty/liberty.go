@@ -4,14 +4,19 @@
 // Section V-B.
 //
 // Liberty is the number of finite entries in a vertex's cost vector: the
-// number of registers the vertex can still take. The solver sorts the
-// vertices by increasing initial liberty and fully enumerates the hard
-// prefix (liberty ≤ Threshold) in that fixed order with chronological
-// backtracking: at each hard vertex it tries every currently selectable
-// color, and a vertex left with no selectable color triggers a
-// backtrack. The easy remainder is approximated with the original
-// Scholz–Eckstein reduction; if the approximation fails, the solver
-// backtracks into the hard enumeration.
+// number of registers the vertex can still take. The solver puts the
+// hard vertices (initial liberty ≤ Threshold) first, each class in
+// program order, and fully enumerates the hard prefix in that fixed
+// order with chronological backtracking: at each hard vertex it tries
+// every currently selectable color, and a vertex left with no
+// selectable color triggers a backtrack. The easy remainder is
+// approximated with the original Scholz–Eckstein reduction; if the
+// approximation fails, the enumeration goes on into the easy vertices
+// in the same order.
+//
+// The enumeration walks a game.State in that order: Play is the
+// paper's transition T (Section III-C), the same reversible one the
+// Deep-RL search plays, and Undo takes it back exactly.
 //
 // The enumeration is deliberately chronological — conflicts are only
 // discovered when the affected vertex comes up for coloring — matching
@@ -26,20 +31,18 @@ import (
 	"sort"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/game"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/scholz"
 )
 
-// DefaultThreshold is the liberty bound below which (inclusive) a vertex
-// is enumerated rather than approximated, per the TACO 2020 paper.
-const DefaultThreshold = 4
+// Threshold is the liberty bound below which (inclusive) a vertex is
+// enumerated rather than approximated, per the TACO 2020 paper.
+const Threshold = 4
 
 // Solver is the liberty-based enumeration solver.
 type Solver struct {
-	// Threshold is the maximum liberty of an enumerated (hard) vertex.
-	// Zero means DefaultThreshold.
-	Threshold int
 	// MaxStates, when positive, aborts the enumeration after that many
 	// explored states, reporting infeasible.
 	MaxStates int64
@@ -59,11 +62,7 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 // first feasible solution, so there is no incumbent to salvage: on
 // cancellation the result is infeasible with Truncated set.
 func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	threshold := s.Threshold
-	if threshold == 0 {
-		threshold = DefaultThreshold
-	}
-	// Hard vertices (liberty ≤ threshold) come first; the stable sort
+	// Hard vertices (liberty ≤ Threshold) come first; the stable sort
 	// keeps program order within each class. Real test-pattern programs
 	// concentrate their register constraints in contiguous phases, so
 	// preserving temporal order inside the hard prefix keeps conflicts
@@ -72,23 +71,23 @@ func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	// backtracking thrash.
 	vs := g.Vertices()
 	sort.SliceStable(vs, func(i, j int) bool {
-		return (g.Liberty(vs[i]) <= threshold) && (g.Liberty(vs[j]) > threshold)
+		return (g.Liberty(vs[i]) <= Threshold) && (g.Liberty(vs[j]) > Threshold)
 	})
 	numHard := 0
 	for _, u := range vs {
-		if g.Liberty(u) <= threshold {
+		if g.Liberty(u) <= Threshold {
 			numHard++
 		}
 	}
 	e := &enum{
 		ctx:      ctx,
-		g:        g.Permute(vs),
+		st:       game.New(g, vs),
 		numHard:  numHard,
 		sel:      make([]int, len(vs)),
 		maxState: s.MaxStates,
 	}
 	e.stopped = ctx.Err() != nil
-	ok := !e.stopped && e.run(0)
+	ok := !e.stopped && e.run()
 	res := solve.Result{Cost: cost.Inf, Truncated: e.stopped, States: e.states}
 	if ok {
 		res.Feasible = true
@@ -105,17 +104,17 @@ func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 
 type enum struct {
 	ctx      context.Context
-	g        *pbqp.Graph // renumbered: hard prefix [0, numHard), easy suffix
+	st       *game.State // turns: hard prefix [0, numHard), easy suffix
 	numHard  int
-	sel      []int
+	sel      []int // by turn, filled on the way out of a success
 	states   int64
 	maxState int64
 	stopped  bool // ctx fired; unwind without further enumeration
 }
 
-// run enumerates colors for vertex depth in the fixed order. Vertex
-// cost vectors of later vertices are mutated in place during descent
-// and restored on backtrack.
+// run enumerates colors for the game's next turn in the fixed order;
+// Play propagates the color into the later neighbors' vectors and Undo
+// takes it back.
 //
 // Once the hard prefix is fully colored, the easy remainder is first
 // approximated with the Scholz–Eckstein reduction (the TACO fast path);
@@ -124,21 +123,20 @@ type enum struct {
 // search is complete, it just prefers to stop enumerating as soon as
 // the approximation succeeds. It reports success, with the coloring
 // left in e.sel.
-func (e *enum) run(depth int) bool {
-	if depth == e.g.NumVertices() {
+func (e *enum) run() bool {
+	if e.st.Done() {
 		return true
 	}
-	if depth >= e.numHard && e.solveEasyRemainder(depth) {
+	turn := e.st.Turn()
+	if turn >= e.numHard && e.solveEasyRemainder() {
 		return true
 	}
 	// the approximation failed: keep enumerating chronologically
 	if e.stopped || (e.maxState > 0 && e.states >= e.maxState) {
 		return false
 	}
-	vec := e.g.VertexCost(depth).Clone()
-	later := laterNeighbors(e.g, depth)
-	for c := 0; c < e.g.M(); c++ {
-		if vec[c].IsInf() {
+	for c := 0; c < e.st.M(); c++ {
+		if !e.st.Legal(c) {
 			continue
 		}
 		e.states++
@@ -149,39 +147,28 @@ func (e *enum) run(depth int) bool {
 			e.stopped = true
 			break
 		}
-		saved := propagate(e.g, depth, c, later)
-		e.sel[depth] = c
-		ok := e.run(depth + 1)
-		restore(e.g, saved)
+		e.st.Play(c)
+		ok := e.run()
+		e.st.Undo()
 		if ok {
+			e.sel[turn] = c
 			return true
 		}
 	}
 	return false
 }
 
-// solveEasyRemainder builds the induced subgraph over the uncolored
-// suffix [from, n) with its propagated cost vectors and approximates it
-// with the Scholz–Eckstein solver.
-func (e *enum) solveEasyRemainder(from int) bool {
-	n := e.g.NumVertices()
-	if from == n {
-		return true
-	}
+// solveEasyRemainder approximates the uncolored suffix, with its
+// propagated cost vectors, with the Scholz–Eckstein solver.
+func (e *enum) solveEasyRemainder() bool {
 	// Fast path with identical semantics: a vertex whose propagated
 	// vector is all-infinite makes the reduction infeasible no matter
 	// what, so skip building and solving the subproblem.
-	for v := from; v < n; v++ {
-		if e.g.VertexCost(v).AllInf() {
-			e.states++
-			return false
-		}
+	if e.st.DeadEnd() {
+		e.states++
+		return false
 	}
-	suffix := make([]int, n-from)
-	for i := range suffix {
-		suffix[i] = from + i
-	}
-	res := (scholz.Solver{}).SolveCtx(e.ctx, e.g.Induced(suffix))
+	res := (scholz.Solver{}).SolveCtx(e.ctx, e.st.Remainder())
 	e.states += res.States
 	if res.Truncated {
 		// Deadline hit inside the approximation: a feasible coloring is
@@ -191,55 +178,6 @@ func (e *enum) solveEasyRemainder(from int) bool {
 	if !res.Feasible {
 		return false
 	}
-	for v := from; v < n; v++ {
-		e.sel[v] = res.Selection[v-from]
-	}
+	copy(e.sel[e.st.Turn():], res.Selection)
 	return true
-}
-
-// laterNeighbors returns u's neighbors with a larger index (the ones
-// not yet colored in the fixed enumeration order).
-func laterNeighbors(g *pbqp.Graph, u int) []int {
-	var later []int
-	for _, v := range g.Neighbors(u) {
-		if v > u {
-			later = append(later, v)
-		}
-	}
-	return later
-}
-
-// change records one overwritten cost-vector entry so backtracking can
-// restore it exactly (infinity saturation is not subtractable).
-type change struct {
-	v, i int
-	old  cost.Cost
-}
-
-// propagate adds row c of each (u, v) edge matrix into the later
-// neighbors' vectors, recording only the entries that actually change
-// (adding an exact zero never does — and in the ATE zero/infinity
-// regime almost every row entry is zero, so the undo log stays tiny).
-func propagate(g *pbqp.Graph, u, c int, later []int) []change {
-	var undo []change
-	for _, v := range later {
-		row := g.EdgeCost(u, v).Row(c)
-		vec := g.VertexCost(v)
-		for i, rc := range row {
-			if rc.IsZero() {
-				continue
-			}
-			undo = append(undo, change{v: v, i: i, old: vec[i]})
-			vec[i] = vec[i].Add(rc)
-		}
-	}
-	return undo
-}
-
-// restore undoes propagate, newest change first.
-func restore(g *pbqp.Graph, undo []change) {
-	for i := len(undo) - 1; i >= 0; i-- {
-		ch := undo[i]
-		g.VertexCost(ch.v)[ch.i] = ch.old
-	}
 }

@@ -97,15 +97,15 @@ func TestSelectionCostMatches(t *testing.T) {
 }
 
 func TestNeverMissesFeasibleAllHard(t *testing.T) {
-	// With threshold ≥ m every vertex is enumerated: the solver is
-	// then exact on feasibility.
+	// With m ≤ Threshold every vertex is hard and enumerated: the
+	// solver is then exact on feasibility.
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 30; trial++ {
 		g := randgraph.ErdosRenyi(rng, randgraph.Config{
 			N: 2 + rng.Intn(6), M: 2 + rng.Intn(2), PEdge: 0.6, PInf: 0.4,
 		})
 		opt := (brute.Solver{}).Solve(g)
-		res := Solver{Threshold: g.M()}.Solve(g)
+		res := Solver{}.Solve(g)
 		if res.Feasible != opt.Feasible {
 			t.Fatalf("trial %d: feasible=%v, brute=%v", trial, res.Feasible, opt.Feasible)
 		}
