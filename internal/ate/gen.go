@@ -201,10 +201,3 @@ func Generate(mach *Machine, cfg GenConfig) (*Program, pbqp.Selection) {
 	}
 	return p, hidden
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

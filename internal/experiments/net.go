@@ -74,18 +74,11 @@ type cacheKey struct {
 	tag  string
 }
 
-// netEntry is one in-flight or completed training run. ready closes
-// once n is set, so duplicate requesters wait on the channel instead
-// of holding netCacheMu across a training run (minutes) — the mutex
-// only ever guards map access.
-type netEntry struct {
-	ready chan struct{}
-	n     *net.PBQPNet
-}
-
+// netCache holds the finished networks. netCacheMu guards map access
+// only: it is never held across a training run (minutes).
 var (
 	netCacheMu sync.Mutex
-	netCache   = map[cacheKey]*netEntry{}
+	netCache   = map[cacheKey]*net.PBQPNet{}
 )
 
 // TrainedNet returns the ATE-regime network for spec, training it on
@@ -100,19 +93,18 @@ func TrainedNet(spec TrainSpec, progress func(string)) *net.PBQPNet {
 func trainedNetWith(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order, tag string, progress func(string)) *net.PBQPNet {
 	key := cacheKey{spec: spec, tag: tag}
 	netCacheMu.Lock()
-	e, inFlight := netCache[key]
-	if !inFlight {
-		e = &netEntry{ready: make(chan struct{})}
-		netCache[key] = e
-	}
+	n, ok := netCache[key]
 	netCacheMu.Unlock()
-	if inFlight {
-		<-e.ready
-		return e.n
+	if ok {
+		return n
 	}
-	e.n = buildNet(spec, gen, order, tag, progress)
-	close(e.ready)
-	return e.n
+	// Callers ask for one spec at a time; two at once would both build
+	// it, to the same weights.
+	n = buildNet(spec, gen, order, tag, progress)
+	netCacheMu.Lock()
+	netCache[key] = n
+	netCacheMu.Unlock()
+	return n
 }
 
 // buildNet loads the network for (spec, tag) from the disk cache or

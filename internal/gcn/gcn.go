@@ -125,23 +125,14 @@ func (tp *Tape) Rows() []tensor.Vec { return tp.rows[len(tp.rows)-tp.n:] }
 // m-color problems, Xavier-initialized from rng.
 func New(rng *rand.Rand, m, layers int) *GCN {
 	g := &GCN{m: m, layers: layers}
-	g.win = xavier(rng, "gcn.win", m, 2*m)
-	g.bin = &nn.Param{Name: "gcn.bin", W: tensor.NewVec(m), G: tensor.NewVec(m)}
+	g.win = nn.NewXavier(rng, "gcn.win", m, 2*m)
+	g.bin = nn.NewParam("gcn.bin", m)
 	for l := 0; l < layers; l++ {
-		g.wself = append(g.wself, xavier(rng, "gcn.wself", m, m))
-		g.wnbr = append(g.wnbr, xavier(rng, "gcn.wnbr", m, m))
-		g.b = append(g.b, &nn.Param{Name: "gcn.b", W: tensor.NewVec(m), G: tensor.NewVec(m)})
+		g.wself = append(g.wself, nn.NewXavier(rng, "gcn.wself", m, m))
+		g.wnbr = append(g.wnbr, nn.NewXavier(rng, "gcn.wnbr", m, m))
+		g.b = append(g.b, nn.NewParam("gcn.b", m))
 	}
 	return g
-}
-
-func xavier(rng *rand.Rand, name string, out, in int) *nn.Param {
-	p := &nn.Param{Name: name, W: tensor.NewVec(out * in), G: tensor.NewVec(out * in)}
-	bound := math.Sqrt(6.0 / float64(in+out))
-	for i := range p.W {
-		p.W[i] = (rng.Float64()*2 - 1) * bound
-	}
-	return p
 }
 
 // M returns the color count the network was built for.

@@ -8,6 +8,7 @@ package ir
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 )
 
@@ -213,7 +214,7 @@ func (f *Func) Validate() error {
 					in[d] = true
 				}
 			}
-			if defined[bi] == nil || !mapsEqual(defined[bi], in) {
+			if defined[bi] == nil || !maps.Equal(defined[bi], in) {
 				defined[bi] = in
 				changed = true
 			}
@@ -239,18 +240,6 @@ func (f *Func) Validate() error {
 		}
 	}
 	return nil
-}
-
-func mapsEqual(a, b map[Value]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // Program is a named collection of functions — one benchmark of the

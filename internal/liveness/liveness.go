@@ -4,6 +4,7 @@
 package liveness
 
 import (
+	"maps"
 	"math"
 
 	"pbqprl/internal/ir"
@@ -77,7 +78,7 @@ func Analyze(f *ir.Func) *Info {
 					in[u] = true
 				}
 			}
-			if !setsEqual(out, info.LiveOut[b]) || !setsEqual(in, info.LiveIn[b]) {
+			if !maps.Equal(out, info.LiveOut[b]) || !maps.Equal(in, info.LiveIn[b]) {
 				info.LiveOut[b] = out
 				info.LiveIn[b] = in
 				changed = true
@@ -141,18 +142,6 @@ func Analyze(f *ir.Func) *Info {
 func addEdge(adj []map[ir.Value]bool, a, b ir.Value) {
 	adj[a][b] = true
 	adj[b][a] = true
-}
-
-func setsEqual(a, b map[ir.Value]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v := range a {
-		if !b[v] {
-			return false
-		}
-	}
-	return true
 }
 
 // Interferes reports whether values a and b interfere.

@@ -71,7 +71,8 @@ func TestPoolMeanSingleDivision(t *testing.T) {
 				h[v][i] = rng.NormFloat64()
 			}
 		}
-		f := pool(view, h)
+		f := tensor.NewVec(2*m + 2)
+		poolInto(f, view, h)
 		for i := 0; i < m; i++ {
 			sum := 0.0
 			for v := 0; v < n; v++ {

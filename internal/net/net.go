@@ -57,13 +57,13 @@ func (c Config) withDefaults() Config {
 
 // PBQPNet is the combined policy/value network.
 type PBQPNet struct {
-	cfg    Config
-	gcn    *gcn.GCN
-	torso  nn.Module
-	policy nn.Module
-	value  nn.Module
+	cfg      Config
+	gcn      *gcn.GCN
+	torso    *torso
+	training bool // between SetTraining(true) and SetTraining(false)
 
 	slot Slot // Forward's and Backward's own
+	acts acts // what Heads leaves for HeadsBackward
 
 	// eng is the read-only inference engine (engine.go) behind
 	// Evaluate. Like the Forward caches it makes the net
@@ -86,25 +86,26 @@ type Slot struct {
 func New(cfg Config) *PBQPNet {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := cfg.M
+	m, hidden := cfg.M, cfg.Hidden
 	in := 2*m + 2
-	block := func() nn.Module {
-		return nn.NewResidual(nn.NewSequential(
-			nn.NewDense(rng, cfg.Hidden, cfg.Hidden), nn.NewBatchNorm(cfg.Hidden), &nn.ReLU{},
-			nn.NewDense(rng, cfg.Hidden, cfg.Hidden), nn.NewBatchNorm(cfg.Hidden),
-		))
-	}
-	torso := []nn.Module{nn.NewDense(rng, in, cfg.Hidden), nn.NewBatchNorm(cfg.Hidden), &nn.ReLU{}}
+	t := &torso{in: nn.NewDense(rng, in, hidden), inBN: nn.NewBatchNorm(hidden)}
 	for i := 0; i < cfg.Blocks; i++ {
-		torso = append(torso, block(), &nn.ReLU{})
+		t.blocks = append(t.blocks, block{
+			d1: nn.NewDense(rng, hidden, hidden), bn1: nn.NewBatchNorm(hidden),
+			d2: nn.NewDense(rng, hidden, hidden), bn2: nn.NewBatchNorm(hidden),
+		})
 	}
+	// The GCN draws its weights between the body's and the heads': the
+	// order every seed's network has been drawn in.
+	g := gcn.New(rng, m, cfg.GCNLayers)
+	t.policy = nn.NewDense(rng, hidden, m)
+	t.value = nn.NewDense(rng, hidden, 1)
 	return &PBQPNet{
-		cfg:    cfg,
-		gcn:    gcn.New(rng, m, cfg.GCNLayers),
-		torso:  nn.NewSequential(torso...),
-		policy: nn.NewDense(rng, cfg.Hidden, m),
-		value:  nn.NewSequential(nn.NewDense(rng, cfg.Hidden, 1), &nn.Tanh{}),
-		eng:    engine{pooled: tensor.NewVec(in), mask: make([]bool, m)},
+		cfg:   cfg,
+		gcn:   g,
+		torso: t,
+		acts:  newActs(in, hidden, cfg.Blocks, m),
+		eng:   engine{acts: newActs(in, hidden, cfg.Blocks, m), mask: make([]bool, m)},
 	}
 }
 
@@ -115,15 +116,14 @@ func (p *PBQPNet) Cfg() Config { return p.cfg }
 // toggle brackets every weight update (selfplay trains between search
 // phases), so it doubles as the engine's weight-change signal.
 func (p *PBQPNet) SetTraining(training bool) {
-	nn.SetTraining(p.torso, training)
-	nn.SetTraining(p.policy, training)
-	nn.SetTraining(p.value, training)
+	p.training = training
 	p.invalidateEngine()
 }
 
 // Forward runs the network on view (active vertex 0 is the next to
 // color) and returns the raw policy logits and the value in (-1, 1):
-// Embed then Heads on the net's own slot.
+// Embed then Heads on the net's own slot. The logits alias the net and
+// are valid until its next Forward or Heads.
 func (p *PBQPNet) Forward(view gcn.View) (logits tensor.Vec, value float64) {
 	p.Embed(&p.slot, view)
 	return p.Heads(&p.slot)
@@ -140,32 +140,27 @@ func (p *PBQPNet) Embed(s *Slot, view gcn.View) {
 }
 
 // Heads pools s's embedding and runs the torso and both heads, which
-// cache their activations for HeadsBackward and, in training mode, move
-// the batch-normalization statistics: one goroutine, one sample at a
-// time, in the order the samples are to count. HeadsBackward must
-// follow before the next sample's Heads.
+// leave their activations in the net for HeadsBackward and, in training
+// mode, move the batch-normalization statistics: one goroutine, one
+// sample at a time, in the order the samples are to count.
+// HeadsBackward must follow before the next sample's Heads. The logits
+// alias the net and are valid until its next Heads.
 func (p *PBQPNet) Heads(s *Slot) (logits tensor.Vec, value float64) {
-	t := p.torso.Forward(pool(s.view, s.tape.Rows()))
-	logits = p.policy.Forward(t)
-	value = p.value.Forward(t)[0]
-	return logits, value
+	a := &p.acts
+	poolInto(a.x, s.view, s.tape.Rows())
+	p.torso.forward(a, p.training)
+	return a.logits, a.value
 }
 
-// pool builds the fixed-size torso input: target embedding ‖ mean
-// embedding ‖ [n scale, target liberty share].
-func pool(view gcn.View, h []tensor.Vec) tensor.Vec {
-	f := tensor.NewVec(2*view.M() + 2)
-	poolInto(f, view, h)
-	return f
-}
-
-// poolInto is pool writing into a caller-provided 2m+2 vector. The mean
-// embedding accumulates the per-vertex sum first and divides once per
-// element — n−1 fewer divisions and n−1 fewer roundings per element
-// than dividing every term, and the same single-division mean the GCN
-// message pass computes. (The old per-term x/n accumulation was the
-// slower and noisier of the two; switching changes forward outputs in
-// the last bits, see the checkpoint-compatibility note in DESIGN.md.)
+// poolInto writes the fixed-size torso input into the 2m+2 vector f:
+// target embedding ‖ mean embedding ‖ [n scale, target liberty share].
+// The mean embedding accumulates the per-vertex sum first and divides
+// once per element — n−1 fewer divisions and n−1 fewer roundings per
+// element than dividing every term, and the same single-division mean
+// the GCN message pass computes. (The old per-term x/n accumulation
+// was the slower and noisier of the two; switching changes forward
+// outputs in the last bits, see the checkpoint-compatibility note in
+// DESIGN.md.)
 func poolInto(f tensor.Vec, view gcn.View, h []tensor.Vec) {
 	m := view.M()
 	copy(f[:m], h[0])
@@ -228,10 +223,7 @@ func (p *PBQPNet) Backward(dLogits tensor.Vec, dValue float64) {
 // sample Heads last ran, accumulating their parameter gradients, and
 // leaves dL/dH of the embedding in s. Ordered like Heads.
 func (p *PBQPNet) HeadsBackward(s *Slot, dLogits tensor.Vec, dValue float64) {
-	gt := p.policy.Backward(dLogits)
-	gv := p.value.Backward(tensor.Vec{dValue})
-	gt.AddInPlace(gv)
-	gf := p.torso.Backward(gt)
+	gf := p.torso.backward(&p.acts, dLogits, dValue)
 	// the mean's share for every vertex, the target's own on top
 	m, n := p.cfg.M, s.view.N()
 	if s.dRows == nil {
@@ -262,13 +254,7 @@ func (p *PBQPNet) Backprop(s *Slot) { p.gcn.Backprop(&s.tape, s.dH) }
 func (p *PBQPNet) Accumulate(s *Slot) { p.gcn.Accumulate(&s.tape) }
 
 // Params returns every trainable parameter.
-func (p *PBQPNet) Params() []*nn.Param {
-	ps := p.gcn.Params()
-	for _, m := range []nn.Module{p.torso, p.policy, p.value} {
-		ps = append(ps, m.Params()...)
-	}
-	return ps
-}
+func (p *PBQPNet) Params() []*nn.Param { return append(p.gcn.Params(), p.torso.params()...) }
 
 // tensors returns every parameter and state tensor in deterministic
 // order, for checkpointing and cloning.
@@ -277,12 +263,7 @@ func (p *PBQPNet) tensors() []tensor.Vec {
 	for _, param := range p.gcn.Params() {
 		ts = append(ts, param.W)
 	}
-	for _, m := range []nn.Module{p.torso, p.policy, p.value} {
-		params, state := nn.Collect(m)
-		ts = append(ts, params...)
-		ts = append(ts, state...)
-	}
-	return ts
+	return append(ts, p.torso.tensors()...)
 }
 
 // Save serializes the network weights and normalization statistics.

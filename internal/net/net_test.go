@@ -2,6 +2,7 @@ package net
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -80,12 +81,21 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestBackwardGradCheck checks every gradient end to end, through
+// heads, torso, pooling and GCN, against central differences of
+// loss = CE(policy, target) + (v - z)^2, with one residual block and
+// with two chained.
 func TestBackwardGradCheck(t *testing.T) {
-	// Full end-to-end gradient check through heads, torso, pooling and
-	// GCN: loss = CE(policy, target) + (v - z)^2.
-	m := 3
-	view := testView(5, 5, m)
-	p := smallNet(m)
+	for _, blocks := range []int{1, 2} {
+		t.Run(fmt.Sprintf("blocks_%d", blocks), func(t *testing.T) {
+			checkBackward(t, New(Config{M: 3, GCNLayers: 2, Hidden: 16, Blocks: blocks, Seed: 1}))
+		})
+	}
+}
+
+func checkBackward(t *testing.T, p *PBQPNet) {
+	t.Helper()
+	view := testView(5, 5, p.Cfg().M)
 	target := tensor.Vec{0.2, 0.5, 0.3}
 	const z = 0.7
 	loss := func() float64 {

@@ -20,33 +20,37 @@ func numericalGrad(loss func() float64, w *float64) float64 {
 	return (lp - lm) / (2 * h)
 }
 
-// checkModuleGrads verifies parameter and input gradients of a module
-// against numerical differentiation for a quadratic loss L = Σ y².
-func checkModuleGrads(t *testing.T, m Module, in int) {
+// checkGrads verifies a layer's parameter and input gradients against
+// numerical differentiation for a quadratic loss L = Σ y², where
+// forward writes the layer's output for x into y and backward is its
+// Backward(dx, x, dy).
+func checkGrads(t *testing.T, in, out int, params []*Param, forward func(y, x tensor.Vec), backward func(dx, x, dy tensor.Vec)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
 	x := make(tensor.Vec, in)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
+	y := make(tensor.Vec, out)
 	loss := func() float64 {
-		y := m.Forward(x)
+		forward(y, x)
 		s := 0.0
 		for _, v := range y {
 			s += v * v
 		}
 		return s
 	}
-	y := m.Forward(x)
-	grad := make(tensor.Vec, len(y))
+	forward(y, x)
+	grad := make(tensor.Vec, out)
 	for i, v := range y {
 		grad[i] = 2 * v
 	}
-	for _, p := range m.Params() {
+	for _, p := range params {
 		p.ZeroGrad()
 	}
-	gx := m.Backward(grad)
-	for _, p := range m.Params() {
+	gx := make(tensor.Vec, in)
+	backward(gx, x, grad)
+	for _, p := range params {
 		for i := range p.W {
 			want := numericalGrad(loss, &p.W[i])
 			if math.Abs(want-p.G[i]) > 1e-4*(1+math.Abs(want)) {
@@ -64,70 +68,36 @@ func checkModuleGrads(t *testing.T, m Module, in int) {
 
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	checkModuleGrads(t, NewDense(rng, 4, 3), 4)
+	d := NewDense(rng, 4, 3)
+	checkGrads(t, 4, 3, d.Params(), d.Forward, d.Backward)
 }
 
 func TestReLUGradients(t *testing.T) {
-	checkModuleGrads(t, &ReLU{}, 5)
-}
-
-func TestTanhGradients(t *testing.T) {
-	checkModuleGrads(t, &Tanh{}, 5)
+	checkGrads(t, 5, 5, nil, ReLU, ReLUBackward)
 }
 
 func TestBatchNormGradients(t *testing.T) {
 	bn := NewBatchNorm(4)
-	// leave training off: stats frozen, gradients exact
-	checkModuleGrads(t, bn, 4)
-}
-
-func TestSequentialGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	m := NewSequential(NewDense(rng, 4, 6), &ReLU{}, NewDense(rng, 6, 2), &Tanh{})
-	checkModuleGrads(t, m, 4)
-}
-
-func TestResidualGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	m := NewResidual(NewSequential(NewDense(rng, 4, 4), &Tanh{}))
-	checkModuleGrads(t, m, 4)
-}
-
-func TestDeepTorsoGradients(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	block := func() Module {
-		return NewResidual(NewSequential(NewDense(rng, 6, 6), NewBatchNorm(6), &ReLU{}, NewDense(rng, 6, 6), NewBatchNorm(6)))
-	}
-	m := NewSequential(NewDense(rng, 5, 6), &ReLU{}, block(), block(), NewDense(rng, 6, 3))
-	checkModuleGrads(t, m, 5)
+	// no training pass: stats frozen, gradients exact
+	forward := func(y, x tensor.Vec) { bn.Forward(y, x, false) }
+	checkGrads(t, 4, 4, bn.Params(), forward, bn.Backward)
 }
 
 func TestBatchNormUpdatesStatsOnlyInTraining(t *testing.T) {
 	bn := NewBatchNorm(2)
-	x := tensor.Vec{10, -10}
-	bn.Forward(x)
+	x, y := tensor.Vec{10, -10}, tensor.NewVec(2)
+	bn.Forward(y, x, false)
 	if bn.mean[0] != 0 {
 		t.Error("stats updated in eval mode")
 	}
-	SetTraining(bn, true)
-	bn.Forward(x)
+	bn.Forward(y, x, true)
 	if bn.mean[0] == 0 {
 		t.Error("stats not updated in training mode")
 	}
-	SetTraining(bn, false)
 	m := bn.mean[0]
-	bn.Forward(x)
+	bn.Forward(y, x, false)
 	if bn.mean[0] != m {
 		t.Error("stats updated after switching back to eval")
-	}
-}
-
-func TestSetTrainingRecurses(t *testing.T) {
-	bn := NewBatchNorm(2)
-	m := NewSequential(NewResidual(NewSequential(bn)))
-	SetTraining(m, true)
-	if !bn.training {
-		t.Error("SetTraining did not reach nested BatchNorm")
 	}
 }
 
@@ -164,6 +134,54 @@ func TestSoftmaxMask(t *testing.T) {
 	}
 }
 
+// TestSoftmaxAllInfiniteLogits is the saturated-vertex regression: when
+// every unmasked logit is -∞ the old code produced NaN probabilities
+// (exp(-∞ − -∞)); the defined result is the all-zero distribution.
+func TestSoftmaxAllInfiniteLogits(t *testing.T) {
+	neg := math.Inf(-1)
+	cases := []struct {
+		logits tensor.Vec
+		mask   []bool
+	}{
+		{tensor.Vec{neg, neg, neg}, nil},
+		{tensor.Vec{neg, 1, neg}, []bool{true, false, true}},
+		{tensor.Vec{1, 2, 3}, []bool{false, false, false}},
+	}
+	for i, c := range cases {
+		got := Softmax(c.logits, c.mask)
+		for j, p := range got {
+			if p != 0 || math.Signbit(p) {
+				t.Errorf("case %d: Softmax[%d] = %v, want +0", i, j, p)
+			}
+		}
+	}
+}
+
+// TestSoftmaxIntoMatchesSoftmax: the Into variant is the same function.
+func TestSoftmaxIntoMatchesSoftmax(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(12)
+		logits := make(tensor.Vec, n)
+		mask := make([]bool, n)
+		for i := range logits {
+			logits[i] = rng.NormFloat64() * 3
+			mask[i] = rng.Intn(4) > 0
+		}
+		want := Softmax(logits, mask)
+		got := make(tensor.Vec, n)
+		for i := range got {
+			got[i] = math.NaN()
+		}
+		SoftmaxInto(got, logits, mask)
+		for i := range want {
+			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("trial %d: SoftmaxInto[%d] = %x, want %x", trial, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			}
+		}
+	}
+}
+
 func TestCrossEntropyGradMatchesNumeric(t *testing.T) {
 	logits := tensor.Vec{0.5, -1, 2}
 	target := tensor.Vec{0.2, 0.3, 0.5}
@@ -178,7 +196,7 @@ func TestCrossEntropyGradMatchesNumeric(t *testing.T) {
 }
 
 func TestL2PenaltyAndGrad(t *testing.T) {
-	p := newParam("p", 2)
+	p := NewParam("p", 2)
 	p.W[0], p.W[1] = 3, 4
 	if got := L2Penalty([]*Param{p}, 0.1); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("L2Penalty = %v, want 2.5", got)
@@ -191,7 +209,16 @@ func TestL2PenaltyAndGrad(t *testing.T) {
 
 func TestAdamConvergesOnClassification(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	m := NewSequential(NewDense(rng, 2, 16), &ReLU{}, NewDense(rng, 16, 2))
+	d1, d2 := NewDense(rng, 2, 16), NewDense(rng, 16, 2)
+	params := append(d1.Params(), d2.Params()...)
+	h, r, logits := tensor.NewVec(16), tensor.NewVec(16), tensor.NewVec(2)
+	dr, dx := tensor.NewVec(16), tensor.NewVec(2)
+	forward := func(x tensor.Vec) tensor.Vec {
+		d1.Forward(h, x)
+		ReLU(r, h)
+		d2.Forward(logits, r)
+		return logits
+	}
 	opt := NewAdam(0.01)
 	sample := func() (tensor.Vec, int) {
 		x := tensor.Vec{rng.NormFloat64(), rng.NormFloat64()}
@@ -203,18 +230,19 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 	}
 	for step := 0; step < 4000; step++ {
 		x, cls := sample()
-		logits := m.Forward(x)
-		p := Softmax(logits, nil)
+		p := Softmax(forward(x), nil)
 		target := tensor.Vec{0, 0}
 		target[cls] = 1
-		m.Backward(CrossEntropyGrad(p, target, nil))
-		opt.Step(m.Params())
+		d2.Backward(dr, r, CrossEntropyGrad(p, target, nil))
+		ReLUBackward(dr, h, dr)
+		d1.Backward(dx, x, dr)
+		opt.Step(params)
 	}
 	correct := 0
 	const trials = 500
 	for i := 0; i < trials; i++ {
 		x, cls := sample()
-		logits := m.Forward(x)
+		logits := forward(x)
 		pred := 0
 		if logits[1] > logits[0] {
 			pred = 1
@@ -231,8 +259,9 @@ func TestAdamConvergesOnClassification(t *testing.T) {
 func TestOptimizerClearsGrads(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	d := NewDense(rng, 2, 2)
-	d.Forward(tensor.Vec{1, 1})
-	d.Backward(tensor.Vec{1, 1})
+	x := tensor.Vec{1, 1}
+	d.Forward(tensor.NewVec(2), x)
+	d.Backward(tensor.NewVec(2), x, tensor.Vec{1, 1})
 	NewAdam(0.001).Step(d.Params())
 	for _, p := range d.Params() {
 		for _, g := range p.G {
