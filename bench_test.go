@@ -30,6 +30,7 @@ import (
 	"pbqprl/internal/regalloc"
 	"pbqprl/internal/rl"
 	"pbqprl/internal/selfplay"
+	"pbqprl/internal/solve"
 	"pbqprl/internal/solve/scholz"
 )
 
@@ -249,54 +250,90 @@ func poolGraphs(tb testing.TB) []*pbqprl.Graph {
 
 // BenchmarkRLBacktrackNode is the source of DESIGN §10's "µs per tree
 // node" row: 24 rl-bt solves — four generated programs at each PRO1–PRO6
-// size (poolGraphs) — as pbqp-serve runs them (K=25, increasing
-// liberty, MaxNodes 4000, an untrained net, a cold Clone per solve). It
-// reports wall time per generated tree node, the node count and the
-// solves won; the two counts must not move unless the search was meant
-// to change. Run it with -cpu 1.
+// size (poolGraphs) — for each of rlbtCases. It reports wall time per
+// generated tree node, the node count and the solves won; the two counts
+// are the ones TestRLBacktrackLossesSpendBudget pins. Run it with -cpu 1.
 func BenchmarkRLBacktrackNode(b *testing.B) {
 	graphs := poolGraphs(b)
 	base := net.New(experiments.DefaultNetConfig())
-	var nodes, wins int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes, wins = 0, 0
-		for _, g := range graphs {
-			res := (&rl.Solver{Net: base.Clone(), Cfg: serveRLBT}).Solve(g)
-			nodes += res.States
-			if res.Feasible {
-				wins++
+	for _, tc := range rlbtCases {
+		b.Run(tc.name, func(b *testing.B) {
+			var nodes, wins int64
+			for i := 0; i < b.N; i++ {
+				nodes, wins = 0, 0
+				for _, g := range graphs {
+					res, _ := tc.solve(base, g)
+					nodes += res.States
+					if res.Feasible {
+						wins++
+					}
+				}
 			}
-		}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*nodes), "us/node")
+			b.ReportMetric(float64(nodes), "nodes")
+			b.ReportMetric(float64(wins), "wins")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(int64(b.N)*nodes), "us/node")
-	b.ReportMetric(float64(nodes), "nodes")
-	b.ReportMetric(float64(wins), "wins")
 }
 
 // serveRLBT is rl-bt as pbqp-serve runs it.
 var serveRLBT = rl.Config{K: 25, Order: game.OrderIncLiberty, Backtrack: true, ReinvokeMCTS: true, MaxNodes: 4000}
 
-// TestRLBacktrackLossesSpendBudget holds rl-bt to what a search with a
-// node budget may do on the poolGraphs, every one of which screens
-// feasible: lose only by spending the budget. A loss below MaxNodes
-// would mean the search gave up on a graph that has a coloring, that
-// is, a conflict set that jumped past a level that could have mended
-// the failure.
+// rlbtCase is one search over the poolGraphs, with the sums of nodes
+// and wins its 24 solves give.
+type rlbtCase struct {
+	name        string
+	floor       bool
+	nodes, wins int64
+}
+
+// rlbtCases are rl-bt as pbqp-serve runs it, on an untrained net, and
+// the no-network floor of ROADMAP item 16: the same search with uniform
+// priors and values and one simulation per move. Their sums must not
+// move unless the search was meant to change.
+var rlbtCases = []rlbtCase{
+	{"net", false, 38049, 21},
+	{"floor", true, 5074, 24},
+}
+
+// solve runs the case's search on g: the network case on a cold Clone
+// of base, the floor on mcts.Uniform with K = 1.
+func (tc rlbtCase) solve(base *net.PBQPNet, g *pbqprl.Graph) (solve.Result, rl.Stats) {
+	s := &rl.Solver{Net: mcts.Uniform{}, Cfg: serveRLBT}
+	if tc.floor {
+		s.Cfg.K = 1
+	} else {
+		s.Net = base.Clone()
+	}
+	return s.SolveStats(context.Background(), g)
+}
+
+// TestRLBacktrackLossesSpendBudget pins each case's node and win sums
+// over the poolGraphs, and holds rl-bt to what a search with a node
+// budget may do on them, every one of which screens feasible: lose only
+// by spending the budget. A loss below MaxNodes would mean the search
+// gave up on a graph that has a coloring, that is, a conflict set that
+// jumped past a level that could have mended the failure.
 func TestRLBacktrackLossesSpendBudget(t *testing.T) {
 	base := net.New(experiments.DefaultNetConfig())
-	graphs, wins := poolGraphs(t), 0
-	for i, g := range graphs {
-		res, stats := (&rl.Solver{Net: base.Clone(), Cfg: serveRLBT}).SolveStats(context.Background(), g)
-		if res.Feasible {
-			wins++
-			continue
+	graphs := poolGraphs(t)
+	for _, tc := range rlbtCases {
+		var nodes, wins int64
+		for i, g := range graphs {
+			res, stats := tc.solve(base, g)
+			nodes += res.States
+			if res.Feasible {
+				wins++
+				continue
+			}
+			if res.States < serveRLBT.MaxNodes {
+				t.Errorf("%s: graph %d: lost after %d of %d nodes (%+v)", tc.name, i, res.States, serveRLBT.MaxNodes, stats)
+			}
 		}
-		if res.States < serveRLBT.MaxNodes {
-			t.Errorf("graph %d: lost after %d of %d nodes (%+v)", i, res.States, serveRLBT.MaxNodes, stats)
+		if nodes != tc.nodes || wins != tc.wins {
+			t.Errorf("%s: %d nodes and %d wins over %d graphs, want %d and %d", tc.name, nodes, wins, len(graphs), tc.nodes, tc.wins)
 		}
 	}
-	t.Logf("rl-bt won %d of %d", wins, len(graphs))
 }
 
 // BenchmarkTrainStep is the source of DESIGN §10's "µs per gradient

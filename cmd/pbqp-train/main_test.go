@@ -7,10 +7,12 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"pbqprl/internal/checkpoint"
 	"pbqprl/internal/experiments"
@@ -135,6 +137,26 @@ func TestTinyRun(t *testing.T) {
 			t.Fatal(err)
 		} else if !bytes.Equal(written, best) {
 			t.Errorf("%s: -out is not the best network", regime)
+		}
+	}
+}
+
+// TestRunLeavesNoGoroutine holds run to the lifetime of the signal
+// watcher it starts: once run returns, the watcher has returned too. A
+// watcher that only waits for a signal outlives the run that started
+// it, one more goroutine per call.
+func TestRunLeavesNoGoroutine(t *testing.T) {
+	// The first signal.Notify of a process starts os/signal's own
+	// goroutine for good: start it before counting.
+	c := make(chan os.Signal, 1)
+	signal.Notify(c, os.Interrupt)
+	signal.Stop(c)
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	train(t, exitOK, "-iters", "0", "-out", filepath.Join(dir, "net.gob"), "-checkpoint-dir", filepath.Join(dir, "ck"))
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 5 s after run returned, %d before it", runtime.NumGoroutine(), before)
 		}
 	}
 }

@@ -1,14 +1,10 @@
 // Command pbqp-vet runs the project's domain-invariant static
 // analyzers (internal/analysis) over the module:
 //
-//	atomicmix    no plain access to variables touched via sync/atomic
 //	costarith    no raw arithmetic or comparison on cost.Cost outside internal/cost
 //	ctxpoll      every SolveCtx polls its context from each unbounded loop
 //	determinism  no time.Now / global math/rand / map-order leaks in encode paths
-//	goroleak     every go statement has a bounded exit path or a daemon marker
-//	hotalloc     no allocating tensor calls on //pbqpvet:hotpath-reachable paths
 //	lockorder    acyclic lock acquisition; no lock held across blocking ops
-//	wgmisuse     WaitGroup Add/Wait protocol; no by-value sync primitives
 //
 // Usage:
 //
@@ -17,11 +13,10 @@
 // Patterns are package directories; a trailing "/..." walks the tree
 // (skipping testdata and vendor). With no pattern it vets "./...".
 // Every requested package is loaded first and analyzed in one
-// module-wide pass, so the concurrency analyzers (lockorder, goroleak,
-// atomicmix, wgmisuse) see call graphs and sync-object identity across
-// package boundaries. Findings are reported in one deterministic
-// file/line/col/analyzer order — -json output is byte-stable run to
-// run. Findings are suppressed line-by-line with
+// module-wide pass, so lockorder sees call graphs and sync-object
+// identity across package boundaries. Findings are reported in one
+// deterministic file/line/col/analyzer order — -json output is
+// byte-stable run to run. Findings are suppressed line-by-line with
 // "//pbqpvet:ignore <analyzer> <reason>" on or directly above the line;
 // -counts appends a per-analyzer census of findings and suppression
 // sites so suppression creep stays visible in review.
@@ -56,7 +51,6 @@ func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("pbqp-vet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
-	list := fs.Bool("list", false, "list the analyzers and exit")
 	counts := fs.Bool("counts", false, "append per-analyzer totals of findings and //pbqpvet:ignore sites")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -66,12 +60,6 @@ func run(args []string, out io.Writer) int {
 	}
 
 	analyzers := analysis.All()
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(out, "%-12s %s\n", a.Name, a.Doc)
-		}
-		return exitOK
-	}
 	if *only != "" {
 		analyzers = analyzers[:0]
 		for _, name := range strings.Split(*only, ",") {

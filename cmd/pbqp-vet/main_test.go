@@ -91,24 +91,9 @@ func TestRunHelp(t *testing.T) {
 	}
 }
 
-func TestRunList(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-list"}, &out); code != 0 {
-		t.Fatalf("exit code = %d, want 0", code)
-	}
-	for _, name := range []string{
-		"atomicmix", "costarith", "ctxpoll", "determinism",
-		"goroleak", "hotalloc", "lockorder", "wgmisuse",
-	} {
-		if !strings.Contains(out.String(), name) {
-			t.Errorf("-list output missing %s:\n%s", name, out.String())
-		}
-	}
-}
-
 func TestRunCounts(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-counts", "-only", "goroleak", fixtureRoot + "/goroleak"}, &out)
+	code := run([]string{"-counts", "-only", "lockorder", fixtureRoot + "/lockorder"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -116,20 +101,20 @@ func TestRunCounts(t *testing.T) {
 	if !strings.Contains(s, "analyzer") || !strings.Contains(s, "findings") || !strings.Contains(s, "ignores") {
 		t.Fatalf("-counts output missing census header:\n%s", s)
 	}
-	// The goroleak fixture has annotated findings and one suppression
-	// site; both columns must be populated on the goroleak row.
+	// The lockorder fixture has annotated findings and one suppression
+	// site; both columns must be populated on the lockorder row.
 	var row string
 	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "goroleak") {
+		if strings.HasPrefix(line, "lockorder") {
 			row = line
 		}
 	}
 	if row == "" {
-		t.Fatalf("-counts output has no goroleak row:\n%s", s)
+		t.Fatalf("-counts output has no lockorder row:\n%s", s)
 	}
 	fields := strings.Fields(row)
 	if len(fields) != 3 || fields[1] == "0" || fields[2] == "0" {
-		t.Errorf("goroleak census row = %q, want nonzero findings and ignores", row)
+		t.Errorf("lockorder census row = %q, want nonzero findings and ignores", row)
 	}
 }
 
@@ -138,8 +123,8 @@ func TestRunCounts(t *testing.T) {
 // come back in one deterministically sorted report.
 func TestRunModuleWide(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-json", "-only", "lockorder,wgmisuse",
-		fixtureRoot + "/lockorder", fixtureRoot + "/wgmisuse"}, &out)
+	code := run([]string{"-json", "-only", "lockorder,determinism",
+		fixtureRoot + "/lockorder", fixtureRoot + "/determinism"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -157,13 +142,13 @@ func TestRunModuleWide(t *testing.T) {
 			}
 		}
 	}
-	if !seen["lockorder"] || !seen["wgmisuse"] {
+	if !seen["lockorder"] || !seen["determinism"] {
 		t.Errorf("expected findings from both packages, got analyzers %v", seen)
 	}
 	// Byte-stability: a second identical run must produce identical bytes.
 	var again bytes.Buffer
-	run([]string{"-json", "-only", "lockorder,wgmisuse",
-		fixtureRoot + "/lockorder", fixtureRoot + "/wgmisuse"}, &again)
+	run([]string{"-json", "-only", "lockorder,determinism",
+		fixtureRoot + "/lockorder", fixtureRoot + "/determinism"}, &again)
 	if !bytes.Equal(out.Bytes(), again.Bytes()) {
 		t.Error("-json output is not byte-stable across identical runs")
 	}

@@ -1,9 +1,9 @@
 // Package analysis is a small stdlib-only static-analysis framework for
 // the project's domain invariants: determinism of encode paths,
 // saturating ℝ∞ cost arithmetic, cancellation discipline in solvers,
-// allocation-free hot paths, and the concurrency protocols (lock
-// order, goroutine exits, atomic access, WaitGroup use). DESIGN.md §12
-// keeps the census that decides which analyzers stay.
+// and lock order across the module. DESIGN.md §12 keeps the mutation
+// census that decides which analyzers stay: each one guards a defect
+// class that no test catches.
 //
 // It deliberately avoids golang.org/x/tools: packages are parsed with
 // go/parser and type-checked with go/types, resolving module-internal
@@ -45,16 +45,13 @@ func (d Diagnostic) String() string {
 
 // Analyzer is one named check over type-checked code. Exactly one of
 // Run and RunModule is set: Run analyzers see one package at a time,
-// RunModule analyzers (the concurrency suite) see every loaded package
-// at once so call graphs and sync-object identity thread across
-// package boundaries.
+// RunModule analyzers (lockorder) see every loaded package at once so
+// call graphs and sync-object identity thread across package
+// boundaries.
 type Analyzer struct {
 	// Name identifies the analyzer in reports and in
 	// //pbqpvet:ignore directives.
 	Name string
-	// Doc is a one-paragraph description of the invariant the
-	// analyzer protects.
-	Doc string
 	// Run inspects the package via pass and reports findings with
 	// pass.Reportf. A returned error aborts the whole vet run (it
 	// means the analyzer itself failed, not that the code is bad).
@@ -116,20 +113,14 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Run executes the analyzers over the loaded package, applies the
-// package's //pbqpvet:ignore suppressions, and returns the surviving
-// diagnostics sorted by position. Malformed suppression directives are
-// themselves reported under the pseudo-analyzer name "pbqpvet".
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	return RunModule([]*Package{pkg}, analyzers)
-}
-
 // RunModule executes the analyzers over every loaded package —
 // per-package analyzers once per package, module analyzers once over
 // the whole set with a shared concurrency index — applies every
 // //pbqpvet:ignore suppression, and returns the surviving diagnostics
 // in one deterministic file/line/col/analyzer order so repeated runs
-// (and their -json artifacts) are byte-stable.
+// (and their -json artifacts) are byte-stable. Malformed suppression
+// directives are themselves reported under the pseudo-analyzer name
+// "pbqpvet".
 func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	var sup suppressions

@@ -3,8 +3,7 @@ package analysis
 // All returns every analyzer in the suite, in report-name order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		AtomicMix, CostArith, CtxPoll, Determinism,
-		GoroLeak, HotAlloc, LockOrder, WgMisuse,
+		CostArith, CtxPoll, Determinism, LockOrder,
 	}
 }
 

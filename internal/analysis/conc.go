@@ -8,29 +8,25 @@ import (
 	"strings"
 )
 
-// Concurrency index shared by the lockorder, goroleak, atomicmix and
-// wgmisuse analyzers: a module-wide inventory of function bodies —
-// named declarations plus function literals, with go-spawned literals
-// split out as roots of their own asynchronous flows — and sync-object
-// identity, which resolves an expression like b.mu.Lock() to the
-// *types.Var of the mutex field so "which lock" is a stable fact
-// across packages (the loader memoizes type-checked packages, so field
-// objects are shared module-wide). ctxpoll and hotalloc thread context
-// and allocation facts through the same-package call graph the same
-// way; this generalizes the technique to the whole module.
+// Concurrency index of the lockorder analyzer: a module-wide inventory
+// of function bodies — named declarations plus function literals, with
+// go-spawned literals split out as roots of their own asynchronous
+// flows — and sync-object identity, which resolves an expression like
+// b.mu.Lock() to the *types.Var of the mutex field so "which lock" is a
+// stable fact across packages (the loader memoizes type-checked
+// packages, so field objects are shared module-wide). ctxpoll threads
+// context facts through the same-package call graph the same way; this
+// generalizes the technique to the whole module.
 
 // funcUnit is one analyzable body: a named function or method, or a
 // function literal. Go-spawned literals are flagged because their
-// bodies run asynchronously — their lock acquisitions are not ordered
-// after the spawner's held locks, and their lifecycle is goroleak's
-// subject.
+// bodies run asynchronously: their lock acquisitions are not ordered
+// after the spawner's held locks.
 type funcUnit struct {
 	pkg       *Package
 	decl      *ast.FuncDecl // nil for literals
 	lit       *ast.FuncLit  // nil for declarations
-	obj       *types.Func   // nil for literals
 	parent    *funcUnit     // enclosing unit for literals
-	goStmt    *ast.GoStmt   // the spawning statement for go-literals
 	goSpawned bool
 }
 
@@ -40,14 +36,6 @@ func (u *funcUnit) body() *ast.BlockStmt {
 		return u.decl.Body
 	}
 	return u.lit.Body
-}
-
-// pos returns the unit's declaration position.
-func (u *funcUnit) pos() token.Pos {
-	if u.decl != nil {
-		return u.decl.Pos()
-	}
-	return u.lit.Pos()
 }
 
 // name renders the unit for diagnostics.
@@ -66,26 +54,21 @@ func (u *funcUnit) info() *types.Info { return u.pkg.Info }
 
 // Conc is the module-wide concurrency index.
 type Conc struct {
-	pkgs    []*Package
-	units   []*funcUnit
-	byObj   map[*types.Func]*funcUnit
-	byLit   map[*ast.FuncLit]*funcUnit
-	markers map[string]map[int]string // file -> line -> daemon reason
+	units []*funcUnit
+	byObj map[*types.Func]*funcUnit
+	byLit map[*ast.FuncLit]*funcUnit
 }
 
 // newConc indexes every function body in pkgs. Package, file and
 // declaration order are the loader's, so unit iteration — and with it
-// every diagnostic the concurrency analyzers emit — is deterministic.
+// every diagnostic lockorder emits — is deterministic.
 func newConc(pkgs []*Package) *Conc {
 	c := &Conc{
-		pkgs:    pkgs,
-		byObj:   map[*types.Func]*funcUnit{},
-		byLit:   map[*ast.FuncLit]*funcUnit{},
-		markers: map[string]map[int]string{},
+		byObj: map[*types.Func]*funcUnit{},
+		byLit: map[*ast.FuncLit]*funcUnit{},
 	}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
-			c.collectDaemonMarkers(pkg, f)
 			for _, d := range f.Decls {
 				fd, ok := d.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -93,7 +76,6 @@ func newConc(pkgs []*Package) *Conc {
 				}
 				u := &funcUnit{pkg: pkg, decl: fd}
 				if obj, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					u.obj = obj
 					c.byObj[obj] = u
 				}
 				c.units = append(c.units, u)
@@ -109,11 +91,11 @@ func newConc(pkgs []*Package) *Conc {
 // statement. Literals nested inside other literals get the inner
 // literal as parent.
 func (c *Conc) collectLits(u *funcUnit) {
-	goLits := map[*ast.FuncLit]*ast.GoStmt{}
+	goLits := map[*ast.FuncLit]bool{}
 	ast.Inspect(u.body(), func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
 			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-				goLits[lit] = g
+				goLits[lit] = true
 			}
 		}
 		return true
@@ -125,11 +107,7 @@ func (c *Conc) collectLits(u *funcUnit) {
 			if !ok {
 				return true
 			}
-			lu := &funcUnit{pkg: u.pkg, lit: lit, parent: parent}
-			if g, spawned := goLits[lit]; spawned {
-				lu.goSpawned = true
-				lu.goStmt = g
-			}
+			lu := &funcUnit{pkg: u.pkg, lit: lit, parent: parent, goSpawned: goLits[lit]}
 			c.byLit[lit] = lu
 			c.units = append(c.units, lu)
 			visit(lu, lit.Body)
@@ -137,49 +115,6 @@ func (c *Conc) collectLits(u *funcUnit) {
 		})
 	}
 	visit(u, u.body())
-}
-
-// daemonMarker opts a goroutine spawn out of goroleak's join/exit
-// requirement, with a mandatory reason:
-//
-//	//pbqpvet:daemon serves until process exit; ListenAndServe has no join handle
-//	go srv.serve()
-//
-// The directive binds to its own line and the next, like
-// //pbqpvet:ignore, and is also honored in the doc comment of a named
-// function spawned with `go f()`.
-const daemonMarker = "pbqpvet:daemon"
-
-// collectDaemonMarkers indexes //pbqpvet:daemon directives by file and
-// line.
-func (c *Conc) collectDaemonMarkers(pkg *Package, f *ast.File) {
-	for _, cg := range f.Comments {
-		for _, cm := range cg.List {
-			text := strings.TrimSpace(strings.TrimPrefix(cm.Text, "//"))
-			rest, ok := strings.CutPrefix(text, daemonMarker)
-			if !ok || (rest != "" && !strings.HasPrefix(rest, " ")) {
-				continue
-			}
-			pos := pkg.Fset.Position(cm.Pos())
-			lines := c.markers[pos.Filename]
-			if lines == nil {
-				lines = map[int]string{}
-				c.markers[pos.Filename] = lines
-			}
-			reason := strings.TrimSpace(rest)
-			lines[pos.Line] = reason
-			lines[pos.Line+1] = reason
-		}
-	}
-}
-
-// daemonReason returns the //pbqpvet:daemon reason covering pos, with
-// ok reporting whether a marker is present at all (an empty reason is
-// a malformed marker the caller should diagnose).
-func (c *Conc) daemonReason(fset *token.FileSet, pos token.Pos) (reason string, ok bool) {
-	p := fset.Position(pos)
-	reason, ok = c.markers[p.Filename][p.Line]
-	return reason, ok
 }
 
 // calleeUnit resolves a static call to the module-internal unit it
@@ -307,105 +242,6 @@ func labelForVar(info *types.Info, v *types.Var, selX *ast.SelectorExpr) string 
 		return v.Pkg().Name() + "." + v.Name()
 	}
 	return v.Name()
-}
-
-// syncTypeIn reports the first sync primitive type (sync.Mutex,
-// sync.RWMutex, sync.WaitGroup, sync.Once, sync.Cond, sync.Map,
-// sync.Pool, or any sync/atomic type) contained by value in t —
-// directly, through struct fields, or through array elements. Pointers,
-// slices, maps and channels break containment: sharing through them is
-// the correct idiom.
-func syncTypeIn(t types.Type) string {
-	return syncTypeInSeen(t, map[types.Type]bool{})
-}
-
-func syncTypeInSeen(t types.Type, seen map[types.Type]bool) string {
-	if seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if named, ok := types.Unalias(t).(*types.Named); ok {
-		if obj := named.Obj(); obj.Pkg() != nil {
-			switch obj.Pkg().Path() {
-			case "sync", "sync/atomic":
-				return obj.Pkg().Path() + "." + obj.Name()
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if s := syncTypeInSeen(u.Field(i).Type(), seen); s != "" {
-				return s
-			}
-		}
-	case *types.Array:
-		return syncTypeInSeen(u.Elem(), seen)
-	}
-	return ""
-}
-
-// addrOperand resolves a &x.f / &x argument to the variable or field
-// object it addresses, for atomicmix's sync/atomic call-site
-// collection.
-func addrOperand(info *types.Info, arg ast.Expr) *types.Var {
-	unary, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || unary.Op != token.AND {
-		return nil
-	}
-	switch x := ast.Unparen(unary.X).(type) {
-	case *ast.Ident:
-		v, _ := info.Uses[x].(*types.Var)
-		return v
-	case *ast.SelectorExpr:
-		v, _ := info.Uses[x.Sel].(*types.Var)
-		return v
-	}
-	return nil
-}
-
-// forEachCall walks node, invoking fn on every call expression outside
-// nested function literals (which are separate units).
-func forEachCall(node ast.Node, fn func(*ast.CallExpr)) {
-	ast.Inspect(node, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok {
-			fn(call)
-		}
-		return true
-	})
-}
-
-// reachableDecls returns the same-package function declarations
-// reachable from root through static calls, root included — the
-// reachability kernel shared by ctxpoll and hotalloc.
-func reachableDecls(info *types.Info, decls map[*types.Func]*ast.FuncDecl, root *types.Func) []*ast.FuncDecl {
-	seen := map[*types.Func]bool{root: true}
-	queue := []*types.Func{root}
-	var out []*ast.FuncDecl
-	for len(queue) > 0 {
-		fn := queue[0]
-		queue = queue[1:]
-		fd, ok := decls[fn]
-		if !ok {
-			continue
-		}
-		out = append(out, fd)
-		ast.Inspect(fd.Body, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				if callee := pkgFunc(info, call); callee != nil && !seen[callee] {
-					if _, local := decls[callee]; local {
-						seen[callee] = true
-						queue = append(queue, callee)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return out
 }
 
 // isTerminatorCall reports whether a statement-level expression is a

@@ -13,9 +13,7 @@ import (
 // package's methods (Add, Less, IsInf, Vector.Equal).
 var CostArith = &Analyzer{
 	Name: "costarith",
-	Doc: "flags raw +, -, *, /, ==, != (and their assignment forms) on " +
-		"cost.Cost values outside internal/cost, which bypass saturating ℝ∞ semantics",
-	Run: runCostArith,
+	Run:  runCostArith,
 }
 
 // costArithOps are the operators that bypass saturation (arithmetic)

@@ -32,10 +32,7 @@ const ctxrootMarker = "pbqpvet:ctxroot"
 // roots under the same rules.
 var CtxPoll = &Analyzer{
 	Name: "ctxpoll",
-	Doc: "every SolveCtx implementation (and every //pbqpvet:ctxroot " +
-		"function) must reach a ctx.Err()/ctx.Done() check from each " +
-		"unbounded loop so cancellation can interrupt the work",
-	Run: runCtxPoll,
+	Run:  runCtxPoll,
 }
 
 func runCtxPoll(pass *Pass) error {
@@ -177,10 +174,32 @@ func (c *ctxChecker) funcPolls(fn *types.Func) bool {
 }
 
 // reachable returns the same-package function declarations reachable
-// from root through static calls, root included (the shared
-// reachability kernel in conc.go).
+// from root through static calls, root included.
 func (c *ctxChecker) reachable(root *types.Func) []*ast.FuncDecl {
-	return reachableDecls(c.pass.Info, c.decls, root)
+	seen := map[*types.Func]bool{root: true}
+	queue := []*types.Func{root}
+	var out []*ast.FuncDecl
+	for len(queue) > 0 {
+		fn := queue[0]
+		queue = queue[1:]
+		fd, ok := c.decls[fn]
+		if !ok {
+			continue
+		}
+		out = append(out, fd)
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if callee := pkgFunc(c.pass.Info, call); callee != nil && !seen[callee] {
+					if _, local := c.decls[callee]; local {
+						seen[callee] = true
+						queue = append(queue, callee)
+					}
+				}
+			}
+			return true
+		})
+	}
+	return out
 }
 
 // checkLoops reports every unbounded loop in fd whose body cannot reach

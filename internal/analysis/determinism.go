@@ -13,9 +13,7 @@ import (
 // map iteration order reach encoded bytes.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc: "flags time.Now, global math/rand state, and map iteration in " +
-		"encode/serialize paths, all of which break bit-identical reproduction",
-	Run: runDeterminism,
+	Run:  runDeterminism,
 }
 
 // encodePathRE matches function names that produce serialized bytes

@@ -23,10 +23,7 @@ import (
 // flows — locks held at a `go` statement are not held inside the
 // spawned goroutine.
 var LockOrder = &Analyzer{
-	Name: "lockorder",
-	Doc: "mutex acquisition order must be acyclic across the module, and no " +
-		"lock may be held across a blocking operation (channel send/receive, " +
-		"select without default, WaitGroup.Wait, net/http round trips, time.Sleep)",
+	Name:      "lockorder",
 	RunModule: runLockOrder,
 }
 

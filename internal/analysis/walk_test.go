@@ -62,8 +62,10 @@ func TestLoaderModulePath(t *testing.T) {
 }
 
 // TestRepoClean is the acceptance gate in test form: the analyzers
-// must report nothing on the production tree (the same walk the driver
-// does for ./...). Everything deliberate is expected to carry a
+// must report nothing on the production tree. Like `pbqp-vet ./...`, it
+// loads every package the driver's walk finds and vets them in one
+// module pass, so the module-wide analyzers see calls across package
+// boundaries. Everything deliberate is expected to carry a
 // pbqpvet:ignore with a reason.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
@@ -74,18 +76,20 @@ func TestRepoClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var pkgs []*Package
 	for _, dir := range dirs {
 		pkg, err := l.LoadDir(dir)
 		if err != nil {
 			t.Fatalf("load %s: %v", dir, err)
 		}
-		diags, err := Run(pkg, All())
-		if err != nil {
-			t.Fatalf("run %s: %v", dir, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s", d)
-		}
+		pkgs = append(pkgs, pkg)
+	}
+	diags, err := RunModule(pkgs, All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
 	}
 }
 

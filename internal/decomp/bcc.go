@@ -88,7 +88,7 @@ func (s *scanner) comp(c int) (lo, hi int) {
 // run (re)computes the decomposition. Safe to call repeatedly on the
 // same snapshot; each call starts from clean scratch.
 //
-//pbqpvet:hotpath
+// Once the scratch has grown it allocates nothing (TestBCCScanAllocFree).
 func (s *scanner) run() {
 	n := s.csr.Len()
 	for i := 0; i < n; i++ {

@@ -291,7 +291,7 @@ func (s *State) DeadEnd() bool { return !s.Done() && s.dead > 0 }
 // uncolored neighbors. It panics if the game is done or a is illegal;
 // use Legal first.
 //
-//pbqpvet:hotpath
+// Warm, it allocates nothing (TestPlayUndoWarmAllocFree).
 func (s *State) Play(a int) {
 	if s.Done() {
 		// Callers check Done/Legal first: the self-play hot path cannot
@@ -326,7 +326,7 @@ func (s *State) Play(a int) {
 
 // Undo reverts the most recent Play. It panics if no action was taken.
 //
-//pbqpvet:hotpath
+// It allocates nothing (TestPlayUndoWarmAllocFree).
 func (s *State) Undo() {
 	if s.t == 0 {
 		panic("game: Undo at initial state")

@@ -155,11 +155,11 @@ func (g *GCN) Params() []*nn.Param {
 // caller owns of the final hidden vectors (one length-m vector per
 // vertex).
 //
-//pbqpvet:hotpath
+// Its result is its one allocation (TestTapeSteadyStateAllocations).
 func (g *GCN) Forward(view View) []tensor.Vec {
 	g.ForwardTape(&g.tape, view)
 	n, m := g.tape.n, g.m
-	//pbqpvet:ignore hotalloc the caller-owned result: rows of two Forwards never alias
+	// the caller-owned result: rows of two Forwards never alias
 	out := make(tensor.Vec, n*m)
 	copy(out, g.tape.hs[g.layers*n*m:])
 	rows := make([]tensor.Vec, n)
@@ -174,7 +174,7 @@ func (g *GCN) Forward(view View) []tensor.Vec {
 // may run it over one GCN at once, each on a tape of its own, as long as
 // nothing writes the weights meanwhile.
 //
-//pbqpvet:hotpath
+// Once tp has grown it allocates nothing (TestTapeSteadyStateAllocations).
 func (g *GCN) ForwardTape(tp *Tape, view View) {
 	n, m := view.N(), g.m
 	tbl, off := edges(view)
@@ -182,7 +182,7 @@ func (g *GCN) ForwardTape(tp *Tape, view View) {
 	tp.feats, tp.hs, tp.msgs = grow(tp.feats, n*2*m), grow(tp.hs, (g.layers+1)*n*m), grow(tp.msgs, g.layers*n*m)
 	tp.rows = tp.rows[:0]
 	for r := 0; r < (g.layers+1)*n; r++ {
-		//pbqpvet:ignore hotalloc header growth on first sight of a larger view; steady state reuses the slice
+		// header growth on first sight of a larger view; steady state reuses the slice
 		tp.rows = append(tp.rows, tp.hs[r*m:(r+1)*m:(r+1)*m])
 	}
 	for v := 0; v < n; v++ {
@@ -230,7 +230,7 @@ func (g *GCN) update(o, msg tensor.Vec, l int, tbl *EdgeTable, off, v int, in []
 // Backprop then Accumulate, on the GCN's own tape. It allocates
 // nothing.
 //
-//pbqpvet:hotpath
+// It allocates nothing (TestTapeSteadyStateAllocations).
 func (g *GCN) Backward(_ View, dH []tensor.Vec) {
 	g.Backprop(&g.tape, dH)
 	g.Accumulate(&g.tape)
@@ -242,7 +242,7 @@ func (g *GCN) Backward(_ View, dH []tensor.Vec) {
 // weights and writes only tp — no Param's W or G — so it shares a GCN
 // between goroutines on the same terms. It allocates nothing.
 //
-//pbqpvet:hotpath
+// TestTapeSteadyStateAllocations pins that.
 func (g *GCN) Backprop(tp *Tape, dH []tensor.Vec) {
 	m, n, tbl, off := g.m, tp.n, tp.tbl, tp.off
 	tp.dpre, tp.grad = grow(tp.dpre, (g.layers+1)*n*m), grow(tp.grad, (2*n+2)*m)
@@ -292,7 +292,7 @@ func (g *GCN) Backprop(tp *Tape, dH []tensor.Vec) {
 // and writes every Param's G, so a minibatch's tapes go through it one
 // at a time, in sample order. It allocates nothing.
 //
-//pbqpvet:hotpath
+// TestTapeSteadyStateAllocations pins that.
 func (g *GCN) Accumulate(tp *Tape) {
 	m, n := g.m, tp.n
 	for l := g.layers - 1; l >= 0; l-- {

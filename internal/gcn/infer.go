@@ -367,7 +367,7 @@ func (sc *Scratch) LimitMemosForTest(n int) {
 // grow returns buf, or a longer buffer, with length n and any contents.
 func grow(buf tensor.Vec, n int) tensor.Vec {
 	if cap(buf) < n {
-		//pbqpvet:ignore hotalloc scratch growth on first sight of a larger view; steady state reuses the buffers
+		// scratch growth on first sight of a larger view; steady state reuses the buffers
 		return make(tensor.Vec, n)
 	}
 	return buf[:n]
@@ -443,7 +443,7 @@ func checkShape(mat *tensor.Mat, m int) {
 // misses (ids are never reused), so evicting either map merely forces
 // recomputation.
 //
-//pbqpvet:hotpath
+// Once sc is warm it allocates nothing (TestInferAllocFree).
 func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	n := view.N()
 	m := g.m
@@ -510,7 +510,7 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur *rowS
 	sc.key = key
 	out, ok := sc.rows[string(key)]
 	if !ok {
-		//pbqpvet:ignore hotalloc row memo fill on first sight of a (layer, row, edge list) key; later evaluations hit the memo
+		// row memo fill on first sight of a (layer, row, edge list) key; later evaluations hit the memo
 		o := make(tensor.Vec, g.m)
 		g.update(o, sc.mrow, l, tbl, off, v, cur.vec)
 		if len(sc.rows) >= sc.lim.rows {
@@ -561,7 +561,7 @@ func (sc *Scratch) h0Row(g *GCN, vec cost.Vector, tbl *EdgeTable, u int, live bo
 // h0Compute computes the h⁰ row of a vector the h0 map has not seen
 // and caches it under the content key sc.key holds.
 func (sc *Scratch) h0Compute(g *GCN, vec cost.Vector) rowRef {
-	//pbqpvet:ignore hotalloc h⁰ cache fill on first sight of a cost vector; later evaluations of the same vector hit the cache
+	// h⁰ cache fill on first sight of a cost vector; later evaluations of the same vector hit the cache
 	dst := make(tensor.Vec, g.m)
 	sc.featNZ = g.h0Into(dst, sc.feat, sc.featNZ[:0], vec)
 	if len(sc.h0) >= sc.lim.h0 {

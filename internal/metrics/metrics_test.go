@@ -56,13 +56,21 @@ func TestHistogramBucketing(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent hammers one registry from many goroutines —
-// the instruments must be race-free (run under -race in CI) and lose
-// no events.
+// TestRegistryConcurrent hammers one registry from many goroutines
+// while another snapshots it, as /metrics does under load — the
+// instruments must be race-free (run under -race in CI) and lose no
+// events.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers, events = 8, 1000
 	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < events; i++ {
+			r.Snapshot()
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

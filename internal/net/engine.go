@@ -37,7 +37,7 @@ func (p *PBQPNet) invalidateEngine() { p.eng.gsc.InvalidateWeights() }
 // and an evaluation against them would not be the one Forward gives
 // once training ends.
 //
-//pbqpvet:hotpath
+// It allocates nothing (TestEvaluateIntoAllocFree).
 func (p *PBQPNet) EvaluateInto(view gcn.View, prior tensor.Vec) (value float64) {
 	if p.training {
 		panic("net: Evaluate on a training-mode network")

@@ -133,7 +133,7 @@ func (p *PBQPNet) Forward(view gcn.View) (logits tensor.Vec, value float64) {
 // writes only s, so the samples of a minibatch embed concurrently, one
 // goroutine per Slot, while nothing updates the network.
 //
-//pbqpvet:hotpath
+// Once s has grown it allocates nothing (TestTapeSteadyStateAllocations in gcn).
 func (p *PBQPNet) Embed(s *Slot, view gcn.View) {
 	s.view = view
 	p.gcn.ForwardTape(&s.tape, view)
@@ -186,9 +186,9 @@ func poolInto(f tensor.Vec, view gcn.View, h []tensor.Vec) {
 // SetTraining(false) the batch-normalization statistics are moving and
 // Evaluate panics rather than evaluate against them.
 //
-//pbqpvet:hotpath
+// The prior is its one allocation (TestEvaluateAllocatesOnlyThePrior).
 func (p *PBQPNet) Evaluate(view gcn.View) (prior tensor.Vec, value float64) {
-	//pbqpvet:ignore hotalloc the caller-owned result prior, Evaluate's single allocation
+	// the caller-owned result prior, Evaluate's single allocation
 	prior = make(tensor.Vec, p.cfg.M)
 	return prior, p.EvaluateInto(view, prior)
 }
@@ -243,14 +243,14 @@ func (p *PBQPNet) HeadsBackward(s *Slot, dLogits tensor.Vec, dValue float64) {
 // Backprop carries s's dL/dH back through the GCN's activations on s's
 // tape and touches no parameter: concurrent like Embed.
 //
-//pbqpvet:hotpath
+// Once s has grown it allocates nothing (TestTapeSteadyStateAllocations in gcn).
 func (p *PBQPNet) Backprop(s *Slot) { p.gcn.Backprop(&s.tape, s.dH) }
 
 // Accumulate adds s's terms to the GCN's parameter gradients: one slot
 // at a time, in sample order. It shares no tensor with Heads and
 // HeadsBackward, so one sample's may run beside another's.
 //
-//pbqpvet:hotpath
+// It allocates nothing (TestTapeSteadyStateAllocations in gcn).
 func (p *PBQPNet) Accumulate(s *Slot) { p.gcn.Accumulate(&s.tape) }
 
 // Params returns every trainable parameter.

@@ -73,7 +73,7 @@ func newActs(in, hidden, blocks, m int) acts {
 // the value in a. A training pass (train) moves the batch-norm
 // statistics.
 //
-//pbqpvet:hotpath
+// EvaluateInto runs it per evaluation: TestEvaluateIntoAllocFree holds it to no allocation.
 func (t *torso) forward(a *acts, train bool) {
 	t.in.Forward(a.lin, a.x)
 	t.inBN.Forward(a.norm, a.lin, train)

@@ -76,7 +76,7 @@ func (c *CSR) Degree(i int) int { return int(c.rowPtr[i+1] - c.rowPtr[i]) }
 // slice is a view into shared storage: read-only, valid for the
 // snapshot's lifetime, and allocation-free.
 //
-//pbqpvet:hotpath
+// TestCSRTraversalAllocFree pins that.
 func (c *CSR) Neighbors(i int) []int32 {
 	return c.colIdx[c.rowPtr[i]:c.rowPtr[i+1]]
 }

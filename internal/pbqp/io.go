@@ -99,7 +99,7 @@ func Write(w io.Writer, g *Graph) error {
 // as cost.Cost.String renders it; an exact positive zero — with inf,
 // 99 % of an ATE graph — skips strconv.
 //
-//pbqpvet:hotpath
+// It allocates only to grow buf.
 func appendCosts(buf []byte, cs []cost.Cost) []byte {
 	for _, c := range cs {
 		switch {
@@ -423,7 +423,7 @@ func cutInt(line []byte) (n int, rest []byte, ok bool) {
 // 2^53 and so is its own float64: it is decoded as the field is walked.
 // Every other field is classified by parseCost.
 //
-//pbqpvet:hotpath
+// TestReadAllocatesPerDistinctLine holds Read to allocations per distinct line.
 func walk(line []byte, m int, costs *cost.Vector) (nf int, ascii bool, err error) {
 	directive, _ := cutField(line)
 	skip, want := 1, 0 // fields before the costs, costs owed
@@ -496,7 +496,7 @@ type matrices struct {
 // turned away on its count, as walk's count would have turned it away.
 // tail is nil when the fields are not three and ASCII.
 //
-//pbqpvet:hotpath
+// TestReadAllocatesPerDistinctMatrix holds Read to allocations per distinct matrix.
 func (ms *matrices) spelled(line []byte) (tail []byte, p [2]*cost.Matrix, ok bool) {
 	rest := line
 	for range 3 {
