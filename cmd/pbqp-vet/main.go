@@ -2,7 +2,6 @@
 // analyzers (internal/analysis) over the module:
 //
 //	costarith    no raw arithmetic or comparison on cost.Cost outside internal/cost
-//	ctxpoll      every SolveCtx polls its context from each unbounded loop
 //	determinism  no time.Now / global math/rand / map-order leaks in encode paths
 //	lockorder    acyclic lock acquisition; no lock held across blocking ops
 //

@@ -3,7 +3,7 @@ package analysis
 // All returns every analyzer in the suite, in report-name order.
 func All() []*Analyzer {
 	return []*Analyzer{
-		CostArith, CtxPoll, Determinism, LockOrder,
+		CostArith, Determinism, LockOrder,
 	}
 }
 

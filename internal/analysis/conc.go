@@ -14,9 +14,8 @@ import (
 // flows — and sync-object identity, which resolves an expression like
 // b.mu.Lock() to the *types.Var of the mutex field so "which lock" is a
 // stable fact across packages (the loader memoizes type-checked
-// packages, so field objects are shared module-wide). ctxpoll threads
-// context facts through the same-package call graph the same way; this
-// generalizes the technique to the whole module.
+// packages, so field objects are shared module-wide), which lets lock
+// facts follow calls across package boundaries.
 
 // funcUnit is one analyzable body: a named function or method, or a
 // function literal. Go-spawned literals are flagged because their

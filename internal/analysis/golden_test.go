@@ -39,7 +39,6 @@ func TestGolden(t *testing.T) {
 	}{
 		{"determinism", []*Analyzer{Determinism}},
 		{"costarith", []*Analyzer{CostArith}},
-		{"ctxpoll", []*Analyzer{CtxPoll}},
 		{"lockorder", []*Analyzer{LockOrder}},
 		{"suppress", []*Analyzer{CostArith, Determinism}},
 	}

@@ -45,13 +45,13 @@ func TestMalformedDirectives(t *testing.T) {
 }
 
 func TestWellFormedDirectiveCoversTwoLines(t *testing.T) {
-	src := "package p\n\n//pbqpvet:ignore costarith,ctxpoll the reason\nvar x = 1\n"
+	src := "package p\n\n//pbqpvet:ignore costarith,determinism the reason\nvar x = 1\n"
 	_, bad, sup := parseSrc(t, src)
 	if len(bad) != 0 {
 		t.Fatalf("unexpected malformed diagnostics: %v", bad)
 	}
 	for _, line := range []int{3, 4} {
-		for _, name := range []string{"costarith", "ctxpoll"} {
+		for _, name := range []string{"costarith", "determinism"} {
 			if !sup["sup.go"][line][name] {
 				t.Errorf("line %d analyzer %s not suppressed", line, name)
 			}
@@ -62,13 +62,13 @@ func TestWellFormedDirectiveCoversTwoLines(t *testing.T) {
 	}
 	kept := sup.filter([]Diagnostic{
 		{Analyzer: "costarith", File: "sup.go", Line: 4},
-		{Analyzer: "determinism", File: "sup.go", Line: 4},
+		{Analyzer: "lockorder", File: "sup.go", Line: 4},
 		{Analyzer: "costarith", File: "sup.go", Line: 9},
 	})
 	if len(kept) != 2 {
 		t.Fatalf("filter kept %d diagnostics, want 2: %v", len(kept), kept)
 	}
-	if kept[0].Analyzer != "determinism" || kept[1].Line != 9 {
+	if kept[0].Analyzer != "lockorder" || kept[1].Line != 9 {
 		t.Errorf("filter kept the wrong diagnostics: %v", kept)
 	}
 }

@@ -27,9 +27,6 @@ func isNamedType(t types.Type, pkg, name string) bool {
 // isCost reports whether t is the cost.Cost extended-real type.
 func isCost(t types.Type) bool { return isNamedType(t, "internal/cost", "Cost") }
 
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool { return isNamedType(t, "context", "Context") }
-
 // pkgFunc resolves a call expression to the package-level function or
 // method object it invokes, or nil for builtins, conversions, and
 // dynamic calls through function values.

@@ -145,7 +145,7 @@ func (s *scanner) dfs(r int32) {
 	s.time++
 	s.frames = s.frames[:0]
 	s.frames = append(s.frames, frame{u: r, parent: -1})
-	//pbqpvet:ignore ctxpoll bounded: each vertex is pushed once and each edge advances ei once, so the loop runs O(V+E) with no solver calls; deadlines are enforced in the per-block solves
+	// No context poll: each vertex is pushed once and each edge advances ei once, so the loop runs O(V+E) with no solver calls; deadlines are enforced in the per-block solves
 	for len(s.frames) > 0 {
 		f := &s.frames[len(s.frames)-1]
 		u := f.u
@@ -198,7 +198,7 @@ func (s *scanner) emitBlock(p, u int32) {
 	b := int32(len(s.isRoot))
 	s.verts = append(s.verts, p)
 	s.stamp[p] = b
-	//pbqpvet:ignore ctxpoll bounded: pops the edge stack, which dfs grows by at most one entry per graph edge, and the sentinel tree edge (p,u) is always present
+	// No context poll: the loop pops the edge stack, which dfs grows by at most one entry per graph edge, and the sentinel tree edge (p,u) is always present
 	for {
 		top := len(s.edgeU) - 1
 		eu, ev := s.edgeU[top], s.edgeV[top]

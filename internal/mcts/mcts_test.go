@@ -1,6 +1,7 @@
 package mcts
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -40,6 +41,35 @@ func TestPolicySumsToOne(t *testing.T) {
 	}
 	if math.Abs(sum-1) > 1e-9 {
 		t.Errorf("policy sum = %v", sum)
+	}
+}
+
+// cancelAtPoll is a context whose Err reports context.Canceled from
+// its k-th call on.
+type cancelAtPoll struct {
+	context.Context
+	k, polls int
+}
+
+func (c *cancelAtPoll) Err() error {
+	if c.polls++; c.polls >= c.k {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRunCtxStopsAtTheCancellingPoll: RunCtx polls before every
+// simulation, so cancelled at its k-th poll it has run k-1 of them, and
+// it says so.
+func TestRunCtxStopsAtTheCancellingPoll(t *testing.T) {
+	for k := 1; k <= 10; k++ {
+		st := game.New(fig2Graph(), []int{0, 1, 2})
+		st.SetBaseline(24)
+		tree := New(Uniform{}, 2, Config{})
+		ctx := &cancelAtPoll{Context: context.Background(), k: k}
+		if got := tree.RunCtx(ctx, st, 100); got != k-1 {
+			t.Fatalf("cancelled at poll %d: ran %d simulations, want %d", k, got, k-1)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -120,5 +121,48 @@ func TestServeHTTPSnapshot(t *testing.T) {
 	}
 	if !strings.HasSuffix(rec.Body.String(), "\n") {
 		t.Fatal("snapshot should end with a newline")
+	}
+}
+
+// blockingWriter is a /metrics ResponseWriter whose Write announces
+// itself on writing and blocks until release is closed.
+type blockingWriter struct {
+	header           http.Header
+	writing, release chan struct{}
+}
+
+func (w *blockingWriter) Header() http.Header { return w.header }
+func (w *blockingWriter) WriteHeader(int)     {}
+func (w *blockingWriter) Write(p []byte) (int, error) {
+	close(w.writing)
+	<-w.release
+	return len(p), nil
+}
+
+// TestServeHTTPHoldsNoLockWhileWriting: a /metrics client that reads
+// slowly must not stall the instruments. While ServeHTTP is blocked in
+// the response write, registering a new counter has to go through.
+func TestServeHTTPHoldsNoLockWhileWriting(t *testing.T) {
+	r := NewRegistry()
+	w := &blockingWriter{header: http.Header{}, writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		r.ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	}()
+	defer func() {
+		close(w.release)
+		<-served
+	}()
+	<-w.writing
+	registered := make(chan struct{})
+	go func() {
+		defer close(registered)
+		r.Counter("new").Inc()
+	}()
+	select {
+	case <-registered:
+	case <-time.After(2 * time.Second):
+		t.Fatal("registering a counter blocked behind a /metrics response write")
 	}
 }

@@ -155,7 +155,7 @@ func (b *backend) snapshot() (state int64, ready bool) {
 // 503 marks it draining, a transport error marks it dead. The verdict
 // is returned for logging ("" means healthy).
 //
-//pbqpvet:ctxroot the probe loop runs for the router's whole lifetime; its per-probe work must stay cancellable
+// The probe loop runs for the router's whole lifetime, so each probe stays cancellable through ctx.
 func (r *Router) probeOne(ctx context.Context, b *backend) string {
 	probeCtx, cancel := context.WithTimeout(ctx, r.cfg.HealthTimeout)
 	defer cancel()

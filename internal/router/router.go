@@ -420,7 +420,7 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 // from, so backends see identical bodies for identical graphs across
 // every spelling and every retry.
 //
-//pbqpvet:ctxroot bounded retry loop must stay cancellable: every try and every backoff sleep polls ctx
+// TestForwardCancelledMakesNoTry holds the per-try poll.
 func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte, k knobs) flightResult {
 	candidates := r.ring.successors(sum)
 	backoff := r.cfg.BackoffBase

@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -422,6 +423,39 @@ func TestFailoverOnBackendError(t *testing.T) {
 	}
 	if got := counterSum(r.Registry(), "router_backend_tries_total."); got < 2 {
 		t.Fatalf("tries counter = %d, want >= 2", got)
+	}
+}
+
+// TestForwardCancelledMakesNoTry: forward polls its context before
+// every try, so a request whose context is already done contacts no
+// backend, counts no try and records no breaker failure.
+func TestForwardCancelledMakesNoTry(t *testing.T) {
+	var arrivals atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		arrivals.Add(1)
+		w.Write([]byte(okBody))
+	}))
+	defer ts.Close()
+	r := newTestRouter(t, testConfig(ts.URL))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	body := []byte(fig2)
+	if res := r.forward(ctx, body, sha256.Sum256(body), knobs{}); !errors.Is(res.err, context.Canceled) {
+		t.Fatalf("forward on a cancelled context: err %v, want context.Canceled", res.err)
+	}
+	if got := counterSum(r.Registry(), "router_backend_tries_total."); got != 0 {
+		t.Fatalf("tries counter = %d, want 0", got)
+	}
+	for _, b := range r.backends {
+		b.mu.Lock()
+		fails := b.consecFails
+		b.mu.Unlock()
+		if fails != 0 {
+			t.Fatalf("backend %s recorded %d breaker failures, want 0", b.label, fails)
+		}
+	}
+	if got := arrivals.Load(); got != 0 {
+		t.Fatalf("backend saw %d requests, want 0", got)
 	}
 }
 

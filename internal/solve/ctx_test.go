@@ -2,10 +2,13 @@ package solve_test
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/decomp"
 	"pbqprl/internal/mcts"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/rl"
@@ -17,16 +20,16 @@ import (
 	"pbqprl/internal/solve/scholz"
 )
 
-// hardFeasible60 is a 60-vertex, 2-color graph on which branch and
+// hardFeasible is an n-vertex, 2-color chain on which branch and
 // bound cannot prune: every assignment is feasible and the negative
 // costs (legal coalescing hints) disable bound pruning, so brute faces
-// 2^60 states — yet an incumbent appears on the very first descent.
-func hardFeasible60() *pbqp.Graph {
-	g := pbqp.New(60, 2)
-	for u := 0; u < 60; u++ {
+// 2^n states — yet an incumbent appears on the very first descent.
+func hardFeasible(n int) *pbqp.Graph {
+	g := pbqp.New(n, 2)
+	for u := 0; u < n; u++ {
 		g.SetVertexCost(u, cost.Vector{-1, -2})
 	}
-	for u := 0; u < 59; u++ {
+	for u := 0; u+1 < n; u++ {
 		g.SetEdgeCost(u, u+1, cost.NewMatrixFrom([][]cost.Cost{
 			{1, 0},
 			{0, 1},
@@ -48,6 +51,28 @@ func pigeonhole60() *pbqp.Graph {
 	}
 	for u := 0; u < 12; u++ {
 		for v := u + 1; v < 12; v++ {
+			g.SetEdgeCost(u, v, neq)
+		}
+	}
+	return g
+}
+
+// libertyThrash puts 30 hard vertices with two open colors each ahead
+// of a K5 on 4 colors, which no coloring of the prefix rescues: liberty
+// enumerates all 2^30 prefixes without ever reaching its Scholz
+// remainder, so its own per-state poll is the only one it makes.
+func libertyThrash() *pbqp.Graph {
+	const hard, m = 30, 4
+	g := pbqp.New(hard+5, m)
+	for u := 0; u < hard; u++ {
+		g.SetVertexCost(u, cost.Vector{0, 0, cost.Inf, cost.Inf})
+	}
+	neq := cost.NewMatrix(m, m)
+	for i := 0; i < m; i++ {
+		neq.Set(i, i, cost.Inf)
+	}
+	for u := hard; u < hard+5; u++ {
+		for v := u + 1; v < hard+5; v++ {
 			g.SetEdgeCost(u, v, neq)
 		}
 	}
@@ -88,9 +113,9 @@ func ctxSolvers() []solverUnderTest {
 		K: 30, Backtrack: true, ReinvokeMCTS: true,
 	}}
 	return []solverUnderTest{
-		{"brute", brute.Solver{}, hardFeasible60(), true, true},
+		{"brute", brute.Solver{}, hardFeasible(60), true, true},
 		{"liberty", liberty.Solver{}, pigeonhole60(), false, true},
-		{"anneal", anneal.Solver{Steps: 1 << 30, Restarts: 1}, hardFeasible60(), true, true},
+		{"anneal", anneal.Solver{Steps: 1 << 30, Restarts: 1}, hardFeasible(60), true, true},
 		{"rl-backtrack", deepRL, pigeonhole60(), false, true},
 		{"scholz", scholz.Solver{}, pigeonhole60(), false, false},
 		{"portfolio", portfolio.New(0,
@@ -155,7 +180,7 @@ func TestDeadlineTruncatesWithBestSoFar(t *testing.T) {
 // TestCrossGoroutineCancel cancels mid-solve from another goroutine —
 // the path the race detector cares about in a serving stack.
 func TestCrossGoroutineCancel(t *testing.T) {
-	g := hardFeasible60()
+	g := hardFeasible(60)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan solve.Result, 1)
 	go func() {
@@ -178,7 +203,7 @@ func TestCrossGoroutineCancel(t *testing.T) {
 // behavior: a cancelled Scholz run falls back to pure-RN coloring but
 // still returns a complete selection for every vertex.
 func TestScholzDeadlineStillCompletes(t *testing.T) {
-	g := hardFeasible60()
+	g := hardFeasible(60)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := scholz.Solver{}.SolveCtx(ctx, g)
@@ -215,5 +240,97 @@ func TestUncancelledSolversUnchanged(t *testing.T) {
 			plain.States != ctxed.States || ctxed.Truncated {
 			t.Fatalf("%s: plain %+v != ctx %+v", s.Name(), plain, ctxed)
 		}
+	}
+}
+
+// pollCtx is a context whose Err and Done start reporting
+// context.Canceled on the k-th call to either: every call is one poll,
+// so cancellation lands at an exact poll instead of a wall-clock
+// moment, and a solver that skips a poll it owes runs on past it.
+type pollCtx struct {
+	context.Context // Background: no deadline, no values
+	k               int64
+	polls           atomic.Int64
+	once            sync.Once
+	done            chan struct{}
+}
+
+func newPollCtx(k int64) *pollCtx {
+	return &pollCtx{Context: context.Background(), k: k, done: make(chan struct{})}
+}
+
+// poll counts one poll and reports whether it is the k-th or later.
+func (c *pollCtx) poll() bool {
+	if c.polls.Add(1) < c.k {
+		return false
+	}
+	c.once.Do(func() { close(c.done) })
+	return true
+}
+
+func (c *pollCtx) Err() error {
+	if c.poll() {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (c *pollCtx) Done() <-chan struct{} {
+	c.poll()
+	return c.done
+}
+
+// TestCancelledAtEveryPoll cancels each solver at its k-th context
+// poll, for every k up to the 20 polls Scholz makes on a 5000-vertex
+// chain. Each graph is one the solver cannot finish in k polls, and on
+// each the solver has to return Truncated, promptly, with a feasible
+// answer that re-evaluates to its cost. Polls come at most
+// solve.CheckInterval states apart, the first before any state, so the
+// cancelling poll comes by state (k-1)·CheckInterval, and a solver
+// reports at most its tail of states past it.
+func TestCancelledAtEveryPoll(t *testing.T) {
+	const maxK = 20
+	rlbt := func() solve.Solver {
+		return &rl.Solver{Net: mcts.Uniform{}, Cfg: rl.Config{K: 30, Backtrack: true, ReinvokeMCTS: true}}
+	}
+	cases := []struct {
+		name   string
+		solver solve.Solver
+		graph  *pbqp.Graph
+		// tail bounds the states past the cancelling poll: a search
+		// stops within CheckInterval of it, while Scholz's fallback
+		// still colors every vertex left alive.
+		tail int64
+	}{
+		{"brute", brute.Solver{}, hardFeasible(60), solve.CheckInterval},
+		{"liberty", liberty.Solver{}, libertyThrash(), solve.CheckInterval},
+		{"scholz", scholz.Solver{}, hardFeasible(5000), 5000},
+		{"anneal", anneal.Solver{Steps: 1 << 30, Restarts: 1}, hardFeasible(60), solve.CheckInterval},
+		{"anneal-restarts", anneal.Solver{Steps: 100, Restarts: 1 << 20}, hardFeasible(60), solve.CheckInterval},
+		{"rl-bt", rlbt(), pigeonhole60(), solve.CheckInterval},
+		{"portfolio", portfolio.New(0, rlbt(), liberty.Solver{}), pigeonhole60(), solve.CheckInterval},
+		{"decomp", decomp.Wrap(liberty.Solver{}), pigeonhole60(), solve.CheckInterval},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for k := int64(1); k <= maxK; k++ {
+				ctx := newPollCtx(k)
+				done := make(chan solve.Result, 1)
+				go func() { done <- tc.solver.SolveCtx(ctx, tc.graph) }()
+				var res solve.Result
+				select {
+				case res = <-done:
+				case <-time.After(2 * time.Second):
+					t.Fatalf("k=%d: still running after 2s (%d polls so far)", k, ctx.polls.Load())
+				}
+				if !res.Truncated {
+					t.Fatalf("k=%d: not truncated after %d polls (feasible=%v, %d states)", k, ctx.polls.Load(), res.Feasible, res.States)
+				}
+				checkAnytime(t, tc.graph, res)
+				if limit := (k-1)*solve.CheckInterval + tc.tail; res.States > limit {
+					t.Fatalf("k=%d: %d states, more than the %d the cancelling poll allows", k, res.States, limit)
+				}
+			}
+		})
 	}
 }
