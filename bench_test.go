@@ -9,7 +9,6 @@ package pbqprl_test
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"math/rand"
@@ -466,13 +465,10 @@ func BenchmarkGamePlayUndo(b *testing.B) {
 	}
 }
 
-// codecSum keeps BenchmarkGraphCodec's rawhash result live.
-var codecSum [sha256.Size]byte
-
 // BenchmarkGraphCodec is the text codec's checked-in number: Read, Write,
-// CanonicalHash, and what the router pays for a body it has seen (the
-// SHA-256 of the bytes) and for a new spelling (read, then write) on
-// what the serving benchmark sends — a 60-vreg ATE
+// CanonicalHash, and what the router pays for a new spelling (read,
+// then write; BenchmarkRouterHit in internal/router times whole hits)
+// on what the serving benchmark sends — a 60-vreg ATE
 // graph, 144 KB of 64 000 tokens of which all but 500 are "0" or "inf",
 // every one decoded and formatted by hand, and whose edges carry a few
 // distinct matrices that Read shares — and on an Erdős–Rényi graph of
@@ -523,12 +519,6 @@ func BenchmarkGraphCodec(b *testing.B) {
 		})
 		// A body the router is sent: the canonical text, respelled.
 		respelled := append(bytes.Clone(text.Bytes()), "# respelled\n"...)
-		// What a byte-identical repeat costs the router: the SHA-256 of
-		// the body that keys its raw-bytes memo.
-		run("rawhash", func() error {
-			codecSum = sha256.Sum256(respelled)
-			return nil
-		})
 		// What a new spelling costs it (router.canonicalize): read the
 		// body, and write the graph Read built — one whose edges share
 		// the pairs of their bit-identical matrices — into a buffer sized

@@ -44,8 +44,9 @@
 //
 //	0  drained cleanly after a signal
 //	1  a forced drain or a listen failure
-//	2  usage error: a bad flag, a stray argument, or a missing or
-//	   malformed -backends
+//	2  usage error: a bad flag, a stray argument, a missing or
+//	   malformed -backends, or GODEBUG=fips140=only, under which the
+//	   router's cache-key cipher (GCM with a fixed nonce) is refused
 package main
 
 import (
@@ -109,7 +110,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	logger := log.New(stderr, "pbqp-router: ", log.LstdFlags|log.Lmsgprefix)
 
-	// router.New fails only on the backend list, an empty one included.
+	// router.New fails on the backend list, an empty one included, and
+	// on a GODEBUG=fips140=only environment, which refuses its memo key.
 	rt, err := router.New(router.Config{
 		Backends:         splitList(*backends),
 		CacheBytes:       *cacheBytes,

@@ -9,8 +9,11 @@
 //     by FuzzReadGraph): the SHA-256 of those bytes is
 //     pbqp.CanonicalHash, so two spellings of the same graph are the
 //     same key everywhere downstream, and on a miss they are the
-//     forwarded body; a raw-bytes → canonical-hash memo in the same LRU
-//     lets byte-identical repeats skip the parse entirely;
+//     forwarded body; a bytes → canonical-hash memo in the same LRU,
+//     keyed by a per-router GHASH tag of the bytes, lets byte-identical
+//     repeats skip the parse and the SHA-256 entirely, and lets a new
+//     spelling of a known graph skip the SHA-256, so SHA-256 runs once
+//     per distinct graph while its memo entry lives;
 //   - cache: a memory-bounded LRU solution cache answers repeat
 //     traffic without touching a backend — register allocation is
 //     dominated by recompiles of the same functions;
@@ -36,13 +39,15 @@
 // a backend has: the same endpoints, per-status request accounting,
 // JSON errors and admission gate (bounded forwarding concurrency, load
 // shedding, drain barrier). Its own metric families cover cache
-// hits/misses/evictions, coalesced requests, per-backend tries and
-// failovers, and breaker state.
+// hits/misses/evictions, canonical SHA-256 passes, coalesced requests,
+// per-backend tries and failovers, and breaker state.
 package router
 
 import (
 	"bytes"
 	"context"
+	"crypto/aes"
+	"crypto/cipher"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -201,6 +206,11 @@ type Router struct {
 	backends []*backend
 	client   *http.Client
 
+	// memoKey tags bytes for the memo's "r|" keys under memoNonce,
+	// which stays all zeros (see rawCacheKey).
+	memoKey   cipher.AEAD
+	memoNonce [12]byte
+
 	jitterMu sync.Mutex
 	jitter   *rand.Rand
 
@@ -220,14 +230,21 @@ var (
 )
 
 // New builds a Router over the configured backend fleet and starts its
-// active health loop (when HealthInterval > 0).
+// active health loop (when HealthInterval > 0). It draws the router's
+// memo key from crypto/rand; under GODEBUG=fips140=only cipher.NewGCM
+// refuses to build the tagger and New returns that error.
 func New(cfg Config) (*Router, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("router: at least one backend is required")
 	}
+	memoKey, err := newMemoKey()
+	if err != nil {
+		return nil, err
+	}
 	r := &Router{
 		cfg:     cfg,
+		memoKey: memoKey,
 		adm:     server.NewAdmission(cfg.Workers, cfg.QueueDepth),
 		cache:   NewCache(cfg.CacheBytes),
 		flights: newFlightGroup(),
@@ -298,7 +315,8 @@ func now() time.Time {
 
 // handleSolve answers POST /v1/solve behind the shell's method and
 // drain checks: canonicalize, consult the cache, coalesce, forward with
-// failover.
+// failover. A byte-identical hit costs a read of the body into a pooled
+// buffer, one GHASH pass and two LRU lookups.
 func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	parsed, err := server.ParseKnobs(req, r.cfg.DefaultDeadline, r.cfg.MaxDeadline)
 	if err != nil {
@@ -309,20 +327,27 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 
 	// Canonicalize: key every downstream decision on the canonical
 	// graph hash so two spellings of the same graph share a cache slot,
-	// a flight, and a shard. The raw request bytes are hashed first and
-	// memoized against the canonical hash in the same bounded LRU:
-	// byte-identical repeats (the dominant recompile traffic) skip the
-	// parse entirely, while a new spelling pays one parse and one
-	// canonical serialization (BenchmarkGraphCodec's canonicalize op),
-	// whose bytes are hashed into the key and, on a miss, are the body
-	// the backend gets. Within that parse an edge line whose costs are
-	// spelled as an earlier line's is looked up, not decoded, and the
-	// write copies the text of a matrix it has just formatted, so most
-	// edge lines of a respelled ATE body cost a map lookup and a copy.
-	// The body lands in one buffer sized from Content-Length, never from
-	// a length above the cap; bytes.MinRead of slack lets ReadFrom meet
-	// EOF without growing it.
-	var body bytes.Buffer
+	// a flight, and a shard. The request bytes are tagged first
+	// (rawCacheKey, a GHASH pass) and memoized against the canonical
+	// hash in the same bounded LRU: byte-identical repeats (the dominant
+	// recompile traffic) skip the parse and the SHA-256 entirely. A new
+	// spelling pays one parse and one canonical serialization
+	// (BenchmarkRouterHit's respelled case), whose bytes are tagged and
+	// looked up in the memo too, so SHA-256 runs only for a graph the
+	// memo does not know; on a miss those bytes are the body the backend
+	// gets. Within that parse an edge line whose costs are spelled as an
+	// earlier line's is looked up, not decoded, and the write copies the
+	// text of a matrix it has just formatted, so most edge lines of a
+	// respelled ATE body cost a map lookup and a copy.
+	// The body lands in a pooled buffer, grown from Content-Length only
+	// when it is under the cap; bytes.MinRead of slack lets ReadFrom
+	// meet EOF without growing it. raw is that buffer's bytes, so
+	// nothing may keep it past this handler: the memo stores copies of
+	// hashes, canonicalize writes into a buffer of its own, and the
+	// flight below captures only canon.
+	body := bodyPool.Get().(*bytes.Buffer)
+	defer bodyPool.Put(body)
+	body.Reset()
 	if n := req.ContentLength; n > 0 && n <= r.cfg.MaxRequestBytes {
 		body.Grow(int(n) + bytes.MinRead)
 	}
@@ -334,15 +359,27 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	}
 	var canon []byte // the canonical serialization, once this request has made it
 	var sum [sha256.Size]byte
-	rawKey := rawCacheKey(raw)
-	if _, memo, ok := r.cache.Get(rawKey); ok && len(memo) == sha256.Size {
-		copy(sum[:], memo)
-	} else {
+	rawKey := r.rawCacheKey(raw)
+	if !r.memoGet(rawKey, &sum) {
 		if canon, err = r.canonicalize(raw); err != nil {
 			r.shell.BodyError(w, err)
 			return
 		}
-		sum = sha256.Sum256(canon) // pbqp.CanonicalHash, of bytes already in hand
+		// A new spelling of a graph the memo knows under another
+		// spelling (its canonical one, which every earlier miss keyed)
+		// takes the hash from there. Write→Read→Write is byte-stable
+		// (FuzzReadGraph), so both entries name the same hash.
+		canonKey := rawKey
+		if !bytes.Equal(canon, raw) {
+			canonKey = r.rawCacheKey(canon)
+		}
+		if canonKey == rawKey || !r.memoGet(canonKey, &sum) {
+			sum = sha256.Sum256(canon) // pbqp.CanonicalHash, of bytes already in hand
+			r.reg.Counter("router_canonical_hashes_total").Inc()
+			if canonKey != rawKey {
+				r.cache.Put(canonKey, 0, append([]byte(nil), sum[:]...))
+			}
+		}
 		r.cache.Put(rawKey, 0, append([]byte(nil), sum[:]...))
 	}
 	key := cacheKey(sum, knobs)
@@ -652,11 +689,61 @@ func cacheKey(sum [sha256.Size]byte, k knobs) string {
 	return "s|" + string(sum[:]) + "|" + k.chain + "|" + k.costMode
 }
 
-// rawCacheKey keys the raw-bytes → canonical-hash memo: a repeat of the
-// exact same request bytes resolves its canonical hash without a parse.
-func rawCacheKey(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return "r|" + string(sum[:])
+// bodyPool recycles handleSolve's request buffers: a serve_hot hit
+// otherwise allocates (and the collector later scans and frees) one
+// buffer of the body's length, 50–263 KB, per request.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// newMemoKey draws a fresh 16-byte AES key from crypto/rand and builds
+// the GCM instance rawCacheKey tags with.
+func newMemoKey() (cipher.AEAD, error) {
+	var k [16]byte
+	if _, err := crand.Read(k[:]); err != nil {
+		return nil, fmt.Errorf("router: memo key: %w", err)
+	}
+	block, err := aes.NewCipher(k[:])
+	if err != nil {
+		return nil, fmt.Errorf("router: memo key: %w", err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		return nil, fmt.Errorf("router: memo key: %w", err)
+	}
+	return gcm, nil
+}
+
+// rawCacheKey keys the bytes → canonical-hash memo: "r|" plus GCM's
+// 16-byte tag over b as additional data, which is GHASH of b under
+// H = AES_K(0), masked by a constant, with K this router's secret key.
+// A repeat of the exact same bytes, raw or canonical, resolves its
+// canonical hash without a parse or a SHA-256, and GHASH reads a 263 KB
+// body in about a seventh of SHA-256's time (DESIGN §11).
+//
+// Two distinct bodies of at most ℓ 16-byte blocks get the same tag with
+// probability at most (ℓ+1)/2¹²⁸ over the key, and a false hit would
+// serve another graph's allocation. The bound holds only while the key
+// is secret, so each router draws its own and neither it nor a tag ever
+// leaves the process; a hash that is not cryptographically secure
+// (hash/maphash says so of itself) gives no such bound. Every tag is
+// sealed under the one all-zero nonce: nothing is encrypted and no tag
+// leaves the process, so reusing it costs nothing. GCM's Seal reads
+// only its expanded key and hash table, so the concurrent handlers
+// share one AEAD.
+func (r *Router) rawCacheKey(b []byte) string {
+	var key [2 + 16]byte
+	copy(key[:], "r|")
+	return string(r.memoKey.Seal(key[:2], r.memoNonce[:], nil, b))
+}
+
+// memoGet looks key up in the memo, copying the canonical hash it
+// names into sum.
+func (r *Router) memoGet(key string, sum *[sha256.Size]byte) bool {
+	_, memo, ok := r.cache.Get(key)
+	if !ok || len(memo) != sha256.Size {
+		return false
+	}
+	copy(sum[:], memo)
+	return true
 }
 
 // cacheable decides whether an upstream answer may be replayed to
