@@ -27,7 +27,7 @@
 // (internal/decomp): exact R0/R1/R2 reduction, block-cut splitting of
 // the residual, per-block solving with the named solver, and
 // recombination. -decomp-workers bounds component parallelism (0
-// auto-selects GOMAXPROCS for the stateless solvers; the rl solvers,
+// auto-selects GOMAXPROCS for the concurrency-safe solvers; the rl solvers,
 // whose scratch buffers are not concurrency-safe, always use 1). The
 // stage reports its decomposition statistics (eliminated vertices,
 // component/block counts, largest block, stage seconds) in two

@@ -46,8 +46,9 @@ type Solver struct {
 	// Workers bounds how many connected components solve in parallel;
 	// ≤ 1 solves them all on the caller's goroutine. Workers > 1
 	// requires an Inner that is safe for concurrent Solve calls (the
-	// stateless built-ins brute, scholz, liberty and anneal are; rl
-	// solvers carry their network's scratch buffers and are not).
+	// built-ins brute, liberty and anneal hold no state between solves
+	// and scholz draws a pooled workspace per solve, so all four are;
+	// rl solvers carry their network's scratch buffers and are not).
 	Workers int
 }
 

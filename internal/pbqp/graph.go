@@ -34,7 +34,14 @@
 // them, so Clone, Induced, Permute, CSR snapshots and solver records
 // share matrices freely — across graphs and across goroutines — as Read
 // shares one pair among the edges whose costs are bit-identical, and
-// only vectors, liveness and adjacency are per-graph state.
+// only vectors, liveness and adjacency are per-graph state. One owner
+// recycles matrices: a reduction (internal/reduce) installs R2's folds
+// with SetEdgePair as pairs cut from its arena, each written in full
+// before it is installed. Their storage is written again only when the
+// reduction is restarted on a new input, and only scholz restarts one:
+// a workspace of its own pool, after Expand has read the last of them,
+// when nothing else can reach them (Apply's reductions, whose
+// remainders decomp shares with its block graphs, are never restarted).
 package pbqp
 
 import (
@@ -54,6 +61,10 @@ type Graph struct {
 	alive []bool
 	live  int
 	rows  []row // rows[u] holds u's edges, oriented with rows = u's color
+	// The arrays Clone and CloneInto cut the vectors and the rows from,
+	// kept so CloneInto can cut them again from the same storage.
+	vecStore   cost.Vector
+	entryStore []entry
 }
 
 // entry is one edge of a row: the neighbor and the matrix oriented from
@@ -321,12 +332,7 @@ func (g *Graph) EdgeCost(u, v int) *cost.Matrix {
 // cost of edge (u, v), replacing any existing edge. It panics on a self
 // loop, on dead endpoints, or if mat is not M()×M().
 func (g *Graph) SetEdgeCost(u, v int, mat *cost.Matrix) {
-	g.checkEdge(u, v)
-	if mat.Rows != g.m || mat.Cols != g.m {
-		panic("pbqp: edge cost matrix has wrong shape")
-	}
-	g.rows[u].set(v, mat.Clone())
-	g.rows[v].set(u, mat.Transpose())
+	g.SetEdgePair(u, v, mat.Clone(), mat.Transpose())
 }
 
 // AddEdgeCost adds mat (oriented with rows = u's color) into the cost of
@@ -342,8 +348,23 @@ func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 	if existing := g.EdgeCost(u, v); existing != nil {
 		sum.AddInPlace(existing)
 	}
-	g.rows[u].set(v, sum)
-	g.rows[v].set(u, sum.Transpose())
+	g.SetEdgePair(u, v, sum, sum.Transpose())
+}
+
+// SetEdgePair installs uv (rows = u's color) and vu, its transpose, as
+// the two orientations of edge (u, v), replacing any existing edge, and
+// takes ownership of both: the caller has written them in full and
+// never writes them again (the ownership rule). It is SetEdgeCost
+// without the copies, for a caller that built the pair for this edge
+// alone. It panics on a self loop, on dead endpoints, or if either
+// matrix is not M()×M().
+func (g *Graph) SetEdgePair(u, v int, uv, vu *cost.Matrix) {
+	g.checkEdge(u, v)
+	if uv.Rows != g.m || uv.Cols != g.m || vu.Rows != g.m || vu.Cols != g.m {
+		panic("pbqp: edge cost matrix has wrong shape")
+	}
+	g.rows[u].set(v, uv)
+	g.rows[v].set(u, vu)
 }
 
 // adoptEdges installs the text reader's edges into g, which has none,
@@ -423,13 +444,24 @@ func (g *Graph) RemoveVertex(u int) {
 
 // Neighbors returns the alive neighbors of u in ascending order.
 func (g *Graph) Neighbors(u int) []int {
-	var scratch []entry
-	es := g.rows[u].ordered(&scratch)
-	ns := make([]int, len(es))
-	for i, e := range es {
-		ns[i] = e.v
+	return g.AppendNeighbors(make([]int, 0, g.Degree(u)), u)
+}
+
+// AppendNeighbors appends the alive neighbors of u to dst in ascending
+// order and returns the extended slice: Neighbors into a buffer the
+// caller reuses.
+func (g *Graph) AppendNeighbors(dst []int, u int) []int {
+	r := &g.rows[u]
+	start := len(dst)
+	for _, e := range r.es {
+		if e.m != nil {
+			dst = append(dst, e.v)
+		}
 	}
-	return ns
+	if r.sorted < len(r.es) { // the tail follows the prefix unordered
+		slices.Sort(dst[start:])
+	}
+	return dst
 }
 
 // Degree returns the number of incident edges of u.
@@ -483,24 +515,37 @@ func (g *Graph) NumEdges() int {
 // each capped at its own length, so a row that later grows moves out
 // on its own.
 func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		m:     g.m,
-		vecs:  flatVectors(len(g.vecs), g.m),
-		alive: slices.Clone(g.alive),
-		live:  g.live,
-		rows:  slices.Clone(g.rows),
-	}
-	total := 0
+	c := new(Graph)
+	g.CloneInto(c)
+	return c
+}
+
+// CloneInto makes dst the copy of g that Clone returns, cutting its
+// vectors, liveness, rows and row entries from the arrays dst already
+// holds wherever they are large enough, so a graph cloned into again
+// and again reaches a steady state that allocates nothing. Everything
+// dst held before is overwritten; dst must not be g.
+func (g *Graph) CloneInto(dst *Graph) {
+	n, total := len(g.vecs), 0
 	for u := range g.rows {
 		total += len(g.rows[u].es)
 	}
-	flat := make([]entry, total)
-	for u := range c.rows {
-		copy(c.vecs[u], g.vecs[u])
-		n := copy(flat, g.rows[u].es)
-		c.rows[u].es, flat = flat[:n:n], flat[n:]
+	clear(dst.vecs[min(n, len(dst.vecs)):])
+	clear(dst.rows[min(n, len(dst.rows)):])
+	clear(dst.entryStore[min(total, len(dst.entryStore)):])
+	dst.m, dst.live = g.m, g.live
+	dst.vecs = slices.Grow(dst.vecs[:0], n)[:n]
+	dst.vecStore = slices.Grow(dst.vecStore[:0], n*g.m)[:n*g.m]
+	dst.alive = append(dst.alive[:0], g.alive...)
+	dst.rows = append(dst.rows[:0], g.rows...)
+	dst.entryStore = slices.Grow(dst.entryStore[:0], total)[:total]
+	flat := dst.entryStore
+	for u := range dst.rows {
+		dst.vecs[u] = dst.vecStore[u*g.m : (u+1)*g.m : (u+1)*g.m]
+		copy(dst.vecs[u], g.vecs[u])
+		k := copy(flat, g.rows[u].es)
+		dst.rows[u].es, flat = flat[:k:k], flat[k:]
 	}
-	return c
 }
 
 // Selection is a full color assignment: Selection[u] is the color chosen

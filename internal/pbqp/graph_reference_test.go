@@ -269,8 +269,9 @@ func (p graphPair) agree(t *testing.T, rng *rand.Rand, step int, full bool) {
 
 // TestGraphMatchesReference drives the row-backed graph and the
 // map-backed oracle through the same seeded sequences of SetEdgeCost,
-// AddEdgeCost, RemoveEdge, RemoveVertex, ColorVertex, Clone, Induced
-// and Permute, and compares every read after every operation. The hub
+// AddEdgeCost, RemoveEdge, RemoveVertex, ColorVertex, Clone, CloneInto
+// (into a graph the sequence dropped, so its stale rows are reused),
+// Induced and Permute, and compares every read after every operation. The hub
 // cases keep one vertex adjacent to most others, so its row is long
 // enough to use the tail and tombstones; the descending ones give the
 // hub its edges in descending order first.
@@ -323,6 +324,7 @@ func TestGraphMatchesReference(t *testing.T) {
 				}
 			}
 			pairs := []graphPair{p}
+			var spare *Graph // the last graph dropped, for CloneInto
 			for step := 0; step < tc.steps; step++ {
 				k := len(pairs) - 1 - rng.Intn(min(2, len(pairs))) // mostly the newest
 				if pairs[k].ref.live < 3 {
@@ -344,7 +346,12 @@ func TestGraphMatchesReference(t *testing.T) {
 						t.Fatalf("step %d: ColorVertex own cost %v, oracle %v", step, got, want)
 					}
 				case r < 2*tc.vertexP+0.01:
-					pairs = append(pairs, graphPair{p.g.Clone(), p.ref.Clone()})
+					c := p.g.Clone()
+					if spare != nil && rng.Intn(2) == 0 {
+						c, spare = spare, nil
+						p.g.CloneInto(c)
+					}
+					pairs = append(pairs, graphPair{c, p.ref.Clone()})
 				case r < 2*tc.vertexP+0.02:
 					order := slices.Clone(alive)
 					rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -370,7 +377,7 @@ func TestGraphMatchesReference(t *testing.T) {
 					install(p, u, v, rng.Intn(2) == 0)
 				}
 				if len(pairs) > 4 {
-					pairs = pairs[1:]
+					spare, pairs = pairs[0].g, pairs[1:]
 				}
 				pairs[len(pairs)-1].agree(t, rng, step, false)
 				p.agree(t, rng, step, step%50 == 0)

@@ -14,12 +14,17 @@ package reduce
 
 import (
 	"math"
+	"slices"
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
 )
 
 // Reduction is a PBQP graph being reduced, or the result of reducing one.
+// It is also the reduction's workspace: every step gathers into buffers
+// it keeps, and Restart starts a new reduction in the storage of the
+// last one, so a Reduction restarted again and again (scholz keeps them
+// in a pool) reaches a steady state that allocates almost nothing.
 type Reduction struct {
 	// Graph is the remainder. After Apply every alive vertex has degree
 	// ≥ 3; it may be empty, in which case Expand solves the whole
@@ -30,18 +35,83 @@ type Reduction struct {
 	stack      []record
 	work       worklist
 	maxDeg     int // vertices above this degree are never queued
+
+	adj   []int          // the neighbors of the vertex being eliminated
+	mats  []*cost.Matrix // RN: the matrices toward adj
+	delta cost.Vector    // R1: the fold into the neighbor's vector
+	ids   []int          // the records' neighbor lists, cut from one array
+	folds arena          // R2: the folded edges' matrix pairs
 }
 
 // record captures one elimination so Expand can re-derive the removed
-// vertex's color from its (by then colored) former neighbors. The
-// matrices are the graph's own: installed matrices are never written
-// again (the pbqp ownership rule), so a record keeps the pointer.
+// vertex's color from its (by then colored) former neighbors. Nothing
+// here is copied: installed matrices are never written again (the pbqp
+// ownership rule), and neither is a removed vertex's vector, so a
+// record keeps the graph's own.
 type record struct {
 	u      int
 	vec    cost.Vector     // u's vector at removal time; nil for RN
 	nbrs   []int           // former neighbors: none for R0, 1 for R1, 2 for R2
 	mats   [2]*cost.Matrix // edges toward nbrs, rows = u's color
 	chosen int             // RN: the color decided at reduction time
+}
+
+// arena hands out the matrix pairs R2 folds edges into. They are cut
+// from blocks that are never moved, so a pair stays where it was cut,
+// and never cut twice until reset, which cuts the same blocks again
+// from the first. Block sizes double up to arenaBlockCosts entries, so
+// a reduction that folds little allocates little.
+type arena struct {
+	blocks []arenaBlock
+	next   int // blocks[:next] are in use; blocks[next-1] is being cut
+}
+
+type arenaBlock struct {
+	mats  []cost.Matrix
+	costs []cost.Cost
+}
+
+// arenaBlockCosts caps a block's entries (64 KiB) once it has doubled
+// that far.
+const arenaBlockCosts = 1 << 13
+
+func (b *arenaBlock) fits(m int) bool {
+	return len(b.costs)+2*m*m <= cap(b.costs) && len(b.mats)+2 <= cap(b.mats)
+}
+
+// pair returns two fresh m×m matrices; their entries are stale, for
+// the caller to overwrite in full.
+func (a *arena) pair(m int) (uv, vu *cost.Matrix) {
+	if a.next == 0 || !a.blocks[a.next-1].fits(m) {
+		if a.next == len(a.blocks) || !a.blocks[a.next].fits(m) {
+			size := 16 * m * m
+			if a.next > 0 {
+				size = max(size, min(2*cap(a.blocks[a.next-1].costs), arenaBlockCosts))
+			}
+			a.blocks = append(a.blocks[:a.next], arenaBlock{
+				mats:  make([]cost.Matrix, 0, size/(m*m)),
+				costs: make([]cost.Cost, 0, size),
+			})
+		}
+		a.next++
+	}
+	b := &a.blocks[a.next-1]
+	n, k := len(b.costs), len(b.mats)
+	b.costs = b.costs[:n+2*m*m]
+	b.mats = append(b.mats,
+		cost.Matrix{Rows: m, Cols: m, Data: b.costs[n : n+m*m : n+m*m]},
+		cost.Matrix{Rows: m, Cols: m, Data: b.costs[n+m*m : n+2*m*m : n+2*m*m]})
+	return &b.mats[k], &b.mats[k+1]
+}
+
+// reset makes every pair available again: only for a reduction whose
+// graph and records nothing reads any more.
+func (a *arena) reset() {
+	for i := range a.blocks[:a.next] {
+		b := &a.blocks[i]
+		b.mats, b.costs = b.mats[:0], b.costs[:0]
+	}
+	a.next = 0
 }
 
 // Apply exhaustively applies R0/R1/R2 to a copy of g and returns the
@@ -71,7 +141,25 @@ func Apply(g *pbqp.Graph) *Reduction {
 // degree or liveness no longer matches and a fresh entry was pushed at
 // the moment of the change.
 func Start(g *pbqp.Graph, rn bool) *Reduction {
-	r := &Reduction{Graph: g.Clone(), maxDeg: 2}
+	r := new(Reduction)
+	r.Restart(g, rn)
+	return r
+}
+
+// Restart makes r what Start(g, rn) returns, reusing r's storage: its
+// Graph is overwritten by a copy of g (pbqp.Graph.CloneInto), and the
+// matrices R2 installed in it are cut again. Nothing may read r's
+// Graph, a matrix taken from it or r's records any more — in
+// particular, g must not be r.Graph.
+func (r *Reduction) Restart(g *pbqp.Graph, rn bool) {
+	if r.Graph == nil {
+		r.Graph = new(pbqp.Graph)
+	}
+	g.CloneInto(r.Graph)
+	clear(r.stack)
+	r.stack, r.work, r.ids = r.stack[:0], r.work[:0], r.ids[:0]
+	r.folds.reset()
+	r.Eliminated, r.maxDeg = 0, 2
 	if rn {
 		r.maxDeg = math.MaxInt
 	}
@@ -80,7 +168,6 @@ func Start(g *pbqp.Graph, rn bool) *Reduction {
 			r.work.push(r.Graph.Degree(u), u)
 		}
 	}
-	return r
 }
 
 // Step eliminates the next queued vertex — R0, R1 or R2 by its degree,
@@ -97,17 +184,18 @@ func (r *Reduction) Step(forceRN bool) bool {
 			continue // stale: the vertex was eliminated or re-pushed at a lower degree
 		}
 		var rec record
-		affected := w.Neighbors(u)
+		r.adj = w.AppendNeighbors(r.adj[:0], u)
+		affected := r.adj
 		switch {
 		case forceRN || d > 2:
-			rec = reduceRN(w, u, affected)
+			rec = r.reduceRN(u, affected)
 		case d == 0:
-			rec = record{u: u, vec: w.VertexCost(u).Clone()}
+			rec = record{u: u, vec: w.VertexCost(u)}
 			w.RemoveVertex(u)
 		case d == 1:
-			rec = reduceR1(w, u, affected)
+			rec = r.reduceR1(u, affected)
 		default:
-			rec = reduceR2(w, u, affected)
+			rec = r.reduceR2(u, affected)
 		}
 		r.stack = append(r.stack, rec)
 		r.Eliminated++
@@ -167,36 +255,50 @@ func (h *worklist) pop() (deg, u int) {
 	return int(top >> 32), int(top & 0xffffffff)
 }
 
+// keep copies a record's neighbor list into r.ids, which only grows
+// during a reduction, and returns the copy.
+func (r *Reduction) keep(ns []int) []int {
+	k := len(r.ids)
+	r.ids = append(r.ids, ns...)
+	return r.ids[k:len(r.ids):len(r.ids)]
+}
+
 // reduceR1 folds degree-1 vertex u into its single neighbor y:
 // vec[y][j] += min_i (vec[u][i] + M_uy[i][j]).
-func reduceR1(g *pbqp.Graph, u int, ns []int) record {
+func (r *Reduction) reduceR1(u int, ns []int) record {
+	g := r.Graph
 	y := ns[0]
 	m := g.EdgeCost(u, y)
-	vec := g.VertexCost(u).Clone()
-	delta := make(cost.Vector, g.M())
-	for j := 0; j < g.M(); j++ {
+	vec := g.VertexCost(u)
+	r.delta = slices.Grow(r.delta[:0], g.M())[:g.M()]
+	for j := range r.delta {
 		best := cost.Inf
-		for i := 0; i < g.M(); i++ {
+		for i := range vec {
 			if c := vec[i].Add(m.At(i, j)); c.Less(best) {
 				best = c
 			}
 		}
-		delta[j] = best
+		r.delta[j] = best
 	}
-	g.AddToVertexCost(y, delta)
+	g.AddToVertexCost(y, r.delta)
 	g.RemoveVertex(u)
-	return record{u: u, vec: vec, nbrs: ns, mats: [2]*cost.Matrix{m}}
+	return record{u: u, vec: vec, nbrs: r.keep(ns), mats: [2]*cost.Matrix{m}}
 }
 
 // reduceR2 folds degree-2 vertex u into the edge between its neighbors
-// (y, z): Δ[jy][jz] = min_i (vec[u][i] + M_uy[i][jy] + M_uz[i][jz]).
-func reduceR2(g *pbqp.Graph, u int, ns []int) record {
+// (y, z): Δ[jy][jz] = min_i (vec[u][i] + M_uy[i][jy] + M_uz[i][jz]),
+// added to the existing (y, z) matrix if there is one. The sum and its
+// transpose are written straight into a pair cut from r's arena and
+// installed as the edge; a sum of all zeros drops the edge instead.
+func (r *Reduction) reduceR2(u int, ns []int) record {
+	g := r.Graph
 	y, z := ns[0], ns[1]
 	my := g.EdgeCost(u, y)
 	mz := g.EdgeCost(u, z)
-	vec := g.VertexCost(u).Clone()
+	existing := g.EdgeCost(y, z)
+	vec := g.VertexCost(u)
 	m := g.M()
-	delta := cost.NewMatrix(m, m)
+	yz, zy := r.folds.pair(m)
 	for jy := 0; jy < m; jy++ {
 		for jz := 0; jz < m; jz++ {
 			best := cost.Inf
@@ -205,32 +307,38 @@ func reduceR2(g *pbqp.Graph, u int, ns []int) record {
 					best = c
 				}
 			}
-			delta.Set(jy, jz, best)
+			if existing != nil {
+				best = best.Add(existing.At(jy, jz))
+			}
+			yz.Set(jy, jz, best)
+			zy.Set(jz, jy, best)
 		}
 	}
 	g.RemoveVertex(u)
-	g.AddEdgeCost(y, z, delta)
-	if g.EdgeCost(y, z).IsZero() {
+	if yz.IsZero() {
 		g.RemoveEdge(y, z)
+	} else {
+		g.SetEdgePair(y, z, yz, zy)
 	}
-	return record{u: u, vec: vec, nbrs: ns, mats: [2]*cost.Matrix{my, mz}}
+	return record{u: u, vec: vec, nbrs: r.keep(ns), mats: [2]*cost.Matrix{my, mz}}
 }
 
 // reduceRN heuristically colors vertex u with the minimizer of its own
 // cost plus, per incident edge, the best achievable combined
 // edge-plus-neighbor cost (LLVM's RN local minimum), then propagates the
 // selected rows (the paper's transition T) to the neighbors.
-func reduceRN(g *pbqp.Graph, u int, ns []int) record {
+func (r *Reduction) reduceRN(u int, ns []int) record {
+	g := r.Graph
 	vec := g.VertexCost(u)
-	mats := make([]*cost.Matrix, len(ns))
-	for k, v := range ns {
-		mats[k] = g.EdgeCost(u, v)
+	r.mats = r.mats[:0]
+	for _, v := range ns {
+		r.mats = append(r.mats, g.EdgeCost(u, v))
 	}
 	best, bestCost := -1, cost.Inf
 	for i := 0; i < g.M(); i++ {
 		c := vec[i]
 		for k, v := range ns {
-			m, nvec := mats[k], g.VertexCost(v)
+			m, nvec := r.mats[k], g.VertexCost(v)
 			local := cost.Inf
 			for j := 0; j < g.M(); j++ {
 				if combined := m.At(i, j).Add(nvec[j]); combined.Less(local) {

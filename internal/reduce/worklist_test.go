@@ -37,14 +37,14 @@ func referenceRun(g *pbqp.Graph, rn bool, rnFrom int) *Reduction {
 		ns := w.Neighbors(u)
 		switch d := w.Degree(u); {
 		case d > 2 || red.Eliminated >= rnFrom:
-			red.stack = append(red.stack, reduceRN(w, u, ns))
+			red.stack = append(red.stack, red.reduceRN(u, ns))
 		case d == 0:
 			red.stack = append(red.stack, record{u: u, vec: w.VertexCost(u).Clone()})
 			w.RemoveVertex(u)
 		case d == 1:
-			red.stack = append(red.stack, reduceR1(w, u, ns))
+			red.stack = append(red.stack, red.reduceR1(u, ns))
 		default:
-			red.stack = append(red.stack, reduceR2(w, u, ns))
+			red.stack = append(red.stack, red.reduceR2(u, ns))
 		}
 		red.Eliminated++
 	}

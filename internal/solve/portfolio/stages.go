@@ -51,7 +51,7 @@ type Builder struct {
 	// once per rl stage built. Nil uses the uniform (untrained) prior.
 	Evaluator func() mcts.Evaluator
 	// DecompWorkers bounds how many components a decomp: stage over a
-	// stateless solver (brute, scholz, liberty, anneal) solves in
+	// concurrency-safe solver (brute, scholz, liberty, anneal) solves in
 	// parallel; ≤ 1 solves them one at a time. Every other decomp:
 	// stage is sequential: an rl stage's evaluator is not safe for
 	// concurrent use.

@@ -22,11 +22,16 @@
 //
 // The reductions, the (degree, id) elimination order and the
 // back-propagation are internal/reduce's; this package is that engine
-// run with RN enabled until the graph is empty.
+// run with RN enabled until the graph is empty. A solve restarts a
+// reduction workspace taken from a pool on its input and puts it back
+// once the selection is expanded, so solves of many small graphs (every
+// block decomp hands its inner solver) allocate per workspace, not per
+// elimination. Solver is safe for concurrent use.
 package scholz
 
 import (
 	"context"
+	"sync"
 
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/reduce"
@@ -35,6 +40,12 @@ import (
 
 // Solver is the Scholz–Eckstein reduction solver.
 type Solver struct{}
+
+// workspaces holds the reductions no solve is using. A workspace goes
+// back only after Expand, when nothing reads its graph, the matrices
+// R2 installed in it or its records any more, which is what
+// reduce.Reduction.Restart requires of the next solve that takes it.
+var workspaces = sync.Pool{New: func() any { return new(reduce.Reduction) }}
 
 // Name implements solve.Solver.
 func (Solver) Name() string { return "scholz" }
@@ -52,7 +63,8 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 // complete — possibly worse — selection is still produced and marked
 // Truncated.
 func (Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	red := reduce.Start(g, true)
+	red := workspaces.Get().(*reduce.Reduction)
+	red.Restart(g, true)
 	var states int64
 	truncated := ctx.Err() != nil
 	for red.Graph.AliveCount() > 0 {
@@ -65,6 +77,7 @@ func (Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	// Every alive vertex was eliminated, so Expand assigns them all; dead
 	// vertices keep color 0. An infeasible selection is still complete.
 	sel, feasible := red.Expand(make(pbqp.Selection, g.NumVertices()))
+	workspaces.Put(red)
 	total := g.TotalCost(sel)
 	return solve.Result{
 		Selection: sel,
