@@ -3,8 +3,8 @@ package pbqprl_test
 // Benchmark harness: one testing.B benchmark per paper table/figure
 // (macro benchmarks, DESIGN.md experiments E1–E9) plus micro benchmarks
 // of the performance-critical kernels. Macro benchmarks train their
-// networks on first use and cache them on disk, so the first -bench run
-// pays a few minutes of training.
+// networks once per test binary, so every -bench run pays that
+// training first.
 
 import (
 	"bytes"

@@ -10,8 +10,8 @@
 //
 // -solver is one stage name of pbqp-solve's chain grammar: brute,
 // scholz, liberty, anneal, rl or rl-bt, optionally prefixed decomp:.
-// The rl solvers use a network trained at k_train = 50 on first use
-// and the increasing-liberty order.
+// The rl solvers use the increasing-liberty order and a network trained
+// at k_train = 50 by each run that needs one (a few seconds).
 //
 // Exit status:
 //

@@ -11,9 +11,10 @@
 //	2  usage error: a bad flag, a stray argument (such as "fig6" with
 //	   the -run forgotten) or an unknown -run
 //
-// Networks are trained on first use at laptop scale and cached under
-// os.TempDir()/pbqprl-nets, so the first invocation trains for a few
-// minutes and later ones start immediately.
+// Each run trains the laptop-scale networks it needs in its own process
+// and writes nothing to disk, so the tables always come from the code
+// the command is built from. CI diffs `-run all` against
+// experiments_output.txt.
 package main
 
 import (

@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("llvm-bench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	program := fs.String("program", "all", "benchmark name or all")
-	useRL := fs.Bool("rl", false, "include the PBQP-RL allocator (trains a network on first use)")
+	useRL := fs.Bool("rl", false, "include the PBQP-RL allocator (trains its network on every run)")
 	k := fs.Int("k", 40, "MCTS simulations per action for PBQP-RL")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {

@@ -206,7 +206,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// save checkpoints the trainer and logs what that cost.
 	save := func() error {
-		//pbqpvet:ignore determinism checkpoint wall-clock is only ever formatted into a log line: the payload is EncodeState's, which reads no clock
+		// Checkpoint wall-clock is only ever formatted into a log line: the payload is EncodeState's, which reads no clock.
 		start := time.Now()
 		payload, err := trainer.EncodeState()
 		if err != nil {

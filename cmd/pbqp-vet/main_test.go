@@ -27,7 +27,7 @@ func TestRunFindsFixtureDiagnostics(t *testing.T) {
 
 func TestRunJSONOutput(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-json", "-only", "determinism", fixtureRoot + "/determinism"}, &out)
+	code := run([]string{"-json", "-only", "lockorder", fixtureRoot + "/lockorder"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -39,7 +39,7 @@ func TestRunJSONOutput(t *testing.T) {
 		t.Fatal("JSON output decoded to zero findings")
 	}
 	for _, d := range diags {
-		if d.Analyzer != "determinism" || d.File == "" || d.Line == 0 || d.Message == "" {
+		if d.Analyzer != "lockorder" || d.File == "" || d.Line == 0 || d.Message == "" {
 			t.Errorf("incomplete diagnostic: %+v", d)
 		}
 	}
@@ -91,40 +91,13 @@ func TestRunHelp(t *testing.T) {
 	}
 }
 
-func TestRunCounts(t *testing.T) {
-	var out bytes.Buffer
-	code := run([]string{"-counts", "-only", "lockorder", fixtureRoot + "/lockorder"}, &out)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
-	}
-	s := out.String()
-	if !strings.Contains(s, "analyzer") || !strings.Contains(s, "findings") || !strings.Contains(s, "ignores") {
-		t.Fatalf("-counts output missing census header:\n%s", s)
-	}
-	// The lockorder fixture has annotated findings and one suppression
-	// site; both columns must be populated on the lockorder row.
-	var row string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.HasPrefix(line, "lockorder") {
-			row = line
-		}
-	}
-	if row == "" {
-		t.Fatalf("-counts output has no lockorder row:\n%s", s)
-	}
-	fields := strings.Fields(row)
-	if len(fields) != 3 || fields[1] == "0" || fields[2] == "0" {
-		t.Errorf("lockorder census row = %q, want nonzero findings and ignores", row)
-	}
-}
-
 // TestRunModuleWide checks that several packages analyzed together go
 // through one module pass: findings from distinct fixture directories
 // come back in one deterministically sorted report.
 func TestRunModuleWide(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-json", "-only", "lockorder,determinism",
-		fixtureRoot + "/lockorder", fixtureRoot + "/determinism"}, &out)
+	code := run([]string{"-json", "-only", "lockorder,costarith",
+		fixtureRoot + "/lockorder", fixtureRoot + "/costarith"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -142,13 +115,13 @@ func TestRunModuleWide(t *testing.T) {
 			}
 		}
 	}
-	if !seen["lockorder"] || !seen["determinism"] {
+	if !seen["lockorder"] || !seen["costarith"] {
 		t.Errorf("expected findings from both packages, got analyzers %v", seen)
 	}
 	// Byte-stability: a second identical run must produce identical bytes.
 	var again bytes.Buffer
-	run([]string{"-json", "-only", "lockorder,determinism",
-		fixtureRoot + "/lockorder", fixtureRoot + "/determinism"}, &again)
+	run([]string{"-json", "-only", "lockorder,costarith",
+		fixtureRoot + "/lockorder", fixtureRoot + "/costarith"}, &again)
 	if !bytes.Equal(out.Bytes(), again.Bytes()) {
 		t.Error("-json output is not byte-stable across identical runs")
 	}

@@ -1,7 +1,6 @@
 // Package analysis is a small stdlib-only static-analysis framework for
-// the project's domain invariants: determinism of encode paths,
-// saturating ℝ∞ cost arithmetic, cancellation discipline in solvers,
-// and lock order across the module. DESIGN.md §12 keeps the mutation
+// the project's domain invariants: saturating ℝ∞ cost arithmetic and
+// lock order across the module. DESIGN.md §12 keeps the mutation
 // census that decides which analyzers stay: each one guards a defect
 // class that no test catches.
 //
@@ -9,14 +8,9 @@
 // go/parser and type-checked with go/types, resolving module-internal
 // imports through a source loader (Loader) and standard-library imports
 // through go/importer's source importer. Analyzers receive a fully
-// type-checked Pass and report position-accurate Diagnostics; findings
-// can be suppressed line-by-line with
-//
-//	//pbqpvet:ignore <analyzer>[,<analyzer>...] <reason>
-//
-// placed on the offending line or the line directly above it. The
-// cmd/pbqp-vet driver runs every analyzer over the module and exits
-// nonzero on unsuppressed findings.
+// type-checked Pass and report position-accurate Diagnostics. A finding
+// cannot be waived, only fixed: the cmd/pbqp-vet command runs every
+// analyzer over the module and exits nonzero on any finding.
 package analysis
 
 import (
@@ -49,8 +43,7 @@ func (d Diagnostic) String() string {
 // call graphs and sync-object identity thread across package
 // boundaries.
 type Analyzer struct {
-	// Name identifies the analyzer in reports and in
-	// //pbqpvet:ignore directives.
+	// Name identifies the analyzer in reports and in pbqp-vet -only.
 	Name string
 	// Run inspects the package via pass and reports findings with
 	// pass.Reportf. A returned error aborts the whole vet run (it
@@ -115,20 +108,11 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 
 // RunModule executes the analyzers over every loaded package —
 // per-package analyzers once per package, module analyzers once over
-// the whole set with a shared concurrency index — applies every
-// //pbqpvet:ignore suppression, and returns the surviving diagnostics
-// in one deterministic file/line/col/analyzer order so repeated runs
-// (and their -json artifacts) are byte-stable. Malformed suppression
-// directives are themselves reported under the pseudo-analyzer name
-// "pbqpvet".
+// the whole set with a shared concurrency index — and returns the
+// diagnostics in one deterministic file/line/col/analyzer order so
+// repeated runs (and their -json artifacts) are byte-stable.
 func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	var sup suppressions
-	for _, pkg := range pkgs {
-		pkgSup, supDiags := collectSuppressions(pkg.Fset, pkg.Files)
-		sup = sup.merge(pkgSup)
-		diags = append(diags, supDiags...)
-	}
 	var conc *Conc
 	for _, a := range analyzers {
 		if a.RunModule == nil {
@@ -161,7 +145,6 @@ func RunModule(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 			diags = append(diags, pass.diags...)
 		}
 	}
-	diags = sup.filter(diags)
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].File != diags[j].File {
 			return diags[i].File < diags[j].File

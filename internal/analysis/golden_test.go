@@ -37,10 +37,8 @@ func TestGolden(t *testing.T) {
 		fixture   string
 		analyzers []*Analyzer
 	}{
-		{"determinism", []*Analyzer{Determinism}},
 		{"costarith", []*Analyzer{CostArith}},
 		{"lockorder", []*Analyzer{LockOrder}},
-		{"suppress", []*Analyzer{CostArith, Determinism}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {

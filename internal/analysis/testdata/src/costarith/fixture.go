@@ -41,9 +41,3 @@ func viaMethods(a, b cost.Cost) cost.Cost {
 func plainFloats(x, y float64) float64 {
 	return x + y*2
 }
-
-// suppressed shows a justified exception.
-func suppressed(a, b cost.Cost) float64 {
-	//pbqpvet:ignore costarith both operands proven finite one line above
-	return float64(a - b)
-}

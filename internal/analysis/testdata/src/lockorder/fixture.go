@@ -160,12 +160,3 @@ func spawns(mu *sync.Mutex, ch chan int, wg *sync.WaitGroup) {
 		ch <- 1
 	}()
 }
-
-// --- suppression with a per-site reason ---
-
-func suppressed(mu *sync.Mutex, ch chan int) {
-	mu.Lock()
-	//pbqpvet:ignore lockorder startup handshake: ch is buffered to the sender count, the send cannot block
-	ch <- 1
-	mu.Unlock()
-}

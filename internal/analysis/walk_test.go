@@ -65,8 +65,7 @@ func TestLoaderModulePath(t *testing.T) {
 // must report nothing on the production tree. Like `pbqp-vet ./...`, it
 // loads every package the driver's walk finds and vets them in one
 // module pass, so the module-wide analyzers see calls across package
-// boundaries. Everything deliberate is expected to carry a
-// pbqpvet:ignore with a reason.
+// boundaries. A finding cannot be waived: the tree must be clean.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module vet is slow; run without -short")

@@ -114,7 +114,7 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 	if ctx.Err() != nil {
 		return solve.Result{Cost: cost.Inf, Truncated: true}, info
 	}
-	//pbqpvet:ignore determinism per-stage wall time is reporting only; it never feeds back into solver decisions
+	// Per-stage wall time is reporting only; it never feeds back into solver decisions.
 	mark := time.Now()
 	// lap returns the seconds since the previous lap: one stage's share.
 	lap := func() float64 {

@@ -8,30 +8,39 @@ import (
 	"pbqprl/internal/ate"
 	"pbqprl/internal/game"
 	"pbqprl/internal/rl"
+	"pbqprl/internal/solve/scholz"
 )
 
 // tinySpec trains almost instantly; enough to exercise the plumbing.
 func tinySpec() TrainSpec { return TrainSpec{KTrain: 4, Iterations: 1, Episodes: 2, Seed: 99} }
 
-func TestTrainedNetCachesOnDisk(t *testing.T) {
+// TestTrainedNetMemoizedInProcess: a spec trains once per process. The
+// second call returns the same network without a training run (no
+// progress line), and training leaves nothing under os.TempDir().
+func TestTrainedNetMemoizedInProcess(t *testing.T) {
+	tmp := t.TempDir()
+	t.Setenv("TMPDIR", tmp)
 	spec := tinySpec()
-	os.Remove(cachePath(spec, "ate"))
+	// Another test may have trained this spec already: forget it, so
+	// the first call here trains.
+	netCacheMu.Lock()
+	delete(netCache, cacheKey{spec: spec, tag: "ate"})
+	netCacheMu.Unlock()
 	var lines []string
 	n1 := TrainedNet(spec, func(s string) { lines = append(lines, s) })
 	if n1 == nil || len(lines) == 0 {
 		t.Fatal("no training happened")
 	}
-	// drop the in-memory cache to force the disk path
-	netCacheMu.Lock()
-	delete(netCache, cacheKey{spec: spec, tag: "ate"})
-	netCacheMu.Unlock()
 	var lines2 []string
 	n2 := TrainedNet(spec, func(s string) { lines2 = append(lines2, s) })
-	if n2 == nil {
-		t.Fatal("reload failed")
+	if n2 != n1 {
+		t.Error("second TrainedNet returned a different network")
 	}
-	if len(lines2) != 1 || !strings.Contains(lines2[0], "loaded cached net") {
-		t.Fatalf("expected disk-cache load, got %v", lines2)
+	if len(lines2) != 0 {
+		t.Errorf("second TrainedNet trained again: %q", lines2)
+	}
+	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
+		t.Errorf("TrainedNet wrote under os.TempDir(): %v %v", entries, err)
 	}
 }
 
@@ -67,6 +76,17 @@ func TestFig6VariantsShape(t *testing.T) {
 	}
 	if vs[3].Order != game.OrderDecLiberty || vs[2].Order != game.OrderIncLiberty {
 		t.Error("variant orders wrong")
+	}
+}
+
+// TestScholzSolvesOnlyPRO1 is E3's first sentence: the original solver
+// solves PRO1 and fails the other nine programs.
+func TestScholzSolvesOnlyPRO1(t *testing.T) {
+	for _, b := range ate.Suite() {
+		want := b.Program.Name == "PRO1"
+		if got := (scholz.Solver{}).Solve(b.Graph).Feasible; got != want {
+			t.Errorf("%s: scholz feasible = %v, want %v", b.Program.Name, got, want)
+		}
 	}
 }
 

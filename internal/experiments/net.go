@@ -7,15 +7,12 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 
 	"pbqprl/internal/ate"
-	"pbqprl/internal/checkpoint"
 	"pbqprl/internal/game"
 	"pbqprl/internal/net"
 	"pbqprl/internal/pbqp"
@@ -26,7 +23,8 @@ import (
 // TrainSpec identifies a trained network. The paper trains with MCTS
 // budget k_train on 20,000 random graphs over two weeks of GPU time;
 // the laptop-scale defaults train the same pipeline on the same graph
-// family for a few minutes. Identical specs are cached on disk.
+// family at a small fraction of that cost. Each process trains a spec
+// at most once (TrainedNet).
 type TrainSpec struct {
 	// KTrain is the self-play MCTS budget (the paper's k_train).
 	KTrain int
@@ -75,20 +73,22 @@ type cacheKey struct {
 }
 
 // netCache holds the finished networks. netCacheMu guards map access
-// only: it is never held across a training run (minutes).
+// only: it is never held across a training run.
 var (
 	netCacheMu sync.Mutex
 	netCache   = map[cacheKey]*net.PBQPNet{}
 )
 
 // TrainedNet returns the ATE-regime network for spec, training it on
-// first use and caching it in memory and on disk (os.TempDir). Progress
-// lines go to progress when non-nil.
+// first use in this process and returning the same network after that.
+// Nothing is read from or written to disk, so every table comes from
+// the training code it is built with. Progress lines of a training run
+// go to progress when non-nil.
 func TrainedNet(spec TrainSpec, progress func(string)) *net.PBQPNet {
 	return trainedNetWith(spec, ateTrainingGraph, game.OrderDecLiberty, "ate", progress)
 }
 
-// trainedNetWith trains (or loads) a network for the given training
+// trainedNetWith trains (or recalls) a network for the given training
 // graph distribution and coloring order, keyed by (spec, tag).
 func trainedNetWith(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order, tag string, progress func(string)) *net.PBQPNet {
 	key := cacheKey{spec: spec, tag: tag}
@@ -100,31 +100,17 @@ func trainedNetWith(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game
 	}
 	// Callers ask for one spec at a time; two at once would both build
 	// it, to the same weights.
-	n = buildNet(spec, gen, order, tag, progress)
+	n = buildNet(spec, gen, order, progress)
 	netCacheMu.Lock()
 	netCache[key] = n
 	netCacheMu.Unlock()
 	return n
 }
 
-// buildNet loads the network for (spec, tag) from the disk cache or
-// trains it from scratch. Callers hold no lock: training takes minutes
-// and must not serialize unrelated cache lookups.
-func buildNet(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order, tag string, progress func(string)) *net.PBQPNet {
+// buildNet trains the network for spec from scratch. Callers hold no
+// lock: training must not serialize unrelated cache lookups.
+func buildNet(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order, progress func(string)) *net.PBQPNet {
 	n := net.New(DefaultNetConfig())
-	path := cachePath(spec, tag)
-	if f, err := os.Open(path); err == nil {
-		err = n.Load(f)
-		f.Close()
-		if err == nil {
-			if progress != nil {
-				progress(fmt.Sprintf("loaded cached net %s", path))
-			}
-			return n
-		}
-		// cache from an older architecture: retrain
-		n = net.New(DefaultNetConfig())
-	}
 	trainer := selfplay.New(n, selfplay.Config{
 		EpisodesPerIter: spec.Episodes,
 		KTrain:          spec.KTrain,
@@ -132,8 +118,8 @@ func buildNet(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order
 		BatchSize:       32,
 		TrainSteps:      2 * spec.Episodes,
 		// parallel episodes; the worker count does not affect the
-		// trained network, so the disk cache stays valid across runs
-		// on machines with different core counts
+		// trained network, so the tables are the same on every core
+		// count
 		Workers: runtime.GOMAXPROCS(0),
 		// Laptop-scale promotion gate: the paper keeps the candidate
 		// when it wins > 5 of 10 arena games; at our tiny episode
@@ -156,20 +142,7 @@ func buildNet(spec TrainSpec, gen func(*rand.Rand) *pbqp.Graph, order game.Order
 			progress(stats.String())
 		}
 	}
-	best := trainer.Best()
-	// best-effort disk cache; the atomic write keeps a concurrent
-	// reader from seeing a torn file
-	if data, err := best.SaveBytes(); err == nil {
-		_ = checkpoint.WriteFileAtomic(path, data)
-	}
-	return best
-}
-
-func cachePath(spec TrainSpec, tag string) string {
-	dir := filepath.Join(os.TempDir(), "pbqprl-nets")
-	_ = os.MkdirAll(dir, 0o755)
-	return filepath.Join(dir, fmt.Sprintf("%s-k%d-i%d-e%d-s%d.gob",
-		tag, spec.KTrain, spec.Iterations, spec.Episodes, spec.Seed))
+	return trainer.Best()
 }
 
 // LoadNet loads a checkpoint with the default architecture from path,

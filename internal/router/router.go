@@ -309,7 +309,7 @@ func (r *Router) Drain(ctx context.Context) error {
 // now is the router's only wall-clock read point, for breaker timing
 // and Retry-After windows.
 func now() time.Time {
-	//pbqpvet:ignore determinism serving-path timing is operational (deadlines, breakers, latency), never solver input
+	// Serving-path timing is operational (deadlines, breakers, latency), never solver input.
 	return time.Now()
 }
 

@@ -348,7 +348,7 @@ func (t *Trainer) RunIteration(ctx context.Context) (IterStats, error) {
 
 // lap returns the wall-clock since *mark and moves mark to now.
 func lap(mark *time.Time) time.Duration {
-	//pbqpvet:ignore determinism phase wall-clock is only ever formatted into a Logf line: never into IterStats, the replay or encoded state
+	// Phase wall-clock is only ever formatted into a Logf line: never into IterStats, the replay or encoded state.
 	now := time.Now()
 	d := now.Sub(*mark)
 	*mark = now

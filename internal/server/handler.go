@@ -109,7 +109,7 @@ type SolveResponse struct {
 // now is the server's only wall-clock read point, for latency
 // measurement and deadline arithmetic.
 func now() time.Time {
-	//pbqpvet:ignore determinism serving-path latency measurement and deadlines are operational, never solver inputs
+	// Serving-path latency measurement and deadlines are operational, never solver inputs.
 	return time.Now()
 }
 

@@ -122,7 +122,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 		deadline, hasDeadline = d, true
 	}
 	if s.Budget > 0 {
-		//pbqpvet:ignore determinism wall-clock budget split is the portfolio's contract; solver outputs stay deterministic, only truncation timing varies
+		// Wall-clock budget split is the portfolio's contract; solver outputs stay deterministic, only truncation timing varies.
 		if b := time.Now().Add(s.Budget); !hasDeadline || b.Before(deadline) {
 			deadline, hasDeadline = b, true
 		}
@@ -148,7 +148,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 		if hasDeadline {
 			stageCtx, cancel = context.WithTimeout(ctx, remaining/time.Duration(len(s.Stages)-i))
 		}
-		//pbqpvet:ignore determinism per-stage wall time is reporting only; it never feeds back into solver decisions
+		// Per-stage wall time is reporting only; it never feeds back into solver decisions.
 		start := time.Now()
 		res, info, panicked, panicVal := runStage(stageCtx, stage, g, logf)
 		if cancel != nil {

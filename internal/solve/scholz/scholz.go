@@ -31,6 +31,7 @@ package scholz
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"pbqprl/internal/pbqp"
@@ -72,7 +73,11 @@ func (Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		if !truncated && states%solve.CheckInterval == 0 && ctx.Err() != nil {
 			truncated = true
 		}
-		red.Step(truncated)
+		if !red.Step(truncated) {
+			// The queue ran dry with vertices still alive: the live count
+			// and the queue disagree, and looping on would spin forever.
+			panic(fmt.Sprintf("scholz: reduction queue empty with %d vertices alive", red.Graph.AliveCount()))
+		}
 	}
 	// Every alive vertex was eliminated, so Expand assigns them all; dead
 	// vertices keep color 0. An infeasible selection is still complete.
