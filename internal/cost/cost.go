@@ -14,6 +14,7 @@ import (
 	"math"
 	"strconv"
 	"strings"
+	"sync/atomic"
 )
 
 // Cost is a single PBQP cost entry: a finite float64 or +∞.
@@ -255,10 +256,24 @@ func (v Vector) String() string {
 }
 
 // Matrix is a dense rows×cols PBQP cost matrix stored row-major.
+//
+// A matrix remembers one fact about its entries once it is asked:
+// whether it is diagonal (see Diagonal). That suits a matrix whose
+// entries no longer change, which every matrix installed in a
+// pbqp.Graph is (its ownership rule), so write a matrix in full before
+// anything asks. Copy a Matrix through its pointer, never by value.
 type Matrix struct {
 	Rows, Cols int
 	Data       []Cost
+	// diag is Diagonal's answer: nil until the first call, then
+	// &notDiagonal or the compact diagonal. It is published atomically,
+	// because graphs share their matrices across goroutines.
+	diag atomic.Pointer[Vector]
 }
+
+// notDiagonal is the answer diag caches for a matrix that is not
+// diagonal.
+var notDiagonal Vector
 
 // NewMatrix returns a zero rows×cols matrix.
 func NewMatrix(rows, cols int) *Matrix {
@@ -334,6 +349,55 @@ func (m *Matrix) IsZero() bool {
 	for _, c := range m.Data {
 		if c != 0 {
 			return false
+		}
+	}
+	return true
+}
+
+// Diagonal returns m's diagonal as a compact vector when m is square
+// and every entry off its diagonal has the bits of +0 — a −0 does not
+// count, since it would change the sign of a zero it is added to — and
+// nil otherwise. Register allocation's interference and hint matrices
+// are diagonal, and RN (internal/reduce) folds a diagonal edge in O(m)
+// instead of O(m²), so an RN elimination costs O(m·deg) when its
+// edges are diagonal, not O(m²·deg). The first call scans the entries
+// and caches the answer in m; every later call, from any goroutine,
+// reads the cache, so m must not be written after the first call. The
+// returned vector is shared: never write to it.
+func (m *Matrix) Diagonal() Vector {
+	d := m.diag.Load()
+	if d == nil {
+		d = m.classify()
+	}
+	return *d
+}
+
+// classify answers Diagonal for the first time and caches the answer.
+func (m *Matrix) classify() *Vector {
+	d := &notDiagonal
+	if m.isDiagonal() {
+		diag := make(Vector, m.Rows)
+		for i := range diag {
+			diag[i] = m.Data[i*(m.Cols+1)]
+		}
+		d = &diag
+	}
+	// Two first calls may race to here; both computed the same answer.
+	m.diag.Store(d)
+	return d
+}
+
+// isDiagonal reports whether m is square with every off-diagonal entry
+// bitwise +0.
+func (m *Matrix) isDiagonal() bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		for j, c := range m.Row(i) {
+			if j != i && math.Float64bits(float64(c)) != 0 {
+				return false
+			}
 		}
 	}
 	return true

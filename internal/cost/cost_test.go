@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -328,6 +329,50 @@ func TestMatrixAddInPlaceAndZero(t *testing.T) {
 
 // Property: Add is commutative and associative over random costs
 // (including infinities), and Inf is absorbing.
+// TestMatrixDiagonal: Diagonal answers from the bits of the entries
+// off the diagonal, returns the diagonal compactly, and scans a matrix
+// once — the cached answer survives a write, which the ownership rule
+// forbids, and which is how this test sees that nothing re-scans.
+// Goroutines asking at once all get the one answer (run under -race).
+func TestMatrixDiagonal(t *testing.T) {
+	diag := NewMatrixFrom([][]Cost{{3, 0, 0}, {0, Inf, 0}, {0, 0, Cost(math.Copysign(0, -1))}})
+	if d := diag.Diagonal(); !SameBits(d, Vector{3, Inf, Cost(math.Copysign(0, -1))}) || len(d) != 3 {
+		t.Fatalf("Diagonal() = %v, want [3 inf -0]", d)
+	}
+	diag.Set(0, 1, 5)
+	if diag.Diagonal() == nil {
+		t.Fatal("Diagonal re-scanned a classified matrix")
+	}
+	if NewMatrix(2, 2).Diagonal() == nil {
+		t.Error("the zero matrix is diagonal")
+	}
+	for _, m := range []*Matrix{
+		NewMatrix(2, 3),
+		NewMatrixFrom([][]Cost{{1, Cost(math.Copysign(0, -1))}, {0, 1}}),
+		NewMatrixFrom([][]Cost{{1, 0}, {1e-300, 1}}),
+	} {
+		if d := m.Diagonal(); d != nil {
+			t.Errorf("%v classified diagonal %v", m, d)
+		}
+		m.Set(0, 1, 0)
+		if m.Diagonal() != nil {
+			t.Error("Diagonal re-scanned a classified matrix")
+		}
+	}
+	shared := NewMatrix(13, 13)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if len(shared.Diagonal()) != 13 {
+				t.Error("concurrent Diagonal lost the diagonal")
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestAddAlgebraProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	randCost := func() Cost {

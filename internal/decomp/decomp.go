@@ -28,6 +28,8 @@ package decomp
 
 import (
 	"context"
+	"slices"
+	"sync"
 	"time"
 
 	"pbqprl/internal/cost"
@@ -159,9 +161,18 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 		// outcome — infeasible, not truncated — while solveComponent
 		// reports a cancelled one as truncated.
 		outcomes := make([]compOutcome, sc.numComps())
-		par.Do(context.Background(), s.Workers, len(outcomes), func(_, c int) {
-			outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel)
+		works := make([]*blockWork, max(s.Workers, 1))
+		par.Do(context.Background(), s.Workers, len(outcomes), func(k, c int) {
+			if works[k] == nil {
+				works[k] = blockWorks.Get().(*blockWork)
+			}
+			outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel, works[k])
 		})
+		for _, bw := range works {
+			if bw != nil {
+				blockWorks.Put(bw)
+			}
+		}
 		info.Solve = lap()
 		feasible := true
 		for _, oc := range outcomes {
@@ -195,26 +206,47 @@ type compOutcome struct {
 	states    int64
 }
 
+// blockWork is one worker's storage for the blocks it solves: the
+// block graph, rebuilt in place for every block (pbqp.Graph.InducedInto),
+// and the arrays a component's tables and anchor folds are cut from.
+// Nothing in it outlives solveComponent, so a worker reuses it for
+// every component it claims, and solves take them from a pool.
+type blockWork struct {
+	g      pbqp.Graph
+	ids    []int
+	tables [][]pbqp.Selection
+	sels   []pbqp.Selection
+	fold   cost.Vector
+}
+
+var blockWorks = sync.Pool{New: func() any { return new(blockWork) }}
+
 // solveComponent runs the two sweeps over component c's blocks: a
 // forward (post-order) sweep folding every non-root block into its
 // anchor cut vertex and solving the root block outright, then a
 // backward sweep propagating chosen colors down to each block's
-// stored per-color selection. It writes only c's vertices of sel.
-func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CSR, sc *scanner, c int, sel pbqp.Selection) compOutcome {
+// stored per-color selection. It writes only c's vertices of sel, and
+// builds every block in bw.
+func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CSR, sc *scanner, c int, sel pbqp.Selection, bw *blockWork) compOutcome {
 	lo, hi := sc.comp(c)
 	m := w.M()
 	oc := compOutcome{feasible: true}
 	// tables[b-lo][a] is block b's local selection when its anchor is
 	// pinned to color a; for the root block the single outright
-	// solution sits at slot 0.
-	tables := make([][]pbqp.Selection, hi-lo)
+	// solution sits at slot 0. Both are cut from bw and cleared, so no
+	// selection of an earlier component is read.
+	bw.tables = slices.Grow(bw.tables[:0], hi-lo)[:hi-lo]
+	bw.sels = slices.Grow(bw.sels[:0], (hi-lo)*m)[:(hi-lo)*m]
+	clear(bw.sels)
+	tables := bw.tables
 	for b := lo; b < hi; b++ {
 		if ctx.Err() != nil {
 			oc.feasible, oc.truncated = false, true
 			return oc
 		}
 		verts := sc.block(b)
-		h := blockGraph(w, csr, verts)
+		h := bw.blockGraph(w, csr, verts)
+		table := bw.sels[(b-lo)*m : (b-lo+1)*m : (b-lo+1)*m]
 		if sc.isRoot[b] {
 			res := s.Inner.SolveCtx(ctx, h)
 			oc.states += res.States
@@ -225,26 +257,30 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 				oc.feasible = false
 				return oc
 			}
-			tables[b-lo] = []pbqp.Selection{res.Selection}
+			table[0] = res.Selection
+			tables[b-lo] = table[:1]
 			continue
 		}
-		// Pin the anchor to each color in turn by replacing its vector
-		// with "0 at a, ∞ elsewhere" — excluding the anchor's own
-		// (possibly already folded) cost, which stays in the residual for
-		// the parent block. Inner solvers do not mutate their input, so
-		// the one block graph serves every pin.
+		// Pin the anchor to each color in turn by writing "0 at a, ∞
+		// elsewhere" into the block graph's own vector — excluding the
+		// anchor's own (possibly already folded) cost, which stays in the
+		// residual for the parent block. Inner solvers do not mutate
+		// their input, so the one block graph serves every pin. fold[a]
+		// is what pinning the anchor to a adds to its cost: the block
+		// optimum, or Inf where the block cannot take a.
 		anchorID := csr.ID(int(verts[0]))
 		cur := w.VertexCost(anchorID)
-		newVec := cur.Clone()
-		table := make([]pbqp.Selection, m)
-		pin := cost.NewInfVector(m)
+		pin := h.VertexCost(0)
+		bw.fold = slices.Grow(bw.fold[:0], m)[:m]
+		clear(bw.fold)
 		for a := 0; a < m; a++ {
 			if cur[a].IsInf() {
-				continue // newVec[a] is already infinite
+				continue // the fold leaves an infinite entry infinite
+			}
+			for k := range pin {
+				pin[k] = cost.Inf
 			}
 			pin[a] = 0
-			h.SetVertexCost(0, pin)
-			pin[a] = cost.Inf
 			res := s.Inner.SolveCtx(ctx, h)
 			oc.states += res.States
 			if res.Truncated {
@@ -257,13 +293,13 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 					oc.feasible = false
 					return oc
 				}
-				newVec[a] = cost.Inf
+				bw.fold[a] = cost.Inf
 				continue
 			}
-			newVec[a] = cur[a].Add(res.Cost)
+			bw.fold[a] = res.Cost
 			table[a] = res.Selection
 		}
-		w.SetVertexCost(anchorID, newVec)
+		w.AddToVertexCost(anchorID, bw.fold)
 		tables[b-lo] = table
 	}
 	// Backward sweep: root first (it was emitted last), parents before
@@ -295,15 +331,16 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 	return oc
 }
 
-// blockGraph extracts block verts (CSR indices, anchor first) of the
-// residual w as a standalone graph sharing w's edge matrices. The
-// block's edges are exactly the residual edges between its vertices:
-// two biconnected components share at most one vertex, so no edge
-// between two block vertices can belong to another block.
-func blockGraph(w *pbqp.Graph, csr *pbqp.CSR, verts []int32) *pbqp.Graph {
-	ids := make([]int, len(verts))
-	for i, v := range verts {
-		ids[i] = csr.ID(int(v))
+// blockGraph rebuilds bw.g as block verts (CSR indices, anchor first)
+// of the residual w, sharing w's edge matrices. The block's edges are
+// exactly the residual edges between its vertices: two biconnected
+// components share at most one vertex, so no edge between two block
+// vertices can belong to another block.
+func (bw *blockWork) blockGraph(w *pbqp.Graph, csr *pbqp.CSR, verts []int32) *pbqp.Graph {
+	bw.ids = bw.ids[:0]
+	for _, v := range verts {
+		bw.ids = append(bw.ids, csr.ID(int(v)))
 	}
-	return w.Induced(ids)
+	w.InducedInto(&bw.g, bw.ids)
+	return &bw.g
 }

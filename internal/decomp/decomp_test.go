@@ -3,6 +3,7 @@ package decomp
 import (
 	"context"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -422,4 +423,54 @@ func TestDecompEmptyGraph(t *testing.T) {
 	if !res.Feasible || !res.Cost.IsZero() {
 		t.Fatalf("empty graph: feasible=%v cost=%v", res.Feasible, res.Cost)
 	}
+}
+
+// countingScholz is scholz counting its solves.
+type countingScholz struct {
+	scholz.Solver
+	solves *int
+}
+
+func (c countingScholz) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
+	*c.solves++
+	return c.Solver.SolveCtx(ctx, g)
+}
+
+// TestDecompWarmSolveAllocs pins what a warm decomposed solve of a
+// small LargeSparse graph allocates beyond its inner solves, each of
+// which returns two selections (scholz's make and Expand's copy): the
+// block graphs, pins and per-color tables come from a pooled block
+// workspace, so what is left is per solve — the exact reduction, the
+// CSR snapshot, the block-cut scan, the selection and its expansion —
+// not per block.
+func TestDecompWarmSolveAllocs(t *testing.T) {
+	g := randgraph.LargeSparse(rand.New(rand.NewSource(1)), randgraph.LargeSparseConfig{
+		N: 240, M: 4, Components: 2, ClusterSize: 12, Chords: 4})
+	solves := 0
+	d := Wrap(countingScholz{solves: &solves})
+	if res := d.Solve(g); !res.Feasible {
+		t.Fatal("infeasible")
+	}
+	perSolve := solves
+	allocs := testing.AllocsPerRun(20, func() { d.Solve(g) })
+	own := allocs - float64(2*perSolve)
+	t.Logf("warm decomposed solve: %.0f allocations, %d inner solves, %.0f of decomp's own", allocs, perSolve, own)
+	if raceEnabled() {
+		t.Skip("sync.Pool drops Puts under -race; bound not checked")
+	}
+	if own > 60 {
+		t.Fatalf("a warm decomposed solve allocates %.0f times beyond its %d inner solves' two each, want ≤ 60", own, perSolve)
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -42,6 +42,10 @@
 // a workspace of its own pool, after Expand has read the last of them,
 // when nothing else can reach them (Apply's reductions, whose
 // remainders decomp shares with its block graphs, are never restarted).
+// Because an installed matrix never changes, what cost.Matrix.Diagonal
+// learns of it the first time RN asks stays true for the matrix's
+// life; a recycled arena pair is a fresh cost.Matrix value, which
+// starts unclassified.
 package pbqp
 
 import (
@@ -65,6 +69,9 @@ type Graph struct {
 	// kept so CloneInto can cut them again from the same storage.
 	vecStore   cost.Vector
 	entryStore []entry
+	// pos is InducedInto's position index over its source graph's
+	// vertices, all -1 between calls.
+	pos []int32
 }
 
 // entry is one edge of a row: the neighbor and the matrix oriented from
@@ -625,35 +632,59 @@ func (g *Graph) Permute(order []int) *Graph {
 // its orientations shared, not copied. verts must list distinct alive
 // vertices.
 func (g *Graph) Induced(verts []int) *Graph {
-	pos := make(map[int]int, len(verts))
-	total := 0 // exact when verts is a whole component
-	for i, u := range verts {
-		if !g.alive[u] {
-			panic("pbqp: vertex list contains a dead vertex")
+	h := new(Graph)
+	g.InducedInto(h, verts)
+	h.pos = nil // scratch for the next InducedInto, which h will not see
+	return h
+}
+
+// InducedInto makes dst the graph Induced(verts) returns, cutting its
+// vectors, liveness, rows and row entries from the arrays dst already
+// holds wherever they are large enough, as CloneInto does, so a graph
+// induced into again and again — decomp's block graphs — reaches a
+// steady state that allocates nothing. dst's vectors are its own, for
+// its owner to write. Everything dst held before is overwritten; dst
+// must not be g.
+func (g *Graph) InducedInto(dst *Graph, verts []int) {
+	// dst.pos maps g's vertices to their new numbers, -1 off verts; it
+	// is all -1 between calls.
+	if k := len(dst.pos); k < len(g.vecs) {
+		dst.pos = slices.Grow(dst.pos, len(g.vecs)-k)[:len(g.vecs)]
+		for u := k; u < len(g.vecs); u++ {
+			dst.pos[u] = -1
 		}
-		if _, dup := pos[u]; dup {
+	}
+	n, total := len(verts), 0 // total is exact when verts is a whole component
+	for i, u := range verts {
+		if !g.alive[u] || dst.pos[u] >= 0 {
+			dst.unmark(verts[:i])
+			if !g.alive[u] {
+				panic("pbqp: vertex list contains a dead vertex")
+			}
 			panic("pbqp: vertex list contains a duplicate vertex")
 		}
-		pos[u] = i
+		dst.pos[u] = int32(i)
 		total += len(g.rows[u].es)
 	}
-	h := &Graph{
-		m:     g.m,
-		vecs:  flatVectors(len(verts), g.m),
-		alive: make([]bool, len(verts)),
-		live:  len(verts),
-		rows:  make([]row, len(verts)),
-	}
-	flat := make([]entry, 0, total)
+	clear(dst.vecs[min(n, len(dst.vecs)):])
+	clear(dst.rows[min(n, len(dst.rows)):])
+	dst.m, dst.live = g.m, n
+	dst.vecs = slices.Grow(dst.vecs[:0], n)[:n]
+	dst.vecStore = slices.Grow(dst.vecStore[:0], n*g.m)[:n*g.m]
+	dst.alive = slices.Grow(dst.alive[:0], n)[:n]
+	dst.rows = slices.Grow(dst.rows[:0], n)[:n]
+	used := len(dst.entryStore)
+	flat := slices.Grow(dst.entryStore[:0], total)
 	for i, u := range verts {
-		copy(h.vecs[i], g.vecs[u])
-		h.alive[i] = true
+		dst.vecs[i] = dst.vecStore[i*g.m : (i+1)*g.m : (i+1)*g.m]
+		copy(dst.vecs[i], g.vecs[u])
+		dst.alive[i] = true
 		start, ascending := len(flat), true
 		for _, e := range g.rows[u].es {
 			if e.m == nil {
 				continue
 			}
-			if j, ok := pos[e.v]; ok {
+			if j := int(dst.pos[e.v]); j >= 0 {
 				ascending = ascending && (len(flat) == start || flat[len(flat)-1].v < j)
 				flat = append(flat, entry{j, e.m})
 			}
@@ -662,9 +693,18 @@ func (g *Graph) Induced(verts []int) *Graph {
 		if !ascending {
 			slices.SortFunc(es, byNeighbor)
 		}
-		h.rows[i] = row{es: es, sorted: len(es)}
+		dst.rows[i] = row{es: es, sorted: len(es)}
 	}
-	return h
+	clear(flat[len(flat):max(used, len(flat))]) // the last graph's entries, which would pin its matrices
+	dst.entryStore = flat
+	dst.unmark(verts)
+}
+
+// unmark resets g.pos to -1 at verts.
+func (g *Graph) unmark(verts []int) {
+	for _, u := range verts {
+		g.pos[u] = -1
+	}
 }
 
 // Validate checks internal consistency: orientation symmetry, shape,

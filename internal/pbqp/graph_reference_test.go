@@ -270,8 +270,8 @@ func (p graphPair) agree(t *testing.T, rng *rand.Rand, step int, full bool) {
 // TestGraphMatchesReference drives the row-backed graph and the
 // map-backed oracle through the same seeded sequences of SetEdgeCost,
 // AddEdgeCost, RemoveEdge, RemoveVertex, ColorVertex, Clone, CloneInto
-// (into a graph the sequence dropped, so its stale rows are reused),
-// Induced and Permute, and compares every read after every operation. The hub
+// and InducedInto (into a graph the sequence dropped, so its stale rows
+// are reused), Induced and Permute, and compares every read after every operation. The hub
 // cases keep one vertex adjacent to most others, so its row is long
 // enough to use the tail and tombstones; the descending ones give the
 // hub its edges in descending order first.
@@ -324,7 +324,7 @@ func TestGraphMatchesReference(t *testing.T) {
 				}
 			}
 			pairs := []graphPair{p}
-			var spare *Graph // the last graph dropped, for CloneInto
+			var spare *Graph // the last graph dropped, for CloneInto and InducedInto
 			for step := 0; step < tc.steps; step++ {
 				k := len(pairs) - 1 - rng.Intn(min(2, len(pairs))) // mostly the newest
 				if pairs[k].ref.live < 3 {
@@ -363,7 +363,12 @@ func TestGraphMatchesReference(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						slices.Sort(verts)
 					}
-					pairs = append(pairs, graphPair{p.g.Induced(verts), p.ref.Induced(verts)})
+					h := p.g.Induced(verts)
+					if spare != nil && rng.Intn(2) == 0 {
+						h, spare = spare, nil
+						p.g.InducedInto(h, verts)
+					}
+					pairs = append(pairs, graphPair{h, p.ref.Induced(verts)})
 				case r < 2*tc.vertexP+0.03+tc.removeP:
 					if ns := p.ref.Neighbors(u); len(ns) > 0 && rng.Intn(4) > 0 {
 						v = ns[rng.Intn(len(ns))]

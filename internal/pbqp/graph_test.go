@@ -467,3 +467,34 @@ func TestInduced(t *testing.T) {
 	mustPanic(t, "dead vertex", func() { g.Induced([]int{0, 4}) })
 	mustPanic(t, "duplicate vertex", func() { g.Induced([]int{1, 1}) })
 }
+
+// TestInducedIntoReuses: one graph induced into from a large graph,
+// then a small one, then after a rejected vertex list, is each time the
+// graph Induced returns, and stops holding the larger graph's matrices.
+func TestInducedIntoReuses(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	big, small := randomGraph(rng, 30, 3, 0.5, 0.1), randomGraph(rng, 8, 3, 0.6, 0.1)
+	dst := new(Graph)
+	for _, c := range []struct {
+		g     *Graph
+		verts []int
+	}{
+		{big, []int{29, 3, 17, 4, 0, 12, 8, 21, 5}},
+		{small, []int{6, 1, 3}},
+		{big, []int{2, 9}},
+	} {
+		mustPanic(t, "duplicate vertex", func() { c.g.InducedInto(dst, []int{c.verts[0], c.verts[0]}) })
+		c.g.InducedInto(dst, c.verts)
+		if got, want := dst.String(), c.g.Induced(c.verts).String(); got != want {
+			t.Fatalf("InducedInto %v:\n%s\nInduced:\n%s", c.verts, got, want)
+		}
+		if err := dst.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range dst.entryStore[len(dst.entryStore):cap(dst.entryStore)] {
+			if e.m != nil {
+				t.Fatalf("after inducing %v, a spare entry still holds a matrix", c.verts)
+			}
+		}
+	}
+}

@@ -10,6 +10,13 @@
 // the exact reductions before anything expensive. Start and Step expose
 // the same engine one elimination at a time; with RN enabled it is the
 // whole Scholz–Eckstein solver (internal/solve/scholz).
+//
+// RN's kernel folds one incident edge at a time into a per-color sum.
+// An edge whose matrix is diagonal (cost.Matrix.Diagonal: +0 off the
+// diagonal, as register allocation's interference and hint edges are)
+// folds in O(m) and propagates its selected row from the diagonal, so
+// an RN elimination costs O(m·deg) on diagonal edges; any other edge
+// is scanned in full, O(m²). Both give the same bits.
 package reduce
 
 import (
@@ -38,6 +45,9 @@ type Reduction struct {
 
 	adj   []int          // the neighbors of the vertex being eliminated
 	mats  []*cost.Matrix // RN: the matrices toward adj
+	diags []cost.Vector  // RN: their diagonals, nil where not diagonal
+	acc   cost.Vector    // RN: the vertex's cost plus the local minima, per color
+	row   cost.Vector    // RN: a diagonal edge's selected row
 	delta cost.Vector    // R1: the fold into the neighbor's vector
 	ids   []int          // the records' neighbor lists, cut from one array
 	folds arena          // R2: the folded edges' matrix pairs
@@ -157,7 +167,10 @@ func (r *Reduction) Restart(g *pbqp.Graph, rn bool) {
 	}
 	g.CloneInto(r.Graph)
 	clear(r.stack)
-	r.stack, r.work, r.ids = r.stack[:0], r.work[:0], r.ids[:0]
+	// Every alive vertex is eliminated at most once, so the stack is
+	// sized here and Step's appends never grow it.
+	r.stack = slices.Grow(r.stack[:0], g.AliveCount())
+	r.work, r.ids = r.work[:0], r.ids[:0]
 	r.folds.reset()
 	r.Eliminated, r.maxDeg = 0, 2
 	if rn {
@@ -326,33 +339,101 @@ func (r *Reduction) reduceR2(u int, ns []int) record {
 // reduceRN heuristically colors vertex u with the minimizer of its own
 // cost plus, per incident edge, the best achievable combined
 // edge-plus-neighbor cost (LLVM's RN local minimum), then propagates the
-// selected rows (the paper's transition T) to the neighbors.
+// selected rows (the paper's transition T) to the neighbors. The sums
+// are kept one per color and folded neighbor by neighbor, so every
+// color adds the same terms in the same order as a per-color loop
+// would: foldDiagonal for a diagonal edge, foldDense for any other.
 func (r *Reduction) reduceRN(u int, ns []int) record {
 	g := r.Graph
-	vec := g.VertexCost(u)
-	r.mats = r.mats[:0]
+	r.acc = append(r.acc[:0], g.VertexCost(u)...)
+	r.mats, r.diags = r.mats[:0], r.diags[:0]
 	for _, v := range ns {
-		r.mats = append(r.mats, g.EdgeCost(u, v))
+		mat, nvec := g.EdgeCost(u, v), g.VertexCost(v)
+		d := mat.Diagonal()
+		r.mats, r.diags = append(r.mats, mat), append(r.diags, d)
+		if d != nil {
+			foldDiagonal(r.acc, d, nvec)
+		} else {
+			foldDense(r.acc, mat, nvec)
+		}
 	}
 	best, bestCost := -1, cost.Inf
-	for i := 0; i < g.M(); i++ {
-		c := vec[i]
-		for k, v := range ns {
-			m, nvec := r.mats[k], g.VertexCost(v)
-			local := cost.Inf
-			for j := 0; j < g.M(); j++ {
-				if combined := m.At(i, j).Add(nvec[j]); combined.Less(local) {
-					local = combined
-				}
-			}
-			c = c.Add(local)
-		}
+	for i, c := range r.acc {
 		if best == -1 || c.Less(bestCost) {
 			best, bestCost = i, c
 		}
 	}
-	g.ColorVertex(u, best)
+	// pbqp.Graph.ColorVertex(u, best), with a diagonal edge's row best
+	// built in r.row: +0 off the diagonal, as the matrix holds it.
+	r.row = slices.Grow(r.row[:0], g.M())[:g.M()]
+	clear(r.row)
+	for k, v := range ns {
+		if d := r.diags[k]; d != nil {
+			r.row[best] = d[best]
+			g.AddToVertexCost(v, r.row)
+			r.row[best] = 0
+		} else {
+			g.AddToVertexCost(v, r.mats[k].Row(best))
+		}
+	}
+	g.RemoveVertex(u)
 	return record{u: u, chosen: best}
+}
+
+// foldDense adds one edge's RN local minima into acc: for every color
+// i, acc[i] ⊕= min_j mat[i][j] ⊕ nvec[j], where the minimum is the
+// first one under Less and Inf when no combination is finite.
+func foldDense(acc cost.Vector, mat *cost.Matrix, nvec cost.Vector) {
+	for i := range acc {
+		local := cost.Inf
+		for j, c := range mat.Row(i) {
+			if combined := c.Add(nvec[j]); combined.Less(local) {
+				local = combined
+			}
+		}
+		acc[i] = acc[i].Add(local)
+	}
+}
+
+// foldDiagonal is foldDense for a matrix whose off-diagonal entries are
+// all +0 and whose diagonal is d, bit for bit, in O(m). Off the
+// diagonal, color i's combinations are +0 ⊕ nvec[j], the same for
+// every i, so one pass finds the first minimum of those (b1) and the
+// first minimum of the rest (b2): the best off-diagonal combination of
+// color i is b1's unless i is b1. It then meets i's own d[i] ⊕ nvec[i]
+// as the scan would: the strictly smaller wins, an exact tie goes to
+// the lower index, and an infinite combination is never taken.
+func foldDiagonal(acc, d, nvec cost.Vector) {
+	b1, b2 := -1, -1
+	var v1, v2 cost.Cost
+	for j, x := range nvec {
+		switch e := cost.Cost(0).Add(x); {
+		case e.IsInf():
+		case b1 < 0 || e.Less(v1):
+			b2, v2 = b1, v1
+			b1, v1 = j, e
+		case b2 < 0 || e.Less(v2):
+			b2, v2 = j, e
+		}
+	}
+	for i := range acc {
+		o, ov := b1, v1
+		if i == b1 {
+			o, ov = b2, v2
+		}
+		local := cost.Inf
+		switch own := d[i].Add(nvec[i]); {
+		case own.IsInf():
+			if o >= 0 {
+				local = ov
+			}
+		case o < 0 || own.Less(ov) || (!ov.Less(own) && i < o):
+			local = own
+		default:
+			local = ov
+		}
+		acc[i] = acc[i].Add(local)
+	}
 }
 
 // Expand completes a selection of the reduced remainder into a full
