@@ -1,20 +1,17 @@
-// Command pbqp-vet runs the project's domain-invariant static
-// analyzers (internal/analysis) over the module:
+// Command pbqp-vet runs the project's domain-invariant static analyzer
+// (internal/analysis) over the module:
 //
 //	costarith  no raw arithmetic or comparison on cost.Cost outside internal/cost
-//	lockorder  acyclic lock acquisition; no lock held across blocking ops
 //
 // Usage:
 //
-//	pbqp-vet [-json] [-only analyzer,analyzer] [patterns...]
+//	pbqp-vet [-json] [patterns...]
 //
 // Patterns are package directories; a trailing "/..." walks the tree
 // (skipping testdata and vendor). With no pattern it vets "./...".
-// Every requested package is loaded first and analyzed in one
-// module-wide pass, so lockorder sees call graphs and sync-object
-// identity across package boundaries. Findings are reported in one
-// deterministic file/line/col/analyzer order — -json output is
-// byte-stable run to run. A finding cannot be waived, only fixed.
+// Each package is vetted on its own. Findings are reported in one
+// deterministic file/line/col order — -json output is byte-stable run
+// to run. A finding cannot be waived, only fixed.
 //
 // Exit status: 0 clean, 1 findings, 2 load or usage error.
 package main
@@ -43,25 +40,11 @@ func main() {
 func run(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("pbqp-vet", flag.ContinueOnError)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array instead of text")
-	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
 			return exitOK
 		}
 		return exitUsage
-	}
-
-	analyzers := analysis.All()
-	if *only != "" {
-		analyzers = analyzers[:0]
-		for _, name := range strings.Split(*only, ",") {
-			a := analysis.ByName(strings.TrimSpace(name))
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "pbqp-vet: unknown analyzer %q\n", name)
-				return exitUsage
-			}
-			analyzers = append(analyzers, a)
-		}
 	}
 
 	patterns := fs.Args()
@@ -88,7 +71,7 @@ func run(args []string, out io.Writer) int {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	findings, err := analysis.RunModule(pkgs, analyzers)
+	findings, err := analysis.Run(pkgs, analysis.CostArith)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pbqp-vet: %v\n", err)
 		return exitUsage

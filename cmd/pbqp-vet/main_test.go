@@ -13,7 +13,7 @@ const fixtureRoot = "../../internal/analysis/testdata/src"
 
 func TestRunFindsFixtureDiagnostics(t *testing.T) {
 	var out bytes.Buffer
-	code := run([]string{"-only", "costarith", fixtureRoot + "/costarith"}, &out)
+	code := run([]string{fixtureRoot + "/costarith"}, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -25,9 +25,12 @@ func TestRunFindsFixtureDiagnostics(t *testing.T) {
 	}
 }
 
+// TestRunJSONOutput: -json decodes to complete, sorted findings, and a
+// second identical run prints the same bytes.
 func TestRunJSONOutput(t *testing.T) {
+	args := []string{"-json", fixtureRoot + "/costarith"}
 	var out bytes.Buffer
-	code := run([]string{"-json", "-only", "lockorder", fixtureRoot + "/lockorder"}, &out)
+	code := run(args, &out)
 	if code != 1 {
 		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
 	}
@@ -38,10 +41,21 @@ func TestRunJSONOutput(t *testing.T) {
 	if len(diags) == 0 {
 		t.Fatal("JSON output decoded to zero findings")
 	}
-	for _, d := range diags {
-		if d.Analyzer != "lockorder" || d.File == "" || d.Line == 0 || d.Message == "" {
+	for i, d := range diags {
+		if d.Analyzer != "costarith" || d.File == "" || d.Line == 0 || d.Message == "" {
 			t.Errorf("incomplete diagnostic: %+v", d)
 		}
+		if i > 0 {
+			prev := diags[i-1]
+			if prev.File > d.File || (prev.File == d.File && (prev.Line > d.Line || (prev.Line == d.Line && prev.Col > d.Col))) {
+				t.Errorf("diagnostics out of order: %s:%d:%d after %s:%d:%d", d.File, d.Line, d.Col, prev.File, prev.Line, prev.Col)
+			}
+		}
+	}
+	var again bytes.Buffer
+	run(args, &again)
+	if !bytes.Equal(out.Bytes(), again.Bytes()) {
+		t.Error("-json output is not byte-stable across identical runs")
 	}
 }
 
@@ -66,13 +80,6 @@ func TestRunCleanPackage(t *testing.T) {
 	}
 }
 
-func TestRunUnknownAnalyzer(t *testing.T) {
-	var out bytes.Buffer
-	if code := run([]string{"-only", "nosuch"}, &out); code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-}
-
 // TestRunHelp: asking for the usage is not a usage error.
 func TestRunHelp(t *testing.T) {
 	for _, tc := range []struct {
@@ -88,41 +95,5 @@ func TestRunHelp(t *testing.T) {
 		if out.Len() != 0 {
 			t.Errorf("%s: wrote to stdout: %q", tc.name, out.String())
 		}
-	}
-}
-
-// TestRunModuleWide checks that several packages analyzed together go
-// through one module pass: findings from distinct fixture directories
-// come back in one deterministically sorted report.
-func TestRunModuleWide(t *testing.T) {
-	var out bytes.Buffer
-	code := run([]string{"-json", "-only", "lockorder,costarith",
-		fixtureRoot + "/lockorder", fixtureRoot + "/costarith"}, &out)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1\noutput:\n%s", code, out.String())
-	}
-	var diags []analysis.Diagnostic
-	if err := json.Unmarshal(out.Bytes(), &diags); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, out.String())
-	}
-	seen := map[string]bool{}
-	for i, d := range diags {
-		seen[d.Analyzer] = true
-		if i > 0 {
-			prev, cur := diags[i-1], d
-			if prev.File > cur.File || (prev.File == cur.File && prev.Line > cur.Line) {
-				t.Errorf("diagnostics out of order: %s:%d after %s:%d", cur.File, cur.Line, prev.File, prev.Line)
-			}
-		}
-	}
-	if !seen["lockorder"] || !seen["costarith"] {
-		t.Errorf("expected findings from both packages, got analyzers %v", seen)
-	}
-	// Byte-stability: a second identical run must produce identical bytes.
-	var again bytes.Buffer
-	run([]string{"-json", "-only", "lockorder,costarith",
-		fixtureRoot + "/lockorder", fixtureRoot + "/costarith"}, &again)
-	if !bytes.Equal(out.Bytes(), again.Bytes()) {
-		t.Error("-json output is not byte-stable across identical runs")
 	}
 }

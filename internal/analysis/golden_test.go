@@ -28,34 +28,25 @@ func testLoader(t *testing.T) *Loader {
 	return loader
 }
 
-// TestGolden checks every fixture package against its `// want "substr"`
+// TestGolden checks the fixture package against its `// want "substr"`
 // annotations: each annotated line must produce exactly the findings it
 // declares (substring match, order-insensitive), and unannotated lines
 // must stay silent.
 func TestGolden(t *testing.T) {
-	cases := []struct {
-		fixture   string
-		analyzers []*Analyzer
-	}{
-		{"costarith", []*Analyzer{CostArith}},
-		{"lockorder", []*Analyzer{LockOrder}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.fixture, func(t *testing.T) {
-			dir := filepath.Join("testdata", "src", tc.fixture)
-			pkg, err := testLoader(t).LoadDir(dir)
-			if err != nil {
-				t.Fatalf("load fixture: %v", err)
-			}
-			diags, err := RunModule([]*Package{pkg}, tc.analyzers)
-			if err != nil {
-				t.Fatalf("run analyzers: %v", err)
-			}
-			for _, problem := range compareGolden(parseWants(t, dir), diags) {
-				t.Error(problem)
-			}
-		})
-	}
+	t.Run("costarith", func(t *testing.T) {
+		dir := filepath.Join("testdata", "src", "costarith")
+		pkg, err := testLoader(t).LoadDir(dir)
+		if err != nil {
+			t.Fatalf("load fixture: %v", err)
+		}
+		diags, err := Run([]*Package{pkg}, CostArith)
+		if err != nil {
+			t.Fatalf("run analyzer: %v", err)
+		}
+		for _, problem := range compareGolden(parseWants(t, dir), diags) {
+			t.Error(problem)
+		}
+	})
 }
 
 // compareGolden checks findings against `// want` annotations and
@@ -166,7 +157,7 @@ func TestCostArithSilentInsideCostPackage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load internal/cost: %v", err)
 	}
-	diags, err := RunModule([]*Package{pkg}, []*Analyzer{CostArith})
+	diags, err := Run([]*Package{pkg}, CostArith)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

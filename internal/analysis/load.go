@@ -141,12 +141,9 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 		return nil, fmt.Errorf("analysis: no non-test Go files in %s", dir)
 	}
 	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
 	}
 	conf := types.Config{Importer: importerFunc(l.importPkg)}
 	tpkg, err := conf.Check(path, l.Fset, files, info)

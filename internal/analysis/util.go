@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 	"strings"
 )
@@ -26,32 +25,6 @@ func isNamedType(t types.Type, pkg, name string) bool {
 
 // isCost reports whether t is the cost.Cost extended-real type.
 func isCost(t types.Type) bool { return isNamedType(t, "internal/cost", "Cost") }
-
-// pkgFunc resolves a call expression to the package-level function or
-// method object it invokes, or nil for builtins, conversions, and
-// dynamic calls through function values.
-func pkgFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
-}
-
-// funcPath returns the import path of the package declaring fn, or ""
-// for builtins and universe-scope objects.
-func funcPath(fn *types.Func) string {
-	if fn == nil || fn.Pkg() == nil {
-		return ""
-	}
-	return fn.Pkg().Path()
-}
 
 // inCostPackage reports whether the pass's package is internal/cost
 // itself, where raw extended-real arithmetic is the implementation.

@@ -61,11 +61,10 @@ func TestLoaderModulePath(t *testing.T) {
 	}
 }
 
-// TestRepoClean is the acceptance gate in test form: the analyzers
-// must report nothing on the production tree. Like `pbqp-vet ./...`, it
-// loads every package the driver's walk finds and vets them in one
-// module pass, so the module-wide analyzers see calls across package
-// boundaries. A finding cannot be waived: the tree must be clean.
+// TestRepoClean is the acceptance gate in test form: costarith must
+// report nothing on the production tree. Like `pbqp-vet ./...`, it
+// loads every package pbqp-vet's walk finds and vets each one. A
+// finding cannot be waived: the tree must be clean.
 func TestRepoClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module vet is slow; run without -short")
@@ -83,7 +82,7 @@ func TestRepoClean(t *testing.T) {
 		}
 		pkgs = append(pkgs, pkg)
 	}
-	diags, err := RunModule(pkgs, All())
+	diags, err := Run(pkgs, CostArith)
 	if err != nil {
 		t.Fatal(err)
 	}

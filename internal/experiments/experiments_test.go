@@ -3,10 +3,13 @@ package experiments
 import (
 	"os"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"pbqprl/internal/ate"
 	"pbqprl/internal/game"
+	"pbqprl/internal/net"
 	"pbqprl/internal/rl"
 	"pbqprl/internal/solve/scholz"
 )
@@ -41,6 +44,43 @@ func TestTrainedNetMemoizedInProcess(t *testing.T) {
 	}
 	if entries, err := os.ReadDir(tmp); err != nil || len(entries) != 0 {
 		t.Errorf("TrainedNet wrote under os.TempDir(): %v %v", entries, err)
+	}
+}
+
+// TestTrainedNetHoldsNoLockWhileTraining: netCacheMu guards the map and
+// is never held across a training run. While one spec's build is parked
+// in its progress callback, a lookup of a spec already trained returns.
+func TestTrainedNetHoldsNoLockWhileTraining(t *testing.T) {
+	cached := TrainedNet(tinySpec(), nil)
+	other := tinySpec()
+	other.Seed++
+	netCacheMu.Lock()
+	delete(netCache, cacheKey{spec: other, tag: "ate"})
+	netCacheMu.Unlock()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	built := make(chan struct{})
+	go func() {
+		defer close(built)
+		TrainedNet(other, func(string) {
+			once.Do(func() { close(entered) })
+			<-release
+		})
+	}()
+	defer func() {
+		close(release)
+		<-built
+	}()
+	<-entered
+	looked := make(chan *net.PBQPNet, 1)
+	go func() { looked <- TrainedNet(tinySpec(), nil) }()
+	select {
+	case n := <-looked:
+		if n != cached {
+			t.Error("lookup returned a different network")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a cached lookup blocked behind another spec's training run")
 	}
 }
 

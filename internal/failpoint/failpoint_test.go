@@ -118,3 +118,47 @@ func TestReenableReplacesBudget(t *testing.T) {
 		t.Fatal("unlimited-budget point disarmed itself")
 	}
 }
+
+// TestHitHoldsNoLockWhileSleeping: a delay action stalls the caller
+// that hit it and no one else. While one Hit sleeps out an armed delay,
+// Hit on another point and Hits have to return.
+func TestHitHoldsNoLockWhileSleeping(t *testing.T) {
+	t.Cleanup(DisableAll)
+	// The delay outlasts the 2 s bound below, so a sleeper holding the
+	// lock fails the test.
+	if err := Enable("slow/point", "delay(3s)"); err != nil {
+		t.Fatal(err)
+	}
+	if err := Enable("other/point", "error"); err != nil {
+		t.Fatal(err)
+	}
+	slept := make(chan struct{})
+	go func() {
+		defer close(slept)
+		Hit("slow/point")
+	}()
+	defer func() { <-slept }()
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s blocked behind a sleeping delay action", what)
+		}
+	}
+	// Hits counts the sleeper before it sleeps; each poll must return.
+	for n := 0; n == 0; {
+		within("Hits", func() { n = Hits("slow/point") })
+	}
+	within("Hit on another point", func() {
+		if err := Hit("other/point"); !errors.Is(err, ErrInjected) {
+			t.Errorf("Hit = %v, want ErrInjected", err)
+		}
+	})
+	within("Hits", func() { Hits("other/point") })
+}

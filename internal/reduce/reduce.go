@@ -167,10 +167,12 @@ func (r *Reduction) Restart(g *pbqp.Graph, rn bool) {
 	}
 	g.CloneInto(r.Graph)
 	clear(r.stack)
-	// Every alive vertex is eliminated at most once, so the stack is
-	// sized here and Step's appends never grow it.
+	// Every alive vertex is eliminated at most once, and keeps at most
+	// two neighbor ids (R1 one, R2 two, RN none), so the stack and the
+	// id array are sized here and Step's appends never grow them.
 	r.stack = slices.Grow(r.stack[:0], g.AliveCount())
-	r.work, r.ids = r.work[:0], r.ids[:0]
+	r.ids = slices.Grow(r.ids[:0], 2*g.AliveCount())
+	r.work = r.work[:0]
 	r.folds.reset()
 	r.Eliminated, r.maxDeg = 0, 2
 	if rn {
@@ -268,8 +270,8 @@ func (h *worklist) pop() (deg, u int) {
 	return int(top >> 32), int(top & 0xffffffff)
 }
 
-// keep copies a record's neighbor list into r.ids, which only grows
-// during a reduction, and returns the copy.
+// keep copies a record's neighbor list into r.ids, which Restart sized
+// for the whole reduction, and returns the copy.
 func (r *Reduction) keep(ns []int) []int {
 	k := len(r.ids)
 	r.ids = append(r.ids, ns...)

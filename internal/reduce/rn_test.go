@@ -168,23 +168,27 @@ func TestNearDiagonalTakesGenericPath(t *testing.T) {
 }
 
 // TestRestartSizesStack: a full reduction of a 2 000-vertex reducible
-// graph never grows the record stack Restart sized, with or without
-// RN.
+// graph never grows the record stack or the neighbor-id array Restart
+// sized, with or without RN.
 func TestRestartSizesStack(t *testing.T) {
 	const n = 2000
 	g := randgraph.ErdosRenyi(rand.New(rand.NewSource(7)), randgraph.Config{
 		N: n, M: 4, PEdge: 2.2 / n, PInf: 0.01})
 	for _, rn := range []bool{false, true} {
 		r := Start(g, rn)
-		before := cap(r.stack)
+		stack, ids := cap(r.stack), cap(r.ids)
 		for r.Step(false) {
 		}
 		if rn && r.Eliminated != n {
 			t.Fatalf("rn: eliminated %d of %d", r.Eliminated, n)
 		}
-		if cap(r.stack) != before {
+		if cap(r.stack) != stack {
 			t.Fatalf("rn=%v: %d eliminations grew the stack from capacity %d to %d",
-				rn, r.Eliminated, before, cap(r.stack))
+				rn, r.Eliminated, stack, cap(r.stack))
+		}
+		if cap(r.ids) != ids {
+			t.Fatalf("rn=%v: %d eliminations grew the neighbor ids from capacity %d to %d",
+				rn, r.Eliminated, ids, cap(r.ids))
 		}
 	}
 }

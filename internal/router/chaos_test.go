@@ -80,7 +80,6 @@ func TestChaosZeroFailedRequestsWhileAnyReplicaSurvives(t *testing.T) {
 		HealthTimeout:    500 * time.Millisecond,
 		DefaultDeadline:  15 * time.Second,
 		MaxDeadline:      15 * time.Second,
-		JitterSeed:       42,
 	}
 	r := newTestRouter(t, cfg)
 

@@ -50,7 +50,6 @@ import (
 	"crypto/cipher"
 	crand "crypto/rand"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -115,9 +114,6 @@ type Config struct {
 	// Client issues backend requests; nil builds one with a pooled
 	// transport and no global timeout (per-try contexts govern).
 	Client *http.Client
-	// JitterSeed seeds the backoff jitter RNG; 0 draws a random seed.
-	// Tests pin it for reproducible backoff schedules.
-	JitterSeed uint64
 	// Logf receives operational log lines. Nil uses a no-op.
 	Logf func(format string, args ...any)
 }
@@ -178,15 +174,6 @@ func (c Config) withDefaults() Config {
 			IdleConnTimeout:     90 * time.Second,
 		}}
 	}
-	if c.JitterSeed == 0 {
-		var b [8]byte
-		if _, err := crand.Read(b[:]); err == nil {
-			c.JitterSeed = binary.LittleEndian.Uint64(b[:])
-		}
-		if c.JitterSeed == 0 {
-			c.JitterSeed = 1
-		}
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -210,9 +197,6 @@ type Router struct {
 	// which stays all zeros (see rawCacheKey).
 	memoKey   cipher.AEAD
 	memoNonce [12]byte
-
-	jitterMu sync.Mutex
-	jitter   *rand.Rand
 
 	healthCancel context.CancelFunc
 	healthDone   chan struct{}
@@ -249,7 +233,6 @@ func New(cfg Config) (*Router, error) {
 		cache:   NewCache(cfg.CacheBytes),
 		flights: newFlightGroup(),
 		client:  cfg.Client,
-		jitter:  rand.New(rand.NewPCG(cfg.JitterSeed, 0x9e3779b97f4a7c15)),
 	}
 	r.shell = server.NewShell("router", r.adm, retryAfterFloor, r.handleSolve, func() {
 		r.publishBackendGauges()
@@ -475,7 +458,7 @@ func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte
 			if !r.anyReady() {
 				return flightResult{err: errNoBackends}
 			}
-			if !sleepCtx(ctx, r.withJitter(backoff)) {
+			if !sleepCtx(ctx, withJitter(backoff)) {
 				return flightResult{err: ctx.Err()}
 			}
 			backoff = nextBackoff(backoff, r.cfg.BackoffMax)
@@ -510,7 +493,7 @@ func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte
 		// failover to the next replica is immediate, hammering the
 		// same shrinking set of survivors is not.
 		if (try+1)%len(candidates) == 0 {
-			if !sleepCtx(ctx, r.withJitter(backoff)) {
+			if !sleepCtx(ctx, withJitter(backoff)) {
 				return flightResult{err: ctx.Err()}
 			}
 			backoff = nextBackoff(backoff, r.cfg.BackoffMax)
@@ -770,12 +753,10 @@ func cacheable(status int, body []byte) bool {
 }
 
 // withJitter spreads d by ±50% so synchronized failures do not retry
-// in lockstep.
-func (r *Router) withJitter(d time.Duration) time.Duration {
-	r.jitterMu.Lock()
-	f := 0.5 + r.jitter.Float64()
-	r.jitterMu.Unlock()
-	return time.Duration(float64(d) * f)
+// in lockstep. The top-level math/rand/v2 source is per-thread and
+// takes no lock.
+func withJitter(d time.Duration) time.Duration {
+	return time.Duration(float64(d) * (0.5 + rand.Float64()))
 }
 
 // nextBackoff doubles the backoff up to the configured ceiling.

@@ -39,7 +39,7 @@ func graphN(i int) string {
 const okBody = `{"solver":"stub","result":{"feasible":true,"truncated":false}}`
 
 // testConfig returns a Config tuned for fast tests: no active health
-// loop, tiny backoffs, a twitchy breaker, pinned jitter.
+// loop, tiny backoffs, a twitchy breaker.
 func testConfig(backends ...string) Config {
 	return Config{
 		Backends:         backends,
@@ -49,7 +49,6 @@ func testConfig(backends ...string) Config {
 		BreakerThreshold: 2,
 		BreakerCooldown:  100 * time.Millisecond,
 		DefaultDeadline:  5 * time.Second,
-		JitterSeed:       1,
 	}
 }
 
@@ -572,6 +571,48 @@ func TestRetryAfterHintHonored(t *testing.T) {
 	}
 	if got := arrivals.Load(); got != 1 {
 		t.Fatalf("backend contacted %d times total, want still 1", got)
+	}
+}
+
+// TestProbeHoldsNoLockDuringRoundTrip: a backend whose /readyz hangs
+// must not stall the request path or /metrics. While an active probe is
+// parked in that round trip, reading the backend's breaker state and
+// publishing the backend gauges have to go through.
+func TestProbeHoldsNoLockDuringRoundTrip(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		once.Do(func() { close(entered) })
+		select {
+		case <-release:
+		case <-req.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	cfg := testConfig(srv.URL)
+	cfg.HealthTimeout = time.Minute // the probe ends when the test releases it
+	r := newTestRouter(t, cfg)
+	b := r.backends[0]
+	probed := make(chan struct{})
+	go func() {
+		defer close(probed)
+		r.probeOne(context.Background(), b)
+	}()
+	defer func() {
+		close(release)
+		<-probed
+	}()
+	<-entered
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		b.snapshot()
+		r.publishBackendGauges()
+	}()
+	select {
+	case <-read:
+	case <-time.After(2 * time.Second):
+		t.Fatal("reading a backend's state blocked behind its /readyz probe")
 	}
 }
 
