@@ -92,17 +92,13 @@ func (c Cost) MarshalJSON() ([]byte, error) {
 // they are almost certainly corrupted data, and the explicit spelling
 // exists.
 func (c *Cost) UnmarshalJSON(data []byte) error {
+	var f float64
 	var s string
 	if err := json.Unmarshal(data, &s); err == nil {
-		v, err := Parse(s)
-		if err != nil {
-			return err
+		if f, err = strconv.ParseFloat(strings.TrimSpace(s), 64); err != nil {
+			return fmt.Errorf("cost: parse %q: %w", s, err)
 		}
-		*c = v
-		return nil
-	}
-	var f float64
-	if err := json.Unmarshal(data, &f); err != nil {
+	} else if err := json.Unmarshal(data, &f); err != nil {
 		return fmt.Errorf("cost: %q is not a valid PBQP cost", data)
 	}
 	v, err := fromFloat(f)
@@ -113,8 +109,9 @@ func (c *Cost) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// fromFloat validates a numeric literal the way Parse validates a
-// textual one.
+// fromFloat validates a decoded number the way the graph reader
+// validates a cost token: NaN, -Inf and both signs of the reserved
+// range are rejected, and +Inf becomes Inf.
 func fromFloat(f float64) (Cost, error) {
 	if math.IsNaN(f) || math.IsInf(f, -1) || f <= -float64(infThreshold) {
 		return 0, fmt.Errorf("cost: %v is not a valid PBQP cost", f)

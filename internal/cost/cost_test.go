@@ -32,9 +32,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJSONRejectsHostileValues mirrors the text parser's hardening.
+// TestJSONRejectsHostileValues mirrors the text parser's hardening. A
+// number in the reserved range is rejected whether it is spelled as a
+// JSON number or as a string.
 func TestJSONRejectsHostileValues(t *testing.T) {
-	for _, in := range []string{`"NaN"`, `"-inf"`, `1e308`, `-1e308`, `"zebra"`, `{}`, `[1]`} {
+	for _, in := range []string{`"NaN"`, `"-inf"`, `1e308`, `-1e308`, `"1e308"`, `"-1e308"`, `"zebra"`, `{}`, `[1]`} {
 		var c Cost
 		if err := json.Unmarshal([]byte(in), &c); err == nil {
 			t.Fatalf("UnmarshalJSON accepted %s as %v", in, c)
@@ -43,7 +45,7 @@ func TestJSONRejectsHostileValues(t *testing.T) {
 	// Explicit spellings keep working through the JSON path too.
 	for _, in := range []string{`"inf"`, `"INF"`, `"infinity"`, `"+inf"`} {
 		var c Cost
-		if err := json.Unmarshal([]byte(in), &c); err != nil || !c.IsInf() {
+		if err := json.Unmarshal([]byte(in), &c); err != nil || c != Inf {
 			t.Fatalf("UnmarshalJSON(%s) = %v, %v; want Inf", in, c, err)
 		}
 	}

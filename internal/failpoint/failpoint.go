@@ -135,17 +135,6 @@ func EnableSpec(spec string) error {
 	return nil
 }
 
-// Active reports whether the named point is currently armed.
-func Active(name string) bool {
-	if armed.Load() == 0 {
-		return false
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	_, ok := points[name]
-	return ok
-}
-
 // Hits returns how many times the named point has fired since the last
 // DisableAll; tests use it to assert an injection actually happened.
 func Hits(name string) int {

@@ -162,3 +162,14 @@ func TestHitHoldsNoLockWhileSleeping(t *testing.T) {
 	})
 	within("Hits", func() { Hits("other/point") })
 }
+
+// Active reports whether the named point is currently armed.
+func Active(name string) bool {
+	if armed.Load() == 0 {
+		return false
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	_, ok := points[name]
+	return ok
+}

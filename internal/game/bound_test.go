@@ -161,3 +161,27 @@ func TestLowerBoundUnderBrute(t *testing.T) {
 		t.Fatalf("only %d prefixes had a completion", checked)
 	}
 }
+
+// TestAccAndLowerBoundSaturate: Acc and LowerBound add through
+// cost.Add, so a running sum that has already crossed into the
+// infinite range takes the next term to Inf itself (Eq. 1's ∞ + x = ∞)
+// rather than to a larger float. Each 4e307 is finite, below the
+// threshold MaxFloat64/4; the first two already sum past it.
+func TestAccAndLowerBoundSaturate(t *testing.T) {
+	g := pbqp.New(3, 1)
+	for u := 0; u < 3; u++ {
+		g.SetVertexCost(u, cost.Vector{4e307})
+	}
+	st := New(g, []int{0, 1, 2})
+	isInf := func(what string, got cost.Cost) {
+		t.Helper()
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(cost.Inf)) {
+			t.Errorf("%s = %v (%x), want the bits of cost.Inf", what, got, math.Float64bits(float64(got)))
+		}
+	}
+	isInf("LowerBound before the first move", st.LowerBound())
+	for !st.Done() {
+		st.Play(0)
+	}
+	isInf("Acc after three moves", st.Acc())
+}

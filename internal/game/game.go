@@ -429,9 +429,6 @@ func (s *State) Remainder() *pbqp.Graph {
 	return s.graph.Induced(turns)
 }
 
-// Played returns the colors chosen so far, indexed by game vertex.
-func (s *State) Played() []int { return append([]int(nil), s.played...) }
-
 // Selection maps the colors played so far back to original vertex ids.
 // It is only complete when Done.
 func (s *State) Selection(numOriginal int) pbqp.Selection {

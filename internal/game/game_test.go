@@ -481,3 +481,6 @@ func TestCulpritsOfSaturatedSums(t *testing.T) {
 		t.Errorf("culprits of v3 = %v, want [0 1 2]", got)
 	}
 }
+
+// Played returns the colors chosen so far, indexed by game vertex.
+func (s *State) Played() []int { return append([]int(nil), s.played...) }

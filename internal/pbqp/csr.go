@@ -8,7 +8,7 @@ package pbqp
 // matrix pointers between the neighbors, and only the alive vertices.
 //
 // Vertices are renumbered densely: CSR index i ∈ [0, Len()) maps to
-// graph vertex ID(i), with IndexOf inverting the mapping. Neighbor
+// graph vertex ID(i), with the index array inverting it. Neighbor
 // lists are sorted ascending by CSR index, so every traversal order is
 // deterministic. The snapshot is topology only — cost data stays in the
 // graph, reached through ID — and does not observe later graph
@@ -64,10 +64,6 @@ func (c *CSR) M() int { return c.m }
 
 // ID maps a CSR index to its graph vertex id.
 func (c *CSR) ID(i int) int { return int(c.ids[i]) }
-
-// IndexOf maps a graph vertex id to its CSR index, -1 if the vertex
-// was dead at snapshot time.
-func (c *CSR) IndexOf(u int) int { return int(c.index[u]) }
 
 // Degree returns the number of neighbors of CSR vertex i.
 func (c *CSR) Degree(i int) int { return int(c.rowPtr[i+1] - c.rowPtr[i]) }

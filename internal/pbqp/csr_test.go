@@ -108,3 +108,7 @@ func TestCSRTraversalAllocFree(t *testing.T) {
 		t.Fatalf("CSR traversal allocates %.1f times per sweep, want 0", allocs)
 	}
 }
+
+// IndexOf maps a graph vertex id to its CSR index, -1 if the vertex
+// was dead at snapshot time.
+func (c *CSR) IndexOf(u int) int { return int(c.index[u]) }

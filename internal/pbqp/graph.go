@@ -319,9 +319,6 @@ func (g *Graph) AddToVertexCost(u int, v cost.Vector) {
 // number of colors currently selectable for u.
 func (g *Graph) Liberty(u int) int { return g.vecs[u].Liberty() }
 
-// HasEdge reports whether the edge (u, v) is present.
-func (g *Graph) HasEdge(u, v int) bool { return g.rows[u].find(v) >= 0 }
-
 // EdgeCost returns the cost matrix of edge (u, v) oriented so that rows
 // index u's color and columns index v's color, or nil if no edge exists.
 // The returned matrix is graph-owned and possibly shared with clones of

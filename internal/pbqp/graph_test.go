@@ -1,6 +1,7 @@
 package pbqp
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -204,6 +205,26 @@ func TestTotalCostInfinity(t *testing.T) {
 	if g.TotalCost(Selection{0, 1}).IsInf() {
 		t.Error("finite selection reported infinite")
 	}
+}
+
+// TestInfiniteSumsKeepInfsBits: Eq. 1 saturates, so a sum with an
+// infinite term is cost.Inf itself, to the bit. Raw float addition
+// overflows MaxFloat64 + MaxFloat64 to IEEE +Inf, which IsInf accepts
+// but the bit-for-bit comparisons of costs elsewhere do not.
+func TestInfiniteSumsKeepInfsBits(t *testing.T) {
+	isInf := func(what string, got cost.Cost) {
+		t.Helper()
+		if math.Float64bits(float64(got)) != math.Float64bits(float64(cost.Inf)) {
+			t.Errorf("%s = %v (%x), want the bits of cost.Inf", what, got, math.Float64bits(float64(got)))
+		}
+	}
+	g := New(2, 2)
+	g.SetVertexCost(0, cost.Vector{cost.Inf, 0})
+	g.SetVertexCost(1, cost.Vector{cost.Inf, 0})
+	isInf("TotalCost over two forbidden vertex terms", g.TotalCost(Selection{0, 0}))
+	g.AddToVertexCost(0, cost.Vector{cost.Inf, cost.Inf})
+	isInf("Inf added to an infinite entry", g.VertexCost(0)[0])
+	isInf("Inf added to a finite entry", g.VertexCost(0)[1])
 }
 
 func TestRoundTripSerialization(t *testing.T) {
@@ -498,3 +519,6 @@ func TestInducedIntoReuses(t *testing.T) {
 		}
 	}
 }
+
+// HasEdge reports whether the edge (u, v) is present.
+func (g *Graph) HasEdge(u, v int) bool { return g.rows[u].find(v) >= 0 }

@@ -2,7 +2,6 @@ package pbqp
 
 import (
 	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 )
 
@@ -25,14 +24,4 @@ func CanonicalHash(g *Graph) ([sha256.Size]byte, error) {
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum, nil
-}
-
-// CanonicalHashString is CanonicalHash rendered as lowercase hex — the
-// form used in cache keys and log lines.
-func CanonicalHashString(g *Graph) (string, error) {
-	sum, err := CanonicalHash(g)
-	if err != nil {
-		return "", err
-	}
-	return hex.EncodeToString(sum[:]), nil
 }

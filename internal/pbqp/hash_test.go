@@ -2,6 +2,7 @@ package pbqp
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -137,4 +138,14 @@ func TestCanonicalHashRejectsPartiallyReduced(t *testing.T) {
 	if _, err := CanonicalHashString(g); err == nil {
 		t.Fatal("want error for partially reduced graph (string form)")
 	}
+}
+
+// CanonicalHashString is CanonicalHash rendered as lowercase hex, the
+// form the golden digests are recorded in.
+func CanonicalHashString(g *Graph) (string, error) {
+	sum, err := CanonicalHash(g)
+	if err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(sum[:]), nil
 }

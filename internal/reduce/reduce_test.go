@@ -110,6 +110,29 @@ func TestInfeasibleIsolatedVertex(t *testing.T) {
 	}
 }
 
+// TestForbiddenFoldsAndExpandsAsForbidden: ∞ ⊕ x = ∞ for every finite
+// x, negative ones included. Vertex 0's only entry, 5e307, is infinite
+// (above the threshold MaxFloat64/4, where a saturating sum of two
+// finite costs can leave an entry); a raw float sum with the edge's
+// -1e307 would bring it back below the threshold. R1 must fold it into
+// vertex 1 as forbidden, and Expand must find no color for vertex 0.
+func TestForbiddenFoldsAndExpandsAsForbidden(t *testing.T) {
+	g := pbqp.New(2, 1)
+	g.SetVertexCost(0, cost.Vector{5e307})
+	g.SetVertexCost(1, cost.Vector{0})
+	g.SetEdgeCost(0, 1, cost.NewMatrixFrom([][]cost.Cost{{-1e307}}))
+	r := Start(g, false)
+	if !r.Step(false) || r.Graph.Alive(0) {
+		t.Fatal("the first step did not eliminate vertex 0")
+	}
+	if got := r.Graph.VertexCost(1)[0]; !got.IsInf() {
+		t.Errorf("R1 folded the forbidden entry into vertex 1 as %v", got)
+	}
+	if _, ok := r.Expand(pbqp.Selection{0, 0}); ok {
+		t.Error("Expand colored vertex 0 with its forbidden only color")
+	}
+}
+
 func TestEmptyGraph(t *testing.T) {
 	r := Apply(pbqp.New(0, 3))
 	if r.Eliminated != 0 || r.Graph.AliveCount() != 0 {

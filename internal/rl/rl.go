@@ -133,12 +133,14 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 	run.stats.Nodes = tree.Nodes()
 	res := solve.Result{Cost: cost.Inf, Truncated: run.truncated, States: tree.Nodes()}
 	if ok {
-		res.Feasible = true
-		res.Selection = st.Selection(g.NumVertices())
 		// st.Acc() folds edge rows in play order; report Equation 1 in
 		// the graph's canonical order so that Cost == TotalCost(Selection)
-		// to the last bit on non-integer costs too
-		res.Cost = g.TotalCost(res.Selection)
+		// to the last bit on non-integer costs too. Finite entries can
+		// still sum to ∞, which is no feasible cost.
+		sel := st.Selection(g.NumVertices())
+		if c := g.TotalCost(sel); !c.IsInf() {
+			res.Selection, res.Cost, res.Feasible = sel, c, true
+		}
 	}
 	return res, run.stats
 }

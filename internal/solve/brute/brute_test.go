@@ -100,6 +100,20 @@ func TestInfeasibleGraph(t *testing.T) {
 	}
 }
 
+// TestForbiddenAbsorbsNegativeCosts: ∞ ⊕ x = ∞ for every finite x,
+// negative ones included. 5e307 is infinite (above the threshold
+// MaxFloat64/4, where a saturating sum of two finite costs can leave an
+// entry), and a raw float sum with the finite -1e307 would bring it
+// back below the threshold and make vertex 1's only color selectable.
+func TestForbiddenAbsorbsNegativeCosts(t *testing.T) {
+	g := pbqp.New(2, 1)
+	g.SetVertexCost(0, cost.Vector{-1e307})
+	g.SetVertexCost(1, cost.Vector{5e307})
+	if res := (Solver{}).Solve(g); res.Feasible {
+		t.Errorf("selected a forbidden color: %+v", res)
+	}
+}
+
 func TestStateCounting(t *testing.T) {
 	res := Solver{}.Solve(fig2Graph())
 	if res.States <= 0 {

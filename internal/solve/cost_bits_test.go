@@ -74,3 +74,59 @@ func TestCostIsTotalCostOfSelection(t *testing.T) {
 		}
 	}
 }
+
+// TestFeasibleCostIsFinite pins what Feasible promises: a selection
+// whose Equation 1 is finite. Finite entries can sum to ∞ (each 2e307
+// is below the infinite threshold MaxFloat64/4, three of them are not),
+// and a solver that checks only its entries one by one would report
+// such a selection feasible at cost ∞. Anneal and the portfolio compare
+// the costs of two feasible results with Cost.Less; on finite costs
+// that is the float order, which this invariant is what guarantees.
+func TestFeasibleCostIsFinite(t *testing.T) {
+	const n, m = 9, 3
+	evaluator := net.New(net.Config{M: m, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 5})
+	deepRL := func(backtrack bool) solve.Solver {
+		return &rl.Solver{Net: evaluator.Clone(), Cfg: rl.Config{K: 8, Order: game.OrderDecLiberty, Backtrack: backtrack}}
+	}
+	solvers := map[string]solve.Solver{
+		"brute":     brute.Solver{},
+		"liberty":   liberty.Solver{},
+		"scholz":    scholz.Solver{},
+		"anneal":    anneal.Solver{Seed: 3},
+		"rl":        deepRL(false),
+		"rl-bt":     deepRL(true),
+		"portfolio": portfolio.New(0, deepRL(true), liberty.Solver{}, scholz.Solver{}),
+	}
+	values := []cost.Cost{0, 0.5, 2e307, cost.Inf}
+	feasible := 0
+	for seed := int64(1); seed <= 12; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := pbqp.New(n, m)
+		for u := 0; u < n; u++ {
+			vec := cost.NewVector(m)
+			for i := range vec {
+				vec[i] = values[rng.Intn(len(values))]
+			}
+			g.SetVertexCost(u, vec)
+			if v := rng.Intn(n); v != u && rng.Intn(2) == 0 {
+				mat := cost.NewMatrix(m, m)
+				mat.Set(rng.Intn(m), rng.Intn(m), values[rng.Intn(len(values))])
+				g.AddEdgeCost(u, v, mat)
+			}
+		}
+		for name, s := range solvers {
+			res := s.Solve(g)
+			if !res.Feasible {
+				continue
+			}
+			feasible++
+			if res.Cost.IsInf() || g.TotalCost(res.Selection).IsInf() {
+				t.Errorf("seed %d: %s reports a feasible selection of cost %v, TotalCost %v",
+					seed, name, res.Cost, g.TotalCost(res.Selection))
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no solver found a feasible selection on any graph")
+	}
+}

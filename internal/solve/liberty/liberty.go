@@ -90,14 +90,16 @@ func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	ok := !e.stopped && e.run()
 	res := solve.Result{Cost: cost.Inf, Truncated: e.stopped, States: e.states}
 	if ok {
-		res.Feasible = true
-		res.Selection = make(pbqp.Selection, g.NumVertices())
+		sel := make(pbqp.Selection, g.NumVertices())
 		for i, u := range vs {
-			res.Selection[u] = e.sel[i]
+			sel[u] = e.sel[i]
 		}
 		// Equation 1 in the graph's canonical order, not summed along the
-		// search, so that Cost == TotalCost(Selection) to the last bit
-		res.Cost = g.TotalCost(res.Selection)
+		// search, so that Cost == TotalCost(Selection) to the last bit.
+		// Finite entries can still sum to ∞, which is no feasible cost.
+		if c := g.TotalCost(sel); !c.IsInf() {
+			res.Selection, res.Cost, res.Feasible = sel, c, true
+		}
 	}
 	return res
 }
