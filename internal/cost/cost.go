@@ -39,12 +39,14 @@ func (c Cost) IsInf() bool { return c >= infThreshold }
 // package.
 func (c Cost) IsZero() bool { return c == 0 }
 
-// Add returns c + d, saturating at Inf if either operand is infinite.
+// Add returns c + d, saturating at Inf if either operand or the sum is
+// infinite, so that every infinite sum has Inf's bits.
 func (c Cost) Add(d Cost) Cost {
-	if c.IsInf() || d.IsInf() {
+	s := c + d
+	if c.IsInf() || d.IsInf() || s.IsInf() {
 		return Inf
 	}
-	return c + d
+	return s
 }
 
 // Less reports whether c is strictly smaller than d. All infinite values

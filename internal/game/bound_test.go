@@ -163,10 +163,10 @@ func TestLowerBoundUnderBrute(t *testing.T) {
 }
 
 // TestAccAndLowerBoundSaturate: Acc and LowerBound add through
-// cost.Add, so a running sum that has already crossed into the
-// infinite range takes the next term to Inf itself (Eq. 1's ∞ + x = ∞)
-// rather than to a larger float. Each 4e307 is finite, below the
-// threshold MaxFloat64/4; the first two already sum past it.
+// cost.Add, so the running sum has Inf's bits from the term that takes
+// it into the infinite range on, not those of a larger float (Eq. 1's
+// ∞ + x = ∞). Each 4e307 is finite, below the threshold MaxFloat64/4;
+// the first two already sum past it.
 func TestAccAndLowerBoundSaturate(t *testing.T) {
 	g := pbqp.New(3, 1)
 	for u := 0; u < 3; u++ {
@@ -180,8 +180,9 @@ func TestAccAndLowerBoundSaturate(t *testing.T) {
 		}
 	}
 	isInf("LowerBound before the first move", st.LowerBound())
-	for !st.Done() {
-		st.Play(0)
-	}
+	st.Play(0)
+	st.Play(0)
+	isInf("Acc after two moves", st.Acc())
+	st.Play(0)
 	isInf("Acc after three moves", st.Acc())
 }

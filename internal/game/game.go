@@ -15,11 +15,11 @@
 // enumeration's) exact (infinity saturation is not arithmetically
 // reversible, so vectors are restored, not subtracted).
 // Play walks the vertex's later-neighbor list, which New builds once
-// with the nonzero entries of each edge matrix's rows beside the
-// neighbor (one copy per distinct matrix of the game), and logs into
-// the undo record of its turn, whose buffer every later visit to the
-// turn reuses: a warm Play/Undo pair allocates nothing and probes no
-// map.
+// with each edge matrix's kernel beside the neighbor (one kernel per
+// distinct matrix of the game, whose rows list their nonzero columns),
+// and logs into the undo record of its turn, whose buffer every later
+// visit to the turn reuses: a warm Play/Undo pair allocates nothing and
+// probes no map.
 package game
 
 import (
@@ -30,7 +30,6 @@ import (
 	"pbqprl/internal/cost"
 	"pbqprl/internal/gcn"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/tensor"
 )
 
 // Order selects the coloring order of a PBQP game (Section IV-E).
@@ -107,7 +106,7 @@ type State struct {
 	graph    *pbqp.Graph    // the graph permuted into coloring order; its vectors are vecs
 	vecs     []cost.Vector  // current cost vectors (mutated in place)
 	later    [][]laterEdge  // per vertex, its neighbors colored after it
-	edges    *gcn.EdgeTable // full adjacency with the transformed, packed matrices, for views
+	edges    *gcn.EdgeTable // full adjacency with the matrices' kernels, for views
 	order    []int          // game vertex -> original vertex
 	t        int            // next vertex to color
 	played   []int
@@ -136,34 +135,28 @@ type undoRec struct {
 
 // laterEdge is one edge Play propagates along: the neighbor and the
 // edge matrix, oriented so that its rows are the played vertex's
-// colors, with the columns of each row that are not zero — the only
-// entries that can change the neighbor's vector.
+// colors.
 type laterEdge struct {
 	v int
 	d *distinct
 }
 
-// distinct is one distinct edge matrix of a game, in the forms the game
-// keeps of it: the graph's own (shared read-only, the pbqp ownership
-// rule), transformed for the network, and per row the columns of its
-// nonzero entries, ascending, for Play.
+// distinct is one distinct edge matrix of a game: the graph's own
+// (shared read-only, the pbqp ownership rule) and its kernel, which the
+// network folds and whose columns of each row's nonzero entries are the
+// only ones Play can change a neighbor's vector at.
 type distinct struct {
-	src   *cost.Matrix
-	mat   *tensor.Mat
-	start []int32 // len Rows+1: row a's nonzero columns are cols[start[a]:start[a+1]]
-	cols  []int32
+	src *cost.Matrix
+	k   *gcn.Kernel
 }
-
-// nonzero returns the columns of row a's nonzero entries.
-func (d *distinct) nonzero(a int) []int32 { return d.cols[d.start[a]:d.start[a+1]] }
 
 // interner gives every edge matrix of one game its distinct form,
 // looked up by pointer first — matrices a parsed graph shares, and the
 // same matrix met again — then by content: a hash of the words, and on
 // a hit a bitwise compare (math.Float64bits, so -0 and +0 stay apart
-// and the transformed matrix is bit for bit the one TransformMatrix
-// makes of either edge). A different matrix under a taken hash gets a
-// distinct form of its own.
+// and the kernel's transformed matrix is bit for bit the one either
+// edge would transform to). A different matrix under a taken hash gets
+// a distinct form of its own.
 type interner struct {
 	byPtr     map[*cost.Matrix]*distinct
 	byContent map[uint64]*distinct
@@ -176,35 +169,12 @@ func (in *interner) intern(mat *cost.Matrix) *distinct {
 	sum := cost.WordHash(mat.Data)
 	d, taken := in.byContent[sum]
 	if !taken || !cost.SameBits(d.src.Data, mat.Data) {
-		d = newDistinct(mat)
+		d = &distinct{src: mat, k: gcn.PackCost(mat)}
 		if !taken {
 			in.byContent[sum] = d
 		}
 	}
 	in.byPtr[mat] = d
-	return d
-}
-
-// newDistinct transforms mat and indexes the nonzero entries of its
-// rows.
-func newDistinct(mat *cost.Matrix) *distinct {
-	count := 0
-	for _, c := range mat.Data {
-		if !c.IsZero() {
-			count++
-		}
-	}
-	ints := make([]int32, mat.Rows+1, mat.Rows+1+count) // one allocation for both
-	d := &distinct{src: mat, mat: gcn.TransformMatrix(mat), start: ints, cols: ints[mat.Rows+1:]}
-	for a := 0; a < mat.Rows; a++ {
-		d.start[a] = int32(len(d.cols))
-		for i, c := range mat.Row(a) {
-			if !c.IsZero() {
-				d.cols = append(d.cols, int32(i))
-			}
-		}
-	}
-	d.start[mat.Rows] = int32(len(d.cols))
 	return d
 }
 
@@ -228,10 +198,9 @@ func New(g *pbqp.Graph, order []int) *State {
 	// takes over its vectors: Play writes them in place. Its matrices
 	// are g's own, shared read-only (the pbqp ownership rule), so the
 	// game keeps both orientations without copying either. Each distinct
-	// one is transformed, packed (by the table's AddEdge, which meets the
-	// same *tensor.Mat again on every edge that carries it) and indexed
-	// once per game, and the interference pattern of an ATE graph is
-	// nearly every edge.
+	// one is packed once per game into one kernel, which Play and every
+	// table edge that carries the matrix share; the interference pattern
+	// of an ATE graph is nearly every edge.
 	in := interner{byPtr: make(map[*cost.Matrix]*distinct), byContent: make(map[uint64]*distinct)}
 	// The table is an allocation of its own, so that a snapshot, which
 	// a replay buffer keeps, holds it alive and not the game with h.
@@ -246,7 +215,7 @@ func New(g *pbqp.Graph, order []int) *State {
 			if w > u {
 				s.later[u] = append(s.later[u], laterEdge{v: w, d: d})
 			}
-			s.edges.AddEdge(w, d.mat)
+			s.edges.AddEdge(w, d.k)
 		}
 		s.edges.Start[u+1] = int32(len(s.edges.Nbr))
 	}
@@ -308,7 +277,7 @@ func (s *State) Play(a int) {
 		vec, row := s.vecs[e.v], e.d.src.Row(a)
 		// a vector can only die by a finite entry turning infinite
 		killed := false
-		for _, i := range e.d.nonzero(a) {
+		for _, i := range e.d.k.Cols(a) {
 			old := vec[i]
 			changes = append(changes, change{v: e.v, i: int(i), old: old})
 			vec[i] = old.Add(row[i])

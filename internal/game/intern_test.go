@@ -9,6 +9,7 @@ import (
 
 	"pbqprl/internal/ate"
 	"pbqprl/internal/cost"
+	"pbqprl/internal/gcn"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/tensor"
@@ -23,31 +24,37 @@ func contentKey(m *tensor.Mat) string {
 	return string(b)
 }
 
-// distinctMats checks that st's table holds exactly one *tensor.Mat per
-// distinct bitwise content, and that every later edge Play walks is the
-// table's edge to the same neighbor, and returns how many there are.
-func distinctMats(t *testing.T, what string, st *State) int {
+// distinctKernels checks that st's table holds exactly one kernel per
+// distinct bitwise content of its matrices, and that every later edge
+// Play walks carries the table's kernel of the edge to the same
+// neighbor, and returns how many there are.
+func distinctKernels(t *testing.T, what string, st *State) int {
 	t.Helper()
-	byContent := map[string]*tensor.Mat{}
-	for e, mat := range st.edges.Mat {
-		k := contentKey(mat)
-		if seen, ok := byContent[k]; ok && seen != mat {
-			t.Fatalf("%s: edge %d carries a second matrix of one content", what, e)
+	tbl := st.edges
+	byContent := map[string]*gcn.Kernel{}
+	byEdge := map[[2]int]*gcn.Kernel{}
+	for u := 0; u < st.n; u++ {
+		for e := tbl.Start[u]; e < tbl.Start[u+1]; e++ {
+			w, k := int(tbl.Nbr[e]), tbl.Kern[e]
+			key := contentKey(tbl.MatOf(u, w))
+			if seen, ok := byContent[key]; ok && seen != k {
+				t.Fatalf("%s: edge %d carries a second kernel of one content", what, e)
+			}
+			byContent[key], byEdge[[2]int{u, w}] = k, k
 		}
-		byContent[k] = mat
 	}
 	for u, later := range st.later {
 		for _, le := range later {
-			if st.edges.MatOf(u, le.v) != le.d.mat {
-				t.Fatalf("%s: later edge (%d, %d) is not the table's", what, u, le.v)
+			if byEdge[[2]int{u, le.v}] != le.d.k {
+				t.Fatalf("%s: later edge (%d, %d) does not carry the table's kernel", what, u, le.v)
 			}
 		}
 	}
 	return len(byContent)
 }
 
-// TestNewInternsEachDistinctMatrix: game.New holds one transformed
-// matrix per distinct content, whether the graph hands it a fresh matrix
+// TestNewInternsEachDistinctMatrix: game.New holds one kernel per
+// distinct content, whether the graph hands it a fresh matrix
 // per edge (ate.BuildPBQP) or shares them (pbqp.Read).
 func TestNewInternsEachDistinctMatrix(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
@@ -67,8 +74,8 @@ func TestNewInternsEachDistinctMatrix(t *testing.T) {
 			t.Fatal(err)
 		}
 		order := MakeOrder(built, OrderIncLiberty, nil)
-		a := distinctMats(t, "BuildPBQP", New(built, order))
-		b := distinctMats(t, "Read", New(read, order))
+		a := distinctKernels(t, "BuildPBQP", New(built, order))
+		b := distinctKernels(t, "Read", New(read, order))
 		if a != b || a > 4 {
 			t.Errorf("seed %d: %d distinct matrices from BuildPBQP, %d after a round trip; want the same handful", seed, a, b)
 		}
@@ -76,8 +83,8 @@ func TestNewInternsEachDistinctMatrix(t *testing.T) {
 }
 
 // TestNewKeepsSignedZerosApart: two matrices equal but for one -0 are
-// two matrices to the game, as they are two to TransformMatrix; equal
-// ones under different pointers, and a symmetric matrix's transpose, are
+// two matrices to the game, as their transforms are two; equal ones
+// under different pointers, and a symmetric matrix's transpose, are
 // one.
 func TestNewKeepsSignedZerosApart(t *testing.T) {
 	negZero := cost.Cost(math.Copysign(0, -1))
@@ -86,7 +93,7 @@ func TestNewKeepsSignedZerosApart(t *testing.T) {
 	g.SetEdgeCost(0, 2, cost.NewMatrixFrom([][]cost.Cost{{0, 5}, {5, 0}}))
 	g.SetEdgeCost(1, 2, cost.NewMatrixFrom([][]cost.Cost{{0, 5}, {5, negZero}}))
 	st := New(g, []int{0, 1, 2})
-	if n := distinctMats(t, "signed zeros", st); n != 2 {
+	if n := distinctKernels(t, "signed zeros", st); n != 2 {
 		t.Fatalf("%d distinct matrices, want 2", n)
 	}
 	plus, minus := st.edges.MatOf(0, 1), st.edges.MatOf(1, 2)
@@ -102,10 +109,11 @@ func TestNewKeepsSignedZerosApart(t *testing.T) {
 }
 
 // TestPlayUndoMatchesWholeRows walks Play and Undo over finite graphs
-// whose matrices hold negative, -0, +0 and ∞ entries, against a model
-// that adds each played row whole: every vector, Acc and DeadEnd agree
-// bit for bit at every step. The vertex vectors hold no -0, the one
-// entry adding a +0 would change (and no sum turns into -0).
+// whose matrices hold negative, -0, +0, 5e-324 and ∞ entries, against
+// a model that adds each played row whole: every vector, Acc and
+// DeadEnd agree bit for bit at every step. The vertex vectors hold no
+// -0, the one entry adding a +0 would change (and no sum turns into
+// -0), and hold a +0, which a 5e-324 changes though its transform is 0.
 func TestPlayUndoMatchesWholeRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	negZero := cost.Cost(math.Copysign(0, -1))
@@ -115,13 +123,15 @@ func TestPlayUndoMatchesWholeRows(t *testing.T) {
 		for _, e := range g.Edges() {
 			mat := e.M.Clone()
 			for i := range mat.Data {
-				switch rng.Intn(6) {
+				switch rng.Intn(7) {
 				case 0:
 					mat.Data[i] = -cost.Cost(rng.Float64() * 5)
 				case 1:
 					mat.Data[i] = negZero
 				case 2:
 					mat.Data[i] = 0
+				case 3:
+					mat.Data[i] = 5e-324
 				}
 			}
 			g.SetEdgeCost(e.U, e.V, mat)
@@ -129,6 +139,7 @@ func TestPlayUndoMatchesWholeRows(t *testing.T) {
 		for u := 0; u < n; u++ {
 			vec := g.VertexCost(u).Clone()
 			vec[rng.Intn(m)] = -cost.Cost(0.5 + rng.Float64())
+			vec[rng.Intn(m)] = 0
 			g.SetVertexCost(u, vec)
 		}
 		order := MakeOrder(g, OrderRandom, rng)

@@ -75,16 +75,17 @@ func TestSnapshotSurvivesRewind(t *testing.T) {
 // TestViewMatchesGraphAtEveryTurn checks the window view and the
 // snapshot against the graph itself at every turn of shuffled games:
 // active vertex i is order[t+i], its neighbors are the uncolored
-// neighbors in ascending game order, and each edge matrix is the
-// transform of the graph's, oriented rows = i. The snapshot's window
-// must hold the live table's very matrices, edge for edge.
+// neighbors in ascending game order, and each edge matrix is the one a
+// game in the graph's own order holds for the edge, oriented rows = i.
+// The snapshot's window must hold the live table's very matrices, edge
+// for edge.
 func TestViewMatchesGraphAtEveryTurn(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(40 + seed))
 		n, m := 9+rng.Intn(6), 3
 		g := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: m, PEdge: 0.45, PInf: 0})
 		order := rng.Perm(n)
-		st := New(g, order)
+		st, whole := New(g, order), New(g, MakeOrder(g, OrderFixed, nil))
 		for ; !st.Done(); st.Play(0) {
 			turn := st.Turn()
 			live := st.View()
@@ -115,14 +116,14 @@ func TestViewMatchesGraphAtEveryTurn(t *testing.T) {
 						if got[k] != j {
 							t.Fatalf("seed %d turn %d: %s Nbrs(%d) = %v, want %v", seed, turn, name, i, got, want)
 						}
-						wantMat := gcn.TransformMatrix(g.EdgeCost(order[turn+i], order[turn+j]))
+						wantMat := whole.edges.MatOf(order[turn+i], order[turn+j])
 						mat := viewMat(v, i, j)
 						for x := range wantMat.W {
 							if mat.W[x] != wantMat.W[x] {
 								t.Fatalf("seed %d turn %d: %s Mat(%d,%d) differs from the graph's edge", seed, turn, name, i, j)
 							}
 						}
-						if e := int(lo) + k; int(tbl.Nbr[e])-turn != j || tbl.Mat[e] != mat {
+						if e := int(lo) + k; int(tbl.Nbr[e])-turn != j || tbl.MatOf(turn+i, turn+j) != mat {
 							t.Fatalf("seed %d turn %d: %s edge %d of vertex %d is not the live table's", seed, turn, name, k, i)
 						}
 					}

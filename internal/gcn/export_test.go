@@ -1,6 +1,22 @@
 package gcn
 
-import "pbqprl/internal/tensor"
+import (
+	"pbqprl/internal/cost"
+	"pbqprl/internal/tensor"
+)
+
+// Featurize converts a cost vector to the 2m-feature GCN input: the
+// squashed finite channel followed by the 0/1 infinity mask.
+func Featurize(v cost.Vector) tensor.Vec {
+	f := tensor.NewVec(2 * len(v))
+	for i, c := range v {
+		f[i] = squash(c)
+		if c.IsInf() {
+			f[len(v)+i] = 1
+		}
+	}
+	return f
+}
 
 // TapeRows returns the most recent Forward's rows of layer l (0 = h⁰),
 // aliasing the tape.
@@ -25,22 +41,8 @@ func (g *GCN) TapeKinds() (kinds [5]int) {
 	tp := &g.tape
 	for v := 0; v < tp.n; v++ {
 		for lo, hi := tp.tbl.From(tp.off+v, tp.off); lo < hi; lo++ {
-			kinds[tp.tbl.packed[lo].kind]++
+			kinds[tp.tbl.Kern[lo].kind]++
 		}
 	}
 	return kinds
-}
-
-// BuiltByAddEdge reports whether every matrix of t has its packed form
-// beside it, the rule edges holds a table to.
-func (t *EdgeTable) BuiltByAddEdge() bool {
-	if len(t.packed) != len(t.Mat) || len(t.Nbr) != len(t.Mat) {
-		return false
-	}
-	for e, pk := range t.packed {
-		if pk == nil || pk.mat != t.Mat[e] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,10 +6,10 @@
 //
 // Hidden vectors have width m (the color count), exactly as in the
 // paper, so that an m×m cost matrix can multiply a hidden vector.
-// Infinite costs cannot flow through a network directly: Featurize maps
-// a cost vector to a 2m-feature input (a squashed finite channel plus a
-// 0/1 infinity mask) and TransformMatrix maps cost matrix entries to
-// bounded floats with a distinguished value for infinity.
+// Infinite costs cannot flow through a network directly: a cost vector
+// becomes a 2m-feature input φ (a squashed finite channel plus a 0/1
+// infinity mask), and a cost matrix's entries become bounded floats
+// with a distinguished value for infinity.
 //
 // Layer update for vertex v with neighbors N(v):
 //
@@ -19,13 +19,13 @@
 //
 // where M̃_vu is the transformed cost matrix oriented (rows = v's color).
 //
-// Each transformed matrix is packed once, where it enters an edge table
-// (EdgeTable.AddEdge, infer.go). The trainable pass (ForwardTape,
-// Backprop and Accumulate, here, on a Tape the caller owns; Forward
-// and Backward are those three on the GCN's own) and the read-only one
-// (Infer, infer.go, on a Scratch's memo) resolve a view's edges through
-// one function and compute a vertex's layer update with one more,
-// bit-equal to reference_test.go's dense pass.
+// Each edge matrix is packed once into a Kernel (PackCost for a game,
+// Pack for a decoded sample; infer.go), which its edge table holds. The
+// trainable pass (ForwardTape, Backprop and Accumulate, here, on a Tape
+// the caller owns; Forward and Backward are those three on the GCN's
+// own) and the read-only one (Infer, infer.go, on a Scratch's memo)
+// fold those kernels and compute a vertex's layer update with one
+// function, bit-equal to reference_test.go's dense pass.
 package gcn
 
 import (
@@ -60,27 +60,14 @@ func squash(c cost.Cost) float64 {
 	return math.Log1p(f) / costScale
 }
 
-// TransformMatrix converts a cost matrix to the numeric form the GCN
+// transformMatrix converts a cost matrix to the numeric form the GCN
 // multiplies messages by.
-func TransformMatrix(m *cost.Matrix) *tensor.Mat {
+func transformMatrix(m *cost.Matrix) *tensor.Mat {
 	t := tensor.NewMat(m.Rows, m.Cols)
 	for i, c := range m.Data {
 		t.W[i] = squash(c)
 	}
 	return t
-}
-
-// Featurize converts a cost vector to the 2m-feature GCN input: the
-// squashed finite channel followed by the 0/1 infinity mask.
-func Featurize(v cost.Vector) tensor.Vec {
-	f := tensor.NewVec(2 * len(v))
-	for i, c := range v {
-		f[i] = squash(c)
-		if c.IsInf() {
-			f[len(v)+i] = 1
-		}
-	}
-	return f
 }
 
 // GCN is the trainable graph embedding network. Forward and Backward
@@ -106,7 +93,7 @@ type GCN struct {
 // msgs[(l·n+v)·m:][:m]. The zero value is ready, and a tape is one
 // goroutine's at a time.
 type Tape struct {
-	tbl    *EdgeTable   // the view's edges, as edges resolved them ...
+	tbl    *EdgeTable   // the view's edges ...
 	off, n int          // ... and its window [off, off+n)
 	feats  tensor.Vec   // n·2m: φ(v)
 	nz     []int32      // h0Into's index buffer
@@ -177,7 +164,7 @@ func (g *GCN) Forward(view View) []tensor.Vec {
 // Once tp has grown it allocates nothing (TestTapeSteadyStateAllocations).
 func (g *GCN) ForwardTape(tp *Tape, view View) {
 	n, m := view.N(), g.m
-	tbl, off := edges(view)
+	tbl, off := view.tbl, view.off
 	tp.tbl, tp.off, tp.n = tbl, off, n
 	tp.feats, tp.hs, tp.msgs = grow(tp.feats, n*2*m), grow(tp.hs, (g.layers+1)*n*m), grow(tp.msgs, g.layers*n*m)
 	tp.rows = tp.rows[:0]
@@ -207,8 +194,9 @@ func (g *GCN) update(o, msg tensor.Vec, l int, tbl *EdgeTable, off, v int, in []
 	lo, hi := tbl.From(off+v, off)
 	msg.Zero()
 	for e := lo; e < hi; e++ {
-		checkShape(tbl.Mat[e], m)
-		tbl.packed[e].addMulVec(msg, in[int(tbl.Nbr[e])-off])
+		k := tbl.Kern[e]
+		checkShape(k.mat, m)
+		k.addMulVec(msg, in[int(tbl.Nbr[e])-off])
 	}
 	if hi > lo {
 		msg.Scale(1 / float64(hi-lo))
@@ -275,7 +263,7 @@ func (g *GCN) Backprop(tp *Tape, dH []tensor.Vec) {
 					r++
 				}
 				prod.Zero()
-				tbl.packed[r].addMulVec(prod, dmsg)
+				tbl.Kern[r].addMulVec(prod, dmsg)
 				next[(u-off)*m:(u-off+1)*m].AddScaled(scale, prod)
 			}
 		}

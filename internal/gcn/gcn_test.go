@@ -34,7 +34,7 @@ func graphView(g *pbqp.Graph) View {
 	for i, u := range ids {
 		vecs[i] = g.VertexCost(u)
 		for _, w := range g.Neighbors(u) {
-			tbl.AddEdge(pos[w], TransformMatrix(g.EdgeCost(u, w)))
+			tbl.AddEdge(pos[w], PackCost(g.EdgeCost(u, w)))
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
@@ -61,7 +61,7 @@ func TestFeaturize(t *testing.T) {
 }
 
 func TestTransformMatrix(t *testing.T) {
-	m := TransformMatrix(cost.NewMatrixFrom([][]cost.Cost{{0, cost.Inf}, {1, 2}}))
+	m := transformMatrix(cost.NewMatrixFrom([][]cost.Cost{{0, cost.Inf}, {1, 2}}))
 	if m.At(0, 0) != 0 || m.At(0, 1) != infFeature {
 		t.Errorf("transform = %v", m.W)
 	}

@@ -46,7 +46,7 @@ import (
 	"pbqprl/internal/tensor"
 )
 
-// packedMat kinds, from cheapest to most general.
+// Kernel kinds, from cheapest to most general.
 const (
 	kZero   = iota // every entry exactly 0: the edge adds nothing
 	kDiag          // infFeature on the whole diagonal, 0 elsewhere: one vector add
@@ -55,34 +55,51 @@ const (
 	kDense         // dense fallback: plain row folds
 )
 
-// packedMat is the prepared form of one transformed edge matrix: its
-// kind and, for the packed kinds, its nonzero structure. Immutable once
-// built (transformed matrices never change): a game's edge table packs
-// each distinct matrix once (EdgeTable.AddEdge), its edges share the
-// form and its id, and Infer, Forward and Backward over the game, its
-// snapshots and their decoded copies fold that form.
-type packedMat struct {
+// Kernel is the packed form of one edge matrix, the one record both a
+// game's Play and the GCN's folds read: the transformed matrix, its
+// kind, per row the columns of its nonzero entries (ascending) and, for
+// kSparse, their values. Immutable once packed (transformed matrices
+// never change): a game packs each distinct matrix once (game.New), its
+// edges share the kernel and its id, and Infer, Forward and Backward
+// over the game, its snapshots and their decoded copies fold it.
+type Kernel struct {
 	kind     int
 	id       uint64 // what a row-memo key names the matrix by
 	mat      *tensor.Mat
-	rowStart []int32 // len R+1; nonzero ranges per row (kBinary, kSparse)
-	idx      []int32 // column indices, ascending within each row
-	val      []float64
+	rowStart []int32 // len R+1: row a's nonzero columns are idx[rowStart[a]:rowStart[a+1]]
+	idx      []int32
+	val      []float64 // kSparse: the transformed entry at each index
 }
 
-// kernelIDs numbers the packed matrices of the process. A table, and so
-// its kernels, is shared by every Scratch that evaluates its game (and
+// kernelIDs numbers the kernels of the process. A table, and so its
+// kernels, is shared by every Scratch that evaluates its game (and
 // games are built on many goroutines), so the ids that name a matrix in
 // a row-memo key cannot come from any one Scratch's counter.
 var kernelIDs atomic.Uint64
 
-// buildKernel classifies m, packs its nonzero structure and draws its
-// never-reused id.
-func buildKernel(m *tensor.Mat) *packedMat {
+// Pack packs the transformed matrix m, indexing its nonzero entries.
+func Pack(m *tensor.Mat) *Kernel {
+	return pack(m, func(i int) bool { return m.W[i] != 0 })
+}
+
+// PackCost transforms c and packs it, indexing c's nonzero entries: the
+// ones Play folds into a neighbor. They include every nonzero of the
+// transform. The others are costs too small to survive squash (|c| ≤
+// ~1e-323); they fold as ±0 terms into accumulators that start at +0.0,
+// which leaves the accumulators' bits alone (zero skipping), and can
+// only turn a binary kernel into a sparse one of the same bits.
+func PackCost(c *cost.Matrix) *Kernel {
+	return pack(transformMatrix(c), func(i int) bool { return !c.Data[i].IsZero() })
+}
+
+// pack classifies m by the entries nonzero names, indexes them and
+// draws the kernel's never-reused id: the one place an edge matrix is
+// classified.
+func pack(m *tensor.Mat, nonzero func(i int) bool) *Kernel {
 	nz := 0
 	binary := true
-	for _, w := range m.W {
-		if w != 0 {
+	for i, w := range m.W {
+		if nonzero(i) {
 			nz++
 			// infFeature is assigned, never computed, so != identifies it.
 			if w != infFeature {
@@ -90,36 +107,30 @@ func buildKernel(m *tensor.Mat) *packedMat {
 			}
 		}
 	}
-	k := &packedMat{mat: m, id: kernelIDs.Add(1)}
+	k := &Kernel{mat: m, id: kernelIDs.Add(1)}
 	switch {
 	case nz == 0:
 		k.kind = kZero
-		return k
 	case binary && nz == m.R && m.R == m.C && fullDiagonal(m):
 		k.kind = kDiag
-		return k
 	case nz*5 > len(m.W)*3:
-		// denser than 60 %: the packed form saves nothing
+		// denser than 60 %: the packed form saves the fold nothing
 		k.kind = kDense
-		return k
 	case binary:
 		k.kind = kBinary
 	default:
 		k.kind = kSparse
+		k.val = make([]float64, 0, nz)
 	}
 	ints := make([]int32, m.R+1+nz) // one allocation for both index slices
 	k.rowStart, k.idx = ints[:m.R+1:m.R+1], ints[m.R+1:m.R+1]
-	if k.kind == kSparse {
-		k.val = make([]float64, 0, nz)
-	}
 	for i := 0; i < m.R; i++ {
 		k.rowStart[i] = int32(len(k.idx))
-		row := m.W[i*m.C : (i+1)*m.C]
-		for j, w := range row {
-			if w != 0 {
+		for j := 0; j < m.C; j++ {
+			if nonzero(i*m.C + j) {
 				k.idx = append(k.idx, int32(j))
 				if k.kind == kSparse {
-					k.val = append(k.val, w)
+					k.val = append(k.val, m.W[i*m.C+j])
 				}
 			}
 		}
@@ -127,6 +138,9 @@ func buildKernel(m *tensor.Mat) *packedMat {
 	k.rowStart[m.R] = int32(len(k.idx))
 	return k
 }
+
+// Cols returns the columns of row a's nonzero entries, ascending.
+func (k *Kernel) Cols(a int) []int32 { return k.idx[k.rowStart[a]:k.rowStart[a+1]] }
 
 // fullDiagonal reports whether every diagonal entry of the square m is
 // nonzero.
@@ -141,7 +155,7 @@ func fullDiagonal(m *tensor.Mat) bool {
 
 // addMulVec adds k.mat · x into dst, bit-identically to
 // (*tensor.Mat).AddMulVec into a dst none of whose entries is -0.0.
-func (k *packedMat) addMulVec(dst, x tensor.Vec) {
+func (k *Kernel) addMulVec(dst, x tensor.Vec) {
 	switch k.kind {
 	case kZero:
 		// Σ ±0.0 into a +0.0-started accumulator is a no-op
@@ -192,24 +206,18 @@ func (k *packedMat) addMulVec(dst, x tensor.Vec) {
 }
 
 // EdgeTable is the directed-edge table of one game in CSR form: every
-// vertex's neighbors and transformed edge matrices, fixed when the
-// game is built. Colored vertices only ever leave from the front of
+// vertex's neighbors and the kernels of its edge matrices, fixed when
+// the game is built. Colored vertices only ever leave from the front of
 // the coloring order, so each state of the game is the window of
 // vertices [off, n) onto the one table, and what Infer works out per
 // vertex lives in the table, where the next evaluation of the same game
-// finds it without building a key or probing a map.
-//
-// Every edge enters a table through AddEdge, which packs its matrix:
-// Nbr, Mat and the packed forms stay parallel, and the passes reject a
-// table assembled any other way. What AddEdge builds is immutable, so a
-// snapshot (View.Freeze) shares it.
+// finds it without building a key or probing a map. Its edges and
+// kernels are immutable once built, so a snapshot (View.Freeze) shares
+// them.
 type EdgeTable struct {
-	Start []int32       // len n+1: vertex u owns edges [Start[u], Start[u+1])
-	Nbr   []int32       // neighbor of each edge, ascending within a vertex
-	Mat   []*tensor.Mat // transformed matrix of each edge, rows = the owner's color
-
-	packed []*packedMat               // Mat's packed forms, edge for edge
-	kern   map[*tensor.Mat]*packedMat // the packed form of each matrix AddEdge has seen
+	Start []int32   // len n+1: vertex u owns edges [Start[u], Start[u+1])
+	Nbr   []int32   // neighbor of each edge, ascending within a vertex
+	Kern  []*Kernel // kernel of each edge's matrix, rows = the owner's color
 
 	// The slots below are owner's, filled while its generation was gen,
 	// by Infer over a live view; they make a table's live window, like
@@ -229,24 +237,11 @@ type EdgeTable struct {
 	lay   []layerSlots
 }
 
-// AddEdge appends an edge to nbr, with transformed matrix mat, to the
-// vertex under construction (the caller closes it by appending to
-// Start) and packs mat: the one place a matrix is classified. A matrix
-// the table has packed before keeps its packed form and kernel id, so
-// a caller that hands every edge of one content the same *tensor.Mat
-// (game.New does) packs each content once.
-func (t *EdgeTable) AddEdge(nbr int, mat *tensor.Mat) {
-	k := t.kern[mat]
-	if k == nil {
-		k = buildKernel(mat)
-		if t.kern == nil {
-			t.kern = make(map[*tensor.Mat]*packedMat)
-		}
-		t.kern[mat] = k
-	}
+// AddEdge appends an edge to nbr, whose matrix k packs, to the vertex
+// under construction (the caller closes it by appending to Start).
+func (t *EdgeTable) AddEdge(nbr int, k *Kernel) {
 	t.Nbr = append(t.Nbr, int32(nbr))
-	t.Mat = append(t.Mat, mat)
-	t.packed = append(t.packed, k)
+	t.Kern = append(t.Kern, k)
 }
 
 // layerSlots is one layer's slot per table vertex: the inputs of the
@@ -265,16 +260,6 @@ func (t *EdgeTable) From(u, off int) (lo, hi int32) {
 		lo++
 	}
 	return lo, hi
-}
-
-// edges resolves the directed edges of view for Infer and Forward
-// alike: the window's table, which must have packed every matrix.
-func edges(view View) (tbl *EdgeTable, off int) {
-	tbl, off = view.tbl, view.off
-	if len(tbl.packed) != len(tbl.Mat) {
-		panic(fmt.Sprintf("gcn: EdgeTable holds %d matrices but %d packed forms: every edge must enter a table through AddEdge", len(tbl.Mat), len(tbl.packed)))
-	}
-	return tbl, off
 }
 
 // adopt points the slots at sc, emptying them if they were filled from
@@ -426,7 +411,7 @@ func checkShape(mat *tensor.Mat, m int) {
 // consumes is a stable vector with a never-reused id — h⁰ rows come
 // from the h0 map, keyed by the cost vector's bytes, so equal vectors
 // on different vertices share one row and one id; later rows from the
-// row memo — and every packed matrix has a never-reused id of its own,
+// row memo — and every kernel has a never-reused id of its own,
 // so a layer with a vertex's own row id and its (kernel id, row id)
 // edge list names the vertex's whole update — per-edge mat·vec adds,
 // the mean (its divisor is the list's length) and the tanh layer —
@@ -452,7 +437,7 @@ func (g *GCN) Infer(view View, sc *Scratch) []tensor.Vec {
 	// A live view's table takes sc's slots. A frozen view is one of many
 	// onto its table, read on any goroutine: it goes to the maps and
 	// reads no slot.
-	tbl, off := edges(view)
+	tbl, off := view.tbl, view.off
 	live := !view.frozen
 	if live {
 		tbl.adopt(sc, m, g.layers)
@@ -504,7 +489,7 @@ func (sc *Scratch) layerRow(g *GCN, l int, tbl *EdgeTable, off, v int, cur *rowS
 		if slot != nil {
 			slot.nbr[e] = id
 		}
-		key = binary.LittleEndian.AppendUint64(key, tbl.packed[e].id)
+		key = binary.LittleEndian.AppendUint64(key, tbl.Kern[e].id)
 		key = binary.LittleEndian.AppendUint64(key, id)
 	}
 	sc.key = key

@@ -48,33 +48,17 @@ func TestBuildKernelKinds(t *testing.T) {
 		{&tensor.Mat{R: 2, C: 3, W: []float64{d, 0, 0, 0, d, 0}}, kBinary}, // not square
 	}
 	for i, c := range cases {
-		if k := buildKernel(c.mat); k.kind != c.kind {
+		if k := Pack(c.mat); k.kind != c.kind {
 			t.Errorf("case %d: kind = %d, want %d", i, k.kind, c.kind)
 		}
 	}
-}
 
-// TestAddEdgePacksEachMatrixOnce: a matrix handed to AddEdge again keeps
-// its packed form and kernel id; another matrix, even of equal content,
-// gets its own.
-func TestAddEdgePacksEachMatrixOnce(t *testing.T) {
-	a, b := tensor.NewMat(2, 2), tensor.NewMat(2, 2)
-	a.Set(0, 0, infFeature)
-	b.Set(0, 0, infFeature)
-	tbl := &EdgeTable{Start: []int32{0}}
-	for _, mat := range []*tensor.Mat{a, b, a, a} {
-		tbl.AddEdge(1, mat)
-	}
-	tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
-	p := tbl.packed
-	if p[0] != p[2] || p[0] != p[3] {
-		t.Error("a repeated matrix was packed again")
-	}
-	if p[0] == p[1] || p[0].id == p[1].id {
-		t.Error("two matrices share a packed form")
-	}
-	if !tbl.BuiltByAddEdge() {
-		t.Error("the table does not hold each matrix's packed form beside it")
+	// PackCost indexes the cost matrix's nonzeros: a 5e-324 transforms
+	// to 0 but stays in its row's columns, which makes the kernel sparse
+	c := cost.NewMatrixFrom([][]cost.Cost{{cost.Inf, 5e-324}, {0, 0}})
+	k := PackCost(c)
+	if k.kind != kSparse || len(k.Cols(0)) != 2 || len(k.Cols(1)) != 0 || k.mat.At(0, 1) != 0 {
+		t.Errorf("∞ beside 5e-324: kind %d, columns %v and %v", k.kind, k.Cols(0), k.Cols(1))
 	}
 }
 
@@ -112,7 +96,7 @@ func TestKernelAddMulVecBitIdentical(t *testing.T) {
 		}
 		want := make(tensor.Vec, r)
 		got := make(tensor.Vec, r)
-		k := buildKernel(m)
+		k := Pack(m)
 		for pass := 0; pass < 2; pass++ {
 			m.AddMulVec(want, x)
 			k.addMulVec(got, x)
@@ -133,7 +117,7 @@ func TestKernelAddMulVecBitIdentical(t *testing.T) {
 		for i := 0; i < r; i++ {
 			m.Set(i, i, infFeature)
 		}
-		k := buildKernel(m)
+		k := Pack(m)
 		if k.kind != kDiag {
 			t.Fatalf("%d×%d diagonal: kind %d", r, r, k.kind)
 		}

@@ -11,7 +11,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -260,7 +259,9 @@ func ateGraph(t *testing.T, vregs int, seed int64) *pbqp.Graph {
 // mixedGraph is a random finite-cost graph whose edge matrices cover
 // what a register allocator produces beyond zero/∞: all-zero edges,
 // sparse matrices of negative coalescing hints, dense matrices, ∞
-// entries among finite ones — and a vertex with no edge at all.
+// entries among finite ones, ∞ beside costs too small to survive the
+// transform (a game's kernel indexes them, and folds them as ±0) — and
+// a vertex with no edge at all.
 func mixedGraph(seed int64, n, m int) *pbqp.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	g := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: m, PEdge: 0.4, PInf: 0.1})
@@ -270,7 +271,7 @@ func mixedGraph(seed int64, n, m int) *pbqp.Graph {
 			continue
 		}
 		mat := cost.NewMatrix(m, m)
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0: // all zero
 		case 1: // a coalescing hint: a few negative entries on the diagonal
 			for i := 0; i < m; i += 2 {
@@ -279,6 +280,10 @@ func mixedGraph(seed int64, n, m int) *pbqp.Graph {
 		case 2: // ∞ interference plus a finite penalty
 			mat.Set(rng.Intn(m), rng.Intn(m), cost.Inf)
 			mat.Set(rng.Intn(m), rng.Intn(m), cost.Cost(rng.Float64()*9))
+		case 3: // ∞ beside entries that transform to +0 and -0
+			mat.Set(rng.Intn(m), rng.Intn(m), cost.Inf)
+			mat.Set(rng.Intn(m), rng.Intn(m), 5e-324)
+			mat.Set(rng.Intn(m), rng.Intn(m), -1e-323)
 		default: // the generator's dense matrix
 			continue
 		}
@@ -575,12 +580,13 @@ func TestEveryKindOfViewAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// badView is a two-vertex view over a table built by AddEdge, whose one
-// edge carries mat in both directions and whose vectors are vm long.
+// badView is a two-vertex view whose one edge carries mat in both
+// directions and whose vectors are vm long.
 func badView(vm int, mat *tensor.Mat) gcn.View {
 	tbl := &gcn.EdgeTable{Start: []int32{0}}
+	k := gcn.Pack(mat)
 	for i := 0; i < 2; i++ {
-		tbl.AddEdge(1-i, mat)
+		tbl.AddEdge(1-i, k)
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
 	return gcn.NewView(tbl, 0, vm, []cost.Vector{cost.NewVector(vm), cost.NewVector(vm)}).Freeze()
@@ -615,51 +621,6 @@ func TestTapeMismatchedShapesPanicLikeDensePass(t *testing.T) {
 			if got := panicOf(pass); got != want {
 				t.Errorf("%+v: %s panics with %q, the dense pass with %q", bad, name, got, want)
 			}
-		}
-	}
-}
-
-// TestEveryTableIsBuiltByAddEdge: each constructor of a table view in
-// the tree — game.New, its snapshots and selfplay's thawSample — packs
-// every matrix it holds, and both passes reject a table assembled
-// around AddEdge with a message that names it.
-func TestEveryTableIsBuiltByAddEdge(t *testing.T) {
-	const m = 13
-	g := mixedGraph(31, 12, m)
-	st := game.New(g, game.MakeOrder(g, game.OrderFixed, nil))
-	playSome(st, 3)
-	snap := st.Snapshot()
-	wire, err := selfplay.EncodeSamples([]selfplay.Sample{{View: snap, Pi: make(tensor.Vec, m)}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	thawed, err := selfplay.DecodeSamples(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := st.View()
-	for name, view := range map[string]gcn.View{
-		"game.New": live, "Snapshot": snap, "thawSample": thawed[0].View,
-	} {
-		if tbl, _ := view.EdgeTable(); len(tbl.Mat) == 0 || !tbl.BuiltByAddEdge() {
-			t.Errorf("%s: %d matrices, not all packed beside them", name, len(tbl.Mat))
-		}
-	}
-
-	// a view over a table whose exported slices were filled in directly
-	built, off := live.EdgeTable()
-	var vecs []cost.Vector
-	for i := 0; i < live.N(); i++ {
-		vecs = append(vecs, live.Vec(i))
-	}
-	hand := gcn.NewView(&gcn.EdgeTable{Start: built.Start, Nbr: built.Nbr, Mat: built.Mat}, off, m, vecs)
-	net := gcn.New(rand.New(rand.NewSource(3)), m, 2)
-	for name, pass := range map[string]func(){
-		"Forward": func() { net.Forward(hand) },
-		"Infer":   func() { net.Infer(hand, &gcn.Scratch{}) },
-	} {
-		if msg := panicOf(pass); !strings.Contains(msg, "AddEdge") {
-			t.Errorf("%s over a hand-assembled table: panic %q does not name AddEdge", name, msg)
 		}
 	}
 }

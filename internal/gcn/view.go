@@ -8,9 +8,8 @@ import (
 // View is the graph a GCN embeds: the uncolored remainder of a PBQP
 // problem in reduced form, as a window onto an edge table. Active
 // vertex v is table vertex off+v, and its neighbors are the table's
-// that are ≥ off, in table order; its edge matrices are the table's,
-// transformed (TransformMatrix is the canonical conversion) and packed
-// by AddEdge. A View is a small value: copying one copies no vector.
+// that are ≥ off, in table order; its edge matrices are the table's
+// kernels. A View is a small value: copying one copies no vector.
 type View struct {
 	tbl    *EdgeTable
 	off, m int
@@ -28,8 +27,8 @@ func NewView(tbl *EdgeTable, off, m int, vecs []cost.Vector) View {
 }
 
 // Freeze returns an immutable copy of v, what a replay buffer holds: its
-// own copy of the cost vectors, in one allocation, over v's table. What
-// AddEdge built of the table is immutable and a frozen view never
+// own copy of the cost vectors, in one allocation, over v's table. The
+// table's edges and kernels are immutable and a frozen view never
 // touches the slots, so frozen views of a table may be read on any
 // number of goroutines while one plays on the table's live window.
 func (v View) Freeze() View {
@@ -71,7 +70,7 @@ func (t *EdgeTable) WindowNbrs(u, off int) (nbrs []int) {
 func (t *EdgeTable) MatOf(u, w int) *tensor.Mat {
 	for e := t.Start[u]; e < t.Start[u+1]; e++ {
 		if int(t.Nbr[e]) == w {
-			return t.Mat[e]
+			return t.Kern[e].mat
 		}
 	}
 	return nil

@@ -117,7 +117,7 @@ func thaw(view gcn.View) gcn.View {
 	for i := 0; i < view.N(); i++ {
 		vecs = append(vecs, view.Vec(i))
 		for _, j := range src.WindowNbrs(off+i, off) {
-			tbl.AddEdge(j, src.MatOf(off+i, off+j))
+			tbl.AddEdge(j, gcn.Pack(src.MatOf(off+i, off+j)))
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}

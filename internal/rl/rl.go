@@ -212,10 +212,16 @@ func (r *runner) oneWay() bool {
 // colors alone leave the state unsolvable, so a level whose turn is not
 // in its child's set is left without trying another color.
 func (r *runner) search() bool {
-	if r.st.Done() {
-		return true
-	}
 	t := r.st.Turn()
+	if r.st.Done() {
+		if !r.st.Acc().IsInf() {
+			return true
+		}
+		// finite entries summed to ∞: no turn stands out as the cause, so
+		// the parent backtracks chronologically
+		r.set(t).prefix(t)
+		return false
+	}
 	cs, sub := r.set(t), r.set(t+1)
 	clear(cs)
 	searched := false

@@ -36,7 +36,7 @@ func orderedView(keys []int) gcn.View {
 			}
 			// derive the matrix from the (i, j) pair only, so both
 			// orders describe the same logical graph
-			tbl.AddEdge(j, mat(float64(10*i+j)))
+			tbl.AddEdge(j, gcn.Pack(mat(float64(10*i+j))))
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}

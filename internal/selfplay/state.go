@@ -94,13 +94,14 @@ func freezeSample(s Sample) replaySample {
 }
 
 // thawSample reverses freezeSample into the view game.Snapshot returns,
-// a frozen gcn.View, over a small edge table of the sample's own, packed
-// here: a restored sample trains like a live snapshot.
+// a frozen gcn.View, over a small edge table of the sample's own. Each
+// decoded matrix is one edge's and is packed here: a restored sample
+// trains like a live snapshot.
 func thawSample(rs replaySample) Sample {
 	tbl := &gcn.EdgeTable{Start: make([]int32, 1, len(rs.Mats)+1)}
 	for _, mats := range rs.Mats {
 		for _, em := range mats {
-			tbl.AddEdge(em.J, em.Mat)
+			tbl.AddEdge(em.J, gcn.Pack(em.Mat))
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}

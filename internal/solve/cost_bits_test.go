@@ -7,6 +7,7 @@ import (
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/game"
+	"pbqprl/internal/mcts"
 	"pbqprl/internal/net"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/rl"
@@ -83,8 +84,7 @@ func TestCostIsTotalCostOfSelection(t *testing.T) {
 // the costs of two feasible results with Cost.Less; on finite costs
 // that is the float order, which this invariant is what guarantees.
 func TestFeasibleCostIsFinite(t *testing.T) {
-	const n, m = 9, 3
-	evaluator := net.New(net.Config{M: m, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 5})
+	evaluator := net.New(net.Config{M: 3, GCNLayers: 1, Hidden: 8, Blocks: 1, Seed: 5})
 	deepRL := func(backtrack bool) solve.Solver {
 		return &rl.Solver{Net: evaluator.Clone(), Cfg: rl.Config{K: 8, Order: game.OrderDecLiberty, Backtrack: backtrack}}
 	}
@@ -97,23 +97,9 @@ func TestFeasibleCostIsFinite(t *testing.T) {
 		"rl-bt":     deepRL(true),
 		"portfolio": portfolio.New(0, deepRL(true), liberty.Solver{}, scholz.Solver{}),
 	}
-	values := []cost.Cost{0, 0.5, 2e307, cost.Inf}
 	feasible := 0
 	for seed := int64(1); seed <= 12; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		g := pbqp.New(n, m)
-		for u := 0; u < n; u++ {
-			vec := cost.NewVector(m)
-			for i := range vec {
-				vec[i] = values[rng.Intn(len(values))]
-			}
-			g.SetVertexCost(u, vec)
-			if v := rng.Intn(n); v != u && rng.Intn(2) == 0 {
-				mat := cost.NewMatrix(m, m)
-				mat.Set(rng.Intn(m), rng.Intn(m), values[rng.Intn(len(values))])
-				g.AddEdgeCost(u, v, mat)
-			}
-		}
+		g := overflowGraph(seed)
 		for name, s := range solvers {
 			res := s.Solve(g)
 			if !res.Feasible {
@@ -128,5 +114,47 @@ func TestFeasibleCostIsFinite(t *testing.T) {
 	}
 	if feasible == 0 {
 		t.Fatal("no solver found a feasible selection on any graph")
+	}
+}
+
+// overflowGraph is a 9-vertex, 3-color graph whose entries are 0, 0.5,
+// 2e307 and ∞, so that some selections of finite entries sum to ∞.
+func overflowGraph(seed int64) *pbqp.Graph {
+	const n, m = 9, 3
+	values := []cost.Cost{0, 0.5, 2e307, cost.Inf}
+	rng := rand.New(rand.NewSource(seed))
+	g := pbqp.New(n, m)
+	for u := 0; u < n; u++ {
+		vec := cost.NewVector(m)
+		for i := range vec {
+			vec[i] = values[rng.Intn(len(values))]
+		}
+		g.SetVertexCost(u, vec)
+		if v := rng.Intn(n); v != u && rng.Intn(2) == 0 {
+			mat := cost.NewMatrix(m, m)
+			mat.Set(rng.Intn(m), rng.Intn(m), values[rng.Intn(len(values))])
+			g.AddEdgeCost(u, v, mat)
+		}
+	}
+	return g
+}
+
+// TestCompleteSearchesPassOverflowingSelections: liberty and rl-bt are
+// complete searches, so they must find a selection of finite cost
+// wherever brute does, even when the first selection of finite entries
+// they reach sums to ∞; both used to report none there.
+func TestCompleteSearchesPassOverflowingSelections(t *testing.T) {
+	solvers := map[string]solve.Solver{
+		"liberty": liberty.Solver{},
+		"rl-bt":   &rl.Solver{Net: mcts.Uniform{}, Cfg: rl.Config{K: 1, Order: game.OrderDecLiberty, Backtrack: true}},
+	}
+	for seed := int64(1); seed <= 12; seed++ {
+		g := overflowGraph(seed)
+		want := brute.Solver{}.Solve(g).Feasible
+		for name, s := range solvers {
+			if got := s.Solve(g).Feasible; got != want {
+				t.Errorf("seed %d: %s feasible = %v, brute %v", seed, name, got, want)
+			}
+		}
 	}
 }

@@ -127,7 +127,8 @@ type enum struct {
 // left in e.sel.
 func (e *enum) run() bool {
 	if e.st.Done() {
-		return true
+		// finite entries can sum to ∞: then try the next color
+		return !e.st.Acc().IsInf()
 	}
 	turn := e.st.Turn()
 	if turn >= e.numHard && e.solveEasyRemainder() {
@@ -177,7 +178,7 @@ func (e *enum) solveEasyRemainder() bool {
 		// still a valid answer, but either way stop enumerating.
 		e.stopped = true
 	}
-	if !res.Feasible {
+	if !res.Feasible || e.st.Acc().Add(res.Cost).IsInf() {
 		return false
 	}
 	copy(e.sel[e.st.Turn():], res.Selection)
