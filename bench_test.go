@@ -455,6 +455,42 @@ func BenchmarkGameNew(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildPBQP times the two graph builders: ate.BuildPBQP on
+// generated 50- and 250-vreg programs, and regalloc.BuildPBQP over every
+// function of the LLVM suite. Each installs every distinct constraint
+// matrix once, so the allocations reported grow with the vertices and
+// rows, not with one matrix copy per edge.
+func BenchmarkBuildPBQP(b *testing.B) {
+	for _, n := range []int{50, 250} {
+		prog, _ := ate.Generate(ate.DefaultMachine(), ate.GenConfig{
+			Name: "bench", NumVRegs: n, PairRatio: 0.3, HardRatio: 0.4, Seed: 1,
+		})
+		b.Run(fmt.Sprintf("ate/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ate.BuildPBQP(prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	target := regalloc.DefaultTarget()
+	var ins []regalloc.Input
+	for _, bench := range llvmsuite.All() {
+		for i, f := range bench.Prog.Funcs {
+			ins = append(ins, regalloc.NewInput(f, target, bench.Allowed[i]))
+		}
+	}
+	b.Run("regalloc/llvmsuite", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, in := range ins {
+				regalloc.BuildPBQP(in)
+			}
+		}
+	})
+}
+
 // BenchmarkGamePlayUndo measures the do/undo transition kernel, which
 // allocates nothing once the game's undo buffers are warm.
 func BenchmarkGamePlayUndo(b *testing.B) {

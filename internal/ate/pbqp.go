@@ -7,6 +7,21 @@ import (
 	"pbqprl/internal/pbqp"
 )
 
+// The constraint terms an edge (lo, hi), lo < hi, can carry: a bitmask
+// per vreg pair, one matrix per combination.
+const (
+	termDiffer  = 1 << iota // the two must differ: an infinite diagonal
+	termPair                // pairing, lo's register as the first source
+	termPairRev             // pairing, hi's register as the first source
+	termCombos  = 1 << iota // the number of masks
+)
+
+// reversed is the combination mask names seen from hi: the transpose of
+// mask's matrix is reversed(mask)'s.
+func reversed(mask uint8) uint8 {
+	return mask&termDiffer | mask&termPair<<1 | mask&termPairRev>>1
+}
+
 // BuildPBQP derives the register-allocation PBQP graph of a program
 // (Section II-B): one vertex per virtual register with m = Registers
 // colors, all costs zero or infinity.
@@ -21,14 +36,23 @@ import (
 //     defined at slot q > p of the same cycle must differ.
 //   - Pairing: the two sources of an add must be a pairable register
 //     pair — infinite entries at non-pairable combinations.
+//
+// Every edge is the sum of its constraints' matrices, and with entries
+// of 0 and ∞ alone that sum is the union of their ∞ entries (0+0 = 0,
+// anything+∞ = ∞, with Inf's bits). So the builder first records which
+// terms each vreg pair carries, then installs each edge once, in
+// ascending (lo, hi) order, from a table of at most seven matrices, one
+// per combination: every edge with the same constraints shares one
+// matrix (the pbqp ownership rule), and a symmetric combination serves
+// as both orientations of its edges.
 func BuildPBQP(p *Program) (*pbqp.Graph, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := p.Machine.Registers
-	g := pbqp.New(p.NumVRegs, m)
+	n, m := p.NumVRegs, p.Machine.Registers
+	g := pbqp.New(n, m)
 
-	for v := 0; v < p.NumVRegs; v++ {
+	for v := 0; v < n; v++ {
 		vec := cost.NewVector(m)
 		if len(p.Allowed) > 0 && p.Allowed[v] != nil {
 			vec = cost.NewInfVector(m)
@@ -42,22 +66,23 @@ func BuildPBQP(p *Program) (*pbqp.Graph, error) {
 		g.SetVertexCost(v, vec)
 	}
 
-	diag := cost.NewMatrix(m, m)
-	for i := 0; i < m; i++ {
-		diag.Set(i, i, cost.Inf)
-	}
-	addDiff := func(u, v int) {
-		if u != v {
-			g.AddEdgeCost(u, v, diag)
+	// terms[lo*n+hi] is pair (lo, hi)'s mask.
+	terms := make([]uint8, n*n)
+	add := func(u, v int, term uint8) {
+		switch {
+		case u < v:
+			terms[u*n+v] |= term
+		case u > v:
+			terms[v*n+u] |= reversed(term)
 		}
 	}
 
 	// interference
 	start, end := p.LiveRanges()
-	for u := 0; u < p.NumVRegs; u++ {
-		for v := u + 1; v < p.NumVRegs; v++ {
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
 			if start[u] <= end[v] && start[v] <= end[u] {
-				addDiff(u, v)
+				add(u, v, termDiffer)
 			}
 		}
 	}
@@ -80,11 +105,11 @@ func BuildPBQP(p *Program) (*pbqp.Graph, error) {
 			}
 			if def := in.DefReg(); def >= 0 {
 				for _, d := range defs {
-					addDiff(d, def) // write-once
+					add(d, def, termDiffer) // write-once
 				}
 				for _, r := range reads {
 					if r.slot < i {
-						addDiff(r.vreg, def) // read ahead of write
+						add(r.vreg, def, termDiffer) // read ahead of write
 					}
 				}
 				defs = append(defs, def)
@@ -93,17 +118,34 @@ func BuildPBQP(p *Program) (*pbqp.Graph, error) {
 	}
 
 	// pairing
-	pair := cost.NewMatrix(m, m)
-	for a := 0; a < m; a++ {
-		for b := 0; b < m; b++ {
-			if !p.Machine.Pairable(a, b) {
-				pair.Set(a, b, cost.Inf)
-			}
+	for _, in := range p.Instrs {
+		if in.Op == OpAdd {
+			add(in.Uses[0], in.Uses[1], termPair)
 		}
 	}
-	for _, in := range p.Instrs {
-		if in.Op == OpAdd && in.Uses[0] != in.Uses[1] {
-			g.AddEdgeCost(in.Uses[0], in.Uses[1], pair)
+
+	var table [termCombos]*cost.Matrix
+	matrix := func(mask uint8) *cost.Matrix {
+		if table[mask] == nil {
+			mat := cost.NewMatrix(m, m)
+			for a := 0; a < m; a++ {
+				for b := 0; b < m; b++ {
+					if mask&termDiffer != 0 && a == b ||
+						mask&termPair != 0 && !p.Machine.Pairable(a, b) ||
+						mask&termPairRev != 0 && !p.Machine.Pairable(b, a) {
+						mat.Set(a, b, cost.Inf)
+					}
+				}
+			}
+			table[mask] = mat
+		}
+		return table[mask]
+	}
+	for lo := 0; lo < n; lo++ {
+		for hi := lo + 1; hi < n; hi++ {
+			if mask := terms[lo*n+hi]; mask != 0 {
+				g.SetEdgePair(lo, hi, matrix(mask), matrix(reversed(mask)))
+			}
 		}
 	}
 	return g, nil

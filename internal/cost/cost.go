@@ -10,6 +10,7 @@ package cost
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -105,7 +106,7 @@ func (c *Cost) UnmarshalJSON(data []byte) error {
 	}
 	v, err := fromFloat(f)
 	if err != nil {
-		return err
+		return fmt.Errorf("cost: %s: %w", data, err)
 	}
 	*c = v
 	return nil
@@ -113,35 +114,34 @@ func (c *Cost) UnmarshalJSON(data []byte) error {
 
 // fromFloat validates a decoded number the way the graph reader
 // validates a cost token: NaN, -Inf and both signs of the reserved
-// range are rejected, and +Inf becomes Inf.
+// range are rejected, and +Inf becomes Inf. Its errors leave naming the
+// input to the caller.
 func fromFloat(f float64) (Cost, error) {
 	if math.IsNaN(f) || math.IsInf(f, -1) || f <= -float64(infThreshold) {
-		return 0, fmt.Errorf("cost: %v is not a valid PBQP cost", f)
+		return 0, errors.New("not a valid PBQP cost")
 	}
 	if math.IsInf(f, 1) {
 		return Inf, nil
 	}
 	if Cost(f).IsInf() {
-		return 0, fmt.Errorf("cost: finite value %v is in the reserved infinite range; use \"inf\"", f)
+		return 0, errors.New(`a finite value in the reserved infinite range; use "inf"`)
 	}
 	return Cost(f), nil
 }
 
 // Parse parses a cost from its textual form. "inf" (case-insensitive)
 // denotes the infinite cost; strconv.ParseFloat reads that spelling
-// (and "+inf", "infinity") as +Inf itself.
+// (and "+inf", "infinity") as +Inf itself. What the graph reader and
+// UnmarshalJSON reject, Parse rejects too.
 func Parse(s string) (Cost, error) {
 	f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-	if err != nil {
-		return 0, fmt.Errorf("cost: parse %q: %w", s, err)
+	if err == nil {
+		var c Cost
+		if c, err = fromFloat(f); err == nil {
+			return c, nil
+		}
 	}
-	if math.IsInf(f, 1) {
-		return Inf, nil
-	}
-	if math.IsNaN(f) || math.IsInf(f, -1) {
-		return 0, fmt.Errorf("cost: parse %q: not a valid PBQP cost", s)
-	}
-	return Cost(f), nil
+	return 0, fmt.Errorf("cost: parse %q: %w", s, err)
 }
 
 // Vector is a dense PBQP cost vector (one entry per selectable color).

@@ -45,7 +45,10 @@
 // Because an installed matrix never changes, what cost.Matrix.Diagonal
 // learns of it the first time RN asks stays true for the matrix's
 // life; a recycled arena pair is a fresh cost.Matrix value, which
-// starts unclassified.
+// starts unclassified. One matrix may also serve many edges, and both
+// orientations of an edge whose matrix is symmetric: the graph builders
+// (internal/ate, internal/regalloc) install each distinct constraint
+// matrix once.
 package pbqp
 
 import (
@@ -359,9 +362,9 @@ func (g *Graph) AddEdgeCost(u, v int, mat *cost.Matrix) {
 // the two orientations of edge (u, v), replacing any existing edge, and
 // takes ownership of both: the caller has written them in full and
 // never writes them again (the ownership rule). It is SetEdgeCost
-// without the copies, for a caller that built the pair for this edge
-// alone. It panics on a self loop, on dead endpoints, or if either
-// matrix is not M()×M().
+// without the copies: the pair may serve other edges too, and uv and
+// vu may be one matrix when it is symmetric. It panics on a self loop,
+// on dead endpoints, or if either matrix is not M()×M().
 func (g *Graph) SetEdgePair(u, v int, uv, vu *cost.Matrix) {
 	g.checkEdge(u, v)
 	if uv.Rows != g.m || uv.Cols != g.m || vu.Rows != g.m || vu.Cols != g.m {

@@ -23,6 +23,10 @@ const SpillColor = 0
 //     spilled values never conflict);
 //   - move-related pairs get a coalescing hint: a negative cost on the
 //     same-register diagonal proportional to the move's weight.
+//
+// Both matrices are diagonal, so each is installed as both orientations
+// of its edge, and every interference edge shares one (the pbqp
+// ownership rule): no edge gets a copy of its own.
 func BuildPBQP(in Input) *pbqp.Graph {
 	m := in.Target.NumRegs + 1
 	g := pbqp.New(in.F.NumValues, m)
@@ -53,13 +57,16 @@ func BuildPBQP(in Input) *pbqp.Graph {
 				continue
 			}
 			seen[[2]int{a, b}] = true
-			g.AddEdgeCost(a, b, interfere)
+			g.SetEdgePair(a, b, interfere, interfere)
 		}
 	}
 
+	// A move pair that already has an edge interferes: the hint's finite
+	// diagonal added to interfere's ∞ one would leave interfere's bits,
+	// so skipping the pair gives what the sum would.
 	for v := 0; v < in.F.NumValues; v++ {
 		for u := range in.Info.MoveRelated[v] {
-			if int(u) <= v || in.Info.Interferes(ir.Value(v), u) {
+			if int(u) <= v || seen[[2]int{v, int(u)}] {
 				continue
 			}
 			w := in.Info.SpillWeight[v]
@@ -71,7 +78,7 @@ func BuildPBQP(in Input) *pbqp.Graph {
 			for r := 1; r < m; r++ {
 				hint.Set(r, r, bonus)
 			}
-			g.AddEdgeCost(v, int(u), hint)
+			g.SetEdgePair(v, int(u), hint, hint)
 		}
 	}
 	return g

@@ -10,8 +10,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	randv2 "math/rand/v2"
+	"slices"
 	"sort"
 
 	"pbqprl/internal/cost"
@@ -93,15 +96,50 @@ func freezeSample(s Sample) replaySample {
 	return out
 }
 
-// thawSample reverses freezeSample into the view game.Snapshot returns,
-// a frozen gcn.View, over a small edge table of the sample's own. Each
-// decoded matrix is one edge's and is packed here: a restored sample
-// trains like a live snapshot.
-func thawSample(rs replaySample) Sample {
+// packer packs the matrices of one decode, each distinct one once. gob
+// gives every decoded *tensor.Mat a pointer of its own, so they meet by
+// content, as game.New's cost matrices do: a hash of the words, and on
+// a hit a bitwise compare (math.Float64bits, so -0 and +0 stay apart).
+// Their edges then share one kernel, as the live game's did. A
+// different matrix under a taken hash gets a kernel of its own. The
+// hash rotates each word's high bits down before it multiplies:
+// transformed entries such as 0 and 1 differ only in their top bits,
+// which a multiply alone would carry out of the word.
+type packer map[uint64]packed
+
+// packed is a kernel with the decoded matrix it was packed from.
+type packed struct {
+	mat *tensor.Mat
+	k   *gcn.Kernel
+}
+
+func (p packer) pack(m *tensor.Mat) *gcn.Kernel {
+	sum := uint64(m.R)<<32 | uint64(m.C)
+	for _, w := range m.W {
+		sum = bits.RotateLeft64(sum^math.Float64bits(w), 32) * 0x9e3779b97f4a7c15
+	}
+	d, taken := p[sum]
+	if taken && d.mat.R == m.R && d.mat.C == m.C && slices.EqualFunc(d.mat.W, m.W, sameBits) {
+		return d.k
+	}
+	k := gcn.Pack(m)
+	if !taken {
+		p[sum] = packed{m, k}
+	}
+	return k
+}
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// thaw reverses freezeSample into the view game.Snapshot returns, a
+// frozen gcn.View, over a small edge table of the sample's own, with
+// its matrices packed by p: a restored sample trains like a live
+// snapshot.
+func (p packer) thaw(rs replaySample) Sample {
 	tbl := &gcn.EdgeTable{Start: make([]int32, 1, len(rs.Mats)+1)}
 	for _, mats := range rs.Mats {
 		for _, em := range mats {
-			tbl.AddEdge(em.J, gcn.Pack(em.Mat))
+			tbl.AddEdge(em.J, p.pack(em.Mat))
 		}
 		tbl.Start = append(tbl.Start, int32(len(tbl.Nbr)))
 	}
@@ -133,8 +171,9 @@ func DecodeSamples(data []byte) ([]Sample, error) {
 		return nil, fmt.Errorf("selfplay: decode samples: %w", err)
 	}
 	samples := make([]Sample, 0, len(frozen))
+	p := packer{}
 	for _, rs := range frozen {
-		samples = append(samples, thawSample(rs))
+		samples = append(samples, p.thaw(rs))
 	}
 	return samples, nil
 }
@@ -206,8 +245,9 @@ func (t *Trainer) DecodeState(data []byte) error {
 	t.pending, t.pendingEpisode = st.Pending, st.PendingEpisode
 	t.replay.reset()
 	t.replay.setCap(t.cfg.ReplayCap)
+	p := packer{}
 	for _, rs := range st.Replay {
-		t.replay.push(thawSample(rs))
+		t.replay.push(p.thaw(rs))
 	}
 	return nil
 }
