@@ -568,15 +568,17 @@ func BenchmarkGraphCodec(b *testing.B) {
 		// A body the router is sent: the canonical text, respelled.
 		respelled := append(bytes.Clone(text.Bytes()), "# respelled\n"...)
 		// What a new spelling costs it (router.canonicalize): read the
-		// body, and write the graph Read built — one whose edges share
-		// the pairs of their bit-identical matrices — into a buffer sized
-		// from the body.
+		// body, and append the graph Read built — one whose edges share
+		// the pairs of their bit-identical matrices — to a buffer reused
+		// from request to request, as the router's pool reuses it.
+		var canon []byte
 		run("canonicalize", func() error {
 			g, err := pbqp.Read(bytes.NewReader(respelled))
 			if err != nil {
 				return err
 			}
-			return pbqp.Write(bytes.NewBuffer(make([]byte, 0, len(respelled))), g)
+			canon, err = pbqp.AppendText(canon[:0], g)
+			return err
 		})
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -224,13 +225,14 @@ func (v Vector) Equal(w Vector) bool {
 	return true
 }
 
-// WordHash hashes the words of costs, their math.Float64bits, so -0 and
-// +0 hash apart: a map key under which equal cost data meets, a hit
-// that SameBits then confirms.
-func WordHash(costs []Cost) uint64 {
+// WordHash hashes words by their math.Float64bits, so -0 and +0 hash
+// apart: a map key under which equal cost data meets, a hit that
+// SameBits then confirms. Each word is rotated before the multiply,
+// which alone would carry a difference in the top bits out of the word.
+func WordHash[W ~float64](words []W) uint64 {
 	var sum uint64
-	for _, c := range costs {
-		sum = (sum ^ math.Float64bits(float64(c))) * 0x9e3779b97f4a7c15
+	for _, w := range words {
+		sum = bits.RotateLeft64(sum^math.Float64bits(float64(w)), 32) * 0x9e3779b97f4a7c15
 	}
 	return sum
 }

@@ -6,6 +6,7 @@ package pbqp_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -252,6 +253,48 @@ func joinLines(lines [][]string) []byte {
 		b.WriteByte('\n')
 	}
 	return b.Bytes()
+}
+
+// TestAppendTextIsWrite holds the one serializer to its wrappers and
+// its walk: after a non-empty prefix, AppendText gives the prefix and
+// then Write's bytes (the span memo's offsets are absolute in dst), its
+// edge lines are Edges() in order with each cost as cost.Cost.String
+// renders it, and into a buffer with room it allocates nothing for a
+// graph whose rows are tidy, as Read leaves them. The graphs are a
+// Read-built ATE graph, whose edges share a few matrices, and
+// pbqp.TailGraph, whose row 10 has a tombstone and an unsorted tail.
+func TestAppendTextIsWrite(t *testing.T) {
+	read, err := pbqp.Read(bytes.NewReader(serialize(t, ateGraph(t, 60, 3000))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, g := range map[string]*pbqp.Graph{"ate-60": read, "tail": pbqp.TailGraph(t)} {
+		prefix := []byte("# a prefix\n")
+		got, err := pbqp.AppendText(bytes.Clone(prefix), g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := serialize(t, g)
+		if !bytes.Equal(got, append(prefix, text...)) {
+			t.Fatalf("%s: AppendText after a prefix is not the prefix and Write's bytes", name)
+		}
+		var edges strings.Builder
+		for _, e := range g.Edges() {
+			fmt.Fprintf(&edges, "e %d %d", e.U, e.V)
+			for _, c := range e.M.Data {
+				fmt.Fprintf(&edges, " %v", c)
+			}
+			edges.WriteByte('\n')
+		}
+		if !strings.HasSuffix(string(text), edges.String()) || strings.Count(string(text), "\ne ") != g.NumEdges() {
+			t.Fatalf("%s: the edge lines are not Edges() in order:\n%s", name, text)
+		}
+	}
+	text := serialize(t, read)
+	buf := make([]byte, 0, len(text))
+	if allocs := testing.AllocsPerRun(20, func() { buf, _ = pbqp.AppendText(buf[:0], read) }); allocs != 0 {
+		t.Fatalf("AppendText of a Read-built graph into a buffer with room allocates %v times", allocs)
+	}
 }
 
 // TestCanonicalFormOfRespellings holds the canonical form to the

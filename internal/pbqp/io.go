@@ -4,12 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"pbqprl/internal/cost"
 )
@@ -24,75 +26,67 @@ import (
 // matrices are row-major with rows indexing u's color. "inf" denotes the
 // infinite cost. '#' starts a comment.
 
-// Write serializes g in the textual PBQP format. Dead vertices are not
-// representable and cause an error.
-//
-// The serialization is strconv-append into a reused chunk buffer
-// rather than fmt: Write sits on the serving hot path (the router runs
-// it on every new spelling to content-address the graph), where fmt's
-// per-value boxing and a per-call bufio.Writer dominated the profile.
-// The byte stream is the cache key and never changes: round-trip tests
-// over the fuzz corpus and TestCanonicalHashGolden's digests pin it.
+// Write serializes g in the textual PBQP format: AppendText's bytes,
+// handed to w in one Write.
 func Write(w io.Writer, g *Graph) error {
-	if g.AliveCount() != g.NumVertices() {
-		return fmt.Errorf("pbqp: cannot serialize graph with removed vertices")
-	}
-	buf := make([]byte, 0, 4<<10)
-	// Where in buf the costs of the last few matrices written stand: an
-	// edge carrying one of those pointers (Read shares a pair among the
-	// edges whose costs are bit-identical) copies its bytes instead of
-	// formatting them again.
-	type span struct {
-		m      *cost.Matrix
-		lo, hi int
-	}
-	var spans [8]span
-	next := 0
-	var err error
-	flush := func(min int) {
-		if err != nil || len(buf) < min {
-			return
-		}
+	p := writeBufs.Get().(*[]byte)
+	buf, err := AppendText((*p)[:0], g)
+	if err == nil {
 		_, err = w.Write(buf)
-		buf = buf[:0]
-		spans = [len(spans)]span{}
 	}
-	buf = append(buf, "pbqp "...)
-	buf = strconv.AppendInt(buf, int64(g.NumVertices()), 10)
-	buf = append(buf, ' ')
-	buf = strconv.AppendInt(buf, int64(g.M()), 10)
-	buf = append(buf, '\n')
-	for u := 0; u < g.NumVertices(); u++ {
-		buf = append(buf, "v "...)
-		buf = strconv.AppendInt(buf, int64(u), 10)
-		buf = append(appendCosts(buf, g.VertexCost(u)), '\n')
-		flush(32 << 10)
-	}
-	for _, e := range g.Edges() {
-		buf = append(buf, "e "...)
-		buf = strconv.AppendInt(buf, int64(e.U), 10)
-		buf = append(buf, ' ')
-		buf = strconv.AppendInt(buf, int64(e.V), 10)
-		k := 0
-		for k < len(spans) && spans[k].m != e.M {
-			k++
-		}
-		if k < len(spans) {
-			buf = append(buf, buf[spans[k].lo:spans[k].hi]...)
-		} else {
-			lo := len(buf)
-			buf = appendCosts(buf, e.M.Data)
-			spans[next] = span{e.M, lo, len(buf)}
-			next++
-			if next == len(spans) {
-				next = 0
-			}
-		}
-		buf = append(buf, '\n')
-		flush(32 << 10)
-	}
-	flush(1)
+	*p = buf
+	writeBufs.Put(p)
 	return err
+}
+
+// writeBufs recycles Write's buffers, which no io.Writer may keep: one
+// grown from nothing per call costs more than the serialization.
+var writeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendText appends g in the textual PBQP format to dst and returns
+// the extended slice, as strconv's Append functions do; dead vertices
+// are not representable, and leave dst as it came with an error. It
+// sits on the serving hot path (the router's canonical form of every
+// new spelling), so it formats by hand and reads the rows through
+// row.ordered, which allocates only for a row with a tail or a
+// tombstone (Read and the builders leave none). The byte stream is the
+// cache key and never changes: round trips over the fuzz corpus and
+// TestCanonicalHashGolden pin it.
+func AppendText(dst []byte, g *Graph) ([]byte, error) {
+	if g.AliveCount() != g.NumVertices() {
+		return dst, errors.New("pbqp: cannot serialize graph with removed vertices")
+	}
+	// Where in dst the costs of the last few matrices written stand: an
+	// edge carrying one of those pointers (Read and the graph builders
+	// share a matrix among many edges) copies its bytes instead of
+	// formatting them again.
+	var mats [8]*cost.Matrix
+	var spans [8][2]int // mats[k]'s costs are dst[spans[k][0]:spans[k][1]]
+	next := 0
+	dst = strconv.AppendInt(append(dst, "pbqp "...), int64(g.NumVertices()), 10)
+	dst = append(strconv.AppendInt(append(dst, ' '), int64(g.M()), 10), '\n')
+	for u := 0; u < g.NumVertices(); u++ {
+		dst = strconv.AppendInt(append(dst, "v "...), int64(u), 10)
+		dst = append(appendCosts(dst, g.VertexCost(u)), '\n')
+	}
+	var scratch []entry
+	for u := range g.rows {
+		r := g.rows[u].ordered(&scratch)
+		for _, e := range r[lowerBound(r, u+1):] {
+			dst = strconv.AppendInt(append(dst, "e "...), int64(u), 10)
+			dst = strconv.AppendInt(append(dst, ' '), int64(e.v), 10)
+			if k := slices.Index(mats[:], e.m); k >= 0 {
+				dst = append(dst, dst[spans[k][0]:spans[k][1]]...)
+			} else {
+				lo := len(dst)
+				dst = appendCosts(dst, e.m.Data)
+				mats[next], spans[next] = e.m, [2]int{lo, len(dst)}
+				next = (next + 1) % len(mats)
+			}
+			dst = append(dst, '\n')
+		}
+	}
+	return dst, nil
 }
 
 // appendCosts appends each cost of cs after a space, rendered exactly
@@ -117,11 +111,11 @@ func appendCosts(buf []byte, cs []cost.Cost) []byte {
 // String renders g in the textual PBQP format (empty on serialization
 // failure, which only happens for partially reduced graphs).
 func (g *Graph) String() string {
-	var b strings.Builder
-	if err := Write(&b, g); err != nil {
+	b, err := AppendText(nil, g)
+	if err != nil {
 		return ""
 	}
-	return b.String()
+	return string(b)
 }
 
 // Elide truncates s to at most max bytes for logging, appending a note

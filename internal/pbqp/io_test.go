@@ -446,7 +446,7 @@ func TestReadMemoHoldsAtMostTheBytesRead(t *testing.T) {
 // FuzzReadGraph asserts the parser's safety properties on arbitrary
 // bytes: it never panics, it agrees with the reader it replaced
 // (AgreesWithReference), and anything it accepts serializes through
-// Write→Read→Write byte-stably.
+// Write→Read→Write byte-stably, AppendText giving Write's bytes.
 func FuzzReadGraph(f *testing.F) {
 	f.Add([]byte("pbqp 3 2\nv 0 5 2\nv 1 5 0\ne 0 1 0 inf inf 4\n"))
 	f.Add([]byte("pbqp 1 1\n"))
@@ -476,6 +476,9 @@ func FuzzReadGraph(f *testing.F) {
 		}
 		if !bytes.Equal(first.Bytes(), second.Bytes()) {
 			t.Fatalf("Write→Read→Write not byte-stable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+		if text, err := AppendText(nil, g); err != nil || !bytes.Equal(text, first.Bytes()) {
+			t.Fatalf("AppendText gives other bytes than Write (%v):\n%s\nvs\n%s", err, text, first.Bytes())
 		}
 	})
 }
@@ -524,4 +527,30 @@ func TestElide(t *testing.T) {
 	if got := Elide("abc", -1); got != "\n... (3 bytes elided)" {
 		t.Fatalf("Elide negative budget = %q", got)
 	}
+}
+
+// TailGraph has a row in each state AppendText walks in place: vertex
+// 10's row is an ascending prefix of even neighbors 20–58 with a
+// tombstone (26), then an unsorted tail (25, 5, 41, 13) whose entries
+// fall below 10, between prefix entries and inside the prefix's range.
+// Three matrices serve its edges, so the span memo both hits and misses.
+func TailGraph(t testing.TB) *Graph {
+	t.Helper()
+	mats := []*cost.Matrix{
+		cost.NewMatrixFrom([][]cost.Cost{{0, cost.Inf}, {cost.Inf, 0}}),
+		cost.NewMatrixFrom([][]cost.Cost{{0.5, 0}, {-2, 1e300}}),
+		cost.NewMatrixFrom([][]cost.Cost{{cost.Inf, 3}, {0, 0}}),
+	}
+	g := New(60, 2)
+	for v := 20; v < 60; v += 2 {
+		g.SetEdgeCost(10, v, mats[v%3])
+	}
+	for i, v := range []int{25, 5, 41, 13} {
+		g.SetEdgeCost(10, v, mats[i%3])
+	}
+	g.RemoveEdge(10, 26)
+	if r := &g.rows[10]; r.dead == 0 || r.sorted == len(r.es) {
+		t.Fatalf("row 10 has %d tombstones and a tail of %d, want both", r.dead, len(r.es)-r.sorted)
+	}
+	return g
 }

@@ -126,3 +126,34 @@ func TestBuildPBQPMatchesAddEdgeCost(t *testing.T) {
 		t.Fatalf("%d hinted move pairs and %d interfering ones, want 100 or more and at least one", hints, interfering)
 	}
 }
+
+// TestWordHashSeparatesSuiteMatrices: over both orientations of every
+// edge matrix BuildPBQP makes for the suite, no two distinct contents
+// share a cost.WordHash, so game.New's interner and pbqp.Read's matrix
+// memo meet every later copy of a content under its first. A hash that
+// multiplies each word without rotating it puts 3 of the 65 contents
+// under another's hash: they differ only in high bits.
+func TestWordHashSeparatesSuiteMatrices(t *testing.T) {
+	target := DefaultTarget()
+	byHash := map[uint64]cost.Vector{}
+	contents := 0
+	for _, b := range llvmsuite.All() {
+		for i, f := range b.Prog.Funcs {
+			g := BuildPBQP(NewInput(f, target, b.Allowed[i]))
+			for _, e := range g.Edges() {
+				for _, m := range []*cost.Matrix{e.M, g.EdgeCost(e.V, e.U)} {
+					sum := cost.WordHash(m.Data)
+					seen, taken := byHash[sum]
+					switch {
+					case !taken:
+						byHash[sum] = m.Data
+						contents++
+					case len(seen) != len(m.Data) || !cost.SameBits(seen, m.Data):
+						t.Fatalf("%s: two distinct matrices share WordHash %#x", f.Name, sum)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d distinct matrix contents", contents)
+}

@@ -260,6 +260,49 @@ func TestByteIdenticalHitAllocatesNoBody(t *testing.T) {
 	}
 }
 
+// TestRespelledHitAllocatesOneParse holds a respelled hit to its parse:
+// the canonical form is appended into a pooled buffer that goes back to
+// the pool, so once one respelled hit has warmed the pool, 50 more of
+// the 144 KB body allocate less than one body length each (about 0.6,
+// the parse; 1.6 without the Put, and 2.7–3.6 when canonicalize writes
+// into a fresh buffer each time). Under -race sync.Pool drops a
+// quarter of its Puts at random, and each dropped buffer costs a body
+// length, so the bound there is 1.7 (0.95–1.4 with the Put, 1.9–2.3
+// without it).
+func TestRespelledHitAllocatesOneParse(t *testing.T) {
+	r := newTestRouter(t, testConfig(okBackend(t)))
+	body := ate60Body(t)
+	if rec := postBytes(r.Handler(), body, ""); rec.Header().Get("X-PBQP-Cache") != "miss" {
+		t.Fatalf("first request: %d, cache %q", rec.Code, rec.Header().Get("X-PBQP-Cache"))
+	}
+	const hits = 50
+	var respelled [hits + 1][]byte // a numbered comment makes each new to the memo
+	for i := range respelled {
+		respelled[i] = append(fmt.Appendf(nil, "# %d\n", i), body...)
+	}
+	post := func(b []byte) {
+		if rec := postBytes(r.Handler(), b, ""); rec.Header().Get("X-PBQP-Cache") != "hit" {
+			t.Fatalf("respelled hit: %d, cache %q", rec.Code, rec.Header().Get("X-PBQP-Cache"))
+		}
+	}
+	post(respelled[hits])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, b := range respelled[:hits] {
+		post(b)
+	}
+	runtime.ReadMemStats(&after)
+	got := float64(after.TotalAlloc-before.TotalAlloc) / float64(hits*len(body))
+	limit := 1.0
+	if raceEnabled() {
+		limit = 1.7
+	}
+	t.Logf("%d respelled hits of a %d-byte body allocated %.2f body lengths each", hits, len(body), got)
+	if got >= limit {
+		t.Fatalf("a respelled hit allocated %.2f body lengths, want < %g", got, limit)
+	}
+}
+
 // raceEnabled reports whether the test binary was built with -race.
 func raceEnabled() bool {
 	if bi, ok := debug.ReadBuildInfo(); ok {

@@ -326,8 +326,10 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// when it is under the cap; bytes.MinRead of slack lets ReadFrom
 	// meet EOF without growing it. raw is that buffer's bytes, so
 	// nothing may keep it past this handler: the memo stores copies of
-	// hashes, canonicalize writes into a buffer of its own, and the
-	// flight below captures only canon.
+	// hashes, and the flight below forwards a copy of canon. canon is
+	// cut from the same pool and goes back with raw; the copy is the
+	// flight's, because http.Transport may still read a request body
+	// after Do returns.
 	body := bodyPool.Get().(*bytes.Buffer)
 	defer bodyPool.Put(body)
 	body.Reset()
@@ -340,7 +342,12 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		r.shell.BodyError(w, err)
 		return
 	}
-	var canon []byte // the canonical serialization, once this request has made it
+	var canon *bytes.Buffer // the canonical serialization, once this request has made it
+	defer func() {
+		if canon != nil {
+			bodyPool.Put(canon)
+		}
+	}()
 	var sum [sha256.Size]byte
 	rawKey := r.rawCacheKey(raw)
 	if !r.memoGet(rawKey, &sum) {
@@ -353,11 +360,11 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 		// takes the hash from there. Write→Read→Write is byte-stable
 		// (FuzzReadGraph), so both entries name the same hash.
 		canonKey := rawKey
-		if !bytes.Equal(canon, raw) {
-			canonKey = r.rawCacheKey(canon)
+		if !bytes.Equal(canon.Bytes(), raw) {
+			canonKey = r.rawCacheKey(canon.Bytes())
 		}
 		if canonKey == rawKey || !r.memoGet(canonKey, &sum) {
-			sum = sha256.Sum256(canon) // pbqp.CanonicalHash, of bytes already in hand
+			sum = sha256.Sum256(canon.Bytes()) // pbqp.CanonicalHash, of bytes already in hand
 			r.reg.Counter("router_canonical_hashes_total").Inc()
 			if canonKey != rawKey {
 				r.cache.Put(canonKey, 0, append([]byte(nil), sum[:]...))
@@ -395,7 +402,8 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 	// concurrency, load shedding, and a drain barrier, exactly like the
 	// backend's solves.
 	res, leader := r.flights.Do(req.Context(), key, func() (res flightResult) {
-		if err := r.adm.Run(func() { res = r.forward(solveCtx, canon, sum, knobs) }); err != nil {
+		body := bytes.Clone(canon.Bytes())
+		if err := r.adm.Run(func() { res = r.forward(solveCtx, body, sum, knobs) }); err != nil {
 			res = flightResult{err: err}
 		}
 		return res
@@ -649,18 +657,26 @@ type knobs struct {
 }
 
 // canonicalize parses a buffered request body under the hardening caps
-// and returns its canonical serialization: the bytes pbqp.CanonicalHash
-// hashes, which are also the body a backend is sent.
-func (r *Router) canonicalize(raw []byte) ([]byte, error) {
+// and returns its canonical serialization, the bytes pbqp.CanonicalHash
+// hashes, which are also the body a backend is sent, in a bodyPool
+// buffer that is the caller's to put back.
+func (r *Router) canonicalize(raw []byte) (*bytes.Buffer, error) {
 	g, err := pbqp.ReadWithLimits(bytes.NewReader(raw), r.cfg.ReadLimits)
 	if err != nil {
 		return nil, err
 	}
-	canon := bytes.NewBuffer(make([]byte, 0, len(raw))) // rarely much longer than a spelling
-	if err := pbqp.Write(canon, g); err != nil {
-		return nil, err
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	dst := buf.AvailableBuffer()
+	if cap(dst) < len(raw) {
+		// Rarely much longer than a spelling; sized as handleSolve sizes
+		// a body, so that either may reuse the other's buffer.
+		dst = make([]byte, 0, len(raw)+bytes.MinRead)
 	}
-	return canon.Bytes(), nil
+	// A graph just read has no dead vertex for AppendText to refuse.
+	canon, err := pbqp.AppendText(dst, g)
+	*buf = *bytes.NewBuffer(canon) // the pool keeps what AppendText grew
+	return buf, err
 }
 
 // cacheKey builds the content-addressed key: the canonical graph hash
@@ -672,9 +688,9 @@ func cacheKey(sum [sha256.Size]byte, k knobs) string {
 	return "s|" + string(sum[:]) + "|" + k.chain + "|" + k.costMode
 }
 
-// bodyPool recycles handleSolve's request buffers: a serve_hot hit
-// otherwise allocates (and the collector later scans and frees) one
-// buffer of the body's length, 50–263 KB, per request.
+// bodyPool recycles handleSolve's request buffers and canonicalize's:
+// a serve_hot hit otherwise allocates (and the collector later frees) a
+// buffer of the body's length, 50–263 KB, for each of them.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // newMemoKey draws a fresh 16-byte AES key from crypto/rand and builds

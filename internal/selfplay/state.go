@@ -11,7 +11,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	randv2 "math/rand/v2"
 	"slices"
@@ -102,9 +101,8 @@ func freezeSample(s Sample) replaySample {
 // a hit a bitwise compare (math.Float64bits, so -0 and +0 stay apart).
 // Their edges then share one kernel, as the live game's did. A
 // different matrix under a taken hash gets a kernel of its own. The
-// hash rotates each word's high bits down before it multiplies:
-// transformed entries such as 0 and 1 differ only in their top bits,
-// which a multiply alone would carry out of the word.
+// hash is cost.WordHash, which rotates each word's high bits down:
+// transformed entries such as 0 and 1 differ only in their top bits.
 type packer map[uint64]packed
 
 // packed is a kernel with the decoded matrix it was packed from.
@@ -114,10 +112,7 @@ type packed struct {
 }
 
 func (p packer) pack(m *tensor.Mat) *gcn.Kernel {
-	sum := uint64(m.R)<<32 | uint64(m.C)
-	for _, w := range m.W {
-		sum = bits.RotateLeft64(sum^math.Float64bits(w), 32) * 0x9e3779b97f4a7c15
-	}
+	sum := cost.WordHash(m.W)
 	d, taken := p[sum]
 	if taken && d.mat.R == m.R && d.mat.C == m.C && slices.EqualFunc(d.mat.W, m.W, sameBits) {
 		return d.k
