@@ -18,8 +18,6 @@
 // that is known to run on its source ATE.
 package ate
 
-import "fmt"
-
 // Machine describes one ATE model's register architecture.
 type Machine struct {
 	// Name identifies the machine in reports.
@@ -76,26 +74,4 @@ func DefaultMachine() *Machine {
 		set(a, a+6)
 	}
 	return m
-}
-
-// Validate checks structural invariants (symmetric pairing table,
-// positive sizes). It is intended for tests.
-func (m *Machine) Validate() error {
-	if m.Registers <= 0 || m.Ways <= 0 {
-		return fmt.Errorf("ate: machine %q has non-positive sizes", m.Name)
-	}
-	if len(m.pairable) != m.Registers {
-		return fmt.Errorf("ate: pairing table has %d rows, want %d", len(m.pairable), m.Registers)
-	}
-	for a := range m.pairable {
-		if len(m.pairable[a]) != m.Registers {
-			return fmt.Errorf("ate: pairing row %d has %d entries", a, len(m.pairable[a]))
-		}
-		for b := range m.pairable[a] {
-			if m.pairable[a][b] != m.pairable[b][a] {
-				return fmt.Errorf("ate: pairing table asymmetric at (%d,%d)", a, b)
-			}
-		}
-	}
-	return nil
 }

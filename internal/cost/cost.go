@@ -306,15 +306,6 @@ func (m *Matrix) Set(i, j int, c Cost) { m.Data[i*m.Cols+j] = c }
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return Vector(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) Vector {
-	v := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		v[i] = m.At(i, j)
-	}
-	return v
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.Rows, m.Cols)

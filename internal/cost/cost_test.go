@@ -285,9 +285,6 @@ func TestMatrixBasics(t *testing.T) {
 	if got := m.Row(1); got[2] != 7 {
 		t.Errorf("Row = %v", got)
 	}
-	if got := m.Col(2); got[1] != 7 || got[0] != 0 {
-		t.Errorf("Col = %v", got)
-	}
 	tr := m.Transpose()
 	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 7 {
 		t.Errorf("Transpose wrong: %v", tr)

@@ -42,6 +42,37 @@ func TestPlayAccumulatesEquationOneCost(t *testing.T) {
 	}
 }
 
+// TestPlayFig2Transition holds Play to the paper's transition T
+// (Sec. III-C, Fig. 3) on Fig. 2: coloring vertex 0 with color 1 (2 in
+// the paper's 1-based naming) adds row 1 of each incident matrix into
+// the neighbor's vector and charges vertex 0's own cost, and every
+// completion then costs what Equation 1 gives the full selection.
+func TestPlayFig2Transition(t *testing.T) {
+	g := fig2Graph()
+	st := New(g, []int{0, 1, 2})
+	st.Play(1)
+	if st.Acc() != 2 {
+		t.Errorf("own cost = %v, want 2", st.Acc())
+	}
+	if want := (cost.Vector{5 + 7, 0 + 8}); !st.vecs[1].Equal(want) {
+		t.Errorf("vertex 1 vector = %v, want %v", st.vecs[1], want)
+	}
+	if want := (cost.Vector{0 + 5, 0 + 3}); !st.vecs[2].Equal(want) {
+		t.Errorf("vertex 2 vector = %v, want %v", st.vecs[2], want)
+	}
+	for s1 := 0; s1 < 2; s1++ {
+		for s2 := 0; s2 < 2; s2++ {
+			st.Play(s1)
+			st.Play(s2)
+			if full := g.TotalCost(pbqp.Selection{1, s1, s2}); st.Acc() != full {
+				t.Errorf("selection (1, %d, %d): acc %v, Equation 1 %v", s1, s2, st.Acc(), full)
+			}
+			st.Undo()
+			st.Undo()
+		}
+	}
+}
+
 func TestUndoRestoresExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {

@@ -18,6 +18,20 @@ func Featurize(v cost.Vector) tensor.Vec {
 	return f
 }
 
+// M returns the color count the network was built for.
+func (g *GCN) M() int { return g.m }
+
+// Layers returns the number of message-passing layers.
+func (g *GCN) Layers() int { return g.layers }
+
+// Backward accumulates parameter gradients given dL/dH for the hidden
+// vectors of the most recent Forward: Backprop then Accumulate on the
+// GCN's own tape.
+func (g *GCN) Backward(dH []tensor.Vec) {
+	g.Backprop(&g.tape, dH)
+	g.Accumulate(&g.tape)
+}
+
 // TapeRows returns the most recent Forward's rows of layer l (0 = h⁰),
 // aliasing the tape.
 func (g *GCN) TapeRows(l int) []tensor.Vec { return g.plane(g.tape.hs, l) }

@@ -22,8 +22,8 @@
 // Each edge matrix is packed once into a Kernel (PackCost for a game,
 // Pack for a decoded sample; infer.go), which its edge table holds. The
 // trainable pass (ForwardTape, Backprop and Accumulate, here, on a Tape
-// the caller owns; Forward and Backward are those three on the GCN's
-// own) and the read-only one (Infer, infer.go, on a Scratch's memo)
+// the caller owns; Forward is the first on the GCN's own) and the
+// read-only one (Infer, infer.go, on a Scratch's memo)
 // fold those kernels and compute a vertex's layer update with one
 // function, bit-equal to reference_test.go's dense pass.
 package gcn
@@ -70,10 +70,10 @@ func transformMatrix(m *cost.Matrix) *tensor.Mat {
 	return t
 }
 
-// GCN is the trainable graph embedding network. Forward and Backward
-// run on a tape of its own, which makes them single-goroutine;
-// ForwardTape, Backprop and Accumulate take the tape from the caller
-// and share the GCN as their doc comments say.
+// GCN is the trainable graph embedding network. Forward runs on a tape
+// of its own, which makes it single-goroutine; ForwardTape, Backprop
+// and Accumulate take the tape from the caller and share the GCN as
+// their doc comments say.
 type GCN struct {
 	m      int
 	layers int
@@ -122,12 +122,6 @@ func New(rng *rand.Rand, m, layers int) *GCN {
 	return g
 }
 
-// M returns the color count the network was built for.
-func (g *GCN) M() int { return g.m }
-
-// Layers returns the number of message-passing layers.
-func (g *GCN) Layers() int { return g.layers }
-
 // Params returns all trainable parameters.
 func (g *GCN) Params() []*nn.Param {
 	ps := []*nn.Param{g.win, g.bin}
@@ -137,10 +131,9 @@ func (g *GCN) Params() []*nn.Param {
 	return ps
 }
 
-// Forward embeds every active vertex of view on the GCN's own tape,
-// which Backward reads until the next Forward, and returns a copy the
-// caller owns of the final hidden vectors (one length-m vector per
-// vertex).
+// Forward embeds every active vertex of view on the GCN's own tape and
+// returns a copy the caller owns of the final hidden vectors (one
+// length-m vector per vertex).
 //
 // Its result is its one allocation (TestTapeSteadyStateAllocations).
 func (g *GCN) Forward(view View) []tensor.Vec {
@@ -211,17 +204,6 @@ func (g *GCN) update(o, msg tensor.Vec, l int, tbl *EdgeTable, off, v int, in []
 		}
 		o[i] = math.Tanh(s + t + b[i])
 	}
-}
-
-// Backward accumulates parameter gradients given dL/dH for the hidden
-// vectors of the most recent Forward, whose view it is handed again:
-// Backprop then Accumulate, on the GCN's own tape. It allocates
-// nothing.
-//
-// It allocates nothing (TestTapeSteadyStateAllocations).
-func (g *GCN) Backward(_ View, dH []tensor.Vec) {
-	g.Backprop(&g.tape, dH)
-	g.Accumulate(&g.tape)
 }
 
 // Backprop is the activation half of the backward pass: given dL/dH for

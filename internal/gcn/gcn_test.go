@@ -176,7 +176,7 @@ func TestGradientsNumerically(t *testing.T) {
 	for _, p := range net.Params() {
 		p.ZeroGrad()
 	}
-	net.Backward(view, dH)
+	net.Backward(dH)
 	const hstep = 1e-5
 	for _, p := range net.Params() {
 		for i := range p.W {
@@ -208,7 +208,7 @@ func TestGradientsOnDisconnectedGraph(t *testing.T) {
 			dH[v][i] = 1
 		}
 	}
-	net.Backward(view, dH) // must not panic
+	net.Backward(dH) // must not panic
 	gotGrad := false
 	for _, p := range net.Params() {
 		for _, gv := range p.G {

@@ -60,7 +60,7 @@ const (
 // kind, per row the columns of its nonzero entries (ascending) and, for
 // kSparse, their values. Immutable once packed (transformed matrices
 // never change): a game packs each distinct matrix once (game.New), its
-// edges share the kernel and its id, and Infer, Forward and Backward
+// edges share the kernel and its id, and Infer and the trainable pass
 // over the game, its snapshots and their decoded copies fold it.
 type Kernel struct {
 	kind     int

@@ -238,7 +238,7 @@ func (o *oracle) sample(what string, view gcn.View) {
 		}
 	}
 	o.ref.Backward(view, dH)
-	o.g.Backward(view, dH)
+	o.g.Backward(dH)
 	for k, p := range o.g.Params() {
 		sameRows(o.t, what+": gradient of "+p.Name, []tensor.Vec{p.G}, []tensor.Vec{o.ref.params()[k].G})
 	}
@@ -492,7 +492,7 @@ func TestTapesFillConcurrently(t *testing.T) {
 	for k, view := range views {
 		dHs[k] = randomDH(rng, view)
 		serial.Forward(view)
-		serial.Backward(view, dHs[k])
+		serial.Backward(dHs[k])
 	}
 	tapes := make([]gcn.Tape, len(views))
 	var wg sync.WaitGroup
@@ -634,11 +634,11 @@ func TestTapeSteadyStateAllocations(t *testing.T) {
 	snap := st.Snapshot()
 	net := gcn.New(rand.New(rand.NewSource(2)), st.M(), 3)
 	dH := net.Forward(snap)
-	net.Backward(snap, dH)
+	net.Backward(dH)
 	if n := testing.AllocsPerRun(20, func() { net.Forward(snap) }); n > 2 {
 		t.Errorf("warm Forward allocates %.0f times, want its result only (2)", n)
 	}
-	if n := testing.AllocsPerRun(20, func() { net.Backward(snap, dH) }); n != 0 {
+	if n := testing.AllocsPerRun(20, func() { net.Backward(dH) }); n != 0 {
 		t.Errorf("warm Backward allocates %.0f times", n)
 	}
 }

@@ -143,9 +143,3 @@ func addEdge(adj []map[ir.Value]bool, a, b ir.Value) {
 	adj[a][b] = true
 	adj[b][a] = true
 }
-
-// Interferes reports whether values a and b interfere.
-func (i *Info) Interferes(a, b ir.Value) bool { return i.Interference[a][b] }
-
-// Degree returns the interference degree of v.
-func (i *Info) Degree(v ir.Value) int { return len(i.Interference[v]) }

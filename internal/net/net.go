@@ -109,9 +109,6 @@ func New(cfg Config) *PBQPNet {
 	}
 }
 
-// Cfg returns the configuration the network was built with.
-func (p *PBQPNet) Cfg() Config { return p.cfg }
-
 // SetTraining switches batch-normalization statistics updates. The
 // toggle brackets every weight update (selfplay trains between search
 // phases), so it doubles as the engine's weight-change signal.

@@ -95,7 +95,7 @@ func TestBackwardGradCheck(t *testing.T) {
 
 func checkBackward(t *testing.T, p *PBQPNet) {
 	t.Helper()
-	view := testView(5, 5, p.Cfg().M)
+	view := testView(5, 5, p.cfg.M)
 	target := tensor.Vec{0.2, 0.5, 0.3}
 	const z = 0.7
 	loss := func() float64 {

@@ -14,7 +14,6 @@ package pbqp
 // graph, reached through ID — and does not observe later graph
 // mutations to the edge set.
 type CSR struct {
-	m      int
 	ids    []int32 // CSR index -> graph vertex id
 	index  []int32 // graph vertex id -> CSR index, -1 for dead vertices
 	rowPtr []int32 // rowPtr[i]..rowPtr[i+1] spans row i of colIdx
@@ -25,7 +24,6 @@ type CSR struct {
 func NewCSR(g *Graph) *CSR {
 	n := g.AliveCount()
 	c := &CSR{
-		m:      g.M(),
 		ids:    make([]int32, 0, n),
 		index:  make([]int32, g.NumVertices()),
 		rowPtr: make([]int32, n+1),
@@ -58,9 +56,6 @@ func NewCSR(g *Graph) *CSR {
 
 // Len returns the number of snapshotted (alive) vertices.
 func (c *CSR) Len() int { return len(c.ids) }
-
-// M returns the color count of the snapshotted graph.
-func (c *CSR) M() int { return c.m }
 
 // ID maps a CSR index to its graph vertex id.
 func (c *CSR) ID(i int) int { return int(c.ids[i]) }

@@ -46,9 +46,6 @@ func TestCSRMatchesGraph(t *testing.T) {
 		if c.NumEdges() != g.NumEdges() {
 			t.Fatalf("NumEdges = %d, graph has %d", c.NumEdges(), g.NumEdges())
 		}
-		if c.M() != g.M() {
-			t.Fatalf("M = %d, want %d", c.M(), g.M())
-		}
 		for u := 0; u < g.NumVertices(); u++ {
 			if !g.Alive(u) {
 				if c.IndexOf(u) != -1 {

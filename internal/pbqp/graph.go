@@ -592,28 +592,6 @@ func (g *Graph) TotalCost(sel Selection) cost.Cost {
 	return sum
 }
 
-// ColorVertex applies the paper's transition T (Section III-C): it adds
-// row a of every incident edge matrix into the neighbor's cost vector,
-// then detaches vertex u. It returns u's own selected cost (the edge
-// contributions now live in the neighbors' vectors). It panics if u is
-// dead or a is out of range.
-func (g *Graph) ColorVertex(u, a int) cost.Cost {
-	if !g.alive[u] {
-		panic("pbqp: coloring a dead vertex")
-	}
-	if a < 0 || a >= g.m {
-		panic("pbqp: color out of range")
-	}
-	own := g.vecs[u][a]
-	for _, e := range g.rows[u].es { // each neighbor once, so any order
-		if e.m != nil {
-			g.vecs[e.v].AddInPlace(e.m.Row(a))
-		}
-	}
-	g.RemoveVertex(u)
-	return own
-}
-
 // Permute returns a new graph in which new vertex i corresponds to old
 // vertex order[i]. The order must be a permutation of the alive vertices
 // of g; dead vertices are dropped. Permute is how solvers renumber a

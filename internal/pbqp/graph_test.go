@@ -65,42 +65,6 @@ func TestAddEdgeCostMerges(t *testing.T) {
 	}
 }
 
-func TestColorVertexTransition(t *testing.T) {
-	// Figure 3 of the paper: coloring vertex 0 with color a folds row a
-	// of each incident matrix into the neighbors and detaches vertex 0.
-	g := fig2Graph()
-	own := g.ColorVertex(0, 1) // color 2 in the paper's 1-based naming
-	if own != 2 {
-		t.Errorf("own cost = %v, want 2", own)
-	}
-	if g.Alive(0) || g.AliveCount() != 2 {
-		t.Error("vertex 0 not detached")
-	}
-	// vertex 1's vector gains row 1 of edge (0,1): (7,8)
-	want := cost.Vector{5 + 7, 0 + 8}
-	if !g.VertexCost(1).Equal(want) {
-		t.Errorf("vertex 1 vector = %v, want %v", g.VertexCost(1), want)
-	}
-	// equivalence: cost of reduced graph + own == cost of original
-	orig := fig2Graph()
-	for s1 := 0; s1 < 2; s1++ {
-		for s2 := 0; s2 < 2; s2++ {
-			sel := Selection{1, s1, s2}
-			reduced := own.Add(g.VertexCost(1)[s1]).Add(g.VertexCost(2)[s2]).Add(g.EdgeCost(1, 2).At(s1, s2))
-			if full := orig.TotalCost(sel); full != reduced {
-				t.Errorf("sel %v: full %v != reduced %v", sel, full, reduced)
-			}
-		}
-	}
-}
-
-func TestColorVertexPanics(t *testing.T) {
-	g := fig2Graph()
-	g.RemoveVertex(0)
-	mustPanic(t, "dead vertex", func() { g.ColorVertex(0, 0) })
-	mustPanic(t, "color range", func() { g.ColorVertex(1, 5) })
-}
-
 func TestRemoveVertexAndEdges(t *testing.T) {
 	g := fig2Graph()
 	g.RemoveVertex(1)
@@ -145,7 +109,7 @@ func TestNeighborsSorted(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	g := fig2Graph()
 	c := g.Clone()
-	c.ColorVertex(0, 0)
+	c.RemoveVertex(0)
 	c.AddToVertexCost(2, cost.Vector{100, 100})
 	if !g.Alive(0) {
 		t.Error("clone mutation leaked liveness")
@@ -331,40 +295,6 @@ func randomGraph(rng *rand.Rand, n, m int, pEdge, pInf float64) *Graph {
 	return g
 }
 
-// Property: for random graphs and random coloring orders, the sum of
-// ColorVertex own-costs equals TotalCost of the original graph.
-func TestTransitionPreservesCost(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 50; trial++ {
-		n := 2 + rng.Intn(10)
-		m := 2 + rng.Intn(3)
-		g := randomGraph(rng, n, m, 0.5, 0.15)
-		sel := make(Selection, n)
-		for u := range sel {
-			sel[u] = rng.Intn(m)
-		}
-		want := g.TotalCost(sel)
-		work := g.Clone()
-		var got cost.Cost
-		for _, u := range rng.Perm(n) {
-			got = got.Add(work.ColorVertex(u, sel[u]))
-		}
-		if want.IsInf() != got.IsInf() {
-			t.Fatalf("trial %d: inf mismatch: want %v got %v", trial, want, got)
-		}
-		if !want.IsInf() && abs(float64(want-got)) > 1e-6 {
-			t.Fatalf("trial %d: want %v got %v", trial, want, got)
-		}
-	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 func mustPanic(t *testing.T, name string, f func()) {
 	t.Helper()
 	defer func() {
@@ -429,7 +359,7 @@ func TestCloneSharesMatricesSafely(t *testing.T) {
 			case 3:
 				mutated.RemoveEdge(u, v)
 			case 4:
-				mutated.ColorVertex(u, rng.Intn(m))
+				mutated.RemoveVertex(u)
 			case 5:
 				mutated.SetVertexCost(u, randMat(m).Row(0))
 				mutated.AddToVertexCost(v, randMat(m).Row(0))
@@ -481,7 +411,7 @@ func TestInduced(t *testing.T) {
 	}
 	before := g.String()
 	h.AddToVertexCost(0, cost.Vector{1, 1, 1})
-	h.ColorVertex(1, 0)
+	h.RemoveVertex(1)
 	if g.String() != before {
 		t.Error("mutating the induced graph leaked into its source")
 	}

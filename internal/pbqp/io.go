@@ -157,17 +157,14 @@ type ReadLimits struct {
 	MaxVertices int
 	// MaxColors caps the header color count m.
 	MaxColors int
-	// MaxCostEntries caps the total vertex-vector allocation n·m.
-	MaxCostEntries int
 }
 
 // DefaultReadLimits returns the package-default parser bounds — the
 // ones Read itself enforces.
 func DefaultReadLimits() ReadLimits {
 	return ReadLimits{
-		MaxVertices:    MaxVertices,
-		MaxColors:      MaxColors,
-		MaxCostEntries: maxCostEntries,
+		MaxVertices: MaxVertices,
+		MaxColors:   MaxColors,
 	}
 }
 
@@ -181,9 +178,6 @@ func (l ReadLimits) withDefaults() ReadLimits {
 	}
 	if l.MaxColors <= 0 || l.MaxColors > d.MaxColors {
 		l.MaxColors = d.MaxColors
-	}
-	if l.MaxCostEntries <= 0 || l.MaxCostEntries > d.MaxCostEntries {
-		l.MaxCostEntries = d.MaxCostEntries
 	}
 	return l
 }
@@ -315,7 +309,7 @@ func readLines(r io.Reader, lim ReadLimits, edges *[]edgeLine, shared *matrices)
 			if m > lim.MaxColors {
 				return nil, fmt.Errorf("pbqp: line %d: color count %d exceeds the limit %d", lineno, m, lim.MaxColors)
 			}
-			if n > 0 && n*m > lim.MaxCostEntries {
+			if n > 0 && n*m > maxCostEntries {
 				return nil, fmt.Errorf("pbqp: line %d: graph size %d×%d exceeds the total cost-entry limit", lineno, n, m)
 			}
 			g = New(n, m)

@@ -67,19 +67,25 @@ func TestReadWithLimits(t *testing.T) {
 	}
 	cases := []struct {
 		name    string
+		in      string // "" reads in
 		limits  ReadLimits
 		wantErr string
 	}{
-		{"tight vertices", ReadLimits{MaxVertices: 4}, "vertex count 10 exceeds the limit 4"},
-		{"tight colors", ReadLimits{MaxColors: 3}, "color count 4 exceeds the limit 3"},
-		{"tight product", ReadLimits{MaxCostEntries: 39}, "cost-entry limit"},
-		{"exact fit", ReadLimits{MaxVertices: 10, MaxColors: 4, MaxCostEntries: 40}, ""},
-		{"zero fields use defaults", ReadLimits{}, ""},
-		{"negative fields use defaults", ReadLimits{MaxVertices: -1, MaxColors: -1, MaxCostEntries: -1}, ""},
+		{"tight vertices", "", ReadLimits{MaxVertices: 4}, "vertex count 10 exceeds the limit 4"},
+		{"tight colors", "", ReadLimits{MaxColors: 3}, "color count 4 exceeds the limit 3"},
+		// within both per-dimension caps, n·m past the fixed cost-entry cap
+		{"tight product", "pbqp 20000 4096\n", ReadLimits{}, "cost-entry limit"},
+		{"exact fit", "", ReadLimits{MaxVertices: 10, MaxColors: 4}, ""},
+		{"zero fields use defaults", "", ReadLimits{}, ""},
+		{"negative fields use defaults", "", ReadLimits{MaxVertices: -1, MaxColors: -1}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ReadWithLimits(strings.NewReader(in), tc.limits)
+			body := tc.in
+			if body == "" {
+				body = in
+			}
+			_, err := ReadWithLimits(strings.NewReader(body), tc.limits)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("ReadWithLimits(%+v) rejected: %v", tc.limits, err)
@@ -93,7 +99,7 @@ func TestReadWithLimits(t *testing.T) {
 	}
 
 	// Oversized limits clamp to the package ceiling rather than loosen it.
-	huge := ReadLimits{MaxVertices: 1 << 40, MaxColors: 1 << 40, MaxCostEntries: 1 << 40}
+	huge := ReadLimits{MaxVertices: 1 << 40, MaxColors: 1 << 40}
 	if _, err := ReadWithLimits(strings.NewReader("pbqp 2000000000 2\n"), huge); err == nil ||
 		!strings.Contains(err.Error(), "exceeds the limit") {
 		t.Fatalf("oversized limits loosened the package ceiling: err=%v", err)
@@ -324,7 +330,7 @@ func TestReadSharesIdenticalMatrices(t *testing.T) {
 		{"AddEdgeCost", isEdge(1, 2), func(g *Graph) { g.AddEdgeCost(1, 2, bump) }},
 		{"SetEdgeCost", isEdge(1, 2), func(g *Graph) { g.SetEdgeCost(2, 1, bump) }},
 		{"RemoveEdge", isEdge(1, 2), func(g *Graph) { g.RemoveEdge(1, 2) }},
-		{"ColorVertex", func(u, v int) bool { return u == 2 || v == 2 }, func(g *Graph) { g.ColorVertex(2, 0) }},
+		{"RemoveVertex", func(u, v int) bool { return u == 2 || v == 2 }, func(g *Graph) { g.RemoveVertex(2) }},
 	} {
 		g := read()
 		before := snapshot(g)
@@ -458,7 +464,7 @@ func FuzzReadGraph(f *testing.F) {
 		// gigabyte of empty graph per parse, and the comparison parses
 		// twice: fuzz workers were seen at 1.1 GB RSS and one died while
 		// minimizing. The caps' own values are TestReadWithLimits' business.
-		g := AgreesWithReference(t, data, ReadLimits{MaxVertices: 1 << 12, MaxCostEntries: 1 << 16})
+		g := AgreesWithReference(t, data, ReadLimits{MaxVertices: 1 << 8, MaxColors: 1 << 8})
 		if g == nil {
 			return // rejected: fine, as long as we did not panic
 		}

@@ -55,7 +55,7 @@ func referenceReadWithLimits(r io.Reader, limits ReadLimits) (*Graph, error) {
 			if m > lim.MaxColors {
 				return nil, fmt.Errorf("pbqp: line %d: color count %d exceeds the limit %d", lineno, m, lim.MaxColors)
 			}
-			if n > 0 && n*m > lim.MaxCostEntries {
+			if n > 0 && n*m > maxCostEntries {
 				return nil, fmt.Errorf("pbqp: line %d: graph size %d×%d exceeds the total cost-entry limit", lineno, n, m)
 			}
 			g = New(n, m)

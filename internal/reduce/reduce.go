@@ -365,8 +365,9 @@ func (r *Reduction) reduceRN(u int, ns []int) record {
 			best, bestCost = i, c
 		}
 	}
-	// pbqp.Graph.ColorVertex(u, best), with a diagonal edge's row best
-	// built in r.row: +0 off the diagonal, as the matrix holds it.
+	// The transition T: row best of each incident matrix into the
+	// neighbor's vector, a diagonal edge's row built in r.row: +0 off
+	// the diagonal, as the matrix holds it.
 	r.row = slices.Grow(r.row[:0], g.M())[:g.M()]
 	clear(r.row)
 	for k, v := range ns {

@@ -194,8 +194,9 @@ func TestRestartSizesStack(t *testing.T) {
 }
 
 // referenceRN is RN as a per-color scan of every matrix entry followed
-// by pbqp.Graph.ColorVertex: the formulation reduceRN must reproduce
-// bit for bit. It returns the chosen color.
+// by the paper's transition T (row best of every incident matrix added
+// into the neighbor's vector, then u detached): the formulation
+// reduceRN must reproduce bit for bit. It returns the chosen color.
 func referenceRN(g *pbqp.Graph, u int) int {
 	ns := g.Neighbors(u)
 	vec := g.VertexCost(u)
@@ -216,7 +217,10 @@ func referenceRN(g *pbqp.Graph, u int) int {
 			best, bestCost = i, c
 		}
 	}
-	g.ColorVertex(u, best)
+	for _, v := range ns {
+		g.AddToVertexCost(v, g.EdgeCost(u, v).Row(best))
+	}
+	g.RemoveVertex(u)
 	return best
 }
 

@@ -42,7 +42,7 @@ func buildReference(in Input) *pbqp.Graph {
 	}
 	for v := 0; v < in.F.NumValues; v++ {
 		for u := range in.Info.MoveRelated[v] {
-			if int(u) <= v || in.Info.Interferes(ir.Value(v), u) {
+			if int(u) <= v || in.Info.Interference[v][u] {
 				continue
 			}
 			w := min(in.Info.SpillWeight[v], in.Info.SpillWeight[u])
@@ -91,7 +91,7 @@ func TestBuildPBQPMatchesAddEdgeCost(t *testing.T) {
 			for u := range in.Info.MoveRelated[v] {
 				switch {
 				case int(u) <= v:
-				case in.Info.Interferes(ir.Value(v), u):
+				case in.Info.Interference[v][u]:
 					interfering++
 				default:
 					hints++

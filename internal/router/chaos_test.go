@@ -71,7 +71,6 @@ func TestChaosZeroFailedRequestsWhileAnyReplicaSurvives(t *testing.T) {
 	cfg := Config{
 		Backends:         []string{backends[0].URL, backends[1].URL, backends[2].URL},
 		MaxTries:         6,
-		MinTryTimeout:    250 * time.Millisecond,
 		BackoffBase:      2 * time.Millisecond,
 		BackoffMax:       20 * time.Millisecond,
 		BreakerThreshold: 2,

@@ -25,7 +25,7 @@
 //     adding a backend remaps only ~1/N of the key space;
 //   - forward: per-try timeouts are carved from the request deadline,
 //     failures (connection errors, 5xx, timeouts) fail over along the
-//     ring with capped exponential backoff + jitter, and backend
+//     ring with capped exponential backoff, and backend
 //     Retry-After hints are honored;
 //   - protect: active health checks (/readyz probes) plus passive
 //     circuit breakers (consecutive-failure trip, half-open probes)
@@ -54,7 +54,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"strings"
@@ -79,9 +78,6 @@ type Config struct {
 	// MaxTries is the total forwarding attempts per request across all
 	// backends. Default: 4.
 	MaxTries int
-	// MinTryTimeout floors the per-try deadline slice so late tries
-	// are not starved into guaranteed failure. Default: 50ms.
-	MinTryTimeout time.Duration
 	// BackoffBase/BackoffMax shape the capped exponential backoff
 	// between failover rounds. Defaults: 25ms / 500ms.
 	BackoffBase time.Duration
@@ -121,9 +117,9 @@ type Config struct {
 const (
 	// maxResponseBytes caps a backend response body.
 	maxResponseBytes = 16 << 20
-	// retryAfterFloor is the floor for Retry-After hints on 429/503
-	// answers, the router's own and a backend's without a usable header.
-	retryAfterFloor = time.Second
+	// minTryTimeout floors the per-try deadline slice so late tries
+	// are not starved into guaranteed failure.
+	minTryTimeout = 50 * time.Millisecond
 )
 
 // withDefaults fills unset fields.
@@ -133,9 +129,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTries <= 0 {
 		c.MaxTries = 4
-	}
-	if c.MinTryTimeout <= 0 {
-		c.MinTryTimeout = 50 * time.Millisecond
 	}
 	if c.BackoffBase <= 0 {
 		c.BackoffBase = 25 * time.Millisecond
@@ -234,7 +227,7 @@ func New(cfg Config) (*Router, error) {
 		flights: newFlightGroup(),
 		client:  cfg.Client,
 	}
-	r.shell = server.NewShell("router", r.adm, retryAfterFloor, r.handleSolve, func() {
+	r.shell = server.NewShell("router", r.adm, r.handleSolve, func() {
 		r.publishBackendGauges()
 		r.publishCacheGauges()
 	})
@@ -441,8 +434,8 @@ func (r *Router) handleSolve(w http.ResponseWriter, req *http.Request) {
 
 // forward pushes one solve to the fleet: walk the key's replica chain,
 // carve a per-try timeout from the remaining deadline, fail over on
-// connection errors / 5xx / timeouts with capped exponential backoff +
-// jitter, and honor backend Retry-After hints. The loop is bounded by
+// connection errors / 5xx / timeouts with capped exponential backoff,
+// and honor backend Retry-After hints. The loop is bounded by
 // MaxTries and polls ctx at every turn, so a request can never hang
 // past its deadline. body is the canonical serialization sum was hashed
 // from, so backends see identical bodies for identical graphs across
@@ -466,7 +459,7 @@ func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte
 			if !r.anyReady() {
 				return flightResult{err: errNoBackends}
 			}
-			if !sleepCtx(ctx, withJitter(backoff)) {
+			if !sleepCtx(ctx, backoff) {
 				return flightResult{err: ctx.Err()}
 			}
 			backoff = nextBackoff(backoff, r.cfg.BackoffMax)
@@ -501,7 +494,7 @@ func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte
 		// failover to the next replica is immediate, hammering the
 		// same shrinking set of survivors is not.
 		if (try+1)%len(candidates) == 0 {
-			if !sleepCtx(ctx, withJitter(backoff)) {
+			if !sleepCtx(ctx, backoff) {
 				return flightResult{err: ctx.Err()}
 			}
 			backoff = nextBackoff(backoff, r.cfg.BackoffMax)
@@ -515,7 +508,8 @@ func (r *Router) forward(ctx context.Context, body []byte, sum [sha256.Size]byte
 
 // tryOnce sends one request to one backend under a timeout carved from
 // the remaining request budget: remaining/(tries left), floored at
-// MinTryTimeout, so early failures leave later tries usable slices.
+// minTryTimeout, so early failures leave later tries usable slices.
+// TestHungReplicaLeavesTimeToFailOver holds the slice.
 func (r *Router) tryOnce(ctx context.Context, b *backend, reqBody []byte, k knobs, try int) (status int, body []byte, retryAfter time.Duration, err error) {
 	deadline, ok := ctx.Deadline()
 	remaining := r.cfg.DefaultDeadline
@@ -527,8 +521,8 @@ func (r *Router) tryOnce(ctx context.Context, b *backend, reqBody []byte, k knob
 	}
 	triesLeft := r.cfg.MaxTries - try
 	slice := remaining / time.Duration(triesLeft)
-	if slice < r.cfg.MinTryTimeout {
-		slice = r.cfg.MinTryTimeout
+	if slice < minTryTimeout {
+		slice = minTryTimeout
 	}
 	if slice > remaining {
 		slice = remaining
@@ -768,13 +762,6 @@ func cacheable(status int, body []byte) bool {
 	}
 }
 
-// withJitter spreads d by ±50% so synchronized failures do not retry
-// in lockstep. The top-level math/rand/v2 source is per-thread and
-// takes no lock.
-func withJitter(d time.Duration) time.Duration {
-	return time.Duration(float64(d) * (0.5 + rand.Float64()))
-}
-
 // nextBackoff doubles the backoff up to the configured ceiling.
 func nextBackoff(d, ceiling time.Duration) time.Duration {
 	d *= 2
@@ -801,12 +788,12 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 }
 
 // parseRetryAfter reads a Retry-After header (whole seconds), falling
-// back to retryAfterFloor when absent or malformed.
+// back to server.RetryAfterFloor when absent or malformed.
 func parseRetryAfter(v string) time.Duration {
 	if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
 		return time.Duration(secs) * time.Second
 	}
-	return retryAfterFloor
+	return server.RetryAfterFloor
 }
 
 // drainBody finishes and closes a response body so the transport can

@@ -425,6 +425,43 @@ func TestFailoverOnBackendError(t *testing.T) {
 	}
 }
 
+// TestHungReplicaLeavesTimeToFailOver holds the per-try deadline slice:
+// the replica contacted first accepts the request and never answers,
+// and with breakers and the prober out of play only the slice ends
+// that try early enough for the healthy replica to answer within the
+// request's 1s deadline. Without it the hung try takes the whole
+// deadline and the client gets 504.
+func TestHungReplicaLeavesTimeToFailOver(t *testing.T) {
+	var firstID, hung atomic.Int64
+	mk := func(id int64) *httptest.Server {
+		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if firstID.CompareAndSwap(0, id) || firstID.Load() == id {
+				hung.Add(1)
+				io.Copy(io.Discard, r.Body) // lets the server see the router hang up
+				<-r.Context().Done()
+				return
+			}
+			w.Write([]byte(okBody))
+		}))
+	}
+	a, b := mk(1), mk(2)
+	defer a.Close()
+	defer b.Close()
+	cfg := testConfig(a.URL, b.URL)
+	cfg.BreakerThreshold = 1 << 30
+	r := newTestRouter(t, cfg)
+
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve?deadline=1s", strings.NewReader(fig2))
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("request behind a hung replica: %d %s, want 200 from the healthy one", rec.Code, rec.Body)
+	}
+	if got := hung.Load(); got != 1 {
+		t.Fatalf("hung replica saw %d requests, want 1", got)
+	}
+}
+
 // TestForwardCancelledMakesNoTry: forward polls its context before
 // every try, so a request whose context is already done contacts no
 // backend, counts no try and records no breaker failure.

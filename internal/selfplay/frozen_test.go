@@ -86,9 +86,14 @@ func TestThawedSampleTrainsLikeLiveSnapshot(t *testing.T) {
 			}
 		}
 		a, b := gcn.New(rand.New(rand.NewSource(5)), live.View.M(), 3), gcn.New(rand.New(rand.NewSource(5)), live.View.M(), 3)
-		ha, hb := a.Forward(live.View), b.Forward(thawed.View)
-		a.Backward(live.View, dH)
-		b.Backward(thawed.View, dH)
+		var ta, tb gcn.Tape
+		a.ForwardTape(&ta, live.View)
+		b.ForwardTape(&tb, thawed.View)
+		ha, hb := ta.Rows(), tb.Rows()
+		a.Backprop(&ta, dH)
+		a.Accumulate(&ta)
+		b.Backprop(&tb, dH)
+		b.Accumulate(&tb)
 		if len(ha) != len(hb) {
 			t.Fatalf("sample %d: %d rows thawed, %d live", i, len(hb), len(ha))
 		}

@@ -263,9 +263,6 @@ func (t *Trainer) Current() *net.PBQPNet { return t.cur }
 // Best returns the best player's network.
 func (t *Trainer) Best() *net.PBQPNet { return t.best }
 
-// ReplaySize returns the number of tuples in the replay queue.
-func (t *Trainer) ReplaySize() int { return t.replay.len() }
-
 // Iter returns the number of completed iterations; an interrupted
 // iteration does not count until it finishes.
 func (t *Trainer) Iter() int {
@@ -274,10 +271,6 @@ func (t *Trainer) Iter() int {
 	}
 	return t.iter
 }
-
-// Interrupted reports whether the trainer holds a partially finished
-// iteration that the next RunIteration call will resume.
-func (t *Trainer) Interrupted() bool { return t.pending != nil }
 
 func (t *Trainer) logf(format string, args ...any) {
 	if t.cfg.Logf != nil {

@@ -62,9 +62,6 @@ type Config struct {
 	DefaultDeadline time.Duration
 	// MaxDeadline caps the client-requested deadline. Default: 30s.
 	MaxDeadline time.Duration
-	// RetryAfter is the hint returned with 429/503 responses.
-	// Default: 1s.
-	RetryAfter time.Duration
 	// ReadLimits tightens the PBQP parser caps for request bodies.
 	// Zero fields use the pbqp package defaults.
 	ReadLimits pbqp.ReadLimits
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDeadline <= 0 {
 		c.MaxDeadline = 30 * time.Second
 	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	if len(c.DefaultChain) == 0 {
 		c.DefaultChain = portfolio.SplitChain(portfolio.DefaultChain)
 	}
@@ -164,7 +158,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: default chain: %w", err)
 	}
 	s := &Server{cfg: cfg, stages: stages, adm: NewAdmission(cfg.Workers, cfg.QueueDepth)}
-	s.shell = NewShell("server", s.adm, cfg.RetryAfter, s.handleSolve, nil)
+	s.shell = NewShell("server", s.adm, s.handleSolve, nil)
 	s.reg = s.shell.Registry()
 	return s, nil
 }
@@ -174,9 +168,6 @@ func (s *Server) Handler() http.Handler { return s.shell.Handler() }
 
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
-
-// Draining reports whether the server has begun draining.
-func (s *Server) Draining() bool { return s.adm.IsDraining() }
 
 // Drain gracefully shuts the solve path down: admission flips to
 // draining (new solves and readyz answer 503) and every accepted

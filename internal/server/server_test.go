@@ -59,7 +59,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
-		if !s.Draining() {
+		if !s.adm.IsDraining() {
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			if err := s.Drain(ctx); err != nil {
@@ -370,7 +370,7 @@ func TestGracefulDrain(t *testing.T) {
 		defer cancel()
 		drainDone <- s.Drain(ctx)
 	}()
-	waitFor(t, s.Draining, "server to enter draining")
+	waitFor(t, s.adm.IsDraining, "server to enter draining")
 
 	// New arrivals during the drain are refused with 503 + Retry-After.
 	for i := 0; i < 4; i++ {
@@ -438,7 +438,6 @@ func TestLoadShedding(t *testing.T) {
 		QueueDepth:      2,
 		DefaultChain:    []string{"gate"},
 		DefaultDeadline: time.Minute,
-		RetryAfter:      7 * time.Second,
 		MakeSolver:      func(string) (solve.Solver, error) { return g, nil },
 	})
 	if err != nil {
@@ -473,9 +472,9 @@ func TestLoadShedding(t *testing.T) {
 			t.Fatalf("request %d past capacity: status %d, want 429", i, rec.Code)
 		}
 		// Adaptive hint: 2 queued jobs behind 1 worker is two full
-		// drain generations past the floor, so 7s * (1+2) = 21s.
-		if ra := rec.Header().Get("Retry-After"); ra != "21" {
-			t.Fatalf("Retry-After %q, want \"21\"", ra)
+		// drain generations past the floor, so 3 × RetryAfterFloor.
+		if ra, want := rec.Header().Get("Retry-After"), strconv.Itoa(int(3*RetryAfterFloor/time.Second)); ra != want {
+			t.Fatalf("Retry-After %q, want %q", ra, want)
 		}
 	}
 	if after := numGoroutines(); after > before+3 {
@@ -704,21 +703,19 @@ func TestFailpointSolvePanic(t *testing.T) {
 
 func TestRetryAfterHint(t *testing.T) {
 	cases := []struct {
-		floor          time.Duration
 		depth, workers int
 		want           time.Duration
 	}{
-		{7 * time.Second, 0, 1, 7 * time.Second},  // empty queue: the floor
-		{7 * time.Second, 2, 1, 21 * time.Second}, // two generations queued
-		{7 * time.Second, 2, 4, 14 * time.Second}, // more workers drain faster
-		{0, 0, 1, time.Second},                    // unset floor defaults to 1s
-		{0, 3, 0, 4 * time.Second},                // workers clamped to 1
-		{30 * time.Second, 100, 1, time.Minute},   // capped at one minute
+		{0, 1, RetryAfterFloor},     // empty queue: the floor
+		{2, 1, 3 * RetryAfterFloor}, // two generations queued
+		{2, 4, 2 * RetryAfterFloor}, // more workers drain faster
+		{3, 0, 4 * RetryAfterFloor}, // workers clamped to 1
+		{100, 1, time.Minute},       // capped at one minute
 	}
 	for _, c := range cases {
-		if got := retryAfterHint(c.floor, c.depth, c.workers); got != c.want {
-			t.Errorf("retryAfterHint(%v, %d, %d) = %v, want %v",
-				c.floor, c.depth, c.workers, got, c.want)
+		if got := retryAfterHint(c.depth, c.workers); got != c.want {
+			t.Errorf("retryAfterHint(%d, %d) = %v, want %v",
+				c.depth, c.workers, got, c.want)
 		}
 	}
 }

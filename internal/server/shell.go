@@ -18,31 +18,29 @@ import (
 // load-derived Retry-After hints. A daemon brings only its solve body
 // and, for gauges it samples at scrape time, a hook.
 type Shell struct {
-	name       string
-	reg        *metrics.Registry
-	adm        *Admission
-	retryFloor time.Duration
-	solve      http.HandlerFunc
-	scrape     func()
-	mux        *http.ServeMux
+	name   string
+	reg    *metrics.Registry
+	adm    *Admission
+	solve  http.HandlerFunc
+	scrape func()
+	mux    *http.ServeMux
 }
 
 // NewShell mounts the endpoints. name is the daemon as its refusals
 // call it ("server is draining; …"). adm gates the daemon's work; its
-// queue scales the Retry-After hint up from retryFloor
+// queue scales the Retry-After hint up from RetryAfterFloor
 // (retryAfterHint). solve answers each POST /v1/solve the shell has not
 // refused already (wrong method, draining), writing through the shell's
 // status recorder. scrape, when not nil, runs before every /metrics
 // snapshot.
-func NewShell(name string, adm *Admission, retryFloor time.Duration, solve http.HandlerFunc, scrape func()) *Shell {
+func NewShell(name string, adm *Admission, solve http.HandlerFunc, scrape func()) *Shell {
 	sh := &Shell{
-		name:       name,
-		reg:        metrics.NewRegistry(),
-		adm:        adm,
-		retryFloor: retryFloor,
-		solve:      solve,
-		scrape:     scrape,
-		mux:        http.NewServeMux(),
+		name:   name,
+		reg:    metrics.NewRegistry(),
+		adm:    adm,
+		solve:  solve,
+		scrape: scrape,
+		mux:    http.NewServeMux(),
 	}
 	sh.mux.HandleFunc("/v1/solve", sh.handleSolve)
 	sh.mux.HandleFunc("/metrics", sh.handleMetrics)
@@ -166,27 +164,29 @@ func (sh *Shell) BodyError(w http.ResponseWriter, err error) {
 // retryAfter renders the Retry-After hint for the gate's current load
 // in whole seconds, at least 1.
 func (sh *Shell) retryAfter() string {
-	d := retryAfterHint(sh.retryFloor, sh.adm.Depth(), sh.adm.workers())
+	d := retryAfterHint(sh.adm.Depth(), sh.adm.workers())
 	return strconv.FormatInt(max(int64(d/time.Second), 1), 10)
 }
 
-// retryAfterHint scales a configured floor hint by queue pressure:
-// with depth calls waiting ahead of a new arrival and workers draining
-// them, ceil(depth/workers) "queue generations" must clear before a
-// retry can be admitted, and each generation needs at least one
-// service time — for which the floor stands in as a conservative
-// unit. An idle queue returns the floor unchanged; the hint is capped
-// at one minute so a deeply backed-up daemon still invites retries
-// within the window a client plausibly waits.
-func retryAfterHint(floor time.Duration, depth, workers int) time.Duration {
-	if floor <= 0 {
-		floor = time.Second
-	}
+// RetryAfterFloor is the Retry-After hint of a refusal with nothing
+// queued, and the wait a router assumes when a backend's 429/503
+// carries no usable hint.
+const RetryAfterFloor = time.Second
+
+// retryAfterHint scales RetryAfterFloor by queue pressure: with depth
+// calls waiting ahead of a new arrival and workers draining them,
+// ceil(depth/workers) "queue generations" must clear before a retry
+// can be admitted, and each generation needs at least one service
+// time — for which the floor stands in as a conservative unit. An
+// idle queue returns the floor unchanged; the hint is capped at one
+// minute so a deeply backed-up daemon still invites retries within the
+// window a client plausibly waits.
+func retryAfterHint(depth, workers int) time.Duration {
 	if workers < 1 {
 		workers = 1
 	}
 	generations := (depth + workers - 1) / workers
-	return min(floor*time.Duration(1+generations), time.Minute)
+	return min(RetryAfterFloor*time.Duration(1+generations), time.Minute)
 }
 
 // writeJSON sends v as a JSON body with the given status.

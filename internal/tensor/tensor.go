@@ -18,16 +18,6 @@ func (v Vec) Clone() Vec {
 	return w
 }
 
-// Add returns v + w as a new vector.
-func (v Vec) Add(w Vec) Vec {
-	checkLen(len(v), len(w))
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
 // AddInPlace adds w into v.
 func (v Vec) AddInPlace(w Vec) {
 	checkLen(len(v), len(w))
@@ -87,16 +77,6 @@ func (m *Mat) At(i, j int) float64 { return m.W[i*m.C+j] }
 
 // Set assigns the (i, j) entry.
 func (m *Mat) Set(i, j int, v float64) { m.W[i*m.C+j] = v }
-
-// Row returns row i, aliasing the matrix storage.
-func (m *Mat) Row(i int) Vec { return m.W[i*m.C : (i+1)*m.C] }
-
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	c := NewMat(m.R, m.C)
-	copy(c.W, m.W)
-	return c
-}
 
 // MulVec returns m·x (length R). It panics if len(x) != C.
 func (m *Mat) MulVec(x Vec) Vec {

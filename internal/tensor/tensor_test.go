@@ -14,9 +14,6 @@ func TestVecOps(t *testing.T) {
 	if v[0] != 1 {
 		t.Error("Clone aliases")
 	}
-	if got := v.Add(Vec{1, 1, 1}); got[2] != 4 {
-		t.Errorf("Add = %v", got)
-	}
 	v.AddInPlace(Vec{0, 0, 1})
 	if v[2] != 4 {
 		t.Errorf("AddInPlace = %v", v)
@@ -40,7 +37,6 @@ func TestVecOps(t *testing.T) {
 
 func TestVecPanicsOnMismatch(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Add":        func() { Vec{1}.Add(Vec{1, 2}) },
 		"AddInPlace": func() { Vec{1}.AddInPlace(Vec{1, 2}) },
 		"Dot":        func() { Vec{1}.Dot(Vec{1, 2}) },
 	} {
@@ -103,19 +99,6 @@ func TestAddOuter(t *testing.T) {
 	m.AddOuter(1, Vec{0, 1}, Vec{1, 0})
 	if m.At(1, 0) != 31 {
 		t.Errorf("AddOuter accumulate = %v", m.W)
-	}
-}
-
-func TestMatRowAliases(t *testing.T) {
-	m := NewMat(2, 2)
-	m.Row(1)[0] = 5
-	if m.At(1, 0) != 5 {
-		t.Error("Row does not alias storage")
-	}
-	c := m.Clone()
-	c.Set(1, 0, 9)
-	if m.At(1, 0) != 5 {
-		t.Error("Clone aliases storage")
 	}
 }
 
