@@ -12,7 +12,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"pbqprl"
 	"pbqprl/internal/ate"
@@ -30,6 +32,7 @@ import (
 	"pbqprl/internal/rl"
 	"pbqprl/internal/selfplay"
 	"pbqprl/internal/solve"
+	"pbqprl/internal/solve/brute"
 	"pbqprl/internal/solve/scholz"
 )
 
@@ -151,6 +154,51 @@ func BenchmarkScholzSolve(b *testing.B) {
 					b.Fatal("infeasible")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkBruteReach times the exact oracle near the edge of its
+// reach: Erdős–Rényi graphs with m = 4 and n = 24 (er24) and ATE-style
+// zero/infinity graphs with m = 13 and n = 40 (zeroinf40), seeds 1–5
+// each. It reports the median solve, since one or two hard seeds
+// dominate the mean. Every solve is checked: the zero/infinity graphs
+// hide a feasible coloring, and each cost must be its selection's
+// Equation 1 cost.
+func BenchmarkBruteReach(b *testing.B) {
+	var er24, zeroinf40 []*pbqprl.Graph
+	for seed := int64(1); seed <= 5; seed++ {
+		er24 = append(er24, randgraph.ErdosRenyi(rand.New(rand.NewSource(seed)),
+			randgraph.Config{N: 24, M: 4, PEdge: 0.3, PInf: 0.1}))
+		g, _ := randgraph.ZeroInf(rand.New(rand.NewSource(seed)),
+			randgraph.ZeroInfConfig{N: 40, M: 13, PEdge: 0.3, HardRatio: 0.4, PEdgeInf: 0.5})
+		zeroinf40 = append(zeroinf40, g)
+	}
+	for _, c := range []struct {
+		name     string
+		graphs   []*pbqprl.Graph
+		feasible bool
+	}{{"er24", er24, false}, {"zeroinf40", zeroinf40, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			var ms []float64
+			var states int64
+			for i := 0; i < b.N; i++ {
+				for _, g := range c.graphs {
+					start := time.Now()
+					res := brute.Solver{}.Solve(g)
+					ms = append(ms, time.Since(start).Seconds()*1e3)
+					if c.feasible && !res.Feasible {
+						b.Fatal("infeasible, but the generator hides a coloring")
+					}
+					if res.Feasible && res.Cost != g.TotalCost(res.Selection) {
+						b.Fatalf("cost %v, selection costs %v", res.Cost, g.TotalCost(res.Selection))
+					}
+					states += res.States
+				}
+			}
+			sort.Float64s(ms)
+			b.ReportMetric(ms[len(ms)/2], "median-ms/solve")
+			b.ReportMetric(float64(states)/float64(len(ms)), "states/solve")
 		})
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"pbqprl/internal/cost"
 	"pbqprl/internal/pbqp"
-	"pbqprl/internal/solve/brute"
 )
 
 // intGraph is a random graph with small non-negative integer costs and
@@ -114,51 +113,6 @@ func TestLowerBoundInfAtDeadEnd(t *testing.T) {
 	st.SetBaseline(5)
 	if v := st.HeuristicValue(); v != -1 {
 		t.Errorf("HeuristicValue at a dead end = %v, want -1", v)
-	}
-}
-
-// TestLowerBoundUnderBrute: on non-negative graphs, the bound of every
-// prefix of a random play is at most the cost of the best completion of
-// that prefix, which brute finds on the graph with the prefix's colors
-// pinned; after the last turn the two are equal. A dead end's bound is
-// infinite.
-func TestLowerBoundUnderBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	checked := 0
-	for trial := 0; trial < 60; trial++ {
-		g := intGraph(rng, 2+rng.Intn(6), 2+rng.Intn(3))
-		order := MakeOrder(g, OrderRandom, rng)
-		st := New(g, order)
-		for turns := 0; turns <= g.NumVertices(); turns++ {
-			playRandom(rng, st, turns)
-			if st.DeadEnd() {
-				if !st.LowerBound().IsInf() {
-					t.Fatalf("trial %d: dead end with LowerBound %v", trial, st.LowerBound())
-				}
-				break
-			}
-			pinned := g.Clone()
-			for i, a := range st.Played() {
-				v := make(cost.Vector, g.M())
-				for b := range v {
-					v[b] = cost.Inf
-				}
-				v[a] = g.VertexCost(order[i])[a]
-				pinned.SetVertexCost(order[i], v)
-			}
-			best := (brute.Solver{}).Solve(pinned)
-			if !best.Feasible {
-				continue
-			}
-			checked++
-			if lb := st.LowerBound(); lb > best.Cost || (st.Done() && lb != best.Cost) {
-				t.Fatalf("trial %d, turn %d of %d: LowerBound %v, best completion %v\n%s",
-					trial, st.Turn(), g.NumVertices(), lb, best.Cost, g)
-			}
-		}
-	}
-	if checked < 100 {
-		t.Fatalf("only %d prefixes had a completion", checked)
 	}
 }
 

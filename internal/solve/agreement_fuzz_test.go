@@ -15,14 +15,15 @@ import (
 	"pbqprl/internal/solve/scholz"
 )
 
-// graphFromBytes deterministically decodes a tiny PBQP graph (1–5
+// graphFromBytes deterministically decodes a small PBQP graph (1–12
 // vertices, 1–3 colors, costs in {0..6, inf}) from fuzz input. Small
-// enough that the brute solver is an exact oracle in microseconds.
+// enough that the brute solver is an exact oracle in well under a
+// millisecond.
 func graphFromBytes(data []byte) *pbqp.Graph {
 	if len(data) < 2 {
 		return nil
 	}
-	n := int(data[0]%5) + 1
+	n := int(data[0]%12) + 1
 	m := int(data[1]%3) + 1
 	idx := 2
 	next := func() byte {

@@ -1,14 +1,17 @@
-// Package brute implements an exact branch-and-bound PBQP solver.
-//
-// It enumerates colorings in vertex order, pruning branches whose partial
-// cost already reaches infinity or the best finite cost found so far. It
-// is exponential and intended as a test oracle and for small problems.
+// Package brute implements an exact branch-and-bound PBQP solver. It
+// plays the coloring game of package game in increasing-liberty order,
+// trying each legal color of a turn with Play and Undo, and prunes a
+// child whose bound, valid whatever the signs of the costs (coalescing
+// hints included), reaches the best cost found so far. It is
+// exponential and intended as a test oracle and for small problems.
 package brute
 
 import (
 	"context"
 
 	"pbqprl/internal/cost"
+	"pbqprl/internal/game"
+	"pbqprl/internal/gcn"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/solve"
 )
@@ -24,9 +27,7 @@ type Solver struct {
 func (Solver) Name() string { return "brute" }
 
 // Solve implements solve.Solver. The returned cost is globally optimal
-// (unless MaxStates truncated the search). When the graph contains
-// negative costs (coalescing hints), bound pruning is disabled — a
-// partial sum can still decrease — and only infinite branches are cut.
+// (unless MaxStates truncated the search).
 func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 	return s.SolveCtx(context.Background(), g)
 }
@@ -36,118 +37,116 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 // and the best (incumbent) selection found so far is returned with
 // Truncated set.
 func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	vs := g.Vertices()
-	st := &search{
+	order := game.MakeOrder(g, game.OrderIncLiberty, nil)
+	sr := &search{
 		ctx:      ctx,
-		g:        g,
-		vs:       vs,
-		sel:      make([]int, len(vs)),
+		st:       game.New(g, order),
+		h:        laterRowMins(g, order),
+		n:        g.NumVertices(),
 		best:     cost.Inf,
 		maxState: s.MaxStates,
-		prune:    !hasNegativeCosts(g),
 	}
-	st.stopped = ctx.Err() != nil
-	if !st.stopped {
-		st.run(0, 0)
+	sr.stopped = ctx.Err() != nil
+	if !sr.stopped {
+		sr.run()
 	}
 	res := solve.Result{
-		Cost:      st.best,
-		Feasible:  !st.best.IsInf(),
-		Truncated: st.stopped,
-		States:    st.states,
+		Cost:      sr.best,
+		Feasible:  !sr.best.IsInf(),
+		Truncated: sr.stopped,
+		States:    sr.states,
 	}
 	if res.Feasible {
-		res.Selection = make(pbqp.Selection, g.NumVertices())
-		for i, u := range vs {
-			res.Selection[u] = st.bestSel[i]
-		}
-		// st.best was summed in search order; report Equation 1 in the
+		// sr.best was summed in play order; report Equation 1 in the
 		// graph's canonical order so that Cost == TotalCost(Selection)
 		// to the last bit on non-integer costs too
-		res.Cost = g.TotalCost(res.Selection)
+		res.Selection, res.Cost = sr.bestSel, g.TotalCost(sr.bestSel)
 	}
 	return res
 }
 
 type search struct {
 	ctx      context.Context
-	g        *pbqp.Graph
-	vs       []int
-	sel      []int // color of vs[i] for i < depth
+	st       *game.State
+	h        []cost.Vector // laterRowMins, indexed by turn
+	n        int           // the graph's vertex count, dead ones included
 	best     cost.Cost
-	bestSel  []int
+	bestSel  pbqp.Selection
 	states   int64
 	maxState int64
-	prune    bool
 	stopped  bool // ctx fired; unwind keeping the incumbent
 }
 
-// hasNegativeCosts reports whether any vertex or edge cost is negative.
-func hasNegativeCosts(g *pbqp.Graph) bool {
-	for _, u := range g.Vertices() {
-		for _, c := range g.VertexCost(u) {
-			if c.Less(0) {
-				return true
+// laterRowMins returns h, indexed by turn: h[t][a] sums, over the
+// neighbors of turn t that are colored after it, the least entry of row
+// a of their edge matrix, the least those edges can add once t plays a.
+func laterRowMins(g *pbqp.Graph, order []int) []cost.Vector {
+	turn := make([]int, g.NumVertices())
+	for t, u := range order {
+		turn[u] = t
+	}
+	h := make([]cost.Vector, len(order))
+	for t, u := range order {
+		h[t] = cost.NewVector(g.M())
+		for _, w := range g.Neighbors(u) {
+			if turn[w] < t {
+				continue
+			}
+			mat := g.EdgeCost(u, w)
+			for a := range h[t] {
+				least, _ := mat.Row(a).Min()
+				h[t][a] = h[t][a].Add(least)
 			}
 		}
 	}
-	for _, e := range g.Edges() {
-		for _, c := range e.M.Data {
-			if c.Less(0) {
-				return true
-			}
-		}
-	}
-	return false
+	return h
 }
 
-// worse reports whether partial can be pruned against the incumbent.
-func (st *search) worse(partial cost.Cost) bool {
-	if partial.IsInf() {
-		return true
-	}
-	return st.prune && !partial.Less(st.best)
-}
-
-func (st *search) run(depth int, acc cost.Cost) {
-	if st.stopped || (st.maxState > 0 && st.states >= st.maxState) {
-		return
-	}
-	if depth == len(st.vs) {
-		if acc.Less(st.best) {
-			st.best = acc
-			st.bestSel = append(st.bestSel[:0], st.sel...)
-		}
-		return
-	}
-	u := st.vs[depth]
-	vec := st.g.VertexCost(u)
-	for c := 0; c < st.g.M(); c++ {
-		if st.stopped || (st.maxState > 0 && st.states >= st.maxState) {
-			return
-		}
-		st.states++
-		if st.states%solve.CheckInterval == 0 && st.ctx.Err() != nil {
-			st.stopped = true
-			return
-		}
-		partial := acc.Add(vec[c])
-		if st.worse(partial) {
-			continue
-		}
-		// add edge costs to already-colored neighbors
-		for j := 0; j < depth; j++ {
-			if m := st.g.EdgeCost(u, st.vs[j]); m != nil {
-				partial = partial.Add(m.At(c, st.sel[j]))
-				if st.worse(partial) {
-					break
-				}
+// bound returns Acc plus, for each uncolored turn t, the least
+// vec_t[a] + h[t][a] over the colors a. Every edge between two
+// uncolored turns is counted once, at its earlier end, by a row minimum
+// no completion can undercut, so no completion of the position costs
+// less, negative entries included.
+func (s *search) bound() cost.Cost {
+	// typed through gcn, so that this package imports it: without the
+	// import, go1.24 calls View.N and View.Vec here instead of inlining
+	var v gcn.View = s.st.View()
+	t, lb := s.st.Turn(), s.st.Acc()
+	for i := 0; i < v.N() && !lb.IsInf(); i++ {
+		least := cost.Inf
+		for a, c := range v.Vec(i) {
+			if c = c.Add(s.h[t+i][a]); c.Less(least) {
+				least = c
 			}
 		}
-		if st.worse(partial) {
+		lb = lb.Add(least)
+	}
+	return lb
+}
+
+// run tries every color of the next turn; a child is entered only while
+// its bound is below the incumbent, so a finished game improves on it.
+func (s *search) run() {
+	if s.st.Done() {
+		s.best, s.bestSel = s.st.Acc(), s.st.Selection(s.n)
+		return
+	}
+	for a := 0; a < s.st.M(); a++ {
+		if s.stopped || (s.maxState > 0 && s.states >= s.maxState) {
+			return
+		}
+		s.states++
+		if s.states%solve.CheckInterval == 0 && s.ctx.Err() != nil {
+			s.stopped = true
+			return
+		}
+		if !s.st.Legal(a) {
 			continue
 		}
-		st.sel[depth] = c
-		st.run(depth+1, partial)
+		s.st.Play(a)
+		if s.bound().Less(s.best) {
+			s.run()
+		}
+		s.st.Undo()
 	}
 }

@@ -1,6 +1,7 @@
 package brute
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -148,14 +149,11 @@ func TestName(t *testing.T) {
 }
 
 // approxEq compares costs with a relative tolerance: solvers may sum the
-// same terms in different orders.
+// same terms in different orders. The scale is the magnitudes' sum, so
+// that negative costs get a tolerance too.
 func approxEq(a, b cost.Cost) bool {
 	if a.IsInf() || b.IsInf() {
 		return a.IsInf() == b.IsInf()
 	}
-	d := float64(a - b)
-	if d < 0 {
-		d = -d
-	}
-	return d <= 1e-9*(1+float64(a)+float64(b))
+	return math.Abs(float64(a-b)) <= 1e-9*(1+math.Abs(float64(a))+math.Abs(float64(b)))
 }

@@ -1,9 +1,9 @@
 // Package solve defines the common interface of PBQP solvers and the
 // statistics they report. Concrete solvers live in the subpackages
-// brute (exact branch and bound), scholz (the original Scholz–Eckstein
-// reduction solver) and liberty (the liberty-based enumeration solver of
-// Kim et al., TACO 2020); the Deep-RL solver lives in internal/rl and
-// the deadline-aware fallback chain in the portfolio subpackage.
+// brute (exact branch and bound on the game), scholz (the original
+// Scholz–Eckstein reduction solver) and liberty (the liberty-based
+// enumeration of Kim et al., TACO 2020); the Deep-RL solver lives in
+// internal/rl and the deadline-aware fallback chain in portfolio.
 package solve
 
 import (
