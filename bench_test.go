@@ -321,7 +321,7 @@ func BenchmarkRLBacktrackNode(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				nodes, wins = 0, 0
 				for _, g := range graphs {
-					res, _ := tc.solve(base, g)
+					res := tc.solve(base, g)
 					nodes += res.States
 					if res.Feasible {
 						wins++
@@ -357,14 +357,14 @@ var rlbtCases = []rlbtCase{
 
 // solve runs the case's search on g: the network case on a cold Clone
 // of base, the floor on mcts.Uniform with K = 1.
-func (tc rlbtCase) solve(base *net.PBQPNet, g *pbqprl.Graph) (solve.Result, rl.Stats) {
+func (tc rlbtCase) solve(base *net.PBQPNet, g *pbqprl.Graph) solve.Result {
 	s := &rl.Solver{Net: mcts.Uniform{}, Cfg: serveRLBT}
 	if tc.floor {
 		s.Cfg.K = 1
 	} else {
 		s.Net = base.Clone()
 	}
-	return s.SolveStats(context.Background(), g)
+	return s.SolveCtx(context.Background(), g)
 }
 
 // TestRLBacktrackLossesSpendBudget pins each case's node and win sums
@@ -379,14 +379,14 @@ func TestRLBacktrackLossesSpendBudget(t *testing.T) {
 	for _, tc := range rlbtCases {
 		var nodes, wins int64
 		for i, g := range graphs {
-			res, stats := tc.solve(base, g)
+			res := tc.solve(base, g)
 			nodes += res.States
 			if res.Feasible {
 				wins++
 				continue
 			}
 			if res.States < serveRLBT.MaxNodes {
-				t.Errorf("%s: graph %d: lost after %d of %d nodes (%+v)", tc.name, i, res.States, serveRLBT.MaxNodes, stats)
+				t.Errorf("%s: graph %d: lost after %d of %d nodes (%v)", tc.name, i, res.States, serveRLBT.MaxNodes, res.Stats)
 			}
 		}
 		if nodes != tc.nodes || wins != tc.wins {

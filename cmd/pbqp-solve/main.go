@@ -19,9 +19,13 @@
 // are checked before the graph is read, whichever solver runs. -timeout
 // bounds the wall-clock time of the whole solve; on expiry the best
 // selection found so far is printed and the result is marked
-// truncated. -stats-json prints the per-stage portfolio.Stats report as
-// one JSON line on stderr — the same struct pbqp-serve returns in its
-// responses.
+// truncated. Under each stage that ran, a "stats:" line lists what the
+// stage's solver counted (its solve.Result.Stats, keys sorted): rl-bt's
+// backtracks, dead ends, jumps and forced colors, liberty's split of
+// its states, a decomp: stage's decomposition. -stats-json prints the
+// per-stage portfolio.Stats report as one JSON line on stderr — the
+// same struct pbqp-serve returns in its responses, each stage's record
+// under "result"."stats".
 //
 // A decomp: stage routes its solve through the big-graph pipeline
 // (internal/decomp): exact R0/R1/R2 reduction, block-cut splitting of
@@ -29,10 +33,9 @@
 // recombination. -decomp-workers bounds component parallelism (0
 // auto-selects GOMAXPROCS for the concurrency-safe solvers; the rl solvers,
 // whose scratch buffers are not concurrency-safe, always use 1). The
-// stage reports its decomposition statistics (eliminated vertices,
-// component/block counts, largest block, stage seconds) in two
-// "decomp:" lines under its stage line and, with -stats-json, under
-// the stage's "decomposition".
+// stage's stats are its decomposition's: eliminated vertices,
+// component and block counts, largest block, and the seconds of each
+// step under the keys ending in _s.
 //
 // Exit status:
 //
@@ -51,6 +54,8 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
+	"strconv"
 	"time"
 
 	"pbqprl/internal/experiments"
@@ -152,11 +157,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "stage %-22s feasible=%v truncated=%v states=%d in %v\n",
 				out.Name+":", out.Result.Feasible, out.Result.Truncated, out.Result.States, out.Duration.Round(time.Microsecond))
 		}
-		if d := out.Decomposition; d != nil {
-			fmt.Fprintf(stdout, "decomp:    eliminated %d of %d, residual %d in %d components / %d blocks (largest %d, cuts %d)\n",
-				d.Eliminated, d.OriginalVertices, d.ResidualVertices, d.Components, d.Blocks, d.LargestBlock, d.CutVertices)
-			fmt.Fprintf(stdout, "decomp:    reduce %.3fs, csr %.3fs, block-cut %.3fs, block solves %.3fs, expand %.3fs\n",
-				d.Reduce, d.CSR, d.BlockCut, d.Solve, d.Expand)
+		if st := out.Result.Stats; len(st) > 0 {
+			keys := make([]string, 0, len(st))
+			for key := range st {
+				keys = append(keys, key)
+			}
+			slices.Sort(keys)
+			fmt.Fprint(stdout, "stats:    ")
+			for _, key := range keys {
+				fmt.Fprintf(stdout, " %s=%s", key, strconv.FormatFloat(st[key], 'f', -1, 64))
+			}
+			fmt.Fprintln(stdout)
 		}
 	}
 	if res.Feasible {

@@ -12,7 +12,7 @@ import (
 	"strings"
 	"testing"
 
-	"pbqprl/internal/decomp"
+	"pbqprl/internal/game"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/randgraph"
 	"pbqprl/internal/server"
@@ -42,7 +42,7 @@ func TestExitCodes(t *testing.T) {
 		{"infeasible", []string{infeasible}, exitInfeasible, "feasible:  false", ""},
 		{"truncated", []string{"-solver", "brute", "-timeout", "1ns", fig2}, exitTruncated, "truncated: true", ""},
 		{"chain", []string{"-solver", "liberty,scholz", fig2}, exitOK, "solver:    portfolio(liberty→scholz)", ""},
-		{"decomp stage", []string{"-solver", "decomp:scholz", fig2}, exitOK, "decomp:    eliminated 3 of 3", ""},
+		{"decomp stage", []string{"-solver", "decomp:scholz", fig2}, exitOK, " eliminated_vertices=3 ", ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
@@ -61,8 +61,7 @@ func TestExitCodes(t *testing.T) {
 
 // TestMatchesServer solves the same graphs with the same chains through
 // run -stats-json and through pbqp-serve's handler: the stage names,
-// results and decomposition counts agree, durations and stage seconds
-// aside.
+// results and stats agree, durations and stage seconds aside.
 func TestMatchesServer(t *testing.T) {
 	// The graph of `pbqp-gen -kind zeroinf -n 30 -seed 3`.
 	g, _ := randgraph.ZeroInf(rand.New(rand.NewSource(3)), randgraph.ZeroInfConfig{
@@ -76,7 +75,8 @@ func TestMatchesServer(t *testing.T) {
 	if err := os.WriteFile(zeroinf, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Workers: 1})
+	// Both commands default -order to dec; the server's zero value is fixed.
+	srv, err := server.New(server.Config{Workers: 1, Order: game.OrderDecLiberty})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,10 @@ func TestMatchesServer(t *testing.T) {
 	untimed := func(st portfolio.Stats) portfolio.Stats {
 		for i := range st.Stages {
 			st.Stages[i].Duration = 0
-			if d := st.Stages[i].Decomposition; d != nil {
-				d.StageSeconds = decomp.StageSeconds{}
+			for key := range st.Stages[i].Result.Stats {
+				if strings.HasSuffix(key, "_s") {
+					st.Stages[i].Result.Stats[key] = 0
+				}
 			}
 		}
 		return st
@@ -95,7 +97,7 @@ func TestMatchesServer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, chain := range []string{"scholz", "liberty,scholz", "decomp:scholz"} {
+		for _, chain := range []string{"scholz", "liberty,scholz", "decomp:scholz", "rl-bt,scholz", "decomp:rl-bt"} {
 			var stdout, stderr bytes.Buffer
 			if code := run([]string{"-solver", chain, "-stats-json", path}, &stdout, &stderr); code != exitOK {
 				t.Fatalf("%s on %s: exit %d\n%s", chain, path, code, &stderr)
@@ -117,8 +119,12 @@ func TestMatchesServer(t *testing.T) {
 			if got, want := untimed(cli), untimed(resp.Stats); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s on %s:\npbqp-solve %+v\npbqp-serve %+v", chain, path, got, want)
 			}
-			if strings.HasPrefix(chain, "decomp:") && cli.Stages[0].Decomposition == nil {
-				t.Errorf("%s on %s: no decomposition report", chain, path)
+			stats := cli.Stages[0].Result.Stats
+			if _, ok := stats["blocks"]; strings.HasPrefix(chain, "decomp:") && !ok {
+				t.Errorf("%s on %s: stats %v report no blocks", chain, path, stats)
+			}
+			if _, ok := stats["backtracks"]; strings.HasPrefix(chain, "rl-bt") && !ok {
+				t.Errorf("%s on %s: stats %v report no backtracks", chain, path, stats)
 			}
 		}
 	}

@@ -69,13 +69,13 @@ func main() {
 		ReinvokeMCTS: true,
 		MaxNodes:     1_000_000,
 	}}
-	res, stats := s.SolveStats(context.Background(), g)
+	res := s.SolveCtx(context.Background(), g)
 	if !res.Feasible {
 		fmt.Println("deep-rl solver: FAILED")
 		os.Exit(1)
 	}
-	fmt.Printf("deep-rl solver: success, cost=%s, %d nodes, %d backtracks (%d levels jumped), %d dead ends, %d forced colors\n",
-		res.Cost, stats.Nodes, stats.Backtracks, stats.Jumps, stats.DeadEnds, stats.Forced)
+	fmt.Printf("deep-rl solver: success, cost=%s, %d nodes, %.0f backtracks (%.0f levels jumped), %.0f dead ends, %.0f forced colors\n",
+		res.Cost, res.States, res.Stats["backtracks"], res.Stats["jumps"], res.Stats["dead_ends"], res.Stats["forced"])
 	fmt.Print("register assignment:")
 	for v, r := range res.Selection {
 		if v%8 == 0 {

@@ -58,42 +58,6 @@ type Solver struct {
 // one at a time.
 func Wrap(inner solve.Solver) *Solver { return &Solver{Inner: inner} }
 
-// Info reports what the decomposition did to one instance; a portfolio
-// reports it in a decomp: stage's Outcome.
-type Info struct {
-	// OriginalVertices is the alive vertex count of the input.
-	OriginalVertices int `json:"original_vertices"`
-	// Eliminated is the number of vertices removed exactly by R0/R1/R2.
-	Eliminated int `json:"eliminated_vertices"`
-	// ResidualVertices is what was left for block solving.
-	ResidualVertices int `json:"residual_vertices"`
-	// Components is the number of connected components of the residual.
-	Components int `json:"components"`
-	// Blocks is the number of biconnected blocks across all components.
-	Blocks int `json:"blocks"`
-	// LargestBlock is the vertex count of the biggest block — the
-	// largest subproblem the inner solver actually saw.
-	LargestBlock int `json:"largest_block_vertices"`
-	// CutVertices is the number of articulation vertices shared
-	// between blocks.
-	CutVertices int `json:"cut_vertices"`
-	// StageSeconds says where the wall time went; its fields sit next
-	// to the counts in the JSON form.
-	StageSeconds
-}
-
-// StageSeconds is the wall time of each pipeline stage, in pipeline
-// order: the exact reduction, the CSR snapshot, the block-cut scan, the
-// block solves (all workers, wall time) and the expansion with its
-// final cost evaluation. A stage that did not run reports zero.
-type StageSeconds struct {
-	Reduce   float64 `json:"reduce_s"`
-	CSR      float64 `json:"csr_s"`
-	BlockCut float64 `json:"blockcut_s"`
-	Solve    float64 `json:"solve_s"`
-	Expand   float64 `json:"expand_s"`
-}
-
 // Name implements solve.Solver.
 func (s *Solver) Name() string { return "decomp(" + s.Inner.Name() + ")" }
 
@@ -105,53 +69,65 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 // SolveCtx implements solve.Solver: the ctx budget is shared by
 // every block solve (each one is delegated the context), so a deadline
 // interrupts the pipeline wherever it currently is.
+//
+// Stats reports what the decomposition did to g: its alive vertices
+// ("original_vertices"), those R0/R1/R2 removed exactly
+// ("eliminated_vertices"), those left for block solving
+// ("residual_vertices"), the residual's connected components and
+// biconnected blocks ("components", "blocks"), the vertex count of the
+// largest block the inner solver saw ("largest_block_vertices") and the
+// articulation vertices shared between blocks ("cut_vertices"). It also
+// reports the wall seconds of each step, in pipeline order: the exact
+// reduction, the CSR snapshot, the block-cut scan, the block solves
+// (all workers, wall time) and the expansion with its final cost
+// evaluation ("reduce_s", "csr_s", "blockcut_s", "solve_s",
+// "expand_s"). A step that did not run reports zero.
 func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	res, _ := s.SolveWithInfo(ctx, g)
-	return res
-}
-
-// SolveWithInfo is SolveCtx plus the decomposition statistics.
-func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result, Info) {
-	info := Info{OriginalVertices: g.AliveCount()}
-	if ctx.Err() != nil {
-		return solve.Result{Cost: cost.Inf, Truncated: true}, info
+	stats := map[string]float64{
+		"original_vertices": float64(g.AliveCount()), "eliminated_vertices": 0, "residual_vertices": 0,
+		"components": 0, "blocks": 0, "largest_block_vertices": 0, "cut_vertices": 0,
+		"reduce_s": 0, "csr_s": 0, "blockcut_s": 0, "solve_s": 0, "expand_s": 0,
 	}
+	if ctx.Err() != nil {
+		return solve.Result{Cost: cost.Inf, Truncated: true, Stats: stats}
+	}
+	res := solve.Result{Cost: cost.Inf, Stats: stats}
 	// Per-stage wall time is reporting only; it never feeds back into solver decisions.
 	mark := time.Now()
-	// lap returns the seconds since the previous lap: one stage's share.
-	lap := func() float64 {
+	// lap records under key the seconds since the previous lap: one stage's share.
+	lap := func(key string) {
 		d := time.Since(mark)
 		mark = mark.Add(d)
-		return d.Seconds()
+		stats[key] = d.Seconds()
 	}
 	red := reduce.Apply(g)
-	info.Reduce = lap()
+	lap("reduce_s")
 	w := red.Graph
-	info.Eliminated = red.Eliminated
-	info.ResidualVertices = w.AliveCount()
+	stats["eliminated_vertices"] = float64(red.Eliminated)
+	stats["residual_vertices"] = float64(w.AliveCount())
 	// One state per reduction step, matching the reduction solvers'
 	// accounting, plus whatever the inner solver reports per block.
-	states := int64(red.Eliminated)
-	truncated := false
+	res.States = int64(red.Eliminated)
 	sel := make(pbqp.Selection, g.NumVertices())
 	if w.AliveCount() > 0 {
 		csr := pbqp.NewCSR(w)
-		info.CSR = lap()
+		lap("csr_s")
 		sc := newScanner(csr)
 		sc.run()
-		info.Components = sc.numComps()
-		info.Blocks = sc.numBlocks()
+		largest, cuts := 0, 0
 		for b := 0; b < sc.numBlocks(); b++ {
-			if n := len(sc.block(b)); n > info.LargestBlock {
-				info.LargestBlock = n
+			largest = max(largest, len(sc.block(b)))
+		}
+		for _, cut := range sc.isCut {
+			if cut {
+				cuts++
 			}
 		}
-		for i := 0; i < csr.Len(); i++ {
-			if sc.isCut[i] {
-				info.CutVertices++
-			}
-		}
-		info.BlockCut = lap()
+		stats["components"] = float64(sc.numComps())
+		stats["blocks"] = float64(sc.numBlocks())
+		stats["largest_block_vertices"] = float64(largest)
+		stats["cut_vertices"] = float64(cuts)
+		lap("blockcut_s")
 		// Components touch disjoint vertices: each goroutine writes only
 		// its components' vector folds and selection slots, so the shared
 		// graph and selection need no locks. Outcomes are merged in
@@ -173,19 +149,19 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 				blockWorks.Put(bw)
 			}
 		}
-		info.Solve = lap()
+		lap("solve_s")
 		feasible := true
 		for _, oc := range outcomes {
-			states += oc.states
+			res.States += oc.states
 			if oc.truncated {
-				truncated = true
+				res.Truncated = true
 			}
 			if !oc.feasible {
 				feasible = false
 			}
 		}
 		if !feasible {
-			return solve.Result{Cost: cost.Inf, Truncated: truncated, States: states}, info
+			return res
 		}
 	}
 	full, ok := red.Expand(sel)
@@ -193,11 +169,24 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 	if ok {
 		total = g.TotalCost(full)
 	}
-	info.Expand = lap()
+	lap("expand_s")
 	if total.IsInf() {
-		return solve.Result{Cost: cost.Inf, Truncated: truncated, States: states}, info
+		return res
 	}
-	return solve.Result{Selection: full, Cost: total, Feasible: true, Truncated: truncated, States: states}, info
+	res.Selection, res.Cost, res.Feasible = full, total, true
+	return res
+}
+
+// Info is the two block counts of SolveCtx's Stats.
+type Info struct {
+	Blocks       int
+	LargestBlock int
+}
+
+// SolveWithInfo is SolveCtx that also returns its block counts.
+func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result, Info) {
+	res := s.SolveCtx(ctx, g)
+	return res, Info{int(res.Stats["blocks"]), int(res.Stats["largest_block_vertices"])}
 }
 
 type compOutcome struct {

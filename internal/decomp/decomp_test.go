@@ -2,8 +2,10 @@ package decomp
 
 import (
 	"context"
+	"maps"
 	"math/rand"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -87,7 +89,7 @@ func checkAgainstBrute(t *testing.T, g *pbqp.Graph, workers int) {
 	exact := brute.Solver{}.Solve(g)
 	d := Wrap(brute.Solver{})
 	d.Workers = workers
-	res, info := d.SolveWithInfo(context.Background(), g)
+	res := d.SolveCtx(context.Background(), g)
 	if res.Feasible != exact.Feasible {
 		t.Fatalf("decomp feasible=%v, brute feasible=%v\n%s", res.Feasible, exact.Feasible, g)
 	}
@@ -101,7 +103,7 @@ func checkAgainstBrute(t *testing.T, g *pbqp.Graph, workers int) {
 		t.Fatalf("decomp selection re-evaluates to %v, reported %v\n%s", got, res.Cost, g)
 	}
 	if res.Cost != exact.Cost {
-		t.Fatalf("decomp cost %v, optimum %v (info %+v)\n%s", res.Cost, exact.Cost, info, g)
+		t.Fatalf("decomp cost %v, optimum %v (stats %v)\n%s", res.Cost, exact.Cost, res.Stats, g)
 	}
 }
 
@@ -250,22 +252,26 @@ func TestDecompInfo(t *testing.T) {
 	g.SetEdgeCost(n, n+2, tri)
 	g.SetVertexCost(n+3, cost.Vector{2, 5})
 
-	res, info := Wrap(brute.Solver{}).SolveWithInfo(context.Background(), g)
+	res := Wrap(brute.Solver{}).SolveCtx(context.Background(), g)
 	if !res.Feasible {
 		t.Fatal("crafted instance should be feasible")
 	}
-	want := Info{
-		OriginalVertices: n + 4,
-		Eliminated:       4,
-		ResidualVertices: n,
-		Components:       1,
-		Blocks:           2,
-		LargestBlock:     4,
-		CutVertices:      1,
+	want := map[string]float64{
+		"original_vertices":      float64(n + 4),
+		"eliminated_vertices":    4,
+		"residual_vertices":      float64(n),
+		"components":             1,
+		"blocks":                 2,
+		"largest_block_vertices": 4,
+		"cut_vertices":           1,
 	}
-	info.StageSeconds = StageSeconds{} // wall time, checked in TestDecompStageSeconds
-	if info != want {
-		t.Fatalf("info %+v, want %+v", info, want)
+	got := maps.Clone(res.Stats)
+	maps.DeleteFunc(got, func(k string, _ float64) bool { return strings.HasSuffix(k, "_s") }) // wall time, checked in TestDecompStageSeconds
+	if !maps.Equal(got, want) {
+		t.Fatalf("stats %v, want %v", got, want)
+	}
+	if _, info := Wrap(brute.Solver{}).SolveWithInfo(context.Background(), g); info != (Info{Blocks: 2, LargestBlock: 4}) {
+		t.Fatalf("SolveWithInfo reads back %+v, want 2 blocks, the largest of 4", info)
 	}
 	checkAgainstBrute(t, g, 1)
 }
@@ -321,10 +327,10 @@ func TestDecompCancelledMidSolve(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		d := &Solver{Inner: &cancelOnFirst{cancel: cancel}, Workers: workers}
-		res, info := d.SolveWithInfo(ctx, g)
+		res := d.SolveCtx(ctx, g)
 		cancel()
-		if info.Components != comps {
-			t.Fatalf("workers=%d: %d components, want %d", workers, info.Components, comps)
+		if got := res.Stats["components"]; got != comps {
+			t.Fatalf("workers=%d: %v components, want %d", workers, got, comps)
 		}
 		if !res.Truncated || res.Feasible {
 			t.Errorf("workers=%d: cancelled mid-solve: truncated=%v feasible=%v, want true/false", workers, res.Truncated, res.Feasible)
@@ -397,18 +403,18 @@ func TestDecompStageSeconds(t *testing.T) {
 	d := Wrap(scholz.Solver{})
 	d.Workers = 2
 	start := time.Now()
-	_, info := d.SolveWithInfo(context.Background(), g)
+	st := d.SolveCtx(context.Background(), g).Stats
 	wall := time.Since(start).Seconds()
-	st := info.StageSeconds
 	sum := 0.0
-	for name, s := range map[string]float64{"reduce": st.Reduce, "csr": st.CSR, "blockcut": st.BlockCut, "solve": st.Solve, "expand": st.Expand} {
-		if s < 0 {
-			t.Errorf("%s_s = %v, want non-negative", name, s)
+	for _, name := range []string{"reduce_s", "csr_s", "blockcut_s", "solve_s", "expand_s"} {
+		s, ok := st[name]
+		if !ok || s < 0 {
+			t.Errorf("%s = %v (reported %v), want non-negative", name, s, ok)
 		}
 		sum += s
 	}
 	if sum <= 0 || sum > wall {
-		t.Fatalf("stage seconds sum to %v, wall time %v: %+v", sum, wall, st)
+		t.Fatalf("stage seconds sum to %v, wall time %v: %v", sum, wall, st)
 	}
 }
 

@@ -56,23 +56,6 @@ type Config struct {
 	LeafValue func(*game.State) float64
 }
 
-// Stats reports search effort beyond the solve.Result fields.
-type Stats struct {
-	// Nodes is the total number of game-tree nodes generated
-	// (Figure 6's metric); it equals Result.States.
-	Nodes int64
-	// Backtracks counts canceled coloring actions.
-	Backtracks int64
-	// DeadEnds counts dead-end states reached.
-	DeadEnds int64
-	// Jumps counts levels a failure unwound past without trying another
-	// of their colors, because their coloring played no part in it.
-	Jumps int64
-	// Forced counts colorings played without search: the vertex had one
-	// color left open.
-	Forced int64
-}
-
 // Solver colors PBQP graphs with a trained network and MCTS.
 type Solver struct {
 	Net mcts.Evaluator
@@ -98,13 +81,14 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 // coloring only when it reaches a complete feasible one, so there is no
 // partial incumbent: on cancellation the result is infeasible with
 // Truncated set.
+//
+// States is the number of game-tree nodes generated (Figure 6's
+// metric). Stats counts canceled coloring actions ("backtracks"), dead
+// ends reached ("dead_ends"), levels a failure unwound past without
+// trying another of their colors because their coloring played no part
+// in it ("jumps"), and colorings played without search because the
+// vertex had one color left open ("forced").
 func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
-	res, _ := s.SolveStats(ctx, g)
-	return res
-}
-
-// SolveStats is SolveCtx that additionally reports search statistics.
-func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, Stats) {
 	cfg := s.Cfg
 	if cfg.K <= 0 {
 		cfg.K = 50
@@ -118,20 +102,20 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 	// Backtracking re-roots at the parent after a dead end (Back), so
 	// the parent chain must stay alive; one-way runs let Advance free it.
 	tree := mcts.New(s.Net, g.M(), mcts.Config{LeafValue: cfg.LeafValue, RetainParents: cfg.Backtrack})
-	run := &runner{ctx: ctx, cfg: cfg, st: st, tree: tree}
+	run := &runner{ctx: ctx, cfg: cfg, st: st, tree: tree,
+		stats: map[string]float64{"backtracks": 0, "dead_ends": 0, "jumps": 0, "forced": 0}}
 
 	var ok bool
 	switch {
 	case !cfg.Backtrack:
 		ok = run.oneWay()
 	case st.DeadEnd():
-		run.stats.DeadEnds++
+		run.stats["dead_ends"]++
 	default:
 		run.sets = make([]turnSet, st.N()+1)
 		ok = run.search()
 	}
-	run.stats.Nodes = tree.Nodes()
-	res := solve.Result{Cost: cost.Inf, Truncated: run.truncated, States: tree.Nodes()}
+	res := solve.Result{Cost: cost.Inf, Truncated: run.truncated, States: tree.Nodes(), Stats: run.stats}
 	if ok {
 		// st.Acc() folds edge rows in play order; report Equation 1 in
 		// the graph's canonical order so that Cost == TotalCost(Selection)
@@ -142,7 +126,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 			res.Selection, res.Cost, res.Feasible = sel, c, true
 		}
 	}
-	return res, run.stats
+	return res
 }
 
 type runner struct {
@@ -151,7 +135,7 @@ type runner struct {
 	st        *game.State
 	tree      *mcts.Tree
 	sets      []turnSet // sets[t]: the conflict set of turn t's level, allocated on first use
-	stats     Stats
+	stats     map[string]float64
 	truncated bool
 }
 
@@ -179,7 +163,7 @@ func (r *runner) stopped() bool { return r.overBudget() || r.cancelled() }
 func (r *runner) oneWay() bool {
 	for !r.st.Done() {
 		if r.st.DeadEnd() {
-			r.stats.DeadEnds++
+			r.stats["dead_ends"]++
 			return false
 		}
 		if r.stopped() {
@@ -187,7 +171,7 @@ func (r *runner) oneWay() bool {
 		}
 		a, open := r.tree.Forced(r.st)
 		if open == 1 {
-			r.stats.Forced++
+			r.stats["forced"]++
 		} else if open > 1 {
 			r.tree.RunCtx(r.ctx, r.st, r.cfg.K)
 			if r.cancelled() {
@@ -232,7 +216,7 @@ func (r *runner) search() bool {
 		a, open := r.tree.Forced(r.st)
 		switch {
 		case open == 1:
-			r.stats.Forced++
+			r.stats["forced"]++
 		case open > 1:
 			if !searched || r.cfg.ReinvokeMCTS {
 				r.tree.RunCtx(r.ctx, r.st, r.cfg.K)
@@ -259,7 +243,7 @@ func (r *runner) search() bool {
 		r.st.Play(a)
 		r.tree.Advance(a)
 		if r.st.DeadEnd() {
-			r.stats.DeadEnds++
+			r.stats["dead_ends"]++
 			r.deadEnd(sub)
 		} else if r.search() {
 			return true
@@ -267,12 +251,12 @@ func (r *runner) search() bool {
 		r.st.Undo()
 		r.tree.Back()
 		r.tree.DisableRootAction(a)
-		r.stats.Backtracks++
+		r.stats["backtracks"]++
 		if r.stopped() {
 			return false
 		}
 		if merge(cs, sub, t) {
-			r.stats.Jumps++ // no other color of this turn can help
+			r.stats["jumps"]++ // no other color of this turn can help
 			return false
 		}
 	}

@@ -32,9 +32,9 @@ func TestOneWaySolvesEasyGraph(t *testing.T) {
 		N: 15, M: 6, PEdge: 0.2, HardRatio: 0.2, PEdgeInf: 0.1,
 	})
 	s := &Solver{Net: mcts.Uniform{}, Cfg: Config{K: 25, Order: game.OrderDecLiberty}}
-	res, stats := s.SolveStats(context.Background(), g)
+	res := s.SolveCtx(context.Background(), g)
 	if !res.Feasible {
-		t.Fatalf("failed on an easy graph (deadends=%d)", stats.DeadEnds)
+		t.Fatalf("failed on an easy graph (stats %v)", res.Stats)
 	}
 	if res.Cost != 0 {
 		t.Errorf("cost = %v, want 0", res.Cost)
@@ -42,8 +42,8 @@ func TestOneWaySolvesEasyGraph(t *testing.T) {
 	if got := g.TotalCost(res.Selection); got != 0 {
 		t.Errorf("selection cost = %v", got)
 	}
-	if res.States != stats.Nodes || stats.Nodes == 0 {
-		t.Errorf("states bookkeeping: %d vs %d", res.States, stats.Nodes)
+	if res.States == 0 || len(res.Stats) != 4 {
+		t.Errorf("states %d, stats %v: want nodes and the four counters", res.States, res.Stats)
 	}
 }
 
@@ -285,9 +285,9 @@ func TestBacktrackExact(t *testing.T) {
 				s := &Solver{Net: mcts.Uniform{}, Cfg: Config{
 					K: k, Order: order, Backtrack: true, ReinvokeMCTS: reinvoke, Seed: int64(i),
 				}}
-				res, stats := s.SolveStats(context.Background(), g)
-				jumps += stats.Jumps
-				forced += stats.Forced
+				res := s.SolveCtx(context.Background(), g)
+				jumps += int64(res.Stats["jumps"])
+				forced += int64(res.Stats["forced"])
 				if res.Feasible != exact.Feasible {
 					t.Fatalf("graph %d (%v, K=%d, reinvoke %v): feasible = %v, brute says %v\n%s",
 						i, order, k, reinvoke, res.Feasible, exact.Feasible, g)

@@ -90,7 +90,8 @@ func knob(r *http.Request, query, header string) string {
 // SolveResponse is the JSON body of a successful (or truncated or
 // infeasible) solve. Result is the portfolio's best answer; Stats
 // reports every stage — the same portfolio.Stats that pbqp-solve
-// -stats-json prints.
+// -stats-json prints, each stage's own counters (rl-bt's backtracks, a
+// decomp: stage's blocks) in stats.stages[i].result.stats.
 type SolveResponse struct {
 	// Solver names the portfolio that ran, e.g.
 	// "portfolio(liberty→scholz)".

@@ -61,6 +61,12 @@ func (s Solver) Solve(g *pbqp.Graph) solve.Result {
 // SolveCtx implements solve.Solver. The enumeration stops at the
 // first feasible solution, so there is no incumbent to salvage: on
 // cancellation the result is infeasible with Truncated set.
+//
+// Stats splits States: "hard_states" counts the colors tried at hard
+// turns, and "scholz_states" the states of the "scholz_calls"
+// approximations of the easy remainder, "scholz_failed" of which found
+// no feasible coloring. The rest are colors tried at easy turns and
+// dead-end checks.
 func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	// Hard vertices (liberty ≤ Threshold) come first; the stable sort
 	// keeps program order within each class. Real test-pattern programs
@@ -85,10 +91,11 @@ func (s Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		numHard:  numHard,
 		sel:      make([]int, len(vs)),
 		maxState: s.MaxStates,
+		stats:    map[string]float64{"hard_states": 0, "scholz_calls": 0, "scholz_failed": 0, "scholz_states": 0},
 	}
 	e.stopped = ctx.Err() != nil
 	ok := !e.stopped && e.run()
-	res := solve.Result{Cost: cost.Inf, Truncated: e.stopped, States: e.states}
+	res := solve.Result{Cost: cost.Inf, Truncated: e.stopped, States: e.states, Stats: e.stats}
 	if ok {
 		sel := make(pbqp.Selection, g.NumVertices())
 		for i, u := range vs {
@@ -112,6 +119,7 @@ type enum struct {
 	states   int64
 	maxState int64
 	stopped  bool // ctx fired; unwind without further enumeration
+	stats    map[string]float64
 }
 
 // run enumerates colors for the game's next turn in the fixed order;
@@ -143,6 +151,9 @@ func (e *enum) run() bool {
 			continue
 		}
 		e.states++
+		if turn < e.numHard {
+			e.stats["hard_states"]++
+		}
 		if e.stopped || (e.maxState > 0 && e.states > e.maxState) {
 			break
 		}
@@ -173,12 +184,15 @@ func (e *enum) solveEasyRemainder() bool {
 	}
 	res := (scholz.Solver{}).SolveCtx(e.ctx, e.st.Remainder())
 	e.states += res.States
+	e.stats["scholz_calls"]++
+	e.stats["scholz_states"] += float64(res.States)
 	if res.Truncated {
 		// Deadline hit inside the approximation: a feasible coloring is
 		// still a valid answer, but either way stop enumerating.
 		e.stopped = true
 	}
 	if !res.Feasible || e.st.Acc().Add(res.Cost).IsInf() {
+		e.stats["scholz_failed"]++
 		return false
 	}
 	copy(e.sel[e.st.Turn():], res.Selection)

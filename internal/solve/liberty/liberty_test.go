@@ -1,6 +1,7 @@
 package liberty
 
 import (
+	"maps"
 	"math/rand"
 	"testing"
 
@@ -173,5 +174,28 @@ func TestEmptyAndSingleton(t *testing.T) {
 	res := Solver{}.Solve(g)
 	if !res.Feasible || res.Cost != 2 || res.Selection[0] != 1 {
 		t.Errorf("singleton: %+v", res)
+	}
+}
+
+// TestStatsSplitStates: the colors tried at hard turns and the states
+// of the easy-remainder approximations are disjoint parts of States on
+// PRO1–PRO4, and PRO2's split is the one recorded when the counters
+// were added (19 hard states; 11 approximations, 10 failed, with 242
+// states between them; 271 in all).
+func TestStatsSplitStates(t *testing.T) {
+	for _, b := range ate.Suite()[:4] {
+		res := Solver{}.Solve(b.Graph)
+		st := res.Stats
+		t.Logf("%s: %d states, %v", b.Program.Name, res.States, st)
+		if len(st) != 4 || st["hard_states"]+st["scholz_states"] > float64(res.States) || st["scholz_failed"] > st["scholz_calls"] {
+			t.Errorf("%s: stats %v do not split %d states", b.Program.Name, st, res.States)
+		}
+		if b.Program.Name != "PRO2" {
+			continue
+		}
+		want := map[string]float64{"hard_states": 19, "scholz_calls": 11, "scholz_failed": 10, "scholz_states": 242}
+		if res.States != 271 || !maps.Equal(st, want) {
+			t.Errorf("PRO2: %d states, stats %v; want 271 and %v", res.States, st, want)
+		}
 	}
 }

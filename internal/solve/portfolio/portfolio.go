@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"pbqprl/internal/cost"
-	"pbqprl/internal/decomp"
 	"pbqprl/internal/pbqp"
 	"pbqprl/internal/solve"
 )
@@ -30,8 +29,8 @@ import (
 type Outcome struct {
 	// Name is the stage solver's name.
 	Name string `json:"name"`
-	// Result is the stage's result; zero-valued when the stage was
-	// skipped or panicked.
+	// Result is the stage's result, its Stats included; zero-valued
+	// when the stage was skipped or panicked.
 	Result solve.Result `json:"result"`
 	// Duration is the stage's wall-clock time (JSON: nanoseconds).
 	Duration time.Duration `json:"duration_ns"`
@@ -42,9 +41,6 @@ type Outcome struct {
 	// Skipped reports that the stage never ran because the budget (or
 	// the caller's context) was already exhausted.
 	Skipped bool `json:"skipped,omitempty"`
-	// Decomposition reports what a decomp: stage's pipeline did to the
-	// graph; nil for every other stage.
-	Decomposition *decomp.Info `json:"decomposition,omitempty"`
 }
 
 // Stats reports a full portfolio run.
@@ -150,7 +146,7 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 		}
 		// Per-stage wall time is reporting only; it never feeds back into solver decisions.
 		start := time.Now()
-		res, info, panicked, panicVal := runStage(stageCtx, stage, g, logf)
+		res, panicked, panicVal := runStage(stageCtx, stage, g, logf)
 		if cancel != nil {
 			cancel()
 		}
@@ -161,7 +157,6 @@ func (s *Solver) SolveStats(ctx context.Context, g *pbqp.Graph) (solve.Result, S
 			continue
 		}
 		out.Result = res
-		out.Decomposition = info
 		best.States += res.States
 		if res.Truncated {
 			deadlineHit = true
@@ -195,9 +190,8 @@ const maxGraphLogBytes = 64 << 10
 // runStage runs one solver under its stage context, converting a panic
 // into a recovered failure. The graph is cloned first so a stage that
 // dies mid-mutation (or violates the no-mutate contract) cannot poison
-// later stages, and the original serialization is logged for repro. A
-// decomp: stage also returns its decomposition statistics.
-func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(string, ...any)) (res solve.Result, info *decomp.Info, panicked bool, panicVal string) {
+// later stages, and the original serialization is logged for repro.
+func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(string, ...any)) (res solve.Result, panicked bool, panicVal string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = true
@@ -207,9 +201,5 @@ func runStage(ctx context.Context, sv solve.Solver, g *pbqp.Graph, logf func(str
 				sv.Name(), r, pbqp.Elide(g.String(), maxGraphLogBytes), debug.Stack())
 		}
 	}()
-	if d, ok := sv.(*decomp.Solver); ok {
-		res, di := d.SolveWithInfo(ctx, g.Clone())
-		return res, &di, false, ""
-	}
-	return sv.SolveCtx(ctx, g.Clone()), nil, false, ""
+	return sv.SolveCtx(ctx, g.Clone()), false, ""
 }

@@ -274,13 +274,14 @@ func (vandal) SolveCtx(_ context.Context, g *pbqp.Graph) solve.Result {
 
 // TestStatsJSONRoundTrip pins the wire shape of SolveStats: the same
 // struct the server returns and pbqp-solve -stats-json prints. Infinite
-// costs must encode as "inf", durations as nanoseconds, and decoding
-// must invert encoding.
+// costs must encode as "inf", durations as nanoseconds, a stage's own
+// Result.Stats must reach its Outcome (and only a stage that reports
+// some carries a "stats" object), and decoding must invert encoding.
 func TestStatsJSONRoundTrip(t *testing.T) {
 	p := &Solver{
 		Stages: []solve.Solver{
 			panicky{},
-			stub{"hopeless", solve.Result{Cost: cost.Inf}},
+			stub{"hopeless", solve.Result{Cost: cost.Inf, Stats: map[string]float64{"k": 1}}},
 			stub{"winner", feasible(3, 1, 0)},
 			stub{"spare", feasible(5, 0, 1)},
 		},
@@ -292,10 +293,13 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("marshal stats: %v", err)
 	}
-	for _, want := range []string{`"name":"panicky"`, `"panicked":true`, `"winner":2`, `"skipped":true`, `"cost":"inf"`} {
+	for _, want := range []string{`"name":"panicky"`, `"panicked":true`, `"winner":2`, `"skipped":true`, `"cost":"inf"`, `"stats":{"k":1}`} {
 		if !strings.Contains(string(data), want) {
 			t.Fatalf("stats JSON %s\nmissing %s", data, want)
 		}
+	}
+	if n := strings.Count(string(data), `"stats":`); n != 1 {
+		t.Fatalf("stats JSON %s\nhas %d stats objects, want only the hopeless stage's", data, n)
 	}
 	var back Stats
 	if err := json.Unmarshal(data, &back); err != nil {
@@ -306,5 +310,8 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 	}
 	if r := back.Stages[2].Result; !r.Feasible || r.Cost != stats.Stages[2].Result.Cost {
 		t.Fatalf("winning stage result did not survive the round trip: %+v", r)
+	}
+	if got := back.Stages[1].Result.Stats; len(got) != 1 || got["k"] != 1 {
+		t.Fatalf("the hopeless stage's stats came back as %v, want map[k:1]", got)
 	}
 }

@@ -37,6 +37,10 @@ type Result struct {
 	// one per reduction step for reduction solvers. It is the paper's
 	// search-space metric.
 	States int64 `json:"states"`
+	// Stats holds what else the solver counted, by name: counts, and
+	// wall seconds of its steps under keys ending in "_s". A solver
+	// with nothing more to report leaves it nil.
+	Stats map[string]float64 `json:"stats,omitempty"`
 }
 
 // Solver solves PBQP problems, and honors context cancellation while

@@ -124,15 +124,13 @@ func Anneal(steps int, seed int64) Solver { return anneal.Solver{Steps: steps, S
 
 // Big-graph decomposition pipeline (internal/decomp): exact R0/R1/R2
 // reduction, block-cut splitting of the residual, per-block solving
-// with a wrapped inner solver, and recombination.
-type (
-	// DecompSolver wraps any Solver into a decomposing big-graph
-	// solver; set Workers > 1 for parallel component solving with a
-	// concurrency-safe inner solver.
-	DecompSolver = decomp.Solver
-	// DecompInfo reports what a decomposition did to one instance.
-	DecompInfo = decomp.Info
-)
+// with a wrapped inner solver, and recombination. What it did to an
+// instance comes back in Result.Stats.
+//
+// DecompSolver wraps any Solver into a decomposing big-graph solver;
+// set Workers > 1 for parallel component solving with a
+// concurrency-safe inner solver.
+type DecompSolver = decomp.Solver
 
 // Decompose wraps inner in the big-graph decomposition pipeline with
 // sequential component solving. Exact for an exact inner solver.
