@@ -13,11 +13,13 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"pbqprl"
 	"pbqprl/internal/ate"
+	"pbqprl/internal/decomp"
 	"pbqprl/internal/experiments"
 	"pbqprl/internal/game"
 	"pbqprl/internal/gcn"
@@ -153,6 +155,64 @@ func BenchmarkScholzSolve(b *testing.B) {
 				if res := (scholz.Solver{}).Solve(c.g); !res.Feasible {
 					b.Fatal("infeasible")
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkDecompSolve times decomp(scholz) on two workers over the
+// three shapes of the benchmark's biggraph workload, at a tenth of its
+// 20 000 vertices: blocky (nothing reduces, thousands of tiny blocks),
+// reducible (most vertices reduce away, one big residual block) and
+// module (every LLVM-suite function, as one graph of 36 components). It
+// reports each pipeline stage's ms per solve from the result's Stats,
+// so a change can be placed in the stage it moves.
+func BenchmarkDecompSolve(b *testing.B) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(1))
+	blocky := randgraph.LargeSparse(rng, randgraph.LargeSparseConfig{N: n, M: 4, Components: 8, ClusterSize: 12, Chords: 4})
+	reducible := randgraph.ErdosRenyi(rng, randgraph.Config{N: n, M: 4, PEdge: 2.2 / n, PInf: 0.01})
+	target := regalloc.DefaultTarget()
+	var parts []*pbqp.Graph
+	size := 0
+	for _, bench := range llvmsuite.All() {
+		for i, f := range bench.Prog.Funcs {
+			parts = append(parts, regalloc.BuildPBQP(regalloc.NewInput(f, target, bench.Allowed[i])))
+			size += parts[len(parts)-1].NumVertices()
+		}
+	}
+	module := pbqp.New(size, target.NumRegs+1)
+	offset := 0
+	for _, part := range parts {
+		for u := 0; u < part.NumVertices(); u++ {
+			module.SetVertexCost(offset+u, part.VertexCost(u))
+		}
+		for _, e := range part.Edges() {
+			module.SetEdgeCost(offset+e.U, offset+e.V, e.M)
+		}
+		offset += part.NumVertices()
+	}
+	d := decomp.Wrap(scholz.Solver{})
+	d.Workers = 2
+	for _, c := range []struct {
+		name string
+		g    *pbqp.Graph
+	}{{"blocky", blocky}, {"reducible", reducible}, {"module", module}} {
+		b.Run(c.name, func(b *testing.B) {
+			stages := []string{"reduce_s", "csr_s", "blockcut_s", "solve_s", "expand_s"}
+			sums := make([]float64, len(stages))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res := d.Solve(c.g)
+				if !res.Feasible {
+					b.Fatal("infeasible")
+				}
+				for k, key := range stages {
+					sums[k] += res.Stats[key]
+				}
+			}
+			for k, key := range stages {
+				b.ReportMetric(1e3*sums[k]/float64(b.N), strings.TrimSuffix(key, "_s")+"-ms/op")
 			}
 		})
 	}

@@ -1,13 +1,19 @@
 package decomp
 
-import "pbqprl/internal/pbqp"
+import (
+	"slices"
+
+	"pbqprl/internal/pbqp"
+)
 
 // scanner computes the block-cut decomposition of a CSR snapshot:
 // connected components, biconnected blocks (Hopcroft–Tarjan, iterative
 // so 10⁵-vertex paths cannot blow the goroutine stack), and
-// articulation (cut) vertices. All scratch is sized once from the CSR
-// dimensions, so run performs zero allocations — the AllocsPerRun test
-// in bcc_test.go pins that.
+// articulation (cut) vertices. All scratch is sized from the CSR
+// dimensions at the start of run and kept, so a scanner run again and
+// again (decomp keeps one per pooled workspace) performs zero
+// allocations once it has grown — the AllocsPerRun test in bcc_test.go
+// pins that.
 //
 // Output layout, all in emission order:
 //
@@ -50,30 +56,6 @@ type frame struct {
 	skipped   bool  // the one tree edge back to parent was skipped
 }
 
-// newScanner sizes all scratch for c. The capacity bounds: a DFS path
-// holds at most n frames; each undirected edge enters the edge stack
-// once; every block of e_B edges lists at most e_B+1 vertices and
-// singletons list one, so the arena needs at most 2E+n slots and there
-// are at most E+n blocks.
-func newScanner(c *pbqp.CSR) *scanner {
-	n := c.Len()
-	e := c.NumEdges()
-	return &scanner{
-		csr:     c,
-		disc:    make([]int32, n),
-		low:     make([]int32, n),
-		stamp:   make([]int32, n),
-		frames:  make([]frame, 0, n+1),
-		edgeU:   make([]int32, 0, e),
-		edgeV:   make([]int32, 0, e),
-		verts:   make([]int32, 0, 2*e+n),
-		off:     make([]int32, 1, e+n+1),
-		isRoot:  make([]bool, 0, e+n),
-		compOff: make([]int32, 1, n+1),
-		isCut:   make([]bool, n),
-	}
-}
-
 func (s *scanner) numBlocks() int { return len(s.off) - 1 }
 
 func (s *scanner) block(b int) []int32 { return s.verts[s.off[b]:s.off[b+1]] }
@@ -85,25 +67,33 @@ func (s *scanner) comp(c int) (lo, hi int) {
 	return int(s.compOff[c]), int(s.compOff[c+1])
 }
 
-// run (re)computes the decomposition. Safe to call repeatedly on the
-// same snapshot; each call starts from clean scratch.
+// run computes the decomposition of c. Every call starts from clean
+// scratch, sized from c's dimensions into the arrays s already holds.
+// The capacity bounds: a DFS path holds at most n frames; each
+// undirected edge enters the edge stack once; every block of e_B edges
+// lists at most e_B+1 vertices and singletons list one, so the arena
+// needs at most 2E+n slots and there are at most E+n blocks.
 //
 // Once the scratch has grown it allocates nothing (TestBCCScanAllocFree).
-func (s *scanner) run() {
-	n := s.csr.Len()
+func (s *scanner) run(c *pbqp.CSR) {
+	n, e := c.Len(), c.NumEdges()
+	s.csr = c
+	s.disc = slices.Grow(s.disc[:0], n)[:n]
+	s.low = slices.Grow(s.low[:0], n)[:n]
+	s.stamp = slices.Grow(s.stamp[:0], n)[:n]
+	s.isCut = slices.Grow(s.isCut[:0], n)[:n]
 	for i := 0; i < n; i++ {
 		s.disc[i] = -1
 		s.stamp[i] = -1
 		s.isCut[i] = false
 	}
-	s.verts = s.verts[:0]
-	s.off = s.off[:1]
-	s.off[0] = 0
-	s.isRoot = s.isRoot[:0]
-	s.compOff = s.compOff[:1]
-	s.compOff[0] = 0
-	s.edgeU = s.edgeU[:0]
-	s.edgeV = s.edgeV[:0]
+	s.frames = slices.Grow(s.frames[:0], n+1)
+	s.edgeU = slices.Grow(s.edgeU[:0], e)
+	s.edgeV = slices.Grow(s.edgeV[:0], e)
+	s.verts = slices.Grow(s.verts[:0], 2*e+n)
+	s.off = append(slices.Grow(s.off[:0], e+n+1), 0)
+	s.isRoot = slices.Grow(s.isRoot[:0], e+n)
+	s.compOff = append(slices.Grow(s.compOff[:0], n+1), 0)
 	s.time = 0
 	for r := int32(0); int(r) < n; r++ {
 		if s.disc[r] != -1 {

@@ -26,8 +26,8 @@ func edgeGraph(n int, edges [][2]int) *pbqp.Graph {
 func scanOf(t *testing.T, g *pbqp.Graph) (*pbqp.CSR, *scanner) {
 	t.Helper()
 	c := pbqp.NewCSR(g)
-	s := newScanner(c)
-	s.run()
+	s := new(scanner)
+	s.run(c)
 	return c, s
 }
 
@@ -200,9 +200,9 @@ func TestBCCScanAllocFree(t *testing.T) {
 	}
 	g := edgeGraph(n, edges)
 	c := pbqp.NewCSR(g)
-	s := newScanner(c)
-	s.run()
-	allocs := testing.AllocsPerRun(20, func() { s.run() })
+	s := new(scanner)
+	s.run(c)
+	allocs := testing.AllocsPerRun(20, func() { s.run(c) })
 	if allocs != 0 {
 		t.Fatalf("block-cut scan allocates %.1f times per run, want 0", allocs)
 	}

@@ -81,7 +81,15 @@ func (s *Solver) Solve(g *pbqp.Graph) solve.Result {
 // reduction, the CSR snapshot, the block-cut scan, the block solves
 // (all workers, wall time) and the expansion with its final cost
 // evaluation ("reduce_s", "csr_s", "blockcut_s", "solve_s",
-// "expand_s"). A step that did not run reports zero.
+// "expand_s"). A step that did not run reports zero. Beside those
+// keys, Stats carries the inner solver's Stats summed per key over
+// every block solve (rl-bt's "backtracks", say); the sums are taken
+// per component and then in component order, so they come out the same
+// on any number of workers, and a key decomp reports itself keeps
+// decomp's value.
+//
+// Every stage runs in a pipeline taken from a pool (see pipeline), so
+// a warm solve allocates its result and its stats, not its stages.
 func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	stats := map[string]float64{
 		"original_vertices": float64(g.AliveCount()), "eliminated_vertices": 0, "residual_vertices": 0,
@@ -92,6 +100,7 @@ func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		return solve.Result{Cost: cost.Inf, Truncated: true, Stats: stats}
 	}
 	res := solve.Result{Cost: cost.Inf, Stats: stats}
+	p := pipelines.Get().(*pipeline)
 	// Per-stage wall time is reporting only; it never feeds back into solver decisions.
 	mark := time.Now()
 	// lap records under key the seconds since the previous lap: one stage's share.
@@ -100,7 +109,8 @@ func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		mark = mark.Add(d)
 		stats[key] = d.Seconds()
 	}
-	red := reduce.Apply(g)
+	red := &p.red
+	red.Reapply(g)
 	lap("reduce_s")
 	w := red.Graph
 	stats["eliminated_vertices"] = float64(red.Eliminated)
@@ -108,12 +118,16 @@ func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 	// One state per reduction step, matching the reduction solvers'
 	// accounting, plus whatever the inner solver reports per block.
 	res.States = int64(red.Eliminated)
-	sel := make(pbqp.Selection, g.NumVertices())
+	// Expand reads every alive remainder vertex from sel and copies the
+	// rest, so the pooled selection is cleared: g's dead vertices keep 0.
+	p.sel = slices.Grow(p.sel[:0], g.NumVertices())[:g.NumVertices()]
+	clear(p.sel)
 	if w.AliveCount() > 0 {
-		csr := pbqp.NewCSR(w)
+		csr := &p.csr
+		csr.Snapshot(w)
 		lap("csr_s")
-		sc := newScanner(csr)
-		sc.run()
+		sc := &p.sc
+		sc.run(csr)
 		largest, cuts := 0, 0
 		for b := 0; b < sc.numBlocks(); b++ {
 			largest = max(largest, len(sc.block(b)))
@@ -136,21 +150,17 @@ func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 		// must be claimed, because one never claimed would keep a zero
 		// outcome — infeasible, not truncated — while solveComponent
 		// reports a cancelled one as truncated.
-		outcomes := make([]compOutcome, sc.numComps())
-		works := make([]*blockWork, max(s.Workers, 1))
-		par.Do(context.Background(), s.Workers, len(outcomes), func(k, c int) {
-			if works[k] == nil {
-				works[k] = blockWorks.Get().(*blockWork)
-			}
-			outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, sel, works[k])
-		})
-		for _, bw := range works {
-			if bw != nil {
-				blockWorks.Put(bw)
-			}
+		p.outcomes = slices.Grow(p.outcomes[:0], sc.numComps())[:sc.numComps()]
+		outcomes := p.outcomes
+		for len(p.works) < max(s.Workers, 1) {
+			p.works = append(p.works, new(blockWork))
 		}
+		par.Do(context.Background(), s.Workers, len(outcomes), func(k, c int) {
+			outcomes[c] = s.solveComponent(ctx, w, csr, sc, c, p.sel, p.works[k])
+		})
 		lap("solve_s")
 		feasible := true
+		var inner map[string]float64
 		for _, oc := range outcomes {
 			res.States += oc.states
 			if oc.truncated {
@@ -159,16 +169,29 @@ func (s *Solver) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
 			if !oc.feasible {
 				feasible = false
 			}
+			for key, v := range oc.stats {
+				if inner == nil {
+					inner = make(map[string]float64, len(oc.stats))
+				}
+				inner[key] += v
+			}
+		}
+		for key, v := range inner {
+			if _, own := stats[key]; !own {
+				stats[key] = v
+			}
 		}
 		if !feasible {
+			pipelines.Put(p)
 			return res
 		}
 	}
-	full, ok := red.Expand(sel)
+	full, ok := red.Expand(p.sel)
 	total := cost.Inf
 	if ok {
 		total = g.TotalCost(full)
 	}
+	pipelines.Put(p)
 	lap("expand_s")
 	if total.IsInf() {
 		return res
@@ -189,17 +212,57 @@ func (s *Solver) SolveWithInfo(ctx context.Context, g *pbqp.Graph) (solve.Result
 	return res, Info{int(res.Stats["blocks"]), int(res.Stats["largest_block_vertices"])}
 }
 
+// compOutcome is what one component's solves came to. stats sums
+// the inner results' Stats per key, in block order, and stays nil
+// while they are nil.
 type compOutcome struct {
 	feasible  bool
 	truncated bool
 	states    int64
+	stats     map[string]float64
 }
+
+// add counts one inner solve into oc.
+func (oc *compOutcome) add(res solve.Result) {
+	oc.states += res.States
+	if res.Truncated {
+		oc.truncated = true
+	}
+	for key, v := range res.Stats {
+		if oc.stats == nil {
+			oc.stats = make(map[string]float64, len(res.Stats))
+		}
+		oc.stats[key] += v
+	}
+}
+
+// pipeline is one solve's storage for everything around its block
+// solves: the exact reduction, restarted on every input, the CSR
+// snapshot and the block-cut scan rebuilt over its remainder, the
+// remainder's selection, the components' outcomes and one block
+// workspace per worker. A solve takes a pipeline from the pool and
+// puts it back once Expand and TotalCost are done, when nothing reads
+// the reduction's graph, the matrices R2 installed in it or its records
+// any more, which is what reduce.Reduction.Restart requires of the next
+// solve that takes it. What a pooled pipeline still holds — the last
+// input's remainder, snapshot, scan and block graphs — is never read:
+// every stage rebuilds its part before it reads it.
+type pipeline struct {
+	red      reduce.Reduction
+	csr      pbqp.CSR
+	sc       scanner
+	sel      pbqp.Selection
+	outcomes []compOutcome
+	works    []*blockWork
+}
+
+var pipelines = sync.Pool{New: func() any { return new(pipeline) }}
 
 // blockWork is one worker's storage for the blocks it solves: the
 // block graph, rebuilt in place for every block (pbqp.Graph.InducedInto),
 // and the arrays a component's tables and anchor folds are cut from.
 // Nothing in it outlives solveComponent, so a worker reuses it for
-// every component it claims, and solves take them from a pool.
+// every component it claims, and a pipeline keeps one per worker.
 type blockWork struct {
 	g      pbqp.Graph
 	ids    []int
@@ -207,8 +270,6 @@ type blockWork struct {
 	sels   []pbqp.Selection
 	fold   cost.Vector
 }
-
-var blockWorks = sync.Pool{New: func() any { return new(blockWork) }}
 
 // solveComponent runs the two sweeps over component c's blocks: a
 // forward (post-order) sweep folding every non-root block into its
@@ -238,10 +299,7 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 		table := bw.sels[(b-lo)*m : (b-lo+1)*m : (b-lo+1)*m]
 		if sc.isRoot[b] {
 			res := s.Inner.SolveCtx(ctx, h)
-			oc.states += res.States
-			if res.Truncated {
-				oc.truncated = true
-			}
+			oc.add(res)
 			if !res.Feasible {
 				oc.feasible = false
 				return oc
@@ -271,10 +329,7 @@ func (s *Solver) solveComponent(ctx context.Context, w *pbqp.Graph, csr *pbqp.CS
 			}
 			pin[a] = 0
 			res := s.Inner.SolveCtx(ctx, h)
-			oc.states += res.States
-			if res.Truncated {
-				oc.truncated = true
-			}
+			oc.add(res)
 			if !res.Feasible {
 				if res.Truncated {
 					// Cut short, not proven infeasible: give up on the

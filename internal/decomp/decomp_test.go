@@ -2,11 +2,16 @@ package decomp
 
 import (
 	"context"
+	"fmt"
 	"maps"
+	"math"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -339,7 +344,7 @@ func TestDecompCancelledMidSolve(t *testing.T) {
 }
 
 // TestDecompInputNotMutated: the wrapper must leave the caller's graph
-// untouched (it clones via reduce.Apply and folds only into the clone).
+// untouched (its reduction works on a copy, and it folds only into that).
 func TestDecompInputNotMutated(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	g := cliqueChain(rng, 2, 4, 2)
@@ -442,30 +447,218 @@ func (c countingScholz) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Resul
 	return c.Solver.SolveCtx(ctx, g)
 }
 
+// meteredScholz is scholz counting its solves and the bytes they
+// allocate. It reads the allocator's totals around every solve, so it
+// is only for a decomposition that solves its blocks on one goroutine.
+type meteredScholz struct {
+	scholz.Solver
+	solves *int
+	bytes  *uint64
+}
+
+func (c meteredScholz) SolveCtx(ctx context.Context, g *pbqp.Graph) solve.Result {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res := c.Solver.SolveCtx(ctx, g)
+	runtime.ReadMemStats(&after)
+	*c.solves++
+	*c.bytes += after.TotalAlloc - before.TotalAlloc
+	return res
+}
+
+// warmSparse is a LargeSparse graph of n vertices in two components
+// of 12-vertex clusters, the shape of the benchmark's blocky graph.
+func warmSparse(n int) *pbqp.Graph {
+	return randgraph.LargeSparse(rand.New(rand.NewSource(1)), randgraph.LargeSparseConfig{
+		N: n, M: 4, Components: 2, ClusterSize: 12, Chords: 4})
+}
+
 // TestDecompWarmSolveAllocs pins what a warm decomposed solve of a
-// small LargeSparse graph allocates beyond its inner solves, each of
-// which returns two selections (scholz's make and Expand's copy): the
-// block graphs, pins and per-color tables come from a pooled block
-// workspace, so what is left is per solve — the exact reduction, the
-// CSR snapshot, the block-cut scan, the selection and its expansion —
-// not per block.
+// LargeSparse graph allocates beyond its inner solves, each of which
+// returns two selections (scholz's make and Expand's copy): the
+// reduction, the CSR snapshot, the block-cut scan, the selection, the
+// block graphs, pins and per-color tables all come from a pooled
+// pipeline, so what is left is per solve — the stats, the expanded
+// selection, the worker hand-off — not per vertex or per block.
 func TestDecompWarmSolveAllocs(t *testing.T) {
-	g := randgraph.LargeSparse(rand.New(rand.NewSource(1)), randgraph.LargeSparseConfig{
-		N: 240, M: 4, Components: 2, ClusterSize: 12, Chords: 4})
-	solves := 0
-	d := Wrap(countingScholz{solves: &solves})
-	if res := d.Solve(g); !res.Feasible {
-		t.Fatal("infeasible")
+	for _, n := range []int{240, 2400} {
+		g := warmSparse(n)
+		solves := 0
+		d := Wrap(countingScholz{solves: &solves})
+		if res := d.Solve(g); !res.Feasible {
+			t.Fatal("infeasible")
+		}
+		perSolve := solves
+		allocs := testing.AllocsPerRun(20, func() { d.Solve(g) })
+		own := allocs - float64(2*perSolve)
+		t.Logf("n=%d: warm decomposed solve: %.0f allocations, %d inner solves, %.0f of decomp's own", n, allocs, perSolve, own)
+		if raceEnabled() {
+			t.Skip("sync.Pool drops Puts under -race; bound not checked")
+		}
+		if own > 16 {
+			t.Fatalf("n=%d: a warm decomposed solve allocates %.0f times beyond its %d inner solves' two each, want ≤ 16", n, own, perSolve)
+		}
 	}
-	perSolve := solves
-	allocs := testing.AllocsPerRun(20, func() { d.Solve(g) })
-	own := allocs - float64(2*perSolve)
-	t.Logf("warm decomposed solve: %.0f allocations, %d inner solves, %.0f of decomp's own", allocs, perSolve, own)
+}
+
+// TestDecompWarmSolveBytes pins the bytes a warm decomposed solve
+// allocates beyond what its inner solves allocate: a constant (the
+// stats, the worker hand-off) and the expanded selection, 8 bytes a
+// vertex. Two sizes ten times apart keep per-vertex storage from
+// hiding in the constant.
+func TestDecompWarmSolveBytes(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops Puts under -race; bound not checked")
 	}
-	if own > 60 {
-		t.Fatalf("a warm decomposed solve allocates %.0f times beyond its %d inner solves' two each, want ≤ 60", own, perSolve)
+	const runs = 10
+	for _, n := range []int{240, 2400} {
+		g := warmSparse(n)
+		solves, inner := 0, uint64(0)
+		d := Wrap(meteredScholz{solves: &solves, bytes: &inner})
+		if res := d.Solve(g); !res.Feasible {
+			t.Fatal("infeasible")
+		}
+		solves, inner = 0, 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			d.Solve(g)
+		}
+		runtime.ReadMemStats(&after)
+		own := (after.TotalAlloc - before.TotalAlloc - inner) / runs
+		limit := uint64(4096 + 2*8*g.NumVertices())
+		t.Logf("n=%d: warm decomposed solve: %d bytes of decomp's own (%.1f a vertex), %d of its %d inner solves", n, own, float64(own)/float64(n), inner/runs, solves/runs)
+		if own > limit {
+			t.Fatalf("n=%d: a warm decomposed solve allocates %d bytes beyond its inner solves, want ≤ %d (4 KiB and two selections)", n, own, limit)
+		}
+	}
+}
+
+// statsInner is brute reporting from every solve a count ("k"), a key
+// of decomp's own ("blocks") and seconds that differ per block
+// ("t_s"), and counting its solves.
+type statsInner struct{ solves atomic.Int64 }
+
+func (s *statsInner) Name() string { return "stats" }
+
+func (s *statsInner) Solve(g *pbqp.Graph) solve.Result {
+	return s.SolveCtx(context.Background(), g)
+}
+
+func (s *statsInner) SolveCtx(_ context.Context, g *pbqp.Graph) solve.Result {
+	s.solves.Add(1)
+	res := brute.Solver{}.Solve(g)
+	res.Stats = map[string]float64{"k": 1, "blocks": -1, "t_s": 0.1 / float64(g.NumVertices())}
+	return res
+}
+
+// TestDecompSumsInnerStats: decomp reports its inner solves' Stats
+// summed per key, keeps its own value of a key the inner solver
+// reports too, and sums the seconds to the same bits whether the
+// components solve on one worker or on four.
+func TestDecompSumsInnerStats(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	g := pbqp.New(0, 2)
+	for range 6 {
+		g = disjointUnion(g, cliqueChain(rng, 1+rng.Intn(3), 4, 2))
+	}
+	var seconds []float64
+	for _, workers := range []int{1, 4} {
+		inner := new(statsInner)
+		res := (&Solver{Inner: inner, Workers: workers}).Solve(g)
+		if !res.Feasible {
+			t.Fatalf("workers=%d: infeasible", workers)
+		}
+		if got, want := res.Stats["k"], float64(inner.solves.Load()); got != want || want == 0 {
+			t.Errorf("workers=%d: k = %v, want the %v inner solves", workers, got, want)
+		}
+		if res.Stats["blocks"] < 6 {
+			t.Errorf("workers=%d: blocks = %v, want decomp's own count (≥ 6), not the inner sum", workers, res.Stats["blocks"])
+		}
+		seconds = append(seconds, res.Stats["t_s"])
+	}
+	if math.Float64bits(seconds[0]) != math.Float64bits(seconds[1]) {
+		t.Errorf("t_s sums to %v on one worker and %v on four", seconds[0], seconds[1])
+	}
+}
+
+// disjointUnion returns a graph holding a and then b, with no edge
+// between them.
+func disjointUnion(a, b *pbqp.Graph) *pbqp.Graph {
+	na := a.NumVertices()
+	g := pbqp.New(na+b.NumVertices(), b.M())
+	for _, part := range []struct {
+		h    *pbqp.Graph
+		base int
+	}{{a, 0}, {b, na}} {
+		for u := 0; u < part.h.NumVertices(); u++ {
+			g.SetVertexCost(part.base+u, part.h.VertexCost(u))
+		}
+		for _, e := range part.h.Edges() {
+			g.SetEdgeCost(part.base+e.U, part.base+e.V, e.M)
+		}
+	}
+	return g
+}
+
+// TestDecompPooledSolvesAgree: one decomp(scholz) on two workers,
+// called from four goroutines at once, twenty rounds each, on small
+// graphs of the benchmark's three shapes — blocky, reducible and
+// module — answers every call with the selection and the cost bits of
+// a cold solve on one goroutine. Pipelines and block workspaces pass
+// between the calls through their pools, so a stage that read what an
+// earlier solve left in one would show here.
+func TestDecompPooledSolvesAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(103))
+	module := pbqp.New(0, 4)
+	for range 8 {
+		module = disjointUnion(module, intGraph(rng, 6+rng.Intn(10), 4, 0.5, 0.05))
+	}
+	graphs := []*pbqp.Graph{
+		randgraph.LargeSparse(rng, randgraph.LargeSparseConfig{N: 300, M: 4, Components: 4, ClusterSize: 12, Chords: 4}),
+		randgraph.ErdosRenyi(rng, randgraph.Config{N: 300, M: 4, PEdge: 2.2 / 300, PInf: 0.01}),
+		module,
+	}
+	// A dead vertex takes its color from no component, so graphs 1 and 2
+	// each lose one that graph 0 colors other than 0: a pooled selection
+	// solved into again without being cleared would hand them that color.
+	graphs[0].RemoveVertex(7)
+	want := make([]solve.Result, len(graphs))
+	for i, g := range graphs {
+		if i > 0 {
+			g.RemoveVertex(slices.IndexFunc(want[0].Selection, func(c int) bool { return c != 0 }))
+		}
+		runtime.GC() // twice empties the pools: every reference solves cold
+		runtime.GC()
+		want[i] = Wrap(scholz.Solver{}).Solve(g)
+		if !want[i].Feasible {
+			t.Fatalf("graph %d: infeasible", i)
+		}
+		t.Logf("graph %d: %v residual vertices in %v blocks", i, want[i].Stats["residual_vertices"], want[i].Stats["blocks"])
+	}
+	d := &Solver{Inner: scholz.Solver{}, Workers: 2}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range 20 {
+				i := (w + r) % len(graphs)
+				got := d.Solve(graphs[i])
+				if got.Feasible != want[i].Feasible || math.Float64bits(float64(got.Cost)) != math.Float64bits(float64(want[i].Cost)) ||
+					got.States != want[i].States || !slices.Equal(got.Selection, want[i].Selection) {
+					errs <- fmt.Sprintf("goroutine %d round %d, graph %d: cost %v, %d states, same selection %v; cold solve %v, %d states",
+						w, r, i, got.Cost, got.States, slices.Equal(got.Selection, want[i].Selection), want[i].Cost, want[i].States)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -1,5 +1,7 @@
 package pbqp
 
+import "slices"
+
 // CSR is a compressed-sparse-row snapshot of a graph's alive vertices
 // and edges: a read-only adjacency for traversal-heavy algorithms
 // (connected components, block-cut trees). The graph's own rows are
@@ -18,40 +20,48 @@ type CSR struct {
 	index  []int32 // graph vertex id -> CSR index, -1 for dead vertices
 	rowPtr []int32 // rowPtr[i]..rowPtr[i+1] spans row i of colIdx
 	colIdx []int32 // neighbor CSR indices, ascending within each row
+
+	scratch []entry // where Snapshot orders a row with a tail or tombstones
 }
 
 // NewCSR snapshots g's alive subgraph.
 func NewCSR(g *Graph) *CSR {
+	c := new(CSR)
+	c.Snapshot(g)
+	return c
+}
+
+// Snapshot makes c the snapshot NewCSR(g) returns, rebuilding it in
+// the arrays c already holds wherever they are large enough, so a CSR
+// snapshotted again and again (decomp keeps one per pooled workspace)
+// reaches a steady state that allocates nothing. Every view an earlier
+// Neighbors returned is overwritten.
+func (c *CSR) Snapshot(g *Graph) {
 	n := g.AliveCount()
-	c := &CSR{
-		ids:    make([]int32, 0, n),
-		index:  make([]int32, g.NumVertices()),
-		rowPtr: make([]int32, n+1),
-	}
+	c.ids = slices.Grow(c.ids[:0], n)
+	c.index = slices.Grow(c.index[:0], g.NumVertices())[:g.NumVertices()]
+	c.rowPtr = slices.Grow(c.rowPtr[:0], n+1)[:n+1]
 	for u := range c.index {
 		c.index[u] = -1
-	}
-	for u := 0; u < g.NumVertices(); u++ {
 		if g.Alive(u) {
 			c.index[u] = int32(len(c.ids))
 			c.ids = append(c.ids, int32(u))
 		}
 	}
 	total := 0
+	c.rowPtr[0] = 0
 	for i, u := range c.ids {
 		total += g.Degree(int(u))
 		c.rowPtr[i+1] = int32(total)
 	}
-	c.colIdx = make([]int32, total)
-	var scratch []entry
+	c.colIdx = slices.Grow(c.colIdx[:0], total)[:total]
 	for i, u := range c.ids {
 		// Ascending ids renumber to ascending indices: the row stays sorted.
 		row := c.colIdx[c.rowPtr[i]:c.rowPtr[i]:c.rowPtr[i+1]]
-		for _, e := range g.rows[u].ordered(&scratch) {
+		for _, e := range g.rows[u].ordered(&c.scratch) {
 			row = append(row, c.index[e.v])
 		}
 	}
-	return c
 }
 
 // Len returns the number of snapshotted (alive) vertices.

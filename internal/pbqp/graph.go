@@ -38,10 +38,11 @@
 // recycles matrices: a reduction (internal/reduce) installs R2's folds
 // with SetEdgePair as pairs cut from its arena, each written in full
 // before it is installed. Their storage is written again only when the
-// reduction is restarted on a new input, and only scholz restarts one:
-// a workspace of its own pool, after Expand has read the last of them,
-// when nothing else can reach them (Apply's reductions, whose
-// remainders decomp shares with its block graphs, are never restarted).
+// reduction is restarted on a new input, and only pooled workspaces are
+// restarted — scholz's, and decomp's, whose remainder its block graphs
+// share — each once its solve has read the last of them, when nothing
+// else reads them any more (a block graph still holding them in a pool
+// is rebuilt before it is read).
 // Because an installed matrix never changes, what cost.Matrix.Diagonal
 // learns of it the first time RN asks stays true for the matrix's
 // life; a recycled arena pair is a fresh cost.Matrix value, which
@@ -72,9 +73,12 @@ type Graph struct {
 	// kept so CloneInto can cut them again from the same storage.
 	vecStore   cost.Vector
 	entryStore []entry
-	// pos is InducedInto's position index over its source graph's
-	// vertices, all -1 between calls.
-	pos []int32
+	// InducedInto's scratch: pos is its position index over its source
+	// graph's vertices, all -1 between calls; spill and fill are where
+	// it orders the rows (sortRows).
+	pos   []int32
+	spill []entry
+	fill  []int32
 }
 
 // entry is one edge of a row: the neighbor and the matrix oriented from
@@ -612,7 +616,7 @@ func (g *Graph) Permute(order []int) *Graph {
 func (g *Graph) Induced(verts []int) *Graph {
 	h := new(Graph)
 	g.InducedInto(h, verts)
-	h.pos = nil // scratch for the next InducedInto, which h will not see
+	h.pos, h.spill, h.fill = nil, nil, nil // scratch for the next InducedInto, which h will not see
 	return h
 }
 
@@ -623,6 +627,10 @@ func (g *Graph) Induced(verts []int) *Graph {
 // steady state that allocates nothing. dst's vectors are its own, for
 // its owner to write. Everything dst held before is overwritten; dst
 // must not be g.
+//
+// Each row is filled in g's row order, which is ascending in the new
+// numbering only where verts ascends; when some row is not, sortRows
+// orders them all at once.
 func (g *Graph) InducedInto(dst *Graph, verts []int) {
 	// dst.pos maps g's vertices to their new numbers, -1 off verts; it
 	// is all -1 between calls.
@@ -653,11 +661,12 @@ func (g *Graph) InducedInto(dst *Graph, verts []int) {
 	dst.rows = slices.Grow(dst.rows[:0], n)[:n]
 	used := len(dst.entryStore)
 	flat := slices.Grow(dst.entryStore[:0], total)
+	ascending := true
 	for i, u := range verts {
 		dst.vecs[i] = dst.vecStore[i*g.m : (i+1)*g.m : (i+1)*g.m]
 		copy(dst.vecs[i], g.vecs[u])
 		dst.alive[i] = true
-		start, ascending := len(flat), true
+		start := len(flat)
 		for _, e := range g.rows[u].es {
 			if e.m == nil {
 				continue
@@ -667,15 +676,53 @@ func (g *Graph) InducedInto(dst *Graph, verts []int) {
 				flat = append(flat, entry{j, e.m})
 			}
 		}
-		es := flat[start:len(flat):len(flat)]
-		if !ascending {
-			slices.SortFunc(es, byNeighbor)
-		}
-		dst.rows[i] = row{es: es, sorted: len(es)}
+		dst.rows[i] = row{es: flat[start:len(flat):len(flat)], sorted: len(flat) - start}
 	}
 	clear(flat[len(flat):max(used, len(flat))]) // the last graph's entries, which would pin its matrices
 	dst.entryStore = flat
 	dst.unmark(verts)
+	if !ascending {
+		dst.sortRows()
+	}
+}
+
+// sortRows orders g's rows, which hold every live edge in both
+// orientations and are cut one after another from the start of
+// g.entryStore, by two stable counting passes over the neighbors, as
+// a sparse matrix is transposed twice. The first walks the rows in
+// order and buckets every entry of row i under its neighbor j as
+// (i, matrix), so each bucket lists its sources ascending; the second
+// walks the buckets in order and appends (j, matrix) back to row i, so
+// each row comes out ascending and each matrix keeps its orientation,
+// from i. Bucket j is as long as row j, whose edges are the ones
+// toward j, so the buckets take the rows' own offsets, and every row
+// refills in place.
+func (g *Graph) sortRows() {
+	n, total := len(g.rows), 0
+	g.fill = slices.Grow(g.fill[:0], n)[:n]
+	for j := range g.rows {
+		g.fill[j] = int32(total)
+		total += len(g.rows[j].es)
+	}
+	used := len(g.spill)
+	g.spill = slices.Grow(g.spill[:0], total)[:total]
+	for i := range g.rows {
+		r := &g.rows[i]
+		for _, e := range r.es {
+			g.spill[g.fill[e.v]] = entry{i, e.m}
+			g.fill[e.v]++
+		}
+		r.es = r.es[:0]
+	}
+	lo := int32(0)
+	for j, hi := range g.fill {
+		for _, e := range g.spill[lo:hi] {
+			r := &g.rows[e.v]
+			r.es = append(r.es, entry{j, e.m})
+		}
+		lo = hi
+	}
+	clear(g.spill[total:max(used, total)]) // as InducedInto's entries
 }
 
 // unmark resets g.pos to -1 at verts.

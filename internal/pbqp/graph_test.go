@@ -3,6 +3,7 @@ package pbqp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -447,7 +448,125 @@ func TestInducedIntoReuses(t *testing.T) {
 				t.Fatalf("after inducing %v, a spare entry still holds a matrix", c.verts)
 			}
 		}
+		for _, e := range dst.spill[len(dst.spill):cap(dst.spill)] {
+			if e.m != nil {
+				t.Fatalf("after inducing %v, a spare spill entry still holds a matrix", c.verts)
+			}
+		}
 	}
+	// The lists above are out of order, so the rows are ordered by
+	// sortRows; once dst has grown, that allocates nothing either.
+	verts := []int{29, 3, 17, 4, 0, 12, 8, 21, 5}
+	big.InducedInto(dst, verts)
+	if allocs := testing.AllocsPerRun(20, func() { big.InducedInto(dst, verts) }); allocs != 0 {
+		t.Fatalf("a steady-state InducedInto allocates %.1f times, want 0", allocs)
+	}
+}
+
+// inducedRows builds the rows of g.Induced(verts) the way InducedInto
+// built them before sortRows: each row in g's row order, tombstones
+// skipped, then sorted by new index.
+func inducedRows(g *Graph, verts []int) [][]entry {
+	pos := make(map[int]int, len(verts))
+	for i, u := range verts {
+		pos[u] = i
+	}
+	rows := make([][]entry, len(verts))
+	for i, u := range verts {
+		for _, e := range g.rows[u].es {
+			if j, ok := pos[e.v]; ok && e.m != nil {
+				rows[i] = append(rows[i], entry{j, e.m})
+			}
+		}
+		slices.SortFunc(rows[i], byNeighbor)
+	}
+	return rows
+}
+
+// dfsOrder lists the vertices of root's component in depth-first
+// preorder from root, the way decomp lists a block: anchor first, the
+// rest in an order unrelated to their ids.
+func dfsOrder(g *Graph, root int) []int {
+	seen := map[int]bool{root: true}
+	order, stack := []int{root}, []int{root}
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		next := -1
+		for _, v := range g.Neighbors(u) {
+			if !seen[v] {
+				next = v
+				break
+			}
+		}
+		if next < 0 {
+			stack = stack[:len(stack)-1]
+			continue
+		}
+		seen[next] = true
+		order = append(order, next)
+		stack = append(stack, next)
+	}
+	return order
+}
+
+// TestInducedIntoOrdersRows: on random graphs whose rows carry
+// tombstones and unsorted tails, and on TailGraph, under random vertex
+// subsets in random order and under depth-first orders, every row
+// InducedInto builds holds the same neighbors, in the same order, with
+// the same matrix pointers, as the sorted reference.
+func TestInducedIntoOrdersRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	dst := new(Graph)
+	untidy := 0
+	check := func(g *Graph, verts []int) {
+		t.Helper()
+		g.InducedInto(dst, verts)
+		want := inducedRows(g, verts)
+		for i, r := range dst.rows {
+			if r.sorted != len(r.es) || r.dead != 0 || !slices.Equal(r.es, want[i]) {
+				t.Fatalf("inducing %v: row %d is %v (sorted %d, dead %d), want %v", verts, i, r.es, r.sorted, r.dead, want[i])
+			}
+		}
+		if err := dst.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	graphs := []*Graph{TailGraph(t)}
+	for range 30 {
+		n := 20 + rng.Intn(30)
+		g := randomGraph(rng, n, 2, 0.3+0.5*rng.Float64(), 0)
+		// Removals far from a row's end leave tombstones, inserts far from
+		// it land in the tail.
+		for range n {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if u == v {
+				continue
+			}
+			if g.HasEdge(u, v) {
+				g.RemoveEdge(u, v)
+			} else {
+				g.SetEdgeCost(u, v, cost.NewMatrixFrom([][]cost.Cost{{1, 0}, {0, cost.Cost(rng.Intn(5))}}))
+			}
+		}
+		graphs = append(graphs, g)
+	}
+	for _, g := range graphs {
+		for u := range g.rows {
+			if r := &g.rows[u]; r.dead > 0 || r.sorted < len(r.es) {
+				untidy++
+			}
+		}
+		alive := g.Vertices()
+		for range 10 {
+			rng.Shuffle(len(alive), func(i, j int) { alive[i], alive[j] = alive[j], alive[i] })
+			check(g, alive[:1+rng.Intn(len(alive))])
+			check(g, dfsOrder(g, alive[0]))
+		}
+	}
+	if untidy == 0 {
+		t.Fatal("no row had a tombstone or a tail: the rows InducedInto walks were all tidy")
+	}
+	t.Logf("%d untidy rows", untidy)
 }
 
 // HasEdge reports whether the edge (u, v) is present.

@@ -7,7 +7,7 @@
 // — exact, enumeration, or Deep-RL — can run on the (often much smaller)
 // remainder, and the removed vertices are recolored optimally
 // afterwards. This mirrors production PBQP allocators, which always run
-// the exact reductions before anything expensive. Start and Step expose
+// the exact reductions before anything expensive. Restart and Step expose
 // the same engine one elimination at a time; with RN enabled it is the
 // whole Scholz–Eckstein solver (internal/solve/scholz).
 //
@@ -30,8 +30,9 @@ import (
 // Reduction is a PBQP graph being reduced, or the result of reducing one.
 // It is also the reduction's workspace: every step gathers into buffers
 // it keeps, and Restart starts a new reduction in the storage of the
-// last one, so a Reduction restarted again and again (scholz keeps them
-// in a pool) reaches a steady state that allocates almost nothing.
+// last one, so a Reduction restarted again and again (scholz and decomp
+// keep them in pools) reaches a steady state that allocates almost
+// nothing.
 type Reduction struct {
 	// Graph is the remainder. After Apply every alive vertex has degree
 	// ≥ 3; it may be empty, in which case Expand solves the whole
@@ -127,18 +128,33 @@ func (a *arena) reset() {
 // Apply exhaustively applies R0/R1/R2 to a copy of g and returns the
 // reduction. The input graph is not mutated.
 func Apply(g *pbqp.Graph) *Reduction {
-	r := Start(g, false)
-	for r.Step(false) {
-	}
+	r := new(Reduction)
+	r.Reapply(g)
 	return r
 }
 
-// Start copies g and queues its vertices for elimination by Step; the
-// input graph is not mutated. With rn false only vertices the exact
+// Reapply makes r what Apply(g) returns, reusing r's storage as
+// Restart does, and under Restart's rule: nothing may read what r held
+// before.
+func (r *Reduction) Reapply(g *pbqp.Graph) {
+	r.Restart(g, false)
+	for r.Step(false) {
+	}
+}
+
+// Restart starts a new reduction of g in r's storage: r's Graph is
+// overwritten by a copy of g (pbqp.Graph.CloneInto), which is what the
+// reduction mutates — the input graph never is — and its vertices are
+// queued for elimination by Step. With rn false only vertices the exact
 // reductions can take (degree ≤ 2) are ever queued, so Step reports
 // false at the R0/R1/R2 fixpoint. With rn true every alive vertex is
 // queued and Step colors vertices of degree ≥ 3 by the RN heuristic, so
-// Step runs until the graph is empty.
+// Step runs until the graph is empty. A zero Reduction is ready to
+// restart.
+//
+// Restart cuts the matrices R2 installed in r's last graph again, so
+// nothing may read r's Graph, a matrix taken from it or r's records any
+// more — in particular, g must not be r.Graph.
 //
 // Elimination order is the (degree, id)-lexicographic minimum among the
 // queued vertices, recomputed after every step — the same order a full
@@ -150,17 +166,6 @@ func Apply(g *pbqp.Graph) *Reduction {
 // neighbor by one), so a popped entry is stale exactly when its recorded
 // degree or liveness no longer matches and a fresh entry was pushed at
 // the moment of the change.
-func Start(g *pbqp.Graph, rn bool) *Reduction {
-	r := new(Reduction)
-	r.Restart(g, rn)
-	return r
-}
-
-// Restart makes r what Start(g, rn) returns, reusing r's storage: its
-// Graph is overwritten by a copy of g (pbqp.Graph.CloneInto), and the
-// matrices R2 installed in it are cut again. Nothing may read r's
-// Graph, a matrix taken from it or r's records any more — in
-// particular, g must not be r.Graph.
 func (r *Reduction) Restart(g *pbqp.Graph, rn bool) {
 	if r.Graph == nil {
 		r.Graph = new(pbqp.Graph)

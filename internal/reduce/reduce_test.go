@@ -121,7 +121,8 @@ func TestForbiddenFoldsAndExpandsAsForbidden(t *testing.T) {
 	g.SetVertexCost(0, cost.Vector{5e307})
 	g.SetVertexCost(1, cost.Vector{0})
 	g.SetEdgeCost(0, 1, cost.NewMatrixFrom([][]cost.Cost{{-1e307}}))
-	r := Start(g, false)
+	r := new(Reduction)
+	r.Restart(g, false)
 	if !r.Step(false) || r.Graph.Alive(0) {
 		t.Fatal("the first step did not eliminate vertex 0")
 	}

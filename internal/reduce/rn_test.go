@@ -175,7 +175,8 @@ func TestRestartSizesStack(t *testing.T) {
 	g := randgraph.ErdosRenyi(rand.New(rand.NewSource(7)), randgraph.Config{
 		N: n, M: 4, PEdge: 2.2 / n, PInf: 0.01})
 	for _, rn := range []bool{false, true} {
-		r := Start(g, rn)
+		r := new(Reduction)
+		r.Restart(g, rn)
 		stack, ids := cap(r.stack), cap(r.ids)
 		for r.Step(false) {
 		}

@@ -15,7 +15,7 @@ import (
 // the (degree, id)-minimum alive vertex by scanning the whole graph each
 // step, stop at the first vertex above degree 2 unless rn, and from step
 // rnFrom on color by RN whatever the degree (scholz past its deadline).
-// The worklist heap behind Start/Step must reproduce its elimination
+// The worklist heap behind Restart/Step must reproduce its elimination
 // sequence exactly.
 func referenceRun(g *pbqp.Graph, rn bool, rnFrom int) *Reduction {
 	w := g.Clone()
@@ -50,10 +50,11 @@ func referenceRun(g *pbqp.Graph, rn bool, rnFrom int) *Reduction {
 	}
 }
 
-// heapRun drives Start/Step the way Apply (rn false) and scholz (rn
-// true, forcing RN from step rnFrom on) do.
+// heapRun drives Restart/Step, on a new Reduction, the way Apply (rn
+// false) and scholz (rn true, forcing RN from step rnFrom on) do.
 func heapRun(g *pbqp.Graph, rn bool, rnFrom int) *Reduction {
-	red := Start(g, rn)
+	red := new(Reduction)
+	red.Restart(g, rn)
 	for red.Step(red.Eliminated >= rnFrom) {
 	}
 	return red

@@ -80,9 +80,10 @@ func reuseGraphs(rng *rand.Rand) []*pbqp.Graph {
 }
 
 // freshSolve is SolveCtx without a deadline, driven on a reduction
-// Start allocates for this one solve: what a pooled solve must equal.
+// allocated for this one solve: what a pooled solve must equal.
 func freshSolve(g *pbqp.Graph) solve.Result {
-	red := reduce.Start(g, true)
+	red := new(reduce.Reduction)
+	red.Restart(g, true)
 	var states int64
 	for red.Graph.AliveCount() > 0 {
 		states++
